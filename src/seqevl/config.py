@@ -240,7 +240,6 @@ class ExperimentConfig:
     workers: int = 1
     route: str = "exact"
     out_dir: str = "runs"
-    cone_a: float = 20.0
     x0: float = 0.3
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
     observable: ObservableSpec = field(default_factory=ObservableSpec)
@@ -390,6 +389,8 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         error("bad-workers", "worker count must be positive")
     if config.route not in ("exact", "ulam"):
         error("bad-route", f"unknown operator route {config.route!r}")
+    elif config.kind == "decay" and config.route == "ulam":
+        error("bad-route", "decay pushes signed densities by the exact route only")
     if config.mesh.cells < 2:
         error("bad-mesh", "mesh needs at least 2 cells")
     if config.mesh.kind not in ("graded", "uniform"):
@@ -398,8 +399,6 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         error("bad-observable", f"unknown observable form {config.observable.form!r}")
     if not 0.0 < config.observable.zeta < 1.0:
         error("bad-zeta", "zeta must lie strictly inside (0, 1)")
-    if config.cone_a <= 1.0:
-        error("bad-cone", "cone aperture must exceed 1")
     if not 0.0 <= config.x0 <= 1.0:
         error("bad-x0", "orbit start must lie in [0, 1]")
 

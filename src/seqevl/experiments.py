@@ -253,7 +253,7 @@ def _run_decay(config: ExperimentConfig, cache: DiskCache):
     alpha = schedule.sup_alpha()
     f = uniform_density(mesh)
     g = cone_step_surrogate(mesh, height=2.0, cutoff=0.5, alpha=alpha)
-    result = loss_of_memory_distance(schedule, f, g, ladder, route=config.route)
+    result = loss_of_memory_distance(schedule, f, g, ladder)
     slope = result.corrected_slope(alpha)
     target = -(1.0 / alpha - 1.0) + 0.5
     monotone = bool(np.all(np.diff(result.log_distances) < 0.0))

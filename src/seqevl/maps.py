@@ -94,17 +94,11 @@ def lsv_preimages(alpha: float, y):
 def apply_map_batch(alpha: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One map step on a batch of points, without domain re-validation.
 
-    Meant for Monte Carlo inner loops; callers guarantee x in [0, 1].
+    Meant for Monte Carlo inner loops; callers guarantee x in [0, 1].  The
+    arithmetic is lsv_apply's, so both give the same bits.
     """
-    if out is None:
-        out = np.empty_like(x)
-    left = x < 0.5
-    xl = x[left]
-    np.multiply(x, 2.0, out=out)
-    out -= 1.0
-    out[left] = xl * (1.0 + 2.0 ** alpha * xl ** alpha)
-    np.minimum(out, 1.0, out=out)
-    return out
+    left = x * (1.0 + 2.0 ** alpha * x ** alpha)
+    return np.minimum(np.where(x < 0.5, left, 2.0 * x - 1.0), 1.0, out=out)
 
 
 @dataclass(frozen=True)

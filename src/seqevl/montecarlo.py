@@ -1,17 +1,20 @@
 """Monte Carlo estimators for the extreme-value experiments.
 
 Determinism contract: every estimator draws its inputs from counter-based
-streams keyed by (seed, labels), walks the samples in fixed chunks of
-CHUNK_SIZE, and aggregates integer event counts per chunk.  Worker threads
-only spread the chunks out; the combined counts, and therefore every
-estimate, are identical for any worker count.
+streams keyed by (seed, labels) and walks them with one shared sweep, which
+cuts the samples into fixed chunks of CHUNK_SIZE and sums per-chunk event
+counts in chunk order.  Worker threads only spread the chunks out; the
+combined counts, and therefore every estimate, are identical for any worker
+count.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy import stats
@@ -77,29 +80,42 @@ class EstimateWithCI:
         return cls(mean, se, n, mean - Z95 * se, mean + Z95 * se)
 
 
-def _chunk_bounds(n_samples: int):
-    return [(lo, min(lo + CHUNK_SIZE, n_samples))
-            for lo in range(0, n_samples, CHUNK_SIZE)]
+def _sweep(schedule: ParameterSchedule, rng: RNGSpec, label: str, n_samples: int,
+           workers: int, steps: int, chunk):
+    """Walk n_samples uniform orbits through positions 0..steps-1 and sum the counts.
 
-
-def _run_chunks(n_samples: int, workers: int, kernel):
-    """Run kernel(lo, hi) over fixed chunks and sum the returned tuples.
-
-    Chunk boundaries depend only on n_samples, and the per-chunk results are
-    exact integers (or order-stable floats summed in chunk order), so the
-    reduction is invariant under the worker count.
+    chunk(size) -> (visit, result) sets up one chunk's accumulators.
+    visit(i, x) sees the chunk's points after i map steps; it may return a
+    keep-mask, and then only the kept points walk on, the chunk stopping
+    once none are left.  result() gives the chunk's tuple of counts.
+    Chunk boundaries depend only on n_samples, and the per-chunk tuples
+    (exact integers, or floats) are summed in chunk order, so the totals
+    are invariant under the worker count.
     """
-    bounds = _chunk_bounds(n_samples)
+    alphas = schedule.alphas(steps - 1)
+    x0 = rng.uniform_points(n_samples, "x0", label)
+
+    def run(lo: int):
+        x = x0[lo:lo + CHUNK_SIZE].copy()
+        visit, result = chunk(x.size)
+        for i in range(steps):
+            if i > 0:
+                x = apply_map_batch(alphas[i - 1], x, out=x)
+            keep = visit(i, x)
+            if keep is not None:
+                x = x[keep]
+                if x.size == 0:
+                    break
+        return result()
+
+    starts = range(0, n_samples, CHUNK_SIZE)
     if workers <= 1:
-        results = [kernel(lo, hi) for lo, hi in bounds]
+        results = [run(lo) for lo in starts]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda lh: kernel(*lh), bounds))
-    combined = list(results[0])
-    for res in results[1:]:
-        for j, part in enumerate(res):
-            combined[j] = combined[j] + part
-    return combined
+            results = list(pool.map(run, starts))
+    # plain left-to-right adds; sum() would compensate float rounding on Python >= 3.12
+    return [reduce(operator.add, parts) for parts in zip(*results)]
 
 
 # ---------------------------------------------------------------------------
@@ -107,40 +123,27 @@ def _run_chunks(n_samples: int, workers: int, kernel):
 
 
 def estimate_Pn(ts: ThresholdSchedule, rng: RNGSpec, n_samples: int = 100_000,
-                workers: int = 1, early_exit: bool = True,
-                label: str = "pn") -> EstimateWithCI:
+                workers: int = 1, label: str = "pn") -> EstimateWithCI:
     """P(no exceedance through step n-1) for calibrated thresholds.
 
-    Orbits that exceed are dropped as soon as early_exit allows; the
-    surviving count is identical either way because exceedance at each step
-    is a pointwise predicate on that sample's orbit.
+    Orbits that exceed are dropped at once: exceedance at each step is a
+    pointwise predicate on that sample's orbit, so only survivors walk on.
     """
-    n = ts.n
-    alphas = ts.schedule.alphas(n - 1)
-    deltas = ts.deltas
-    zeta = ts.zeta
-    x0 = rng.uniform_points(n_samples, "x0", label)
+    zeta, deltas = ts.zeta, ts.deltas
 
-    def kernel(lo: int, hi: int):
-        x = x0[lo:hi].copy()
-        if early_exit:
-            for i in range(n):
-                if i > 0:
-                    x = apply_map_batch(alphas[i - 1], x, out=x)
-                if deltas[i] > 0.0:
-                    x = x[np.abs(x - zeta) >= deltas[i]]
-                if x.size == 0:
-                    break
-            return (int(x.size),)
-        survived = np.ones(hi - lo, dtype=bool)
-        for i in range(n):
-            if i > 0:
-                x = apply_map_batch(alphas[i - 1], x, out=x)
+    def chunk(size: int):
+        alive = size
+
+        def visit(i, x):
+            nonlocal alive
             if deltas[i] > 0.0:
-                survived &= np.abs(x - zeta) >= deltas[i]
-        return (int(np.count_nonzero(survived)),)
+                keep = np.abs(x - zeta) >= deltas[i]
+                alive = int(np.count_nonzero(keep))
+                return keep
 
-    (survivors,) = _run_chunks(n_samples, workers, kernel)
+        return visit, lambda: (alive,)
+
+    (survivors,) = _sweep(ts.schedule, rng, label, n_samples, workers, ts.n, chunk)
     return EstimateWithCI.from_counts(survivors, n_samples)
 
 
@@ -151,23 +154,20 @@ def estimate_exceedances(ts: ThresholdSchedule, indices, rng: RNGSpec,
     idx = sorted(int(i) for i in indices)
     if not idx or idx[0] < 0 or idx[-1] >= ts.n:
         raise ValueError("indices must lie in [0, n)")
-    alphas = ts.schedule.alphas(idx[-1])
-    x0 = rng.uniform_points(n_samples, "x0", label)
     wanted = {i: pos for pos, i in enumerate(idx)}
     zeta, deltas = ts.zeta, ts.deltas
 
-    def kernel(lo: int, hi: int):
-        x = x0[lo:hi].copy()
+    def chunk(size: int):
         counts = np.zeros(len(idx), dtype=np.int64)
-        for i in range(idx[-1] + 1):
-            if i > 0:
-                x = apply_map_batch(alphas[i - 1], x, out=x)
+
+        def visit(i, x):
             pos = wanted.get(i)
             if pos is not None:
                 counts[pos] = np.count_nonzero(np.abs(x - zeta) < deltas[i])
-        return (counts,)
 
-    (counts,) = _run_chunks(n_samples, workers, kernel)
+        return visit, lambda: (counts,)
+
+    (counts,) = _sweep(ts.schedule, rng, label, n_samples, workers, idx[-1] + 1, chunk)
     return [EstimateWithCI.from_counts(int(k), n_samples) for k in counts]
 
 
@@ -250,27 +250,24 @@ def dprime_sum(ts: ThresholdSchedule, blocks: BlockStructure, rng: RNGSpec,
     sweep per sample suffices: count exceedances within each block and add
     C(count, 2).  Work per sample is O(n + pairs).
     """
-    n = ts.n
-    alphas = ts.schedule.alphas(n - 1)
     zeta, deltas = ts.zeta, ts.deltas
     ends = set(int(b) for b in blocks.bounds[1:])
-    x0 = rng.uniform_points(n_samples, "x0", label)
 
-    def kernel(lo: int, hi: int):
-        x = x0[lo:hi].copy()
-        in_block = np.zeros(hi - lo, dtype=np.int64)
-        pairs = np.zeros(hi - lo, dtype=np.int64)
-        for i in range(n):
-            if i > 0:
-                x = apply_map_batch(alphas[i - 1], x, out=x)
+    def chunk(size: int):
+        in_block = np.zeros(size, dtype=np.int64)
+        pairs = np.zeros(size, dtype=np.int64)
+
+        def visit(i, x):
+            nonlocal in_block, pairs
             if deltas[i] > 0.0:
                 in_block += np.abs(x - zeta) < deltas[i]
             if (i + 1) in ends:
                 pairs += in_block * (in_block - 1) // 2
                 in_block[:] = 0
-        return (int(pairs.sum()), int((pairs * pairs).sum()))
 
-    total, total_sq = _run_chunks(n_samples, workers, kernel)
+        return visit, lambda: (int(pairs.sum()), int((pairs * pairs).sum()))
+
+    total, total_sq = _sweep(ts.schedule, rng, label, n_samples, workers, ts.n, chunk)
     return EstimateWithCI.from_moments(float(total), float(total_sq), n_samples)
 
 
@@ -305,25 +302,23 @@ def d0_mixing_gap(ts: ThresholdSchedule, i: int, t: int, ell: int, rng: RNGSpec,
     if i < 0 or t < 1 or ell < 0 or i + t + ell > n:
         raise ValueError("need 0 <= i, t >= 1, ell >= 0, i + t + ell <= n")
     last = i + t + ell - 1 if ell > 0 else i
-    alphas = ts.schedule.alphas(max(last, 0))
     zeta, deltas = ts.zeta, ts.deltas
-    x0 = rng.uniform_points(n_samples, "x0", label)
 
-    def kernel(lo: int, hi: int):
-        x = x0[lo:hi].copy()
-        a = np.zeros(hi - lo, dtype=bool)
-        w = np.ones(hi - lo, dtype=bool)
-        for step in range(last + 1):
-            if step > 0:
-                x = apply_map_batch(alphas[step - 1], x, out=x)
+    def chunk(size: int):
+        a = np.zeros(size, dtype=bool)
+        w = np.ones(size, dtype=bool)
+
+        def visit(step, x):
+            nonlocal a, w
             if step == i:
                 a = np.abs(x - zeta) < deltas[step]
-            if ell > 0 and i + t <= step < i + t + ell and deltas[step] > 0.0:
+            if ell > 0 and i + t <= step and deltas[step] > 0.0:
                 w &= np.abs(x - zeta) >= deltas[step]
-        n11 = int(np.count_nonzero(a & w))
-        return (n11, int(np.count_nonzero(a)), int(np.count_nonzero(w)))
 
-    n11, na, nw = _run_chunks(n_samples, workers, kernel)
+        return visit, lambda: (int(np.count_nonzero(a & w)), int(np.count_nonzero(a)),
+                               int(np.count_nonzero(w)))
+
+    n11, na, nw = _sweep(ts.schedule, rng, label, n_samples, workers, last + 1, chunk)
     N = n_samples
     pa, pw, p11 = na / N, nw / N, n11 / N
     cov = p11 - pa * pw
@@ -398,22 +393,21 @@ def mc_correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
         return obs
 
     fphi, fpsi = as_callable(phi), as_callable(psi)
-    alphas = schedule.alphas(i + t)
-    x0 = rng.uniform_points(n_samples, "x0", label)
 
-    def kernel(lo: int, hi: int):
-        x = x0[lo:hi].copy()
-        u = np.zeros(hi - lo)
-        for step in range(i + t + 1):
-            if step > 0:
-                x = apply_map_batch(alphas[step - 1], x, out=x)
+    def chunk(size: int):
+        u = v = None
+
+        def visit(step, x):
+            nonlocal u, v
             if step == i:
                 u = np.asarray(fphi(x), dtype=float).copy()
-        v = np.asarray(fpsi(x), dtype=float)
-        return (float(np.sum(u * v)), float(np.sum(u)), float(np.sum(v)),
-                float(np.sum((u * v) ** 2)), hi - lo)
+            if step == i + t:
+                v = np.asarray(fpsi(x), dtype=float)
 
-    suv, su, sv, suv2, count = _run_chunks(n_samples, workers, kernel)
+        return visit, lambda: (float(np.sum(u * v)), float(np.sum(u)), float(np.sum(v)),
+                               float(np.sum((u * v) ** 2)))
+
+    suv, su, sv, suv2 = _sweep(schedule, rng, label, n_samples, workers, i + t + 1, chunk)
     N = n_samples
     mu_uv, mu_u, mu_v = suv / N, su / N, sv / N
     cov = mu_uv - mu_u * mu_v

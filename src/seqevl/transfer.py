@@ -321,8 +321,8 @@ class DecayResult:
 
 
 def loss_of_memory_distance(schedule: ParameterSchedule, f: Density, g: Density,
-                            ladder, route: str = "exact") -> DecayResult:
-    """Track ||push_n f - push_n g||_1 at the requested times.
+                            ladder) -> DecayResult:
+    """Track ||push_n f - push_n g||_1 at the requested times, by the exact route.
 
     Inputs must carry equal mass; the zero-mass difference is pushed
     directly, so cancellation never eats the small late-time distances.

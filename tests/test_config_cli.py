@@ -161,7 +161,7 @@ def test_budget_warnings_at_large_sup_alpha():
     (dict(mesh=MeshSpec(kind="hexagonal")), "bad-mesh"),
     (dict(observable=ObservableSpec(form="nope")), "bad-observable"),
     (dict(observable=ObservableSpec(zeta=1.0)), "bad-zeta"),
-    (dict(cone_a=0.5), "bad-cone"),
+    (dict(kind="decay", route="ulam"), "bad-route"),
     (dict(x0=1.5), "bad-x0"),
     (dict(schedule=ScheduleSpec(mode="warp")), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="periodic", cycle=())), "bad-schedule"),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from seqevl.maps import lsv_apply
 from seqevl.mesh import graded_mesh
 from seqevl.montecarlo import (
     ALPHA_STAR_FEASIBLE_SUP,
@@ -85,14 +86,6 @@ def test_estimate_pn_single_step_closed_form(mesh512, const01):
     ts = build_threshold_schedule(const01, Observable(form="log"), 0.5, 1, mesh512)
     e = estimate_Pn(ts, RNGSpec(5), n_samples=N_FAST)
     assert abs(e.value - 0.5) <= 3.0 * e.se
-
-
-def test_estimate_pn_early_exit_equivalence(ts20):
-    rng = RNGSpec(7)
-    fast = estimate_Pn(ts20, rng, n_samples=N_FAST, early_exit=True)
-    slow = estimate_Pn(ts20, rng, n_samples=N_FAST, early_exit=False)
-    assert fast.value == slow.value
-    assert fast.se == slow.se
 
 
 def test_estimate_pn_worker_invariance(ts20):
@@ -237,6 +230,75 @@ def test_correlation_decays_in_t(mesh512, const01):
     vals = [abs(correlation_DC(const01, phi, phi, i=0, t=t, mesh=mesh512))
             for t in (1, 5, 25)]
     assert vals[2] < vals[0]
+
+
+# ------------------------------------------------- plain reference sweep
+
+N_REF = 2 * 16384 + 777  # two full chunks and a short last one
+
+
+def _plain_orbits(schedule, steps):
+    """Positions 0..steps-1 of all N_REF orbits, stepped whole with lsv_apply."""
+    xs = [RNGSpec(47).uniform_points(N_REF, "x0", "ref")]
+    for a in schedule.alphas(steps - 1):
+        xs.append(lsv_apply(a, xs[-1]))
+    return np.array(xs)
+
+
+def _plain_hits(ts, steps):
+    return np.abs(_plain_orbits(ts.schedule, steps) - ts.zeta) < ts.deltas[:steps, None]
+
+
+def _ref_pn(ts):
+    got = estimate_Pn(ts, RNGSpec(47), N_REF, label="ref")
+    survivors = np.count_nonzero(~_plain_hits(ts, ts.n).any(axis=0))
+    return got, EstimateWithCI.from_counts(int(survivors), N_REF)
+
+
+def _ref_exceedances(ts):
+    idx = [0, 7, 19]
+    got = estimate_exceedances(ts, idx, RNGSpec(47), N_REF, label="ref")
+    hits = _plain_hits(ts, ts.n)
+    return got, [EstimateWithCI.from_counts(int(np.count_nonzero(hits[i])), N_REF)
+                 for i in idx]
+
+
+def _ref_dprime(ts):
+    blocks = build_blocks(ts, k_n=4)
+    got = dprime_sum(ts, blocks, RNGSpec(47), N_REF, label="ref")
+    hits = _plain_hits(ts, ts.n).astype(np.int64)
+    pairs = sum(c * (c - 1) // 2 for c in (hits[a:b].sum(axis=0) for a, b in
+                                           zip(blocks.bounds[:-1], blocks.bounds[1:])))
+    return got, EstimateWithCI.from_moments(float(pairs.sum()),
+                                            float((pairs * pairs).sum()), N_REF)
+
+
+def _ref_d0(ts):
+    g = d0_mixing_gap(ts, i=1, t=4, ell=3, rng=RNGSpec(47), n_samples=N_REF, label="ref")
+    hits = _plain_hits(ts, 8)
+    event, window = hits[1], ~hits[5:8].any(axis=0)
+    pa = np.count_nonzero(event) / N_REF
+    pw = np.count_nonzero(window) / N_REF
+    cov = np.count_nonzero(event & window) / N_REF - pa * pw
+    return (g.p_event, g.p_window, g.covariance), (pa, pw, cov)
+
+
+def _ref_dc(ts):
+    e = mc_correlation_DC(ts.schedule, (0.2, 0.5), (0.55, 0.8), i=2, t=3,
+                          rng=RNGSpec(47), n_samples=N_REF, label="ref")
+    xs = _plain_orbits(ts.schedule, 6)
+    u = (xs[2] > 0.2) & (xs[2] < 0.5)
+    v = (xs[5] > 0.55) & (xs[5] < 0.8)
+    mu_u, mu_v = np.count_nonzero(u) / N_REF, np.count_nonzero(v) / N_REF
+    return e.value, np.count_nonzero(u & v) / N_REF - mu_u * mu_v
+
+
+@pytest.mark.parametrize("case", [_ref_pn, _ref_exceedances, _ref_dprime, _ref_d0, _ref_dc],
+                         ids=["pn", "exceedances", "dprime", "d0", "dc"])
+def test_estimators_match_plain_reference_sweep(ts20, case):
+    # the chunked, compacting sweep must count exactly what a plain walk counts
+    got, want = case(ts20)
+    assert got == want
 
 
 # ----------------------------------------------------------- exponent budget
