@@ -389,8 +389,8 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         error("bad-workers", "worker count must be positive")
     if config.route not in ("exact", "ulam"):
         error("bad-route", f"unknown operator route {config.route!r}")
-    elif config.kind == "decay" and config.route == "ulam":
-        error("bad-route", "decay pushes signed densities by the exact route only")
+    elif config.kind in ("decay", "recurrence", "orbit") and config.route == "ulam":
+        error("bad-route", f"{config.kind} runs by the exact route only")
     if config.mesh.cells < 2:
         error("bad-mesh", "mesh needs at least 2 cells")
     if config.mesh.kind not in ("graded", "uniform"):

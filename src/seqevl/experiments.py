@@ -24,7 +24,7 @@ from .montecarlo import (RNGSpec, build_blocks, d0_mixing_gap, dprime_sum,
                          estimate_exceedances, estimate_Pn, exponent_ledger)
 from .recurrence import (local_recurrence_at, local_recurrence_bound,
                          loglog_slope, measure_En_eps, measure_Ej)
-from .thresholds import build_threshold_schedule
+from .thresholds import build_threshold_schedule, calibrate_schedule
 from .transfer import cone_step_surrogate, loss_of_memory_distance
 
 DECAY_LADDER = (64, 128, 256, 512, 1024, 2048, 4096)
@@ -111,10 +111,15 @@ def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentReport:
     return report
 
 
-def _thresholds(config: ExperimentConfig, n: int, cache: DiskCache):
-    return build_threshold_schedule(
-        config.schedule.build(), config.observable.build(), config.tau, n,
-        config.mesh.build(), route=config.route, cache=cache)
+def _thresholds(config: ExperimentConfig, cache: DiskCache, ns) -> list:
+    """Threshold schedules for the horizons ns, all from one push to the longest."""
+    schedule, observable = config.schedule.build(), config.observable.build()
+    top, densities = build_threshold_schedule(
+        schedule, observable, config.tau, max(ns), config.mesh.build(),
+        route=config.route, cache=cache, return_densities=True)
+    return [top if n == top.n
+            else calibrate_schedule(densities[:n], schedule, observable, config.tau)
+            for n in ns]
 
 
 def _run_evl(config: ExperimentConfig, cache: DiskCache):
@@ -124,8 +129,8 @@ def _run_evl(config: ExperimentConfig, cache: DiskCache):
     checks = []
     samples = 0
     errors = []
-    for n in config.ns():
-        ts = _thresholds(config, n, cache)
+    for ts in _thresholds(config, cache, config.ns()):
+        n = ts.n
         est = estimate_Pn(ts, rng, config.n_samples, workers=config.workers,
                           label=f"pn-{n}")
         samples += config.n_samples
@@ -154,7 +159,7 @@ def _run_evl(config: ExperimentConfig, cache: DiskCache):
 def _run_calibrate(config: ExperimentConfig, cache: DiskCache):
     rng = RNGSpec(config.seed)
     n = config.ns()[-1]
-    ts = _thresholds(config, n, cache)
+    ts, = _thresholds(config, cache, (n,))
     first_target = config.tau / (2.0 * n)
     checks = [TargetCheck(
         name="first-radius",
@@ -189,8 +194,8 @@ def _run_dprime(config: ExperimentConfig, cache: DiskCache):
     rows = []
     results = []
     samples = 0
-    for n in config.ns():
-        ts = _thresholds(config, n, cache)
+    for ts in _thresholds(config, cache, config.ns()):
+        n = ts.n
         blocks = build_blocks(ts, beta=config.exponents.beta,
                               kappa=config.exponents.kappa)
         est = dprime_sum(ts, blocks, rng, config.n_samples,
@@ -222,7 +227,7 @@ def _run_dprime(config: ExperimentConfig, cache: DiskCache):
 def _run_d0(config: ExperimentConfig, cache: DiskCache):
     rng = RNGSpec(config.seed)
     n = config.ns()[-1]
-    ts = _thresholds(config, n, cache)
+    ts, = _thresholds(config, cache, (n,))
     ell = max(1, round(n ** 0.5))
     i = 0
     rows = []

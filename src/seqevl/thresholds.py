@@ -4,7 +4,9 @@ The observation at step i is g(|x_i - zeta|) for a strictly decreasing
 profile g, so level exceedances are open balls around zeta.  Levels are
 calibrated against the pushed densities: delta solves
 integral over (zeta - delta, zeta + delta) of the step-i density = tau / n,
-which makes every step carry identical exceedance mass.
+which makes every step carry identical exceedance mass.  For piecewise-
+constant densities that window mass is piecewise linear in delta, so each
+radius is an exact kink inversion rather than an iterative search.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maps import ParameterSchedule
-from .mesh import Density, Mesh, uniform_density
+from .mesh import Density, Mesh, _same_mesh, uniform_density
 from .transfer import ConeParams, push_density
 
 DEFAULT_ZETA = 1.0 / math.sqrt(2.0)
@@ -77,12 +79,24 @@ class Observable:
         return self.cap if self.form == "power-cap" else math.inf
 
 
-def calibrate_delta(density: Density, zeta: float, tau: float, n: int) -> float:
-    """Radius delta with mass(zeta - delta, zeta + delta) = tau / n.
+_BLOCK = 32  # densities per evaluation block; keeps its temporaries near 2 MB
 
-    The window mass is continuous and nondecreasing in delta, so monotone
-    bisection applies; the bracket is halved to rounding precision, far
-    below the documented 1e-10 relative tolerance.
+
+def calibrate_delta(density: Density, zeta: float, tau: float, n: int) -> float:
+    """Radius delta with mass(zeta - delta, zeta + delta) = tau / n, found by
+    exact kink inversion of the window mass (see calibrate_delta_ladder)."""
+    return float(calibrate_delta_ladder([density], zeta, tau, n)[0])
+
+
+def calibrate_delta_ladder(densities, zeta: float, tau: float, n: int) -> np.ndarray:
+    """calibrate_delta for every density of a ladder on one mesh.
+
+    The window mass M(delta) = F(zeta + delta) - F(zeta - delta) of a
+    piecewise-constant density is continuous, nondecreasing and piecewise
+    linear in delta, with kinks at |b_k - zeta| for the mesh boundaries b_k.
+    M is evaluated at every kink; the first kink reaching tau / n closes the
+    segment that holds the smallest solution, and linear interpolation inside
+    it is exact up to rounding.  Densities go in blocks of _BLOCK rows.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -91,41 +105,36 @@ def calibrate_delta(density: Density, zeta: float, tau: float, n: int) -> float:
     if not 0.0 < zeta < 1.0:
         raise ValueError("zeta must lie in (0, 1)")
     target = tau / n
-    if target == 0.0:
-        return 0.0
-    if target > density.mass * (1.0 + 1e-12):
-        raise ValueError("requested exceedance mass exceeds the total mass")
-    lo, hi = 0.0, max(zeta, 1.0 - zeta)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if float(density.interval_mass(zeta - mid, zeta + mid)) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def calibrate_delta_ladder(densities, zeta: float, tau: float, n: int) -> np.ndarray:
-    """Vector bisection of calibrate_delta over a ladder of densities."""
-    target = tau / n
-    k = len(densities)
-    if target == 0.0:
-        return np.zeros(k)
-    lo = np.zeros(k)
-    hi = np.full(k, max(zeta, 1.0 - zeta))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        settled = (mid == lo) | (mid == hi)
-        if settled.all():
-            break
-        masses = np.array([float(d.interval_mass(zeta - m, zeta + m))
-                           for d, m in zip(densities, mid)])
-        low = masses < target
-        lo = np.where(low, mid, lo)
-        hi = np.where(low, hi, mid)
-    return 0.5 * (lo + hi)
+    out = np.zeros(len(densities))
+    if target == 0.0 or not densities:
+        return out
+    mesh = densities[0].mesh
+    for d in densities:
+        if d.mesh is not mesh:
+            _same_mesh(d.mesh, mesh)
+        if target > d.mass * (1.0 + 1e-12):
+            raise ValueError("requested exceedance mass exceeds the total mass")
+    b = mesh.boundaries
+    kinks = np.unique(np.concatenate(([0.0], np.abs(b - zeta))))
+    # F at zeta -+ kink, with the clipping and cell lookup of Density.cdf
+    x = np.clip(np.concatenate((zeta - kinks, zeta + kinks)), 0.0, 1.0)
+    cell = np.clip(np.searchsorted(b, x, side="right") - 1, 0, mesh.n_cells - 1)
+    offset = x - b[cell]
+    for start in range(0, len(densities), _BLOCK):
+        block = densities[start:start + _BLOCK]
+        values = np.array([d.values for d in block])
+        prefix = np.array([d.prefix_mass for d in block])
+        cdf = prefix[:, cell] + values[:, cell] * offset
+        window = cdf[:, kinks.size:] - cdf[:, :kinks.size]
+        # j = 0 only where the mass stays below target (within the 1e-12
+        # tolerance): that density gets the largest radius
+        j = np.argmax(window >= target, axis=1)
+        rows = np.arange(len(block))
+        m0, m1 = window[rows, j - 1], window[rows, j]
+        d0, d1 = kinks[j - 1], kinks[j]
+        out[start:start + len(block)] = np.where(
+            j > 0, d0 + (target - m0) / (m1 - m0) * (d1 - d0), kinks[-1])
+    return out
 
 
 @dataclass
@@ -203,6 +212,21 @@ def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable
         raise ValueError("tau/n exceeds total mass 1; no calibration exists")
     densities = push_density(schedule, uniform_density(mesh), n - 1,
                              route=route, cache=cache, return_trajectory=True)
+    ts = calibrate_schedule(densities, schedule, observable, tau, cone=cone)
+    if return_densities:
+        return ts, densities
+    return ts
+
+
+def calibrate_schedule(densities, schedule: ParameterSchedule,
+                       observable: Observable, tau: float,
+                       cone: ConeParams | None = None) -> ThresholdSchedule:
+    """Thresholds of horizon n = len(densities) on the ladder [f_0, ..., f_(n-1)].
+
+    alphas(m) is a prefix of alphas(n), so the first m densities of a longer
+    ladder pushed by the same schedule serve horizon m unchanged.
+    """
+    n = len(densities)
     zeta = observable.zeta
     deltas = calibrate_delta_ladder(densities, zeta, tau, n)
     masses = np.array([float(d.interval_mass(zeta - dl, zeta + dl))
@@ -211,9 +235,6 @@ def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable
     if cone is None:
         cone = ConeParams(alpha=schedule.max_alpha(n - 1))
     win_lo, win_hi = threshold_window(cone, zeta, tau, n)
-    ts = ThresholdSchedule(observable=observable, tau=tau, n=n, deltas=deltas,
-                           levels=levels, step_masses=masses,
-                           window_lo=win_lo, window_hi=win_hi, schedule=schedule)
-    if return_densities:
-        return ts, densities
-    return ts
+    return ThresholdSchedule(observable=observable, tau=tau, n=n, deltas=deltas,
+                             levels=levels, step_masses=masses,
+                             window_lo=win_lo, window_hi=win_hi, schedule=schedule)

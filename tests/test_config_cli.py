@@ -166,6 +166,8 @@ def test_budget_warnings_at_large_sup_alpha():
     (dict(schedule=ScheduleSpec(mode="warp")), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="periodic", cycle=())), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="constant", alpha=-0.1)), "bad-alpha"),
+    (dict(kind="recurrence", route="ulam"), "bad-route"),
+    (dict(kind="orbit", route="ulam"), "bad-route"),
 ])
 def test_hard_errors(overrides, code):
     base = ExperimentConfig(kind=overrides.pop("kind", "evl"))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from seqevl.maps import ParameterSchedule
 from seqevl.mesh import Density, graded_mesh, uniform_density, uniform_mesh
@@ -106,15 +106,25 @@ def test_calibrate_delta_linear_closed_form():
 
 def test_calibrate_delta_zero_tau_and_validation():
     f = uniform_density(graded_mesh(64))
-    assert calibrate_delta(f, zeta=0.5, tau=0.0, n=10) == 0.0
+    half = Density(f.mesh, np.full(64, 0.5))
+
+    def ladder(density, zeta, tau, n):
+        return calibrate_delta_ladder([f, density], zeta, tau, n)[1]
+
+    for calibrate in (calibrate_delta, ladder):
+        assert calibrate(f, zeta=0.5, tau=0.0, n=10) == 0.0
+        with pytest.raises(ValueError):
+            calibrate(f, zeta=0.5, tau=-1.0, n=10)
+        with pytest.raises(ValueError):
+            calibrate(f, zeta=0.5, tau=1.0, n=0)
+        with pytest.raises(ValueError):
+            calibrate(f, zeta=1.5, tau=1.0, n=10)
+        with pytest.raises(ValueError):
+            calibrate(f, zeta=0.5, tau=3.0, n=2)  # tau/n > mass
+        with pytest.raises(ValueError):
+            calibrate(half, zeta=0.5, tau=0.6, n=1)  # this density's mass is short
     with pytest.raises(ValueError):
-        calibrate_delta(f, zeta=0.5, tau=-1.0, n=10)
-    with pytest.raises(ValueError):
-        calibrate_delta(f, zeta=0.5, tau=1.0, n=0)
-    with pytest.raises(ValueError):
-        calibrate_delta(f, zeta=1.5, tau=1.0, n=10)
-    with pytest.raises(ValueError):
-        calibrate_delta(f, zeta=0.5, tau=3.0, n=2)  # tau/n > mass
+        calibrate_delta_ladder([f, uniform_density(graded_mesh(32))], 0.5, 1.0, 10)
 
 
 def test_calibrate_ladder_matches_scalar(mesh512, const01):
@@ -127,6 +137,67 @@ def test_calibrate_ladder_matches_scalar(mesh512, const01):
     scalar = np.array([calibrate_delta(d, zeta, tau, n) for d in densities])
     np.testing.assert_allclose(ladder, scalar, rtol=0, atol=1e-15)
     assert calibrate_delta_ladder(densities, zeta, 0.0, n).tolist() == [0.0] * 10
+
+
+def bisect_delta(density, zeta, target):
+    """Plain bisection on the window mass: the reference for the kink inversion."""
+    lo, hi = 0.0, max(zeta, 1.0 - zeta)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if float(density.interval_mass(zeta - mid, zeta + mid)) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
+@st.composite
+def calibration_cases(draw):
+    """(density, zeta, target) with zero cells next to zeta and kink targets."""
+    cells = draw(st.integers(min_value=4, max_value=40))
+    if draw(st.booleans()):
+        mesh = uniform_mesh(cells)
+    else:
+        mesh = graded_mesh(cells, ratio=draw(st.floats(min_value=0.8, max_value=0.99)))
+    b = mesh.boundaries
+    if draw(st.booleans()):
+        zeta = float(b[draw(st.integers(min_value=1, max_value=cells - 1))])
+    else:
+        zeta = draw(st.floats(min_value=0.02, max_value=0.98))
+    values = np.array(draw(st.lists(st.floats(min_value=0.25, max_value=4.0),
+                                    min_size=cells, max_size=cells)))
+    at = int(mesh.cell_index(zeta))
+    left = draw(st.integers(min_value=-1, max_value=3))
+    right = draw(st.integers(min_value=-1, max_value=3))
+    # zero run over zeta's cell and its neighbours; -1 on a side keeps
+    # zeta's cell nonzero, so the run only borders it (or is empty)
+    values[max(at - left, 0):max(at + right + 1, 0)] = 0.0
+    density = Density(mesh, values)
+    assume(density.mass > 0.0)
+    kinks = np.abs(b - zeta)
+    kink_masses = np.array([float(density.interval_mass(zeta - k, zeta + k))
+                            for k in kinks])
+    usable = kink_masses[kink_masses >= 0.02 * density.mass]
+    if draw(st.booleans()):
+        target = float(usable[draw(st.integers(0, usable.size - 1))])
+    else:
+        target = draw(st.floats(min_value=0.02, max_value=0.98)) * density.mass
+    return density, zeta, target
+
+
+@given(case=calibration_cases())
+@settings(max_examples=300, deadline=None)
+def test_kink_inversion_matches_bisection(case):
+    density, zeta, target = case
+    delta = calibrate_delta(density, zeta, tau=target, n=1)
+    assert delta == pytest.approx(bisect_delta(density, zeta, target), rel=1e-12)
+    assert abs(float(density.interval_mass(zeta - delta, zeta + delta)) - target) <= 1e-14
+    if delta > 0.0:
+        shrunk = delta * (1.0 - 1e-9)
+        assert float(density.interval_mass(zeta - shrunk, zeta + shrunk)) < target
+    ladder = calibrate_delta_ladder([density, density], zeta, tau=target, n=1)
+    assert ladder.tolist() == [delta, delta]
 
 
 # --------------------------------------------------------- threshold window
