@@ -154,7 +154,7 @@ def parse_toml_subset(text: str) -> dict:
 class ScheduleSpec:
     mode: str = "constant"
     alpha: float = 0.1
-    cycle: tuple = ()
+    cycle: tuple[float, ...] = ()
     lo: float = 0.01
     hi: float = 0.14
     seed: int = 7
@@ -234,11 +234,10 @@ class ExperimentConfig:
     kind: str = "evl"
     tau: float = 1.0
     n: int = 1000
-    n_ladder: tuple = ()
+    n_ladder: tuple[int, ...] = ()
     n_samples: int = 100_000
     seed: int = DEFAULT_SEED
     workers: int = 1
-    route: str = "exact"
     out_dir: str = "runs"
     x0: float = 0.3
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
@@ -295,44 +294,55 @@ def _format_toml_value(value) -> str:
     return str(value)
 
 
-_SECTION_TYPES = {
-    "schedule": ScheduleSpec,
-    "observable": ObservableSpec,
-    "mesh": MeshSpec,
-    "exponents": ExponentSpec,
-    "recurrence": RecurrenceSpec,
-}
+_SECTION_TYPES = {cls.__name__: cls for cls in
+                  (ScheduleSpec, ObservableSpec, MeshSpec, ExponentSpec, RecurrenceSpec)}
+
+# field annotation -> (accepted value types, conversion, name in messages)
+_SCALARS = {"int": (int, int, "an integer"),
+            "float": ((int, float), float, "a number"),
+            "str": (str, str, "a string")}
 
 
-def _build_spec(cls, data: dict, section: str):
-    allowed = {f.name: f for f in fields(cls)}
+def _scalar(kind: str, value, key: str):
+    """value as the field type `kind`; a bool is neither an int nor a number."""
+    types, convert, name = _SCALARS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
+    return convert(value)
+
+
+def _build(cls, data: dict, section: str = ""):
+    """cls(**data), rejecting unknown keys and values of the wrong type.
+
+    Field annotations are strings here (postponed evaluation), so they name
+    the type each value must have: a section class, int, float, str, or a
+    tuple[int, ...] / tuple[float, ...] array.
+    """
+    known = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in [{section}]")
-        if isinstance(value, list):
-            value = tuple(value)
+        where = f"[{section}] {key}" if section else key
+        kind = known.get(key)
+        if kind is None:
+            raise ConfigError(f"unknown key {key!r} in [{section}]" if section
+                              else f"unknown top-level key {key!r}")
+        if kind in _SECTION_TYPES:
+            if not isinstance(value, dict):
+                raise ConfigError(f"[{key}] must be a table")
+            value = _build(_SECTION_TYPES[kind], value, key)
+        elif kind.startswith("tuple["):
+            item = kind[len("tuple["):kind.index(",")]
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{where} must be an array, got {value!r}")
+            value = tuple(_scalar(item, v, f"each entry of {where}") for v in value)
+        else:
+            value = _scalar(kind, value, where)
         kwargs[key] = value
     return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    data = dict(data)
-    kwargs = {}
-    for name, cls in _SECTION_TYPES.items():
-        section = data.pop(name, None)
-        if section is not None:
-            if not isinstance(section, dict):
-                raise ConfigError(f"[{name}] must be a table")
-            kwargs[name] = _build_spec(cls, section, name)
-    top_fields = {f.name for f in fields(ExperimentConfig)} - set(_SECTION_TYPES)
-    for key, value in data.items():
-        if key not in top_fields:
-            raise ConfigError(f"unknown top-level key {key!r}")
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    return ExperimentConfig(**kwargs)
+    return _build(ExperimentConfig, data)
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
@@ -387,10 +397,6 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         error("bad-samples", "sample count must be positive")
     if config.workers < 1:
         error("bad-workers", "worker count must be positive")
-    if config.route not in ("exact", "ulam"):
-        error("bad-route", f"unknown operator route {config.route!r}")
-    elif config.kind in ("decay", "recurrence", "orbit") and config.route == "ulam":
-        error("bad-route", f"{config.kind} runs by the exact route only")
     if config.mesh.cells < 2:
         error("bad-mesh", "mesh needs at least 2 cells")
     if config.mesh.kind not in ("graded", "uniform"):

@@ -116,7 +116,7 @@ def _thresholds(config: ExperimentConfig, cache: DiskCache, ns) -> list:
     schedule, observable = config.schedule.build(), config.observable.build()
     top, densities = build_threshold_schedule(
         schedule, observable, config.tau, max(ns), config.mesh.build(),
-        route=config.route, cache=cache, return_densities=True)
+        cache=cache, return_densities=True)
     return [top if n == top.n
             else calibrate_schedule(densities[:n], schedule, observable, config.tau)
             for n in ns]

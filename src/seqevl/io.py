@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
-from .mesh import Density, Mesh
+from .mesh import Density
 
 
 def write_csv(path, header, rows) -> None:
@@ -72,11 +71,11 @@ def _digest(arrays: dict) -> bytes:
 
 @dataclass(frozen=True)
 class DiskCache:
-    """Content-addressed npz store for operator matrices and density ladders.
+    """Content-addressed npz store for density ladders.
 
-    Keys hash every input that determines the artifact (mesh fingerprint,
-    parameter sequence, initial density values, route), so a stale entry can
-    only be returned if the inputs are themselves identical.
+    Keys hash every input that determines the ladder (parameter sequence,
+    mesh fingerprint, initial density values), so a stale entry can only be
+    returned if the inputs are themselves identical.
     """
 
     root: Path
@@ -96,7 +95,7 @@ class DiskCache:
         payload = dict(arrays)
         payload["__checksum__"] = np.frombuffer(_digest(arrays), dtype=np.uint8)
         tmp = path.with_name(path.name + ".tmp.npz")  # savez appends .npz otherwise
-        np.savez_compressed(tmp, **payload)
+        np.savez(tmp, **payload)
         os.replace(tmp, path)
 
     def _load(self, path: Path) -> dict | None:
@@ -105,7 +104,7 @@ class DiskCache:
         try:
             with np.load(path) as data:
                 arrays = {name: data[name] for name in data.files}
-        except Exception as exc:  # zip/zlib damage surfaces as varied types
+        except Exception as exc:  # zip or .npy damage surfaces as varied types
             raise CacheCorruption(f"unreadable cache entry {path}: {exc}") from exc
         stored = arrays.pop("__checksum__", None)
         if stored is None or bytes(stored.tobytes()) != _digest(arrays):
@@ -114,38 +113,19 @@ class DiskCache:
 
     # trajectory entries: the full density ladder of a push_density call
 
-    def _trajectory_path(self, alphas: np.ndarray, f0: Density, route: str) -> Path:
-        return self._path(b"trajectory", route.encode(),
+    def _trajectory_path(self, alphas: np.ndarray, f0: Density) -> Path:
+        return self._path(b"trajectory",
                           np.asarray(alphas, dtype=float).tobytes(),
                           f0.mesh.fingerprint(),
                           np.asarray(f0.values, dtype=float).tobytes())
 
-    def load_trajectory(self, alphas, f0: Density, route: str):
-        arrays = self._load(self._trajectory_path(alphas, f0, route))
+    def load_trajectory(self, alphas, f0: Density):
+        arrays = self._load(self._trajectory_path(alphas, f0))
         return None if arrays is None else arrays["values"]
 
-    def store_trajectory(self, alphas, f0: Density, route: str, values) -> None:
-        self._store(self._trajectory_path(alphas, f0, route),
+    def store_trajectory(self, alphas, f0: Density, values) -> None:
+        self._store(self._trajectory_path(alphas, f0),
                     {"values": np.asarray(values, dtype=float)})
-
-    # Ulam matrix entries, stored in CSR pieces
-
-    def _ulam_path(self, alpha: float, mesh: Mesh) -> Path:
-        return self._path(b"ulam", repr(float(alpha)).encode(), mesh.fingerprint())
-
-    def load_ulam(self, alpha: float, mesh: Mesh):
-        arrays = self._load(self._ulam_path(alpha, mesh))
-        if arrays is None:
-            return None
-        return sparse.csr_matrix(
-            (arrays["data"], arrays["indices"], arrays["indptr"]),
-            shape=tuple(arrays["shape"]))
-
-    def store_ulam(self, alpha: float, mesh: Mesh, matrix) -> None:
-        m = matrix.tocsr()
-        self._store(self._ulam_path(alpha, mesh),
-                    {"data": m.data, "indices": m.indices, "indptr": m.indptr,
-                     "shape": np.asarray(m.shape, dtype=np.int64)})
 
     def clear(self) -> None:
         for entry in self.root.glob("*.npz"):

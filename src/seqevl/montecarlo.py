@@ -336,7 +336,7 @@ def d0_mixing_gap(ts: ThresholdSchedule, i: int, t: int, ell: int, rng: RNGSpec,
 
 
 def correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
-                   mesh: Mesh, route: str = "exact") -> float:
+                   mesh: Mesh) -> float:
     """Decorrelation functional via the operator identity.
 
     Computes integral(psi~ * push_{i+1..i+t}(dens_i * phi~)) where dens_i is
@@ -352,7 +352,9 @@ def correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
             extra = [p for p in obs if 1e-12 < p < 1.0 - 1e-12]
             pts = np.unique(np.concatenate([base.boundaries, np.asarray(extra)]))
             base = Mesh(pts)
-    dens_i = push_density(schedule, uniform_density(base), i, route=route)
+    ladder = push_density(schedule, uniform_density(base), i + t,
+                          return_trajectory=True)
+    dens_i, dens_it = ladder[i], ladder[i + t]
 
     def center_and_multiply(obs, dens: Density) -> Density:
         if isinstance(obs, tuple):
@@ -370,7 +372,6 @@ def correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
     alphas = schedule.alphas(i + t)[i:]
     for a in alphas:
         pushed = pf_apply(a, pushed)
-    dens_it = push_density(schedule, uniform_density(base), i + t, route=route)
     if isinstance(psi, tuple):
         lo, hi = psi
         value = float(pushed.interval_mass(lo, hi))

@@ -59,8 +59,8 @@ class RecurrenceParams:
         return math.floor(j ** (self.kappa * (1.0 + self.xi)))
 
 
-def orbit_displacement(schedule: ParameterSchedule, n: int, x) -> np.ndarray:
-    """composition_n(x) - x as a compensated sum of per-step increments.
+def _displacements(schedule: ParameterSchedule, n: int, x):
+    """Yield composition_i(x) - x for i = 1..n, as compensated sums of steps.
 
     Each step moves a point by 2^a y^(1+a) (left branch) or y - 1 (right
     branch); accumulating these closed forms avoids the cancellation that
@@ -76,22 +76,22 @@ def orbit_displacement(schedule: ParameterSchedule, n: int, x) -> np.ndarray:
         comp += np.where(np.abs(s) >= np.abs(d), (s - t) + d, (d - t) + s)
         s = t
         y = np.minimum(y + d, 1.0)
-    return s + comp
+        yield s + comp
+
+
+def orbit_displacement(schedule: ParameterSchedule, n: int, x) -> np.ndarray:
+    """composition_n(x) - x, accumulated without cancellation (zeros at n = 0)."""
+    out = np.zeros(np.shape(x) or 1)
+    for out in _displacements(schedule, n, x):
+        pass
+    return out
 
 
 def min_orbit_displacement(schedule: ParameterSchedule, horizon: int, x) -> np.ndarray:
     """min over 1 <= i <= horizon of |composition_i(x) - x|, one orbit pass."""
-    y = np.array(x, dtype=float, copy=True, ndmin=1)
-    s = np.zeros_like(y)
-    comp = np.zeros_like(y)
-    best = np.full_like(y, np.inf)
-    for a in schedule.alphas(horizon):
-        d = np.where(y < 0.5, 2.0 ** a * y ** (1.0 + a), y - 1.0)
-        t = s + d
-        comp += np.where(np.abs(s) >= np.abs(d), (s - t) + d, (d - t) + s)
-        s = t
-        y = np.minimum(y + d, 1.0)
-        best = np.minimum(best, np.abs(s + comp))
+    best = np.full(np.shape(x) or 1, np.inf)
+    for disp in _displacements(schedule, horizon, x):
+        best = np.minimum(best, np.abs(disp))
     return best
 
 

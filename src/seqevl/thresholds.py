@@ -200,7 +200,7 @@ def threshold_window(params: ConeParams, zeta: float, tau: float, n: int) -> tup
 
 def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable,
                              tau: float, n: int, mesh: Mesh,
-                             route: str = "exact", cache=None,
+                             cache=None,
                              cone: ConeParams | None = None,
                              return_densities: bool = False):
     """Calibrate all n per-step radii and levels against the pushed densities."""
@@ -211,7 +211,7 @@ def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable
     if tau / n > 1.0 + 1e-12:
         raise ValueError("tau/n exceeds total mass 1; no calibration exists")
     densities = push_density(schedule, uniform_density(mesh), n - 1,
-                             route=route, cache=cache, return_trajectory=True)
+                             cache=cache, return_trajectory=True)
     ts = calibrate_schedule(densities, schedule, observable, tau, cone=cone)
     if return_densities:
         return ts, densities

@@ -1,19 +1,17 @@
 """Transfer operators for the intermittent maps.
 
-Two interchangeable discretizations:
+`pf_apply` pushes a piecewise-constant density through the duality
+relation using interval-preimage arithmetic: masses are differences of the
+source prefix integral at branch preimages of the cell boundaries, so each
+step conserves mass to rounding.  Every density ladder is pushed this way.
 
-* exact route -- pushes a piecewise-constant density through the duality
-  relation using interval-preimage arithmetic (masses are differences of
-  the source prefix integral at branch preimages of the cell boundaries,
-  so each step conserves mass to rounding);
-* Ulam route -- a sparse row-stochastic matrix whose (i, j) entry is the
-  fraction of cell i that lands in cell j, built from the same branch
-  inverses.
-
-On piecewise-constant inputs the two routes agree to rounding; they differ
-for pointwise (smooth) inputs, where the Ulam route first projects onto the
-mesh.  The module also carries the cone machinery used to certify density
-bounds, the memory-loss diagnostic, and the collared bump function.
+`ulam_matrix` builds the independent reference discretization, a sparse
+row-stochastic matrix whose (i, j) entry is the fraction of cell i that
+lands in cell j.  On piecewise-constant inputs the two agree to rounding;
+they differ for pointwise (smooth) inputs, which the Ulam matrix first
+projects onto the mesh.  The module also carries the cone machinery used to
+certify density bounds, the memory-loss diagnostic, and the collared bump
+function.
 """
 
 from __future__ import annotations
@@ -111,17 +109,13 @@ class UlamOperator:
         return d
 
 
-def ulam_matrix(alpha: float, mesh: Mesh, cache=None) -> UlamOperator:
+def ulam_matrix(alpha: float, mesh: Mesh) -> UlamOperator:
     """Build the Ulam matrix by exact interval-preimage arithmetic.
 
     Entry (i, j) is m(cell_i intersect T^{-1} cell_j) / m(cell_i).  Each
     branch contributes a staircase of elementary intervals obtained by
     merging the mesh with the branch preimages of all boundaries.
     """
-    if cache is not None:
-        cached = cache.load_ulam(alpha, mesh)
-        if cached is not None:
-            return UlamOperator(alpha, mesh, cached)
     b = mesh.boundaries
     n = mesh.n_cells
     rows, cols, data = [], [], []
@@ -139,48 +133,31 @@ def ulam_matrix(alpha: float, mesh: Mesh, cache=None) -> UlamOperator:
     matrix = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
-    if cache is not None:
-        cache.store_ulam(alpha, mesh, matrix)
     return UlamOperator(alpha, mesh, matrix)
 
 
 def push_density(schedule: ParameterSchedule, f0: Density, steps: int,
-                 route: str = "exact", cache=None,
-                 return_trajectory: bool = False):
-    """Push f0 through the first `steps` scheduled operators.
+                 cache=None, return_trajectory: bool = False):
+    """Push f0 through the first `steps` scheduled operators with pf_apply.
 
-    route="exact" uses interval-preimage pushes; route="ulam" multiplies by
-    (possibly cached) Ulam matrices.  With return_trajectory=True the full
-    ladder [f0, P_1 f0, ..., P_steps...P_1 f0] is returned; trajectories are
-    also what the disk cache persists.
+    With return_trajectory=True the full ladder
+    [f0, P_1 f0, ..., P_steps...P_1 f0] is returned; trajectories are also
+    what the disk cache persists.
     """
-    if route not in ("exact", "ulam"):
-        raise ValueError(f"unknown route {route!r}")
     alphas = schedule.alphas(steps)
     if cache is not None:
-        traj = cache.load_trajectory(alphas, f0, route)
+        traj = cache.load_trajectory(alphas, f0)
         if traj is not None:
             out = [f0.with_values(v) for v in traj]
             return out if return_trajectory else out[-1]
-    ops: dict[float, UlamOperator] = {}
     trajectory = [f0]
     f = f0
     for a in alphas:
-        if route == "exact":
-            f = pf_apply(a, f)
-        else:
-            op = ops.get(a)
-            if op is None:
-                if len(ops) > 64:
-                    ops.clear()
-                op = ulam_matrix(a, f0.mesh, cache=cache)
-                ops[a] = op
-            f = op.push(f)
+        f = pf_apply(a, f)
         if return_trajectory:
             trajectory.append(f)
     if cache is not None and return_trajectory:
-        cache.store_trajectory(alphas, f0, route,
-                               np.array([d.values for d in trajectory]))
+        cache.store_trajectory(alphas, f0, np.array([d.values for d in trajectory]))
     return trajectory if return_trajectory else f
 
 
@@ -322,7 +299,7 @@ class DecayResult:
 
 def loss_of_memory_distance(schedule: ParameterSchedule, f: Density, g: Density,
                             ladder) -> DecayResult:
-    """Track ||push_n f - push_n g||_1 at the requested times, by the exact route.
+    """Track ||push_n f - push_n g||_1 at the requested times.
 
     Inputs must carry equal mass; the zero-mass difference is pushed
     directly, so cancellation never eats the small late-time distances.

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from seqevl.cli import main
 from seqevl.config import (
     ConfigError,
     ExperimentConfig,
+    ExponentSpec,
     MeshSpec,
     ObservableSpec,
     RecurrenceSpec,
@@ -103,6 +105,38 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"schedule": {"mode": "constant", "bogus": 2}})
     with pytest.raises(ConfigError):
         config_from_dict({"schedule": "not-a-table"})
+    with pytest.raises(ConfigError, match="unknown top-level key 'route'"):
+        config_from_dict({"route": "exact"})
+    # values of the wrong type are rejected with the key named
+    for data, key in [
+        ({"tau": "abc"}, "tau"),
+        ({"n_ladder": [250, "x"]}, "n_ladder"),
+        ({"n_ladder": 250}, "n_ladder"),
+        ({"seed": 1.5}, "seed"),
+        ({"n": True}, "n"),
+        ({"kind": 3}, "kind"),
+        ({"schedule": {"alpha": False}}, "alpha"),
+        ({"schedule": {"cycle": [0.05, "x"]}}, "cycle"),
+        ({"mesh": {"cells": 1024.0}}, "cells"),
+    ]:
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(data)
+    # an int is a valid float value
+    cfg = config_from_dict({"tau": 1, "schedule": {"cycle": [1, 0.5]}})
+    assert cfg.tau == 1.0 and isinstance(cfg.tau, float)
+    assert cfg.schedule.cycle == (1.0, 0.5)
+
+
+def test_readme_config_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```toml\n(.*?)```", readme, flags=re.S)
+    data = parse_toml_subset(block)
+    assert config_from_dict(data) == ExperimentConfig()
+    defaults = ExperimentConfig().to_dict()
+    assert data.keys() == defaults.keys()
+    for name, value in defaults.items():
+        if isinstance(value, dict):
+            assert data[name].keys() == value.keys(), name
 
 
 def test_ns_prefers_ladder():
@@ -125,8 +159,6 @@ def test_schedule_exponent_above_cap_is_an_error():
 
 
 def test_kappa_above_beta_is_a_warning_not_an_error():
-    from seqevl.config import ExponentSpec
-
     cfg = default_config("evl", exponents=ExponentSpec(beta=0.5, kappa=0.85))
     diags = validate_config(cfg)
     assert all(d.severity == "warning" for d in diags)
@@ -156,18 +188,16 @@ def test_budget_warnings_at_large_sup_alpha():
     (dict(n=0), "bad-n"),
     (dict(n_samples=0), "bad-samples"),
     (dict(workers=0), "bad-workers"),
-    (dict(route="magic"), "bad-route"),
+    (dict(exponents=ExponentSpec(beta=1.0)), "bad-exponents"),
     (dict(mesh=MeshSpec(cells=1)), "bad-mesh"),
     (dict(mesh=MeshSpec(kind="hexagonal")), "bad-mesh"),
     (dict(observable=ObservableSpec(form="nope")), "bad-observable"),
     (dict(observable=ObservableSpec(zeta=1.0)), "bad-zeta"),
-    (dict(kind="decay", route="ulam"), "bad-route"),
+    (dict(schedule=ScheduleSpec(mode="iid", lo=0.1, hi=0.05)), "bad-schedule"),
     (dict(x0=1.5), "bad-x0"),
     (dict(schedule=ScheduleSpec(mode="warp")), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="periodic", cycle=())), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="constant", alpha=-0.1)), "bad-alpha"),
-    (dict(kind="recurrence", route="ulam"), "bad-route"),
-    (dict(kind="orbit", route="ulam"), "bad-route"),
 ])
 def test_hard_errors(overrides, code):
     base = ExperimentConfig(kind=overrides.pop("kind", "evl"))
@@ -232,6 +262,15 @@ def test_cli_malformed_toml_is_an_error(tmp_path):
     code, _, err = run_cli(["validate", "--config", str(path)])
     assert code == 1
     assert "line 1" in err
+
+
+def test_cli_mistyped_value_is_an_error(tmp_path):
+    path = tmp_path / "typo.toml"
+    path.write_text('tau = "abc"\n')
+    code, out, err = run_cli(["validate", "--config", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: tau must be a number, got 'abc'"]
 
 
 def test_cli_orbit_writes_artifacts(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from seqevl.io import CacheCorruption, DiskCache, write_csv, write_json
 from seqevl.mesh import graded_mesh, uniform_density
-from seqevl.transfer import ulam_matrix
 
 
 def test_write_csv_rfc4180(tmp_path):
@@ -47,22 +46,12 @@ def test_cache_trajectory_round_trip(tmp_path):
     f0 = uniform_density(mesh)
     alphas = np.full(5, 0.1)
     values = np.random.default_rng(3).random((6, 64))
-    assert cache.load_trajectory(alphas, f0, "exact") is None
-    cache.store_trajectory(alphas, f0, "exact", values)
-    back = cache.load_trajectory(alphas, f0, "exact")
+    assert cache.load_trajectory(alphas, f0) is None
+    cache.store_trajectory(alphas, f0, values)
+    back = cache.load_trajectory(alphas, f0)
     np.testing.assert_array_equal(back, values)
-    # key includes the route and the alpha sequence
-    assert cache.load_trajectory(alphas, f0, "ulam") is None
-    assert cache.load_trajectory(np.full(5, 0.12), f0, "exact") is None
-
-
-def test_cache_ulam_round_trip(tmp_path):
-    cache = DiskCache(tmp_path / "cache")
-    mesh = graded_mesh(64)
-    op = ulam_matrix(0.1, mesh, cache=cache)
-    again = cache.load_ulam(0.1, mesh)
-    assert (op.matrix != again).nnz == 0
-    assert cache.load_ulam(0.11, mesh) is None
+    # key includes the alpha sequence
+    assert cache.load_trajectory(np.full(5, 0.12), f0) is None
 
 
 def test_cache_detects_checksum_mismatch(tmp_path):
@@ -70,7 +59,7 @@ def test_cache_detects_checksum_mismatch(tmp_path):
     mesh = graded_mesh(32)
     f0 = uniform_density(mesh)
     alphas = np.full(3, 0.1)
-    cache.store_trajectory(alphas, f0, "exact", np.ones((4, 32)))
+    cache.store_trajectory(alphas, f0, np.ones((4, 32)))
     (entry,) = list((tmp_path / "cache").glob("*.npz"))
     # rewrite the entry with a stale digest: same arrays, tampered checksum
     with np.load(entry) as data:
@@ -79,7 +68,7 @@ def test_cache_detects_checksum_mismatch(tmp_path):
     arrays["__checksum__"][0] ^= 0xFF
     np.savez_compressed(entry, **arrays)
     with pytest.raises(CacheCorruption):
-        cache.load_trajectory(alphas, f0, "exact")
+        cache.load_trajectory(alphas, f0)
 
 
 def test_cache_detects_slab_damage(tmp_path):
@@ -87,22 +76,22 @@ def test_cache_detects_slab_damage(tmp_path):
     mesh = graded_mesh(32)
     f0 = uniform_density(mesh)
     alphas = np.full(3, 0.1)
-    cache.store_trajectory(alphas, f0, "exact", np.ones((4, 32)))
+    cache.store_trajectory(alphas, f0, np.ones((4, 32)))
     (entry,) = list((tmp_path / "cache").glob("*.npz"))
     raw = bytearray(entry.read_bytes())
     mid = len(raw) // 2
-    raw[mid:mid + 300] = bytes(300)  # stomp the compressed payload
+    raw[mid:mid + 300] = bytes(300)  # stomp the payload
     entry.write_bytes(bytes(raw))
     with pytest.raises(CacheCorruption):
-        cache.load_trajectory(alphas, f0, "exact")
+        cache.load_trajectory(alphas, f0)
 
 
 def test_cache_clear(tmp_path):
     cache = DiskCache(tmp_path / "cache")
     mesh = graded_mesh(32)
     f0 = uniform_density(mesh)
-    cache.store_trajectory(np.full(2, 0.1), f0, "exact", np.ones((3, 32)))
+    cache.store_trajectory(np.full(2, 0.1), f0, np.ones((3, 32)))
     assert list((tmp_path / "cache").glob("*.npz"))
     cache.clear()
     assert not list((tmp_path / "cache").glob("*.npz"))
-    assert cache.load_trajectory(np.full(2, 0.1), f0, "exact") is None
+    assert cache.load_trajectory(np.full(2, 0.1), f0) is None

@@ -15,9 +15,10 @@ from seqevl.thresholds import (
     build_threshold_schedule,
     calibrate_delta,
     calibrate_delta_ladder,
+    calibrate_schedule,
     threshold_window,
 )
-from seqevl.transfer import ConeParams
+from seqevl.transfer import ConeParams, ulam_matrix
 
 
 # -------------------------------------------------------------- observables
@@ -230,8 +231,12 @@ def test_build_threshold_schedule_basics(mesh512, const01):
 
 def test_build_threshold_schedule_routes_agree(mesh512, const01):
     obs = Observable(form="log")
-    exact = build_threshold_schedule(const01, obs, 1.0, 25, mesh512, route="exact")
-    ulam = build_threshold_schedule(const01, obs, 1.0, 25, mesh512, route="ulam")
+    exact = build_threshold_schedule(const01, obs, 1.0, 25, mesh512)
+    op = ulam_matrix(0.1, mesh512)
+    ladder = [uniform_density(mesh512)]
+    for _ in range(24):
+        ladder.append(op.push(ladder[-1]))
+    ulam = calibrate_schedule(ladder, const01, obs, 1.0)
     np.testing.assert_allclose(exact.deltas, ulam.deltas, rtol=0, atol=1e-12)
 
 

@@ -106,11 +106,12 @@ def test_push_density_trajectory(mesh512, const01):
 
 def test_push_density_routes_agree(mesh512, const01):
     f0 = uniform_density(mesh512)
-    exact = push_density(const01, f0, 10, route="exact")
-    ulam = push_density(const01, f0, 10, route="ulam")
+    exact = push_density(const01, f0, 10)
+    op = ulam_matrix(0.1, mesh512)
+    ulam = f0
+    for _ in range(10):
+        ulam = op.push(ulam)
     assert exact.l1_distance(ulam) <= 1e-11
-    with pytest.raises(ValueError):
-        push_density(const01, f0, 3, route="nope")
 
 
 def test_push_density_cache_round_trip(tmp_path, mesh512, const01):
