@@ -2,7 +2,7 @@
 extreme-value thresholds, Monte Carlo estimators, and return-set measures."""
 
 from .config import (ConfigError, Diagnostic, ExperimentConfig, default_config,
-                     load_config, parse_toml_subset, validate_config)
+                     load_config, parse_toml, validate_config)
 from .experiments import ExperimentReport, TargetCheck, run_experiment
 from .io import CacheCorruption, DiskCache, write_csv, write_json
 from .maps import (ALPHA_STAR, ParameterSchedule, apply_map_batch, lsv_apply,
@@ -44,7 +44,7 @@ __all__ = [
     "local_recurrence_at", "local_recurrence_bound", "loglog_slope",
     "loss_of_memory_distance", "lsv_apply", "lsv_derivative",
     "lsv_left_inverse", "lsv_preimages", "mc_correlation_DC", "measure_Ej",
-    "measure_En_eps", "orbit_displacement", "parse_toml_subset", "pf_apply",
+    "measure_En_eps", "orbit_displacement", "parse_toml", "pf_apply",
     "project", "push_density", "run_experiment", "sequential_orbit",
     "threshold_window", "ulam_matrix", "uniform_density", "uniform_mesh",
     "validate_config", "write_csv", "write_json",

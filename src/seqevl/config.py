@@ -1,17 +1,16 @@
-"""Declarative experiment configuration: TOML-subset parsing, typed specs,
+"""Declarative experiment configuration: TOML parsing, typed specs,
 defaults that reproduce the acceptance experiments, and structured
 validation diagnostics.
 
-The parser covers the subset this package writes and reads: [section]
-headers (dotted paths allowed), `key = value` pairs with string, integer,
-float, boolean, and flat-array values, and # comments.  It is strict:
-anything outside the subset raises ConfigError with a line number.
+Config files are standard TOML, read by the standard library's `tomllib`.
+`_build` is the schema gate: unknown keys, values of the wrong type and
+non-finite numbers raise ConfigError naming the key.
 """
 
 from __future__ import annotations
 
 import math
-import re
+import tomllib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -32,118 +31,16 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# TOML subset parsing
-
-_BARE_KEY = re.compile(r"^[A-Za-z0-9_-]+$")
-_INT = re.compile(r"^[+-]?\d+$")
-_FLOAT = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
+# TOML parsing
 
 
-def _parse_scalar(token: str, lineno: int):
-    token = token.strip()
-    if not token:
-        raise ConfigError(f"line {lineno}: empty value")
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    if _INT.match(token):
-        return int(token)
-    if _FLOAT.match(token):
-        return float(token)
-    raise ConfigError(f"line {lineno}: cannot parse value {token!r}")
-
-
-def _parse_string(text: str, lineno: int):
-    """Parse a basic quoted string starting at text[0] == '\"'.
-
-    Returns (value, rest).  Escapes: \\\" \\\\ \\n \\t only.
-    """
-    out = []
-    i = 1
-    while i < len(text):
-        ch = text[i]
-        if ch == '"':
-            return "".join(out), text[i + 1:]
-        if ch == "\\":
-            if i + 1 >= len(text):
-                break
-            esc = text[i + 1]
-            mapped = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}.get(esc)
-            if mapped is None:
-                raise ConfigError(f"line {lineno}: unsupported escape \\{esc}")
-            out.append(mapped)
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    raise ConfigError(f"line {lineno}: unterminated string")
-
-
-def _strip_comment(text: str) -> str:
-    # only called on segments known to contain no quoted strings
-    pos = text.find("#")
-    return text if pos < 0 else text[:pos]
-
-
-def _parse_value(text: str, lineno: int):
-    text = text.strip()
-    if text.startswith('"'):
-        value, rest = _parse_string(text, lineno)
-        if _strip_comment(rest).strip():
-            raise ConfigError(f"line {lineno}: trailing content after string")
-        return value
-    if text.startswith("["):
-        closing = text.rfind("]")
-        if closing < 0 or _strip_comment(text[closing + 1:]).strip():
-            raise ConfigError(f"line {lineno}: malformed array")
-        body = text[1:closing].strip()
-        if not body:
-            return []
-        items = []
-        for part in body.split(","):
-            part = part.strip()
-            if not part:
-                continue  # tolerate a trailing comma
-            if part.startswith('"'):
-                value, rest = _parse_string(part, lineno)
-                if rest.strip():
-                    raise ConfigError(f"line {lineno}: malformed array element")
-                items.append(value)
-            else:
-                items.append(_parse_scalar(part, lineno))
-        return items
-    return _parse_scalar(_strip_comment(text), lineno)
-
-
-def parse_toml_subset(text: str) -> dict:
-    root: dict = {}
-    table = root
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            end = line.find("]")
-            if end < 0 or _strip_comment(line[end + 1:]).strip():
-                raise ConfigError(f"line {lineno}: malformed table header")
-            table = root
-            for part in line[1:end].split("."):
-                part = part.strip()
-                if not _BARE_KEY.match(part):
-                    raise ConfigError(f"line {lineno}: bad table name {part!r}")
-                table = table.setdefault(part, {})
-                if not isinstance(table, dict):
-                    raise ConfigError(f"line {lineno}: {part!r} is not a table")
-            continue
-        key, sep, rest = line.partition("=")
-        key = key.strip()
-        if not sep or not _BARE_KEY.match(key):
-            raise ConfigError(f"line {lineno}: expected key = value")
-        if key in table:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        table[key] = _parse_value(rest, lineno)
-    return root
+def parse_toml(text: str) -> dict:
+    """The TOML document as nested dicts; a syntax error is a ConfigError
+    whose message gives the line and column (or "end of document")."""
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +201,19 @@ _SCALARS = {"int": (int, int, "an integer"),
 
 
 def _scalar(kind: str, value, key: str):
-    """value as the field type `kind`; a bool is neither an int nor a number."""
+    """value as the field type `kind`; a bool is neither an int nor a number,
+    and a number must be finite."""
     types, convert, name = _SCALARS[kind]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"{key} must be {name}, got {value!r}")
-    return convert(value)
+    try:
+        value = convert(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ConfigError(f"{key} must be finite, got an integer beyond "
+                          "the float range") from None
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return value
 
 
 def _build(cls, data: dict, section: str = ""):
@@ -345,11 +250,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, data)
 
 
-def load_config(path, **overrides) -> ExperimentConfig:
-    text = Path(path).read_text(encoding="utf-8")
-    cfg = config_from_dict(parse_toml_subset(text))
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **overrides) if overrides else cfg
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(parse_toml(Path(path).read_text(encoding="utf-8")))
 
 
 def default_config(kind: str = "evl", **overrides) -> ExperimentConfig:

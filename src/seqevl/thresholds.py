@@ -200,9 +200,7 @@ def threshold_window(params: ConeParams, zeta: float, tau: float, n: int) -> tup
 
 def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable,
                              tau: float, n: int, mesh: Mesh,
-                             cache=None,
-                             cone: ConeParams | None = None,
-                             return_densities: bool = False):
+                             cache=None, return_densities: bool = False):
     """Calibrate all n per-step radii and levels against the pushed densities."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -212,15 +210,14 @@ def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable
         raise ValueError("tau/n exceeds total mass 1; no calibration exists")
     densities = push_density(schedule, uniform_density(mesh), n - 1,
                              cache=cache, return_trajectory=True)
-    ts = calibrate_schedule(densities, schedule, observable, tau, cone=cone)
+    ts = calibrate_schedule(densities, schedule, observable, tau)
     if return_densities:
         return ts, densities
     return ts
 
 
 def calibrate_schedule(densities, schedule: ParameterSchedule,
-                       observable: Observable, tau: float,
-                       cone: ConeParams | None = None) -> ThresholdSchedule:
+                       observable: Observable, tau: float) -> ThresholdSchedule:
     """Thresholds of horizon n = len(densities) on the ladder [f_0, ..., f_(n-1)].
 
     alphas(m) is a prefix of alphas(n), so the first m densities of a longer
@@ -232,9 +229,8 @@ def calibrate_schedule(densities, schedule: ParameterSchedule,
     masses = np.array([float(d.interval_mass(zeta - dl, zeta + dl))
                        for d, dl in zip(densities, deltas)])
     levels = np.asarray(observable.level_for_radius(deltas))
-    if cone is None:
-        cone = ConeParams(alpha=schedule.max_alpha(n - 1))
-    win_lo, win_hi = threshold_window(cone, zeta, tau, n)
+    win_lo, win_hi = threshold_window(ConeParams(alpha=schedule.max_alpha(n - 1)),
+                                      zeta, tau, n)
     return ThresholdSchedule(observable=observable, tau=tau, n=n, deltas=deltas,
                              levels=levels, step_masses=masses,
                              window_lo=win_lo, window_hi=win_hi, schedule=schedule)

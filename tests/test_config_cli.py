@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import re
 import shutil
 from pathlib import Path
@@ -21,14 +22,14 @@ from seqevl.config import (
     config_from_dict,
     default_config,
     load_config,
-    parse_toml_subset,
+    parse_toml,
     validate_config,
 )
 
 
-# ------------------------------------------------------------- TOML subset
+# -------------------------------------------------------------------- TOML
 
-def test_parse_toml_subset_full_document():
+def test_parse_toml_full_document():
     text = """
 # top comment
 kind = "evl"          # trailing comment
@@ -47,7 +48,7 @@ hi = 0.14
 [nested.inner]
 x = 1
 """
-    data = parse_toml_subset(text)
+    data = parse_toml(text)
     assert data["kind"] == "evl"
     assert data["tau"] == 1.5
     assert data["n"] == 1000 and isinstance(data["n"], int)
@@ -67,14 +68,15 @@ x = 1
     ('x = "unterminated\n', "line 1"),
     ('x = "bad \\q escape"\n', "line 1"),
     ('x = "done" trailing\n', "line 1"),
-    ("x = [1, 2\n", "line 1"),
+    # arrays may span lines, so a missing ] is only found at the end
+    ("x = [1, 2\n", "end of document"),
     ("x = what?\n", "line 1"),
     ("ok = 1\nok = 2\n", "line 2"),
     ("[a]\nk = 1\n[a.k]\nz = 2\n", "line 3"),
 ])
-def test_parse_toml_subset_rejects_with_line_numbers(text, fragment):
+def test_parse_toml_rejects_with_line_numbers(text, fragment):
     with pytest.raises(ConfigError) as exc:
-        parse_toml_subset(text)
+        parse_toml(text)
     assert fragment in str(exc.value)
 
 
@@ -84,18 +86,39 @@ def test_toml_round_trip_preserves_config():
         schedule=ScheduleSpec(mode="periodic", cycle=(0.05, 0.1)),
         observable=ObservableSpec(form="power-cap", zeta=0.3, cap=2.0),
     )
-    back = config_from_dict(parse_toml_subset(cfg.to_toml()))
+    back = config_from_dict(parse_toml(cfg.to_toml()))
     assert back == cfg
 
 
-def test_load_config_and_overrides(tmp_path):
+def test_load_config(tmp_path):
     cfg = default_config("evl", seed=5)
     path = tmp_path / "c.toml"
     path.write_text(cfg.to_toml())
     loaded = load_config(path)
     assert loaded == cfg
-    assert load_config(path, seed=9).seed == 9
-    assert load_config(path, seed=None).seed == 5  # None overrides are ignored
+
+
+# forms that only standard TOML allows: each loads as its plain form, or
+# fails with the key named
+@pytest.mark.parametrize("text,plain,bad_key", [
+    ('schedule = {mode = "iid"}\n', '[schedule]\nmode = "iid"\n', None),
+    ("schedule.alpha = 0.12\n", "[schedule]\nalpha = 0.12\n", None),
+    ("n_ladder = [\n  250,\n  500,  # comment\n]\n", "n_ladder = [250, 500]\n", None),
+    ("out_dir = 'other'\n", 'out_dir = "other"\n', None),
+    ("n = 1_500\n", "n = 1500\n", None),
+    ("seed = 2016-01-01\n", None, "seed"),
+    ("n_ladder = [[250], [500]]\n", None, "n_ladder"),
+])
+def test_standard_toml_forms_load_or_fail_by_key(tmp_path, text, plain, bad_key):
+    path = tmp_path / "c.toml"
+    path.write_text(text)
+    if bad_key is None:
+        loaded = load_config(path)
+        assert loaded == config_from_dict(parse_toml(plain))
+        assert loaded != ExperimentConfig()
+    else:
+        with pytest.raises(ConfigError, match=bad_key):
+            load_config(path)
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -118,6 +141,11 @@ def test_config_from_dict_rejects_unknown_keys():
         ({"schedule": {"alpha": False}}, "alpha"),
         ({"schedule": {"cycle": [0.05, "x"]}}, "cycle"),
         ({"mesh": {"cells": 1024.0}}, "cells"),
+        ({"tau": math.nan}, "tau must be finite"),
+        ({"tau": math.inf}, "tau must be finite"),
+        ({"tau": 10 ** 400}, "tau must be finite"),
+        ({"observable": {"power": math.inf}}, "power must be finite"),
+        ({"schedule": {"cycle": [0.05, -math.inf]}}, "cycle must be finite"),
     ]:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(data)
@@ -130,7 +158,7 @@ def test_config_from_dict_rejects_unknown_keys():
 def test_readme_config_block_is_the_default_config():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (block,) = re.findall(r"```toml\n(.*?)```", readme, flags=re.S)
-    data = parse_toml_subset(block)
+    data = parse_toml(block)
     assert config_from_dict(data) == ExperimentConfig()
     defaults = ExperimentConfig().to_dict()
     assert data.keys() == defaults.keys()
@@ -271,6 +299,16 @@ def test_cli_mistyped_value_is_an_error(tmp_path):
     assert code == 1
     assert out == ""
     assert err.splitlines() == ["error: tau must be a number, got 'abc'"]
+
+
+def test_cli_non_finite_value_is_an_error(tmp_path):
+    path = tmp_path / "huge.toml"
+    path.write_text("[observable]\npower = 1e999\n")
+    code, out, err = run_cli(["validate", "--config", str(path)])
+    assert code == 1
+    assert out == ""
+    (line,) = [l for l in err.splitlines() if l.startswith("error:")]
+    assert "[observable] power" in line
 
 
 def test_cli_orbit_writes_artifacts(tmp_path):
