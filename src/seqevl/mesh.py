@@ -9,6 +9,7 @@ arithmetic on the prefix-mass table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,27 +28,35 @@ def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Partition of [0, 1] into cells given by strictly increasing boundaries."""
+    """Partition of [0, 1] into cells given by strictly increasing boundaries.
+
+    The boundaries are a read-only copy of the caller's array, so `widths`,
+    `fingerprint()` and the transfer module's per-mesh tables can be
+    computed once and never go stale.
+    """
 
     boundaries: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.boundaries, dtype=float)
+        b = np.array(self.boundaries, dtype=float)
         if b.ndim != 1 or b.size < 2:
             raise ValueError("mesh needs at least two boundaries")
         if b[0] != 0.0 or b[-1] != 1.0:
             raise ValueError("mesh must span [0, 1] exactly")
         if not np.all(np.diff(b) > 0):
             raise ValueError("mesh boundaries must be strictly increasing")
+        b.flags.writeable = False
         object.__setattr__(self, "boundaries", b)
 
     @property
     def n_cells(self) -> int:
         return self.boundaries.size - 1
 
-    @property
+    @cached_property
     def widths(self) -> np.ndarray:
-        return np.diff(self.boundaries)
+        w = np.diff(self.boundaries)
+        w.flags.writeable = False
+        return w
 
     @property
     def midpoints(self) -> np.ndarray:
@@ -59,6 +68,12 @@ class Mesh:
         idx = np.searchsorted(self.boundaries, x, side="right") - 1
         return np.clip(idx, 0, self.n_cells - 1)
 
+    def locate(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Cell of x clipped to [0, 1], and the offset of x from that cell's left end."""
+        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        cell = self.cell_index(x)
+        return cell, x - self.boundaries[cell]
+
     def refined(self) -> "Mesh":
         """Split every cell at its midpoint (halves all widths)."""
         b = self.boundaries
@@ -68,7 +83,11 @@ class Mesh:
         return Mesh(out)
 
     def fingerprint(self) -> bytes:
-        return np.ascontiguousarray(self.boundaries).tobytes()
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> bytes:
+        return self.boundaries.tobytes()
 
 
 def uniform_mesh(n_cells: int = DEFAULT_CELLS) -> Mesh:
@@ -127,10 +146,8 @@ class Density:
 
     def cdf(self, x) -> np.ndarray:
         """Exact integral of the density over [0, x] (vectorized)."""
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        b = self.mesh.boundaries
-        idx = np.clip(np.searchsorted(b, x, side="right") - 1, 0, self.mesh.n_cells - 1)
-        return self.prefix_mass[idx] + self.values[idx] * (x - b[idx])
+        cell, offset = self.mesh.locate(x)
+        return self.prefix_mass[cell] + self.values[cell] * offset
 
     def interval_mass(self, lo, hi) -> np.ndarray:
         return self.cdf(hi) - self.cdf(lo)

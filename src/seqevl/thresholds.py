@@ -114,26 +114,42 @@ def calibrate_delta_ladder(densities, zeta: float, tau: float, n: int) -> np.nda
             _same_mesh(d.mesh, mesh)
         if target > d.mass * (1.0 + 1e-12):
             raise ValueError("requested exceedance mass exceeds the total mass")
-    b = mesh.boundaries
-    kinks = np.unique(np.concatenate(([0.0], np.abs(b - zeta))))
+    kinks = np.unique(np.concatenate(([0.0], np.abs(mesh.boundaries - zeta))))
     # F at zeta -+ kink, with the clipping and cell lookup of Density.cdf
-    x = np.clip(np.concatenate((zeta - kinks, zeta + kinks)), 0.0, 1.0)
-    cell = np.clip(np.searchsorted(b, x, side="right") - 1, 0, mesh.n_cells - 1)
-    offset = x - b[cell]
-    for start in range(0, len(densities), _BLOCK):
-        block = densities[start:start + _BLOCK]
-        values = np.array([d.values for d in block])
-        prefix = np.array([d.prefix_mass for d in block])
+    cell, offset = mesh.locate(np.concatenate((zeta - kinks, zeta + kinks)))
+    for rows, values, prefix in _blocks(densities):
         cdf = prefix[:, cell] + values[:, cell] * offset
         window = cdf[:, kinks.size:] - cdf[:, :kinks.size]
         # j = 0 only where the mass stays below target (within the 1e-12
         # tolerance): that density gets the largest radius
         j = np.argmax(window >= target, axis=1)
-        rows = np.arange(len(block))
-        m0, m1 = window[rows, j - 1], window[rows, j]
+        at = np.arange(len(values))
+        m0, m1 = window[at, j - 1], window[at, j]
         d0, d1 = kinks[j - 1], kinks[j]
-        out[start:start + len(block)] = np.where(
-            j > 0, d0 + (target - m0) / (m1 - m0) * (d1 - d0), kinks[-1])
+        out[rows] = np.where(j > 0, d0 + (target - m0) / (m1 - m0) * (d1 - d0), kinks[-1])
+    return out
+
+
+def _blocks(densities):
+    """(slice, values, prefix_mass) for each run of _BLOCK densities, stacked by row."""
+    for start in range(0, len(densities), _BLOCK):
+        block = densities[start:start + _BLOCK]
+        yield (slice(start, start + len(block)), np.array([d.values for d in block]),
+               np.array([d.prefix_mass for d in block]))
+
+
+def _window_masses(densities, zeta: float, deltas: np.ndarray) -> np.ndarray:
+    """densities[i].interval_mass(zeta - deltas[i], zeta + deltas[i]) for every i,
+    with the same arithmetic, gathered a block of densities at a time."""
+    out = np.zeros(len(densities))
+    if not densities:
+        return out
+    cell, offset = densities[0].mesh.locate(np.stack((zeta - deltas, zeta + deltas), axis=1))
+    for rows, values, prefix in _blocks(densities):
+        c, o = cell[rows], offset[rows]
+        at = np.arange(len(values))[:, None]
+        cdf = prefix[at, c] + values[at, c] * o
+        out[rows] = cdf[:, 1] - cdf[:, 0]
     return out
 
 
@@ -226,8 +242,7 @@ def calibrate_schedule(densities, schedule: ParameterSchedule,
     n = len(densities)
     zeta = observable.zeta
     deltas = calibrate_delta_ladder(densities, zeta, tau, n)
-    masses = np.array([float(d.interval_mass(zeta - dl, zeta + dl))
-                       for d, dl in zip(densities, deltas)])
+    masses = _window_masses(densities, zeta, deltas)
     levels = np.asarray(observable.level_for_radius(deltas))
     win_lo, win_hi = threshold_window(ConeParams(alpha=schedule.max_alpha(n - 1)),
                                       zeta, tau, n)

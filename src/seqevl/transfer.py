@@ -27,20 +27,30 @@ from .mesh import Density, Mesh, _gauss_legendre, project
 
 DEFAULT_CONE_A = 20.0
 
-_LEFT_INV_CACHE: dict[tuple[float, int], np.ndarray] = {}
+# gather tables of the push, keyed by (alpha, mesh fingerprint); the key
+# alpha=None holds the right branch, which is the same for every alpha
+_LEFT_INV_CACHE: dict[tuple[float | None, bytes], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _boundary_preimages(alpha: float, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Branch preimages of every mesh boundary (left monotone on [0,1/2])."""
-    key = (alpha, hash(mesh.fingerprint()))
-    xl = _LEFT_INV_CACHE.get(key)
-    if xl is None:
+    return lsv_left_inverse(alpha, mesh.boundaries), 0.5 * (mesh.boundaries + 1.0)
+
+
+def _gather_table(alpha: float | None, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Cells and in-cell offsets at which Density.cdf reads one branch's
+    boundary preimages: the left branch of alpha, or the right one for None."""
+    key = (alpha, mesh.fingerprint())
+    table = _LEFT_INV_CACHE.get(key)
+    if table is None:
         if len(_LEFT_INV_CACHE) > 512:
             _LEFT_INV_CACHE.clear()
-        xl = lsv_left_inverse(alpha, mesh.boundaries)
-        _LEFT_INV_CACHE[key] = xl
-    xr = 0.5 * (mesh.boundaries + 1.0)
-    return xl, xr
+        b = mesh.boundaries
+        table = mesh.locate(0.5 * (b + 1.0) if alpha is None else lsv_left_inverse(alpha, b))
+        for a in table:
+            a.flags.writeable = False
+        _LEFT_INV_CACHE[key] = table
+    return table
 
 
 def pf_apply(alpha: float, f, mesh: Mesh | None = None, quad_points: int = 8) -> Density:
@@ -73,8 +83,12 @@ def pf_apply(alpha: float, f, mesh: Mesh | None = None, quad_points: int = 8) ->
 
 
 def _push_masses_exact(alpha: float, f: Density) -> np.ndarray:
-    xl, xr = _boundary_preimages(alpha, f.mesh)
-    return np.diff(f.cdf(xl)) + np.diff(f.cdf(xr))
+    """np.diff(f.cdf(xl)) + np.diff(f.cdf(xr)) at the boundary preimages xl, xr,
+    with the cell lookups of cdf read from the cached gather tables."""
+    il, ol = _gather_table(alpha, f.mesh)
+    ir, or_ = _gather_table(None, f.mesh)
+    p, v = f.prefix_mass, f.values
+    return np.diff(p[il] + v[il] * ol) + np.diff(p[ir] + v[ir] * or_)
 
 
 @dataclass

@@ -77,6 +77,29 @@ def test_fingerprint_distinguishes_meshes(mesh512, mesh1024):
     assert mesh512.fingerprint() == graded_mesh(512).fingerprint()
 
 
+def test_mesh_owns_a_read_only_copy_of_its_boundaries():
+    b = np.linspace(0.0, 1.0, 9)
+    m = Mesh(b)
+    widths, key = m.widths, m.fingerprint()
+    b[3] = 0.3  # the caller's array stays the caller's
+    assert m.boundaries[3] == 0.375
+    assert m.widths is widths and m.fingerprint() is key
+    np.testing.assert_array_equal(widths, 0.125)
+    for a in (m.boundaries, m.widths):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+
+
+def test_locate_matches_cdf_lookup(mesh512):
+    b = mesh512.boundaries
+    x = np.concatenate(([-0.5, 0.0, 1.0, 1.5], b, np.random.default_rng(3).random(200)))
+    cell, offset = mesh512.locate(x)
+    xc = np.clip(x, 0.0, 1.0)
+    np.testing.assert_array_equal(cell, mesh512.cell_index(xc))
+    np.testing.assert_array_equal(offset, xc - b[cell])
+    assert np.all((offset >= 0.0) & (offset <= mesh512.widths[cell]))
+
+
 # ---------------------------------------------------------------- densities
 
 def test_density_shape_validation(mesh512):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from seqevl.maps import ParameterSchedule
+from seqevl.maps import ALPHA_STAR, ParameterSchedule
 from seqevl.mesh import Density, graded_mesh, uniform_density, uniform_mesh
 from seqevl.thresholds import (
     DEFAULT_ZETA,
@@ -17,8 +17,9 @@ from seqevl.thresholds import (
     calibrate_delta_ladder,
     calibrate_schedule,
     threshold_window,
+    _window_masses,
 )
-from seqevl.transfer import ConeParams, ulam_matrix
+from seqevl.transfer import ConeParams, push_density, ulam_matrix
 
 
 # -------------------------------------------------------------- observables
@@ -199,6 +200,30 @@ def test_kink_inversion_matches_bisection(case):
         assert float(density.interval_mass(zeta - shrunk, zeta + shrunk)) < target
     ladder = calibrate_delta_ladder([density, density], zeta, tau=target, n=1)
     assert ladder.tolist() == [delta, delta]
+
+
+def interval_mass_loop(densities, zeta, deltas):
+    return [float(d.interval_mass(zeta - dl, zeta + dl)) for d, dl in zip(densities, deltas)]
+
+
+@pytest.mark.parametrize("schedule", [
+    ParameterSchedule.constant(0.1),
+    ParameterSchedule.iid_uniform(0.05, ALPHA_STAR, seed=5),
+], ids=["constant", "iid"])
+def test_step_masses_equal_interval_mass_loop(mesh512, schedule):
+    densities = push_density(schedule, uniform_density(mesh512), 299, return_trajectory=True)
+    b = mesh512.boundaries
+    # zeta off and on a mesh boundary; tau = 150 puts tau/n = 0.5 in every
+    # window, so the balls around the boundary near 1 reach past 1
+    for zeta in (DEFAULT_ZETA, float(b[-3])):
+        for tau in (1.0, 150.0):
+            ts = calibrate_schedule(densities, schedule, Observable(zeta=zeta), tau)
+            assert ts.step_masses.tolist() == interval_mass_loop(densities, zeta, ts.deltas)
+        # zero radius, radii on the kinks |b - zeta|, and windows clipped at 0 and 1
+        deltas = np.concatenate(([0.0, zeta, 1.0 - zeta, 1.5], np.abs(b - zeta)))
+        deltas = np.resize(deltas, len(densities))
+        assert (_window_masses(densities, zeta, deltas).tolist()
+                == interval_mass_loop(densities, zeta, deltas))
 
 
 # --------------------------------------------------------- threshold window

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from seqevl.maps import ParameterSchedule, lsv_apply
+from seqevl import transfer
+from seqevl.maps import ALPHA_STAR, ParameterSchedule, lsv_apply, lsv_left_inverse
 from seqevl.mesh import Density, graded_mesh, project, uniform_density, uniform_mesh
 from seqevl.transfer import (
     BumpFunction,
@@ -91,6 +93,90 @@ def test_pf_apply_callable_route_matches_exact_for_smooth(mesh1024):
 def test_pf_apply_callable_needs_mesh():
     with pytest.raises(ValueError):
         pf_apply(0.1, lambda x: np.ones_like(x))
+
+
+def reference_cdf(f, x):
+    """Density.cdf written out: clip x, look up its cell, add the in-cell mass."""
+    b = f.mesh.boundaries
+    x = np.clip(x, 0.0, 1.0)
+    cell = np.clip(np.searchsorted(b, x, side="right") - 1, 0, f.mesh.n_cells - 1)
+    return f.prefix_mass[cell] + f.values[cell] * (x - b[cell])
+
+
+def reference_push(alpha, f):
+    """pf_apply on a Density in its plain form, with no cached gather tables."""
+    b = f.mesh.boundaries
+    masses = (np.diff(reference_cdf(f, lsv_left_inverse(alpha, b)))
+              + np.diff(reference_cdf(f, 0.5 * (b + 1.0))))
+    if np.all(f.values >= 0.0):
+        masses = np.maximum(masses, 0.0)
+    return Density(f.mesh, masses / f.mesh.widths)
+
+
+MESHES = {"uniform": uniform_mesh, "graded": graded_mesh,
+          "refined": lambda cells: graded_mesh(cells).refined()}
+ALPHAS = st.floats(min_value=0.01, max_value=ALPHA_STAR)
+
+
+@st.composite
+def push_cases(draw):
+    """(density, alphas): a signed or nonnegative density on a uniform, graded
+    or refined mesh, and the first steps of a constant, periodic or iid schedule."""
+    mesh = MESHES[draw(st.sampled_from(sorted(MESHES)))](draw(st.integers(2, 80)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signed = draw(st.booleans())
+    values = rng.standard_normal(mesh.n_cells) if signed else rng.random(mesh.n_cells)
+    kind = draw(st.sampled_from(["constant", "periodic", "iid"]))
+    if kind == "constant":
+        schedule = ParameterSchedule.constant(draw(ALPHAS))
+    elif kind == "periodic":
+        schedule = ParameterSchedule.periodic(draw(st.lists(ALPHAS, min_size=1, max_size=3)))
+    else:
+        schedule = ParameterSchedule.iid_uniform(0.02, ALPHA_STAR, seed=draw(st.integers(0, 99)))
+    return Density(mesh, values), schedule.alphas(draw(st.integers(1, 6)))
+
+
+@given(case=push_cases())
+@settings(max_examples=200, deadline=None)
+def test_pf_apply_equals_plain_cdf_form(case):
+    f, alphas = case
+    g = f
+    for a in alphas:
+        f, g = pf_apply(a, f), reference_push(a, g)
+        assert np.array_equal(f.values, g.values)
+
+
+def test_loss_of_memory_equals_plain_cdf_form(monkeypatch, mesh512):
+    schedule = ParameterSchedule.iid_uniform(0.05, ALPHA_STAR, seed=7)
+    f = uniform_density(mesh512)
+    g = Density(mesh512, np.linspace(2.0, 0.0, 512)).normalized()
+    ladder = [0, 1, 10, 100, 300]
+    tabled = loss_of_memory_distance(schedule, f, g, ladder)
+    monkeypatch.setattr(transfer, "pf_apply", reference_push)
+    plain = loss_of_memory_distance(schedule, f, g, ladder)
+    assert np.array_equal(tabled.distances, plain.distances)
+    assert np.array_equal(tabled.log_distances, plain.log_distances)
+
+
+def test_push_builds_one_table_per_alpha_and_mesh(monkeypatch, mesh512):
+    calls = []
+
+    def counting_left_inverse(alpha, y, *args, **kwargs):
+        calls.append(alpha)
+        return lsv_left_inverse(alpha, y, *args, **kwargs)
+
+    monkeypatch.setattr(transfer, "lsv_left_inverse", counting_left_inverse)
+    monkeypatch.setattr(transfer, "_LEFT_INV_CACHE", {})
+    f0 = uniform_density(mesh512)
+    push_density(ParameterSchedule.constant(0.1), f0, 200)
+    assert len(calls) == 1
+    calls.clear()
+    push_density(ParameterSchedule.periodic([0.05, 0.12, 0.08]), f0, 200)
+    assert sorted(calls) == [0.05, 0.08, 0.12]
+    calls.clear()
+    push_density(ParameterSchedule.iid_uniform(0.05, 0.12, seed=3), f0, 600)
+    assert len(calls) == 600  # every iid exponent is new
+    assert len(transfer._LEFT_INV_CACHE) <= 513
 
 
 # ------------------------------------------------------------- push_density
