@@ -295,6 +295,10 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         error("bad-tau", "tau must be nonnegative")
     if any(n < 1 for n in config.ns()):
         error("bad-n", "time horizons must be at least 1")
+    if len(set(config.n_ladder)) < len(config.n_ladder):
+        error("bad-n", "n_ladder entries must be distinct")
+    if config.kind == "decay" and any(n < 2 for n in config.n_ladder):
+        error("bad-n", "decay ladder entries must be at least 2 for the slope fit")
     if config.n_samples < 1:
         error("bad-samples", "sample count must be positive")
     if config.workers < 1:

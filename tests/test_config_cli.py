@@ -226,6 +226,9 @@ def test_budget_warnings_at_large_sup_alpha():
     (dict(schedule=ScheduleSpec(mode="warp")), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="periodic", cycle=())), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="constant", alpha=-0.1)), "bad-alpha"),
+    (dict(n_ladder=(250, 500, 250)), "bad-n"),
+    (dict(kind="decay", n_ladder=(64, 64, 128)), "bad-n"),
+    (dict(kind="decay", n_ladder=(1, 64, 128)), "bad-n"),
 ])
 def test_hard_errors(overrides, code):
     base = ExperimentConfig(kind=overrides.pop("kind", "evl"))
@@ -234,6 +237,12 @@ def test_hard_errors(overrides, code):
     cfg = replace(base, **overrides)
     diags = validate_config(cfg)
     assert any(d.severity == "error" and d.code == code for d in diags), diags
+
+
+def test_distinct_ladders_pass_the_n_checks():
+    for cfg in (default_config("decay", n_ladder=(2, 4, 8)),
+                default_config("evl", n_ladder=(1, 2))):
+        assert "bad-n" not in {d.code for d in validate_config(cfg)}
 
 
 def test_errors_suppress_budget_warnings():

@@ -146,16 +146,72 @@ def test_pf_apply_equals_plain_cdf_form(case):
         assert np.array_equal(f.values, g.values)
 
 
-def test_loss_of_memory_equals_plain_cdf_form(monkeypatch, mesh512):
-    schedule = ParameterSchedule.iid_uniform(0.05, ALPHA_STAR, seed=7)
+def reference_loss_of_memory(schedule, f, g, ladder):
+    """loss_of_memory_distance as a plain Density loop over reference_push;
+    returns the distances and log distances at the ladder times and the
+    renormalization count."""
+    h = f.difference(g)
+    log_scale, renormalizations, logd = 0.0, 0, []
+
+    def l1():
+        return float(np.sum(np.abs(h.values) * h.mesh.widths))
+
+    if 0 in ladder:
+        logd.append(math.log(l1()))
+    for i, a in enumerate(schedule.alphas(max(ladder)), start=1):
+        h = reference_push(a, h)
+        h = h.with_values(h.values - h.mass)
+        s = l1()
+        if 0 < s < 1e-6:
+            h = h.with_values(h.values / s)
+            log_scale += math.log(s)
+            renormalizations += 1
+        if i in ladder:
+            logd.append(log_scale + math.log(l1()))
+    distances = [math.exp(x) if x > -745 else 0.0 for x in logd]
+    return np.array(distances), np.array(logd), renormalizations
+
+
+def test_loss_of_memory_equals_plain_cdf_form(mesh512):
     f = uniform_density(mesh512)
     g = Density(mesh512, np.linspace(2.0, 0.0, 512)).normalized()
-    ladder = [0, 1, 10, 100, 300]
-    tabled = loss_of_memory_distance(schedule, f, g, ladder)
-    monkeypatch.setattr(transfer, "pf_apply", reference_push)
-    plain = loss_of_memory_distance(schedule, f, g, ladder)
-    assert np.array_equal(tabled.distances, plain.distances)
-    assert np.array_equal(tabled.log_distances, plain.log_distances)
+    ladder = range(301)  # every step, so renormalizing steps are recorded too
+    for schedule in (ParameterSchedule.constant(0.1),
+                     ParameterSchedule.periodic([0.05, 0.12, 0.08]),
+                     ParameterSchedule.iid_uniform(0.05, ALPHA_STAR, seed=7)):
+        fast = loss_of_memory_distance(schedule, f, g, ladder)
+        d, logd, renormalizations = reference_loss_of_memory(schedule, f, g, ladder)
+        assert renormalizations >= 2
+        assert np.array_equal(fast.distances, d)
+        assert np.array_equal(fast.log_distances, logd)
+
+
+def test_loss_of_memory_builds_no_density_per_step(monkeypatch, mesh512, const01):
+    f = uniform_density(mesh512)
+    g = Density(mesh512, np.linspace(2.0, 0.0, 512)).normalized()
+    builds = []
+    rebuild = Density._rebuild_prefix
+
+    def counting_rebuild(self):
+        builds.append(1)
+        rebuild(self)
+
+    monkeypatch.setattr(Density, "_rebuild_prefix", counting_rebuild)
+    loss_of_memory_distance(const01, f, g, [0, 50])
+    short = len(builds)
+    builds.clear()
+    loss_of_memory_distance(const01, f, g, [0, 500])
+    assert len(builds) == short <= 2
+
+
+def test_loss_of_memory_repeated_times_give_one_row_each(mesh512, const01):
+    f = uniform_density(mesh512)
+    g = Density(mesh512, np.linspace(2.0, 0.0, 512)).normalized()
+    repeated = loss_of_memory_distance(const01, f, g, [64, 0, 64, 128, 0])
+    distinct = loss_of_memory_distance(const01, f, g, [0, 64, 128])
+    assert repeated.ns.tolist() == [0, 64, 128]
+    assert np.array_equal(repeated.distances, distinct.distances)
+    assert np.array_equal(repeated.log_distances, distinct.log_distances)
 
 
 def test_push_builds_one_table_per_alpha_and_mesh(monkeypatch, mesh512):
