@@ -6,6 +6,10 @@ cuts the samples into fixed chunks of CHUNK_SIZE and sums per-chunk event
 counts in chunk order.  Worker threads only spread the chunks out; the
 combined counts, and therefore every estimate, are identical for any worker
 count.
+
+The module needs only numpy to import: `scipy.special` is loaded inside
+`EstimateWithCI.from_counts`, and only for an exact Clopper-Pearson
+interval near 0 or 1.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import stats
 
 from ._rng import philox_stream
 from .maps import ParameterSchedule, apply_map_batch
@@ -64,11 +67,16 @@ class EstimateWithCI:
 
     @classmethod
     def from_counts(cls, k: int, n: int) -> "EstimateWithCI":
+        if n < 1 or not 0 <= k <= n:
+            raise ValueError(f"need n >= 1 and 0 <= k <= n, got k={k}, n={n}")
         p = k / n
         se = math.sqrt(p * (1.0 - p) / n)
         if k < 10 or n - k < 10:  # normal approximation is poor near the edges
-            lo = 0.0 if k == 0 else float(stats.beta.ppf(0.025, k, n - k + 1))
-            hi = 1.0 if k == n else float(stats.beta.ppf(0.975, k + 1, n - k))
+            # exact beta quantiles; imported here so that a run reaching no
+            # edge interval never loads scipy
+            from scipy.special import betaincinv
+            lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, 0.025))
+            hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 0.975))
             return cls(p, se, n, lo, hi, method="clopper-pearson")
         return cls(p, se, n, max(0.0, p - Z95 * se), min(1.0, p + Z95 * se))
 
@@ -92,6 +100,8 @@ def _sweep(schedule: ParameterSchedule, rng: RNGSpec, label: str, n_samples: int
     (exact integers, or floats) are summed in chunk order, so the totals
     are invariant under the worker count.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
     alphas = schedule.alphas(steps - 1)
     x0 = rng.uniform_points(n_samples, "x0", label)
 

@@ -9,9 +9,10 @@ step conserves mass to rounding.  Every density ladder is pushed this way.
 row-stochastic matrix whose (i, j) entry is the fraction of cell i that
 lands in cell j.  On piecewise-constant inputs the two agree to rounding;
 they differ for pointwise (smooth) inputs, which the Ulam matrix first
-projects onto the mesh.  The module also carries the cone machinery used to
-certify density bounds, the memory-loss diagnostic, and the collared bump
-function.
+projects onto the mesh.  `scipy.sparse` is imported only when an Ulam
+matrix is built, so the run path needs numpy alone.  The module also
+carries the cone machinery used to certify density bounds, the
+memory-loss diagnostic, and the collared bump function.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .maps import ParameterSchedule, lsv_apply, lsv_derivative, lsv_left_inverse
 from .mesh import Density, Mesh, _gauss_legendre, project
@@ -135,6 +135,8 @@ def ulam_matrix(alpha: float, mesh: Mesh) -> UlamOperator:
     branch contributes a staircase of elementary intervals obtained by
     merging the mesh with the branch preimages of all boundaries.
     """
+    import scipy.sparse as sp
+
     b = mesh.boundaries
     n = mesh.n_cells
     rows, cols, data = [], [], []

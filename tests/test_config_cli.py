@@ -5,11 +5,14 @@ import json
 import math
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqevl
 from seqevl.cli import main
 from seqevl.config import (
     ConfigError,
@@ -276,6 +279,22 @@ def test_cli_validate_default_config():
     assert out.count("[LEDGER]") == 4
     assert "violated" not in out
     assert err == ""
+
+
+def test_cli_run_path_imports_no_scipy():
+    # scipy is loaded only for edge Clopper-Pearson intervals and for the
+    # Ulam reference; a fresh interpreter running the CLI must not load it
+    src = Path(seqevl.__file__).resolve().parents[1]
+    probe = (
+        "import io, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import seqevl, seqevl.cli\n"
+        "assert seqevl.cli.main(['validate'], stdout=io.StringIO()) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]", done.stdout[:500]
 
 
 def test_cli_validate_rejects_bad_exponent(tmp_path):

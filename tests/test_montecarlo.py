@@ -51,6 +51,26 @@ def test_from_counts_edge_branches():
     assert full.value == 1.0 and full.ci_high == 1.0 and full.ci_low < 1.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 19, 20, 37, 1000, 400_000])
+def test_from_counts_edge_interval_is_beta_ppf(n):
+    # the edge branch inverts the regularized incomplete beta directly; it
+    # must give exactly the Clopper-Pearson quantiles of scipy.stats.beta
+    from scipy import stats
+
+    for k in sorted(set(range(min(10, n + 1))) | set(range(max(0, n - 9), n + 1))):
+        e = EstimateWithCI.from_counts(k, n)
+        assert e.method == "clopper-pearson"
+        lo = 0.0 if k == 0 else float(stats.beta.ppf(0.025, k, n - k + 1))
+        hi = 1.0 if k == n else float(stats.beta.ppf(0.975, k + 1, n - k))
+        assert (e.ci_low, e.ci_high) == (lo, hi), (k, n)
+
+
+@pytest.mark.parametrize("k, n", [(0, 0), (5, 3), (-1, 10), (1, -4)])
+def test_from_counts_rejects_bad_counts(k, n):
+    with pytest.raises(ValueError, match=f"k={k}, n={n}"):
+        EstimateWithCI.from_counts(k, n)
+
+
 def test_from_moments():
     data = np.array([1.0, 2.0, 3.0, 4.0])
     e = EstimateWithCI.from_moments(float(data.sum()), float((data ** 2).sum()), 4)
@@ -299,6 +319,20 @@ def test_estimators_match_plain_reference_sweep(ts20, case):
     # the chunked, compacting sweep must count exactly what a plain walk counts
     got, want = case(ts20)
     assert got == want
+
+
+@pytest.mark.parametrize("run", [
+    lambda ts, n: estimate_Pn(ts, RNGSpec(1), n_samples=n),
+    lambda ts, n: estimate_exceedances(ts, [0, 3], RNGSpec(1), n_samples=n),
+    lambda ts, n: dprime_sum(ts, build_blocks(ts, k_n=2), RNGSpec(1), n_samples=n),
+    lambda ts, n: d0_mixing_gap(ts, i=0, t=2, ell=2, rng=RNGSpec(1), n_samples=n),
+    lambda ts, n: mc_correlation_DC(ts.schedule, (0.2, 0.5), (0.55, 0.8), i=1, t=2,
+                                    rng=RNGSpec(1), n_samples=n),
+], ids=["pn", "exceedances", "dprime", "d0", "dc"])
+@pytest.mark.parametrize("n", [0, -5])
+def test_estimators_reject_nonpositive_sample_counts(ts20, run, n):
+    with pytest.raises(ValueError, match=f"n_samples must be positive, got {n}"):
+        run(ts20, n)
 
 
 # ----------------------------------------------------------- exponent budget
