@@ -14,7 +14,6 @@ from pathlib import Path
 from .config import (ConfigError, EXPERIMENT_KINDS, default_config,
                      load_config, validate_config)
 from .experiments import ledger_report, run_experiment
-from .io import CacheCorruption
 
 _COMMAND_HELP = {
     "evl": "estimate the no-exceedance probability against exp(-tau)",
@@ -98,7 +97,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
                   file=stdout)
         print(f"artifacts: {report.out_dir}", file=stdout)
         return 0 if report.passed else 2
-    except (CacheCorruption, ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=stderr)
         return 1
 

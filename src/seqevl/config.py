@@ -340,6 +340,15 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
     if not 0.0 < exps.xi < 1.0:
         error("bad-exponents", "xi must lie in (0, 1)")
 
+    # the run builds these specs; whatever their constructors reject is an error here
+    if not any(d.severity == "error" for d in out):
+        for code, spec in (("bad-schedule", sched), ("bad-mesh", config.mesh),
+                           ("bad-observable", config.observable)):
+            try:
+                spec.build()
+            except ValueError as exc:
+                error(code, str(exc))
+
     if any(d.severity == "error" for d in out):
         return out
 

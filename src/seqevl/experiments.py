@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, Diagnostic, ExperimentConfig, validate_config
-from .io import DiskCache, write_csv, write_json
+from .io import write_csv, write_json
 from .maps import sequential_orbit
 from .mesh import uniform_density
 from .montecarlo import (RNGSpec, build_blocks, d0_mixing_gap, dprime_sum,
@@ -82,13 +82,9 @@ def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentReport:
     exp_id = experiment_id(config)
     out_dir = base / exp_id
     out_dir.mkdir(parents=True, exist_ok=True)
-    cache = DiskCache(base / "cache")
 
     started = time.perf_counter()
-    runner = _RUNNERS.get(config.kind)
-    if runner is None:
-        raise ConfigError(f"bad-kind: unknown experiment kind {config.kind!r}")
-    checks, tables, samples = runner(config, cache)
+    checks, tables, samples = _RUNNERS[config.kind](config)
     elapsed = time.perf_counter() - started
 
     for name, (header, rows) in tables.items():
@@ -111,25 +107,25 @@ def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentReport:
     return report
 
 
-def _thresholds(config: ExperimentConfig, cache: DiskCache, ns) -> list:
+def _thresholds(config: ExperimentConfig, ns) -> list:
     """Threshold schedules for the horizons ns, all from one push to the longest."""
     schedule, observable = config.schedule.build(), config.observable.build()
     top, densities = build_threshold_schedule(
         schedule, observable, config.tau, max(ns), config.mesh.build(),
-        cache=cache, return_densities=True)
+        return_densities=True)
     return [top if n == top.n
             else calibrate_schedule(densities[:n], schedule, observable, config.tau)
             for n in ns]
 
 
-def _run_evl(config: ExperimentConfig, cache: DiskCache):
+def _run_evl(config: ExperimentConfig):
     rng = RNGSpec(config.seed)
     target = math.exp(-config.tau)
     rows = []
     checks = []
     samples = 0
     errors = []
-    for ts in _thresholds(config, cache, config.ns()):
+    for ts in _thresholds(config, config.ns()):
         n = ts.n
         est = estimate_Pn(ts, rng, config.n_samples, workers=config.workers,
                           label=f"pn-{n}")
@@ -156,10 +152,10 @@ def _run_evl(config: ExperimentConfig, cache: DiskCache):
     return checks, tables, samples
 
 
-def _run_calibrate(config: ExperimentConfig, cache: DiskCache):
+def _run_calibrate(config: ExperimentConfig):
     rng = RNGSpec(config.seed)
     n = config.ns()[-1]
-    ts, = _thresholds(config, cache, (n,))
+    ts, = _thresholds(config, (n,))
     first_target = config.tau / (2.0 * n)
     checks = [TargetCheck(
         name="first-radius",
@@ -189,12 +185,12 @@ def _run_calibrate(config: ExperimentConfig, cache: DiskCache):
     return checks, tables, config.n_samples
 
 
-def _run_dprime(config: ExperimentConfig, cache: DiskCache):
+def _run_dprime(config: ExperimentConfig):
     rng = RNGSpec(config.seed)
     rows = []
     results = []
     samples = 0
-    for ts in _thresholds(config, cache, config.ns()):
+    for ts in _thresholds(config, config.ns()):
         n = ts.n
         blocks = build_blocks(ts, beta=config.exponents.beta,
                               kappa=config.exponents.kappa)
@@ -224,10 +220,10 @@ def _run_dprime(config: ExperimentConfig, cache: DiskCache):
     return checks, tables, samples
 
 
-def _run_d0(config: ExperimentConfig, cache: DiskCache):
+def _run_d0(config: ExperimentConfig):
     rng = RNGSpec(config.seed)
     n = config.ns()[-1]
-    ts, = _thresholds(config, cache, (n,))
+    ts, = _thresholds(config, (n,))
     ell = max(1, round(n ** 0.5))
     i = 0
     rows = []
@@ -251,7 +247,7 @@ def _run_d0(config: ExperimentConfig, cache: DiskCache):
     return checks, tables, 2 * config.n_samples
 
 
-def _run_decay(config: ExperimentConfig, cache: DiskCache):
+def _run_decay(config: ExperimentConfig):
     schedule = config.schedule.build()
     mesh = config.mesh.build()
     ladder = tuple(config.n_ladder) if config.n_ladder else DECAY_LADDER
@@ -279,7 +275,7 @@ def _run_decay(config: ExperimentConfig, cache: DiskCache):
     return checks, tables, 0
 
 
-def _run_recurrence(config: ExperimentConfig, cache: DiskCache):
+def _run_recurrence(config: ExperimentConfig):
     schedule = config.schedule.build()
     params = config.recurrence.build(config.schedule.alpha_star)
     resolution = max(config.mesh.cells, 1024)
@@ -333,7 +329,7 @@ def _run_recurrence(config: ExperimentConfig, cache: DiskCache):
     return checks, tables, 0
 
 
-def _run_orbit(config: ExperimentConfig, cache: DiskCache):
+def _run_orbit(config: ExperimentConfig):
     schedule = config.schedule.build()
     n = config.ns()[-1]
     orbit = sequential_orbit(schedule, config.x0, n)

@@ -75,7 +75,10 @@ class DiskCache:
 
     Keys hash every input that determines the ladder (parameter sequence,
     mesh fingerprint, initial density values), so a stale entry can only be
-    returned if the inputs are themselves identical.
+    returned if the inputs are themselves identical.  No run path uses it:
+    it stays only because `perfbench/tracing.py` patches `load_trajectory`
+    and `store_trajectory` by name, and `tests/test_perfbench_targets.py`
+    checks that they exist.
     """
 
     root: Path

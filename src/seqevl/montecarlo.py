@@ -216,7 +216,7 @@ class BlockStructure:
 
 
 def build_blocks(ts: ThresholdSchedule, k_n: int | None = None,
-                 t_star: int | None = None, beta: float = DEFAULT_BETA,
+                 beta: float = DEFAULT_BETA,
                  kappa: float = DEFAULT_KAPPA) -> BlockStructure:
     """Greedy mass-balanced blocking of the threshold schedule.
 
@@ -227,8 +227,7 @@ def build_blocks(ts: ThresholdSchedule, k_n: int | None = None,
     n = ts.n
     if k_n is None:
         k_n = max(1, round(n ** (1.0 - beta)))
-    if t_star is None:
-        t_star = max(1, round(n ** kappa))
+    t_star = max(1, round(n ** kappa))
     if not 1 <= k_n <= n:
         raise ValueError("k_n must lie in [1, n]")
     total = ts.fstar

@@ -216,7 +216,7 @@ def threshold_window(params: ConeParams, zeta: float, tau: float, n: int) -> tup
 
 def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable,
                              tau: float, n: int, mesh: Mesh,
-                             cache=None, return_densities: bool = False):
+                             return_densities: bool = False):
     """Calibrate all n per-step radii and levels against the pushed densities."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -225,7 +225,7 @@ def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable
     if tau / n > 1.0 + 1e-12:
         raise ValueError("tau/n exceeds total mass 1; no calibration exists")
     densities = push_density(schedule, uniform_density(mesh), n - 1,
-                             cache=cache, return_trajectory=True)
+                             return_trajectory=True)
     ts = calibrate_schedule(densities, schedule, observable, tau)
     if return_densities:
         return ts, densities

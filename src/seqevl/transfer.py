@@ -158,27 +158,18 @@ def ulam_matrix(alpha: float, mesh: Mesh) -> UlamOperator:
 
 
 def push_density(schedule: ParameterSchedule, f0: Density, steps: int,
-                 cache=None, return_trajectory: bool = False):
+                 return_trajectory: bool = False):
     """Push f0 through the first `steps` scheduled operators with pf_apply.
 
     With return_trajectory=True the full ladder
-    [f0, P_1 f0, ..., P_steps...P_1 f0] is returned; trajectories are also
-    what the disk cache persists.
+    [f0, P_1 f0, ..., P_steps...P_1 f0] is returned.
     """
-    alphas = schedule.alphas(steps)
-    if cache is not None:
-        traj = cache.load_trajectory(alphas, f0)
-        if traj is not None:
-            out = [f0.with_values(v) for v in traj]
-            return out if return_trajectory else out[-1]
     trajectory = [f0]
     f = f0
-    for a in alphas:
+    for a in schedule.alphas(steps):
         f = pf_apply(a, f)
         if return_trajectory:
             trajectory.append(f)
-    if cache is not None and return_trajectory:
-        cache.store_trajectory(alphas, f0, np.array([d.values for d in trajectory]))
     return trajectory if return_trajectory else f
 
 

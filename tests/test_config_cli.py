@@ -4,7 +4,6 @@ import io
 import json
 import math
 import re
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +231,9 @@ def test_budget_warnings_at_large_sup_alpha():
     (dict(n_ladder=(250, 500, 250)), "bad-n"),
     (dict(kind="decay", n_ladder=(64, 64, 128)), "bad-n"),
     (dict(kind="decay", n_ladder=(1, 64, 128)), "bad-n"),
+    (dict(observable=ObservableSpec(power=-1.0)), "bad-observable"),
+    (dict(mesh=MeshSpec(ratio=1.5)), "bad-mesh"),
+    (dict(schedule=ScheduleSpec(alpha_star=2.0)), "bad-schedule"),
 ])
 def test_hard_errors(overrides, code):
     base = ExperimentConfig(kind=overrides.pop("kind", "evl"))
@@ -420,13 +422,13 @@ def test_cli_outputs_reproducible_across_workers_and_cache(tmp_path):
     for name, blob in first.items():
         assert (more_workers / name).read_bytes() == blob
 
-    # wiping the cache must not change any output
-    shutil.rmtree(tmp_path / "runs" / "cache")
+    # runs keep no state between them: no cache, and a rerun agrees byte for byte
+    assert not (tmp_path / "runs" / "cache").exists()
     code, out, _ = run_cli(["calibrate", "--config", str(path), "--workers", "2"])
     assert code == 0
-    cold_cache = _artifact_dir(out)
+    rerun = _artifact_dir(out)
     for name, blob in first.items():
-        assert (cold_cache / name).read_bytes() == blob
+        assert (rerun / name).read_bytes() == blob
 
     # a different seed must actually change the Monte Carlo table
     code, out, _ = run_cli(["calibrate", "--config", str(path), "--seed", "99"])

@@ -256,20 +256,6 @@ def test_push_density_routes_agree(mesh512, const01):
     assert exact.l1_distance(ulam) <= 1e-11
 
 
-def test_push_density_cache_round_trip(tmp_path, mesh512, const01):
-    from seqevl.io import DiskCache
-
-    cache = DiskCache(tmp_path / "cache")
-    f0 = uniform_density(mesh512)
-    first = push_density(const01, f0, 8, cache=cache, return_trajectory=True)
-    second = push_density(const01, f0, 8, cache=cache, return_trajectory=True)
-    for a, b in zip(first, second):
-        np.testing.assert_array_equal(a.values, b.values)
-    # cached read also serves the endpoint-only call
-    tail = push_density(const01, f0, 8, cache=cache)
-    np.testing.assert_array_equal(tail.values, first[-1].values)
-
-
 # -------------------------------------------------------------------- cone
 
 @pytest.mark.parametrize("a,alpha,expected", CONE_FLOOR_ORACLES)
