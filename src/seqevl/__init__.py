@@ -12,14 +12,14 @@ from .mesh import (Density, Mesh, graded_mesh, project, uniform_density,
                    uniform_mesh)
 from .montecarlo import (BlockStructure, EstimateWithCI, MixingGap, RNGSpec,
                          build_blocks, correlation_DC, d0_mixing_gap,
-                         dprime_sum, estimate_exceedance, estimate_exceedances,
-                         estimate_Pn, exponent_ledger, mc_correlation_DC)
+                         dprime_sum, estimate_exceedances, estimate_Pn,
+                         exponent_ledger, mc_correlation_DC)
 from .recurrence import (RecurrenceParams, local_recurrence_at,
                          local_recurrence_bound, loglog_slope, measure_Ej,
                          measure_En_eps, orbit_displacement)
 from .thresholds import (DEFAULT_ZETA, Observable, ThresholdSchedule,
-                         build_threshold_schedule, calibrate_delta,
-                         calibrate_delta_ladder, threshold_window)
+                         build_threshold_schedule, calibrate_delta_ladder,
+                         threshold_window)
 from .transfer import (BoundsReport, BumpFunction, ConeFlags, ConeParams,
                        DecayResult, UlamOperator, bump_chi, cone_check,
                        cone_step_surrogate, density_bounds_check,
@@ -36,10 +36,9 @@ __all__ = [
     "MixingGap", "Observable", "ParameterSchedule", "RNGSpec",
     "RecurrenceParams", "TargetCheck", "ThresholdSchedule", "UlamOperator",
     "apply_map_batch", "build_blocks", "build_threshold_schedule", "bump_chi",
-    "calibrate_delta", "calibrate_delta_ladder", "cone_check",
-    "cone_step_surrogate", "correlation_DC", "d0_mixing_gap",
-    "default_config", "density_bounds_check", "dprime_sum",
-    "duality_residual", "estimate_Pn", "estimate_exceedance",
+    "calibrate_delta_ladder", "cone_check", "cone_step_surrogate",
+    "correlation_DC", "d0_mixing_gap", "default_config",
+    "density_bounds_check", "dprime_sum", "duality_residual", "estimate_Pn",
     "estimate_exceedances", "exponent_ledger", "graded_mesh", "load_config",
     "local_recurrence_at", "local_recurrence_bound", "loglog_slope",
     "loss_of_memory_distance", "lsv_apply", "lsv_derivative",

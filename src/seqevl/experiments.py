@@ -24,7 +24,7 @@ from .montecarlo import (RNGSpec, build_blocks, d0_mixing_gap, dprime_sum,
                          estimate_exceedances, estimate_Pn, exponent_ledger)
 from .recurrence import (local_recurrence_at, local_recurrence_bound,
                          loglog_slope, measure_En_eps, measure_Ej)
-from .thresholds import build_threshold_schedule, calibrate_schedule
+from .thresholds import build_threshold_schedule
 from .transfer import cone_step_surrogate, loss_of_memory_distance
 
 DECAY_LADDER = (64, 128, 256, 512, 1024, 2048, 4096)
@@ -108,14 +108,9 @@ def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentReport:
 
 
 def _thresholds(config: ExperimentConfig, ns) -> list:
-    """Threshold schedules for the horizons ns, all from one push to the longest."""
-    schedule, observable = config.schedule.build(), config.observable.build()
-    top, densities = build_threshold_schedule(
-        schedule, observable, config.tau, max(ns), config.mesh.build(),
-        return_densities=True)
-    return [top if n == top.n
-            else calibrate_schedule(densities[:n], schedule, observable, config.tau)
-            for n in ns]
+    """Threshold schedules for the horizons ns, all from one streamed push."""
+    return build_threshold_schedule(config.schedule.build(), config.observable.build(),
+                                    config.tau, ns, config.mesh.build())
 
 
 def _run_evl(config: ExperimentConfig):

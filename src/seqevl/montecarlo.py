@@ -181,11 +181,6 @@ def estimate_exceedances(ts: ThresholdSchedule, indices, rng: RNGSpec,
     return [EstimateWithCI.from_counts(int(k), n_samples) for k in counts]
 
 
-def estimate_exceedance(ts: ThresholdSchedule, i: int, rng: RNGSpec,
-                        n_samples: int = 100_000, workers: int = 1) -> EstimateWithCI:
-    return estimate_exceedances(ts, [i], rng, n_samples, workers)[0]
-
-
 # ---------------------------------------------------------------------------
 # block structure and the anti-clustering pair sum
 
@@ -361,8 +356,7 @@ def correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
             extra = [p for p in obs if 1e-12 < p < 1.0 - 1e-12]
             pts = np.unique(np.concatenate([base.boundaries, np.asarray(extra)]))
             base = Mesh(pts)
-    ladder = push_density(schedule, uniform_density(base), i + t,
-                          return_trajectory=True)
+    ladder = push_density(schedule.alphas(i + t), uniform_density(base))
     dens_i, dens_it = ladder[i], ladder[i + t]
 
     def center_and_multiply(obs, dens: Density) -> Density:

@@ -6,7 +6,9 @@ calibrated against the pushed densities: delta solves
 integral over (zeta - delta, zeta + delta) of the step-i density = tau / n,
 which makes every step carry identical exceedance mass.  For piecewise-
 constant densities that window mass is piecewise linear in delta, so each
-radius is an exact kink inversion rather than an iterative search.
+radius is an exact kink inversion rather than an iterative search.  Every
+horizon of a run reads the same density at step i, so one streamed push
+calibrates all of them, a block of densities at a time.
 """
 
 from __future__ import annotations
@@ -79,78 +81,78 @@ class Observable:
         return self.cap if self.form == "power-cap" else math.inf
 
 
-_BLOCK = 32  # densities per evaluation block; keeps its temporaries near 2 MB
+# densities the streamed build pushes, calibrates and drops at a time, so a
+# build holds one block (about 0.5 MB on 1,024 cells) whatever the horizon
+_BLOCK = 32
 
 
-def calibrate_delta(density: Density, zeta: float, tau: float, n: int) -> float:
-    """Radius delta with mass(zeta - delta, zeta + delta) = tau / n, found by
-    exact kink inversion of the window mass (see calibrate_delta_ladder)."""
-    return float(calibrate_delta_ladder([density], zeta, tau, n)[0])
+def calibrate_delta_ladder(densities, zeta: float, tau: float, n) -> np.ndarray:
+    """Radius delta with mass(zeta - delta, zeta + delta) = tau / n for every
+    density of a list on one mesh.
 
-
-def calibrate_delta_ladder(densities, zeta: float, tau: float, n: int) -> np.ndarray:
-    """calibrate_delta for every density of a ladder on one mesh.
-
-    The window mass M(delta) = F(zeta + delta) - F(zeta - delta) of a
-    piecewise-constant density is continuous, nondecreasing and piecewise
-    linear in delta, with kinks at |b_k - zeta| for the mesh boundaries b_k.
-    M is evaluated at every kink; the first kink reaching tau / n closes the
-    segment that holds the smallest solution, and linear interpolation inside
-    it is exact up to rounding.  Densities go in blocks of _BLOCK rows.
+    n is one horizon or a 1-D array of horizons; an array adds a leading
+    axis with one row of radii per horizon.  The window mass
+    M(delta) = F(zeta + delta) - F(zeta - delta) of a piecewise-constant
+    density is continuous, nondecreasing and piecewise linear in delta, with
+    kinks at |b_k - zeta| for the mesh boundaries b_k.  M is evaluated once
+    per density at the kinks and inverted for every horizon: the first kink
+    reaching tau / n closes the segment that holds the smallest solution,
+    and linear interpolation inside it is exact up to rounding.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    if n < 1:
+    n = np.asarray(n)
+    if np.any(n < 1):
         raise ValueError("n must be positive")
     if not 0.0 < zeta < 1.0:
         raise ValueError("zeta must lie in (0, 1)")
-    target = tau / n
-    out = np.zeros(len(densities))
-    if target == 0.0 or not densities:
-        return out
+    if tau == 0.0 or not densities:
+        return np.zeros(n.shape + (len(densities),))
+    target = np.asarray(tau / n)[..., None]
+    peak = tau / n.min()
     mesh = densities[0].mesh
     for d in densities:
         if d.mesh is not mesh:
             _same_mesh(d.mesh, mesh)
-        if target > d.mass * (1.0 + 1e-12):
+        if peak > d.mass * (1.0 + 1e-12):
             raise ValueError("requested exceedance mass exceeds the total mass")
     kinks = np.unique(np.concatenate(([0.0], np.abs(mesh.boundaries - zeta))))
-    # F at zeta -+ kink, with the clipping and cell lookup of Density.cdf
-    cell, offset = mesh.locate(np.concatenate((zeta - kinks, zeta + kinks)))
-    for rows, values, prefix in _blocks(densities):
-        cdf = prefix[:, cell] + values[:, cell] * offset
-        window = cdf[:, kinks.size:] - cdf[:, :kinks.size]
-        # j = 0 only where the mass stays below target (within the 1e-12
-        # tolerance): that density gets the largest radius
-        j = np.argmax(window >= target, axis=1)
-        at = np.arange(len(values))
-        m0, m1 = window[at, j - 1], window[at, j]
-        d0, d1 = kinks[j - 1], kinks[j]
-        out[rows] = np.where(j > 0, d0 + (target - m0) / (m1 - m0) * (d1 - d0), kinks[-1])
-    return out
+    values = np.array([d.values for d in densities])
+    prefix = np.array([d.prefix_mass for d in densities])
 
+    def cdf(x):  # F at x for every density, as Density.cdf computes it
+        cell, offset = mesh.locate(x)
+        return prefix[:, cell] + values[:, cell] * offset
 
-def _blocks(densities):
-    """(slice, values, prefix_mass) for each run of _BLOCK densities, stacked by row."""
-    for start in range(0, len(densities), _BLOCK):
-        block = densities[start:start + _BLOCK]
-        yield (slice(start, start + len(block)), np.array([d.values for d in block]),
-               np.array([d.prefix_mass for d in block]))
+    # the solution sits within the first few kinks unless tau / n is large,
+    # so M is evaluated on a prefix of the kinks that grows until every
+    # density reaches the largest target in it (or the prefix is all kinks)
+    k = 16
+    while True:
+        window = cdf(zeta + kinks[:k]) - cdf(zeta - kinks[:k])
+        if k >= kinks.size or np.all(np.any(window >= peak, axis=1)):
+            break
+        k *= 16
+    # j = 0 only where the mass stays below target (within the 1e-12
+    # tolerance): that density gets the largest radius
+    j = np.argmax(window >= target[..., None], axis=-1)
+    at = np.arange(len(densities))
+    m0, m1 = window[at, j - 1], window[at, j]
+    d0, d1 = kinks[j - 1], kinks[j]
+    return np.where(j > 0, d0 + (target - m0) / (m1 - m0) * (d1 - d0), kinks[-1])
 
 
 def _window_masses(densities, zeta: float, deltas: np.ndarray) -> np.ndarray:
-    """densities[i].interval_mass(zeta - deltas[i], zeta + deltas[i]) for every i,
-    with the same arithmetic, gathered a block of densities at a time."""
-    out = np.zeros(len(densities))
+    """densities[i].interval_mass(zeta - deltas[..., i], zeta + deltas[..., i])
+    for every i, with the same arithmetic; deltas may carry leading axes."""
     if not densities:
-        return out
-    cell, offset = densities[0].mesh.locate(np.stack((zeta - deltas, zeta + deltas), axis=1))
-    for rows, values, prefix in _blocks(densities):
-        c, o = cell[rows], offset[rows]
-        at = np.arange(len(values))[:, None]
-        cdf = prefix[at, c] + values[at, c] * o
-        out[rows] = cdf[:, 1] - cdf[:, 0]
-    return out
+        return np.zeros(np.shape(deltas))
+    values = np.array([d.values for d in densities])
+    prefix = np.array([d.prefix_mass for d in densities])
+    cell, offset = densities[0].mesh.locate(np.stack((zeta - deltas, zeta + deltas), axis=-1))
+    at = np.arange(len(densities))[:, None]
+    cdf = prefix[at, cell] + values[at, cell] * offset
+    return cdf[..., 1] - cdf[..., 0]
 
 
 @dataclass
@@ -215,37 +217,41 @@ def threshold_window(params: ConeParams, zeta: float, tau: float, n: int) -> tup
 
 
 def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable,
-                             tau: float, n: int, mesh: Mesh,
-                             return_densities: bool = False):
-    """Calibrate all n per-step radii and levels against the pushed densities."""
+                             tau: float, ns, mesh: Mesh) -> list[ThresholdSchedule]:
+    """Thresholds of every horizon in ns, in the order given, from one streamed push.
+
+    alphas(m) is a prefix of alphas(n), so step i reads the same density f_i
+    for every horizon n > i.  The pass pushes _BLOCK densities at a time,
+    calibrates each block for every horizon that still needs it, takes the
+    step masses from the same block and then drops it, so no ladder is ever
+    held whole.
+    """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    if n < 1:
+    horizons = np.unique(np.asarray(ns, dtype=int))
+    if horizons.size == 0 or horizons[0] < 1:
         raise ValueError("n must be positive")
-    if tau / n > 1.0 + 1e-12:
+    if tau / horizons[0] > 1.0 + 1e-12:
         raise ValueError("tau/n exceeds total mass 1; no calibration exists")
-    densities = push_density(schedule, uniform_density(mesh), n - 1,
-                             return_trajectory=True)
-    ts = calibrate_schedule(densities, schedule, observable, tau)
-    if return_densities:
-        return ts, densities
-    return ts
-
-
-def calibrate_schedule(densities, schedule: ParameterSchedule,
-                       observable: Observable, tau: float) -> ThresholdSchedule:
-    """Thresholds of horizon n = len(densities) on the ladder [f_0, ..., f_(n-1)].
-
-    alphas(m) is a prefix of alphas(n), so the first m densities of a longer
-    ladder pushed by the same schedule serve horizon m unchanged.
-    """
-    n = len(densities)
-    zeta = observable.zeta
-    deltas = calibrate_delta_ladder(densities, zeta, tau, n)
-    masses = _window_masses(densities, zeta, deltas)
-    levels = np.asarray(observable.level_for_radius(deltas))
-    win_lo, win_hi = threshold_window(ConeParams(alpha=schedule.max_alpha(n - 1)),
-                                      zeta, tau, n)
-    return ThresholdSchedule(observable=observable, tau=tau, n=n, deltas=deltas,
-                             levels=levels, step_masses=masses,
-                             window_lo=win_lo, window_hi=win_hi, schedule=schedule)
+    zeta, top = observable.zeta, int(horizons[-1])
+    alphas = schedule.alphas(top - 1)
+    deltas = np.zeros((horizons.size, top))
+    masses = np.zeros_like(deltas)
+    f = uniform_density(mesh)
+    for start in range(0, top, _BLOCK):
+        ladder = push_density(alphas[start:start + _BLOCK], f)
+        block, f = ladder[:_BLOCK], ladder[-1]
+        live = slice(np.searchsorted(horizons, start, side="right"), None)
+        rows = slice(start, start + len(block))
+        deltas[live, rows] = calibrate_delta_ladder(block, zeta, tau, horizons[live])
+        masses[live, rows] = _window_masses(block, zeta, deltas[live, rows])
+    built = {}
+    for h, n in enumerate(horizons.tolist()):
+        win_lo, win_hi = threshold_window(ConeParams(alpha=schedule.max_alpha(n - 1)),
+                                          zeta, tau, n)
+        built[n] = ThresholdSchedule(
+            observable=observable, tau=tau, n=n, deltas=deltas[h, :n],
+            levels=np.asarray(observable.level_for_radius(deltas[h, :n])),
+            step_masses=masses[h, :n], window_lo=win_lo, window_hi=win_hi,
+            schedule=schedule)
+    return [built[int(n)] for n in ns]

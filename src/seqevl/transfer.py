@@ -3,7 +3,9 @@
 `pf_apply` pushes a piecewise-constant density through the duality
 relation using interval-preimage arithmetic: masses are differences of the
 source prefix integral at branch preimages of the cell boundaries, so each
-step conserves mass to rounding.  Every density ladder is pushed this way.
+step conserves mass to rounding.  `push_density` chains it into a ladder
+over a run of exponents; every density ladder is pushed this way, and a
+long ladder is pushed a block at a time by its caller.
 
 `ulam_matrix` builds the independent reference discretization, a sparse
 row-stochastic matrix whose (i, j) entry is the fraction of cell i that
@@ -157,20 +159,13 @@ def ulam_matrix(alpha: float, mesh: Mesh) -> UlamOperator:
     return UlamOperator(alpha, mesh, matrix)
 
 
-def push_density(schedule: ParameterSchedule, f0: Density, steps: int,
-                 return_trajectory: bool = False):
-    """Push f0 through the first `steps` scheduled operators with pf_apply.
-
-    With return_trajectory=True the full ladder
-    [f0, P_1 f0, ..., P_steps...P_1 f0] is returned.
-    """
-    trajectory = [f0]
-    f = f0
-    for a in schedule.alphas(steps):
-        f = pf_apply(a, f)
-        if return_trajectory:
-            trajectory.append(f)
-    return trajectory if return_trajectory else f
+def push_density(alphas, f0: Density) -> list[Density]:
+    """The ladder [f0, P_1 f0, ..., P_m...P_1 f0] of f0 pushed by pf_apply
+    through the operators of the exponents alphas = (a_1, ..., a_m)."""
+    ladder = [f0]
+    for a in alphas:
+        ladder.append(pf_apply(a, ladder[-1]))
+    return ladder
 
 
 # ---------------------------------------------------------------------------

@@ -45,12 +45,12 @@ OBS = Observable(form="log")  # zeta defaults to 1/sqrt(2)
 
 @pytest.fixture(scope="module")
 def ts500(mesh1024, const01):
-    return build_threshold_schedule(const01, OBS, 1.0, 500, mesh1024)
+    return build_threshold_schedule(const01, OBS, 1.0, (500,), mesh1024)[0]
 
 
 @pytest.fixture(scope="module")
 def ts1000(mesh1024, const01):
-    return build_threshold_schedule(const01, OBS, 1.0, 1000, mesh1024)
+    return build_threshold_schedule(const01, OBS, 1.0, (1000,), mesh1024)[0]
 
 
 def test_criterion_01_survival_probability_reaches_exponential_limit(mesh1024):
@@ -62,8 +62,8 @@ def test_criterion_01_survival_probability_reaches_exponential_limit(mesh1024):
     for tau in (0.5, 1.0, 2.0):
         target = np.exp(-tau)
         errors = []
-        for n in LADDER:
-            ts = build_threshold_schedule(schedule, OBS, tau, n, mesh1024)
+        rungs = build_threshold_schedule(schedule, OBS, tau, LADDER, mesh1024)
+        for n, ts in zip(LADDER, rungs):
             est = estimate_Pn(ts, rng, N_SAMPLES, label=f"acc1-{tau}-{n}")
             errors.append((n, abs(est.value - target), est.se))
         final_err = errors[-1][1]
@@ -122,10 +122,8 @@ def test_criterion_04_pair_sum_decreases_along_horizon_ladder(mesh1024, const01)
     0.2495 / 0.2498 (at n = 2000 the expected gap is below one standard
     error, 0.0023).  The k_n guard keeps the ladder off such a plateau.
     """
-    ladder = []
-    for n in LADDER:
-        ts = build_threshold_schedule(const01, OBS, 1.0, n, mesh1024)
-        ladder.append((n, ts, build_blocks(ts, beta=0.75, kappa=0.7)))
+    ladder = [(n, ts, build_blocks(ts, beta=0.75, kappa=0.7)) for n, ts in
+              zip(LADDER, build_threshold_schedule(const01, OBS, 1.0, LADDER, mesh1024))]
     k_ns = [blocks.k_n for _, _, blocks in ladder]
     assert all(k0 < k1 for k0, k1 in zip(k_ns, k_ns[1:])), (
         f"block count k_n = {k_ns} does not grow along n = {LADDER}; "
@@ -181,7 +179,7 @@ def test_criterion_07_operator_correctness(mesh1024, const01):
     fsmooth = lambda x: 1.0 + 0.3 * np.sin(2.0 * np.pi * x)
     fpoly = project(lambda x: 1.0 + x * x, mesh1024)
     fsurr = cone_step_surrogate(mesh1024, 2.0, 0.5, 0.1)
-    fpushed = push_density(const01, uniform_density(mesh1024), 50)
+    fpushed = push_density(const01.alphas(50), uniform_density(mesh1024))[-1]
     chi = bump_chi(0.3, 0.6, 0.05)
     cases = [
         (0.1, uniform_density(mesh1024), np.sin, ()),

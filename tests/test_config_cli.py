@@ -234,6 +234,8 @@ def test_budget_warnings_at_large_sup_alpha():
     (dict(observable=ObservableSpec(power=-1.0)), "bad-observable"),
     (dict(mesh=MeshSpec(ratio=1.5)), "bad-mesh"),
     (dict(schedule=ScheduleSpec(alpha_star=2.0)), "bad-schedule"),
+    (dict(tau=5000.0), "bad-tau"),
+    (dict(n_ladder=(1, 1000), tau=2.0), "bad-tau"),
 ])
 def test_hard_errors(overrides, code):
     base = ExperimentConfig(kind=overrides.pop("kind", "evl"))
@@ -242,6 +244,22 @@ def test_hard_errors(overrides, code):
     cfg = replace(base, **overrides)
     diags = validate_config(cfg)
     assert any(d.severity == "error" and d.code == code for d in diags), diags
+
+
+def test_bad_tau_follows_the_calibrated_horizons():
+    # calibrating kinds are refused for tau/n > 1 at any horizon they run,
+    # the same configs and reason as the threshold build itself
+    for kind in ("evl", "calibrate", "dprime", "d0"):
+        diags = validate_config(default_config(kind, tau=5000.0))
+        assert [(d.code, d.message) for d in diags if d.severity == "error"] == [
+            ("bad-tau", "tau/n exceeds total mass 1 at n = 1000; no calibration exists")]
+    # no calibration for decay; calibrate and d0 run only the last ladder entry
+    for kind, overrides in (("decay", dict(tau=5000.0)),
+                            ("calibrate", dict(n_ladder=(1, 1000), tau=2.0)),
+                            ("d0", dict(n_ladder=(1, 1000), tau=2.0))):
+        cfg = default_config(kind, **overrides)
+        assert not [d for d in validate_config(cfg) if d.severity == "error"], kind
+    assert "bad-tau" not in {d.code for d in validate_config(default_config("evl", tau=1000.0))}
 
 
 def test_distinct_ladders_pass_the_n_checks():

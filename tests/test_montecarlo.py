@@ -16,7 +16,6 @@ from seqevl.montecarlo import (
     d0_mixing_gap,
     dprime_sum,
     estimate_Pn,
-    estimate_exceedance,
     estimate_exceedances,
     exponent_ledger,
     mc_correlation_DC,
@@ -28,7 +27,8 @@ N_FAST = 20_000
 
 @pytest.fixture(scope="module")
 def ts20(mesh512, const01):
-    return build_threshold_schedule(const01, Observable(form="log"), 1.0, 20, mesh512)
+    ts, = build_threshold_schedule(const01, Observable(form="log"), 1.0, (20,), mesh512)
+    return ts
 
 
 # --------------------------------------------------------------- estimates
@@ -95,7 +95,7 @@ def test_rng_streams_are_label_keyed():
 
 
 def test_estimate_pn_zero_tau_is_certain(mesh512, const01):
-    ts = build_threshold_schedule(const01, Observable(form="log"), 0.0, 5, mesh512)
+    ts, = build_threshold_schedule(const01, Observable(form="log"), 0.0, (5,), mesh512)
     e = estimate_Pn(ts, RNGSpec(1), n_samples=4096)
     assert e.value == 1.0
     assert e.ci_high == 1.0
@@ -103,7 +103,7 @@ def test_estimate_pn_zero_tau_is_certain(mesh512, const01):
 
 def test_estimate_pn_single_step_closed_form(mesh512, const01):
     # n = 1: survival probability is exactly 1 - tau under the uniform start
-    ts = build_threshold_schedule(const01, Observable(form="log"), 0.5, 1, mesh512)
+    ts, = build_threshold_schedule(const01, Observable(form="log"), 0.5, (1,), mesh512)
     e = estimate_Pn(ts, RNGSpec(5), n_samples=N_FAST)
     assert abs(e.value - 0.5) <= 3.0 * e.se
 
@@ -126,7 +126,7 @@ def test_estimate_exceedances_match_calibrated_mass(ts20):
     target = ts20.tau / ts20.n
     for e in ests:
         assert abs(e.value - target) <= 3.0 * max(e.se, 1e-4)
-    single = estimate_exceedance(ts20, 7, RNGSpec(17), n_samples=N_FAST)
+    single = estimate_exceedances(ts20, [7], RNGSpec(17), n_samples=N_FAST)[0]
     assert single.value == ests[1].value  # same stream, same counts
 
 
@@ -142,7 +142,7 @@ def test_estimate_exceedances_validation(ts20):
 # ----------------------------------------------------------------- blocking
 
 def test_build_blocks_partitions_mass(mesh512, const01):
-    ts = build_threshold_schedule(const01, Observable(form="log"), 1.0, 200, mesh512)
+    ts, = build_threshold_schedule(const01, Observable(form="log"), 1.0, (200,), mesh512)
     blocks = build_blocks(ts, k_n=10)
     assert blocks.bounds[0] == 0 and blocks.bounds[-1] == 200
     assert blocks.n_blocks == 10
@@ -155,7 +155,7 @@ def test_build_blocks_partitions_mass(mesh512, const01):
 
 
 def test_build_blocks_defaults_and_validation(mesh512, const01):
-    ts = build_threshold_schedule(const01, Observable(form="log"), 1.0, 200, mesh512)
+    ts, = build_threshold_schedule(const01, Observable(form="log"), 1.0, (200,), mesh512)
     blocks = build_blocks(ts)  # beta = 0.9 -> k_n = round(200^0.1) = 2
     assert blocks.k_n == 2
     assert blocks.t_star == max(1, round(200 ** 0.85))
@@ -175,7 +175,7 @@ def test_dprime_zero_for_singleton_blocks(ts20):
 
 
 def test_dprime_zero_for_zero_tau(mesh512, const01):
-    ts = build_threshold_schedule(const01, Observable(form="log"), 0.0, 10, mesh512)
+    ts, = build_threshold_schedule(const01, Observable(form="log"), 0.0, (10,), mesh512)
     blocks = build_blocks(ts, k_n=2)
     e = dprime_sum(ts, blocks, RNGSpec(23), n_samples=4096)
     assert e.value == 0.0

@@ -8,15 +8,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from seqevl.maps import ALPHA_STAR, ParameterSchedule
 from seqevl.mesh import Density, graded_mesh, uniform_density, uniform_mesh
+from seqevl import thresholds
 from seqevl.thresholds import (
     DEFAULT_ZETA,
     Observable,
     ThresholdSchedule,
     build_threshold_schedule,
-    calibrate_delta,
     calibrate_delta_ladder,
-    calibrate_schedule,
     threshold_window,
+    _BLOCK,
     _window_masses,
 )
 from seqevl.transfer import ConeParams, push_density, ulam_matrix
@@ -89,7 +89,7 @@ def test_calibrate_delta_uniform_closed_form():
     mesh = graded_mesh(1024)
     f = uniform_density(mesh)
     # unit density: mass of the ball of radius delta is 2 delta
-    delta = calibrate_delta(f, zeta=0.5, tau=1.0, n=100)
+    delta = calibrate_delta_ladder([f], zeta=0.5, tau=1.0, n=100)[0]
     assert delta == pytest.approx(1.0 / 200.0, abs=1e-14)
 
 
@@ -98,7 +98,7 @@ def test_calibrate_delta_linear_closed_form():
     mesh = uniform_mesh(4096)
     f = Density(mesh, 2.0 * mesh.midpoints)
     zeta, tau, n = 0.6, 1.0, 50
-    delta = calibrate_delta(f, zeta=zeta, tau=tau, n=n)
+    delta = calibrate_delta_ladder([f], zeta=zeta, tau=tau, n=n)[0]
     # piecewise-constant projection of the slope costs a few 1e-6 here
     assert delta == pytest.approx(tau / (4.0 * zeta * n), abs=1e-5)
     # self consistency against the density's own interval mass is exact
@@ -110,10 +110,13 @@ def test_calibrate_delta_zero_tau_and_validation():
     f = uniform_density(graded_mesh(64))
     half = Density(f.mesh, np.full(64, 0.5))
 
+    def single(density, zeta, tau, n):
+        return calibrate_delta_ladder([density], zeta, tau, n)[0]
+
     def ladder(density, zeta, tau, n):
         return calibrate_delta_ladder([f, density], zeta, tau, n)[1]
 
-    for calibrate in (calibrate_delta, ladder):
+    for calibrate in (single, ladder):
         assert calibrate(f, zeta=0.5, tau=0.0, n=10) == 0.0
         with pytest.raises(ValueError):
             calibrate(f, zeta=0.5, tau=-1.0, n=10)
@@ -130,13 +133,10 @@ def test_calibrate_delta_zero_tau_and_validation():
 
 
 def test_calibrate_ladder_matches_scalar(mesh512, const01):
-    from seqevl.transfer import push_density
-
-    densities = push_density(const01, uniform_density(mesh512), 9,
-                             return_trajectory=True)
+    densities = push_density(const01.alphas(9), uniform_density(mesh512))
     zeta, tau, n = DEFAULT_ZETA, 1.0, 10
     ladder = calibrate_delta_ladder(densities, zeta, tau, n)
-    scalar = np.array([calibrate_delta(d, zeta, tau, n) for d in densities])
+    scalar = np.array([calibrate_delta_ladder([d], zeta, tau, n)[0] for d in densities])
     np.testing.assert_allclose(ladder, scalar, rtol=0, atol=1e-15)
     assert calibrate_delta_ladder(densities, zeta, 0.0, n).tolist() == [0.0] * 10
 
@@ -192,7 +192,7 @@ def calibration_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_kink_inversion_matches_bisection(case):
     density, zeta, target = case
-    delta = calibrate_delta(density, zeta, tau=target, n=1)
+    delta = calibrate_delta_ladder([density], zeta, tau=target, n=1)[0]
     assert delta == pytest.approx(bisect_delta(density, zeta, target), rel=1e-12)
     assert abs(float(density.interval_mass(zeta - delta, zeta + delta)) - target) <= 1e-14
     if delta > 0.0:
@@ -200,6 +200,21 @@ def test_kink_inversion_matches_bisection(case):
         assert float(density.interval_mass(zeta - shrunk, zeta + shrunk)) < target
     ladder = calibrate_delta_ladder([density, density], zeta, tau=target, n=1)
     assert ladder.tolist() == [delta, delta]
+
+
+def test_ladder_rows_reach_target_at_different_kinks():
+    # one density reaches tau/n in the first cell around zeta, the other is
+    # empty for 0.3 on either side, so its solution lies hundreds of kinks out
+    mesh = uniform_mesh(1000)
+    zeta, target = 0.5, 0.01
+    near = uniform_density(mesh)
+    far = Density(mesh, np.where(np.abs(mesh.midpoints - zeta) < 0.3, 0.0, 2.5))
+    ladder = calibrate_delta_ladder([near, far, near], zeta, tau=target, n=1)
+    singles = [calibrate_delta_ladder([d], zeta, tau=target, n=1)[0] for d in (near, far, near)]
+    assert ladder.tolist() == singles
+    for d, delta in zip((near, far), ladder):
+        assert delta == pytest.approx(bisect_delta(d, zeta, target), rel=1e-12)
+    assert 0.3 < ladder[1] < 0.31
 
 
 def interval_mass_loop(densities, zeta, deltas):
@@ -211,13 +226,13 @@ def interval_mass_loop(densities, zeta, deltas):
     ParameterSchedule.iid_uniform(0.05, ALPHA_STAR, seed=5),
 ], ids=["constant", "iid"])
 def test_step_masses_equal_interval_mass_loop(mesh512, schedule):
-    densities = push_density(schedule, uniform_density(mesh512), 299, return_trajectory=True)
+    densities = push_density(schedule.alphas(299), uniform_density(mesh512))
     b = mesh512.boundaries
     # zeta off and on a mesh boundary; tau = 150 puts tau/n = 0.5 in every
     # window, so the balls around the boundary near 1 reach past 1
     for zeta in (DEFAULT_ZETA, float(b[-3])):
         for tau in (1.0, 150.0):
-            ts = calibrate_schedule(densities, schedule, Observable(zeta=zeta), tau)
+            ts, = build_threshold_schedule(schedule, Observable(zeta=zeta), tau, (300,), mesh512)
             assert ts.step_masses.tolist() == interval_mass_loop(densities, zeta, ts.deltas)
         # zero radius, radii on the kinks |b - zeta|, and windows clipped at 0 and 1
         deltas = np.concatenate(([0.0, zeta, 1.0 - zeta, 1.5], np.abs(b - zeta)))
@@ -238,7 +253,7 @@ def test_threshold_window_brackets_uniform_radius():
 def test_build_threshold_schedule_basics(mesh512, const01):
     obs = Observable(form="log")
     tau, n = 1.0, 40
-    ts = build_threshold_schedule(const01, obs, tau, n, mesh512)
+    ts, = build_threshold_schedule(const01, obs, tau, (n,), mesh512)
     assert ts.deltas.shape == (n,)
     # step 1 starts from the uniform density: delta_1 = tau / (2n) exactly
     assert ts.deltas[0] == pytest.approx(tau / (2.0 * n), abs=1e-12)
@@ -256,28 +271,73 @@ def test_build_threshold_schedule_basics(mesh512, const01):
 
 def test_build_threshold_schedule_routes_agree(mesh512, const01):
     obs = Observable(form="log")
-    exact = build_threshold_schedule(const01, obs, 1.0, 25, mesh512)
+    exact, = build_threshold_schedule(const01, obs, 1.0, (25,), mesh512)
     op = ulam_matrix(0.1, mesh512)
     ladder = [uniform_density(mesh512)]
     for _ in range(24):
         ladder.append(op.push(ladder[-1]))
-    ulam = calibrate_schedule(ladder, const01, obs, 1.0)
-    np.testing.assert_allclose(exact.deltas, ulam.deltas, rtol=0, atol=1e-12)
+    ulam = calibrate_delta_ladder(ladder, obs.zeta, 1.0, 25)
+    np.testing.assert_allclose(exact.deltas, ulam, rtol=0, atol=1e-12)
 
 
 def test_build_threshold_schedule_validation(mesh512, const01):
     obs = Observable(form="log")
     with pytest.raises(ValueError):
-        build_threshold_schedule(const01, obs, -1.0, 10, mesh512)
+        build_threshold_schedule(const01, obs, -1.0, (10,), mesh512)
     with pytest.raises(ValueError):
-        build_threshold_schedule(const01, obs, 1.0, 0, mesh512)
+        build_threshold_schedule(const01, obs, 1.0, (0,), mesh512)
     with pytest.raises(ValueError):
-        build_threshold_schedule(const01, obs, 5.0, 2, mesh512)
+        build_threshold_schedule(const01, obs, 1.0, (), mesh512)
+    with pytest.raises(ValueError):
+        build_threshold_schedule(const01, obs, 5.0, (2,), mesh512)
+    with pytest.raises(ValueError, match="tau/n exceeds"):  # refused for its shortest rung
+        build_threshold_schedule(const01, obs, 5.0, (10, 2), mesh512)
 
 
 def test_zero_tau_schedule(mesh512, const01):
-    ts = build_threshold_schedule(const01, Observable(form="log"), 0.0, 5, mesh512)
+    ts, = build_threshold_schedule(const01, Observable(form="log"), 0.0, (5,), mesh512)
     assert np.all(ts.deltas == 0.0)
     assert ts.fstar == 0.0
     assert np.all(ts.window_ok)
     assert np.all(np.isinf(ts.levels))
+
+
+# ------------------------------------------------------------ streamed build
+
+@pytest.mark.parametrize("schedule", [
+    ParameterSchedule.constant(0.1),
+    ParameterSchedule.iid_uniform(0.05, ALPHA_STAR, seed=5),
+], ids=["constant", "iid"])
+def test_streamed_ladder_equals_single_builds_and_full_ladder(mesh512, schedule):
+    # rungs on both sides of a block edge, passed unsorted; tau = 1 at n = 1
+    # asks for the whole mass on step 0
+    ns = (2 * _BLOCK + 3, 1, _BLOCK + 1, _BLOCK - 1, _BLOCK)
+    obs, tau = Observable(form="log"), 1.0
+    streamed = build_threshold_schedule(schedule, obs, tau, ns, mesh512)
+    assert [ts.n for ts in streamed] == list(ns)
+    full = push_density(schedule.alphas(max(ns) - 1), uniform_density(mesh512))
+    radii = calibrate_delta_ladder(full, obs.zeta, tau, np.array(ns))
+    assert radii.shape == (len(ns), len(full))
+    for n, row, ts in zip(ns, radii, streamed):
+        single, = build_threshold_schedule(schedule, obs, tau, (n,), mesh512)
+        for name in ("deltas", "levels", "step_masses"):
+            assert getattr(ts, name).tolist() == getattr(single, name).tolist(), name
+        assert ts.deltas.tolist() == row[:n].tolist()
+        assert ts.deltas.tolist() == calibrate_delta_ladder(full[:n], obs.zeta, tau, n).tolist()
+        assert ts.step_masses.tolist() == _window_masses(full[:n], obs.zeta, ts.deltas).tolist()
+        assert ts.levels.tolist() == np.asarray(obs.level_for_radius(row[:n])).tolist()
+
+
+def test_streamed_build_holds_one_block(monkeypatch, mesh512, const01):
+    lengths = []
+
+    def recording_push(*args, **kwargs):
+        ladder = push_density(*args, **kwargs)
+        lengths.append(len(ladder))
+        return ladder
+
+    monkeypatch.setattr(thresholds, "push_density", recording_push)
+    ts, = build_threshold_schedule(const01, Observable(form="log"), 1.0, (2000,), mesh512)
+    assert ts.n == 2000
+    assert sum(n - 1 for n in lengths) == 1999  # every step pushed once
+    assert max(lengths) <= _BLOCK + 1

@@ -224,31 +224,39 @@ def test_push_builds_one_table_per_alpha_and_mesh(monkeypatch, mesh512):
     monkeypatch.setattr(transfer, "lsv_left_inverse", counting_left_inverse)
     monkeypatch.setattr(transfer, "_LEFT_INV_CACHE", {})
     f0 = uniform_density(mesh512)
-    push_density(ParameterSchedule.constant(0.1), f0, 200)
+    push_density(ParameterSchedule.constant(0.1).alphas(200), f0)
     assert len(calls) == 1
     calls.clear()
-    push_density(ParameterSchedule.periodic([0.05, 0.12, 0.08]), f0, 200)
+    push_density(ParameterSchedule.periodic([0.05, 0.12, 0.08]).alphas(200), f0)
     assert sorted(calls) == [0.05, 0.08, 0.12]
     calls.clear()
-    push_density(ParameterSchedule.iid_uniform(0.05, 0.12, seed=3), f0, 600)
+    push_density(ParameterSchedule.iid_uniform(0.05, 0.12, seed=3).alphas(600), f0)
     assert len(calls) == 600  # every iid exponent is new
     assert len(transfer._LEFT_INV_CACHE) <= 513
 
 
 # ------------------------------------------------------------- push_density
 
-def test_push_density_trajectory(mesh512, const01):
+def test_push_density_trajectory(mesh512):
     f0 = uniform_density(mesh512)
-    traj = push_density(const01, f0, 5, return_trajectory=True)
+    alphas = ParameterSchedule.iid_uniform(0.05, 0.12, seed=3).alphas(5)
+    traj = push_density(alphas, f0)
     assert len(traj) == 6
     assert traj[0] is f0
-    last = push_density(const01, f0, 5)
-    assert traj[-1].l1_distance(last) == 0.0
+    f = f0
+    for a, pushed in zip(alphas, traj[1:]):
+        f = pf_apply(a, f)
+        assert pushed.values.tolist() == f.values.tolist()
+    # a ladder pushed in pieces, each from the last density of the one
+    # before, is the ladder pushed whole
+    tail = push_density(alphas[2:], traj[2])
+    assert [d.values.tolist() for d in tail] == [d.values.tolist() for d in traj[2:]]
+    assert push_density(alphas[:0], f0) == [f0]
 
 
 def test_push_density_routes_agree(mesh512, const01):
     f0 = uniform_density(mesh512)
-    exact = push_density(const01, f0, 10)
+    exact = push_density(const01.alphas(10), f0)[-1]
     op = ulam_matrix(0.1, mesh512)
     ulam = f0
     for _ in range(10):
