@@ -6,8 +6,7 @@ from .config import (ConfigError, Diagnostic, ExperimentConfig, default_config,
 from .experiments import ExperimentReport, TargetCheck, run_experiment
 from .io import CacheCorruption, DiskCache, write_csv, write_json
 from .maps import (ALPHA_STAR, ParameterSchedule, apply_map_batch, lsv_apply,
-                   lsv_derivative, lsv_left_inverse, lsv_preimages,
-                   sequential_orbit)
+                   lsv_left_inverse, sequential_orbit)
 from .mesh import (Density, Mesh, graded_mesh, project, uniform_density,
                    uniform_mesh)
 from .montecarlo import (BlockStructure, EstimateWithCI, MixingGap, RNGSpec,
@@ -20,31 +19,26 @@ from .recurrence import (RecurrenceParams, local_recurrence_at,
 from .thresholds import (DEFAULT_ZETA, Observable, ThresholdSchedule,
                          build_threshold_schedule, calibrate_delta_ladder,
                          threshold_window)
-from .transfer import (BoundsReport, BumpFunction, ConeFlags, ConeParams,
-                       DecayResult, UlamOperator, bump_chi, cone_check,
-                       cone_step_surrogate, density_bounds_check,
-                       duality_residual, loss_of_memory_distance, pf_apply,
-                       push_density, ulam_matrix)
+from .transfer import (ConeParams, DecayResult, cone_step_surrogate,
+                       loss_of_memory_distance, pf_apply, push_density)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_STAR", "BlockStructure", "BoundsReport", "BumpFunction",
-    "CacheCorruption", "ConeFlags", "ConeParams", "ConfigError",
-    "DecayResult", "Density", "DEFAULT_ZETA", "Diagnostic", "DiskCache",
-    "EstimateWithCI", "ExperimentConfig", "ExperimentReport", "Mesh",
-    "MixingGap", "Observable", "ParameterSchedule", "RNGSpec",
-    "RecurrenceParams", "TargetCheck", "ThresholdSchedule", "UlamOperator",
-    "apply_map_batch", "build_blocks", "build_threshold_schedule", "bump_chi",
-    "calibrate_delta_ladder", "cone_check", "cone_step_surrogate",
-    "correlation_DC", "d0_mixing_gap", "default_config",
-    "density_bounds_check", "dprime_sum", "duality_residual", "estimate_Pn",
-    "estimate_exceedances", "exponent_ledger", "graded_mesh", "load_config",
-    "local_recurrence_at", "local_recurrence_bound", "loglog_slope",
-    "loss_of_memory_distance", "lsv_apply", "lsv_derivative",
-    "lsv_left_inverse", "lsv_preimages", "mc_correlation_DC", "measure_Ej",
+    "ALPHA_STAR", "BlockStructure", "CacheCorruption", "ConeParams",
+    "ConfigError", "DecayResult", "Density", "DEFAULT_ZETA", "Diagnostic",
+    "DiskCache", "EstimateWithCI", "ExperimentConfig", "ExperimentReport",
+    "Mesh", "MixingGap", "Observable", "ParameterSchedule", "RNGSpec",
+    "RecurrenceParams", "TargetCheck", "ThresholdSchedule",
+    "apply_map_batch", "build_blocks", "build_threshold_schedule",
+    "calibrate_delta_ladder", "cone_step_surrogate", "correlation_DC",
+    "d0_mixing_gap", "default_config", "dprime_sum", "estimate_Pn",
+    "estimate_exceedances", "exponent_ledger", "graded_mesh",
+    "load_config", "local_recurrence_at", "local_recurrence_bound",
+    "loglog_slope", "loss_of_memory_distance", "lsv_apply",
+    "lsv_left_inverse", "mc_correlation_DC", "measure_Ej",
     "measure_En_eps", "orbit_displacement", "parse_toml", "pf_apply",
     "project", "push_density", "run_experiment", "sequential_orbit",
-    "threshold_window", "ulam_matrix", "uniform_density", "uniform_mesh",
+    "threshold_window", "uniform_density", "uniform_mesh",
     "validate_config", "write_csv", "write_json",
 ]

@@ -299,10 +299,13 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         error("bad-n", "n_ladder entries must be distinct")
     if config.kind == "decay" and any(n < 2 for n in config.n_ladder):
         error("bad-n", "decay ladder entries must be at least 2 for the slope fit")
-    # the horizons a run calibrates: every rung for evl and dprime, the last
-    # ladder entry for calibrate and d0; build_threshold_schedule refuses the same
-    calibrated = {"evl": config.ns(), "dprime": config.ns(),
-                  "calibrate": config.ns()[-1:], "d0": config.ns()[-1:]}.get(config.kind, ())
+    if config.kind in ("calibrate", "d0", "orbit") and len(config.n_ladder) > 1:
+        error("bad-n", f"{config.kind} runs one horizon; n_ladder may hold one entry at most")
+    if config.kind == "recurrence" and config.n_ladder:
+        error("bad-n", "recurrence reads no horizon; n_ladder must be empty")
+    # every horizon of a calibrating kind is calibrated, and
+    # build_threshold_schedule refuses the same tau / n
+    calibrated = config.ns() if config.kind in ("evl", "dprime", "calibrate", "d0") else ()
     n = min(calibrated, default=0)
     if n >= 1 and config.tau / n > 1.0 + 1e-12:
         error("bad-tau", f"tau/n exceeds total mass 1 at n = {n}; no calibration exists")

@@ -39,30 +39,22 @@ def lsv_apply(alpha: float, x):
     return out if out.ndim else float(out)
 
 
-def lsv_derivative(alpha: float, x):
-    """One-sided derivative; x = 1/2 uses the right branch, so T'(1/2) = 2."""
-    _check_alpha(alpha)
-    x = _check_domain(x)
-    left = 1.0 + 2.0 ** alpha * (1.0 + alpha) * x ** alpha
-    out = np.where(x < 0.5, left, 2.0)
-    return out if out.ndim else float(out)
-
-
-def lsv_left_inverse(alpha: float, y, tol: float = 1e-13, max_iter: int = 200):
+def lsv_left_inverse(alpha: float, y):
     """Unique x in [0, 1/2] with x(1 + 2^alpha x^alpha) = y.
 
-    Newton iteration seeded at y/2; any entry that has not met `tol` after
-    `max_iter` sweeps falls back to bisection.  The residual bound |T(x)-y|
-    <= tol implies |x - x*| <= tol because T' >= 1.
+    Newton iteration seeded at y/2; any entry whose residual |T(x)-y| is
+    still above tol = 1e-13 after 200 sweeps falls back to bisection.  The
+    residual bound implies |x - x*| <= tol because T' >= 1.
     """
     _check_alpha(alpha)
     y = _check_domain(y)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
     c = 2.0 ** alpha
+    tol = 1e-13
     x = y / 2.0
     resid = x * (1.0 + c * x ** alpha) - y
-    for _ in range(max_iter):
+    for _ in range(200):
         live = np.abs(resid) > tol
         if not live.any():
             break
@@ -83,12 +75,6 @@ def lsv_left_inverse(alpha: float, y, tol: float = 1e-13, max_iter: int = 200):
             lo = np.where(high, lo, mid)
         x[bad] = 0.5 * (lo + hi)
     return float(x[0]) if scalar else x
-
-
-def lsv_preimages(alpha: float, y):
-    """Both branch preimages of y: (left in [0, 1/2], right in [1/2, 1])."""
-    y = _check_domain(y)
-    return lsv_left_inverse(alpha, y), (np.asarray(y, dtype=float) + 1.0) / 2.0
 
 
 def apply_map_batch(alpha: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -186,29 +186,12 @@ def uniform_density(mesh: Mesh) -> Density:
     return Density(mesh, np.ones(mesh.n_cells))
 
 
-def project(fn, mesh: Mesh, quad_points: int = 8) -> Density:
-    """Project a pointwise function onto the mesh by per-cell Gauss-Legendre averages."""
-    nodes, weights = _gauss_legendre(quad_points)
-    b = mesh.boundaries
+def project(fn, mesh: Mesh) -> Density:
+    """Project a pointwise function onto the mesh by per-cell 8-point
+    Gauss-Legendre averages."""
+    nodes, weights = _gauss_legendre(8)
     mid = mesh.midpoints[:, None]
     half = 0.5 * mesh.widths[:, None]
     x = mid + half * nodes[None, :]
     vals = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
     return Density(mesh, vals @ weights / 2.0)
-
-
-def integrate_product(f, g, mesh: Mesh, oversample: int = 4) -> float:
-    """Composite midpoint quadrature of f*g on the mesh, `oversample` points per cell.
-
-    Adequate for smooth integrands; exact when both factors are constant on
-    each subcell.  Integrands with jumps off the mesh need the
-    breakpoint-aligned quadrature in the transfer module instead.
-    """
-    b = mesh.boundaries
-    w = mesh.widths
-    offsets = (np.arange(oversample) + 0.5) / oversample
-    x = (b[:-1][:, None] + w[:, None] * offsets[None, :]).ravel()
-    sub_w = np.repeat(w / oversample, oversample)
-    fx = np.asarray(f(x), dtype=float)
-    gx = np.asarray(g(x), dtype=float)
-    return float(np.sum(fx * gx * sub_w))

@@ -36,8 +36,6 @@ DEFAULT_KAPPA = 0.85
 DEFAULT_XI = 0.05
 DEFAULT_ETA = 2.0 * DEFAULT_BETA
 
-ALPHA_STAR_FEASIBLE_SUP = 1.0 / 7.0  # sup of the budget region as kappa, beta -> 1
-
 
 @dataclass(frozen=True)
 class RNGSpec:

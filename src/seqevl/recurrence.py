@@ -34,7 +34,6 @@ class RecurrenceParams:
     kappa: float = 0.2
     xi: float = 0.05
     gamma: float = 3.0
-    enforce_local_bound: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -45,11 +44,10 @@ class RecurrenceParams:
             raise ValueError("xi must lie in (0, 1)")
         if self.kappa * (1.0 + self.xi) >= self.beta:
             raise ValueError("kappa*(1+xi) must stay below beta")
-        if self.enforce_local_bound:
-            if self.varsigma <= self.beta:
-                raise ValueError("local bound needs varsigma > beta")
-            if self.gamma * (self.varsigma - self.beta) <= 1.0:
-                raise ValueError("local bound needs gamma*(varsigma-beta) > 1")
+        if self.varsigma <= self.beta:
+            raise ValueError("local bound needs varsigma > beta")
+        if self.gamma * (self.varsigma - self.beta) <= 1.0:
+            raise ValueError("local bound needs gamma*(varsigma-beta) > 1")
 
     @property
     def varsigma(self) -> float:

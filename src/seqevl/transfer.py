@@ -5,38 +5,26 @@ relation using interval-preimage arithmetic: masses are differences of the
 source prefix integral at branch preimages of the cell boundaries, so each
 step conserves mass to rounding.  `push_density` chains it into a ladder
 over a run of exponents; every density ladder is pushed this way, and a
-long ladder is pushed a block at a time by its caller.
-
-`ulam_matrix` builds the independent reference discretization, a sparse
-row-stochastic matrix whose (i, j) entry is the fraction of cell i that
-lands in cell j.  On piecewise-constant inputs the two agree to rounding;
-they differ for pointwise (smooth) inputs, which the Ulam matrix first
-projects onto the mesh.  `scipy.sparse` is imported only when an Ulam
-matrix is built, so the run path needs numpy alone.  The module also
-carries the cone machinery used to certify density bounds, the
-memory-loss diagnostic, and the collared bump function.
+long ladder is pushed a block at a time by its caller.  The module also
+carries the cone parameters that bound the calibration window, the
+cone-admissible step surrogate, and the memory-loss diagnostic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import ParameterSchedule, lsv_apply, lsv_derivative, lsv_left_inverse
-from .mesh import Density, Mesh, _gauss_legendre, project
+from .maps import ParameterSchedule, lsv_left_inverse
+from .mesh import Density, Mesh, project
 
 DEFAULT_CONE_A = 20.0
 
 # gather tables of the push, keyed by (alpha, mesh fingerprint); the key
 # alpha=None holds the right branch, which is the same for every alpha
 _LEFT_INV_CACHE: dict[tuple[float | None, bytes], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _boundary_preimages(alpha: float, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Branch preimages of every mesh boundary (left monotone on [0,1/2])."""
-    return lsv_left_inverse(alpha, mesh.boundaries), 0.5 * (mesh.boundaries + 1.0)
 
 
 def _gather_table(alpha: float | None, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -55,30 +43,15 @@ def _gather_table(alpha: float | None, mesh: Mesh) -> tuple[np.ndarray, np.ndarr
     return table
 
 
-def pf_apply(alpha: float, f, mesh: Mesh | None = None, quad_points: int = 8) -> Density:
-    """Apply one transfer operator and project the result onto the mesh.
+def pf_apply(alpha: float, f: Density) -> Density:
+    """Apply one transfer operator to a piecewise-constant density.
 
-    For a Density input the per-cell masses are exact: the pushed mass of
-    cell j is F(x_(j+1)) - F(x_j) summed over both branch preimages of the
-    cell boundaries, where F is the exact prefix integral of f.  A pointwise
-    callable is integrated over the same preimage intervals with Gauss-
-    Legendre quadrature instead, which keeps the duality residual at
-    quadrature accuracy without projecting f first.
+    The per-cell masses are exact: the pushed mass of cell j is
+    F(x_(j+1)) - F(x_j) summed over both branch preimages of the cell
+    boundaries, where F is the exact prefix integral of f.
     """
-    if isinstance(f, Density):
-        return Density(f.mesh, _push_masses(alpha, f.mesh, f.values, f.prefix_mass)
-                       / f.mesh.widths)
-    if mesh is None:
-        raise ValueError("pointwise input needs an explicit mesh")
-    masses = np.zeros(mesh.n_cells)
-    nodes, weights = _gauss_legendre(quad_points)
-    for pre in _boundary_preimages(alpha, mesh):
-        mid = 0.5 * (pre[:-1] + pre[1:])
-        half = 0.5 * np.diff(pre)
-        x = mid[:, None] + half[:, None] * nodes[None, :]
-        vals = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-        masses += (vals @ weights) * half
-    return Density(mesh, masses / mesh.widths)
+    return Density(f.mesh, _push_masses(alpha, f.mesh, f.values, f.prefix_mass)
+                   / f.mesh.widths)
 
 
 def _push_masses(alpha: float, mesh: Mesh, values: np.ndarray,
@@ -96,67 +69,6 @@ def _push_masses(alpha: float, mesh: Mesh, values: np.ndarray,
     if values.min() >= 0.0:
         masses = np.maximum(masses, 0.0)
     return masses
-
-
-@dataclass
-class UlamOperator:
-    """Sparse row-stochastic discretization of one transfer operator."""
-
-    alpha: float
-    mesh: Mesh
-    matrix: sp.csr_matrix
-    _push_matrix: sp.csr_matrix = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._push_matrix = self.matrix.T.tocsr()
-
-    def row_sum_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix.sum(axis=1) - 1.0)))
-
-    def push(self, f: Density) -> Density:
-        masses = self._push_matrix @ (f.values * self.mesh.widths)
-        if np.all(f.values >= 0.0):
-            masses = np.maximum(masses, 0.0)
-        return Density(self.mesh, masses / self.mesh.widths)
-
-    def stationary_density(self, tol: float = 1e-12, max_iter: int = 200000) -> Density:
-        """Left fixed vector by power iteration, returned as a unit-mass density."""
-        d = Density(self.mesh, np.ones(self.mesh.n_cells))
-        for _ in range(max_iter):
-            nxt = self.push(d).normalized()
-            if d.l1_distance(nxt) <= tol:
-                return nxt
-            d = nxt
-        return d
-
-
-def ulam_matrix(alpha: float, mesh: Mesh) -> UlamOperator:
-    """Build the Ulam matrix by exact interval-preimage arithmetic.
-
-    Entry (i, j) is m(cell_i intersect T^{-1} cell_j) / m(cell_i).  Each
-    branch contributes a staircase of elementary intervals obtained by
-    merging the mesh with the branch preimages of all boundaries.
-    """
-    import scipy.sparse as sp
-
-    b = mesh.boundaries
-    n = mesh.n_cells
-    rows, cols, data = [], [], []
-    for pre in _boundary_preimages(alpha, mesh):
-        interior = b[(b > pre[0]) & (b < pre[-1])]
-        pts = np.unique(np.concatenate([pre, interior]))
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        lens = np.diff(pts)
-        keep = lens > 0
-        src = mesh.cell_index(mids[keep])
-        tgt = np.clip(np.searchsorted(pre, mids[keep], side="right") - 1, 0, n - 1)
-        rows.append(src)
-        cols.append(tgt)
-        data.append(lens[keep] / mesh.widths[src])
-    matrix = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    return UlamOperator(alpha, mesh, matrix)
 
 
 def push_density(alphas, f0: Density) -> list[Density]:
@@ -198,65 +110,6 @@ class ConeParams:
     @property
     def upper_coefficient(self) -> float:
         return self.a
-
-
-@dataclass(frozen=True)
-class ConeFlags:
-    nonnegative: bool
-    nonincreasing: bool
-    power_weighted_increasing: bool
-    dominated: bool
-
-    @property
-    def member(self) -> bool:
-        return (self.nonnegative and self.nonincreasing
-                and self.power_weighted_increasing and self.dominated)
-
-
-def cone_check(f: Density, params: ConeParams, rel_tol: float = 1e-9) -> ConeFlags:
-    """Test the four cone conditions on the discretized density.
-
-    Cell averages stand in for pointwise values: monotonicity is tested
-    across consecutive cells, the power-weighted condition at midpoints,
-    and domination at cell left endpoints (where x^(-alpha) is largest,
-    matching an average that under-represents the peak of a decreasing
-    density).  `rel_tol` absorbs rounding noise only.
-    """
-    v = f.values
-    scale = float(np.max(np.abs(v))) if v.size else 0.0
-    slack = rel_tol * max(scale, 1.0)
-    nonnegative = bool(np.all(v >= -slack))
-    nonincreasing = bool(np.all(np.diff(v) <= slack))
-    weighted = f.mesh.midpoints ** (1.0 + params.alpha) * v
-    wslack = rel_tol * max(float(np.max(np.abs(weighted))), 1.0) if weighted.size else 0.0
-    power_weighted_increasing = bool(np.all(np.diff(weighted) >= -wslack))
-    left = f.mesh.boundaries[:-1]
-    bound = np.full_like(v, np.inf)
-    np.divide(params.a * f.mass, left ** params.alpha, out=bound, where=left > 0)
-    dominated = bool(np.all(v <= bound * (1.0 + rel_tol) + slack))
-    return ConeFlags(nonnegative, nonincreasing, power_weighted_increasing, dominated)
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    lower_margin: float
-    upper_margin: float
-
-    @property
-    def ok(self) -> bool:
-        return self.lower_margin >= 0.0 and self.upper_margin >= 0.0
-
-
-def density_bounds_check(f: Density, params: ConeParams) -> BoundsReport:
-    """Margins of c <= f <= a x^(-alpha) over the mesh (negative = violated)."""
-    c = params.lower_bound
-    lower_margin = float(np.min(f.values) - c)
-    left = f.mesh.boundaries[:-1]
-    with np.errstate(divide="ignore"):
-        bound = params.a * np.where(left > 0, left, np.nan) ** (-params.alpha)
-    gaps = bound - f.values
-    upper_margin = float(np.nanmin(gaps[1:])) if f.values.size > 1 else math.inf
-    return BoundsReport(lower_margin, upper_margin)
 
 
 def cone_step_surrogate(mesh: Mesh, height: float, cutoff: float,
@@ -356,123 +209,3 @@ def loss_of_memory_distance(schedule: ParameterSchedule, f: Density, g: Density,
         if i in want:
             record(s)
     return DecayResult(ns, np.array(out_d), np.array(out_logd))
-
-
-# ---------------------------------------------------------------------------
-# collared bump function
-
-
-_BUMP_SLOPE_CONSTANT = 0.7984297518335995  # 2 e^(-1/(1-3^(-1/2))) / (3^(1/4) (1-3^(-1/2))^2)
-
-
-@dataclass(frozen=True)
-class BumpFunction:
-    """Plateau indicator with collars of width delta on either side.
-
-    The default profile is exp(-1/(1-s^2)) on the collars, which jumps from
-    1 to 1/e at the plateau edges; smooth=True rescales the collar profile
-    by e so the function becomes continuous.  Either way the collars carry
-    Lebesgue measure exactly 2*delta.
-    """
-
-    lower: float
-    upper: float
-    delta: float
-    smooth: bool = False
-
-    def __post_init__(self):
-        if not (0.0 <= self.lower - self.delta and self.upper + self.delta <= 1.0):
-            raise ValueError("collars must fit inside [0, 1]")
-        if not (self.lower < self.upper and self.delta > 0.0):
-            raise ValueError("need lower < upper and delta > 0")
-
-    def _profile(self, s: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(s)
-        inside = np.abs(s) < 1.0
-        si = s[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - si * si))
-        if self.smooth:
-            out[inside] *= math.e
-        return out
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        plateau = (x > self.lower) & (x < self.upper)
-        out[plateau] = 1.0
-        lc = (x > self.lower - self.delta) & (x <= self.lower)
-        out[lc] = self._profile((x[lc] - self.lower) / self.delta)
-        rc = (x >= self.upper) & (x < self.upper + self.delta)
-        out[rc] = self._profile((x[rc] - self.upper) / self.delta)
-        return out
-
-    @property
-    def collar_measure(self) -> float:
-        return 2.0 * self.delta
-
-    def interior_max_slope(self) -> float:
-        """Largest |d chi / dx| inside the collars, attained at offset delta/3^(1/4)."""
-        scale = math.e if self.smooth else 1.0
-        return scale * _BUMP_SLOPE_CONSTANT / self.delta
-
-
-def bump_chi(lower: float, upper: float, delta: float, smooth: bool = False) -> BumpFunction:
-    return BumpFunction(lower, upper, delta, smooth=smooth)
-
-
-# ---------------------------------------------------------------------------
-# duality diagnostics
-
-
-def duality_residual(alpha: float, f, g, mesh: Mesh | None = None,
-                     quad_points: int = 8, g_breakpoints=()) -> float:
-    """|integral(P f * g) - integral(f * g(T))| with breakpoint-aligned quadrature.
-
-    Both sides are integrated piecewise between every known discontinuity
-    (mesh boundaries, their images/preimages under the two branches, the
-    branch split at 1/2), Gauss-Legendre inside each piece.  The left side
-    uses the pointwise preimage-sum form of P f, so this genuinely tests
-    the operator against the change of variables rather than replaying the
-    projection identity.
-    """
-    if isinstance(f, Density):
-        mesh = f.mesh
-    if mesh is None:
-        raise ValueError("pointwise f needs an explicit mesh")
-    b = mesh.boundaries
-    gb = np.asarray(list(g_breakpoints), dtype=float)
-
-    def refine(points):
-        pts = np.unique(np.clip(np.concatenate(points), 0.0, 1.0))
-        return pts[np.concatenate(([True], np.diff(pts) > 1e-15))]
-
-    # images of the f-breakpoints under both branches mark the jumps of Pf
-    left_dom = b[b <= 0.5]
-    right_dom = b[b >= 0.5]
-    lhs_pts = refine([np.array([0.0, 1.0]), lsv_apply(alpha, left_dom),
-                      2.0 * right_dom - 1.0, gb])
-    rhs_pts = refine([b, np.array([0.5]),
-                      lsv_left_inverse(alpha, gb) if gb.size else np.empty(0),
-                      0.5 * (gb + 1.0) if gb.size else np.empty(0)])
-
-    nodes, weights = _gauss_legendre(quad_points)
-
-    def piecewise_integral(points, integrand):
-        mid = 0.5 * (points[:-1] + points[1:])
-        half = 0.5 * np.diff(points)
-        x = mid[:, None] + half[:, None] * nodes[None, :]
-        vals = np.asarray(integrand(x.ravel()), dtype=float).reshape(x.shape)
-        return float(np.sum((vals @ weights) * half))
-
-    f_at = f.at if isinstance(f, Density) else f
-
-    def pf_pointwise(y):
-        xl = lsv_left_inverse(alpha, y)
-        xr = 0.5 * (np.asarray(y, dtype=float) + 1.0)
-        return (np.asarray(f_at(xl)) / lsv_derivative(alpha, xl)
-                + np.asarray(f_at(xr)) / lsv_derivative(alpha, xr))
-
-    lhs = piecewise_integral(lhs_pts, lambda y: pf_pointwise(y) * np.asarray(g(y)))
-    rhs = piecewise_integral(rhs_pts,
-                             lambda x: np.asarray(f_at(x)) * np.asarray(g(lsv_apply(alpha, x))))
-    return abs(lhs - rhs)

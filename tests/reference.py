@@ -1,0 +1,339 @@
+"""Reference apparatus that the tests check the package against.
+
+No experiment runs any of this, so it sits beside the tests rather than in
+`seqevl`, which keeps only what a run executes (a test walks the package
+from `cli.main` to hold it to that).  What it holds:
+
+- `ulam_matrix` and `UlamOperator`: the independent reference
+  discretization, a sparse row-stochastic matrix whose (i, j) entry is the
+  fraction of cell i that lands in cell j.  On piecewise-constant inputs it
+  agrees with `seqevl.transfer.pf_apply` to rounding.  It needs
+  `scipy.sparse`, which the package never imports.
+- `pointwise_push`: one transfer operator applied to a pointwise callable,
+  integrated over the branch preimage intervals by Gauss-Legendre
+  quadrature without projecting the callable first.  It differs from the
+  Ulam push of the projected callable by the projection error alone.
+- `duality_residual`: the transfer operator tested against the change of
+  variables, with the map derivative `lsv_derivative` and both branch
+  preimages `lsv_preimages`.
+- `cone_check` and `density_bounds_check`: the cone invariance of pushed
+  densities that the paper's argument rests on (Liverani-Saussol-Vaienti
+  1999; Aimino-Hu-Nicol-Torok-Vaienti 2015 for sequential compositions),
+  checked for the cone of `seqevl.transfer.ConeParams`.
+- `BumpFunction` and `bump_chi`: the collared bump observable.
+- `integrate_product`: composite midpoint quadrature of a product on a mesh.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from seqevl.maps import _check_alpha, _check_domain, lsv_apply, lsv_left_inverse
+from seqevl.mesh import Density, Mesh, _gauss_legendre
+from seqevl.transfer import ConeParams
+
+# ---------------------------------------------------------------------------
+# map derivative and branch preimages
+
+
+def lsv_derivative(alpha: float, x):
+    """One-sided derivative; x = 1/2 uses the right branch, so T'(1/2) = 2."""
+    _check_alpha(alpha)
+    x = _check_domain(x)
+    left = 1.0 + 2.0 ** alpha * (1.0 + alpha) * x ** alpha
+    out = np.where(x < 0.5, left, 2.0)
+    return out if out.ndim else float(out)
+
+
+def lsv_preimages(alpha: float, y):
+    """Both branch preimages of y: (left in [0, 1/2], right in [1/2, 1])."""
+    y = _check_domain(y)
+    return lsv_left_inverse(alpha, y), (np.asarray(y, dtype=float) + 1.0) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# pushes of the reference discretizations
+
+
+def pointwise_push(alpha: float, fn, mesh: Mesh) -> Density:
+    """Apply one transfer operator to a pointwise callable and project the
+    result onto the mesh.
+
+    The pushed mass of cell j is the integral of fn over the two branch
+    preimages of the cell, each taken by 8-point Gauss-Legendre quadrature,
+    which keeps the duality residual at quadrature accuracy without
+    projecting fn first.
+    """
+    masses = np.zeros(mesh.n_cells)
+    nodes, weights = _gauss_legendre(8)
+    for pre in lsv_preimages(alpha, mesh.boundaries):
+        mid = 0.5 * (pre[:-1] + pre[1:])
+        half = 0.5 * np.diff(pre)
+        x = mid[:, None] + half[:, None] * nodes[None, :]
+        vals = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+        masses += (vals @ weights) * half
+    return Density(mesh, masses / mesh.widths)
+
+
+@dataclass
+class UlamOperator:
+    """Sparse row-stochastic discretization of one transfer operator."""
+
+    alpha: float
+    mesh: Mesh
+    matrix: sp.csr_matrix
+    _push_matrix: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._push_matrix = self.matrix.T.tocsr()
+
+    def row_sum_defect(self) -> float:
+        return float(np.max(np.abs(self.matrix.sum(axis=1) - 1.0)))
+
+    def push(self, f: Density) -> Density:
+        masses = self._push_matrix @ (f.values * self.mesh.widths)
+        if np.all(f.values >= 0.0):
+            masses = np.maximum(masses, 0.0)
+        return Density(self.mesh, masses / self.mesh.widths)
+
+    def stationary_density(self, tol: float = 1e-12, max_iter: int = 200000) -> Density:
+        """Left fixed vector by power iteration, returned as a unit-mass density."""
+        d = Density(self.mesh, np.ones(self.mesh.n_cells))
+        for _ in range(max_iter):
+            nxt = self.push(d).normalized()
+            if d.l1_distance(nxt) <= tol:
+                return nxt
+            d = nxt
+        return d
+
+
+def ulam_matrix(alpha: float, mesh: Mesh) -> UlamOperator:
+    """Build the Ulam matrix by exact interval-preimage arithmetic.
+
+    Entry (i, j) is m(cell_i intersect T^{-1} cell_j) / m(cell_i).  Each
+    branch contributes a staircase of elementary intervals obtained by
+    merging the mesh with the branch preimages of all boundaries.
+    """
+    import scipy.sparse as sp
+
+    b = mesh.boundaries
+    n = mesh.n_cells
+    rows, cols, data = [], [], []
+    for pre in lsv_preimages(alpha, b):
+        interior = b[(b > pre[0]) & (b < pre[-1])]
+        pts = np.unique(np.concatenate([pre, interior]))
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        lens = np.diff(pts)
+        keep = lens > 0
+        src = mesh.cell_index(mids[keep])
+        tgt = np.clip(np.searchsorted(pre, mids[keep], side="right") - 1, 0, n - 1)
+        rows.append(src)
+        cols.append(tgt)
+        data.append(lens[keep] / mesh.widths[src])
+    matrix = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
+    return UlamOperator(alpha, mesh, matrix)
+
+
+# ---------------------------------------------------------------------------
+# cone of admissible densities
+
+
+@dataclass(frozen=True)
+class ConeFlags:
+    nonnegative: bool
+    nonincreasing: bool
+    power_weighted_increasing: bool
+    dominated: bool
+
+    @property
+    def member(self) -> bool:
+        return (self.nonnegative and self.nonincreasing
+                and self.power_weighted_increasing and self.dominated)
+
+
+def cone_check(f: Density, params: ConeParams, rel_tol: float = 1e-9) -> ConeFlags:
+    """Test the four cone conditions on the discretized density.
+
+    Cell averages stand in for pointwise values: monotonicity is tested
+    across consecutive cells, the power-weighted condition at midpoints,
+    and domination at cell left endpoints (where x^(-alpha) is largest,
+    matching an average that under-represents the peak of a decreasing
+    density).  `rel_tol` absorbs rounding noise only.
+    """
+    v = f.values
+    scale = float(np.max(np.abs(v))) if v.size else 0.0
+    slack = rel_tol * max(scale, 1.0)
+    nonnegative = bool(np.all(v >= -slack))
+    nonincreasing = bool(np.all(np.diff(v) <= slack))
+    weighted = f.mesh.midpoints ** (1.0 + params.alpha) * v
+    wslack = rel_tol * max(float(np.max(np.abs(weighted))), 1.0) if weighted.size else 0.0
+    power_weighted_increasing = bool(np.all(np.diff(weighted) >= -wslack))
+    left = f.mesh.boundaries[:-1]
+    bound = np.full_like(v, np.inf)
+    np.divide(params.a * f.mass, left ** params.alpha, out=bound, where=left > 0)
+    dominated = bool(np.all(v <= bound * (1.0 + rel_tol) + slack))
+    return ConeFlags(nonnegative, nonincreasing, power_weighted_increasing, dominated)
+
+
+@dataclass(frozen=True)
+class BoundsReport:
+    lower_margin: float
+    upper_margin: float
+
+    @property
+    def ok(self) -> bool:
+        return self.lower_margin >= 0.0 and self.upper_margin >= 0.0
+
+
+def density_bounds_check(f: Density, params: ConeParams) -> BoundsReport:
+    """Margins of c <= f <= a x^(-alpha) over the mesh (negative = violated)."""
+    c = params.lower_bound
+    lower_margin = float(np.min(f.values) - c)
+    left = f.mesh.boundaries[:-1]
+    with np.errstate(divide="ignore"):
+        bound = params.a * np.where(left > 0, left, np.nan) ** (-params.alpha)
+    gaps = bound - f.values
+    upper_margin = float(np.nanmin(gaps[1:])) if f.values.size > 1 else math.inf
+    return BoundsReport(lower_margin, upper_margin)
+
+
+# ---------------------------------------------------------------------------
+# collared bump function
+
+
+_BUMP_SLOPE_CONSTANT = 0.7984297518335995  # 2 e^(-1/(1-3^(-1/2))) / (3^(1/4) (1-3^(-1/2))^2)
+
+
+@dataclass(frozen=True)
+class BumpFunction:
+    """Plateau indicator with collars of width delta on either side.
+
+    The default profile is exp(-1/(1-s^2)) on the collars, which jumps from
+    1 to 1/e at the plateau edges; smooth=True rescales the collar profile
+    by e so the function becomes continuous.  Either way the collars carry
+    Lebesgue measure exactly 2*delta.
+    """
+
+    lower: float
+    upper: float
+    delta: float
+    smooth: bool = False
+
+    def __post_init__(self):
+        if not (0.0 <= self.lower - self.delta and self.upper + self.delta <= 1.0):
+            raise ValueError("collars must fit inside [0, 1]")
+        if not (self.lower < self.upper and self.delta > 0.0):
+            raise ValueError("need lower < upper and delta > 0")
+
+    def _profile(self, s: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(s)
+        inside = np.abs(s) < 1.0
+        si = s[inside]
+        out[inside] = np.exp(-1.0 / (1.0 - si * si))
+        if self.smooth:
+            out[inside] *= math.e
+        return out
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        plateau = (x > self.lower) & (x < self.upper)
+        out[plateau] = 1.0
+        lc = (x > self.lower - self.delta) & (x <= self.lower)
+        out[lc] = self._profile((x[lc] - self.lower) / self.delta)
+        rc = (x >= self.upper) & (x < self.upper + self.delta)
+        out[rc] = self._profile((x[rc] - self.upper) / self.delta)
+        return out
+
+    @property
+    def collar_measure(self) -> float:
+        return 2.0 * self.delta
+
+    def interior_max_slope(self) -> float:
+        """Largest |d chi / dx| inside the collars, attained at offset delta/3^(1/4)."""
+        scale = math.e if self.smooth else 1.0
+        return scale * _BUMP_SLOPE_CONSTANT / self.delta
+
+
+def bump_chi(lower: float, upper: float, delta: float, smooth: bool = False) -> BumpFunction:
+    return BumpFunction(lower, upper, delta, smooth=smooth)
+
+
+# ---------------------------------------------------------------------------
+# quadrature and duality diagnostics
+
+
+def integrate_product(f, g, mesh: Mesh, oversample: int = 4) -> float:
+    """Composite midpoint quadrature of f*g on the mesh, `oversample` points per cell.
+
+    Adequate for smooth integrands; exact when both factors are constant on
+    each subcell.  Integrands with jumps off the mesh need the
+    breakpoint-aligned quadrature of duality_residual instead.
+    """
+    b = mesh.boundaries
+    w = mesh.widths
+    offsets = (np.arange(oversample) + 0.5) / oversample
+    x = (b[:-1][:, None] + w[:, None] * offsets[None, :]).ravel()
+    sub_w = np.repeat(w / oversample, oversample)
+    fx = np.asarray(f(x), dtype=float)
+    gx = np.asarray(g(x), dtype=float)
+    return float(np.sum(fx * gx * sub_w))
+
+
+def duality_residual(alpha: float, f, g, mesh: Mesh | None = None,
+                     quad_points: int = 8, g_breakpoints=()) -> float:
+    """|integral(P f * g) - integral(f * g(T))| with breakpoint-aligned quadrature.
+
+    Both sides are integrated piecewise between every known discontinuity
+    (mesh boundaries, their images/preimages under the two branches, the
+    branch split at 1/2), Gauss-Legendre inside each piece.  The left side
+    uses the pointwise preimage-sum form of P f, so this genuinely tests
+    the operator against the change of variables rather than replaying the
+    projection identity.
+    """
+    if isinstance(f, Density):
+        mesh = f.mesh
+    if mesh is None:
+        raise ValueError("pointwise f needs an explicit mesh")
+    b = mesh.boundaries
+    gb = np.asarray(list(g_breakpoints), dtype=float)
+
+    def refine(points):
+        pts = np.unique(np.clip(np.concatenate(points), 0.0, 1.0))
+        return pts[np.concatenate(([True], np.diff(pts) > 1e-15))]
+
+    # images of the f-breakpoints under both branches mark the jumps of Pf
+    left_dom = b[b <= 0.5]
+    right_dom = b[b >= 0.5]
+    lhs_pts = refine([np.array([0.0, 1.0]), lsv_apply(alpha, left_dom),
+                      2.0 * right_dom - 1.0, gb])
+    rhs_pts = refine([b, np.array([0.5]),
+                      lsv_left_inverse(alpha, gb) if gb.size else np.empty(0),
+                      0.5 * (gb + 1.0) if gb.size else np.empty(0)])
+
+    nodes, weights = _gauss_legendre(quad_points)
+
+    def piecewise_integral(points, integrand):
+        mid = 0.5 * (points[:-1] + points[1:])
+        half = 0.5 * np.diff(points)
+        x = mid[:, None] + half[:, None] * nodes[None, :]
+        vals = np.asarray(integrand(x.ravel()), dtype=float).reshape(x.shape)
+        return float(np.sum((vals @ weights) * half))
+
+    f_at = f.at if isinstance(f, Density) else f
+
+    def pf_pointwise(y):
+        xl = lsv_left_inverse(alpha, y)
+        xr = 0.5 * (np.asarray(y, dtype=float) + 1.0)
+        return (np.asarray(f_at(xl)) / lsv_derivative(alpha, xl)
+                + np.asarray(f_at(xr)) / lsv_derivative(alpha, xr))
+
+    lhs = piecewise_integral(lhs_pts, lambda y: pf_pointwise(y) * np.asarray(g(y)))
+    rhs = piecewise_integral(rhs_pts,
+                             lambda x: np.asarray(f_at(x)) * np.asarray(g(lsv_apply(alpha, x))))
+    return abs(lhs - rhs)

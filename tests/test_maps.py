@@ -9,11 +9,10 @@ from seqevl.maps import (
     ParameterSchedule,
     apply_map_batch,
     lsv_apply,
-    lsv_derivative,
     lsv_left_inverse,
-    lsv_preimages,
     sequential_orbit,
 )
+from reference import lsv_derivative, lsv_preimages
 
 # high-precision reference values (mpmath, 40 significant digits)
 MAP_ORACLES = [

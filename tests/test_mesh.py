@@ -8,11 +8,11 @@ from seqevl.mesh import (
     Density,
     Mesh,
     graded_mesh,
-    integrate_product,
     project,
     uniform_density,
     uniform_mesh,
 )
+from reference import integrate_product
 
 
 def test_mesh_validation():

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from seqevl.maps import lsv_apply
+from seqevl.maps import ALPHA_STAR, lsv_apply
 from seqevl.mesh import graded_mesh
 from seqevl.montecarlo import (
-    ALPHA_STAR_FEASIBLE_SUP,
     EstimateWithCI,
     RNGSpec,
     build_blocks,
@@ -361,7 +360,7 @@ def test_exponent_ledger_at_cap_flags_two_budgets():
 
 
 def test_feasible_region_caps_at_one_seventh():
-    assert ALPHA_STAR_FEASIBLE_SUP == pytest.approx(1.0 / 7.0, rel=1e-15)
+    assert ALPHA_STAR == pytest.approx(1.0 / 7.0, rel=1e-15)
     # kappa, beta -> 1 pushes the pair-sum ceiling to 1/7 from below
     rhs = [c for c in exponent_ledger(0.14, beta=1.0 - 1e-9, kappa=1.0 - 1e-9)
            if c.name == "pair-sum-budget"][0].rhs

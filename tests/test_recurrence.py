@@ -45,10 +45,6 @@ def test_params_validation():
     # ... and gamma*(varsigma - beta) must clear 1
     with pytest.raises(ValueError):
         RecurrenceParams(gamma=1.0)
-    # dropping the local bound relaxes both
-    p = RecurrenceParams(beta=0.7, kappa=0.2, xi=0.05,
-                         enforce_local_bound=False)
-    assert p.varsigma < p.beta
 
 
 def test_horizon_monotone_in_j_and_exponent():

