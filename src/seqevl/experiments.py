@@ -84,7 +84,7 @@ def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentReport:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    checks, tables, samples = _RUNNERS[config.kind](config)
+    checks, tables, samples, mc_seconds = _RUNNERS[config.kind](config)
     elapsed = time.perf_counter() - started
 
     for name, (header, rows) in tables.items():
@@ -98,13 +98,21 @@ def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentReport:
         checks=tuple(checks),
         warnings=warnings,
         metrics={"elapsed_seconds": elapsed,
+                 "montecarlo_seconds": mc_seconds,
                  "samples": samples,
-                 "samples_per_second": samples / elapsed if elapsed > 0 else 0.0},
+                 "samples_per_second": samples / mc_seconds if mc_seconds > 0 else 0.0},
         out_dir=str(out_dir),
         tables=tables,
     )
     write_json(out_dir / "summary.json", report.summary_payload())
     return report
+
+
+def _timed(estimator, *args, **kwargs):
+    """(estimator(*args, **kwargs), the seconds the call took)."""
+    started = time.perf_counter()
+    result = estimator(*args, **kwargs)
+    return result, time.perf_counter() - started
 
 
 def _thresholds(config: ExperimentConfig, ns) -> list:
@@ -119,12 +127,14 @@ def _run_evl(config: ExperimentConfig):
     rows = []
     checks = []
     samples = 0
+    mc_seconds = 0.0
     errors = []
     for ts in _thresholds(config, config.ns()):
         n = ts.n
-        est = estimate_Pn(ts, rng, config.n_samples, workers=config.workers,
-                          label=f"pn-{n}")
+        est, seconds = _timed(estimate_Pn, ts, rng, config.n_samples,
+                              workers=config.workers, label=f"pn-{n}")
         samples += config.n_samples
+        mc_seconds += seconds
         err = abs(est.value - target)
         errors.append((n, err, est.se))
         rows.append((n, config.tau, est.value, est.se, target, err,
@@ -144,7 +154,7 @@ def _run_evl(config: ExperimentConfig):
                 passed=e1 <= e0 + slack))
     tables = {"evl": (("n", "tau", "estimate", "se", "target", "abs_error",
                        "ci_low", "ci_high"), rows)}
-    return checks, tables, samples
+    return checks, tables, samples, mc_seconds
 
 
 def _run_calibrate(config: ExperimentConfig):
@@ -159,8 +169,8 @@ def _run_calibrate(config: ExperimentConfig):
         passed=abs(ts.deltas[0] - first_target) <= 1e-12)]
     count = min(20, n)
     picks = np.unique(np.linspace(0, n - 1, count).round().astype(int))
-    estimates = estimate_exceedances(ts, picks, rng, config.n_samples,
-                                     workers=config.workers)
+    estimates, mc_seconds = _timed(estimate_exceedances, ts, picks, rng,
+                                   config.n_samples, workers=config.workers)
     rows = []
     target = config.tau / n
     for i, est in zip(picks, estimates):
@@ -177,7 +187,7 @@ def _run_calibrate(config: ExperimentConfig):
         "calibration": (("i", "delta", "level", "step_mass", "mc_estimate",
                          "se", "target", "pass"), rows),
     }
-    return checks, tables, config.n_samples
+    return checks, tables, config.n_samples, mc_seconds
 
 
 def _run_dprime(config: ExperimentConfig):
@@ -185,13 +195,15 @@ def _run_dprime(config: ExperimentConfig):
     rows = []
     results = []
     samples = 0
+    mc_seconds = 0.0
     for ts in _thresholds(config, config.ns()):
         n = ts.n
         blocks = build_blocks(ts, beta=config.exponents.beta,
                               kappa=config.exponents.kappa)
-        est = dprime_sum(ts, blocks, rng, config.n_samples,
-                         workers=config.workers, label=f"dprime-{n}")
+        est, seconds = _timed(dprime_sum, ts, blocks, rng, config.n_samples,
+                              workers=config.workers, label=f"dprime-{n}")
         samples += config.n_samples
+        mc_seconds += seconds
         results.append((n, est))
         rows.append((n, blocks.k_n, blocks.t_star, est.value, est.se,
                      est.ci_low, est.ci_high))
@@ -212,7 +224,7 @@ def _run_dprime(config: ExperimentConfig):
             passed=e0.value <= max(4.0 * e0.se, 1e-12) or e0.value < config.tau))
     tables = {"dprime": (("n", "k_n", "t_star", "pair_sum", "se",
                           "ci_low", "ci_high"), rows)}
-    return checks, tables, samples
+    return checks, tables, samples, mc_seconds
 
 
 def _run_d0(config: ExperimentConfig):
@@ -223,11 +235,13 @@ def _run_d0(config: ExperimentConfig):
     i = 0
     rows = []
     gaps = []
+    mc_seconds = 0.0
     for tag, expo in (("short", 0.4), ("long", 0.8)):
         t = max(1, round(n ** expo))
         t = min(t, n - i - ell)
-        gap = d0_mixing_gap(ts, i, t, ell, rng, config.n_samples,
-                            workers=config.workers, label=f"d0-{tag}")
+        gap, seconds = _timed(d0_mixing_gap, ts, i, t, ell, rng, config.n_samples,
+                              workers=config.workers, label=f"d0-{tag}")
+        mc_seconds += seconds
         gaps.append((t, gap))
         rows.append((n, i, t, ell, gap.gap, gap.se, gap.p_event, gap.p_window))
     (t_lo, g_lo), (t_hi, g_hi) = gaps
@@ -239,7 +253,7 @@ def _run_d0(config: ExperimentConfig):
         passed=g_hi.gap <= g_lo.gap + slack)]
     tables = {"d0": (("n", "i", "t", "ell", "gap", "se", "p_event",
                       "p_window"), rows)}
-    return checks, tables, 2 * config.n_samples
+    return checks, tables, 2 * config.n_samples, mc_seconds
 
 
 def _run_decay(config: ExperimentConfig):
@@ -267,7 +281,7 @@ def _run_decay(config: ExperimentConfig):
             measured=slope, target=target, tolerance=0.0, passed=slope <= target),
     ]
     tables = {"decay": (("n", "l1_distance", "log_distance"), rows)}
-    return checks, tables, 0
+    return checks, tables, 0, 0.0
 
 
 def _run_recurrence(config: ExperimentConfig):
@@ -321,7 +335,7 @@ def _run_recurrence(config: ExperimentConfig):
         "union_sets": (("j", "horizon", "eps", "measure"), ej_rows),
         "local": (("j", "measure", "bound", "within_bound"), local_rows),
     }
-    return checks, tables, 0
+    return checks, tables, 0, 0.0
 
 
 def _run_orbit(config: ExperimentConfig):
@@ -337,7 +351,7 @@ def _run_orbit(config: ExperimentConfig):
         measured=float(np.max(np.abs(orbit - 0.5))), target=0.5, tolerance=0.0,
         passed=bool(np.all((orbit >= 0.0) & (orbit <= 1.0))))]
     tables = {"orbit": (("i", "x", "alpha"), rows)}
-    return checks, tables, 0
+    return checks, tables, 0, 0.0
 
 
 _RUNNERS = {

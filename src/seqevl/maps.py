@@ -32,11 +32,8 @@ def lsv_apply(alpha: float, x):
     """Evaluate the map: x(1 + 2^alpha x^alpha) on [0, 1/2), 2x - 1 on [1/2, 1]."""
     _check_alpha(alpha)
     x = _check_domain(x)
-    left = x * (1.0 + 2.0 ** alpha * x ** alpha)
-    out = np.where(x < 0.5, left, 2.0 * x - 1.0)
-    # the left branch tends to 1 at x=1/2-; guard against rounding above 1
-    out = np.minimum(out, 1.0)
-    return out if out.ndim else float(out)
+    out = apply_map_batch(alpha, np.atleast_1d(x))
+    return out if x.ndim else float(out[0])
 
 
 def lsv_left_inverse(alpha: float, y):
@@ -81,10 +78,15 @@ def apply_map_batch(alpha: float, x: np.ndarray, out: np.ndarray | None = None) 
     """One map step on a batch of points, without domain re-validation.
 
     Meant for Monte Carlo inner loops; callers guarantee x in [0, 1].  The
-    arithmetic is lsv_apply's, so both give the same bits.
+    branch is picked without a per-point select, which along a chaotic
+    orbit mispredicts half the time: the left branch is zeroed on [1/2, 1]
+    and the larger of it and 2x - 1 taken.  That is exact, because 2x is, so
+    2x - 1 < 0 <= left exactly when x < 1/2.
     """
     left = x * (1.0 + 2.0 ** alpha * x ** alpha)
-    return np.minimum(np.where(x < 0.5, left, 2.0 * x - 1.0), 1.0, out=out)
+    left *= (x < 0.5).astype(float)
+    # the left branch tends to 1 at x=1/2-; guard against rounding above 1
+    return np.minimum(np.maximum(left, 2.0 * x - 1.0, out=left), 1.0, out=out)
 
 
 @dataclass(frozen=True)

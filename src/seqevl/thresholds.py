@@ -86,9 +86,33 @@ class Observable:
 _BLOCK = 32
 
 
+@dataclass(frozen=True)
+class _Stack:
+    """Densities on one mesh as rows of values and prefix masses, so row i
+    has F_i(x) = prefix[i, cell] + values[i, cell] * offset, as Density.cdf."""
+
+    mesh: Mesh
+    values: np.ndarray
+    prefix: np.ndarray
+
+    @classmethod
+    def of(cls, densities) -> "_Stack":
+        if isinstance(densities, cls):
+            return densities
+        mesh = densities[0].mesh
+        for d in densities:
+            if d.mesh is not mesh:
+                _same_mesh(d.mesh, mesh)
+        return cls(mesh, np.array([d.values for d in densities]),
+                   np.array([d.prefix_mass for d in densities]))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
 def calibrate_delta_ladder(densities, zeta: float, tau: float, n) -> np.ndarray:
     """Radius delta with mass(zeta - delta, zeta + delta) = tau / n for every
-    density of a list on one mesh.
+    density of a list on one mesh (or of a _Stack of them).
 
     n is one horizon or a 1-D array of horizons; an array adds a leading
     axis with one row of radii per horizon.  The window mass
@@ -110,15 +134,11 @@ def calibrate_delta_ladder(densities, zeta: float, tau: float, n) -> np.ndarray:
         return np.zeros(n.shape + (len(densities),))
     target = np.asarray(tau / n)[..., None]
     peak = tau / n.min()
-    mesh = densities[0].mesh
-    for d in densities:
-        if d.mesh is not mesh:
-            _same_mesh(d.mesh, mesh)
-        if peak > d.mass * (1.0 + 1e-12):
-            raise ValueError("requested exceedance mass exceeds the total mass")
+    stack = _Stack.of(densities)
+    mesh, values, prefix = stack.mesh, stack.values, stack.prefix
+    if np.any(peak > prefix[:, -1] * (1.0 + 1e-12)):  # Density.mass of every row
+        raise ValueError("requested exceedance mass exceeds the total mass")
     kinks = np.unique(np.concatenate(([0.0], np.abs(mesh.boundaries - zeta))))
-    values = np.array([d.values for d in densities])
-    prefix = np.array([d.prefix_mass for d in densities])
 
     def cdf(x):  # F at x for every density, as Density.cdf computes it
         cell, offset = mesh.locate(x)
@@ -136,7 +156,7 @@ def calibrate_delta_ladder(densities, zeta: float, tau: float, n) -> np.ndarray:
     # j = 0 only where the mass stays below target (within the 1e-12
     # tolerance): that density gets the largest radius
     j = np.argmax(window >= target[..., None], axis=-1)
-    at = np.arange(len(densities))
+    at = np.arange(len(values))
     m0, m1 = window[at, j - 1], window[at, j]
     d0, d1 = kinks[j - 1], kinks[j]
     return np.where(j > 0, d0 + (target - m0) / (m1 - m0) * (d1 - d0), kinks[-1])
@@ -144,14 +164,14 @@ def calibrate_delta_ladder(densities, zeta: float, tau: float, n) -> np.ndarray:
 
 def _window_masses(densities, zeta: float, deltas: np.ndarray) -> np.ndarray:
     """densities[i].interval_mass(zeta - deltas[..., i], zeta + deltas[..., i])
-    for every i, with the same arithmetic; deltas may carry leading axes."""
+    for every i, with the same arithmetic; deltas may carry leading axes.
+    densities is a list on one mesh or a _Stack of one."""
     if not densities:
         return np.zeros(np.shape(deltas))
-    values = np.array([d.values for d in densities])
-    prefix = np.array([d.prefix_mass for d in densities])
-    cell, offset = densities[0].mesh.locate(np.stack((zeta - deltas, zeta + deltas), axis=-1))
-    at = np.arange(len(densities))[:, None]
-    cdf = prefix[at, cell] + values[at, cell] * offset
+    stack = _Stack.of(densities)
+    cell, offset = stack.mesh.locate(np.stack((zeta - deltas, zeta + deltas), axis=-1))
+    at = np.arange(len(stack))[:, None]
+    cdf = stack.prefix[at, cell] + stack.values[at, cell] * offset
     return cdf[..., 1] - cdf[..., 0]
 
 
@@ -222,9 +242,9 @@ def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable
 
     alphas(m) is a prefix of alphas(n), so step i reads the same density f_i
     for every horizon n > i.  The pass pushes _BLOCK densities at a time,
-    calibrates each block for every horizon that still needs it, takes the
-    step masses from the same block and then drops it, so no ladder is ever
-    held whole.
+    stacks them once, calibrates the stack for every horizon that still
+    needs it, takes the step masses from the same stack and then drops it,
+    so no ladder is ever held whole.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -239,8 +259,9 @@ def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable
     masses = np.zeros_like(deltas)
     f = uniform_density(mesh)
     for start in range(0, top, _BLOCK):
-        ladder = push_density(alphas[start:start + _BLOCK], f)
-        block, f = ladder[:_BLOCK], ladder[-1]
+        # rebinding drops the pushed densities once stacked, all but the next start
+        block = push_density(alphas[start:start + _BLOCK], f)
+        f, block = block[-1], _Stack.of(block[:_BLOCK])
         live = slice(np.searchsorted(horizons, start, side="right"), None)
         rows = slice(start, start + len(block))
         deltas[live, rows] = calibrate_delta_ladder(block, zeta, tau, horizons[live])

@@ -9,6 +9,9 @@ from `cli.main` to hold it to that).  What it holds:
   fraction of cell i that lands in cell j.  On piecewise-constant inputs it
   agrees with `seqevl.transfer.pf_apply` to rounding.  It needs
   `scipy.sparse`, which the package never imports.
+- `where_step`: the map step as a per-point select between the branches,
+  the form `seqevl.maps.apply_map_batch` replaced with a branchless one
+  that must give the same bits.
 - `pointwise_push`: one transfer operator applied to a pointwise callable,
   integrated over the branch preimage intervals by Gauss-Legendre
   quadrature without projecting the callable first.  It differs from the
@@ -36,7 +39,14 @@ from seqevl.mesh import Density, Mesh, _gauss_legendre
 from seqevl.transfer import ConeParams
 
 # ---------------------------------------------------------------------------
-# map derivative and branch preimages
+# map step, derivative and branch preimages
+
+
+def where_step(alpha: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One map step with np.where picking the branch of every point."""
+    left = x * (1.0 + 2.0 ** alpha * x ** alpha)
+    return np.minimum(np.where(x < 0.5, left, 2.0 * x - 1.0), 1.0, out=out)
+
 
 
 def lsv_derivative(alpha: float, x):

@@ -34,3 +34,12 @@ def test_horizon_ladder_pushes_one_trajectory(kind, tmp_path, monkeypatch):
         for name, (header, rows) in single.tables.items():
             singles.setdefault(name, (header, []))[1].extend(rows)
     assert ladder.tables == singles
+
+
+def test_throughput_counts_the_monte_carlo_stage_only(tmp_path):
+    cfg = default_config("evl", n=50, n_samples=2000, mesh=MeshSpec(cells=256))
+    metrics = run_experiment(cfg, base_dir=tmp_path).metrics
+    assert 0.0 < metrics["montecarlo_seconds"] <= metrics["elapsed_seconds"]
+    assert metrics["samples_per_second"] == metrics["samples"] / metrics["montecarlo_seconds"]
+    orbit = run_experiment(default_config("orbit"), base_dir=tmp_path).metrics
+    assert orbit["montecarlo_seconds"] == orbit["samples_per_second"] == 0.0

@@ -12,7 +12,7 @@ from seqevl.maps import (
     lsv_left_inverse,
     sequential_orbit,
 )
-from reference import lsv_derivative, lsv_preimages
+from reference import lsv_derivative, lsv_preimages, where_step
 
 # high-precision reference values (mpmath, 40 significant digits)
 MAP_ORACLES = [
@@ -104,12 +104,37 @@ def test_preimages_land_on_target(alpha, y):
     assert abs(lsv_apply(alpha, float(xr)) - y) <= 1e-12
 
 
+# the branch switch, the ends of [0, 1] and the smallest subnormal
+EDGE_POINTS = np.array([0.0, 5e-324, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+                        0.75, np.nextafter(1.0, 0.0), 1.0])
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(want).view(np.int64))
+
+
 def test_batch_matches_scalar_path():
-    rng = np.random.default_rng(3)
-    x = rng.random(4096)
-    out = apply_map_batch(0.1, x.copy())
-    ref = lsv_apply(0.1, x)
-    np.testing.assert_allclose(out, ref, rtol=0, atol=0)
+    for alpha in (1e-3, 0.05, 0.1, ALPHA_STAR, 0.5, 0.9):
+        want = where_step(alpha, EDGE_POINTS)
+        assert_same_bits(apply_map_batch(alpha, EDGE_POINTS), want)
+        assert_same_bits([lsv_apply(alpha, float(x)) for x in EDGE_POINTS], want)
+        assert_same_bits(lsv_apply(alpha, EDGE_POINTS), want)
+
+
+@pytest.mark.parametrize("schedule", [
+    ParameterSchedule.constant(0.1),
+    ParameterSchedule.periodic([1e-3, 0.05, ALPHA_STAR]),
+    ParameterSchedule.iid_uniform(0.01, 0.14, seed=11),
+], ids=["constant", "periodic", "iid"])
+def test_batch_step_matches_where_reference_along_orbits(schedule):
+    # stepped in place as the Monte Carlo sweep steps its chunks
+    x = np.concatenate((EDGE_POINTS, np.random.default_rng(3).random(4096)))
+    ref = x.copy()
+    for a in schedule.alphas(2000):
+        x = apply_map_batch(a, x, out=x)
+        ref = where_step(a, ref, out=ref)
+        assert_same_bits(x, ref)
 
 
 def test_batch_reuses_output_buffer():
