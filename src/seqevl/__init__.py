@@ -5,7 +5,7 @@ from .config import (ConfigError, Diagnostic, ExperimentConfig, default_config,
                      load_config, parse_toml, validate_config)
 from .experiments import ExperimentReport, TargetCheck, run_experiment
 from .io import CacheCorruption, DiskCache, write_csv, write_json
-from .maps import (ALPHA_STAR, ParameterSchedule, apply_map_batch, lsv_apply,
+from .maps import (ALPHA_STAR, ParameterSchedule, apply_map_batch,
                    lsv_left_inverse, sequential_orbit)
 from .mesh import (Density, Mesh, graded_mesh, project, uniform_density,
                    uniform_mesh)
@@ -35,9 +35,9 @@ __all__ = [
     "d0_mixing_gap", "default_config", "dprime_sum", "estimate_Pn",
     "estimate_exceedances", "exponent_ledger", "graded_mesh",
     "load_config", "local_recurrence_at", "local_recurrence_bound",
-    "loglog_slope", "loss_of_memory_distance", "lsv_apply",
-    "lsv_left_inverse", "mc_correlation_DC", "measure_Ej",
-    "measure_En_eps", "orbit_displacement", "parse_toml", "pf_apply",
+    "loglog_slope", "loss_of_memory_distance", "lsv_left_inverse",
+    "mc_correlation_DC", "measure_Ej", "measure_En_eps",
+    "orbit_displacement", "parse_toml", "pf_apply",
     "project", "push_density", "run_experiment", "sequential_orbit",
     "threshold_window", "uniform_density", "uniform_mesh",
     "validate_config", "write_csv", "write_json",

@@ -28,14 +28,6 @@ def _check_domain(x):
     return x
 
 
-def lsv_apply(alpha: float, x):
-    """Evaluate the map: x(1 + 2^alpha x^alpha) on [0, 1/2), 2x - 1 on [1/2, 1]."""
-    _check_alpha(alpha)
-    x = _check_domain(x)
-    out = apply_map_batch(alpha, np.atleast_1d(x))
-    return out if x.ndim else float(out[0])
-
-
 def lsv_left_inverse(alpha: float, y):
     """Unique x in [0, 1/2] with x(1 + 2^alpha x^alpha) = y.
 
@@ -162,12 +154,6 @@ class ParameterSchedule:
         gen = philox_stream(self.seed, "schedule", "iid-alphas")
         return self.lo + (self.hi - self.lo) * gen.random(n)
 
-    def alpha_at(self, i: int) -> float:
-        """Exponent of the i-th map, i >= 1."""
-        if i < 1:
-            raise ValueError("map index starts at 1")
-        return float(self.alphas(i)[-1])
-
     def sup_alpha(self) -> float:
         """Supremum of the exponent sequence, independent of the horizon."""
         if self.mode == "constant":
@@ -181,23 +167,19 @@ class ParameterSchedule:
             return self.alpha_star
         return float(np.max(self.alphas(n)))
 
-    def min_alpha(self, n: int) -> float:
-        if n == 0:
-            return self.alpha_star
-        return float(np.min(self.alphas(n)))
-
     def fingerprint(self, n: int) -> bytes:
         return np.ascontiguousarray(self.alphas(n)).tobytes()
 
 
 def sequential_orbit(schedule: ParameterSchedule, x0: float, n: int) -> np.ndarray:
-    """Orbit (x0, T_1 x0, T_2 T_1 x0, ..., composition of n maps applied to x0)."""
-    x0 = float(_check_domain(x0))
-    alphas = schedule.alphas(n)
+    """Orbit (x0, T_1 x0, T_2 T_1 x0, ..., composition of n maps applied to x0).
+
+    x0 is checked once and stepped as a one-point batch, so every step does
+    the numpy operations of apply_map_batch, as a batch of points would:
+    a Python float power can differ from numpy's in the last bit."""
+    x = np.array([float(_check_domain(x0))])
     orbit = np.empty(n + 1)
-    orbit[0] = x0
-    x = x0
-    for i, a in enumerate(alphas):
-        x = lsv_apply(a, x)
-        orbit[i + 1] = x
+    orbit[0] = x[0]
+    for i, a in enumerate(schedule.alphas(n), start=1):
+        orbit[i] = apply_map_batch(a, x, out=x)[0]
     return orbit

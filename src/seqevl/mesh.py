@@ -137,8 +137,10 @@ class Density:
         self._rebuild_prefix()
 
     def _rebuild_prefix(self):
-        self.prefix_mass = np.concatenate(
-            ([0.0], np.cumsum(self.values * self.mesh.widths)))
+        p = np.empty(self.values.size + 1)
+        p[0] = 0.0
+        np.add.accumulate(self.values * self.mesh.widths, out=p[1:])
+        self.prefix_mass = p
 
     @property
     def mass(self) -> float:
@@ -172,9 +174,6 @@ class Density:
         if m <= 0:
             raise ValueError("cannot normalize a density with nonpositive mass")
         return Density(self.mesh, self.values / m)
-
-    def with_values(self, values: np.ndarray) -> "Density":
-        return Density(self.mesh, values)
 
 
 def _same_mesh(a: Mesh, b: Mesh):

@@ -199,14 +199,6 @@ class BlockStructure:
         if b[0] != 0 or b[-1] != self.n or np.any(np.diff(b) <= 0):
             raise ValueError("block bounds must partition 0..n")
 
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.bounds)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.bounds) - 1
-
 
 def build_blocks(ts: ThresholdSchedule, k_n: int | None = None,
                  beta: float = DEFAULT_BETA,

@@ -61,24 +61,8 @@ class Observable:
                 out = self.cap - d ** (1.0 / self.power)
         return out if out.ndim else float(out)
 
-    def radius_for_level(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.form == "log":
-            out = np.exp(-u)
-        elif self.form == "power-pole":
-            with np.errstate(divide="ignore"):
-                out = np.where(u > 0, np.where(u > 0, u, 1.0) ** (-self.power), np.inf)
-        else:
-            diff = self.cap - u
-            out = np.where(diff > 0, diff, 0.0) ** self.power
-        return out if out.ndim else float(out)
-
     def value(self, x):
         return self.level_for_radius(self.distance(x))
-
-    @property
-    def essential_sup(self) -> float:
-        return self.cap if self.form == "power-cap" else math.inf
 
 
 # densities the streamed build pushes, calibrates and drops at a time, so a
@@ -181,8 +165,8 @@ class ThresholdSchedule:
 
     window_lo/window_hi are the radius bounds implied by the density
     envelope c <= density <= a x^(-alpha) near zeta; window_ok records
-    which steps landed inside them.  fbar_max is the largest single-step
-    exceedance mass and fstar the total (should be ~tau).
+    which steps landed inside them.  fstar is the total exceedance mass
+    (should be ~tau).
     """
 
     observable: Observable
@@ -202,10 +186,6 @@ class ThresholdSchedule:
         else:
             self.window_ok = ((self.deltas >= self.window_lo)
                               & (self.deltas <= self.window_hi))
-
-    @property
-    def fbar_max(self) -> float:
-        return float(np.max(self.step_masses)) if self.step_masses.size else 0.0
 
     @property
     def fstar(self) -> float:

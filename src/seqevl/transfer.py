@@ -22,21 +22,29 @@ from .mesh import Density, Mesh, project
 
 DEFAULT_CONE_A = 20.0
 
-# gather tables of the push, keyed by (alpha, mesh fingerprint); the key
-# alpha=None holds the right branch, which is the same for every alpha
+# fused gather tables of the push, keyed by (alpha, mesh fingerprint); the
+# key alpha=None holds the right-branch half, which is the same for every alpha
 _LEFT_INV_CACHE: dict[tuple[float | None, bytes], tuple[np.ndarray, np.ndarray]] = {}
+# entries kept before the cache clears: 256 fused tables and one right half
+# hold at most 8.4 MB on 1,024 cells
+_CACHE_ENTRIES = 256
 
 
 def _gather_table(alpha: float | None, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Cells and in-cell offsets at which Density.cdf reads one branch's
-    boundary preimages: the left branch of alpha, or the right one for None."""
+    """Cells and in-cell offsets at which Density.cdf reads the boundary
+    preimages of both branches: the k+1 of the left branch of alpha, then the
+    k+1 of the right branch.  alpha=None gives the right half alone."""
     key = (alpha, mesh.fingerprint())
     table = _LEFT_INV_CACHE.get(key)
     if table is None:
-        if len(_LEFT_INV_CACHE) > 512:
-            _LEFT_INV_CACHE.clear()
         b = mesh.boundaries
-        table = mesh.locate(0.5 * (b + 1.0) if alpha is None else lsv_left_inverse(alpha, b))
+        if alpha is None:
+            table = mesh.locate(0.5 * (b + 1.0))
+        else:
+            left = mesh.locate(lsv_left_inverse(alpha, b))
+            table = tuple(map(np.concatenate, zip(left, _gather_table(None, mesh))))
+        if len(_LEFT_INV_CACHE) > _CACHE_ENTRIES:
+            _LEFT_INV_CACHE.clear()
         for a in table:
             a.flags.writeable = False
         _LEFT_INV_CACHE[key] = table
@@ -55,19 +63,26 @@ def pf_apply(alpha: float, f: Density) -> Density:
 
 
 def _push_masses(alpha: float, mesh: Mesh, values: np.ndarray,
-                 prefix: np.ndarray) -> np.ndarray:
+                 prefix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pushed cell masses of the density with cell averages `values` and prefix
     integral `prefix`: np.diff(cdf(xl)) + np.diff(cdf(xr)) at the boundary
-    preimages xl, xr, with the cell lookups of cdf read from the cached gather
-    tables.  Nonnegative input is clamped at 0 (rounding can leave -1e-18
-    residue); `values.min() >= 0.0` is np.all(values >= 0.0), NaN included."""
-    il, ol = _gather_table(alpha, mesh)
-    ir, or_ = _gather_table(None, mesh)
-    cl = prefix[il] + values[il] * ol
-    cr = prefix[ir] + values[ir] * or_
-    masses = (cl[1:] - cl[:-1]) + (cr[1:] - cr[:-1])
-    if values.min() >= 0.0:
-        masses = np.maximum(masses, 0.0)
+    preimages xl, xr, with the cell lookups of cdf read from the fused gather
+    table, written to `out` (which may be `values`) when given.  Nonnegative
+    input is clamped at 0: on cells narrower than the 1e-13 tolerance of
+    lsv_left_inverse, left preimages can come out of order and leave a
+    negative residue.  `values.min() >= 0.0` is np.all(values >= 0.0), NaN
+    included, and is decided before `out` is written."""
+    idx, off = _gather_table(alpha, mesh)
+    k = mesh.n_cells
+    clamp = values.min() >= 0.0
+    c = values[idx]
+    c *= off
+    c += prefix[idx]
+    # d[k] straddles the seam between the two halves and is never read
+    d = c[1:] - c[:-1]
+    masses = np.add(d[:k], d[k + 1:], out=out)
+    if clamp:
+        np.maximum(masses, 0.0, out=masses)
     return masses
 
 
@@ -106,10 +121,6 @@ class ConeParams:
     def lower_bound(self) -> float:
         al, a = self.alpha, self.a
         return min(a, (al * (1.0 + al) / a ** al) ** (1.0 / (1.0 - al)))
-
-    @property
-    def upper_coefficient(self) -> float:
-        return self.a
 
 
 def cone_step_surrogate(mesh: Mesh, height: float, cutoff: float,
@@ -163,10 +174,11 @@ def loss_of_memory_distance(schedule: ParameterSchedule, f: Density, g: Density,
 
     Inputs must carry equal mass; the zero-mass difference is pushed
     directly, so cancellation never eats the small late-time distances.
-    The loop keeps the difference as bare cell values and a prefix buffer
-    and pushes them with the same kernel as pf_apply, so every step does the
-    floating-point operations of pf_apply and Density.with_values, in the
-    same order, without building a Density.
+    The loop keeps the difference as bare cell values and a prefix buffer,
+    pushes them in place with the same kernel as pf_apply, and reuses two
+    work buffers, so every step does the floating-point operations of
+    pf_apply and of building the next Density, in the same order, without
+    allocating one.
     """
     ns = np.unique(np.asarray([int(n) for n in ladder], dtype=int))
     if ns.size == 0 or ns[0] < 0:
@@ -177,12 +189,16 @@ def loss_of_memory_distance(schedule: ParameterSchedule, f: Density, g: Density,
     mesh, w = f.mesh, f.mesh.widths
     h = f.difference(g)
     v, p = h.values, h.prefix_mass
+    vw, acc = np.empty_like(v), np.empty_like(v)
     log_scale = 0.0
     out_d, out_logd = [], []
     want = set(ns.tolist())
 
-    def l1(vw):  # sum(|v| * w): rounding is sign-symmetric, so |v * w| is the same
-        return float(np.add.reduce(np.abs(vw)))
+    def l1():
+        """sum(|v| * w), leaving v * w in vw; rounding is sign-symmetric, so
+        |v * w| is the same."""
+        np.multiply(v, w, out=vw)
+        return float(np.add.reduce(np.abs(vw, out=acc)))
 
     def record(s):
         logd = log_scale + math.log(s) if s > 0 else -math.inf
@@ -190,22 +206,22 @@ def loss_of_memory_distance(schedule: ParameterSchedule, f: Density, g: Density,
         out_d.append(math.exp(logd) if logd > -745 else 0.0)
 
     if 0 in want:
-        record(l1(v * w))
+        record(l1())
     for i, a in enumerate(alphas, start=1):
-        v = _push_masses(a, mesh, v, p) / w
+        _push_masses(a, mesh, v, p, out=v)
+        v /= w
         # the true difference has zero mass; subtracting the rounding residue
         # (the sequential sum Density.mass reads) kills the parasitic
         # unit-eigenvalue component that renormalization would otherwise
         # amplify until it dominates the decay
-        v -= np.cumsum(v * w)[-1]
-        vw = v * w
-        s = l1(vw)
+        np.multiply(v, w, out=vw)
+        v -= np.add.accumulate(vw, out=acc)[-1]
+        s = l1()
         if 0 < s < 1e-6:  # renormalize before precision drains away
             v /= s
             log_scale += math.log(s)
-            vw = v * w
-            s = l1(vw)
-        np.cumsum(vw, out=p[1:])
+            s = l1()
+        np.add.accumulate(vw, out=p[1:])  # vw is v * w from the last l1()
         if i in want:
             record(s)
     return DecayResult(ns, np.array(out_d), np.array(out_logd))

@@ -9,6 +9,8 @@ from `cli.main` to hold it to that).  What it holds:
   fraction of cell i that lands in cell j.  On piecewise-constant inputs it
   agrees with `seqevl.transfer.pf_apply` to rounding.  It needs
   `scipy.sparse`, which the package never imports.
+- `lsv_apply`: the map evaluated with its inputs checked, point by point
+  or on an array; `seqevl.maps.sequential_orbit` must match it bit for bit.
 - `where_step`: the map step as a per-point select between the branches,
   the form `seqevl.maps.apply_map_batch` replaced with a branchless one
   that must give the same bits.
@@ -25,6 +27,8 @@ from `cli.main` to hold it to that).  What it holds:
   checked for the cone of `seqevl.transfer.ConeParams`.
 - `BumpFunction` and `bump_chi`: the collared bump observable.
 - `integrate_product`: composite midpoint quadrature of a product on a mesh.
+- `radius_for_level`: the inverse of `Observable.level_for_radius`, so
+  that the exceedance set {g > u} is the open ball of that radius.
 """
 
 from __future__ import annotations
@@ -34,12 +38,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from seqevl.maps import _check_alpha, _check_domain, lsv_apply, lsv_left_inverse
+from seqevl.maps import _check_alpha, _check_domain, apply_map_batch, lsv_left_inverse
 from seqevl.mesh import Density, Mesh, _gauss_legendre
+from seqevl.thresholds import Observable
 from seqevl.transfer import ConeParams
 
 # ---------------------------------------------------------------------------
 # map step, derivative and branch preimages
+
+
+def lsv_apply(alpha: float, x):
+    """Evaluate the map: x(1 + 2^alpha x^alpha) on [0, 1/2), 2x - 1 on [1/2, 1],
+    with alpha and the points checked on every call."""
+    _check_alpha(alpha)
+    x = _check_domain(x)
+    out = apply_map_batch(alpha, np.atleast_1d(x))
+    return out if x.ndim else float(out[0])
 
 
 def where_step(alpha: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -347,3 +361,21 @@ def duality_residual(alpha: float, f, g, mesh: Mesh | None = None,
     rhs = piecewise_integral(rhs_pts,
                              lambda x: np.asarray(f_at(x)) * np.asarray(g(lsv_apply(alpha, x))))
     return abs(lhs - rhs)
+
+
+# ---------------------------------------------------------------------------
+# observables
+
+
+def radius_for_level(obs: Observable, u):
+    """Radius of the ball around zeta on which the observable exceeds u."""
+    u = np.asarray(u, dtype=float)
+    if obs.form == "log":
+        out = np.exp(-u)
+    elif obs.form == "power-pole":
+        with np.errstate(divide="ignore"):
+            out = np.where(u > 0, np.where(u > 0, u, 1.0) ** (-obs.power), np.inf)
+    else:
+        diff = obs.cap - u
+        out = np.where(diff > 0, diff, 0.0) ** obs.power
+    return out if out.ndim else float(out)

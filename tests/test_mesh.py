@@ -167,11 +167,12 @@ def test_normalized(mesh512):
         Density(mesh512, np.zeros(512)).normalized()
 
 
-def test_with_values_rebuilds_prefix(mesh512):
-    f = uniform_density(mesh512)
-    g = f.with_values(2.0 * f.values)
-    assert g.mass == pytest.approx(2.0, abs=1e-12)
-    assert f.mass == pytest.approx(1.0, abs=1e-15)  # original untouched
+def test_prefix_mass_equals_plain_cumsum(mesh512):
+    """The prefix every push reads is the sequential running sum, bit for bit."""
+    v = np.random.default_rng(11).standard_normal(512)
+    f = Density(mesh512, v)
+    expected = np.concatenate(([0.0], np.cumsum(v * mesh512.widths)))
+    assert np.array_equal(f.prefix_mass, expected)
 
 
 @given(x=st.floats(min_value=0.0, max_value=1.0))

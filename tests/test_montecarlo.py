@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from seqevl.maps import ALPHA_STAR, lsv_apply
+from seqevl.maps import ALPHA_STAR
 from seqevl.mesh import graded_mesh
 from seqevl.montecarlo import (
     EstimateWithCI,
@@ -20,6 +20,7 @@ from seqevl.montecarlo import (
     mc_correlation_DC,
 )
 from seqevl.thresholds import Observable, build_threshold_schedule
+from reference import lsv_apply
 
 N_FAST = 20_000
 
@@ -144,8 +145,8 @@ def test_build_blocks_partitions_mass(mesh512, const01):
     ts, = build_threshold_schedule(const01, Observable(form="log"), 1.0, (200,), mesh512)
     blocks = build_blocks(ts, k_n=10)
     assert blocks.bounds[0] == 0 and blocks.bounds[-1] == 200
-    assert blocks.n_blocks == 10
-    assert np.all(blocks.lengths >= 1)
+    assert blocks.bounds.size == 11  # 10 blocks
+    assert np.all(np.diff(blocks.bounds) >= 1)
     assert float(np.sum(blocks.masses)) == pytest.approx(ts.fstar, abs=1e-12)
     # greedy closing: non-final block masses within one step mass of target
     step = float(np.max(ts.step_masses))
@@ -159,7 +160,7 @@ def test_build_blocks_defaults_and_validation(mesh512, const01):
     assert blocks.k_n == 2
     assert blocks.t_star == max(1, round(200 ** 0.85))
     single = build_blocks(ts, k_n=1)
-    assert single.n_blocks == 1 and single.lengths[0] == 200
+    assert single.bounds.tolist() == [0, 200]
     with pytest.raises(ValueError):
         build_blocks(ts, k_n=0)
     with pytest.raises(ValueError):
@@ -168,7 +169,7 @@ def test_build_blocks_defaults_and_validation(mesh512, const01):
 
 def test_dprime_zero_for_singleton_blocks(ts20):
     blocks = build_blocks(ts20, k_n=20)
-    assert np.all(blocks.lengths == 1)
+    assert np.all(np.diff(blocks.bounds) == 1)
     e = dprime_sum(ts20, blocks, RNGSpec(19), n_samples=8192)
     assert e.value == 0.0 and e.se == 0.0
 

@@ -39,3 +39,17 @@ def test_traced_run_records_the_threshold_spans(tmp_path):
     metrics = tracing.layer_metrics(tracer, {}, 1.0, 1.0, 0)
     assert metrics["transfer.push_steps"][0] == 79  # one streamed push to n = 80
     assert metrics["thresholds.calibrated_steps"][0] == 80  # densities evaluated
+
+
+def test_traced_decay_run_records_the_decay_span(tmp_path):
+    cfg = default_config("decay", n_ladder=(64, 128))
+    path = tmp_path / "decay.toml"
+    path.write_text(cfg.to_toml(), encoding="utf-8")
+    out = io.StringIO()
+    with tracing.Tracer() as tracer:
+        code = seqevl.cli.main(["decay", "--config", str(path), "--out", str(tmp_path)],
+                               stdout=out, stderr=out)
+    assert code in (0, 2), out.getvalue()
+    assert "transfer.decay" in {s.name for s in tracer.spans}
+    metrics = tracing.layer_metrics(tracer, {}, 1.0, 1.0, 0)
+    assert metrics["transfer.decay_s"][0] > 0.0
