@@ -17,15 +17,14 @@ from .recurrence import (RecurrenceParams, local_recurrence_at,
                          local_recurrence_bound, loglog_slope, measure_Ej,
                          measure_En_eps, orbit_displacement)
 from .thresholds import (DEFAULT_ZETA, Observable, ThresholdSchedule,
-                         build_threshold_schedule, calibrate_delta_ladder,
-                         threshold_window)
-from .transfer import (ConeParams, DecayResult, cone_step_surrogate,
-                       loss_of_memory_distance, pf_apply, push_density)
+                         build_threshold_schedule, calibrate_delta_ladder)
+from .transfer import (DecayResult, cone_step_surrogate, loss_of_memory_distance,
+                       pf_apply, push_density)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_STAR", "BlockStructure", "CacheCorruption", "ConeParams",
+    "ALPHA_STAR", "BlockStructure", "CacheCorruption",
     "ConfigError", "DecayResult", "Density", "DEFAULT_ZETA", "Diagnostic",
     "DiskCache", "EstimateWithCI", "ExperimentConfig", "ExperimentReport",
     "Mesh", "MixingGap", "Observable", "ParameterSchedule", "RNGSpec",
@@ -39,6 +38,6 @@ __all__ = [
     "mc_correlation_DC", "measure_Ej", "measure_En_eps",
     "orbit_displacement", "parse_toml", "pf_apply",
     "project", "push_density", "run_experiment", "sequential_orbit",
-    "threshold_window", "uniform_density", "uniform_mesh",
-    "validate_config", "write_csv", "write_json",
+    "uniform_density", "uniform_mesh", "validate_config", "write_csv",
+    "write_json",
 ]

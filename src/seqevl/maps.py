@@ -162,14 +162,6 @@ class ParameterSchedule:
             return float(max(self.cycle))
         return float(self.hi)
 
-    def max_alpha(self, n: int) -> float:
-        if n == 0:
-            return self.alpha_star
-        return float(np.max(self.alphas(n)))
-
-    def fingerprint(self, n: int) -> bytes:
-        return np.ascontiguousarray(self.alphas(n)).tobytes()
-
 
 def sequential_orbit(schedule: ParameterSchedule, x0: float, n: int) -> np.ndarray:
     """Orbit (x0, T_1 x0, T_2 T_1 x0, ..., composition of n maps applied to x0).

@@ -154,13 +154,6 @@ class Density:
     def interval_mass(self, lo, hi) -> np.ndarray:
         return self.cdf(hi) - self.cdf(lo)
 
-    def at(self, x) -> np.ndarray:
-        """Cell-average value at x."""
-        return self.values[self.mesh.cell_index(np.asarray(x, dtype=float))]
-
-    def __call__(self, x):
-        return self.at(x)
-
     def l1_distance(self, other: "Density") -> float:
         _same_mesh(self.mesh, other.mesh)
         return float(np.sum(np.abs(self.values - other.values) * self.mesh.widths))

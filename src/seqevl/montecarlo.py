@@ -191,8 +191,6 @@ class BlockStructure:
     k_n: int
     t_star: int
     bounds: np.ndarray
-    masses: np.ndarray
-    target_mass: float
 
     def __post_init__(self):
         b = np.asarray(self.bounds, dtype=int)
@@ -228,11 +226,8 @@ def build_blocks(ts: ThresholdSchedule, k_n: int | None = None,
                 bounds.append(i + 1)
                 acc = 0.0
         bounds.append(n)
-    bounds = np.asarray(bounds, dtype=int)
-    masses = np.array([float(np.sum(ts.step_masses[a:b]))
-                       for a, b in zip(bounds[:-1], bounds[1:])])
-    return BlockStructure(n=n, k_n=k_n, t_star=t_star, bounds=bounds,
-                          masses=masses, target_mass=(total / k_n if k_n else 0.0))
+    return BlockStructure(n=n, k_n=k_n, t_star=t_star,
+                          bounds=np.asarray(bounds, dtype=int))
 
 
 def dprime_sum(ts: ThresholdSchedule, blocks: BlockStructure, rng: RNGSpec,

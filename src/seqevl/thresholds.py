@@ -8,19 +8,21 @@ which makes every step carry identical exceedance mass.  For piecewise-
 constant densities that window mass is piecewise linear in delta, so each
 radius is an exact kink inversion rather than an iterative search.  Every
 horizon of a run reads the same density at step i, so one streamed push
-calibrates all of them, a block of densities at a time.
+calibrates all of them, a block of densities at a time.  Whether the radii
+obey the density-cone bounds of the paper is checked by the tests, not by a
+run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .maps import ParameterSchedule
 from .mesh import Density, Mesh, _same_mesh, uniform_density
-from .transfer import ConeParams, push_density
+from .transfer import push_density
 
 DEFAULT_ZETA = 1.0 / math.sqrt(2.0)
 
@@ -46,9 +48,6 @@ class Observable:
         if self.power <= 0.0:
             raise ValueError("power must be positive")
 
-    def distance(self, x):
-        return np.abs(np.asarray(x, dtype=float) - self.zeta)
-
     def level_for_radius(self, delta):
         """g evaluated at distance delta (the level whose ball has that radius)."""
         d = np.asarray(delta, dtype=float)
@@ -60,9 +59,6 @@ class Observable:
             else:
                 out = self.cap - d ** (1.0 / self.power)
         return out if out.ndim else float(out)
-
-    def value(self, x):
-        return self.level_for_radius(self.distance(x))
 
 
 # densities the streamed build pushes, calibrates and drops at a time, so a
@@ -163,10 +159,7 @@ def _window_masses(densities, zeta: float, deltas: np.ndarray) -> np.ndarray:
 class ThresholdSchedule:
     """Calibrated per-step ball radii and levels for one (tau, n) experiment.
 
-    window_lo/window_hi are the radius bounds implied by the density
-    envelope c <= density <= a x^(-alpha) near zeta; window_ok records
-    which steps landed inside them.  fstar is the total exceedance mass
-    (should be ~tau).
+    fstar is the total exceedance mass (should be ~tau).
     """
 
     observable: Observable
@@ -175,17 +168,7 @@ class ThresholdSchedule:
     deltas: np.ndarray
     levels: np.ndarray
     step_masses: np.ndarray
-    window_lo: float
-    window_hi: float
     schedule: ParameterSchedule
-    window_ok: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.tau == 0.0:
-            self.window_ok = np.ones(self.n, dtype=bool)
-        else:
-            self.window_ok = ((self.deltas >= self.window_lo)
-                              & (self.deltas <= self.window_hi))
 
     @property
     def fstar(self) -> float:
@@ -200,20 +183,6 @@ class ThresholdSchedule:
         for i in range(self.n):
             yield (i, float(self.deltas[i]), float(self.levels[i]),
                    float(self.step_masses[i]))
-
-
-def threshold_window(params: ConeParams, zeta: float, tau: float, n: int) -> tuple[float, float]:
-    """Radius window [tau/(2 C' n), tau/(2 c n)] implied by the density envelope.
-
-    c is the cone floor; the ceiling near zeta is a (zeta - delta_cap)^(-alpha)
-    evaluated at the largest admissible radius, so the window is computable
-    before calibration.
-    """
-    c = params.lower_bound
-    hi = tau / (2.0 * c * n)
-    x_min = zeta - min(hi, 0.5 * zeta)
-    c_prime = params.a * x_min ** (-params.alpha)
-    return tau / (2.0 * c_prime * n), hi
 
 
 def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable,
@@ -248,11 +217,8 @@ def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable
         masses[live, rows] = _window_masses(block, zeta, deltas[live, rows])
     built = {}
     for h, n in enumerate(horizons.tolist()):
-        win_lo, win_hi = threshold_window(ConeParams(alpha=schedule.max_alpha(n - 1)),
-                                          zeta, tau, n)
         built[n] = ThresholdSchedule(
             observable=observable, tau=tau, n=n, deltas=deltas[h, :n],
             levels=np.asarray(observable.level_for_radius(deltas[h, :n])),
-            step_masses=masses[h, :n], window_lo=win_lo, window_hi=win_hi,
-            schedule=schedule)
+            step_masses=masses[h, :n], schedule=schedule)
     return [built[int(n)] for n in ns]

@@ -3,11 +3,13 @@
 `pf_apply` pushes a piecewise-constant density through the duality
 relation using interval-preimage arithmetic: masses are differences of the
 source prefix integral at branch preimages of the cell boundaries, so each
-step conserves mass to rounding.  `push_density` chains it into a ladder
-over a run of exponents; every density ladder is pushed this way, and a
-long ladder is pushed a block at a time by its caller.  The module also
-carries the cone parameters that bound the calibration window, the
-cone-admissible step surrogate, and the memory-loss diagnostic.
+step conserves mass to rounding.  The left-branch preimages are put in
+order once per exponent, so a nonnegative density pushes to nonnegative
+masses with no check per step.  `push_density` chains pf_apply into a
+ladder over a run of exponents; every density ladder is pushed this way,
+and a long ladder is pushed a block at a time by its caller.  The module
+also carries the cone-admissible step surrogate and the memory-loss
+diagnostic.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import numpy as np
 from .maps import ParameterSchedule, lsv_left_inverse
 from .mesh import Density, Mesh, project
 
-DEFAULT_CONE_A = 20.0
-
 # fused gather tables of the push, keyed by (alpha, mesh fingerprint); the
 # key alpha=None holds the right-branch half, which is the same for every alpha
 _LEFT_INV_CACHE: dict[tuple[float | None, bytes], tuple[np.ndarray, np.ndarray]] = {}
@@ -33,7 +33,12 @@ _CACHE_ENTRIES = 256
 def _gather_table(alpha: float | None, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Cells and in-cell offsets at which Density.cdf reads the boundary
     preimages of both branches: the k+1 of the left branch of alpha, then the
-    k+1 of the right branch.  alpha=None gives the right half alone."""
+    k+1 of the right branch.  alpha=None gives the right half alone.
+
+    The left preimages are made nondecreasing by a running maximum: on cells
+    narrower than the 1e-13 tolerance of lsv_left_inverse they can come out
+    of order, and the masses of a nonnegative density, differences of its
+    cdf, are nonnegative only between ordered points."""
     key = (alpha, mesh.fingerprint())
     table = _LEFT_INV_CACHE.get(key)
     if table is None:
@@ -41,7 +46,7 @@ def _gather_table(alpha: float | None, mesh: Mesh) -> tuple[np.ndarray, np.ndarr
         if alpha is None:
             table = mesh.locate(0.5 * (b + 1.0))
         else:
-            left = mesh.locate(lsv_left_inverse(alpha, b))
+            left = mesh.locate(np.maximum.accumulate(lsv_left_inverse(alpha, b)))
             table = tuple(map(np.concatenate, zip(left, _gather_table(None, mesh))))
         if len(_LEFT_INV_CACHE) > _CACHE_ENTRIES:
             _LEFT_INV_CACHE.clear()
@@ -67,23 +72,17 @@ def _push_masses(alpha: float, mesh: Mesh, values: np.ndarray,
     """Pushed cell masses of the density with cell averages `values` and prefix
     integral `prefix`: np.diff(cdf(xl)) + np.diff(cdf(xr)) at the boundary
     preimages xl, xr, with the cell lookups of cdf read from the fused gather
-    table, written to `out` (which may be `values`) when given.  Nonnegative
-    input is clamped at 0: on cells narrower than the 1e-13 tolerance of
-    lsv_left_inverse, left preimages can come out of order and leave a
-    negative residue.  `values.min() >= 0.0` is np.all(values >= 0.0), NaN
-    included, and is decided before `out` is written."""
+    table, written to `out` (which may be `values`) when given.  The table's
+    preimages are ordered, so each mass of a nonnegative density is a
+    difference of a nondecreasing cdf and is never negative."""
     idx, off = _gather_table(alpha, mesh)
     k = mesh.n_cells
-    clamp = values.min() >= 0.0
     c = values[idx]
     c *= off
     c += prefix[idx]
     # d[k] straddles the seam between the two halves and is never read
     d = c[1:] - c[:-1]
-    masses = np.add(d[:k], d[k + 1:], out=out)
-    if clamp:
-        np.maximum(masses, 0.0, out=masses)
-    return masses
+    return np.add(d[:k], d[k + 1:], out=out)
 
 
 def push_density(alphas, f0: Density) -> list[Density]:
@@ -97,30 +96,6 @@ def push_density(alphas, f0: Density) -> list[Density]:
 
 # ---------------------------------------------------------------------------
 # cone of admissible densities
-
-
-@dataclass(frozen=True)
-class ConeParams:
-    """Cone of nonincreasing densities dominated by a x^(-alpha) times mass.
-
-    `alpha` must dominate every map exponent in play; `a` is the domination
-    coefficient.  `lower_bound` is the constant density floor implied by
-    membership together with unit mass.
-    """
-
-    alpha: float
-    a: float = DEFAULT_CONE_A
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("cone exponent must lie in (0, 1)")
-        if self.a <= 1.0:
-            raise ValueError("cone coefficient must exceed 1")
-
-    @property
-    def lower_bound(self) -> float:
-        al, a = self.alpha, self.a
-        return min(a, (al * (1.0 + al) / a ** al) ** (1.0 / (1.0 - al)))
 
 
 def cone_step_surrogate(mesh: Mesh, height: float, cutoff: float,

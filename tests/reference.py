@@ -21,14 +21,19 @@ from `cli.main` to hold it to that).  What it holds:
 - `duality_residual`: the transfer operator tested against the change of
   variables, with the map derivative `lsv_derivative` and both branch
   preimages `lsv_preimages`.
-- `cone_check` and `density_bounds_check`: the cone invariance of pushed
-  densities that the paper's argument rests on (Liverani-Saussol-Vaienti
-  1999; Aimino-Hu-Nicol-Torok-Vaienti 2015 for sequential compositions),
-  checked for the cone of `seqevl.transfer.ConeParams`.
+- `ConeParams`, `cone_check` and `density_bounds_check`: the cone
+  invariance of pushed densities that the paper's argument rests on
+  (Liverani-Saussol-Vaienti 1999; Aimino-Hu-Nicol-Torok-Vaienti 2015 for
+  sequential compositions).
+- `threshold_window` and `schedule_window`: the radius window that the
+  cone's density bounds imply, and whether a calibrated schedule's radii
+  land in it.
 - `BumpFunction` and `bump_chi`: the collared bump observable.
 - `integrate_product`: composite midpoint quadrature of a product on a mesh.
-- `radius_for_level`: the inverse of `Observable.level_for_radius`, so
-  that the exceedance set {g > u} is the open ball of that radius.
+- `observable_distance`, `observable_value` and `radius_for_level`: the
+  observable g(|x - zeta|) evaluated pointwise, and the inverse of
+  `Observable.level_for_radius`, so that the exceedance set {g > u} is the
+  open ball of that radius.
 """
 
 from __future__ import annotations
@@ -40,8 +45,7 @@ import numpy as np
 
 from seqevl.maps import _check_alpha, _check_domain, apply_map_batch, lsv_left_inverse
 from seqevl.mesh import Density, Mesh, _gauss_legendre
-from seqevl.thresholds import Observable
-from seqevl.transfer import ConeParams
+from seqevl.thresholds import Observable, ThresholdSchedule
 
 # ---------------------------------------------------------------------------
 # map step, derivative and branch preimages
@@ -164,7 +168,56 @@ def ulam_matrix(alpha: float, mesh: Mesh) -> UlamOperator:
 
 
 # ---------------------------------------------------------------------------
-# cone of admissible densities
+# cone of admissible densities and the radius window it implies
+
+
+@dataclass(frozen=True)
+class ConeParams:
+    """Cone of nonincreasing densities dominated by a x^(-alpha) times mass.
+
+    `alpha` must dominate every map exponent in play; `a` is the domination
+    coefficient.  `lower_bound` is the constant density floor implied by
+    membership together with unit mass.
+    """
+
+    alpha: float
+    a: float = 20.0
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("cone exponent must lie in (0, 1)")
+        if self.a <= 1.0:
+            raise ValueError("cone coefficient must exceed 1")
+
+    @property
+    def lower_bound(self) -> float:
+        al, a = self.alpha, self.a
+        return min(a, (al * (1.0 + al) / a ** al) ** (1.0 / (1.0 - al)))
+
+
+def threshold_window(params: ConeParams, zeta: float, tau: float, n: int) -> tuple[float, float]:
+    """Radius window [tau/(2 C' n), tau/(2 c n)] implied by the density envelope.
+
+    c is the cone floor; the ceiling near zeta is a (zeta - delta_cap)^(-alpha)
+    evaluated at the largest admissible radius, so the window is computable
+    before calibration.
+    """
+    c = params.lower_bound
+    hi = tau / (2.0 * c * n)
+    x_min = zeta - min(hi, 0.5 * zeta)
+    c_prime = params.a * x_min ** (-params.alpha)
+    return tau / (2.0 * c_prime * n), hi
+
+
+def schedule_window(ts: ThresholdSchedule) -> tuple[float, float, np.ndarray]:
+    """(lo, hi, ok): the threshold window of ts for the cone whose exponent is
+    the largest of the n - 1 maps that push its densities (alpha_star when
+    n = 1), and which radii lie in it (all of them when tau = 0)."""
+    alpha = float(np.max(ts.schedule.alphas(ts.n - 1))) if ts.n > 1 else ts.schedule.alpha_star
+    lo, hi = threshold_window(ConeParams(alpha=alpha), ts.zeta, ts.tau, ts.n)
+    if ts.tau == 0.0:
+        return lo, hi, np.ones(ts.n, dtype=bool)
+    return lo, hi, (ts.deltas >= lo) & (ts.deltas <= hi)
 
 
 @dataclass(frozen=True)
@@ -349,7 +402,7 @@ def duality_residual(alpha: float, f, g, mesh: Mesh | None = None,
         vals = np.asarray(integrand(x.ravel()), dtype=float).reshape(x.shape)
         return float(np.sum((vals @ weights) * half))
 
-    f_at = f.at if isinstance(f, Density) else f
+    f_at = (lambda x: f.values[f.mesh.cell_index(x)]) if isinstance(f, Density) else f
 
     def pf_pointwise(y):
         xl = lsv_left_inverse(alpha, y)
@@ -365,6 +418,15 @@ def duality_residual(alpha: float, f, g, mesh: Mesh | None = None,
 
 # ---------------------------------------------------------------------------
 # observables
+
+
+def observable_distance(obs: Observable, x):
+    return np.abs(np.asarray(x, dtype=float) - obs.zeta)
+
+
+def observable_value(obs: Observable, x):
+    """g(|x - zeta|), the observation at the point x."""
+    return obs.level_for_radius(observable_distance(obs, x))
 
 
 def radius_for_level(obs: Observable, u):

@@ -1,10 +1,17 @@
 """`src/seqevl` holds what a run executes: every public top-level name of the
 package modules is reached from the command-line entry point `cli.main`, and
-every public method or property of its classes is read somewhere in `src/`.
-Code that only tests use belongs in `tests/reference.py`."""
+every public function, method and property is called when `cli.main` runs
+a small matrix of configs.  Code that only tests use belongs in
+`tests/reference.py`."""
 
 import ast
+import io
+import os
+import sys
 from pathlib import Path
+
+from seqevl import cli
+from seqevl.config import MeshSpec, ObservableSpec, ScheduleSpec, default_config
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "seqevl"
 
@@ -17,14 +24,39 @@ UNREACHED_ALLOWED = {
 }
 
 
-# public methods and properties that no `src/` code reads, each with the
+# public functions, methods and properties that no run calls, each with the
 # reason it stays
-UNREAD_MEMBERS_ALLOWED = {
+NEVER_CALLED_ALLOWED = {
+    # perfbench/tracing.py patches the DiskCache methods; ROADMAP item 6
+    # deletes them with the class
+    "DiskCache.load_trajectory", "DiskCache.store_trajectory", "DiskCache.clear",
+    # the operator route of ROADMAP item 1 decides whether they stay
+    "correlation_DC", "mc_correlation_DC",
     # the x2 mesh the operator route of ROADMAP item 1 pushes on
     "Mesh.refined",
+    # correlation_DC reads them, and perfbench/tracing.py counts
+    # interval_mass calls
+    "Density.cdf", "Density.interval_mass",
     # the tests' measure of how far two densities are apart
     "Density.l1_distance",
 }
+
+# (command, config overrides) run under the profiler: every kind, every
+# schedule mode, both mesh kinds and all three observable forms, each small
+# enough that the matrix runs in about half a second; validate then checks
+# the default config
+RUNS = (
+    ("evl", dict(n_ladder=(8, 16))),
+    ("calibrate", dict(n=12, schedule=ScheduleSpec(mode="periodic", cycle=(0.05, 0.1)),
+                       mesh=MeshSpec(kind="uniform", cells=32),
+                       observable=ObservableSpec(form="power-pole"))),
+    ("dprime", dict(n_ladder=(16, 24), schedule=ScheduleSpec(mode="iid"),
+                    observable=ObservableSpec(form="power-cap"))),
+    ("d0", dict(n=20, schedule=ScheduleSpec(mode="explicit", cycle=(0.1,) * 20))),
+    ("decay", dict(n_ladder=(4, 8))),
+    ("recurrence", {}),
+    ("orbit", dict(n=10)),
+)
 
 
 def top_level_uses() -> dict:
@@ -64,19 +96,42 @@ def test_every_public_name_is_reached_from_cli_main():
     assert unreached == UNREACHED_ALLOWED
 
 
-def test_every_public_member_is_read_in_src():
-    """A public method or property whose name no `src/` code reads as an
-    attribute serves only the tests.  Members of a class allowed unreached as
-    a whole go with that class."""
-    read, members = set(), set()
+def public_functions() -> set:
+    """Qualified names of the public top-level functions of the package
+    modules and of the public methods and properties of their classes."""
+    names = set()
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
-        members.update(f"{node.name}.{item.name}" for node in tree.body
-                       if isinstance(node, ast.ClassDef)
-                       and node.name not in UNREACHED_ALLOWED
-                       for item in node.body
-                       if isinstance(item, ast.FunctionDef)
-                       and not item.name.startswith("_"))
-    unread = {m for m in members if m.split(".")[1] not in read}
-    assert unread == UNREAD_MEMBERS_ALLOWED
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                names.add(node.name)
+            elif isinstance(node, ast.ClassDef):
+                names.update(f"{node.name}.{item.name}" for item in node.body
+                             if isinstance(item, ast.FunctionDef))
+    return {n for n in names if not any(p.startswith("_") for p in n.split("."))}
+
+
+def test_every_public_function_runs_under_cli_main(tmp_path):
+    """A public function, method or property that no run calls serves only
+    the tests.  The profiler sees every Python call, so a member that only
+    shares its name with one a run calls is still caught."""
+    package = os.path.dirname(cli.__file__)
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and os.path.dirname(frame.f_code.co_filename) == package:
+            called.add(frame.f_code.co_qualname)
+
+    runs = []
+    for command, overrides in RUNS:
+        config = tmp_path / f"{command}.toml"
+        settings = {"n_samples": 200, "mesh": MeshSpec(cells=32), **overrides}
+        config.write_text(default_config(command, **settings).to_toml(), encoding="utf-8")
+        runs.append([command, "--config", str(config), "--out", str(tmp_path / "runs")])
+    for argv in runs + [["validate"]]:
+        sys.setprofile(profile)
+        try:
+            code = cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO())
+        finally:
+            sys.setprofile(None)
+        assert code in (0, 2), argv  # 1 is a config or runtime error
+    assert public_functions() - called == NEVER_CALLED_ALLOWED

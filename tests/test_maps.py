@@ -202,13 +202,6 @@ def test_schedule_validation_misc():
         ParameterSchedule.constant(0.1).alphas(-1)
 
 
-def test_min_max_alpha_and_fingerprint():
-    s = ParameterSchedule.periodic([0.05, 0.1])
-    assert s.max_alpha(3) == 0.1
-    assert s.max_alpha(0) == s.alpha_star
-    assert s.fingerprint(4) == np.asarray([0.05, 0.1, 0.05, 0.1]).tobytes()
-
-
 # ------------------------------------------------------------------- orbits
 
 def test_orbit_length_and_start():

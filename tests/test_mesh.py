@@ -141,12 +141,6 @@ def test_interval_mass_brute_force(mesh512):
         float(np.sum(overlap * f.values)), abs=1e-14)
 
 
-def test_at_and_call(mesh512):
-    f = uniform_density(mesh512)
-    assert f.at(0.5) == 1.0
-    assert f(np.array([0.1, 0.9])).tolist() == [1.0, 1.0]
-
-
 def test_l1_distance_and_difference():
     m = uniform_mesh(4)
     f = Density(m, np.array([1.0, 1.0, 1.0, 1.0]))
@@ -189,7 +183,7 @@ def test_cdf_monotone_for_nonnegative_density(x):
 def test_project_exact_for_piecewise_constant(mesh512):
     rng = np.random.default_rng(23)
     f = Density(mesh512, rng.random(512))
-    g = project(f, mesh512)
+    g = project(lambda x: f.values[mesh512.cell_index(x)], mesh512)
     np.testing.assert_allclose(g.values, f.values, rtol=0, atol=1e-13)
 
 

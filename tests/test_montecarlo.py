@@ -147,11 +147,13 @@ def test_build_blocks_partitions_mass(mesh512, const01):
     assert blocks.bounds[0] == 0 and blocks.bounds[-1] == 200
     assert blocks.bounds.size == 11  # 10 blocks
     assert np.all(np.diff(blocks.bounds) >= 1)
-    assert float(np.sum(blocks.masses)) == pytest.approx(ts.fstar, abs=1e-12)
+    masses = [float(np.sum(ts.step_masses[a:b]))
+              for a, b in zip(blocks.bounds[:-1], blocks.bounds[1:])]
+    assert sum(masses) == pytest.approx(ts.fstar, abs=1e-12)
     # greedy closing: non-final block masses within one step mass of target
-    step = float(np.max(ts.step_masses))
-    for m in blocks.masses[:-1]:
-        assert blocks.target_mass - 1e-12 <= m <= blocks.target_mass + step + 1e-12
+    target, step = ts.fstar / blocks.k_n, float(np.max(ts.step_masses))
+    for m in masses[:-1]:
+        assert target - 1e-12 <= m <= target + step + 1e-12
 
 
 def test_build_blocks_defaults_and_validation(mesh512, const01):

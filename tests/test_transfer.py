@@ -10,7 +10,6 @@ from seqevl import transfer
 from seqevl.maps import ALPHA_STAR, ParameterSchedule, lsv_left_inverse
 from seqevl.mesh import Density, Mesh, graded_mesh, project, uniform_density, uniform_mesh
 from seqevl.transfer import (
-    ConeParams,
     DecayResult,
     cone_step_surrogate,
     loss_of_memory_distance,
@@ -19,6 +18,7 @@ from seqevl.transfer import (
 )
 from reference import (
     BumpFunction,
+    ConeParams,
     bump_chi,
     cone_check,
     density_bounds_check,
@@ -35,8 +35,8 @@ CONE_FLOOR_ORACLES = [
 # max collar slope of the default bump profile, delta = 1 (mpmath)
 BUMP_SLOPE_ORACLE = 0.79842975183359954417
 # cells a few ulps wide, far below the 1e-13 tolerance of lsv_left_inverse:
-# at alpha = 0.1 two left preimages come out of order, so the unclamped push
-# of a nonnegative density has a mass of about -5e-14
+# at alpha = 0.1 two left preimages come out of order, and a push on them as
+# they come gives a nonnegative density a mass of about -5e-14
 ULP_MESH = Mesh(np.array([0.0, 0.8267723291721183, 0.8267723291721186, 0.8267723291721196,
                           0.8267723291721208, 0.8267723291721211, 0.8267723291721258, 1.0]))
 
@@ -106,13 +106,19 @@ def reference_cdf(f, x):
     return f.prefix_mass[cell] + f.values[cell] * (x - b[cell])
 
 
+def ordered_left_preimages(alpha, b):
+    """The left-branch preimages of b, each raised to the largest before it."""
+    x = lsv_left_inverse(alpha, b)
+    for i in range(1, x.size):
+        x[i] = max(x[i], x[i - 1])
+    return x
+
+
 def reference_push(alpha, f):
     """pf_apply on a Density in its plain form, with no cached gather tables."""
     b = f.mesh.boundaries
-    masses = (np.diff(reference_cdf(f, lsv_left_inverse(alpha, b)))
+    masses = (np.diff(reference_cdf(f, ordered_left_preimages(alpha, b)))
               + np.diff(reference_cdf(f, 0.5 * (b + 1.0))))
-    if np.all(f.values >= 0.0):
-        masses = np.maximum(masses, 0.0)
     return Density(f.mesh, masses / f.mesh.widths)
 
 
@@ -149,19 +155,19 @@ def test_pf_apply_equals_plain_cdf_form(case):
         assert np.array_equal(f.values, g.values)
 
 
-def test_push_clamps_the_residue_of_out_of_order_preimages():
+def test_push_on_out_of_order_preimages_stays_nonnegative():
     f = Density(ULP_MESH, np.ones(ULP_MESH.n_cells))
     b = ULP_MESH.boundaries
-    unclamped = (np.diff(reference_cdf(f, lsv_left_inverse(0.1, b)))
+    unordered = (np.diff(reference_cdf(f, lsv_left_inverse(0.1, b)))
                  + np.diff(reference_cdf(f, 0.5 * (b + 1.0))))
-    assert unclamped.min() < 0.0  # the case reaches the clamp
+    assert unordered.min() < 0.0  # the case needs the ordering
     g = pf_apply(0.1, f)
     assert g.values.min() >= 0.0
+    assert abs(g.mass - f.mass) <= 1e-15
     assert np.array_equal(g.values, reference_push(0.1, f).values)
 
 
 def test_push_into_its_own_input_equals_a_fresh_push(mesh512):
-    # the clamp is decided before the output overwrites the input
     signed = Density(mesh512, np.random.default_rng(5).standard_normal(512))
     nonnegative = Density(ULP_MESH, np.ones(ULP_MESH.n_cells))
     for f in (signed, nonnegative):
@@ -173,14 +179,18 @@ def test_push_into_its_own_input_equals_a_fresh_push(mesh512):
 
 
 def test_fused_table_halves_are_the_branch_lookups(mesh512):
-    b = mesh512.boundaries
-    for alpha in (0.05, 0.1):
-        cells, offsets = transfer._gather_table(alpha, mesh512)
-        for half, x in ((slice(None, b.size), lsv_left_inverse(alpha, b)),
-                        (slice(b.size, None), 0.5 * (b + 1.0))):
-            want_cells, want_offsets = mesh512.locate(x)
-            assert np.array_equal(cells[half], want_cells)
-            assert np.array_equal(offsets[half], want_offsets)
+    for mesh in (mesh512, ULP_MESH):
+        b = mesh.boundaries
+        for alpha in (0.05, 0.1):
+            cells, offsets = transfer._gather_table(alpha, mesh)
+            for half, x in ((slice(None, b.size), ordered_left_preimages(alpha, b)),
+                            (slice(b.size, None), 0.5 * (b + 1.0))):
+                want_cells, want_offsets = mesh.locate(x)
+                assert np.array_equal(cells[half], want_cells)
+                assert np.array_equal(offsets[half], want_offsets)
+    # on the ulp-wide cells the ordering moves a preimage
+    assert not np.array_equal(ordered_left_preimages(0.1, ULP_MESH.boundaries),
+                              lsv_left_inverse(0.1, ULP_MESH.boundaries))
 
 
 def reference_loss_of_memory(schedule, f, g, ladder):
