@@ -12,8 +12,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import (ConfigError, EXPERIMENT_KINDS, default_config,
-                     load_config, validate_config)
-from .experiments import ledger_report, run_experiment
+                     ledger_report, load_config, validate_config)
+from .experiments import run_experiment
 
 _COMMAND_HELP = {
     "evl": "estimate the no-exceedance probability against exp(-tau)",

@@ -16,9 +16,8 @@ from pathlib import Path
 
 from .maps import ALPHA_STAR, ParameterSchedule
 from .mesh import Mesh, graded_mesh, uniform_mesh
-from .montecarlo import exponent_ledger
 from .recurrence import RecurrenceParams
-from .thresholds import DEFAULT_ZETA, OBSERVABLE_FORMS, Observable
+from .thresholds import DEFAULT_ZETA, Observable
 
 EXPERIMENT_KINDS = ("evl", "calibrate", "dprime", "d0", "decay",
                     "recurrence", "orbit")
@@ -68,13 +67,6 @@ class ScheduleSpec:
             return ParameterSchedule.iid_uniform(self.lo, self.hi, self.seed,
                                                  self.alpha_star)
         raise ConfigError(f"unknown schedule mode {self.mode!r}")
-
-    def sup_alpha(self) -> float:
-        if self.mode == "constant":
-            return self.alpha
-        if self.mode in ("periodic", "explicit"):
-            return max(self.cycle) if self.cycle else math.nan
-        return self.hi
 
 
 @dataclass(frozen=True)
@@ -179,8 +171,6 @@ class ExperimentConfig:
 
 
 def _format_toml_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
@@ -259,6 +249,55 @@ def default_config(kind: str = "evl", **overrides) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
+# exponent budget checks
+
+
+@dataclass(frozen=True)
+class LedgerCheck:
+    name: str
+    satisfied: bool
+    lhs: float
+    rhs: float
+    detail: str
+
+
+def exponent_ledger(alpha_star: float, beta: float = ExponentSpec.beta,
+                    kappa: float = ExponentSpec.kappa, xi: float = ExponentSpec.xi,
+                    eta: float = ExponentSpec.eta) -> list[LedgerCheck]:
+    """Evaluate the asymptotic exponent budgets for the blocking argument.
+
+    All four must hold for the error terms to vanish in the limit; at desk
+    scale they are reported, never enforced.  Their joint feasible region
+    caps alpha_star at 1/7 as kappa, beta -> 1.
+    """
+    checks = []
+    lhs = (-1.0 / alpha_star + 1.0) * kappa + 2.0 + 2.0 * eta
+    checks.append(LedgerCheck(
+        "mixing-gap-budget", lhs < 0.0, lhs, 0.0,
+        "(1 - 1/alpha*) kappa + 2 + 2 eta < 0 keeps the summed gap bound vanishing"))
+    rhs = kappa / (2.0 + 4.0 * beta + kappa)
+    checks.append(LedgerCheck(
+        "pair-sum-budget", alpha_star < rhs, alpha_star, rhs,
+        "alpha* < kappa / (2 + 4 beta + kappa) keeps the block pair sum vanishing"))
+    rhs2 = beta + kappa * (1.0 + xi) - 1.0
+    checks.append(LedgerCheck(
+        "recurrence-budget", alpha_star < rhs2, alpha_star, rhs2,
+        "alpha* < beta + kappa (1 + xi) - 1 keeps the short-return term vanishing"))
+    lhs3 = kappa * (1.0 + xi)
+    checks.append(LedgerCheck(
+        "block-gap-ordering", lhs3 < beta, lhs3, beta,
+        "kappa (1 + xi) < beta keeps gap lengths below block lengths"))
+    return checks
+
+
+def ledger_report(config: ExperimentConfig) -> list[LedgerCheck]:
+    """The exponent budgets at the sup exponent of the config's schedule."""
+    exps = config.exponents
+    return exponent_ledger(config.schedule.build().sup_alpha(), exps.beta,
+                           exps.kappa, exps.xi, exps.eta)
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
@@ -315,31 +354,19 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         error("bad-workers", "worker count must be positive")
     if config.mesh.cells < 2:
         error("bad-mesh", "mesh needs at least 2 cells")
-    if config.mesh.kind not in ("graded", "uniform"):
-        error("bad-mesh", f"unknown mesh kind {config.mesh.kind!r}")
-    if config.observable.form not in OBSERVABLE_FORMS:
-        error("bad-observable", f"unknown observable form {config.observable.form!r}")
     if not 0.0 < config.observable.zeta < 1.0:
         error("bad-zeta", "zeta must lie strictly inside (0, 1)")
     if not 0.0 <= config.x0 <= 1.0:
         error("bad-x0", "orbit start must lie in [0, 1]")
 
     sched = config.schedule
-    sup = sched.sup_alpha()
-    if sched.mode not in ("constant", "periodic", "explicit", "iid"):
-        error("bad-schedule", f"unknown schedule mode {sched.mode!r}")
-    elif sched.mode in ("periodic", "explicit") and not sched.cycle:
-        error("bad-schedule", f"{sched.mode} schedule needs a nonempty cycle")
-    elif sched.mode == "iid" and not 0.0 < sched.lo < sched.hi:
-        error("bad-schedule", "iid schedule needs 0 < lo < hi")
-    else:
-        lows = (sched.alpha,) if sched.mode == "constant" else (
-            (sched.lo,) if sched.mode == "iid" else sched.cycle)
-        if min(lows) <= 0.0:
-            error("bad-alpha", "map exponents must be positive")
-        elif sup > sched.alpha_star:
-            error("alpha-above-star",
-                  f"schedule exponent {sup} exceeds alpha_star={sched.alpha_star}")
+    alphas = {"constant": (sched.alpha,), "iid": (sched.lo, sched.hi)}.get(
+        sched.mode, sched.cycle)
+    if alphas and min(alphas) <= 0.0:
+        error("bad-alpha", "map exponents must be positive")
+    elif alphas and max(alphas) > sched.alpha_star:
+        error("alpha-above-star",
+              f"schedule exponent {max(alphas)} exceeds alpha_star={sched.alpha_star}")
 
     exps = config.exponents
     if not 0.0 < exps.beta < 1.0 or not 0.0 < exps.kappa < 1.0:
@@ -350,10 +377,15 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
     if not 0.0 < exps.xi < 1.0:
         error("bad-exponents", "xi must lie in (0, 1)")
 
-    # the run builds these specs; whatever their constructors reject is an error here
-    if not any(d.severity == "error" for d in out):
-        for code, spec in (("bad-schedule", sched), ("bad-mesh", config.mesh),
-                           ("bad-observable", config.observable)):
+    # the run builds these specs, and their constructors check the rest
+    # (mesh kind and ratio, observable form and power, schedule mode, cycle
+    # and iid bounds); a spec already flagged above is not built
+    raised = {d.code for d in out}
+    for code, spec, own in (
+            ("bad-schedule", sched, {"bad-alpha", "alpha-above-star"}),
+            ("bad-mesh", config.mesh, {"bad-mesh"}),
+            ("bad-observable", config.observable, {"bad-zeta"})):
+        if not own & raised:
             try:
                 spec.build()
             except ValueError as exc:
@@ -362,7 +394,7 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
     if any(d.severity == "error" for d in out):
         return out
 
-    for check in exponent_ledger(sup, exps.beta, exps.kappa, exps.xi, exps.eta):
+    for check in ledger_report(config):
         if not check.satisfied:
             warning("budget-" + check.name,
                     f"{check.detail}: lhs={check.lhs:.6g}, rhs={check.rhs:.6g}")

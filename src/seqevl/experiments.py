@@ -21,7 +21,7 @@ from .io import write_csv, write_json
 from .maps import sequential_orbit
 from .mesh import uniform_density
 from .montecarlo import (RNGSpec, build_blocks, d0_mixing_gap, dprime_sum,
-                         estimate_exceedances, estimate_Pn, exponent_ledger)
+                         estimate_exceedances, estimate_Pn)
 from .recurrence import (local_recurrence_at, local_recurrence_bound,
                          loglog_slope, measure_En_eps, measure_Ej)
 from .thresholds import build_threshold_schedule
@@ -364,9 +364,3 @@ _RUNNERS = {
     "orbit": _run_orbit,
 }
 
-
-def ledger_report(config: ExperimentConfig) -> list:
-    """Exponent budget rows for the validate subcommand."""
-    sup = config.schedule.sup_alpha()
-    exps = config.exponents
-    return exponent_ledger(sup, exps.beta, exps.kappa, exps.xi, exps.eta)

@@ -1,5 +1,10 @@
 """Monte Carlo estimators for the extreme-value experiments.
 
+The module is the one orbit sweep `_sweep` and what a run estimates with
+it: the no-exceedance probability P_n, per-step exceedance masses, the
+within-block pair sum of condition D' (with the blocks it sums over) and
+the mixing gap of condition D_0.
+
 Determinism contract: every estimator draws its inputs from counter-based
 streams keyed by (seed, labels) and walks them with one shared sweep, which
 cuts the samples into fixed chunks of CHUNK_SIZE and sums per-chunk event
@@ -24,17 +29,13 @@ import numpy as np
 
 from ._rng import philox_stream
 from .maps import ParameterSchedule, apply_map_batch
-from .mesh import Density, Mesh, project, uniform_density
 from .thresholds import ThresholdSchedule
-from .transfer import pf_apply, push_density
 
 CHUNK_SIZE = 16384
 Z95 = 1.959963984540054
 
 DEFAULT_BETA = 0.9
 DEFAULT_KAPPA = 0.85
-DEFAULT_XI = 0.05
-DEFAULT_ETA = 2.0 * DEFAULT_BETA
 
 
 @dataclass(frozen=True)
@@ -318,130 +319,3 @@ def d0_mixing_gap(ts: ThresholdSchedule, i: int, t: int, ell: int, rng: RNGSpec,
     ez2 = (n11 * z11 ** 2 + n10 * z10 ** 2 + n01 * z01 ** 2) / N
     se = math.sqrt(max(0.0, ez2 - ez * ez) / N)
     return MixingGap(covariance=cov, se=se, n_samples=N, p_event=pa, p_window=pw)
-
-
-# ---------------------------------------------------------------------------
-# decorrelation functional
-
-
-def correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
-                   mesh: Mesh) -> float:
-    """Decorrelation functional via the operator identity.
-
-    Computes integral(psi~ * push_{i+1..i+t}(dens_i * phi~)) where dens_i is
-    the step-i density, phi~ centers phi against it, and psi~ centers psi
-    against the step-(i+t) density (the centering of psi pairs with a
-    zero-mass density, so it cannot change the value; it is kept for
-    symmetry).  phi and psi may be (lo, hi) interval indicators, handled
-    exactly, or pointwise callables, projected per cell.
-    """
-    base = mesh
-    for obs in (phi, psi):
-        if isinstance(obs, tuple):
-            extra = [p for p in obs if 1e-12 < p < 1.0 - 1e-12]
-            pts = np.unique(np.concatenate([base.boundaries, np.asarray(extra)]))
-            base = Mesh(pts)
-    ladder = push_density(schedule.alphas(i + t), uniform_density(base))
-    dens_i, dens_it = ladder[i], ladder[i + t]
-
-    def center_and_multiply(obs, dens: Density) -> Density:
-        if isinstance(obs, tuple):
-            lo, hi = obs
-            mu = float(dens.interval_mass(lo, hi))
-            mids = dens.mesh.midpoints
-            ind = ((mids > lo) & (mids < hi)).astype(float)
-            return Density(dens.mesh, dens.values * (ind - mu))
-        proj = project(obs, dens.mesh)
-        mu = float(np.sum(proj.values * dens.values * dens.mesh.widths))
-        return Density(dens.mesh, dens.values * (proj.values - mu))
-
-    signed = center_and_multiply(phi, dens_i)
-    pushed = signed
-    alphas = schedule.alphas(i + t)[i:]
-    for a in alphas:
-        pushed = pf_apply(a, pushed)
-    if isinstance(psi, tuple):
-        lo, hi = psi
-        value = float(pushed.interval_mass(lo, hi))
-        value -= float(dens_it.interval_mass(lo, hi)) * pushed.mass
-        return value
-    proj = project(psi, base)
-    mu = float(np.sum(proj.values * dens_it.values * base.widths))
-    return float(np.sum((proj.values - mu) * pushed.values * base.widths))
-
-
-def mc_correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
-                      rng: RNGSpec, n_samples: int = 100_000, workers: int = 1,
-                      label: str = "dc") -> EstimateWithCI:
-    """Monte Carlo cross-check of correlation_DC: cov(phi(x_i), psi(x_{i+t}))."""
-
-    def as_callable(obs):
-        if isinstance(obs, tuple):
-            lo, hi = obs
-            return lambda x: ((x > lo) & (x < hi)).astype(float)
-        return obs
-
-    fphi, fpsi = as_callable(phi), as_callable(psi)
-
-    def chunk(size: int):
-        u = v = None
-
-        def visit(step, x):
-            nonlocal u, v
-            if step == i:
-                u = np.asarray(fphi(x), dtype=float).copy()
-            if step == i + t:
-                v = np.asarray(fpsi(x), dtype=float)
-
-        return visit, lambda: (float(np.sum(u * v)), float(np.sum(u)), float(np.sum(v)),
-                               float(np.sum((u * v) ** 2)))
-
-    suv, su, sv, suv2 = _sweep(schedule, rng, label, n_samples, workers, i + t + 1, chunk)
-    N = n_samples
-    mu_uv, mu_u, mu_v = suv / N, su / N, sv / N
-    cov = mu_uv - mu_u * mu_v
-    var_uv = max(0.0, suv2 / N - mu_uv ** 2)
-    se = math.sqrt(var_uv / N)  # conservative: ignores the (smaller) product terms
-    return EstimateWithCI(cov, se, N, cov - Z95 * se, cov + Z95 * se)
-
-
-# ---------------------------------------------------------------------------
-# exponent budget checks
-
-
-@dataclass(frozen=True)
-class LedgerCheck:
-    name: str
-    satisfied: bool
-    lhs: float
-    rhs: float
-    detail: str
-
-
-def exponent_ledger(alpha_star: float, beta: float = DEFAULT_BETA,
-                    kappa: float = DEFAULT_KAPPA, xi: float = DEFAULT_XI,
-                    eta: float = DEFAULT_ETA) -> list[LedgerCheck]:
-    """Evaluate the asymptotic exponent budgets for the blocking argument.
-
-    All four must hold for the error terms to vanish in the limit; at desk
-    scale they are reported, never enforced.  Their joint feasible region
-    caps alpha_star at 1/7 as kappa, beta -> 1.
-    """
-    checks = []
-    lhs = (-1.0 / alpha_star + 1.0) * kappa + 2.0 + 2.0 * eta
-    checks.append(LedgerCheck(
-        "mixing-gap-budget", lhs < 0.0, lhs, 0.0,
-        "(1 - 1/alpha*) kappa + 2 + 2 eta < 0 keeps the summed gap bound vanishing"))
-    rhs = kappa / (2.0 + 4.0 * beta + kappa)
-    checks.append(LedgerCheck(
-        "pair-sum-budget", alpha_star < rhs, alpha_star, rhs,
-        "alpha* < kappa / (2 + 4 beta + kappa) keeps the block pair sum vanishing"))
-    rhs2 = beta + kappa * (1.0 + xi) - 1.0
-    checks.append(LedgerCheck(
-        "recurrence-budget", alpha_star < rhs2, alpha_star, rhs2,
-        "alpha* < beta + kappa (1 + xi) - 1 keeps the short-return term vanishing"))
-    lhs3 = kappa * (1.0 + xi)
-    checks.append(LedgerCheck(
-        "block-gap-ordering", lhs3 < beta, lhs3, beta,
-        "kappa (1 + xi) < beta keeps gap lengths below block lengths"))
-    return checks

@@ -34,6 +34,9 @@ from `cli.main` to hold it to that).  What it holds:
   observable g(|x - zeta|) evaluated pointwise, and the inverse of
   `Observable.level_for_radius`, so that the exceedance set {g > u} is the
   open ball of that radius.
+- `correlation_DC` and `mc_correlation_DC`: the decorrelation functional
+  cov(phi(x_i), psi(x_{i+t})) by the operator identity on a mesh, and its
+  Monte Carlo twin on the package's orbit sweep.
 """
 
 from __future__ import annotations
@@ -43,9 +46,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from seqevl.maps import _check_alpha, _check_domain, apply_map_batch, lsv_left_inverse
-from seqevl.mesh import Density, Mesh, _gauss_legendre
+from seqevl.maps import (ParameterSchedule, _check_alpha, _check_domain, apply_map_batch,
+                         lsv_left_inverse)
+from seqevl.mesh import Density, Mesh, _gauss_legendre, project, uniform_density
+from seqevl.montecarlo import Z95, EstimateWithCI, RNGSpec, _sweep
 from seqevl.thresholds import Observable, ThresholdSchedule
+from seqevl.transfer import pf_apply, push_density
 
 # ---------------------------------------------------------------------------
 # map step, derivative and branch preimages
@@ -441,3 +447,88 @@ def radius_for_level(obs: Observable, u):
         diff = obs.cap - u
         out = np.where(diff > 0, diff, 0.0) ** obs.power
     return out if out.ndim else float(out)
+
+
+# ---------------------------------------------------------------------------
+# decorrelation functional
+
+
+def correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
+                   mesh: Mesh) -> float:
+    """Decorrelation functional via the operator identity.
+
+    Computes integral(psi~ * push_{i+1..i+t}(dens_i * phi~)) where dens_i is
+    the step-i density, phi~ centers phi against it, and psi~ centers psi
+    against the step-(i+t) density (the centering of psi pairs with a
+    zero-mass density, so it cannot change the value; it is kept for
+    symmetry).  phi and psi may be (lo, hi) interval indicators, handled
+    exactly, or pointwise callables, projected per cell.
+    """
+    base = mesh
+    for obs in (phi, psi):
+        if isinstance(obs, tuple):
+            extra = [p for p in obs if 1e-12 < p < 1.0 - 1e-12]
+            pts = np.unique(np.concatenate([base.boundaries, np.asarray(extra)]))
+            base = Mesh(pts)
+    ladder = push_density(schedule.alphas(i + t), uniform_density(base))
+    dens_i, dens_it = ladder[i], ladder[i + t]
+
+    def center_and_multiply(obs, dens: Density) -> Density:
+        if isinstance(obs, tuple):
+            lo, hi = obs
+            mu = float(dens.interval_mass(lo, hi))
+            mids = dens.mesh.midpoints
+            ind = ((mids > lo) & (mids < hi)).astype(float)
+            return Density(dens.mesh, dens.values * (ind - mu))
+        proj = project(obs, dens.mesh)
+        mu = float(np.sum(proj.values * dens.values * dens.mesh.widths))
+        return Density(dens.mesh, dens.values * (proj.values - mu))
+
+    signed = center_and_multiply(phi, dens_i)
+    pushed = signed
+    alphas = schedule.alphas(i + t)[i:]
+    for a in alphas:
+        pushed = pf_apply(a, pushed)
+    if isinstance(psi, tuple):
+        lo, hi = psi
+        value = float(pushed.interval_mass(lo, hi))
+        value -= float(dens_it.interval_mass(lo, hi)) * pushed.mass
+        return value
+    proj = project(psi, base)
+    mu = float(np.sum(proj.values * dens_it.values * base.widths))
+    return float(np.sum((proj.values - mu) * pushed.values * base.widths))
+
+
+def mc_correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
+                      rng: RNGSpec, n_samples: int = 100_000, workers: int = 1,
+                      label: str = "dc") -> EstimateWithCI:
+    """Monte Carlo cross-check of correlation_DC: cov(phi(x_i), psi(x_{i+t}))."""
+
+    def as_callable(obs):
+        if isinstance(obs, tuple):
+            lo, hi = obs
+            return lambda x: ((x > lo) & (x < hi)).astype(float)
+        return obs
+
+    fphi, fpsi = as_callable(phi), as_callable(psi)
+
+    def chunk(size: int):
+        u = v = None
+
+        def visit(step, x):
+            nonlocal u, v
+            if step == i:
+                u = np.asarray(fphi(x), dtype=float).copy()
+            if step == i + t:
+                v = np.asarray(fpsi(x), dtype=float)
+
+        return visit, lambda: (float(np.sum(u * v)), float(np.sum(u)), float(np.sum(v)),
+                               float(np.sum((u * v) ** 2)))
+
+    suv, su, sv, suv2 = _sweep(schedule, rng, label, n_samples, workers, i + t + 1, chunk)
+    N = n_samples
+    mu_uv, mu_u, mu_v = suv / N, su / N, sv / N
+    cov = mu_uv - mu_u * mu_v
+    var_uv = max(0.0, suv2 / N - mu_uv ** 2)
+    se = math.sqrt(var_uv / N)  # conservative: ignores the (smaller) product terms
+    return EstimateWithCI(cov, se, N, cov - Z95 * se, cov + Z95 * se)

@@ -95,12 +95,34 @@ def test_criterion_02_per_step_exceedance_mass_matches_calibration(ts500):
                     f"misses target {target:.5f}")
 
 
-def test_criterion_03_calibrated_radii_stay_inside_envelope_window(ts500):
+def test_criterion_03_calibrated_radii_stay_inside_envelope_window(ts500, mesh1024):
     """Every calibrated radius lies in the window implied by the density
-    envelope: tau/(2 C' n) below, tau/(2 c n) above, with aperture a = 20."""
+    envelope: tau/(2 C' n) below, tau/(2 c n) above, with aperture a = 20.
+
+    The cone window is wide (at n = 500 the radii sit about 20x inside
+    either end), so each radius is also held to the bounds of the density
+    it was calibrated on: the ball's mass tau/n lies between 2 delta_i min f_i
+    and 2 delta_i max f_i over the cells that meet the ball, so
+    tau/(2 n max f_i) <= delta_i <= tau/(2 n min f_i).  Where the ball lies
+    inside one cell the two bounds coincide, and a radius off by 0.1% fails."""
     lo, hi, ok = schedule_window(ts500)
     assert lo < hi
     assert bool(np.all(ok)), f"{int(np.sum(~ok))} of {ts500.n} radii left the window"
+
+    n, tau, zeta = ts500.n, ts500.tau, ts500.zeta
+    ladder = push_density(ts500.schedule.alphas(n - 1), uniform_density(mesh1024))
+    b = mesh1024.boundaries
+    outside = []
+    for i, (f, delta) in enumerate(zip(ladder, ts500.deltas)):
+        # cells j whose interior meets the ball: b_j < zeta + delta and b_{j+1} > zeta - delta
+        first = np.searchsorted(b, zeta - delta, side="right") - 1
+        last = np.searchsorted(b, zeta + delta, side="left") - 1
+        near = f.values[first:last + 1]
+        lower, upper = tau / (2.0 * n * near.max()), tau / (2.0 * n * near.min())
+        if not lower * (1.0 - 1e-9) <= delta <= upper * (1.0 + 1e-9):
+            outside.append((i, float(delta), float(lower), float(upper)))
+    assert not outside, (f"{len(outside)} of {n} radii break the density bounds; "
+                         f"first (step, delta, lower, upper): {outside[0]}")
 
 
 def test_criterion_04_pair_sum_decreases_along_horizon_ladder(mesh1024, const01):

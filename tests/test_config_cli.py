@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -212,7 +213,7 @@ def test_budget_warnings_at_large_sup_alpha():
     assert "budget-pair-sum-budget" in codes
 
 
-@pytest.mark.parametrize("overrides,code", [
+HARD_ERRORS = [
     (dict(kind="nope"), "bad-kind"),
     (dict(tau=-0.5), "bad-tau"),
     (dict(n=0), "bad-n"),
@@ -240,14 +241,34 @@ def test_budget_warnings_at_large_sup_alpha():
     (dict(kind="d0", n_ladder=(250, 500)), "bad-n"),
     (dict(kind="orbit", n_ladder=(100, 50)), "bad-n"),
     (dict(kind="recurrence", n_ladder=(100,)), "bad-n"),
-])
-def test_hard_errors(overrides, code):
-    base = ExperimentConfig(kind=overrides.pop("kind", "evl"))
-    from dataclasses import replace
+    # the builders alone catch an empty explicit cycle and iid lo == hi;
+    # validate_config itself a one-cell uniform mesh and a negative iid lo
+    (dict(schedule=ScheduleSpec(mode="explicit", cycle=())), "bad-schedule"),
+    (dict(schedule=ScheduleSpec(mode="iid", lo=0.1, hi=0.1)), "bad-schedule"),
+    (dict(mesh=MeshSpec(kind="uniform", cells=1)), "bad-mesh"),
+    (dict(schedule=ScheduleSpec(mode="iid", lo=-0.1)), "bad-alpha"),
+]
 
-    cfg = replace(base, **overrides)
+
+def _config_with(overrides, **more) -> ExperimentConfig:
+    settings = {**overrides, **more}
+    return replace(ExperimentConfig(kind=settings.pop("kind", "evl")), **settings)
+
+
+@pytest.mark.parametrize("overrides,code", HARD_ERRORS)
+def test_hard_errors(overrides, code):
+    cfg = _config_with(overrides)
     diags = validate_config(cfg)
     assert any(d.severity == "error" and d.code == code for d in diags), diags
+
+
+@pytest.mark.parametrize("overrides,code", [(o, c) for o, c in HARD_ERRORS if c != "bad-tau"])
+def test_hard_errors_are_reported_beside_another_error(overrides, code):
+    # a second fault elsewhere in the config must not hide the first, whether
+    # validate_config checks it itself or a spec builder does
+    codes = {d.code for d in validate_config(_config_with(overrides, tau=-0.5))
+             if d.severity == "error"}
+    assert {code, "bad-tau"} <= codes, codes
 
 
 def test_bad_tau_follows_the_calibrated_horizons():

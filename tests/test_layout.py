@@ -19,8 +19,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "seqevl"
 UNREACHED_ALLOWED = {
     # perfbench/tracing.py patches DiskCache methods; ROADMAP item 6 deletes both
     "DiskCache", "CacheCorruption",
-    # the operator route of ROADMAP item 1 decides whether they stay
-    "correlation_DC", "mc_correlation_DC",
 }
 
 
@@ -30,12 +28,10 @@ NEVER_CALLED_ALLOWED = {
     # perfbench/tracing.py patches the DiskCache methods; ROADMAP item 6
     # deletes them with the class
     "DiskCache.load_trajectory", "DiskCache.store_trajectory", "DiskCache.clear",
-    # the operator route of ROADMAP item 1 decides whether they stay
-    "correlation_DC", "mc_correlation_DC",
     # the x2 mesh the operator route of ROADMAP item 1 pushes on
     "Mesh.refined",
-    # correlation_DC reads them, and perfbench/tracing.py counts
-    # interval_mass calls
+    # perfbench/tracing.py counts interval_mass calls, and interval_mass
+    # reads cdf
     "Density.cdf", "Density.interval_mass",
     # the tests' measure of how far two densities are apart
     "Density.l1_distance",

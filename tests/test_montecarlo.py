@@ -1,26 +1,26 @@
-"""Monte Carlo estimators, blocking, mixing diagnostics, exponent budgets."""
+"""Monte Carlo estimators, blocking and mixing diagnostics; also the
+decorrelation pair of `reference`, whose Monte Carlo half runs on the same
+sweep, and the exponent budgets of `seqevl.config`."""
 
 import math
 
 import numpy as np
 import pytest
 
+from seqevl.config import exponent_ledger
 from seqevl.maps import ALPHA_STAR
 from seqevl.mesh import graded_mesh
 from seqevl.montecarlo import (
     EstimateWithCI,
     RNGSpec,
     build_blocks,
-    correlation_DC,
     d0_mixing_gap,
     dprime_sum,
     estimate_Pn,
     estimate_exceedances,
-    exponent_ledger,
-    mc_correlation_DC,
 )
 from seqevl.thresholds import Observable, build_threshold_schedule
-from reference import lsv_apply
+from reference import correlation_DC, lsv_apply, mc_correlation_DC
 
 N_FAST = 20_000
 
