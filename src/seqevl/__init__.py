@@ -4,7 +4,7 @@ extreme-value thresholds, Monte Carlo estimators, and return-set measures."""
 from .config import (ConfigError, Diagnostic, ExperimentConfig, default_config,
                      exponent_ledger, load_config, parse_toml, validate_config)
 from .experiments import ExperimentReport, TargetCheck, run_experiment
-from .io import CacheCorruption, DiskCache, write_csv, write_json
+from .io import write_csv, write_json
 from .maps import (ALPHA_STAR, ParameterSchedule, apply_map_batch,
                    lsv_left_inverse, sequential_orbit)
 from .mesh import (Density, Mesh, graded_mesh, project, uniform_density,
@@ -23,9 +23,9 @@ from .transfer import (DecayResult, cone_step_surrogate, loss_of_memory_distance
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_STAR", "BlockStructure", "CacheCorruption",
-    "ConfigError", "DecayResult", "Density", "DEFAULT_ZETA", "Diagnostic",
-    "DiskCache", "EstimateWithCI", "ExperimentConfig", "ExperimentReport",
+    "ALPHA_STAR", "BlockStructure", "ConfigError", "DecayResult", "Density",
+    "DEFAULT_ZETA", "Diagnostic", "EstimateWithCI", "ExperimentConfig",
+    "ExperimentReport",
     "Mesh", "MixingGap", "Observable", "ParameterSchedule", "RNGSpec",
     "RecurrenceParams", "TargetCheck", "ThresholdSchedule",
     "apply_map_batch", "build_blocks", "build_threshold_schedule",

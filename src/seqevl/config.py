@@ -15,9 +15,10 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .maps import ALPHA_STAR, ParameterSchedule
-from .mesh import Mesh, graded_mesh, uniform_mesh
+from .mesh import (DEFAULT_CELLS, DEFAULT_MIN_WIDTH, DEFAULT_RATIO, Mesh,
+                   graded_mesh, uniform_mesh)
 from .recurrence import RecurrenceParams
-from .thresholds import DEFAULT_ZETA, Observable
+from .thresholds import Observable
 
 EXPERIMENT_KINDS = ("evl", "calibrate", "dprime", "d0", "decay",
                     "recurrence", "orbit")
@@ -71,10 +72,10 @@ class ScheduleSpec:
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    form: str = "log"
-    zeta: float = DEFAULT_ZETA
-    power: float = 2.0
-    cap: float = 1.0
+    form: str = Observable.form
+    zeta: float = Observable.zeta
+    power: float = Observable.power
+    cap: float = Observable.cap
 
     def build(self) -> Observable:
         return Observable(form=self.form, zeta=self.zeta, power=self.power,
@@ -84,9 +85,9 @@ class ObservableSpec:
 @dataclass(frozen=True)
 class MeshSpec:
     kind: str = "graded"
-    cells: int = 1024
-    ratio: float = 0.97
-    min_width: float = 1e-8
+    cells: int = DEFAULT_CELLS
+    ratio: float = DEFAULT_RATIO
+    min_width: float = DEFAULT_MIN_WIDTH
 
     def build(self) -> Mesh:
         if self.kind == "graded":
@@ -108,10 +109,10 @@ class ExponentSpec:
 
 @dataclass(frozen=True)
 class RecurrenceSpec:
-    beta: float = 0.3
-    kappa: float = 0.2
-    xi: float = 0.05
-    gamma: float = 3.0
+    beta: float = RecurrenceParams.beta
+    kappa: float = RecurrenceParams.kappa
+    xi: float = RecurrenceParams.xi
+    gamma: float = RecurrenceParams.gamma
 
     def build(self, alpha_star: float = ALPHA_STAR) -> RecurrenceParams:
         return RecurrenceParams(alpha_star=alpha_star, beta=self.beta,
@@ -352,8 +353,6 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         error("bad-samples", "sample count must be positive")
     if config.workers < 1:
         error("bad-workers", "worker count must be positive")
-    if config.mesh.cells < 2:
-        error("bad-mesh", "mesh needs at least 2 cells")
     if not 0.0 < config.observable.zeta < 1.0:
         error("bad-zeta", "zeta must lie strictly inside (0, 1)")
     if not 0.0 <= config.x0 <= 1.0:
@@ -378,12 +377,12 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         error("bad-exponents", "xi must lie in (0, 1)")
 
     # the run builds these specs, and their constructors check the rest
-    # (mesh kind and ratio, observable form and power, schedule mode, cycle
-    # and iid bounds); a spec already flagged above is not built
+    # (mesh kind, cells and ratio, observable form and power, schedule mode,
+    # cycle and iid bounds); a spec already flagged above is not built
     raised = {d.code for d in out}
     for code, spec, own in (
             ("bad-schedule", sched, {"bad-alpha", "alpha-above-star"}),
-            ("bad-mesh", config.mesh, {"bad-mesh"}),
+            ("bad-mesh", config.mesh, set()),
             ("bad-observable", config.observable, {"bad-zeta"})):
         if not own & raised:
             try:

@@ -28,7 +28,8 @@ def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Partition of [0, 1] into cells given by strictly increasing boundaries.
+    """Partition of [0, 1] into at least 2 cells given by strictly increasing
+    boundaries.
 
     The boundaries are a read-only copy of the caller's array, so `widths`,
     `fingerprint()` and the transfer module's per-mesh tables can be
@@ -39,8 +40,8 @@ class Mesh:
 
     def __post_init__(self):
         b = np.array(self.boundaries, dtype=float)
-        if b.ndim != 1 or b.size < 2:
-            raise ValueError("mesh needs at least two boundaries")
+        if b.ndim != 1 or b.size < 3:
+            raise ValueError("mesh needs at least 2 cells")
         if b[0] != 0.0 or b[-1] != 1.0:
             raise ValueError("mesh must span [0, 1] exactly")
         if not np.all(np.diff(b) > 0):
@@ -103,8 +104,6 @@ def graded_mesh(n_cells: int = DEFAULT_CELLS, ratio: float = DEFAULT_RATIO,
     """
     if not 0 < ratio < 1:
         raise ValueError("ratio must lie in (0, 1)")
-    if n_cells < 2:
-        raise ValueError("need at least 2 cells")
     # raw geometric widths, largest at the x=1 end (index n_cells-1)
     w = ratio ** np.arange(n_cells - 1, -1, -1, dtype=float)
     w /= w.sum()

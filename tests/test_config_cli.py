@@ -28,6 +28,9 @@ from seqevl.config import (
     parse_toml,
     validate_config,
 )
+from seqevl.mesh import graded_mesh
+from seqevl.recurrence import RecurrenceParams
+from seqevl.thresholds import Observable
 
 
 # -------------------------------------------------------------------- TOML
@@ -170,6 +173,12 @@ def test_readme_config_block_is_the_default_config():
             assert data[name].keys() == value.keys(), name
 
 
+def test_spec_defaults_are_the_builders_defaults():
+    assert ObservableSpec().build() == Observable()
+    assert RecurrenceSpec().build() == RecurrenceParams()
+    assert MeshSpec().build().fingerprint() == graded_mesh().fingerprint()
+
+
 def test_ns_prefers_ladder():
     assert default_config("evl", n=7).ns() == (7,)
     assert default_config("evl", n=7, n_ladder=(2, 4)).ns() == (2, 4)
@@ -241,12 +250,15 @@ HARD_ERRORS = [
     (dict(kind="d0", n_ladder=(250, 500)), "bad-n"),
     (dict(kind="orbit", n_ladder=(100, 50)), "bad-n"),
     (dict(kind="recurrence", n_ladder=(100,)), "bad-n"),
-    # the builders alone catch an empty explicit cycle and iid lo == hi;
-    # validate_config itself a one-cell uniform mesh and a negative iid lo
+    # the builders alone catch an empty explicit cycle, iid lo == hi and a
+    # one-cell uniform mesh; validate_config itself a negative iid lo
     (dict(schedule=ScheduleSpec(mode="explicit", cycle=())), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="iid", lo=0.1, hi=0.1)), "bad-schedule"),
     (dict(mesh=MeshSpec(kind="uniform", cells=1)), "bad-mesh"),
     (dict(schedule=ScheduleSpec(mode="iid", lo=-0.1)), "bad-alpha"),
+    # Mesh itself refuses fewer than 2 cells, whichever builder made it
+    *[(dict(mesh=MeshSpec(kind=kind, cells=cells)), "bad-mesh")
+      for kind in ("graded", "uniform") for cells in (0, -1, -5)],
 ]
 
 

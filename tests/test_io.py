@@ -1,10 +1,9 @@
-"""Artifact writers and the checksummed disk cache."""
+"""Artifact writers."""
 
 import numpy as np
 import pytest
 
-from seqevl.io import CacheCorruption, DiskCache, write_csv, write_json
-from seqevl.mesh import graded_mesh, uniform_density
+from seqevl.io import write_csv, write_json
 
 
 def test_write_csv_rfc4180(tmp_path):
@@ -36,62 +35,3 @@ def test_write_json_sorted_and_numpy_safe(tmp_path):
 def test_write_json_rejects_unknown_types(tmp_path):
     with pytest.raises(TypeError):
         write_json(tmp_path / "bad.json", {"x": object()})
-
-
-# -------------------------------------------------------------------- cache
-
-def test_cache_trajectory_round_trip(tmp_path):
-    cache = DiskCache(tmp_path / "cache")
-    mesh = graded_mesh(64)
-    f0 = uniform_density(mesh)
-    alphas = np.full(5, 0.1)
-    values = np.random.default_rng(3).random((6, 64))
-    assert cache.load_trajectory(alphas, f0) is None
-    cache.store_trajectory(alphas, f0, values)
-    back = cache.load_trajectory(alphas, f0)
-    np.testing.assert_array_equal(back, values)
-    # key includes the alpha sequence
-    assert cache.load_trajectory(np.full(5, 0.12), f0) is None
-
-
-def test_cache_detects_checksum_mismatch(tmp_path):
-    cache = DiskCache(tmp_path / "cache")
-    mesh = graded_mesh(32)
-    f0 = uniform_density(mesh)
-    alphas = np.full(3, 0.1)
-    cache.store_trajectory(alphas, f0, np.ones((4, 32)))
-    (entry,) = list((tmp_path / "cache").glob("*.npz"))
-    # rewrite the entry with a stale digest: same arrays, tampered checksum
-    with np.load(entry) as data:
-        arrays = {name: data[name] for name in data.files}
-    arrays["__checksum__"] = arrays["__checksum__"].copy()
-    arrays["__checksum__"][0] ^= 0xFF
-    np.savez_compressed(entry, **arrays)
-    with pytest.raises(CacheCorruption):
-        cache.load_trajectory(alphas, f0)
-
-
-def test_cache_detects_slab_damage(tmp_path):
-    cache = DiskCache(tmp_path / "cache")
-    mesh = graded_mesh(32)
-    f0 = uniform_density(mesh)
-    alphas = np.full(3, 0.1)
-    cache.store_trajectory(alphas, f0, np.ones((4, 32)))
-    (entry,) = list((tmp_path / "cache").glob("*.npz"))
-    raw = bytearray(entry.read_bytes())
-    mid = len(raw) // 2
-    raw[mid:mid + 300] = bytes(300)  # stomp the payload
-    entry.write_bytes(bytes(raw))
-    with pytest.raises(CacheCorruption):
-        cache.load_trajectory(alphas, f0)
-
-
-def test_cache_clear(tmp_path):
-    cache = DiskCache(tmp_path / "cache")
-    mesh = graded_mesh(32)
-    f0 = uniform_density(mesh)
-    cache.store_trajectory(np.full(2, 0.1), f0, np.ones((3, 32)))
-    assert list((tmp_path / "cache").glob("*.npz"))
-    cache.clear()
-    assert not list((tmp_path / "cache").glob("*.npz"))
-    assert cache.load_trajectory(np.full(2, 0.1), f0) is None

@@ -19,6 +19,10 @@ def test_mesh_validation():
     with pytest.raises(ValueError):
         Mesh(np.array([0.0]))
     with pytest.raises(ValueError):
+        Mesh(np.array([0.0, 1.0]))  # at least 2 cells, whichever builder
+    with pytest.raises(ValueError):
+        uniform_mesh(1)
+    with pytest.raises(ValueError):
         Mesh(np.array([0.0, 0.5, 0.9]))  # must end at 1
     with pytest.raises(ValueError):
         Mesh(np.array([0.1, 0.5, 1.0]))  # must start at 0
