@@ -1,13 +1,15 @@
 """Command-line entry point.
 
 Exit codes: 0 when every check passes, 2 when a quantitative check fails,
-1 on configuration or runtime errors.
+1 on usage, configuration or runtime errors.  INFO checks are reported and
+never fail a run.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,7 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=Path, help="TOML config file")
     common.add_argument("--seed", type=int, help="override the RNG seed")
     common.add_argument("--out", type=Path, help="override the output directory")
-    common.add_argument("--workers", type=int, help="worker thread cap")
     common.add_argument("--mesh", type=int, help="override the mesh cell count")
     parser = argparse.ArgumentParser(
         prog="seqevl",
@@ -56,8 +57,6 @@ def _config_from_args(args) -> object:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out_dir=str(args.out))
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
     if args.mesh is not None:
         cfg = replace(cfg, mesh=replace(cfg.mesh, cells=args.mesh))
     return cfg
@@ -82,7 +81,11 @@ def _run_validate(cfg, stdout) -> int:
 def main(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    args = build_parser().parse_args(argv)
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; a usage error exits 1, as 2 is a failed check
+        return 1 if exc.code else 0
     try:
         cfg = _config_from_args(args)
         if args.command == "validate":
@@ -91,7 +94,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         for warn in report.warnings:
             print(f"[WARN] {warn.code}: {warn.message}", file=stdout)
         for check in report.checks:
-            status = "PASS" if check.passed else "FAIL"
+            status = "INFO" if check.info else "PASS" if check.passed else "FAIL"
             print(f"[{status}] {check.name}: measured={check.measured:.6g} "
                   f"target={check.target:.6g} tol={check.tolerance:.6g}",
                   file=stdout)

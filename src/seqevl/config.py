@@ -17,6 +17,7 @@ from pathlib import Path
 from .maps import ALPHA_STAR, ParameterSchedule
 from .mesh import (DEFAULT_CELLS, DEFAULT_MIN_WIDTH, DEFAULT_RATIO, Mesh,
                    graded_mesh, uniform_mesh)
+from .montecarlo import DEFAULT_BETA, DEFAULT_KAPPA
 from .recurrence import RecurrenceParams
 from .thresholds import Observable
 
@@ -101,8 +102,8 @@ class MeshSpec:
 class ExponentSpec:
     """Blocking exponents for the extreme-value estimators."""
 
-    beta: float = 0.9
-    kappa: float = 0.85
+    beta: float = DEFAULT_BETA
+    kappa: float = DEFAULT_KAPPA
     xi: float = 0.05
     eta: float = 1.8
 
@@ -127,6 +128,7 @@ class ExperimentConfig:
     n_ladder: tuple[int, ...] = ()
     n_samples: int = 100_000
     seed: int = DEFAULT_SEED
+    # the Monte Carlo sweep runs on one thread, so 1 is the key's one legal value
     workers: int = 1
     out_dir: str = "runs"
     x0: float = 0.3
@@ -351,8 +353,8 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         error("bad-tau", f"tau/n exceeds total mass 1 at n = {n}; no calibration exists")
     if config.n_samples < 1:
         error("bad-samples", "sample count must be positive")
-    if config.workers < 1:
-        error("bad-workers", "worker count must be positive")
+    if config.workers != 1:
+        error("bad-workers", "workers must be 1: the Monte Carlo sweep runs on one thread")
     if not 0.0 < config.observable.zeta < 1.0:
         error("bad-zeta", "zeta must lie strictly inside (0, 1)")
     if not 0.0 <= config.x0 <= 1.0:

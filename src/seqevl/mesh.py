@@ -92,7 +92,8 @@ class Mesh:
 
 
 def uniform_mesh(n_cells: int = DEFAULT_CELLS) -> Mesh:
-    return Mesh(np.linspace(0.0, 1.0, n_cells + 1))
+    # no boundaries for a negative count, so Mesh refuses it with its own message
+    return Mesh(np.linspace(0.0, 1.0, max(n_cells + 1, 0)))
 
 
 def graded_mesh(n_cells: int = DEFAULT_CELLS, ratio: float = DEFAULT_RATIO,

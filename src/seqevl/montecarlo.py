@@ -7,10 +7,9 @@ the mixing gap of condition D_0.
 
 Determinism contract: every estimator draws its inputs from counter-based
 streams keyed by (seed, labels) and walks them with one shared sweep, which
-cuts the samples into fixed chunks of CHUNK_SIZE and sums per-chunk event
-counts in chunk order.  Worker threads only spread the chunks out; the
-combined counts, and therefore every estimate, are identical for any worker
-count.
+cuts the samples into chunks of CHUNK_SIZE, walks them in order on one
+thread and sums per-chunk event counts in chunk order.  The counts are exact
+integers, so every estimate is identical for any chunk size.
 
 The module needs only numpy to import: `scipy.special` is loaded inside
 `EstimateWithCI.from_counts`, and only for an exact Clopper-Pearson
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 
@@ -88,16 +86,15 @@ class EstimateWithCI:
 
 
 def _sweep(schedule: ParameterSchedule, rng: RNGSpec, label: str, n_samples: int,
-           workers: int, steps: int, chunk):
+           steps: int, chunk):
     """Walk n_samples uniform orbits through positions 0..steps-1 and sum the counts.
 
     chunk(size) -> (visit, result) sets up one chunk's accumulators.
     visit(i, x) sees the chunk's points after i map steps; it may return a
     keep-mask, and then only the kept points walk on, the chunk stopping
     once none are left.  result() gives the chunk's tuple of counts.
-    Chunk boundaries depend only on n_samples, and the per-chunk tuples
-    (exact integers, or floats) are summed in chunk order, so the totals
-    are invariant under the worker count.
+    Chunk boundaries depend only on n_samples and CHUNK_SIZE, and the
+    per-chunk tuples (exact integers, or floats) are summed in chunk order.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -117,12 +114,7 @@ def _sweep(schedule: ParameterSchedule, rng: RNGSpec, label: str, n_samples: int
                     break
         return result()
 
-    starts = range(0, n_samples, CHUNK_SIZE)
-    if workers <= 1:
-        results = [run(lo) for lo in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, starts))
+    results = [run(lo) for lo in range(0, n_samples, CHUNK_SIZE)]
     # plain left-to-right adds; sum() would compensate float rounding on Python >= 3.12
     return [reduce(operator.add, parts) for parts in zip(*results)]
 
@@ -132,7 +124,7 @@ def _sweep(schedule: ParameterSchedule, rng: RNGSpec, label: str, n_samples: int
 
 
 def estimate_Pn(ts: ThresholdSchedule, rng: RNGSpec, n_samples: int = 100_000,
-                workers: int = 1, label: str = "pn") -> EstimateWithCI:
+                label: str = "pn") -> EstimateWithCI:
     """P(no exceedance through step n-1) for calibrated thresholds.
 
     Orbits that exceed are dropped at once: exceedance at each step is a
@@ -152,12 +144,12 @@ def estimate_Pn(ts: ThresholdSchedule, rng: RNGSpec, n_samples: int = 100_000,
 
         return visit, lambda: (alive,)
 
-    (survivors,) = _sweep(ts.schedule, rng, label, n_samples, workers, ts.n, chunk)
+    (survivors,) = _sweep(ts.schedule, rng, label, n_samples, ts.n, chunk)
     return EstimateWithCI.from_counts(survivors, n_samples)
 
 
 def estimate_exceedances(ts: ThresholdSchedule, indices, rng: RNGSpec,
-                         n_samples: int = 100_000, workers: int = 1,
+                         n_samples: int = 100_000,
                          label: str = "exceedance") -> list[EstimateWithCI]:
     """Monte Carlo estimates of the per-step exceedance masses m(X_i > u_i)."""
     idx = sorted(int(i) for i in indices)
@@ -176,7 +168,7 @@ def estimate_exceedances(ts: ThresholdSchedule, indices, rng: RNGSpec,
 
         return visit, lambda: (counts,)
 
-    (counts,) = _sweep(ts.schedule, rng, label, n_samples, workers, idx[-1] + 1, chunk)
+    (counts,) = _sweep(ts.schedule, rng, label, n_samples, idx[-1] + 1, chunk)
     return [EstimateWithCI.from_counts(int(k), n_samples) for k in counts]
 
 
@@ -232,8 +224,7 @@ def build_blocks(ts: ThresholdSchedule, k_n: int | None = None,
 
 
 def dprime_sum(ts: ThresholdSchedule, blocks: BlockStructure, rng: RNGSpec,
-               n_samples: int = 100_000, workers: int = 1,
-               label: str = "dprime") -> EstimateWithCI:
+               n_samples: int = 100_000, label: str = "dprime") -> EstimateWithCI:
     """Sum over blocks of the pairwise joint exceedance probabilities.
 
     The sum equals E[number of same-block exceedance pairs], so one orbit
@@ -257,7 +248,7 @@ def dprime_sum(ts: ThresholdSchedule, blocks: BlockStructure, rng: RNGSpec,
 
         return visit, lambda: (int(pairs.sum()), int((pairs * pairs).sum()))
 
-    total, total_sq = _sweep(ts.schedule, rng, label, n_samples, workers, ts.n, chunk)
+    total, total_sq = _sweep(ts.schedule, rng, label, n_samples, ts.n, chunk)
     return EstimateWithCI.from_moments(float(total), float(total_sq), n_samples)
 
 
@@ -279,8 +270,7 @@ class MixingGap:
 
 
 def d0_mixing_gap(ts: ThresholdSchedule, i: int, t: int, ell: int, rng: RNGSpec,
-                  n_samples: int = 100_000, workers: int = 1,
-                  label: str = "d0") -> MixingGap:
+                  n_samples: int = 100_000, label: str = "d0") -> MixingGap:
     """|P(A_i and no exceedance on [i+t, i+t+ell)) - P(A_i) P(same window)|.
 
     All four joint outcome counts are integers, so the covariance and its
@@ -308,7 +298,7 @@ def d0_mixing_gap(ts: ThresholdSchedule, i: int, t: int, ell: int, rng: RNGSpec,
         return visit, lambda: (int(np.count_nonzero(a & w)), int(np.count_nonzero(a)),
                                int(np.count_nonzero(w)))
 
-    n11, na, nw = _sweep(ts.schedule, rng, label, n_samples, workers, last + 1, chunk)
+    n11, na, nw = _sweep(ts.schedule, rng, label, n_samples, last + 1, chunk)
     N = n_samples
     pa, pw, p11 = na / N, nw / N, n11 / N
     cov = p11 - pa * pw

@@ -500,7 +500,7 @@ def correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
 
 
 def mc_correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
-                      rng: RNGSpec, n_samples: int = 100_000, workers: int = 1,
+                      rng: RNGSpec, n_samples: int = 100_000,
                       label: str = "dc") -> EstimateWithCI:
     """Monte Carlo cross-check of correlation_DC: cov(phi(x_i), psi(x_{i+t}))."""
 
@@ -525,7 +525,7 @@ def mc_correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
         return visit, lambda: (float(np.sum(u * v)), float(np.sum(u)), float(np.sum(v)),
                                float(np.sum((u * v) ** 2)))
 
-    suv, su, sv, suv2 = _sweep(schedule, rng, label, n_samples, workers, i + t + 1, chunk)
+    suv, su, sv, suv2 = _sweep(schedule, rng, label, n_samples, i + t + 1, chunk)
     N = n_samples
     mu_uv, mu_u, mu_v = suv / N, su / N, sv / N
     cov = mu_uv - mu_u * mu_v

@@ -5,11 +5,12 @@ here is tuned to pass.  Expected runtime is a couple of minutes.
 """
 
 import json
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seqevl import montecarlo
 from seqevl.config import MeshSpec, ScheduleSpec, ExponentSpec, default_config, validate_config
 from seqevl.experiments import run_experiment
 from seqevl.maps import ParameterSchedule
@@ -303,28 +304,26 @@ def test_criterion_10_exponent_feasibility_region():
                for d in diags)
 
 
-def test_criterion_11_outputs_byte_identical_across_worker_counts(tmp_path):
+def test_criterion_11_outputs_byte_identical_across_chunk_sizes(tmp_path, monkeypatch):
     """For a fixed seed, the persisted data tables are byte-identical when
-    the same experiments run with 1, 4, and 8 workers."""
-    runs = {}
+    the Monte Carlo sweep cuts the samples into chunks of 16,384, of 1,000,
+    or into one chunk."""
+    n_samples = 49_163  # a short last chunk at both chunk sizes
+    assert montecarlo.CHUNK_SIZE == 16384
     for kind, extra in (("calibrate", dict(n=50)),
                         ("evl", dict(n_ladder=(50, 100)))):
-        cfg = default_config(kind, tau=1.0, n_samples=49_163, seed=SEED,
+        cfg = default_config(kind, tau=1.0, n_samples=n_samples, seed=SEED,
                              mesh=MeshSpec(cells=512), out_dir="unused",
                              **extra)
-        for workers in (1, 4, 8):
-            report = run_experiment(replace(cfg, workers=workers),
-                                    base_dir=tmp_path)
-            out = tmp_path / report.experiment_id
+        runs = {}
+        for size in (16384, 1000, n_samples):
+            monkeypatch.setattr(montecarlo, "CHUNK_SIZE", size)
+            report = run_experiment(cfg, base_dir=tmp_path / f"chunk-{size}")
+            out = Path(report.out_dir)
             tables = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
             assert tables, f"{kind}: no tables written"
             summary = json.loads((out / "summary.json").read_text())
-            measured = [c["measured"] for c in summary["checks"]]
-            key = (kind, workers)
-            runs[key] = (tables, measured)
-        base_tables, base_measured = runs[(kind, 1)]
-        for workers in (4, 8):
-            tables, measured = runs[(kind, workers)]
-            assert tables == base_tables, (
-                f"{kind}: CSV bytes differ between 1 and {workers} workers")
-            assert measured == base_measured
+            runs[size] = (tables, [c["measured"] for c in summary["checks"]])
+        for size in (1000, n_samples):
+            assert runs[size] == runs[16384], (
+                f"{kind}: outputs differ between chunks of 16384 and {size}")

@@ -1,5 +1,6 @@
 """Config parsing and validation, plus the command-line entry point."""
 
+import inspect
 import io
 import json
 import math
@@ -29,6 +30,7 @@ from seqevl.config import (
     validate_config,
 )
 from seqevl.mesh import graded_mesh
+from seqevl.montecarlo import build_blocks
 from seqevl.recurrence import RecurrenceParams
 from seqevl.thresholds import Observable
 
@@ -177,6 +179,9 @@ def test_spec_defaults_are_the_builders_defaults():
     assert ObservableSpec().build() == Observable()
     assert RecurrenceSpec().build() == RecurrenceParams()
     assert MeshSpec().build().fingerprint() == graded_mesh().fingerprint()
+    blocks = inspect.signature(build_blocks).parameters
+    assert ExponentSpec().beta == blocks["beta"].default
+    assert ExponentSpec().kappa == blocks["kappa"].default
 
 
 def test_ns_prefers_ladder():
@@ -259,6 +264,8 @@ HARD_ERRORS = [
     # Mesh itself refuses fewer than 2 cells, whichever builder made it
     *[(dict(mesh=MeshSpec(kind=kind, cells=cells)), "bad-mesh")
       for kind in ("graded", "uniform") for cells in (0, -1, -5)],
+    # the sweep runs on one thread; the key stays, and 1 is its one value
+    (dict(workers=2), "bad-workers"),
 ]
 
 
@@ -272,6 +279,9 @@ def test_hard_errors(overrides, code):
     cfg = _config_with(overrides)
     diags = validate_config(cfg)
     assert any(d.severity == "error" and d.code == code for d in diags), diags
+    if cfg.mesh.cells < 2:  # Mesh's own rule, whichever builder made the mesh
+        assert ("bad-mesh", "mesh needs at least 2 cells") in {
+            (d.code, d.message) for d in diags}, diags
 
 
 @pytest.mark.parametrize("overrides,code", [(o, c) for o, c in HARD_ERRORS if c != "bad-tau"])
@@ -442,6 +452,9 @@ def test_cli_recurrence_smoke(tmp_path):
     (run_dir,) = list((tmp_path / "runs").glob("recurrence-*"))
     for table in ("return_sets", "union_sets", "local"):
         assert (run_dir / f"{table}.csv").exists()
+    # the local bound's onset index is unknown, so it is reported, not checked
+    for j in (8, 16, 32):
+        assert f"[INFO] local-bound-j{j}: " in out
 
 
 def test_cli_decay_smoke(tmp_path):
@@ -460,32 +473,24 @@ def _artifact_dir(out: str) -> Path:
     return Path(line.removeprefix("artifacts: "))
 
 
-def test_cli_outputs_reproducible_across_workers_and_cache(tmp_path):
+def test_cli_outputs_reproducible_across_reruns(tmp_path):
     cfg = default_config("calibrate", tau=1.0, n=25, n_samples=49_259,
                          out_dir=str(tmp_path / "runs"), mesh=MeshSpec(cells=512))
     path = tmp_path / "cal.toml"
     path.write_text(cfg.to_toml())
 
-    # each worker override hashes to its own run dir; tables must still agree
-    code, out, _ = run_cli(["calibrate", "--config", str(path), "--workers", "1"])
+    code, out, _ = run_cli(["calibrate", "--config", str(path)])
     assert code == 0
     run_dir = _artifact_dir(out)
     first = {f.name: f.read_bytes() for f in run_dir.glob("*.csv")}
     assert set(first) == {"calibration.csv", "thresholds.csv"}
 
-    # same seed, more workers: byte-identical tables
-    code, out, _ = run_cli(["calibrate", "--config", str(path), "--workers", "4"])
-    assert code == 0
-    more_workers = _artifact_dir(out)
-    assert more_workers != run_dir
-    for name, blob in first.items():
-        assert (more_workers / name).read_bytes() == blob
-
     # runs keep no state between them: no cache, and a rerun agrees byte for byte
     assert not (tmp_path / "runs" / "cache").exists()
-    code, out, _ = run_cli(["calibrate", "--config", str(path), "--workers", "2"])
+    code, out, _ = run_cli(["calibrate", "--config", str(path)])
     assert code == 0
     rerun = _artifact_dir(out)
+    assert rerun == run_dir
     for name, blob in first.items():
         assert (rerun / name).read_bytes() == blob
 
@@ -496,3 +501,36 @@ def test_cli_outputs_reproducible_across_workers_and_cache(tmp_path):
     assert (other_dir / "calibration.csv").read_bytes() != first["calibration.csv"]
     # thresholds are operator-side and deterministic, so those agree
     assert (other_dir / "thresholds.csv").read_bytes() == first["thresholds.csv"]
+
+
+@pytest.mark.parametrize("argv", [["evl", "--workers", "2"], ["evl", "--bogus"]])
+def test_cli_usage_error_exits_one(argv):
+    # 2 is a failed check, so a script passing a retired flag must not read as one
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: seqevl ")
+    assert err.endswith(f"seqevl: error: unrecognized arguments: {' '.join(argv[1:])}\n")
+
+
+def test_cli_help_exits_zero():
+    code, out, err = run_cli(["evl", "--help"])
+    assert code == 0
+    assert out.startswith("usage: seqevl evl") and "--workers" not in out
+    assert err == ""
+
+
+def test_cli_dprime_plateau_trend_is_info(tmp_path):
+    # k_n = round(n ** 0.1) is 2 at both rungs, and inside a k_n plateau the
+    # pair sum may rise on a correct program: reported, never a failure
+    cfg = default_config("dprime", n_ladder=(250, 500), n_samples=20_000,
+                         out_dir=str(tmp_path / "runs"), mesh=MeshSpec(cells=512))
+    path = tmp_path / "dprime.toml"
+    path.write_text(cfg.to_toml())
+    code, out, _ = run_cli(["dprime", "--config", str(path)])
+    assert code == 0
+    (line,) = [l for l in out.splitlines() if "dprime-trend-250-500" in l]
+    assert line.startswith("[INFO] dprime-trend-250-500: ")
+    summary = json.loads((_artifact_dir(out) / "summary.json").read_text())
+    (check,) = summary["checks"]
+    assert check["info"] is True and check["passed"] is True

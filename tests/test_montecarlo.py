@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from seqevl import montecarlo
 from seqevl.config import exponent_ledger
 from seqevl.maps import ALPHA_STAR
 from seqevl.mesh import graded_mesh
@@ -23,6 +24,18 @@ from seqevl.thresholds import Observable, build_threshold_schedule
 from reference import correlation_DC, lsv_apply, mc_correlation_DC
 
 N_FAST = 20_000
+N_CHUNKED = 3 * 16384 + 777  # a short last chunk at CHUNK_SIZE 16,384 and at 1,000
+
+
+def at_chunk_sizes(monkeypatch, estimate) -> list:
+    """estimate() with CHUNK_SIZE at its 16,384, at 1,000 and with all
+    N_CHUNKED samples in one chunk."""
+    assert montecarlo.CHUNK_SIZE == 16384
+    out = []
+    for size in (16384, 1000, N_CHUNKED):
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", size)
+        out.append(estimate())
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -108,11 +121,10 @@ def test_estimate_pn_single_step_closed_form(mesh512, const01):
     assert abs(e.value - 0.5) <= 3.0 * e.se
 
 
-def test_estimate_pn_worker_invariance(ts20):
-    rng = RNGSpec(11)
-    one = estimate_Pn(ts20, rng, n_samples=3 * 16384 + 777, workers=1)
-    four = estimate_Pn(ts20, rng, n_samples=3 * 16384 + 777, workers=4)
-    assert one.value == four.value and one.se == four.se
+def test_estimate_pn_chunk_size_invariance(ts20, monkeypatch):
+    runs = at_chunk_sizes(monkeypatch,
+                          lambda: estimate_Pn(ts20, RNGSpec(11), n_samples=N_CHUNKED))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_estimate_pn_sample_size_consistency(ts20):
@@ -183,11 +195,11 @@ def test_dprime_zero_for_zero_tau(mesh512, const01):
     assert e.value == 0.0
 
 
-def test_dprime_worker_invariance(ts20):
+def test_dprime_chunk_size_invariance(ts20, monkeypatch):
     blocks = build_blocks(ts20, k_n=4)
-    one = dprime_sum(ts20, blocks, RNGSpec(29), n_samples=N_FAST, workers=1)
-    four = dprime_sum(ts20, blocks, RNGSpec(29), n_samples=N_FAST, workers=4)
-    assert one.value == four.value and one.se == four.se
+    runs = at_chunk_sizes(monkeypatch,
+                          lambda: dprime_sum(ts20, blocks, RNGSpec(29), n_samples=N_CHUNKED))
+    assert runs[0] == runs[1] == runs[2]
 
 
 # --------------------------------------------------------------- mixing gap
@@ -216,12 +228,11 @@ def test_d0_small_for_separated_events(ts20):
     assert 0.5 < g.p_window <= 1.0
 
 
-def test_d0_worker_invariance(ts20):
-    one = d0_mixing_gap(ts20, i=1, t=4, ell=3, rng=RNGSpec(41),
-                        n_samples=N_FAST, workers=1)
-    four = d0_mixing_gap(ts20, i=1, t=4, ell=3, rng=RNGSpec(41),
-                         n_samples=N_FAST, workers=4)
-    assert one.covariance == four.covariance and one.se == four.se
+def test_d0_chunk_size_invariance(ts20, monkeypatch):
+    runs = at_chunk_sizes(monkeypatch,
+                          lambda: d0_mixing_gap(ts20, i=1, t=4, ell=3, rng=RNGSpec(41),
+                                                n_samples=N_CHUNKED))
+    assert runs[0] == runs[1] == runs[2]
 
 
 # ------------------------------------------------------------ decorrelation
