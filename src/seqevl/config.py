@@ -345,6 +345,8 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         error("bad-n", f"{config.kind} runs one horizon; n_ladder may hold one entry at most")
     if config.kind == "recurrence" and config.n_ladder:
         error("bad-n", "recurrence reads no horizon; n_ladder must be empty")
+    if config.kind == "d0" and config.ns()[-1] == 1:
+        error("bad-n", "d0 needs n >= 2: an event step and a later window")
     # every horizon of a calibrating kind is calibrated, and
     # build_threshold_schedule refuses the same tau / n
     calibrated = config.ns() if config.kind in ("evl", "dprime", "calibrate", "d0") else ()

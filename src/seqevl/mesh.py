@@ -3,7 +3,8 @@
 The mesh is graded geometrically toward the neutral fixed point at 0,
 where orbit speeds and invariant densities vary fastest.  Densities are
 stored as cell averages, so every integral reduces to exact interval
-arithmetic on the prefix-mass table.
+arithmetic on the prefix-mass table.  One Density may also hold a stack
+of densities on one mesh, one per row, whose masses are read together.
 """
 
 from __future__ import annotations
@@ -16,15 +17,6 @@ import numpy as np
 DEFAULT_CELLS = 1024
 DEFAULT_RATIO = 0.97
 DEFAULT_MIN_WIDTH = 1e-8
-
-_GL_NODES_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
-    if k not in _GL_NODES_CACHE:
-        _GL_NODES_CACHE[k] = np.polynomial.legendre.leggauss(k)
-    return _GL_NODES_CACHE[k]
-
 
 @dataclass(frozen=True)
 class Mesh:
@@ -123,6 +115,8 @@ class Density:
     Values may be signed; most operators preserve nonnegativity but the
     decorrelation functional pushes signed cell data through the same code
     path.  `prefix_mass` caches the exact running integral used by cdf().
+    A stacked Density (`Density.stack`) holds one density per row of a 2-D
+    `values`, with `prefix_mass` along the last axis.
     """
 
     mesh: Mesh
@@ -136,6 +130,27 @@ class Density:
         self.values = v
         self._rebuild_prefix()
 
+    @classmethod
+    def stack(cls, densities) -> "Density":
+        """The densities of a list on one mesh as one stacked Density, row i
+        a copy of densities[i]'s values and prefix masses."""
+        mesh = densities[0].mesh
+        for d in densities:
+            if d.mesh is not mesh:
+                _same_mesh(d.mesh, mesh)
+        # the rows' prefixes are copied, not rebuilt by __post_init__
+        out = cls.__new__(cls)
+        out.mesh = mesh
+        out.values = np.array([d.values for d in densities])
+        out.prefix_mass = np.array([d.prefix_mass for d in densities])
+        return out
+
+    def __len__(self) -> int:
+        """Number of rows of a stacked Density."""
+        if self.values.ndim != 2:
+            raise TypeError("a single density has no rows")
+        return len(self.values)
+
     def _rebuild_prefix(self):
         p = np.empty(self.values.size + 1)
         p[0] = 0.0
@@ -147,16 +162,15 @@ class Density:
         return float(self.prefix_mass[-1])
 
     def cdf(self, x) -> np.ndarray:
-        """Exact integral of the density over [0, x] (vectorized)."""
+        """Exact integral of the density over [0, x] (vectorized).  Row i of a
+        stack is read at x[..., i]: x broadcasts against the rows along its
+        last axis, so a scalar or a last axis of length 1 is read by all."""
         cell, offset = self.mesh.locate(x)
-        return self.prefix_mass[cell] + self.values[cell] * offset
+        at = (cell,) if self.values.ndim == 1 else (np.arange(len(self)), cell)
+        return self.prefix_mass[at] + self.values[at] * offset
 
     def interval_mass(self, lo, hi) -> np.ndarray:
         return self.cdf(hi) - self.cdf(lo)
-
-    def l1_distance(self, other: "Density") -> float:
-        _same_mesh(self.mesh, other.mesh)
-        return float(np.sum(np.abs(self.values - other.values) * self.mesh.widths))
 
     def difference(self, other: "Density") -> "Density":
         _same_mesh(self.mesh, other.mesh)
@@ -181,7 +195,7 @@ def uniform_density(mesh: Mesh) -> Density:
 def project(fn, mesh: Mesh) -> Density:
     """Project a pointwise function onto the mesh by per-cell 8-point
     Gauss-Legendre averages."""
-    nodes, weights = _gauss_legendre(8)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
     mid = mesh.midpoints[:, None]
     half = 0.5 * mesh.widths[:, None]
     x = mid + half * nodes[None, :]

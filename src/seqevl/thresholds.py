@@ -8,9 +8,10 @@ which makes every step carry identical exceedance mass.  For piecewise-
 constant densities that window mass is piecewise linear in delta, so each
 radius is an exact kink inversion rather than an iterative search.  Every
 horizon of a run reads the same density at step i, so one streamed push
-calibrates all of them, a block of densities at a time.  Whether the radii
-obey the density-cone bounds of the paper is checked by the tests, not by a
-run.
+calibrates all of them, a block at a time: each block is one stacked
+Density, whose window masses Density.interval_mass reads for every row.
+Whether the radii obey the density-cone bounds of the paper is checked by
+the tests, not by a run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import ParameterSchedule
-from .mesh import Density, Mesh, _same_mesh, uniform_density
+from .mesh import Density, Mesh, uniform_density
 from .transfer import push_density
 
 DEFAULT_ZETA = 1.0 / math.sqrt(2.0)
@@ -66,33 +67,9 @@ class Observable:
 _BLOCK = 32
 
 
-@dataclass(frozen=True)
-class _Stack:
-    """Densities on one mesh as rows of values and prefix masses, so row i
-    has F_i(x) = prefix[i, cell] + values[i, cell] * offset, as Density.cdf."""
-
-    mesh: Mesh
-    values: np.ndarray
-    prefix: np.ndarray
-
-    @classmethod
-    def of(cls, densities) -> "_Stack":
-        if isinstance(densities, cls):
-            return densities
-        mesh = densities[0].mesh
-        for d in densities:
-            if d.mesh is not mesh:
-                _same_mesh(d.mesh, mesh)
-        return cls(mesh, np.array([d.values for d in densities]),
-                   np.array([d.prefix_mass for d in densities]))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def calibrate_delta_ladder(densities, zeta: float, tau: float, n) -> np.ndarray:
+def calibrate_delta_ladder(densities: Density, zeta: float, tau: float, n) -> np.ndarray:
     """Radius delta with mass(zeta - delta, zeta + delta) = tau / n for every
-    density of a list on one mesh (or of a _Stack of them).
+    row of a stacked Density.
 
     n is one horizon or a 1-D array of horizons; an array adds a leading
     axis with one row of radii per horizon.  The window mass
@@ -110,49 +87,32 @@ def calibrate_delta_ladder(densities, zeta: float, tau: float, n) -> np.ndarray:
         raise ValueError("n must be positive")
     if not 0.0 < zeta < 1.0:
         raise ValueError("zeta must lie in (0, 1)")
-    if tau == 0.0 or not densities:
+    if tau == 0.0:
         return np.zeros(n.shape + (len(densities),))
     target = np.asarray(tau / n)[..., None]
     peak = tau / n.min()
-    stack = _Stack.of(densities)
-    mesh, values, prefix = stack.mesh, stack.values, stack.prefix
-    if np.any(peak > prefix[:, -1] * (1.0 + 1e-12)):  # Density.mass of every row
+    # the mass over [0, 1] is prefix_mass[..., -1] of every row, bit for bit
+    if np.any(peak > densities.interval_mass(0.0, 1.0) * (1.0 + 1e-12)):
         raise ValueError("requested exceedance mass exceeds the total mass")
-    kinks = np.unique(np.concatenate(([0.0], np.abs(mesh.boundaries - zeta))))
-
-    def cdf(x):  # F at x for every density, as Density.cdf computes it
-        cell, offset = mesh.locate(x)
-        return prefix[:, cell] + values[:, cell] * offset
-
+    kinks = np.unique(np.concatenate(([0.0], np.abs(densities.mesh.boundaries - zeta))))
     # the solution sits within the first few kinks unless tau / n is large,
     # so M is evaluated on a prefix of the kinks that grows until every
-    # density reaches the largest target in it (or the prefix is all kinks)
+    # density reaches the largest target in it (or the prefix is all kinks);
+    # window[m, i] is the mass of row i within kinks[m]
     k = 16
     while True:
-        window = cdf(zeta + kinks[:k]) - cdf(zeta - kinks[:k])
-        if k >= kinks.size or np.all(np.any(window >= peak, axis=1)):
+        radii = kinks[:k, None]
+        window = densities.interval_mass(zeta - radii, zeta + radii)
+        if k >= kinks.size or np.all(np.any(window >= peak, axis=0)):
             break
         k *= 16
     # j = 0 only where the mass stays below target (within the 1e-12
     # tolerance): that density gets the largest radius
-    j = np.argmax(window >= target[..., None], axis=-1)
-    at = np.arange(len(values))
-    m0, m1 = window[at, j - 1], window[at, j]
+    j = np.argmax(window >= target[..., None, :], axis=-2)
+    at = np.arange(len(densities))
+    m0, m1 = window[j - 1, at], window[j, at]
     d0, d1 = kinks[j - 1], kinks[j]
     return np.where(j > 0, d0 + (target - m0) / (m1 - m0) * (d1 - d0), kinks[-1])
-
-
-def _window_masses(densities, zeta: float, deltas: np.ndarray) -> np.ndarray:
-    """densities[i].interval_mass(zeta - deltas[..., i], zeta + deltas[..., i])
-    for every i, with the same arithmetic; deltas may carry leading axes.
-    densities is a list on one mesh or a _Stack of one."""
-    if not densities:
-        return np.zeros(np.shape(deltas))
-    stack = _Stack.of(densities)
-    cell, offset = stack.mesh.locate(np.stack((zeta - deltas, zeta + deltas), axis=-1))
-    at = np.arange(len(stack))[:, None]
-    cdf = stack.prefix[at, cell] + stack.values[at, cell] * offset
-    return cdf[..., 1] - cdf[..., 0]
 
 
 @dataclass
@@ -191,9 +151,9 @@ def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable
 
     alphas(m) is a prefix of alphas(n), so step i reads the same density f_i
     for every horizon n > i.  The pass pushes _BLOCK densities at a time,
-    stacks them once, calibrates the stack for every horizon that still
-    needs it, takes the step masses from the same stack and then drops it,
-    so no ladder is ever held whole.
+    stacks them into one Density, calibrates it for every horizon that still
+    needs it, takes the step masses from its interval_mass and then drops
+    it, so no ladder is ever held whole.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -210,11 +170,12 @@ def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable
     for start in range(0, top, _BLOCK):
         # rebinding drops the pushed densities once stacked, all but the next start
         block = push_density(alphas[start:start + _BLOCK], f)
-        f, block = block[-1], _Stack.of(block[:_BLOCK])
+        f, block = block[-1], Density.stack(block[:_BLOCK])
         live = slice(np.searchsorted(horizons, start, side="right"), None)
         rows = slice(start, start + len(block))
-        deltas[live, rows] = calibrate_delta_ladder(block, zeta, tau, horizons[live])
-        masses[live, rows] = _window_masses(block, zeta, deltas[live, rows])
+        radii = calibrate_delta_ladder(block, zeta, tau, horizons[live])
+        deltas[live, rows] = radii
+        masses[live, rows] = block.interval_mass(zeta - radii, zeta + radii)
     built = {}
     for h, n in enumerate(horizons.tolist()):
         built[n] = ThresholdSchedule(

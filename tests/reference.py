@@ -30,6 +30,7 @@ from `cli.main` to hold it to that).  What it holds:
   land in it.
 - `BumpFunction` and `bump_chi`: the collared bump observable.
 - `integrate_product`: composite midpoint quadrature of a product on a mesh.
+- `l1_distance`: the L1 distance of two densities on one mesh.
 - `observable_distance`, `observable_value` and `radius_for_level`: the
   observable g(|x - zeta|) evaluated pointwise, and the inverse of
   `Observable.level_for_radius`, so that the exceedance set {g > u} is the
@@ -48,7 +49,7 @@ import numpy as np
 
 from seqevl.maps import (ParameterSchedule, _check_alpha, _check_domain, apply_map_batch,
                          lsv_left_inverse)
-from seqevl.mesh import Density, Mesh, _gauss_legendre, project, uniform_density
+from seqevl.mesh import Density, Mesh, _same_mesh, project, uniform_density
 from seqevl.montecarlo import Z95, EstimateWithCI, RNGSpec, _sweep
 from seqevl.thresholds import Observable, ThresholdSchedule
 from seqevl.transfer import pf_apply, push_density
@@ -92,6 +93,12 @@ def lsv_preimages(alpha: float, y):
 # pushes of the reference discretizations
 
 
+def l1_distance(f: Density, g: Density) -> float:
+    """L1 distance of two densities on one mesh."""
+    _same_mesh(f.mesh, g.mesh)
+    return float(np.sum(np.abs(f.values - g.values) * f.mesh.widths))
+
+
 def pointwise_push(alpha: float, fn, mesh: Mesh) -> Density:
     """Apply one transfer operator to a pointwise callable and project the
     result onto the mesh.
@@ -102,7 +109,7 @@ def pointwise_push(alpha: float, fn, mesh: Mesh) -> Density:
     projecting fn first.
     """
     masses = np.zeros(mesh.n_cells)
-    nodes, weights = _gauss_legendre(8)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
     for pre in lsv_preimages(alpha, mesh.boundaries):
         mid = 0.5 * (pre[:-1] + pre[1:])
         half = 0.5 * np.diff(pre)
@@ -138,7 +145,7 @@ class UlamOperator:
         d = Density(self.mesh, np.ones(self.mesh.n_cells))
         for _ in range(max_iter):
             nxt = self.push(d).normalized()
-            if d.l1_distance(nxt) <= tol:
+            if l1_distance(d, nxt) <= tol:
                 return nxt
             d = nxt
         return d
@@ -399,7 +406,7 @@ def duality_residual(alpha: float, f, g, mesh: Mesh | None = None,
                       lsv_left_inverse(alpha, gb) if gb.size else np.empty(0),
                       0.5 * (gb + 1.0) if gb.size else np.empty(0)])
 
-    nodes, weights = _gauss_legendre(quad_points)
+    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
 
     def piecewise_integral(points, integrand):
         mid = 0.5 * (points[:-1] + points[1:])

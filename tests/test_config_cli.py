@@ -266,6 +266,9 @@ HARD_ERRORS = [
       for kind in ("graded", "uniform") for cells in (0, -1, -5)],
     # the sweep runs on one thread; the key stays, and 1 is its one value
     (dict(workers=2), "bad-workers"),
+    # the gap needs an event step and a later window, so two steps at least
+    (dict(kind="d0", n=1), "bad-n"),
+    (dict(kind="d0", n_ladder=(1,)), "bad-n"),
 ]
 
 

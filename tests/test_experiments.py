@@ -7,6 +7,7 @@ import pytest
 from seqevl import transfer
 from seqevl.config import MeshSpec, default_config
 from seqevl.experiments import run_experiment
+from seqevl.thresholds import DEFAULT_ZETA
 
 LADDER = (20, 40, 80)
 
@@ -43,3 +44,17 @@ def test_throughput_counts_the_monte_carlo_stage_only(tmp_path):
     assert metrics["samples_per_second"] == metrics["samples"] / metrics["montecarlo_seconds"]
     orbit = run_experiment(default_config("orbit"), base_dir=tmp_path).metrics
     assert orbit["montecarlo_seconds"] == orbit["samples_per_second"] == 0.0
+
+
+@pytest.mark.parametrize("tau,radius", [
+    (0.5, 0.25),  # tau/(2n) fits between zeta and 1
+    (0.8, 0.8 - (1.0 - DEFAULT_ZETA)),  # clipped at 1: tau/n - (1 - zeta)
+    (1.0, DEFAULT_ZETA),  # the whole of [0, 1]
+])
+def test_first_radius_target_is_the_clipped_uniform_ball(tau, radius, tmp_path):
+    cfg = default_config("calibrate", n=1, tau=tau, n_samples=2000, mesh=MeshSpec(cells=256))
+    check, = [c for c in run_experiment(cfg, base_dir=tmp_path).checks
+              if c.name == "first-radius"]
+    assert check.target == pytest.approx(radius, rel=1e-15)
+    assert check.measured == pytest.approx(radius, abs=1e-12)
+    assert check.passed

@@ -30,11 +30,6 @@ NEVER_CALLED_ALLOWED = {
     "DiskCache.load_trajectory", "DiskCache.store_trajectory",
     # the x2 mesh the operator route of ROADMAP item 1 pushes on
     "Mesh.refined",
-    # perfbench/tracing.py counts interval_mass calls, and interval_mass
-    # reads cdf
-    "Density.cdf", "Density.interval_mass",
-    # the tests' measure of how far two densities are apart
-    "Density.l1_distance",
 }
 
 # (command, config overrides) run under the profiler: every kind, every

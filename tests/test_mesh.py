@@ -12,7 +12,7 @@ from seqevl.mesh import (
     uniform_density,
     uniform_mesh,
 )
-from reference import integrate_product
+from reference import integrate_product, l1_distance
 
 
 def test_mesh_validation():
@@ -149,12 +149,12 @@ def test_l1_distance_and_difference():
     m = uniform_mesh(4)
     f = Density(m, np.array([1.0, 1.0, 1.0, 1.0]))
     g = Density(m, np.array([1.0, 2.0, 0.0, 1.0]))
-    assert f.l1_distance(g) == pytest.approx(0.5, abs=1e-15)
+    assert l1_distance(f, g) == pytest.approx(0.5, abs=1e-15)
     d = f.difference(g)
     assert d.mass == pytest.approx(0.0, abs=1e-15)
     m2 = uniform_mesh(5)
     with pytest.raises(ValueError):
-        f.l1_distance(uniform_density(m2))
+        l1_distance(f, uniform_density(m2))
 
 
 def test_normalized(mesh512):
@@ -180,6 +180,71 @@ def test_cdf_monotone_for_nonnegative_density(x):
     f = Density(m, np.linspace(0.2, 1.8, 64))
     assert 0.0 <= f.cdf(x) <= f.mass + 1e-12
     assert f.cdf(x) <= f.cdf(min(1.0, x + 0.1)) + 1e-15
+
+
+# ---------------------------------------------------------- stacked densities
+
+def signed_rows(mesh, count=5, seed=31):
+    rng = np.random.default_rng(seed)
+    return [Density(mesh, rng.standard_normal(mesh.n_cells)) for _ in range(count)]
+
+
+def row_by_row(densities, method, *xs):
+    """method of density i at x[..., i] of every x, along a last axis: the 1-D
+    calls a stack must reproduce bit for bit."""
+    *xs, _ = np.broadcast_arrays(*xs, np.empty(len(densities)))
+    return np.stack([getattr(d, method)(*(x[..., i] for x in xs))
+                     for i, d in enumerate(densities)], axis=-1)
+
+
+def test_stack_reads_row_i_at_shared_x(mesh512):
+    densities = signed_rows(mesh512)
+    stack = Density.stack(densities)
+    zeta = 0.3
+    kinks = np.abs(mesh512.boundaries - zeta)[:, None]  # one x for every row
+    assert np.array_equal(stack.cdf(kinks), row_by_row(densities, "cdf", kinks))
+    lo, hi = zeta - kinks, zeta + kinks
+    assert np.array_equal(stack.interval_mass(lo, hi),
+                          row_by_row(densities, "interval_mass", lo, hi))
+
+
+def test_stack_reads_row_i_at_x_of_column_i(mesh512):
+    densities = signed_rows(mesh512)
+    stack = Density.stack(densities)
+    x = np.random.default_rng(8).random((3, len(densities)))  # a leading horizon axis
+    assert np.array_equal(stack.cdf(x), row_by_row(densities, "cdf", x))
+    lo, hi = 0.5 * x, x
+    assert np.array_equal(stack.interval_mass(lo, hi),
+                          row_by_row(densities, "interval_mass", lo, hi))
+
+
+def test_stack_window_masses_clipped_at_0_and_1(mesh512):
+    densities = signed_rows(mesh512)
+    stack = Density.stack(densities)
+    zeta = 0.8
+    # zero radius, windows ending on or past 1, on or past 0, and far past both
+    deltas = np.array([[0.0, 0.25, zeta, 1.0 - zeta, 1.5],
+                       [1.5, 0.9, 0.2, 0.0, 0.25]])
+    lo, hi = zeta - deltas, zeta + deltas
+    masses = stack.interval_mass(lo, hi)
+    assert np.array_equal(masses, row_by_row(densities, "interval_mass", lo, hi))
+    assert masses[0, 4] == stack.interval_mass(0.0, 1.0)[4]
+    assert masses[0, 4] == densities[4].mass  # the mass over [0, 1] is prefix_mass[-1]
+
+
+def test_stack_copies_rows_and_refuses_mixed_meshes(mesh512):
+    densities = signed_rows(mesh512, count=3)
+    stack = Density.stack(densities)
+    assert len(stack) == 3
+    for i, d in enumerate(densities):
+        assert np.array_equal(stack.values[i], d.values)
+        assert np.array_equal(stack.prefix_mass[i], d.prefix_mass)
+    assert not np.shares_memory(stack.values, densities[0].values)
+    assert not np.shares_memory(stack.prefix_mass, densities[0].prefix_mass)
+    with pytest.raises(TypeError):
+        len(densities[1])
+    with pytest.raises(ValueError, match="different meshes"):
+        Density.stack([densities[1], uniform_density(graded_mesh(512, ratio=0.9))])
 
 
 # -------------------------------------------------------------- projection

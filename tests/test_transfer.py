@@ -23,6 +23,7 @@ from reference import (
     cone_check,
     density_bounds_check,
     duality_residual,
+    l1_distance,
     pointwise_push,
     ulam_matrix,
 )
@@ -76,14 +77,14 @@ def test_ulam_push_matches_exact_on_piecewise_constant(mesh512):
     f = Density(mesh512, rng.random(512) + 0.1)
     via_ulam = ulam_matrix(0.1, mesh512).push(f)
     via_exact = pf_apply(0.1, f)
-    assert via_ulam.l1_distance(via_exact) <= 1e-12
+    assert l1_distance(via_ulam, via_exact) <= 1e-12
 
 
 def test_ulam_stationary_density_is_fixed(mesh512):
     op = ulam_matrix(0.1, mesh512)
     h = op.stationary_density(tol=1e-13)
     assert abs(h.mass - 1.0) <= 1e-10
-    assert h.l1_distance(op.push(h)) <= 1e-12
+    assert l1_distance(h, op.push(h)) <= 1e-12
     # invariant profile decreases away from the neutral fixed point
     assert h.values[0] > h.values[-1] > 0.0
 
@@ -94,7 +95,7 @@ def test_pf_apply_callable_route_matches_exact_for_smooth(mesh1024):
     via_projected = pf_apply(0.1, project(fn, mesh1024))
     # the gap is the O(h) projection error of the widest (~0.03) cells;
     # halving under refinement is covered by the acceptance suite
-    assert via_callable.l1_distance(via_projected) <= 5e-3
+    assert l1_distance(via_callable, via_projected) <= 5e-3
     assert abs(via_callable.mass - 1.0) <= 1e-10
 
 
@@ -314,7 +315,7 @@ def test_push_density_routes_agree(mesh512, const01):
     ulam = f0
     for _ in range(10):
         ulam = op.push(ulam)
-    assert exact.l1_distance(ulam) <= 1e-11
+    assert l1_distance(exact, ulam) <= 1e-11
 
 
 # -------------------------------------------------------------------- cone
@@ -386,7 +387,7 @@ def test_loss_of_memory_decay_is_monotone(mesh512, const01):
     f = uniform_density(mesh512)
     g = cone_step_surrogate(mesh512, height=2.0, cutoff=0.5, alpha=0.1)
     res = loss_of_memory_distance(const01, f, g, [0, 8, 16, 32, 64])
-    assert res.distances[0] == pytest.approx(f.l1_distance(g), abs=1e-12)
+    assert res.distances[0] == pytest.approx(l1_distance(f, g), abs=1e-12)
     assert np.all(np.diff(res.distances) < 0)
     np.testing.assert_allclose(res.distances, np.exp(res.log_distances), rtol=1e-12)
 
