@@ -2,12 +2,14 @@
 
 The sets of interest are {x : |composition_n(x) - x| <= eps}, their unions
 over short time horizons, and the local version near a reference point.
-Measures come from deterministic stratified grids with vectorized bisection
-at boundary crossings, not Monte Carlo.  The geometric fill resolves
-components near the neutral fixed point, but the grid misses any component
-that lies inside one grid cell, as those around the 2^n hyperbolic periodic
-points do: at eps = 2^-14 it undercounts the return set 7.7x at n = 5 and
-63x at n = 12 (ROADMAP item 12).
+Each is one sublevel set, measured deterministically (not by Monte Carlo)
+on a grid with vectorized bisection at boundary crossings: a stratified
+grid over [0, 1] for the return sets and their unions, a uniform grid on
+the ball for the local version.  The stratified grid's geometric fill
+resolves components near the neutral fixed point, but a grid misses any
+component that lies inside one grid cell, as those around the 2^n
+hyperbolic periodic points do: at eps = 2^-14 it undercounts the return
+set 7.7x at n = 5 and 63x at n = 12 (ROADMAP item 12).
 """
 
 from __future__ import annotations
@@ -96,42 +98,51 @@ def min_orbit_displacement(schedule: ParameterSchedule, horizon: int, x) -> np.n
     return best
 
 
-def _bisect_crossings(gfun, lo, hi, g_lo):
-    """Vectorized bisection for roots of the inside/outside indicator.
+def _measure_below(nodes: np.ndarray, gfun) -> float:
+    """Measure of {gfun <= 0} over [nodes[0], nodes[-1]] from gfun at the
+    nodes plus a vectorized bisection at each sign change.
 
-    lo, hi bracket one sign change each; returns points within BISECT_TOL of
-    the boundary.  The indicator is (g <= 0), so ties land on the inside.
+    Ties count as inside.  Cells whose endpoints agree count fully or not at
+    all; a component that enters and leaves within one cell is missed, which
+    is the O(cell width) error this estimator quotes.
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    lo_inside = g_lo <= 0.0
-    for _ in range(60):
-        if np.max(hi - lo) < BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        mid_inside = gfun(mid) <= 0.0
-        same = mid_inside == lo_inside
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _measure_below(nodes: np.ndarray, g: np.ndarray, gfun) -> float:
-    """Measure of {g <= 0} from node values plus bisection at sign changes.
-
-    Cells whose endpoints agree count fully or not at all; a component that
-    enters and leaves within one cell is missed, which is the O(cell width)
-    error this estimator quotes.
-    """
-    inside = g <= 0.0
+    inside = gfun(nodes) <= 0.0
     widths = np.diff(nodes)
     total = float(np.sum(widths[inside[:-1] & inside[1:]]))
     cross = np.nonzero(inside[:-1] != inside[1:])[0]
     if cross.size:
-        roots = _bisect_crossings(gfun, nodes[cross], nodes[cross + 1], g[cross])
-        parts = np.where(inside[cross], roots - nodes[cross], nodes[cross + 1] - roots)
+        # each cell brackets one crossing; halve it until within BISECT_TOL
+        lo, hi, lo_inside = nodes[cross], nodes[cross + 1], inside[cross]
+        for _ in range(60):
+            if np.max(hi - lo) < BISECT_TOL:
+                break
+            mid = 0.5 * (lo + hi)
+            same = (gfun(mid) <= 0.0) == lo_inside
+            lo = np.where(same, mid, lo)
+            hi = np.where(same, hi, mid)
+        roots = 0.5 * (lo + hi)
+        parts = np.where(lo_inside, roots - nodes[cross], nodes[cross + 1] - roots)
         total += float(np.sum(parts))
     return total
+
+
+def _union_measure(schedule: ParameterSchedule, big_j: float, params: RecurrenceParams,
+                   nodes: np.ndarray) -> float:
+    """Measure over the nodes' span of the union over i <= horizon(big_j) of
+    the 2/big_j return sets.
+
+    One orbit pass per point stores min_i |composition_i(x) - x|; the union
+    is then a single sublevel-set measurement.
+    """
+    horizon = params.horizon(big_j)
+    if horizon < 1:
+        return 0.0
+    eps = 2.0 / big_j
+
+    def g(x):
+        return min_orbit_displacement(schedule, horizon, x) - eps
+
+    return _measure_below(nodes, g)
 
 
 def _stratified_nodes(resolution: int) -> np.ndarray:
@@ -149,39 +160,25 @@ def measure_En_eps(schedule: ParameterSchedule, n: int, eps: float,
         raise ValueError("eps must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    nodes = _stratified_nodes(resolution)
 
     def g(x):
         return np.abs(orbit_displacement(schedule, n, x)) - eps
 
-    return _measure_below(nodes, g(nodes), g)
+    return _measure_below(_stratified_nodes(resolution), g)
 
 
 def measure_Ej(schedule: ParameterSchedule, j: float, params: RecurrenceParams,
                resolution: int = 4096) -> float:
-    """Measure of the union over i <= horizon(j) of the 2/j return sets.
-
-    One orbit pass per grid point stores min_i |composition_i(x) - x|; the
-    union is then a single sublevel-set measurement.
-    """
+    """Measure of the union over i <= horizon(j) of the 2/j return sets."""
     if j < 2:
         raise ValueError("j must be at least 2")
-    horizon = params.horizon(j)
-    if horizon < 1:
-        return 0.0
-    eps = 2.0 / j
-    nodes = _stratified_nodes(resolution)
-
-    def g(x):
-        return min_orbit_displacement(schedule, horizon, x) - eps
-
-    return _measure_below(nodes, g(nodes), g)
+    return _union_measure(schedule, j, params, _stratified_nodes(resolution))
 
 
 def local_recurrence_at(schedule: ParameterSchedule, zeta: float, j: float,
                         params: RecurrenceParams, resolution: int = 2048) -> float:
     """Measure of the j^-gamma ball at zeta intersected with the union set
-    at scale j^gamma, by dense sampling inside the ball.
+    at scale j^gamma, on a uniform grid over the ball.
 
     The companion bound local_recurrence_bound holds for almost every zeta
     once j is large enough, with a non-constructive onset, so callers report
@@ -189,19 +186,11 @@ def local_recurrence_at(schedule: ParameterSchedule, zeta: float, j: float,
     """
     if not 0.0 < zeta < 1.0:
         raise ValueError("zeta must lie in (0, 1)")
+    if not (math.isfinite(j) and j > 0.0):
+        raise ValueError(f"j must be positive and finite, got {j!r}")
     radius = j ** -params.gamma
-    big_j = j ** params.gamma
-    horizon = params.horizon(big_j)
-    if horizon < 1:
-        return 0.0
-    eps = 2.0 / big_j
-    lo, hi = max(0.0, zeta - radius), min(1.0, zeta + radius)
-    nodes = np.linspace(lo, hi, resolution + 1)
-
-    def g(x):
-        return min_orbit_displacement(schedule, horizon, x) - eps
-
-    return _measure_below(nodes, g(nodes), g)
+    nodes = np.linspace(max(0.0, zeta - radius), min(1.0, zeta + radius), resolution + 1)
+    return _union_measure(schedule, j ** params.gamma, params, nodes)
 
 
 def local_recurrence_bound(j: float, params: RecurrenceParams) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,9 +55,9 @@ class Observable:
         d = np.asarray(delta, dtype=float)
         with np.errstate(divide="ignore"):
             if self.form == "log":
-                out = np.where(d > 0, -np.log(np.where(d > 0, d, 1.0)), np.inf)
+                out = -np.log(d)
             elif self.form == "power-pole":
-                out = np.where(d > 0, np.where(d > 0, d, 1.0) ** (-1.0 / self.power), np.inf)
+                out = d ** (-1.0 / self.power)
             else:
                 out = self.cap - d ** (1.0 / self.power)
         return out if out.ndim else float(out)
@@ -126,9 +127,14 @@ class ThresholdSchedule:
     tau: float
     n: int
     deltas: np.ndarray
-    levels: np.ndarray
     step_masses: np.ndarray
     schedule: ParameterSchedule
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """Level of every radius, computed on first read: only calibrate
+        writes them."""
+        return self.observable.level_for_radius(self.deltas)
 
     @property
     def fstar(self) -> float:
@@ -180,6 +186,5 @@ def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable
     for h, n in enumerate(horizons.tolist()):
         built[n] = ThresholdSchedule(
             observable=observable, tau=tau, n=n, deltas=deltas[h, :n],
-            levels=np.asarray(observable.level_for_radius(deltas[h, :n])),
             step_masses=masses[h, :n], schedule=schedule)
     return [built[int(n)] for n in ns]

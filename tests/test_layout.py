@@ -1,8 +1,8 @@
 """`src/seqevl` holds what a run executes: every public top-level name of the
 package modules is reached from the command-line entry point `cli.main`, and
-every public function, method and property is called when `cli.main` runs
-a small matrix of configs.  Code that only tests use belongs in
-`tests/reference.py`."""
+every function, method and property, private ones and dunders included, is
+called when `cli.main` runs a small matrix of configs.  Code that only tests
+use belongs in `tests/reference.py`."""
 
 import ast
 import io
@@ -22,8 +22,8 @@ UNREACHED_ALLOWED = {
 }
 
 
-# public functions, methods and properties that no run calls, each with the
-# reason it stays
+# functions, methods and properties that no run calls, each with the reason
+# it stays
 NEVER_CALLED_ALLOWED = {
     # perfbench/tracing.py patches the DiskCache methods; ROADMAP item 6a
     # deletes them with the class
@@ -87,9 +87,9 @@ def test_every_public_name_is_reached_from_cli_main():
     assert unreached == UNREACHED_ALLOWED
 
 
-def public_functions() -> set:
-    """Qualified names of the public top-level functions of the package
-    modules and of the public methods and properties of their classes."""
+def defined_functions() -> set:
+    """Qualified names of the top-level functions of the package modules and
+    of the methods and properties of their classes."""
     names = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -98,12 +98,12 @@ def public_functions() -> set:
             elif isinstance(node, ast.ClassDef):
                 names.update(f"{node.name}.{item.name}" for item in node.body
                              if isinstance(item, ast.FunctionDef))
-    return {n for n in names if not any(p.startswith("_") for p in n.split("."))}
+    return names
 
 
-def test_every_public_function_runs_under_cli_main(tmp_path):
-    """A public function, method or property that no run calls serves only
-    the tests.  The profiler sees every Python call, so a member that only
+def test_every_function_runs_under_cli_main(tmp_path):
+    """A function, method or property that no run calls serves only the
+    tests.  The profiler sees every Python call, so a member that only
     shares its name with one a run calls is still caught."""
     package = os.path.dirname(cli.__file__)
     called = set()
@@ -125,4 +125,4 @@ def test_every_public_function_runs_under_cli_main(tmp_path):
         finally:
             sys.setprofile(None)
         assert code in (0, 2), argv  # 1 is a config or runtime error
-    assert public_functions() - called == NEVER_CALLED_ALLOWED
+    assert defined_functions() - called == NEVER_CALLED_ALLOWED

@@ -5,7 +5,9 @@ import pytest
 
 from seqevl.maps import ParameterSchedule, sequential_orbit
 from seqevl.recurrence import (
+    BISECT_TOL,
     RecurrenceParams,
+    _measure_below,
     local_recurrence_at,
     local_recurrence_bound,
     loglog_slope,
@@ -96,6 +98,25 @@ def test_min_orbit_displacement_is_prefix_minimum(const01):
 
 # ----------------------------------------------------------------- measures
 
+def test_measure_below_closed_form_sets():
+    nodes = np.linspace(0.0, 1.0, 65)  # cells of width 1/64
+    # the interval [0.2, 0.4]: both ends fall inside a cell and are bisected
+    m = _measure_below(nodes, lambda x: np.abs(x - 0.3) - 0.1)
+    assert abs(m - 0.2) <= 4 * BISECT_TOL
+    # a component of width 1/512 inside the cell [32/64, 33/64] is missed
+    assert _measure_below(nodes, lambda x: np.abs(x - (0.5 + 1 / 256)) - 1 / 1024) == 0.0
+    # g = 0 at the node 0.5 and negative elsewhere: the tie counts as inside,
+    # so every cell is inside and nothing is bisected
+    calls = []
+
+    def g(x):
+        calls.append(np.size(x))
+        return -(x - 0.5) ** 2
+
+    assert _measure_below(nodes, g) == 1.0
+    assert calls == [nodes.size]
+
+
 def test_measure_en_eps_full_interval(const01):
     assert measure_En_eps(const01, 1, 1.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -159,6 +180,9 @@ def test_local_recurrence_validation(const01):
         local_recurrence_at(const01, 0.0, 8.0, p)
     with pytest.raises(ValueError):
         local_recurrence_at(const01, 1.0, 8.0, p)
+    for j in (0.0, -8.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"^j must be positive and finite"):
+            local_recurrence_at(const01, 0.3, j, p)
 
 
 def test_local_recurrence_bound_formula():
