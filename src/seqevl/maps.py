@@ -75,10 +75,16 @@ def apply_map_batch(alpha: float, x: np.ndarray, out: np.ndarray | None = None) 
     and the larger of it and 2x - 1 taken.  That is exact, because 2x is, so
     2x - 1 < 0 <= left exactly when x < 1/2.
     """
-    left = x * (1.0 + 2.0 ** alpha * x ** alpha)
-    left *= (x < 0.5).astype(float)
+    # in place, so a step holds two chunk-sized temporaries
+    left = x ** alpha
+    left *= 2.0 ** alpha
+    left += 1.0
+    left *= x
+    left *= x < 0.5
+    right = 2.0 * x
+    right -= 1.0
     # the left branch tends to 1 at x=1/2-; guard against rounding above 1
-    return np.minimum(np.maximum(left, 2.0 * x - 1.0, out=left), 1.0, out=out)
+    return np.minimum(np.maximum(left, right, out=left), 1.0, out=out)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ the mixing gap of condition D_0.
 Determinism contract: every estimator draws its inputs from counter-based
 streams keyed by (seed, labels) and walks them with one shared sweep, which
 cuts the samples into chunks of CHUNK_SIZE, walks them in order on one
-thread and sums per-chunk event counts in chunk order.  The counts are exact
+thread and sums per-chunk event counts in chunk order.  Each chunk's start
+points are drawn from its label's stream as the chunk is walked, so the
+stage holds one chunk whatever n_samples is.  The counts are exact
 integers, so every estimate is identical for any chunk size.
 
 The module needs only numpy to import: `scipy.special` is loaded inside
@@ -44,9 +46,6 @@ class RNGSpec:
 
     def stream(self, *labels: str) -> np.random.Generator:
         return philox_stream(self.seed, *labels)
-
-    def uniform_points(self, n_samples: int, *labels: str) -> np.ndarray:
-        return self.stream(*labels).random(n_samples)
 
 
 @dataclass(frozen=True)
@@ -99,10 +98,12 @@ def _sweep(schedule: ParameterSchedule, rng: RNGSpec, label: str, n_samples: int
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     alphas = schedule.alphas(steps - 1)
-    x0 = rng.uniform_points(n_samples, "x0", label)
+    stream = rng.stream("x0", label)
 
     def run(lo: int):
-        x = x0[lo:lo + CHUNK_SIZE].copy()
+        # Philox fills each double from one 64-bit word, so drawing chunk by
+        # chunk gives the same points as one draw of all n_samples
+        x = stream.random(min(CHUNK_SIZE, n_samples - lo))
         visit, result = chunk(x.size)
         for i in range(steps):
             if i > 0:

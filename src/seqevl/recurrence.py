@@ -170,8 +170,8 @@ def measure_En_eps(schedule: ParameterSchedule, n: int, eps: float,
 def measure_Ej(schedule: ParameterSchedule, j: float, params: RecurrenceParams,
                resolution: int = 4096) -> float:
     """Measure of the union over i <= horizon(j) of the 2/j return sets."""
-    if j < 2:
-        raise ValueError("j must be at least 2")
+    if not (math.isfinite(j) and j >= 2):
+        raise ValueError(f"j must be finite and at least 2, got {j!r}")
     return _union_measure(schedule, j, params, _stratified_nodes(resolution))
 
 
@@ -188,9 +188,13 @@ def local_recurrence_at(schedule: ParameterSchedule, zeta: float, j: float,
         raise ValueError("zeta must lie in (0, 1)")
     if not (math.isfinite(j) and j > 0.0):
         raise ValueError(f"j must be positive and finite, got {j!r}")
-    radius = j ** -params.gamma
+    try:  # Python floats raise here where numpy scalars would give inf
+        radius, scale = float(j) ** -params.gamma, float(j) ** params.gamma
+    except OverflowError:
+        raise ValueError(f"j ** gamma or j ** -gamma overflows at j={j!r}, "
+                         f"gamma={params.gamma!r}") from None
     nodes = np.linspace(max(0.0, zeta - radius), min(1.0, zeta + radius), resolution + 1)
-    return _union_measure(schedule, j ** params.gamma, params, nodes)
+    return _union_measure(schedule, scale, params, nodes)
 
 
 def local_recurrence_bound(j: float, params: RecurrenceParams) -> float:

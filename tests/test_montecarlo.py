@@ -3,6 +3,7 @@ decorrelation pair of `reference`, whose Monte Carlo half runs on the same
 sweep, and the exponent budgets of `seqevl.config`."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,13 +99,23 @@ def test_ci_must_bracket_value():
 
 def test_rng_streams_are_label_keyed():
     rng = RNGSpec(seed=42)
-    a = rng.uniform_points(100, "x0", "pn")
-    b = RNGSpec(seed=42).uniform_points(100, "x0", "pn")
+    a = rng.stream("x0", "pn").random(100)
+    b = RNGSpec(seed=42).stream("x0", "pn").random(100)
     np.testing.assert_array_equal(a, b)
-    c = rng.uniform_points(100, "x0", "other")
+    c = rng.stream("x0", "other").random(100)
     assert not np.array_equal(a, c)
-    d = RNGSpec(seed=43).uniform_points(100, "x0", "pn")
+    d = RNGSpec(seed=43).stream("x0", "pn").random(100)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize("size", [16384, 1000, 3])
+@pytest.mark.parametrize("n", [1, 777, N_CHUNKED])
+def test_chunkwise_draws_equal_one_whole_draw(n, size):
+    # the sweep draws each chunk's start points as it walks the chunk
+    whole = RNGSpec(5).stream("x0", "pn").random(n)
+    stream = RNGSpec(5).stream("x0", "pn")
+    parts = [stream.random(min(size, n - lo)) for lo in range(0, n, size)]
+    np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
 def test_estimate_pn_zero_tau_is_certain(mesh512, const01):
@@ -272,7 +283,7 @@ N_REF = 2 * 16384 + 777  # two full chunks and a short last one
 
 def _plain_orbits(schedule, steps):
     """Positions 0..steps-1 of all N_REF orbits, stepped whole with lsv_apply."""
-    xs = [RNGSpec(47).uniform_points(N_REF, "x0", "ref")]
+    xs = [RNGSpec(47).stream("x0", "ref").random(N_REF)]
     for a in schedule.alphas(steps - 1):
         xs.append(lsv_apply(a, xs[-1]))
     return np.array(xs)
@@ -332,6 +343,31 @@ def test_estimators_match_plain_reference_sweep(ts20, case):
     # the chunked, compacting sweep must count exactly what a plain walk counts
     got, want = case(ts20)
     assert got == want
+
+
+def _traced_peak(run) -> int:
+    """Bytes that run() allocates at its peak above what was live before it."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("run", [
+    lambda ts, n: estimate_Pn(ts, RNGSpec(3), n_samples=n),
+    lambda ts, n: dprime_sum(ts, build_blocks(ts, k_n=4), RNGSpec(3), n_samples=n),
+], ids=["pn", "dprime"])
+def test_sweep_peak_memory_does_not_grow_with_n_samples(ts20, run):
+    # one chunk of start points is live at a time; a whole draw of all
+    # samples would add 8 bytes per sample, 3.75 MiB over 30 more chunks
+    assert montecarlo.CHUNK_SIZE == 16384
+    run(ts20, 2 * 16384)  # warm any lazily built schedule state
+    small = _traced_peak(lambda: run(ts20, 2 * 16384))
+    large = _traced_peak(lambda: run(ts20, 32 * 16384))
+    assert large - small <= 64 * 1024, (small, large)
 
 
 @pytest.mark.parametrize("run", [

@@ -183,6 +183,17 @@ def test_local_recurrence_validation(const01):
     for j in (0.0, -8.0, np.nan, np.inf):
         with pytest.raises(ValueError, match=r"^j must be positive and finite"):
             local_recurrence_at(const01, 0.3, j, p)
+    # finite, but j ** -gamma or j ** gamma overflows
+    for j in (1e-200, 1e200, np.float64(1e-200), np.float64(1e200)):
+        with pytest.raises(ValueError, match=r"overflows at j="):
+            local_recurrence_at(const01, 0.3, j, p)
+
+
+def test_measure_ej_validation(const01):
+    p = RecurrenceParams()
+    for j in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"^j must be finite and at least 2, got"):
+            measure_Ej(const01, j, p)
 
 
 def test_local_recurrence_bound_formula():
