@@ -26,6 +26,14 @@ EXPERIMENT_KINDS = ("evl", "calibrate", "dprime", "d0", "decay",
 
 DEFAULT_SEED = 1729
 
+# the fixed ladders of the decay and recurrence runs; a decay config's
+# n_ladder replaces DECAY_LADDER
+DECAY_LADDER = (64, 128, 256, 512, 1024, 2048, 4096)
+EN_EPS_LADDER = tuple(2.0 ** -k for k in range(4, 15))
+EN_STEP_COUNTS = (1, 5, 20)
+EJ_LADDER = tuple(2 ** k for k in range(5, 13))
+LOCAL_JS = (8, 16, 32)
+
 
 class ConfigError(ValueError):
     """A config file or config value is outside the accepted schema."""
@@ -311,6 +319,22 @@ class Diagnostic:
     message: str
 
 
+def _exponents_read(config: ExperimentConfig) -> int:
+    """How many map exponents a run of the config reads from its schedule:
+    n - 1 for a calibrated horizon n, n for an orbit of n steps, the longest
+    rung for decay, and the longest composition for recurrence."""
+    if config.kind == "decay":
+        return max(config.n_ladder or DECAY_LADDER)
+    if config.kind == "recurrence":
+        try:
+            params = config.recurrence.build(config.schedule.alpha_star)
+            return max(*EN_STEP_COUNTS, params.horizon(max(EJ_LADDER)),
+                       params.horizon(max(LOCAL_JS) ** params.gamma))
+        except (ValueError, OverflowError):  # bad-recurrence, or refused at run time
+            return max(EN_STEP_COUNTS)
+    return max(config.ns()) - (config.kind != "orbit")
+
+
 def _is_dyadic(zeta: float, max_level: int = 40) -> bool:
     scaled = zeta * 2.0 ** max_level
     return scaled == math.floor(scaled)
@@ -393,6 +417,10 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
                 spec.build()
             except ValueError as exc:
                 error(code, str(exc))
+    needed = _exponents_read(config)
+    if sched.mode == "explicit" and 0 < len(sched.cycle) < needed:
+        error("bad-schedule", f"explicit schedule has {len(sched.cycle)} exponents, "
+                              f"fewer than the {needed} that {config.kind} runs read")
 
     if any(d.severity == "error" for d in out):
         return out

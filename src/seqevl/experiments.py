@@ -3,7 +3,8 @@
 Each experiment builds its density ladder and thresholds, runs the relevant
 estimator, writes CSV tables plus a JSON summary under a content-addressed
 directory, and returns a report whose checks carry descriptive claim
-strings, measured values, targets, and pass flags.
+strings, measured values, targets, tolerances and sides, from which each
+check's verdict follows by the one rule of `TargetCheck`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, Diagnostic, ExperimentConfig, validate_config
+from .config import (DECAY_LADDER, EJ_LADDER, EN_EPS_LADDER, EN_STEP_COUNTS, LOCAL_JS,
+                     ConfigError, ExperimentConfig, validate_config)
 from .io import write_csv, write_json
 from .maps import sequential_orbit
 from .mesh import uniform_density
@@ -27,22 +29,32 @@ from .recurrence import (local_recurrence_at, local_recurrence_bound,
 from .thresholds import build_threshold_schedule
 from .transfer import cone_step_surrogate, loss_of_memory_distance
 
-DECAY_LADDER = (64, 128, 256, 512, 1024, 2048, 4096)
-EN_EPS_LADDER = tuple(2.0 ** -k for k in range(4, 15))
-EN_STEP_COUNTS = (1, 5, 20)
-EJ_LADDER = tuple(2 ** k for k in range(5, 13))
-LOCAL_JS = (8, 16, 32)
-
-
 @dataclass(frozen=True)
 class TargetCheck:
+    """Passes by the triple it prints and its side: "both" when |measured -
+    target| <= tolerance, "below" when measured <= target + tolerance, "above"
+    when measured >= target - tolerance, and never for a NaN measured value.
+    An INFO check is reported, not checked, and keeps passed=True."""
+
     name: str
     claim: str
     measured: float
     target: float
     tolerance: float
-    passed: bool
-    info: bool = False  # reported, not checked: an INFO check keeps passed=True
+    side: str = "both"
+    info: bool = False
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        if self.side == "both":
+            within = abs(self.measured - self.target) <= self.tolerance
+        elif self.side == "below":
+            within = self.measured <= self.target + self.tolerance
+        elif self.side == "above":
+            within = self.measured >= self.target - self.tolerance
+        else:
+            raise ValueError(f"unknown check side {self.side!r}")
+        object.__setattr__(self, "passed", self.info or bool(within))
 
 
 @dataclass(frozen=True)
@@ -134,6 +146,16 @@ def _thresholds(config: ExperimentConfig, ns) -> list:
                                     config.tau, ns, config.mesh.build())
 
 
+def _trend_checks(prefix: str, claim: str, rungs, plateaus=None) -> list:
+    """A "below" check on each neighbouring pair of (n, value, se) rungs, with
+    slack 2 (se0 + se1); a pair whose plateaus entry is true is INFO."""
+    pairs = list(zip(rungs, rungs[1:]))
+    return [TargetCheck(name=f"{prefix}-{n0}-{n1}", claim=claim, measured=v1 - v0,
+                        target=0.0, tolerance=2.0 * (s0 + s1), side="below", info=plateau)
+            for ((n0, v0, s0), (n1, v1, s1)), plateau
+            in zip(pairs, plateaus or [False] * len(pairs))]
+
+
 def _run_evl(config: ExperimentConfig, mc: _MonteCarlo):
     target = math.exp(-config.tau)
     rows = []
@@ -149,16 +171,10 @@ def _run_evl(config: ExperimentConfig, mc: _MonteCarlo):
         checks.append(TargetCheck(
             name=f"evl-n{n}",
             claim="survival probability of calibrated exceedances approaches exp(-tau)",
-            measured=est.value, target=target, tolerance=0.05 + 2.0 * est.se,
-            passed=err <= 0.05 + 2.0 * est.se))
-    if len(errors) > 1:
-        for (n0, e0, s0), (n1, e1, s1) in zip(errors, errors[1:]):
-            slack = 2.0 * (s0 + s1)
-            checks.append(TargetCheck(
-                name=f"evl-error-trend-{n0}-{n1}",
-                claim="absolute error is nonincreasing along the horizon ladder",
-                measured=e1 - e0, target=0.0, tolerance=slack,
-                passed=e1 <= e0 + slack))
+            measured=est.value, target=target, tolerance=0.05 + 2.0 * est.se))
+    checks += _trend_checks(
+        "evl-error-trend", "absolute error is nonincreasing along the horizon ladder",
+        errors)
     tables = {"evl": (("n", "tau", "estimate", "se", "target", "abs_error",
                        "ci_low", "ci_high"), rows)}
     return checks, tables
@@ -175,22 +191,22 @@ def _run_calibrate(config: ExperimentConfig, mc: _MonteCarlo):
     checks = [TargetCheck(
         name="first-radius",
         claim="step-zero radius holds mass tau/n of the uniform start",
-        measured=ts.deltas[0], target=first_target, tolerance=1e-12,
-        passed=abs(ts.deltas[0] - first_target) <= 1e-12)]
+        measured=ts.deltas[0], target=first_target, tolerance=1e-12)]
     count = min(20, n)
     picks = np.unique(np.linspace(0, n - 1, count).round().astype(int))
     estimates = mc(estimate_exceedances, ts, picks)
     rows = []
     target = config.tau / n
     for i, est in zip(picks, estimates):
-        slack = 3.0 * est.se
-        ok = abs(est.value - target) <= slack or est.ci_low <= target <= est.ci_high
-        rows.append((int(i), ts.deltas[i], ts.levels[i], ts.step_masses[i],
-                     est.value, est.se, target, int(ok)))
-        checks.append(TargetCheck(
+        # within 3 se, or inside the interval on the target's side
+        reach = est.ci_high - est.value if target >= est.value else est.value - est.ci_low
+        check = TargetCheck(
             name=f"exceedance-i{int(i)}",
             claim="per-step exceedance mass matches the tau/n calibration target",
-            measured=est.value, target=target, tolerance=slack, passed=ok))
+            measured=est.value, target=target, tolerance=max(3.0 * est.se, reach))
+        checks.append(check)
+        rows.append((int(i), ts.deltas[i], ts.levels[i], ts.step_masses[i],
+                     est.value, est.se, target, int(check.passed)))
     tables = {
         "thresholds": (("i", "delta", "level", "step_mass"), list(ts.rows())),
         "calibration": (("i", "delta", "level", "step_mass", "mc_estimate",
@@ -210,24 +226,18 @@ def _run_dprime(config: ExperimentConfig, mc: _MonteCarlo):
         results.append((n, blocks.k_n, est))
         rows.append((n, blocks.k_n, blocks.t_star, est.value, est.se,
                      est.ci_low, est.ci_high))
-    checks = []
-    for (n0, k0, e0), (n1, k1, e1) in zip(results, results[1:]):
-        slack = 2.0 * (e0.se + e1.se)
-        # inside a k_n plateau the blocks grow with n, so the pair sum may
-        # rise on a correct program: reported, not checked
-        plateau = k0 == k1
-        checks.append(TargetCheck(
-            name=f"dprime-trend-{n0}-{n1}",
-            claim="within-block exceedance pair sum decreases along the horizon ladder",
-            measured=e1.value - e0.value, target=0.0, tolerance=slack,
-            passed=plateau or e1.value <= e0.value + slack, info=plateau))
+    # inside a k_n plateau the blocks grow with n, so the pair sum may rise
+    # on a correct program: reported, not checked
+    checks = _trend_checks(
+        "dprime-trend", "within-block exceedance pair sum decreases along the horizon ladder",
+        [(n, est.value, est.se) for n, _, est in results],
+        [k0 == k1 for (_, k0, _), (_, k1, _) in zip(results, results[1:])])
     if len(results) == 1:
         n0, _, e0 = results[0]
         checks.append(TargetCheck(
             name=f"dprime-n{n0}",
             claim="within-block exceedance pair sum stays small",
-            measured=e0.value, target=0.0, tolerance=max(4.0 * e0.se, 1e-12),
-            passed=e0.value <= max(4.0 * e0.se, 1e-12) or e0.value < config.tau))
+            measured=e0.value, target=0.0, tolerance=config.tau, side="below"))
     tables = {"dprime": (("n", "k_n", "t_star", "pair_sum", "se",
                           "ci_low", "ci_high"), rows)}
     return checks, tables
@@ -247,12 +257,11 @@ def _run_d0(config: ExperimentConfig, mc: _MonteCarlo):
         gaps.append((t, gap))
         rows.append((n, i, t, ell, gap.gap, gap.se, gap.p_event, gap.p_window))
     (t_lo, g_lo), (t_hi, g_hi) = gaps
-    slack = 3.0 * (g_lo.se + g_hi.se)
     checks = [TargetCheck(
         name=f"d0-monotone-t{t_lo}-t{t_hi}",
         claim="mixing gap at the long separation stays below the short-separation gap",
-        measured=g_hi.gap - g_lo.gap, target=0.0, tolerance=slack,
-        passed=g_hi.gap <= g_lo.gap + slack)]
+        measured=g_hi.gap - g_lo.gap, target=0.0, tolerance=3.0 * (g_lo.se + g_hi.se),
+        side="below")]
     tables = {"d0": (("n", "i", "t", "ell", "gap", "se", "p_event",
                       "p_window"), rows)}
     return checks, tables
@@ -268,7 +277,6 @@ def _run_decay(config: ExperimentConfig, mc: _MonteCarlo):
     result = loss_of_memory_distance(schedule, f, g, ladder)
     slope = result.corrected_slope(alpha)
     target = -(1.0 / alpha - 1.0) + 0.5
-    monotone = bool(np.all(np.diff(result.log_distances) < 0.0))
     rows = [(int(n), float(d), float(ld))
             for n, d, ld in zip(result.ns, result.distances, result.log_distances)]
     checks = [
@@ -276,11 +284,11 @@ def _run_decay(config: ExperimentConfig, mc: _MonteCarlo):
             name="decay-monotone",
             claim="distance between pushed equal-mass inputs never increases",
             measured=float(np.max(np.diff(result.log_distances))), target=0.0,
-            tolerance=0.0, passed=monotone),
+            tolerance=0.0, side="below"),
         TargetCheck(
             name="decay-slope",
             claim="log-log decay slope meets the polynomial forgetting rate",
-            measured=slope, target=target, tolerance=0.0, passed=slope <= target),
+            measured=slope, target=target, tolerance=0.0, side="below"),
     ]
     tables = {"decay": (("n", "l1_distance", "log_distance"), rows)}
     return checks, tables
@@ -303,8 +311,7 @@ def _run_recurrence(config: ExperimentConfig, mc: _MonteCarlo):
         checks.append(TargetCheck(
             name=f"return-slope-n{n}",
             claim="return-set measure shrinks at least at the predicted power of eps",
-            measured=slope, target=slope_floor, tolerance=0.0,
-            passed=slope >= slope_floor))
+            measured=slope, target=slope_floor, tolerance=0.0, side="above"))
 
     ej_rows = []
     ej_measures = []
@@ -318,20 +325,19 @@ def _run_recurrence(config: ExperimentConfig, mc: _MonteCarlo):
             name="union-slope",
             claim="short-return union measure decays at least like the predicted power",
             measured=ej_slope, target=-params.varsigma + 0.3, tolerance=0.0,
-            passed=ej_slope <= -params.varsigma + 0.3))
+            side="below"))
 
     local_rows = []
     zeta = config.observable.zeta
     for j in LOCAL_JS:
         measured = local_recurrence_at(schedule, zeta, j, params)
         bound = local_recurrence_bound(j, params)
-        ok = measured <= bound
-        local_rows.append((j, measured, bound, int(ok)))
+        local_rows.append((j, measured, bound, int(measured <= bound)))
         checks.append(TargetCheck(
             name=f"local-bound-j{j}",
             claim="local return mass stays below the almost-everywhere bound "
                   "(onset index unknown, so failures are reported, not fatal)",
-            measured=measured, target=bound, tolerance=0.0, passed=True, info=True))
+            measured=measured, target=bound, tolerance=0.0, side="below", info=True))
     tables = {
         "return_sets": (("n", "eps", "measure"), en_rows),
         "union_sets": (("j", "horizon", "eps", "measure"), ej_rows),
@@ -351,7 +357,7 @@ def _run_orbit(config: ExperimentConfig, mc: _MonteCarlo):
         name="orbit-in-domain",
         claim="orbit remains inside the unit interval",
         measured=float(np.max(np.abs(orbit - 0.5))), target=0.5, tolerance=0.0,
-        passed=bool(np.all((orbit >= 0.0) & (orbit <= 1.0))))]
+        side="below")]
     tables = {"orbit": (("i", "x", "alpha"), rows)}
     return checks, tables
 

@@ -11,8 +11,6 @@ import json
 import os
 from pathlib import Path
 
-import numpy as np
-
 
 def write_csv(path, header, rows) -> None:
     path = Path(path)
@@ -26,24 +24,12 @@ def write_csv(path, header, rows) -> None:
     os.replace(tmp, path)
 
 
-def _json_default(value):
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def write_json(path, payload) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     os.replace(tmp, path)
 

@@ -155,7 +155,8 @@ class ParameterSchedule:
             return np.tile(c, n // c.size + 1)[:n]
         if self.mode == "explicit":
             if n > len(self.cycle):
-                raise ValueError("explicit schedule shorter than requested length")
+                raise ValueError(f"explicit schedule has {len(self.cycle)} exponents, "
+                                 f"fewer than the {n} requested")
             return np.asarray(self.cycle[:n])
         gen = philox_stream(self.seed, "schedule", "iid-alphas")
         return self.lo + (self.hi - self.lo) * gen.random(n)

@@ -15,6 +15,7 @@ set 7.7x at n = 5 and 63x at n = 12 (ROADMAP item 12).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,10 +157,10 @@ def _stratified_nodes(resolution: int) -> np.ndarray:
 def measure_En_eps(schedule: ParameterSchedule, n: int, eps: float,
                    resolution: int = 4096) -> float:
     """Lebesgue measure of {x : |composition_n(x) - x| <= eps}."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not eps > 0.0:  # false for NaN too
+        raise ValueError(f"eps must be positive, got {eps!r}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer at least 1, got {n!r}")
 
     def g(x):
         return np.abs(orbit_displacement(schedule, n, x)) - eps

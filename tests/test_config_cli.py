@@ -7,7 +7,7 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +227,19 @@ def test_budget_warnings_at_large_sup_alpha():
     assert "budget-pair-sum-budget" in codes
 
 
+# (kind, overrides, the exponents that run reads from its schedule)
+EXPONENTS_READ = [
+    ("evl", dict(n=50), 49),
+    ("calibrate", dict(n=50), 49),
+    ("dprime", dict(n_ladder=(25, 50)), 49),
+    ("d0", dict(n=50), 49),
+    ("orbit", dict(n=50), 50),
+    ("decay", {}, 4096),
+    ("recurrence", {}, 20),
+    # gamma = 10 stretches the local union at j = 32 to 32^(10 * 0.21) steps
+    ("recurrence", dict(recurrence=RecurrenceSpec(gamma=10.0)), 1448),
+]
+
 HARD_ERRORS = [
     (dict(kind="nope"), "bad-kind"),
     (dict(tau=-0.5), "bad-tau"),
@@ -269,7 +282,48 @@ HARD_ERRORS = [
     # the gap needs an event step and a later window, so two steps at least
     (dict(kind="d0", n=1), "bad-n"),
     (dict(kind="d0", n_ladder=(1,)), "bad-n"),
+    # rows from here on are named by _row_id; add new rows at the end
+    # an explicit cycle one exponent shorter than each run reads
+    *[(dict(kind=kind, schedule=ScheduleSpec(mode="explicit", cycle=(0.1,) * (read - 1)),
+            **overrides), "bad-schedule")
+      for kind, overrides, read in EXPONENTS_READ],
 ]
+
+
+def _row_id(overrides, code) -> str:
+    """code:key=value/... over the keys a row sets, a spec's keys as
+    section.key; a tuple prints as 1,2,3, or as 48x0.1 when all its entries
+    are equal"""
+    def text(value):
+        if not isinstance(value, tuple):
+            return str(value)
+        if len(value) > 1 and len(set(value)) == 1:
+            return f"{len(value)}x{value[0]}"
+        return ",".join(map(str, value))
+
+    parts = []
+    for key, value in overrides.items():
+        if hasattr(value, "__dataclass_fields__"):
+            parts += [f"{key}.{f.name}={text(getattr(value, f.name))}" for f in fields(value)
+                      if getattr(value, f.name) != f.default]
+        else:
+            parts.append(f"{key}={text(value)}")
+    return f"{code}:" + "/".join(parts)
+
+
+# the first rows keep the positional ids pytest gave them before rows were
+# named ("overrides<i>-<code>", from an id of None), so no existing test id
+# changes; every later row is named by its code and the keys it sets, so a
+# row added at the end renames no other test
+FIRST_NAMED_ROW = 40
+HARD_ERROR_IDS = [None if i < FIRST_NAMED_ROW else _row_id(o, c)
+                  for i, (o, c) in enumerate(HARD_ERRORS)]
+
+
+def _hard_error_params(skip=None) -> dict:
+    """parametrize's argvalues and ids: the HARD_ERRORS rows but those of code skip"""
+    kept = [(row, i) for row, i in zip(HARD_ERRORS, HARD_ERROR_IDS) if row[1] != skip]
+    return dict(argvalues=[row for row, _ in kept], ids=[i for _, i in kept])
 
 
 def _config_with(overrides, **more) -> ExperimentConfig:
@@ -277,7 +331,12 @@ def _config_with(overrides, **more) -> ExperimentConfig:
     return replace(ExperimentConfig(kind=settings.pop("kind", "evl")), **settings)
 
 
-@pytest.mark.parametrize("overrides,code", HARD_ERRORS)
+def test_hard_error_ids_are_distinct():
+    named = [i for i in HARD_ERROR_IDS if i is not None]
+    assert len(set(named)) == len(named) == len(HARD_ERRORS) - FIRST_NAMED_ROW
+
+
+@pytest.mark.parametrize("overrides,code", **_hard_error_params())
 def test_hard_errors(overrides, code):
     cfg = _config_with(overrides)
     diags = validate_config(cfg)
@@ -287,7 +346,7 @@ def test_hard_errors(overrides, code):
             (d.code, d.message) for d in diags}, diags
 
 
-@pytest.mark.parametrize("overrides,code", [(o, c) for o, c in HARD_ERRORS if c != "bad-tau"])
+@pytest.mark.parametrize("overrides,code", **_hard_error_params(skip="bad-tau"))
 def test_hard_errors_are_reported_beside_another_error(overrides, code):
     # a second fault elsewhere in the config must not hide the first, whether
     # validate_config checks it itself or a spec builder does
@@ -443,6 +502,23 @@ def test_cli_quantitative_failure_exits_two(tmp_path):
     code, out, _ = run_cli(["evl", "--config", str(path)])
     assert code == 2
     assert "[FAIL] evl-n2" in out
+
+
+@pytest.mark.parametrize("kind,overrides,read", EXPONENTS_READ,
+                         ids=[f"{kind}-{read}" for kind, _, read in EXPONENTS_READ])
+def test_explicit_cycle_of_the_length_a_run_reads_runs(kind, overrides, read, tmp_path):
+    cfg = default_config(kind, n_samples=2000, mesh=MeshSpec(cells=64),
+                         out_dir=str(tmp_path / "runs"), **overrides)
+
+    def explicit(length):
+        return replace(cfg, schedule=ScheduleSpec(mode="explicit", cycle=(0.1,) * length))
+
+    assert [d.message for d in validate_config(explicit(read - 1)) if d.severity == "error"] == [
+        f"explicit schedule has {read - 1} exponents, fewer than the {read} that {kind} runs read"]
+    path = tmp_path / "exact.toml"
+    path.write_text(explicit(read).to_toml())
+    code, _, err = run_cli([kind, "--config", str(path)])
+    assert code in (0, 2), err
 
 
 def test_cli_recurrence_smoke(tmp_path):

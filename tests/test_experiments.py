@@ -1,12 +1,19 @@
-"""Experiment pipelines: one density ladder serves every horizon of a run."""
+"""Experiment pipelines: one density ladder serves every horizon of a run, and
+every check passes or fails by its printed measured value, target, tolerance
+and side."""
 
+import io
+import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from seqevl import transfer
-from seqevl.config import MeshSpec, default_config
-from seqevl.experiments import run_experiment
+from seqevl import experiments, transfer
+from seqevl.cli import main
+from seqevl.config import EXPERIMENT_KINDS, MeshSpec, default_config
+from seqevl.experiments import TargetCheck, run_experiment
 from seqevl.thresholds import DEFAULT_ZETA
 
 LADDER = (20, 40, 80)
@@ -58,3 +65,69 @@ def test_first_radius_target_is_the_clipped_uniform_ball(tau, radius, tmp_path):
     assert check.target == pytest.approx(radius, rel=1e-15)
     assert check.measured == pytest.approx(radius, abs=1e-12)
     assert check.passed
+
+
+# bounds of (target 1, tolerance 0.25) per side, each with the direction in
+# which the next float lies beyond it
+SIDE_BOUNDS = {"both": ((1.25, math.inf), (0.75, -math.inf)),
+               "below": ((1.25, math.inf),),
+               "above": ((0.75, -math.inf),)}
+
+
+@pytest.mark.parametrize("side", SIDE_BOUNDS)
+def test_verdict_follows_the_printed_triple_and_side(side):
+    def check(measured, **kw):
+        return TargetCheck(name="c", claim="", measured=measured, target=1.0,
+                           tolerance=0.25, side=side, **kw)
+
+    for bound, beyond in SIDE_BOUNDS[side]:
+        assert check(bound).passed is True
+        assert check(math.nextafter(bound, beyond)).passed is False
+        # an INFO check is reported, not checked
+        assert check(math.nextafter(bound, beyond), info=True).passed is True
+    assert check(1.0).passed is True
+    assert check(math.nan).passed is False
+
+
+def test_unknown_side_is_refused():
+    with pytest.raises(ValueError, match="side"):
+        TargetCheck(name="c", claim="", measured=0.0, target=0.0, tolerance=0.0, side="near")
+
+
+def _cli(argv):
+    out = io.StringIO()
+    code = main(argv, stdout=out, stderr=io.StringIO())
+    return code, out.getvalue()
+
+
+def test_info_check_with_a_failing_triple_prints_info(tmp_path, monkeypatch):
+    def runner(config, mc):
+        return [TargetCheck(name="far", claim="", measured=2.0, target=0.0,
+                            tolerance=0.0, side="below", info=True)], {}
+
+    monkeypatch.setitem(experiments._RUNNERS, "orbit", runner)
+    code, out = _cli(["orbit", "--out", str(tmp_path)])
+    assert "[INFO] far: measured=2 target=0 tol=0" in out
+    assert code == 0
+
+
+def test_single_horizon_dprime_tolerance_is_tau(tmp_path):
+    path = tmp_path / "dprime.toml"
+    path.write_text(default_config("dprime", n=250, tau=0.8, n_samples=2000,
+                                   mesh=MeshSpec(cells=256)).to_toml(), encoding="utf-8")
+    code, out = _cli(["dprime", "--config", str(path), "--out", str(tmp_path)])
+    line, = [s for s in out.splitlines() if "dprime-n250:" in s]
+    assert line.endswith(" target=0 tol=0.8"), line
+    assert code == 0
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_summary_verdicts_are_json_booleans(kind, tmp_path):
+    cfg = default_config(kind, n=50, n_samples=2000, mesh=MeshSpec(cells=64))
+    report = run_experiment(cfg, base_dir=tmp_path)
+    summary = json.loads((Path(report.out_dir) / "summary.json").read_text(encoding="utf-8"))
+    assert isinstance(summary["passed"], bool)
+    assert summary["checks"]
+    for check in summary["checks"]:
+        assert isinstance(check["passed"], bool) and isinstance(check["info"], bool), check
+        assert check["side"] in SIDE_BOUNDS, check

@@ -20,16 +20,24 @@ def test_write_csv_byte_identical_reruns(tmp_path):
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
-def test_write_json_sorted_and_numpy_safe(tmp_path):
+def test_write_json_sorted(tmp_path):
     path = tmp_path / "payload.json"
-    write_json(path, {"b": np.float64(1.5), "a": np.bool_(True),
-                      "c": np.arange(3), "d": np.int64(7)})
+    write_json(path, {"b": 1.5, "a": True, "c": [0, 1, 2], "d": 7})
     text = path.read_text()
     assert text.index('"a"') < text.index('"b"') < text.index('"c"')
     import json
 
     back = json.loads(text)
     assert back == {"a": True, "b": 1.5, "c": [0, 1, 2], "d": 7}
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), np.int64(7), np.arange(3)],
+                         ids=["bool_", "int64", "ndarray"])
+def test_write_json_refuses_numpy_values(value, tmp_path):
+    # a run hands write_json plain Python values only; a numpy bool, integer
+    # or array is a bug upstream, so it is refused rather than converted
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "numpy.json", {"x": value})
 
 
 def test_write_json_rejects_unknown_types(tmp_path):

@@ -161,7 +161,7 @@ def test_periodic_schedule_tiles_cycle():
 def test_explicit_schedule_is_finite():
     s = ParameterSchedule.explicit([0.1, 0.12])
     np.testing.assert_array_equal(s.alphas(2), [0.1, 0.12])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="has 2 exponents, fewer than the 3 requested"):
         s.alphas(3)
 
 

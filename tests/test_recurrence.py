@@ -144,6 +144,11 @@ def test_measure_en_eps_validation(const01):
         measure_En_eps(const01, 1, 0.0)
     with pytest.raises(ValueError):
         measure_En_eps(const01, 0, 0.1)
+    # NaN compares false with 0, and a numpy step count needs an integer
+    with pytest.raises(ValueError, match="eps"):
+        measure_En_eps(const01, 1, float("nan"))
+    with pytest.raises(ValueError, match="n must be an integer"):
+        measure_En_eps(const01, 2.5, 0.1)
 
 
 def test_measure_ej_contains_first_return_set(const01):
