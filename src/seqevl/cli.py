@@ -67,13 +67,12 @@ def _run_validate(cfg, stdout) -> int:
     for diag in diagnostics:
         print(f"[{diag.severity.upper()}] {diag.code}: {diag.message}",
               file=stdout)
-    if not any(d.severity == "error" for d in diagnostics):
-        for check in ledger_report(cfg):
-            flag = "ok" if check.satisfied else "violated"
-            print(f"[LEDGER] {check.name}: {flag} "
-                  f"(lhs={check.lhs:.6g}, rhs={check.rhs:.6g})", file=stdout)
     if any(d.severity == "error" for d in diagnostics):
         return 1
+    for check in ledger_report(cfg):
+        flag = "ok" if check.satisfied else "violated"
+        print(f"[LEDGER] {check.name}: {flag} "
+              f"(lhs={check.lhs:.6g}, rhs={check.rhs:.6g})", file=stdout)
     print("configuration valid", file=stdout)
     return 0
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 import tomllib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .maps import ALPHA_STAR, ParameterSchedule
+from .maps import ALPHA_STAR, ParameterSchedule, _named_exponents
 from .mesh import (DEFAULT_CELLS, DEFAULT_MIN_WIDTH, DEFAULT_RATIO, Mesh,
                    graded_mesh, uniform_mesh)
 from .montecarlo import DEFAULT_BETA, DEFAULT_KAPPA
@@ -150,20 +150,7 @@ class ExperimentConfig:
         return tuple(self.n_ladder) if self.n_ladder else (self.n,)
 
     def to_dict(self) -> dict:
-        def plain(value):
-            if isinstance(value, tuple):
-                return list(value)
-            return value
-
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if hasattr(value, "__dataclass_fields__"):
-                out[f.name] = {g.name: plain(getattr(value, g.name))
-                               for g in fields(value)}
-            else:
-                out[f.name] = plain(value)
-        return out
+        return asdict(self)
 
     def to_toml(self) -> str:
         lines = []
@@ -304,7 +291,7 @@ def exponent_ledger(alpha_star: float, beta: float = ExponentSpec.beta,
 def ledger_report(config: ExperimentConfig) -> list[LedgerCheck]:
     """The exponent budgets at the sup exponent of the config's schedule."""
     exps = config.exponents
-    return exponent_ledger(config.schedule.build().sup_alpha(), exps.beta,
+    return exponent_ledger(max(_named_exponents(config.schedule)), exps.beta,
                            exps.kappa, exps.xi, exps.eta)
 
 
@@ -319,19 +306,14 @@ class Diagnostic:
     message: str
 
 
-def _exponents_read(config: ExperimentConfig) -> int:
+def _exponents_read(config: ExperimentConfig, union_horizons: tuple) -> int:
     """How many map exponents a run of the config reads from its schedule:
     n - 1 for a calibrated horizon n, n for an orbit of n steps, the longest
-    rung for decay, and the longest composition for recurrence."""
+    rung for decay, and the longest step count or union horizon for recurrence."""
     if config.kind == "decay":
         return max(config.n_ladder or DECAY_LADDER)
     if config.kind == "recurrence":
-        try:
-            params = config.recurrence.build(config.schedule.alpha_star)
-            return max(*EN_STEP_COUNTS, params.horizon(max(EJ_LADDER)),
-                       params.horizon(max(LOCAL_JS) ** params.gamma))
-        except (ValueError, OverflowError):  # bad-recurrence, or refused at run time
-            return max(EN_STEP_COUNTS)
+        return max(*EN_STEP_COUNTS, *union_horizons)
     return max(config.ns()) - (config.kind != "orbit")
 
 
@@ -341,19 +323,21 @@ def _is_dyadic(zeta: float, max_level: int = 40) -> bool:
 
 
 def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
-    """Structured diagnostics: hard errors block a run, warnings do not.
+    """Structured diagnostics: the hard errors, which block a run, or when
+    there are none the warnings, which do not.
 
     Asymptotic exponent budgets are evaluated at the schedule's sup exponent
     and reported as warnings; no configuration is rejected for its budget,
     matching the advisory role these inequalities play at finite n.
     """
-    out: list[Diagnostic] = []
+    errors: list[Diagnostic] = []
+    warnings: list[Diagnostic] = []
 
     def error(code, message):
-        out.append(Diagnostic("error", code, message))
+        errors.append(Diagnostic("error", code, message))
 
     def warning(code, message):
-        out.append(Diagnostic("warning", code, message))
+        warnings.append(Diagnostic("warning", code, message))
 
     if config.kind not in EXPERIMENT_KINDS:
         error("bad-kind", f"unknown experiment kind {config.kind!r}")
@@ -387,13 +371,16 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         error("bad-x0", "orbit start must lie in [0, 1]")
 
     sched = config.schedule
-    alphas = {"constant": (sched.alpha,), "iid": (sched.lo, sched.hi)}.get(
-        sched.mode, sched.cycle)
-    if alphas and min(alphas) <= 0.0:
-        error("bad-alpha", "map exponents must be positive")
-    elif alphas and max(alphas) > sched.alpha_star:
-        error("alpha-above-star",
-              f"schedule exponent {max(alphas)} exceeds alpha_star={sched.alpha_star}")
+    try:
+        alphas = _named_exponents(sched)
+    except ValueError as exc:
+        error("bad-schedule", str(exc))
+    else:
+        if alphas and min(alphas) <= 0.0:
+            error("bad-alpha", "map exponents must be positive")
+        elif alphas and max(alphas) > sched.alpha_star:
+            error("alpha-above-star",
+                  f"schedule exponent {max(alphas)} exceeds alpha_star={sched.alpha_star}")
 
     exps = config.exponents
     if not 0.0 < exps.beta < 1.0 or not 0.0 < exps.kappa < 1.0:
@@ -405,11 +392,12 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         error("bad-exponents", "xi must lie in (0, 1)")
 
     # the run builds these specs, and their constructors check the rest
-    # (mesh kind, cells and ratio, observable form and power, schedule mode,
-    # cycle and iid bounds); a spec already flagged above is not built
-    raised = {d.code for d in out}
+    # (mesh kind, cells and ratio, observable form and power, schedule
+    # cycle and iid bounds, recurrence exponents and horizons); a spec
+    # already flagged above is not built
+    raised = {d.code for d in errors}
     for code, spec, own in (
-            ("bad-schedule", sched, {"bad-alpha", "alpha-above-star"}),
+            ("bad-schedule", sched, {"bad-alpha", "alpha-above-star", "bad-schedule"}),
             ("bad-mesh", config.mesh, set()),
             ("bad-observable", config.observable, {"bad-zeta"})):
         if not own & raised:
@@ -417,13 +405,21 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
                 spec.build()
             except ValueError as exc:
                 error(code, str(exc))
-    needed = _exponents_read(config)
+    # only a recurrence run reads the recurrence spec and its longest union
+    # horizons, so for any other kind its fault is a warning
+    horizons = ()
+    try:
+        params = config.recurrence.build(sched.alpha_star)
+        horizons = (params.horizon(max(EJ_LADDER)), params.horizon(max(LOCAL_JS), params.gamma))
+    except ValueError as exc:
+        (error if config.kind == "recurrence" else warning)("bad-recurrence", str(exc))
+    needed = _exponents_read(config, horizons)
     if sched.mode == "explicit" and 0 < len(sched.cycle) < needed:
         error("bad-schedule", f"explicit schedule has {len(sched.cycle)} exponents, "
                               f"fewer than the {needed} that {config.kind} runs read")
 
-    if any(d.severity == "error" for d in out):
-        return out
+    if errors:
+        return errors
 
     for check in ledger_report(config):
         if not check.satisfied:
@@ -435,13 +431,4 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
                 "zeta is a dyadic rational; reference points off the binary "
                 "grid avoid orbit/threshold coincidences")
 
-    rec = config.recurrence
-    try:
-        rec.build(sched.alpha_star)
-    except ValueError as exc:
-        if config.kind == "recurrence":
-            error("bad-recurrence", str(exc))
-        else:
-            warning("bad-recurrence", str(exc))
-
-    return out
+    return warnings

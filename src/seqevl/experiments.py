@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import (DECAY_LADDER, EJ_LADDER, EN_EPS_LADDER, EN_STEP_COUNTS, LOCAL_JS,
                      ConfigError, ExperimentConfig, validate_config)
-from .io import write_csv, write_json
+from .io import _write_atomic, write_csv, write_json
 from .maps import sequential_orbit
 from .mesh import uniform_density
 from .montecarlo import (RNGSpec, build_blocks, d0_mixing_gap, dprime_sum,
@@ -85,16 +85,14 @@ def experiment_id(config: ExperimentConfig) -> str:
 
 
 def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentReport:
-    diagnostics = validate_config(config)
-    errors = [d for d in diagnostics if d.severity == "error"]
-    if errors:
-        raise ConfigError("; ".join(f"{d.code}: {d.message}" for d in errors))
-    warnings = tuple(d for d in diagnostics if d.severity == "warning")
+    diagnostics = validate_config(config)  # the errors, or else the warnings
+    if any(d.severity == "error" for d in diagnostics):
+        raise ConfigError("; ".join(f"{d.code}: {d.message}" for d in diagnostics))
 
     base = Path(base_dir) if base_dir is not None else Path(config.out_dir)
     exp_id = experiment_id(config)
+    # the writers make the directory, so a runner that raises leaves none
     out_dir = base / exp_id
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     mc = _MonteCarlo(config)
     started = time.perf_counter()
@@ -103,14 +101,14 @@ def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentReport:
 
     for name, (header, rows) in tables.items():
         write_csv(out_dir / f"{name}.csv", header, rows)
-    (out_dir / "config.toml").write_text(config.to_toml(), encoding="utf-8")
+    _write_atomic(out_dir / "config.toml", config.to_toml())
 
     report = ExperimentReport(
         kind=config.kind,
         experiment_id=exp_id,
         passed=all(c.passed for c in checks),
         checks=tuple(checks),
-        warnings=warnings,
+        warnings=tuple(diagnostics),
         metrics={"elapsed_seconds": elapsed,
                  "montecarlo_seconds": mc.seconds,
                  "samples": mc.samples,

@@ -87,6 +87,19 @@ def apply_map_batch(alpha: float, x: np.ndarray, out: np.ndarray | None = None) 
     return np.minimum(np.maximum(left, right, out=left), 1.0, out=out)
 
 
+def _named_exponents(schedule) -> tuple:
+    """The exponents a schedule names, by its mode: (alpha,) for constant,
+    the cycle for periodic and explicit, (lo, hi) for iid.  Config
+    validation passes a ScheduleSpec, which has the same fields."""
+    if schedule.mode == "constant":
+        return (schedule.alpha,)
+    if schedule.mode in ("periodic", "explicit"):
+        return tuple(schedule.cycle or ())
+    if schedule.mode == "iid":
+        return (schedule.lo, schedule.hi)
+    raise ValueError(f"unknown schedule mode {schedule.mode!r}")
+
+
 @dataclass(frozen=True)
 class ParameterSchedule:
     """Sequence of map exponents, one per composition step (1-based).
@@ -108,24 +121,15 @@ class ParameterSchedule:
     def __post_init__(self):
         if not 0.0 < self.alpha_star < 1.0:
             raise ValueError("alpha_star must lie in (0, 1)")
-        if self.mode == "constant":
-            self._require_valid((self.alpha,))
-        elif self.mode in ("periodic", "explicit"):
-            if not self.cycle:
-                raise ValueError(f"{self.mode} schedule needs a nonempty exponent list")
-            self._require_valid(self.cycle)
-        elif self.mode == "iid":
-            if self.lo is None or self.hi is None or not 0.0 < self.lo < self.hi:
-                raise ValueError("iid schedule needs 0 < lo < hi")
-            self._require_valid((self.lo, self.hi))
-        else:
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
-
-    def _require_valid(self, alphas):
+        alphas = _named_exponents(self)
+        if not alphas:
+            raise ValueError(f"{self.mode} schedule needs a nonempty exponent list")
         for a in alphas:
             if a is None or not 0.0 < a <= self.alpha_star:
                 raise ValueError(
                     f"exponent {a!r} outside (0, alpha_star={self.alpha_star}]")
+        if self.mode == "iid" and not self.lo < self.hi:
+            raise ValueError("iid schedule needs 0 < lo < hi")
 
     @classmethod
     def constant(cls, alpha: float, alpha_star: float = ALPHA_STAR):
@@ -148,26 +152,20 @@ class ParameterSchedule:
         """Exponents of the first n maps; alphas(m) is always a prefix of alphas(n)."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        if self.mode == "constant":
-            return np.full(n, self.alpha)
-        if self.mode == "periodic":
-            c = np.asarray(self.cycle)
-            return np.tile(c, n // c.size + 1)[:n]
         if self.mode == "explicit":
             if n > len(self.cycle):
                 raise ValueError(f"explicit schedule has {len(self.cycle)} exponents, "
                                  f"fewer than the {n} requested")
             return np.asarray(self.cycle[:n])
-        gen = philox_stream(self.seed, "schedule", "iid-alphas")
-        return self.lo + (self.hi - self.lo) * gen.random(n)
+        if self.mode == "iid":
+            gen = philox_stream(self.seed, "schedule", "iid-alphas")
+            return self.lo + (self.hi - self.lo) * gen.random(n)
+        c = np.asarray(_named_exponents(self))  # constant, periodic: the named ones repeated
+        return np.tile(c, n // c.size + 1)[:n]
 
     def sup_alpha(self) -> float:
         """Supremum of the exponent sequence, independent of the horizon."""
-        if self.mode == "constant":
-            return float(self.alpha)
-        if self.mode in ("periodic", "explicit"):
-            return float(max(self.cycle))
-        return float(self.hi)
+        return float(max(_named_exponents(self)))
 
 
 def sequential_orbit(schedule: ParameterSchedule, x0: float, n: int) -> np.ndarray:

@@ -23,6 +23,7 @@ import numpy as np
 from .maps import ALPHA_STAR, ParameterSchedule
 
 BISECT_TOL = 1e-10
+MAX_HORIZON = 2 ** 20  # the longest union horizon a run accepts, in steps
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,18 @@ class RecurrenceParams:
     def varsigma(self) -> float:
         return 1.0 / (1.0 + self.alpha_star) - self.kappa * (1.0 + self.xi)
 
-    def horizon(self, j: float) -> int:
-        return math.floor(j ** (self.kappa * (1.0 + self.xi)))
+    def horizon(self, j: float, power: float = 1.0) -> int:
+        """Steps of the union set at scale j ** power, floor(scale **
+        (kappa (1 + xi))); a scale that overflows, or a horizon above
+        MAX_HORIZON, is refused with a ValueError."""
+        try:
+            steps = (float(j) ** power) ** (self.kappa * (1.0 + self.xi))
+        except OverflowError:
+            steps = math.inf
+        if not steps <= MAX_HORIZON:
+            raise ValueError(f"the union set at scale {j!r} ** {power!r} needs {steps:.6g} "
+                             f"steps, above the ceiling of {MAX_HORIZON}")
+        return math.floor(steps)
 
 
 def _displacements(schedule: ParameterSchedule, n: int, x):

@@ -287,6 +287,12 @@ HARD_ERRORS = [
     *[(dict(kind=kind, schedule=ScheduleSpec(mode="explicit", cycle=(0.1,) * (read - 1)),
             **overrides), "bad-schedule")
       for kind, overrides, read in EXPONENTS_READ],
+    # a recurrence run's own spec faults are errors, reported beside the others:
+    # an infeasible beta, and local union horizons above the ceiling (about
+    # 9.2e18 steps at gamma = 60; at gamma = 300 the scale 32^300 overflows)
+    (dict(kind="recurrence", recurrence=RecurrenceSpec(beta=2.0)), "bad-recurrence"),
+    (dict(kind="recurrence", recurrence=RecurrenceSpec(gamma=60.0)), "bad-recurrence"),
+    (dict(kind="recurrence", recurrence=RecurrenceSpec(gamma=300.0)), "bad-recurrence"),
 ]
 
 
@@ -386,6 +392,22 @@ def test_errors_suppress_budget_warnings():
         "evl", tau=-1.0, schedule=ScheduleSpec(mode="constant", alpha=1.0 / 7.0))
     diags = validate_config(cfg)
     assert all(d.severity == "error" for d in diags)
+
+
+@pytest.mark.parametrize("gamma,steps", [(3.0, 8), (10.0, 1448), (15.0, 55108), (20.0, None)])
+def test_recurrence_horizon_ceiling(gamma, steps):
+    # the local union set at j = 32 reads 32^(0.21 gamma) steps; 2^21 at
+    # gamma = 20 is above the ceiling of 2^20
+    params = RecurrenceParams(gamma=gamma)
+    cfg = default_config("recurrence", recurrence=RecurrenceSpec(gamma=gamma))
+    diags = [(d.severity, d.code) for d in validate_config(cfg)]
+    if steps is None:
+        assert diags == [("error", "bad-recurrence")]
+        with pytest.raises(ValueError, match="above the ceiling of 1048576"):
+            params.horizon(32.0 ** gamma)
+    else:
+        assert diags == []
+        assert params.horizon(32, gamma) == params.horizon(32.0 ** gamma) == steps
 
 
 def test_infeasible_recurrence_spec_severity_depends_on_kind():
@@ -490,6 +512,19 @@ def test_cli_orbit_writes_artifacts(tmp_path):
     # 12 steps plus the starting point
     lines = (run_dir / "orbit.csv").read_bytes().split(b"\r\n")
     assert len([l for l in lines if l]) == 14
+
+
+def test_cli_mesh_override_sets_cells_and_changes_the_hash(tmp_path):
+    runs = tmp_path / "runs"
+    code, out, _ = run_cli(["orbit", "--out", str(runs)])
+    assert code == 0
+    plain = _artifact_dir(out)
+    code, out, _ = run_cli(["orbit", "--out", str(runs), "--mesh", "64"])
+    assert code == 0
+    meshed = _artifact_dir(out)
+    assert meshed != plain and meshed.parent == plain.parent
+    assert load_config(meshed / "config.toml").mesh.cells == 64
+    assert load_config(plain / "config.toml").mesh.cells == MeshSpec().cells
 
 
 def test_cli_quantitative_failure_exits_two(tmp_path):

@@ -131,3 +131,13 @@ def test_summary_verdicts_are_json_booleans(kind, tmp_path):
     for check in summary["checks"]:
         assert isinstance(check["passed"], bool) and isinstance(check["info"], bool), check
         assert check["side"] in SIDE_BOUNDS, check
+
+
+def test_run_whose_runner_raises_leaves_no_directory(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("runner fault")
+
+    monkeypatch.setattr(experiments, "sequential_orbit", broken)
+    with pytest.raises(ValueError, match="runner fault"):
+        run_experiment(default_config("orbit", n=5), base_dir=tmp_path / "runs")
+    assert not (tmp_path / "runs").exists()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from seqevl import io
 from seqevl.io import write_csv, write_json
 
 
@@ -43,3 +44,29 @@ def test_write_json_refuses_numpy_values(value, tmp_path):
 def test_write_json_rejects_unknown_types(tmp_path):
     with pytest.raises(TypeError):
         write_json(tmp_path / "bad.json", {"x": object()})
+
+
+def _refused_move(src, dst):
+    raise OSError("disk full")
+
+
+def _rows_then_fault():
+    yield [1]
+    raise ValueError("a row cannot be computed")
+
+
+@pytest.mark.parametrize("write,args,fault", [
+    (write_csv, (["a"], _rows_then_fault()), None),
+    (write_csv, (["a"], [[1]]), _refused_move),
+    (write_json, ({"x": object()},), None),
+    (write_json, ({"x": 1},), _refused_move),
+], ids=["csv-row", "csv-move", "json-render", "json-move"])
+def test_failed_write_leaves_no_file(write, args, fault, tmp_path, monkeypatch):
+    # a payload that cannot be rendered, or a move that fails after the
+    # temporary was written: neither <name> nor <name>.tmp may remain
+    if fault is not None:
+        monkeypatch.setattr(io.os, "replace", fault)
+    path = tmp_path / "out" / "artifact"
+    with pytest.raises((OSError, TypeError, ValueError)):
+        write(path, *args)
+    assert not path.exists() and not path.with_name("artifact.tmp").exists()
