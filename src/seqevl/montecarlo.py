@@ -3,7 +3,11 @@
 The module is the one orbit sweep `_sweep` and what a run estimates with
 it: the no-exceedance probability P_n, per-step exceedance masses, the
 within-block pair sum of condition D' (with the blocks it sums over) and
-the mixing gap of condition D_0.
+the mixing gap of condition D_0.  Every one of them is about the same
+event, the orbit at step i landing in the ball |x_i - zeta| < delta_i.
+The sweep owns that test: it walks the orbits to the last step an
+estimator reads, tests the ball once at each step read, and each
+estimator folds the hit masks it is handed.
 
 Determinism contract: every estimator draws its inputs from counter-based
 streams keyed by (seed, labels) and walks them with one shared sweep, which
@@ -21,14 +25,12 @@ interval near 0 or 1.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from ._rng import philox_stream
-from .maps import ParameterSchedule, apply_map_batch
+from .maps import apply_map_batch
 from .thresholds import ThresholdSchedule
 
 CHUNK_SIZE = 16384
@@ -84,20 +86,24 @@ class EstimateWithCI:
         return cls(mean, se, n, mean - Z95 * se, mean + Z95 * se)
 
 
-def _sweep(schedule: ParameterSchedule, rng: RNGSpec, label: str, n_samples: int,
-           steps: int, chunk):
-    """Walk n_samples uniform orbits through positions 0..steps-1 and sum the counts.
+def _sweep(ts: ThresholdSchedule, rng: RNGSpec, label: str, n_samples: int, reads,
+           chunk):
+    """Walk n_samples uniform orbits of ts to the last step in reads (a range
+    or a set) and sum the counts.
 
-    chunk(size) -> (visit, result) sets up one chunk's accumulators.
-    visit(i, x) sees the chunk's points after i map steps; it may return a
-    keep-mask, and then only the kept points walk on, the chunk stopping
-    once none are left.  result() gives the chunk's tuple of counts.
-    Chunk boundaries depend only on n_samples and CHUNK_SIZE, and the
-    per-chunk tuples (exact integers, or floats) are summed in chunk order.
+    chunk(size) -> (visit, result) sets up one chunk's accumulators.  At
+    each step i in reads the sweep tests the chunk's points against the
+    ball once and calls visit(i, hit), hit = |x_i - zeta| < delta_i.  visit
+    may return a keep-mask, and then only the kept points walk on, the
+    chunk stopping once none are left.  result() gives the chunk's tuple of
+    exact integer counts.  Chunk boundaries depend only on n_samples and
+    CHUNK_SIZE, and the per-chunk tuples are summed in chunk order.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
-    alphas = schedule.alphas(steps - 1)
+    last = max(reads)
+    alphas = ts.schedule.alphas(last)
+    zeta, deltas = ts.zeta, ts.deltas
     stream = rng.stream("x0", label)
 
     def run(lo: int):
@@ -105,19 +111,19 @@ def _sweep(schedule: ParameterSchedule, rng: RNGSpec, label: str, n_samples: int
         # chunk gives the same points as one draw of all n_samples
         x = stream.random(min(CHUNK_SIZE, n_samples - lo))
         visit, result = chunk(x.size)
-        for i in range(steps):
+        for i in range(last + 1):
             if i > 0:
                 x = apply_map_batch(alphas[i - 1], x, out=x)
-            keep = visit(i, x)
-            if keep is not None:
-                x = x[keep]
-                if x.size == 0:
-                    break
+            if i in reads:
+                keep = visit(i, np.abs(x - zeta) < deltas[i])
+                if keep is not None:
+                    x = x[keep]
+                    if x.size == 0:
+                        break
         return result()
 
     results = [run(lo) for lo in range(0, n_samples, CHUNK_SIZE)]
-    # plain left-to-right adds; sum() would compensate float rounding on Python >= 3.12
-    return [reduce(operator.add, parts) for parts in zip(*results)]
+    return [sum(parts) for parts in zip(*results)]
 
 
 # ---------------------------------------------------------------------------
@@ -131,46 +137,40 @@ def estimate_Pn(ts: ThresholdSchedule, rng: RNGSpec, n_samples: int = 100_000,
     Orbits that exceed are dropped at once: exceedance at each step is a
     pointwise predicate on that sample's orbit, so only survivors walk on.
     """
-    zeta, deltas = ts.zeta, ts.deltas
 
     def chunk(size: int):
         alive = size
 
-        def visit(i, x):
+        def visit(i, hit):
             nonlocal alive
-            if deltas[i] > 0.0:
-                keep = np.abs(x - zeta) >= deltas[i]
-                alive = int(np.count_nonzero(keep))
-                return keep
+            alive -= int(np.count_nonzero(hit))
+            return ~hit
 
         return visit, lambda: (alive,)
 
-    (survivors,) = _sweep(ts.schedule, rng, label, n_samples, ts.n, chunk)
+    (survivors,) = _sweep(ts, rng, label, n_samples, range(ts.n), chunk)
     return EstimateWithCI.from_counts(survivors, n_samples)
 
 
 def estimate_exceedances(ts: ThresholdSchedule, indices, rng: RNGSpec,
                          n_samples: int = 100_000,
                          label: str = "exceedance") -> list[EstimateWithCI]:
-    """Monte Carlo estimates of the per-step exceedance masses m(X_i > u_i)."""
-    idx = sorted(int(i) for i in indices)
-    if not idx or idx[0] < 0 or idx[-1] >= ts.n:
+    """Monte Carlo estimates of the per-step exceedance masses m(X_i > u_i),
+    one per index in the order given."""
+    idx = [int(i) for i in indices]
+    if not idx or min(idx) < 0 or max(idx) >= ts.n:
         raise ValueError("indices must lie in [0, n)")
-    wanted = {i: pos for pos, i in enumerate(idx)}
-    zeta, deltas = ts.zeta, ts.deltas
 
     def chunk(size: int):
-        counts = np.zeros(len(idx), dtype=np.int64)
+        counts = {}
 
-        def visit(i, x):
-            pos = wanted.get(i)
-            if pos is not None:
-                counts[pos] = np.count_nonzero(np.abs(x - zeta) < deltas[i])
+        def visit(i, hit):
+            counts[i] = int(np.count_nonzero(hit))
 
-        return visit, lambda: (counts,)
+        return visit, lambda: tuple(counts[i] for i in idx)
 
-    (counts,) = _sweep(ts.schedule, rng, label, n_samples, idx[-1] + 1, chunk)
-    return [EstimateWithCI.from_counts(int(k), n_samples) for k in counts]
+    counts = _sweep(ts, rng, label, n_samples, set(idx), chunk)
+    return [EstimateWithCI.from_counts(k, n_samples) for k in counts]
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +232,22 @@ def dprime_sum(ts: ThresholdSchedule, blocks: BlockStructure, rng: RNGSpec,
     sweep per sample suffices: count exceedances within each block and add
     C(count, 2).  Work per sample is O(n + pairs).
     """
-    zeta, deltas = ts.zeta, ts.deltas
     ends = set(int(b) for b in blocks.bounds[1:])
 
     def chunk(size: int):
         in_block = np.zeros(size, dtype=np.int64)
         pairs = np.zeros(size, dtype=np.int64)
 
-        def visit(i, x):
+        def visit(i, hit):
             nonlocal in_block, pairs
-            if deltas[i] > 0.0:
-                in_block += np.abs(x - zeta) < deltas[i]
+            in_block += hit
             if (i + 1) in ends:
                 pairs += in_block * (in_block - 1) // 2
                 in_block[:] = 0
 
         return visit, lambda: (int(pairs.sum()), int((pairs * pairs).sum()))
 
-    total, total_sq = _sweep(ts.schedule, rng, label, n_samples, ts.n, chunk)
+    total, total_sq = _sweep(ts, rng, label, n_samples, range(ts.n), chunk)
     return EstimateWithCI.from_moments(float(total), float(total_sq), n_samples)
 
 
@@ -282,24 +280,22 @@ def d0_mixing_gap(ts: ThresholdSchedule, i: int, t: int, ell: int, rng: RNGSpec,
     n = ts.n
     if i < 0 or t < 1 or ell < 0 or i + t + ell > n:
         raise ValueError("need 0 <= i, t >= 1, ell >= 0, i + t + ell <= n")
-    last = i + t + ell - 1 if ell > 0 else i
-    zeta, deltas = ts.zeta, ts.deltas
 
     def chunk(size: int):
-        a = np.zeros(size, dtype=bool)
+        a = None
         w = np.ones(size, dtype=bool)
 
-        def visit(step, x):
+        def visit(step, hit):
             nonlocal a, w
             if step == i:
-                a = np.abs(x - zeta) < deltas[step]
-            if ell > 0 and i + t <= step and deltas[step] > 0.0:
-                w &= np.abs(x - zeta) >= deltas[step]
+                a = hit
+            else:
+                w &= ~hit
 
         return visit, lambda: (int(np.count_nonzero(a & w)), int(np.count_nonzero(a)),
                                int(np.count_nonzero(w)))
 
-    n11, na, nw = _sweep(ts.schedule, rng, label, n_samples, last + 1, chunk)
+    n11, na, nw = _sweep(ts, rng, label, n_samples, {i, *range(i + t, i + t + ell)}, chunk)
     N = n_samples
     pa, pw, p11 = na / N, nw / N, n11 / N
     cov = p11 - pa * pw

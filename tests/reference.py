@@ -37,7 +37,8 @@ from `cli.main` to hold it to that).  What it holds:
   open ball of that radius.
 - `correlation_DC` and `mc_correlation_DC`: the decorrelation functional
   cov(phi(x_i), psi(x_{i+t})) by the operator identity on a mesh, and its
-  Monte Carlo twin on the package's orbit sweep.
+  Monte Carlo twin, which walks its own orbits with `lsv_apply` rather
+  than the package's sweep.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 from seqevl.maps import (ParameterSchedule, _check_alpha, _check_domain, apply_map_batch,
                          lsv_left_inverse)
 from seqevl.mesh import Density, Mesh, _same_mesh, project, uniform_density
-from seqevl.montecarlo import Z95, EstimateWithCI, RNGSpec, _sweep
+from seqevl.montecarlo import Z95, EstimateWithCI, RNGSpec
 from seqevl.thresholds import Observable, ThresholdSchedule
 from seqevl.transfer import pf_apply, push_density
 
@@ -509,30 +510,30 @@ def correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
 def mc_correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
                       rng: RNGSpec, n_samples: int = 100_000,
                       label: str = "dc") -> EstimateWithCI:
-    """Monte Carlo cross-check of correlation_DC: cov(phi(x_i), psi(x_{i+t}))."""
+    """Monte Carlo cross-check of correlation_DC: cov(phi(x_i), psi(x_{i+t})).
 
-    def as_callable(obs):
+    The orbits start from the sweep's stream for the label, all drawn at
+    once, and are stepped whole with lsv_apply: the package's sweep is not
+    used, so the tests can compare it against this.
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
+
+    def observe(obs, x):
         if isinstance(obs, tuple):
             lo, hi = obs
-            return lambda x: ((x > lo) & (x < hi)).astype(float)
-        return obs
+            return ((x > lo) & (x < hi)).astype(float)
+        return np.asarray(obs(x), dtype=float)
 
-    fphi, fpsi = as_callable(phi), as_callable(psi)
-
-    def chunk(size: int):
-        u = v = None
-
-        def visit(step, x):
-            nonlocal u, v
-            if step == i:
-                u = np.asarray(fphi(x), dtype=float).copy()
-            if step == i + t:
-                v = np.asarray(fpsi(x), dtype=float)
-
-        return visit, lambda: (float(np.sum(u * v)), float(np.sum(u)), float(np.sum(v)),
-                               float(np.sum((u * v) ** 2)))
-
-    suv, su, sv, suv2 = _sweep(schedule, rng, label, n_samples, i + t + 1, chunk)
+    alphas = schedule.alphas(i + t)
+    x = rng.stream("x0", label).random(n_samples)
+    for a in alphas[:i]:
+        x = lsv_apply(a, x)
+    u = observe(phi, x)
+    for a in alphas[i:]:
+        x = lsv_apply(a, x)
+    v = observe(psi, x)
+    suv, su, sv, suv2 = (float(np.sum(s)) for s in (u * v, u, v, (u * v) ** 2))
     N = n_samples
     mu_uv, mu_u, mu_v = suv / N, su / N, sv / N
     cov = mu_uv - mu_u * mu_v

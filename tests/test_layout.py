@@ -2,18 +2,23 @@
 package modules is reached from the command-line entry point `cli.main`, and
 every function, method and property, private ones and dunders included, is
 called when `cli.main` runs a small matrix of configs.  Code that only tests
-use belongs in `tests/reference.py`."""
+use belongs in `tests/reference.py`.  README's Quick start block runs
+against the package as it stands."""
 
 import ast
+import contextlib
 import io
+import math
 import os
+import re
 import sys
 from pathlib import Path
 
 from seqevl import cli
 from seqevl.config import MeshSpec, ObservableSpec, ScheduleSpec, default_config
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "seqevl"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "seqevl"
 
 # public names that no run reaches, each with the reason it stays
 UNREACHED_ALLOWED = {
@@ -126,3 +131,14 @@ def test_every_function_runs_under_cli_main(tmp_path):
             sys.setprofile(None)
         assert code in (0, 2), argv  # 1 is a config or runtime error
     assert defined_functions() - called == NEVER_CALLED_ALLOWED
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    namespace, out = {}, io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), namespace)
+    est = namespace["est"]
+    assert out.getvalue() == f"{est.value} target {math.exp(-1.0)}\n"
+    assert abs(est.value - math.exp(-1.0)) <= 0.05 + 2.0 * est.se

@@ -1,6 +1,6 @@
 """Monte Carlo estimators, blocking and mixing diagnostics; also the
-decorrelation pair of `reference`, whose Monte Carlo half runs on the same
-sweep, and the exponent budgets of `seqevl.config`."""
+decorrelation pair of `reference`, whose Monte Carlo half walks its own
+orbits, and the exponent budgets of `seqevl.config`."""
 
 import math
 import tracemalloc
@@ -118,13 +118,6 @@ def test_chunkwise_draws_equal_one_whole_draw(n, size):
     np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
-def test_estimate_pn_zero_tau_is_certain(mesh512, const01):
-    ts, = build_threshold_schedule(const01, Observable(form="log"), 0.0, (5,), mesh512)
-    e = estimate_Pn(ts, RNGSpec(1), n_samples=4096)
-    assert e.value == 1.0
-    assert e.ci_high == 1.0
-
-
 def test_estimate_pn_single_step_closed_form(mesh512, const01):
     # n = 1: survival probability is exactly 1 - tau under the uniform start
     ts, = build_threshold_schedule(const01, Observable(form="log"), 0.5, (1,), mesh512)
@@ -151,6 +144,30 @@ def test_estimate_exceedances_match_calibrated_mass(ts20):
         assert abs(e.value - target) <= 3.0 * max(e.se, 1e-4)
     single = estimate_exceedances(ts20, [7], RNGSpec(17), n_samples=N_FAST)[0]
     assert single.value == ests[1].value  # same stream, same counts
+
+
+@pytest.mark.parametrize("indices", [[3, 3, 7], [7, 3]], ids=["repeated", "unordered"])
+def test_estimate_exceedances_one_per_index_in_order(ts20, indices):
+    got = estimate_exceedances(ts20, indices, RNGSpec(17), n_samples=N_FAST)
+    singles = [estimate_exceedances(ts20, [i], RNGSpec(17), n_samples=N_FAST)[0]
+               for i in indices]
+    assert got == singles
+
+
+def test_estimate_pn_zero_tau_is_certain(mesh512, const01):
+    ts, = build_threshold_schedule(const01, Observable(form="log"), 0.0, (5,), mesh512)
+    e = estimate_Pn(ts, RNGSpec(1), n_samples=4096)
+    assert e.value == 1.0
+    assert e.ci_high == 1.0
+
+
+def test_zero_tau_sees_no_exceedance(mesh512, const01):
+    # every radius is 0, so the open ball is empty at every step
+    ts, = build_threshold_schedule(const01, Observable(form="log"), 0.0, (10,), mesh512)
+    assert [e.value for e in estimate_exceedances(ts, [0, 4, 9], RNGSpec(1),
+                                                  n_samples=4096)] == [0.0] * 3
+    g = d0_mixing_gap(ts, i=1, t=2, ell=3, rng=RNGSpec(1), n_samples=4096)
+    assert (g.covariance, g.p_event, g.p_window) == (0.0, 0.0, 1.0)
 
 
 def test_estimate_exceedances_validation(ts20):

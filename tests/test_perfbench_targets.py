@@ -41,6 +41,27 @@ def test_traced_run_records_the_threshold_spans(tmp_path):
     assert metrics["thresholds.calibrated_steps"][0] == 80  # densities evaluated
 
 
+# n = 40, 2,000 samples: calibrate and dprime walk every orbit 39 steps; d0
+# walks t + ell - 1 steps, with ell = 6 and t = 4 and 19
+@pytest.mark.parametrize("kind, span, sample_steps", [
+    ("calibrate", "montecarlo.exceedances", [2000 * 39]),
+    ("dprime", "montecarlo.dprime", [2000 * 39]),
+    ("d0", "montecarlo.d0", [2000 * 9, 2000 * 24]),
+], ids=["calibrate", "dprime", "d0"])
+def test_traced_run_records_its_estimator_span(tmp_path, kind, span, sample_steps):
+    """The tracer binds each estimator's arguments by name to count the
+    nominal map steps it walks."""
+    cfg = default_config(kind, n=40, n_samples=2000)
+    path = tmp_path / f"{kind}.toml"
+    path.write_text(cfg.to_toml(), encoding="utf-8")
+    out = io.StringIO()
+    with tracing.Tracer() as tracer:
+        code = seqevl.cli.main([kind, "--config", str(path), "--out", str(tmp_path)],
+                               stdout=out, stderr=out)
+    assert code in (0, 2), out.getvalue()
+    assert [s.info["sample_steps"] for s in tracer.spans if s.name == span] == sample_steps
+
+
 def test_traced_decay_run_records_the_decay_span(tmp_path):
     cfg = default_config("decay", n_ladder=(64, 128))
     path = tmp_path / "decay.toml"
