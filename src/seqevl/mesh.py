@@ -18,14 +18,15 @@ DEFAULT_CELLS = 1024
 DEFAULT_RATIO = 0.97
 DEFAULT_MIN_WIDTH = 1e-8
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Partition of [0, 1] into at least 2 cells given by strictly increasing
     boundaries.
 
-    The boundaries are a read-only copy of the caller's array, so `widths`,
-    `fingerprint()` and the transfer module's per-mesh tables can be
-    computed once and never go stale.
+    The boundaries are a read-only copy of the caller's array, so `widths`
+    and the transfer module's per-mesh tables can be computed once and never
+    go stale.  A mesh compares and hashes by identity, and the transfer
+    module keys its tables by the mesh object.
     """
 
     boundaries: np.ndarray
@@ -74,13 +75,6 @@ class Mesh:
         out[0::2] = b
         out[1::2] = 0.5 * (b[:-1] + b[1:])
         return Mesh(out)
-
-    def fingerprint(self) -> bytes:
-        return self._fingerprint
-
-    @cached_property
-    def _fingerprint(self) -> bytes:
-        return self.boundaries.tobytes()
 
 
 def uniform_mesh(n_cells: int = DEFAULT_CELLS) -> Mesh:

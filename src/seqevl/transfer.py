@@ -3,17 +3,19 @@
 `pf_apply` pushes a piecewise-constant density through the duality
 relation using interval-preimage arithmetic: masses are differences of the
 source prefix integral at branch preimages of the cell boundaries, so each
-step conserves mass to rounding.  The left-branch preimages are put in
-order once per exponent, so a nonnegative density pushes to nonnegative
-masses with no check per step.  `push_density` chains pf_apply into a
-ladder over a run of exponents; every density ladder is pushed this way,
-and a long ladder is pushed a block at a time by its caller.  The module
-also carries the cone-admissible step surrogate and the memory-loss
-diagnostic.
+step conserves mass to rounding.  The preimages are looked up once per
+exponent and mesh, in a gather table of which the last 64 are kept, keyed
+by the mesh object; the left-branch ones are put in order then, so a
+nonnegative density pushes to nonnegative masses with no check per step.
+`push_density` chains pf_apply into a ladder over a run of exponents;
+every density ladder is pushed this way, and a long ladder is pushed a
+block at a time by its caller.  The module also carries the
+cone-admissible step surrogate and the memory-loss diagnostic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,37 +24,24 @@ import numpy as np
 from .maps import ParameterSchedule, lsv_left_inverse
 from .mesh import Density, Mesh, project
 
-# fused gather tables of the push, keyed by (alpha, mesh fingerprint); the
-# key alpha=None holds the right-branch half, which is the same for every alpha
-_LEFT_INV_CACHE: dict[tuple[float | None, bytes], tuple[np.ndarray, np.ndarray]] = {}
-# entries kept before the cache clears: 256 fused tables and one right half
-# hold at most 8.4 MB on 1,024 cells
-_CACHE_ENTRIES = 256
 
-
-def _gather_table(alpha: float | None, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=64)
+def _gather_table(alpha: float, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Cells and in-cell offsets at which Density.cdf reads the boundary
     preimages of both branches: the k+1 of the left branch of alpha, then the
-    k+1 of the right branch.  alpha=None gives the right half alone.
+    k+1 of the right branch.  The last 64 tables are kept, keyed by alpha and
+    the mesh object; each entry holds its mesh, so a table never serves
+    another mesh.
 
     The left preimages are made nondecreasing by a running maximum: on cells
     narrower than the 1e-13 tolerance of lsv_left_inverse they can come out
     of order, and the masses of a nonnegative density, differences of its
     cdf, are nonnegative only between ordered points."""
-    key = (alpha, mesh.fingerprint())
-    table = _LEFT_INV_CACHE.get(key)
-    if table is None:
-        b = mesh.boundaries
-        if alpha is None:
-            table = mesh.locate(0.5 * (b + 1.0))
-        else:
-            left = mesh.locate(np.maximum.accumulate(lsv_left_inverse(alpha, b)))
-            table = tuple(map(np.concatenate, zip(left, _gather_table(None, mesh))))
-        if len(_LEFT_INV_CACHE) > _CACHE_ENTRIES:
-            _LEFT_INV_CACHE.clear()
-        for a in table:
-            a.flags.writeable = False
-        _LEFT_INV_CACHE[key] = table
+    b = mesh.boundaries
+    left = np.maximum.accumulate(lsv_left_inverse(alpha, b))
+    table = mesh.locate(np.concatenate((left, 0.5 * (b + 1.0))))
+    for a in table:
+        a.flags.writeable = False
     return table
 
 

@@ -76,18 +76,13 @@ def test_refined_splits_every_cell(mesh512):
     np.testing.assert_allclose(fine.widths[0::2], fine.widths[1::2])
 
 
-def test_fingerprint_distinguishes_meshes(mesh512, mesh1024):
-    assert mesh512.fingerprint() != mesh1024.fingerprint()
-    assert mesh512.fingerprint() == graded_mesh(512).fingerprint()
-
-
 def test_mesh_owns_a_read_only_copy_of_its_boundaries():
     b = np.linspace(0.0, 1.0, 9)
     m = Mesh(b)
-    widths, key = m.widths, m.fingerprint()
+    widths = m.widths
     b[3] = 0.3  # the caller's array stays the caller's
     assert m.boundaries[3] == 0.375
-    assert m.widths is widths and m.fingerprint() is key
+    assert m.widths is widths
     np.testing.assert_array_equal(widths, 0.125)
     for a in (m.boundaries, m.widths):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from seqevl import transfer
 from seqevl.maps import ALPHA_STAR, ParameterSchedule, lsv_left_inverse
 from seqevl.mesh import Density, Mesh, graded_mesh, project, uniform_density, uniform_mesh
+from seqevl.thresholds import Observable, build_threshold_schedule
 from seqevl.transfer import (
     DecayResult,
     cone_step_surrogate,
@@ -270,23 +271,37 @@ def test_push_builds_one_table_per_alpha_and_mesh(monkeypatch, mesh512):
         return lsv_left_inverse(alpha, y, *args, **kwargs)
 
     monkeypatch.setattr(transfer, "lsv_left_inverse", counting_left_inverse)
-    monkeypatch.setattr(transfer, "_LEFT_INV_CACHE", {})
-    f0 = uniform_density(mesh512)
-    push_density(ParameterSchedule.constant(0.1).alphas(200), f0)
-    assert len(calls) == 1
-    calls.clear()
-    push_density(ParameterSchedule.periodic([0.05, 0.12, 0.08]).alphas(200), f0)
-    assert sorted(calls) == [0.05, 0.08, 0.12]
-    calls.clear()
-    f, peak = f0, 0
-    for a in ParameterSchedule.iid_uniform(0.05, 0.12, seed=3).alphas(600):
-        f = pf_apply(a, f)
-        peak = max(peak, sum(x.nbytes for table in transfer._LEFT_INV_CACHE.values()
-                             for x in table))
-    assert len(calls) == 600  # every iid exponent is new
-    # the cache clears before it holds more than 513 one-branch tables of 513
-    # cells and 513 offsets
-    assert peak <= 513 * 513 * 16
+    # tables built under the patch must not reach later tests
+    transfer._gather_table.cache_clear()
+    try:
+        f0 = uniform_density(mesh512)
+        push_density(ParameterSchedule.constant(0.1).alphas(200), f0)
+        assert len(calls) == transfer._gather_table.cache_info().misses == 1
+        calls.clear()
+        push_density(ParameterSchedule.periodic([0.05, 0.12, 0.08]).alphas(200), f0)
+        assert sorted(calls) == [0.05, 0.08, 0.12]
+        calls.clear()
+        f = f0
+        for a in ParameterSchedule.iid_uniform(0.05, 0.12, seed=3).alphas(600):
+            f = pf_apply(a, f)
+            assert transfer._gather_table.cache_info().currsize <= 64
+        assert len(calls) == 600  # every iid exponent is new
+        # n = 200 streams 7 blocks of 32 steps, each by its own push_density
+        # call on the one mesh, so they share one table
+        calls.clear()
+        transfer._gather_table.cache_clear()
+        build_threshold_schedule(ParameterSchedule.constant(0.1), Observable(), 1.0,
+                                 [200], mesh512)
+        assert len(calls) == 1
+    finally:
+        transfer._gather_table.cache_clear()
+
+
+def test_push_on_each_mesh_reads_that_mesh_table():
+    # equal cell counts, so a table served to the wrong mesh would not raise
+    for mesh in (graded_mesh(512), uniform_mesh(512), graded_mesh(512)):
+        f = Density(mesh, np.linspace(2.0, 0.0, 512)).normalized()
+        assert np.array_equal(pf_apply(0.1, f).values, reference_push(0.1, f).values)
 
 
 # ------------------------------------------------------------- push_density
