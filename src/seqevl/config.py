@@ -81,14 +81,10 @@ class ScheduleSpec:
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    form: str = Observable.form
     zeta: float = Observable.zeta
-    power: float = Observable.power
-    cap: float = Observable.cap
 
     def build(self) -> Observable:
-        return Observable(form=self.form, zeta=self.zeta, power=self.power,
-                          cap=self.cap)
+        return Observable(zeta=self.zeta)
 
 
 @dataclass(frozen=True)
@@ -365,8 +361,6 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         error("bad-samples", "sample count must be positive")
     if config.workers != 1:
         error("bad-workers", "workers must be 1: the Monte Carlo sweep runs on one thread")
-    if not 0.0 < config.observable.zeta < 1.0:
-        error("bad-zeta", "zeta must lie strictly inside (0, 1)")
     if not 0.0 <= config.x0 <= 1.0:
         error("bad-x0", "orbit start must lie in [0, 1]")
 
@@ -392,14 +386,14 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         error("bad-exponents", "xi must lie in (0, 1)")
 
     # the run builds these specs, and their constructors check the rest
-    # (mesh kind, cells and ratio, observable form and power, schedule
-    # cycle and iid bounds, recurrence exponents and horizons); a spec
-    # already flagged above is not built
+    # (mesh kind, cells and ratio, the observable's zeta, schedule cycle
+    # and iid bounds, recurrence exponents and horizons); a spec already
+    # flagged above is not built
     raised = {d.code for d in errors}
     for code, spec, own in (
             ("bad-schedule", sched, {"bad-alpha", "alpha-above-star", "bad-schedule"}),
             ("bad-mesh", config.mesh, set()),
-            ("bad-observable", config.observable, {"bad-zeta"})):
+            ("bad-zeta", config.observable, set())):
         if not own & raised:
             try:
                 spec.build()

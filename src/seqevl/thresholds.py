@@ -1,8 +1,8 @@
 """Observables peaking at a target point and per-step threshold calibration.
 
-The observation at step i is g(|x_i - zeta|) for a strictly decreasing
-profile g, so level exceedances are open balls around zeta.  Levels are
-calibrated against the pushed densities: delta solves
+The observation at step i is g(|x_i - zeta|) = -log |x_i - zeta|, so level
+exceedances are open balls around zeta.  Levels are calibrated against the
+pushed densities: delta solves
 integral over (zeta - delta, zeta + delta) of the step-i density = tau / n,
 which makes every step carry identical exceedance mass.  For piecewise-
 constant densities that window mass is piecewise linear in delta, so each
@@ -28,38 +28,23 @@ from .transfer import push_density
 
 DEFAULT_ZETA = 1.0 / math.sqrt(2.0)
 
-OBSERVABLE_FORMS = ("log", "power-pole", "power-cap")
-
 
 @dataclass(frozen=True)
 class Observable:
-    """Distance observable g(|x - zeta|): "log" is -log d, "power-pole" is
-    d^(-1/power), "power-cap" is cap - d^(1/power).  All three decrease
-    strictly in d, so {g > u} is the open ball of radius g^(-1)(u)."""
+    """Distance observable g(|x - zeta|) = -log |x - zeta|, so {g > u} is the
+    open ball of radius exp(-u).  Any other strictly decreasing profile of
+    the distance would only rename the levels: the balls stay the same."""
 
-    form: str = "log"
     zeta: float = DEFAULT_ZETA
-    power: float = 2.0
-    cap: float = 1.0
 
     def __post_init__(self):
-        if self.form not in OBSERVABLE_FORMS:
-            raise ValueError(f"unknown observable form {self.form!r}")
         if not 0.0 < self.zeta < 1.0:
             raise ValueError("zeta must lie in the open interval (0, 1)")
-        if self.power <= 0.0:
-            raise ValueError("power must be positive")
 
     def level_for_radius(self, delta):
         """g evaluated at distance delta (the level whose ball has that radius)."""
-        d = np.asarray(delta, dtype=float)
         with np.errstate(divide="ignore"):
-            if self.form == "log":
-                out = -np.log(d)
-            elif self.form == "power-pole":
-                out = d ** (-1.0 / self.power)
-            else:
-                out = self.cap - d ** (1.0 / self.power)
+            out = -np.log(np.asarray(delta, dtype=float))
         return out if out.ndim else float(out)
 
 

@@ -445,15 +445,7 @@ def observable_value(obs: Observable, x):
 
 def radius_for_level(obs: Observable, u):
     """Radius of the ball around zeta on which the observable exceeds u."""
-    u = np.asarray(u, dtype=float)
-    if obs.form == "log":
-        out = np.exp(-u)
-    elif obs.form == "power-pole":
-        with np.errstate(divide="ignore"):
-            out = np.where(u > 0, np.where(u > 0, u, 1.0) ** (-obs.power), np.inf)
-    else:
-        diff = obs.cap - u
-        out = np.where(diff > 0, diff, 0.0) ** obs.power
+    out = np.exp(-np.asarray(u, dtype=float))
     return out if out.ndim else float(out)
 
 

@@ -46,7 +46,7 @@ from reference import (
 SEED = 1729
 N_SAMPLES = 100_000
 LADDER = (250, 500, 1000, 2000)
-OBS = Observable(form="log")  # zeta defaults to 1/sqrt(2)
+OBS = Observable()  # zeta defaults to 1/sqrt(2)
 
 
 @pytest.fixture(scope="module")

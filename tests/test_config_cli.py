@@ -92,7 +92,7 @@ def test_toml_round_trip_preserves_config():
     cfg = default_config(
         "dprime", tau=1.5, n_ladder=(250, 500),
         schedule=ScheduleSpec(mode="periodic", cycle=(0.05, 0.1)),
-        observable=ObservableSpec(form="power-cap", zeta=0.3, cap=2.0),
+        observable=ObservableSpec(zeta=0.3),
     )
     back = config_from_dict(parse_toml(cfg.to_toml()))
     assert back == cfg
@@ -138,6 +138,10 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"schedule": "not-a-table"})
     with pytest.raises(ConfigError, match="unknown top-level key 'route'"):
         config_from_dict({"route": "exact"})
+    # [observable] holds zeta alone
+    for key, value in (("form", "log"), ("power", 2.0), ("cap", 1.0)):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[observable\\]"):
+            config_from_dict({"observable": {key: value}})
     # values of the wrong type are rejected with the key named
     for data, key in [
         ({"tau": "abc"}, "tau"),
@@ -152,7 +156,7 @@ def test_config_from_dict_rejects_unknown_keys():
         ({"tau": math.nan}, "tau must be finite"),
         ({"tau": math.inf}, "tau must be finite"),
         ({"tau": 10 ** 400}, "tau must be finite"),
-        ({"observable": {"power": math.inf}}, "power must be finite"),
+        ({"observable": {"zeta": math.inf}}, "zeta must be finite"),
         ({"schedule": {"cycle": [0.05, -math.inf]}}, "cycle must be finite"),
     ]:
         with pytest.raises(ConfigError, match=key):
@@ -249,7 +253,7 @@ HARD_ERRORS = [
     (dict(exponents=ExponentSpec(beta=1.0)), "bad-exponents"),
     (dict(mesh=MeshSpec(cells=1)), "bad-mesh"),
     (dict(mesh=MeshSpec(kind="hexagonal")), "bad-mesh"),
-    (dict(observable=ObservableSpec(form="nope")), "bad-observable"),
+    (dict(observable=ObservableSpec(zeta=0.0)), "bad-zeta"),
     (dict(observable=ObservableSpec(zeta=1.0)), "bad-zeta"),
     (dict(schedule=ScheduleSpec(mode="iid", lo=0.1, hi=0.05)), "bad-schedule"),
     (dict(x0=1.5), "bad-x0"),
@@ -259,7 +263,7 @@ HARD_ERRORS = [
     (dict(n_ladder=(250, 500, 250)), "bad-n"),
     (dict(kind="decay", n_ladder=(64, 64, 128)), "bad-n"),
     (dict(kind="decay", n_ladder=(1, 64, 128)), "bad-n"),
-    (dict(observable=ObservableSpec(power=-1.0)), "bad-observable"),
+    (dict(x0=-0.1), "bad-x0"),
     (dict(mesh=MeshSpec(ratio=1.5)), "bad-mesh"),
     (dict(schedule=ScheduleSpec(alpha_star=2.0)), "bad-schedule"),
     (dict(tau=5000.0), "bad-tau"),
@@ -486,12 +490,12 @@ def test_cli_mistyped_value_is_an_error(tmp_path):
 
 def test_cli_non_finite_value_is_an_error(tmp_path):
     path = tmp_path / "huge.toml"
-    path.write_text("[observable]\npower = 1e999\n")
+    path.write_text("[observable]\nzeta = 1e999\n")
     code, out, err = run_cli(["validate", "--config", str(path)])
     assert code == 1
     assert out == ""
     (line,) = [l for l in err.splitlines() if l.startswith("error:")]
-    assert "[observable] power" in line
+    assert "[observable] zeta" in line
 
 
 def test_cli_orbit_writes_artifacts(tmp_path):

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from seqevl import cli
-from seqevl.config import MeshSpec, ObservableSpec, ScheduleSpec, default_config
+from seqevl.config import MeshSpec, ScheduleSpec, default_config
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "seqevl"
@@ -38,16 +38,13 @@ NEVER_CALLED_ALLOWED = {
 }
 
 # (command, config overrides) run under the profiler: every kind, every
-# schedule mode, both mesh kinds and all three observable forms, each small
-# enough that the matrix runs in about half a second; validate then checks
-# the default config
+# schedule mode and both mesh kinds, each small enough that the matrix runs
+# in about half a second; validate then checks the default config
 RUNS = (
     ("evl", dict(n_ladder=(8, 16))),
     ("calibrate", dict(n=12, schedule=ScheduleSpec(mode="periodic", cycle=(0.05, 0.1)),
-                       mesh=MeshSpec(kind="uniform", cells=32),
-                       observable=ObservableSpec(form="power-pole"))),
-    ("dprime", dict(n_ladder=(16, 24), schedule=ScheduleSpec(mode="iid"),
-                    observable=ObservableSpec(form="power-cap"))),
+                       mesh=MeshSpec(kind="uniform", cells=32))),
+    ("dprime", dict(n_ladder=(16, 24), schedule=ScheduleSpec(mode="iid"))),
     ("d0", dict(n=20, schedule=ScheduleSpec(mode="explicit", cycle=(0.1,) * 20))),
     ("decay", dict(n_ladder=(4, 8))),
     ("recurrence", {}),

@@ -41,7 +41,7 @@ def at_chunk_sizes(monkeypatch, estimate) -> list:
 
 @pytest.fixture(scope="module")
 def ts20(mesh512, const01):
-    ts, = build_threshold_schedule(const01, Observable(form="log"), 1.0, (20,), mesh512)
+    ts, = build_threshold_schedule(const01, Observable(), 1.0, (20,), mesh512)
     return ts
 
 
@@ -120,7 +120,7 @@ def test_chunkwise_draws_equal_one_whole_draw(n, size):
 
 def test_estimate_pn_single_step_closed_form(mesh512, const01):
     # n = 1: survival probability is exactly 1 - tau under the uniform start
-    ts, = build_threshold_schedule(const01, Observable(form="log"), 0.5, (1,), mesh512)
+    ts, = build_threshold_schedule(const01, Observable(), 0.5, (1,), mesh512)
     e = estimate_Pn(ts, RNGSpec(5), n_samples=N_FAST)
     assert abs(e.value - 0.5) <= 3.0 * e.se
 
@@ -155,7 +155,7 @@ def test_estimate_exceedances_one_per_index_in_order(ts20, indices):
 
 
 def test_estimate_pn_zero_tau_is_certain(mesh512, const01):
-    ts, = build_threshold_schedule(const01, Observable(form="log"), 0.0, (5,), mesh512)
+    ts, = build_threshold_schedule(const01, Observable(), 0.0, (5,), mesh512)
     e = estimate_Pn(ts, RNGSpec(1), n_samples=4096)
     assert e.value == 1.0
     assert e.ci_high == 1.0
@@ -163,7 +163,7 @@ def test_estimate_pn_zero_tau_is_certain(mesh512, const01):
 
 def test_zero_tau_sees_no_exceedance(mesh512, const01):
     # every radius is 0, so the open ball is empty at every step
-    ts, = build_threshold_schedule(const01, Observable(form="log"), 0.0, (10,), mesh512)
+    ts, = build_threshold_schedule(const01, Observable(), 0.0, (10,), mesh512)
     assert [e.value for e in estimate_exceedances(ts, [0, 4, 9], RNGSpec(1),
                                                   n_samples=4096)] == [0.0] * 3
     g = d0_mixing_gap(ts, i=1, t=2, ell=3, rng=RNGSpec(1), n_samples=4096)
@@ -182,7 +182,7 @@ def test_estimate_exceedances_validation(ts20):
 # ----------------------------------------------------------------- blocking
 
 def test_build_blocks_partitions_mass(mesh512, const01):
-    ts, = build_threshold_schedule(const01, Observable(form="log"), 1.0, (200,), mesh512)
+    ts, = build_threshold_schedule(const01, Observable(), 1.0, (200,), mesh512)
     blocks = build_blocks(ts, k_n=10)
     assert blocks.bounds[0] == 0 and blocks.bounds[-1] == 200
     assert blocks.bounds.size == 11  # 10 blocks
@@ -197,7 +197,7 @@ def test_build_blocks_partitions_mass(mesh512, const01):
 
 
 def test_build_blocks_defaults_and_validation(mesh512, const01):
-    ts, = build_threshold_schedule(const01, Observable(form="log"), 1.0, (200,), mesh512)
+    ts, = build_threshold_schedule(const01, Observable(), 1.0, (200,), mesh512)
     blocks = build_blocks(ts)  # beta = 0.9 -> k_n = round(200^0.1) = 2
     assert blocks.k_n == 2
     assert blocks.t_star == max(1, round(200 ** 0.85))
@@ -217,7 +217,7 @@ def test_dprime_zero_for_singleton_blocks(ts20):
 
 
 def test_dprime_zero_for_zero_tau(mesh512, const01):
-    ts, = build_threshold_schedule(const01, Observable(form="log"), 0.0, (10,), mesh512)
+    ts, = build_threshold_schedule(const01, Observable(), 0.0, (10,), mesh512)
     blocks = build_blocks(ts, k_n=2)
     e = dprime_sum(ts, blocks, RNGSpec(23), n_samples=4096)
     assert e.value == 0.0

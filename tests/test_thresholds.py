@@ -25,19 +25,15 @@ from reference import (ConeParams, observable_distance, observable_value,
 
 # -------------------------------------------------------------- observables
 
-@pytest.mark.parametrize("obs", [
-    Observable(form="log"),
-    Observable(form="power-pole", power=2.0),
-    Observable(form="power-cap", power=2.0, cap=1.0),
-])
-def test_level_radius_round_trip(obs):
+def test_level_radius_round_trip():
+    obs = Observable()
     for delta in [1e-8, 1e-4, 0.01, 0.2]:
         u = obs.level_for_radius(delta)
         assert radius_for_level(obs, u) == pytest.approx(delta, rel=1e-12)
 
 
 def test_observable_value_composition():
-    obs = Observable(form="log", zeta=0.5)
+    obs = Observable(zeta=0.5)
     assert observable_distance(obs, 0.75) == pytest.approx(0.25)
     assert observable_value(obs, 0.75) == pytest.approx(-math.log(0.25))
     assert observable_value(obs, 0.5) == math.inf  # pole at the target point
@@ -45,13 +41,9 @@ def test_observable_value_composition():
 
 def test_observable_validation():
     with pytest.raises(ValueError):
-        Observable(form="nope")
-    with pytest.raises(ValueError):
         Observable(zeta=0.0)
     with pytest.raises(ValueError):
         Observable(zeta=1.0)
-    with pytest.raises(ValueError):
-        Observable(power=0.0)
 
 
 @given(
@@ -61,21 +53,10 @@ def test_observable_validation():
 @settings(max_examples=200, deadline=None)
 def test_exceedance_identity(x, u):
     # {value > u} must equal the open ball {distance < radius(u)} exactly
-    obs = Observable(form="log", zeta=DEFAULT_ZETA)
+    obs = Observable(zeta=DEFAULT_ZETA)
     exceeds = observable_value(obs, x) > u
     in_ball = observable_distance(obs, x) < radius_for_level(obs, u)
     assert exceeds == in_ball
-
-
-def test_exceedance_identity_power_forms():
-    xs = np.linspace(0.0, 1.0, 4001)
-    for obs in (Observable(form="power-pole", power=3.0),
-                Observable(form="power-cap", power=2.0, cap=2.0)):
-        for u in (0.3, 1.0, 1.7, 5.0):
-            exceeds = observable_value(obs, xs) > u
-            in_ball = observable_distance(obs, xs) < radius_for_level(obs, u)
-            disagreements = int(np.sum(exceeds != in_ball))
-            assert disagreements == 0
 
 
 # -------------------------------------------------------------- calibration
@@ -249,7 +230,7 @@ def test_threshold_window_brackets_uniform_radius():
 
 
 def test_build_threshold_schedule_basics(mesh512, const01):
-    obs = Observable(form="log")
+    obs = Observable()
     tau, n = 1.0, 40
     ts, = build_threshold_schedule(const01, obs, tau, (n,), mesh512)
     assert ts.deltas.shape == (n,)
@@ -268,7 +249,7 @@ def test_build_threshold_schedule_basics(mesh512, const01):
 
 
 def test_build_threshold_schedule_routes_agree(mesh512, const01):
-    obs = Observable(form="log")
+    obs = Observable()
     exact, = build_threshold_schedule(const01, obs, 1.0, (25,), mesh512)
     op = ulam_matrix(0.1, mesh512)
     ladder = [uniform_density(mesh512)]
@@ -279,7 +260,7 @@ def test_build_threshold_schedule_routes_agree(mesh512, const01):
 
 
 def test_build_threshold_schedule_validation(mesh512, const01):
-    obs = Observable(form="log")
+    obs = Observable()
     with pytest.raises(ValueError):
         build_threshold_schedule(const01, obs, -1.0, (10,), mesh512)
     with pytest.raises(ValueError):
@@ -293,7 +274,7 @@ def test_build_threshold_schedule_validation(mesh512, const01):
 
 
 def test_zero_tau_schedule(mesh512, const01):
-    ts, = build_threshold_schedule(const01, Observable(form="log"), 0.0, (5,), mesh512)
+    ts, = build_threshold_schedule(const01, Observable(), 0.0, (5,), mesh512)
     assert np.all(ts.deltas == 0.0)
     assert ts.fstar == 0.0
     assert np.all(schedule_window(ts)[2])
@@ -310,7 +291,7 @@ def test_streamed_ladder_equals_single_builds_and_full_ladder(mesh512, schedule)
     # rungs on both sides of a block edge, passed unsorted; tau = 1 at n = 1
     # asks for the whole mass on step 0
     ns = (2 * _BLOCK + 3, 1, _BLOCK + 1, _BLOCK - 1, _BLOCK)
-    obs, tau = Observable(form="log"), 1.0
+    obs, tau = Observable(), 1.0
     streamed = build_threshold_schedule(schedule, obs, tau, ns, mesh512)
     assert [ts.n for ts in streamed] == list(ns)
     full = push_density(schedule.alphas(max(ns) - 1), uniform_density(mesh512))
@@ -337,7 +318,7 @@ def test_streamed_build_holds_one_block(monkeypatch, mesh512, const01):
         return ladder
 
     monkeypatch.setattr(thresholds, "push_density", recording_push)
-    ts, = build_threshold_schedule(const01, Observable(form="log"), 1.0, (2000,), mesh512)
+    ts, = build_threshold_schedule(const01, Observable(), 1.0, (2000,), mesh512)
     assert ts.n == 2000
     assert sum(n - 1 for n in lengths) == 1999  # every step pushed once
     assert max(lengths) <= _BLOCK + 1
