@@ -13,8 +13,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
-from .config import (ConfigError, EXPERIMENT_KINDS, default_config,
-                     ledger_report, load_config, validate_config)
+from .config import (READS, ConfigError, default_config, ledger_report,
+                     load_config, validate_config)
 from .experiments import run_experiment
 
 _COMMAND_HELP = {
@@ -46,10 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> object:
-    kind = args.command if args.command in EXPERIMENT_KINDS else "evl"
+    kind = args.command if args.command in READS else "evl"
     if args.config is not None:
         cfg = load_config(args.config)
-        if args.command in EXPERIMENT_KINDS:
+        if args.command in READS:
             cfg = replace(cfg, kind=args.command)
     else:
         cfg = default_config(kind)

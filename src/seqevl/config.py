@@ -21,8 +21,25 @@ from .montecarlo import DEFAULT_BETA, DEFAULT_KAPPA
 from .recurrence import RecurrenceParams
 from .thresholds import Observable
 
-EXPERIMENT_KINDS = ("evl", "calibrate", "dprime", "d0", "decay",
-                    "recurrence", "orbit")
+# the keys each kind's runner reads: top-level keys, whole sections and
+# `section.field` entries.  A run's id and its config.toml hold the kind and
+# these keys alone, and a fault in a key is an error only for a kind that
+# reads it; a test records each runner's reads against this table
+_CALIBRATED = ("tau", "n", "n_ladder", "n_samples", "seed", "schedule", "observable", "mesh")
+READS = {
+    "evl": _CALIBRATED,
+    "calibrate": _CALIBRATED,
+    "dprime": (*_CALIBRATED, "exponents.beta", "exponents.kappa"),
+    "d0": _CALIBRATED,
+    "decay": ("n_ladder", "schedule", "mesh"),
+    "recurrence": ("schedule", "observable.zeta", "recurrence"),
+    "orbit": ("n", "n_ladder", "x0", "schedule"),
+}
+
+# keys every run reads outside its runner, so no id hashes them and none is
+# flagged unread: where the run is written, and the exponents only the
+# advisory ledger reads
+_OUTSIDE_RUNNER = ("out_dir", "exponents.xi", "exponents.eta")
 
 DEFAULT_SEED = 1729
 
@@ -132,8 +149,7 @@ class ExperimentConfig:
     n_ladder: tuple[int, ...] = ()
     n_samples: int = 100_000
     seed: int = DEFAULT_SEED
-    # the Monte Carlo sweep runs on one thread, so 1 is the key's one legal value
-    workers: int = 1
+    workers: int = 1  # no kind reads it: the Monte Carlo sweep runs on one thread
     out_dir: str = "runs"
     x0: float = 0.3
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
@@ -148,20 +164,41 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_toml(self) -> str:
-        lines = []
-        nested = []
-        for name, value in self.to_dict().items():
-            if isinstance(value, dict):
-                nested.append((name, value))
+    def to_toml(self, read_only: bool = False) -> str:
+        """The config as TOML; read_only keeps the kind and the keys its
+        runner reads, the text a run hashes into its id and writes."""
+        lines, sections = [], {}
+        for key, value in _flat(self).items():
+            if read_only and not kind_reads(self.kind, key):
+                continue
+            section, _, name = key.rpartition(".")
+            line = f"{name} = {_format_toml_value(value)}"
+            if section:
+                sections.setdefault(section, []).append(line)
             else:
-                lines.append(f"{name} = {_format_toml_value(value)}")
-        for name, table in nested:
-            lines.append("")
-            lines.append(f"[{name}]")
-            for key, value in table.items():
-                lines.append(f"{key} = {_format_toml_value(value)}")
+                lines.append(line)
+        for section, table in sections.items():
+            lines += ["", f"[{section}]", *table]
         return "\n".join(lines) + "\n"
+
+
+def _flat(config: ExperimentConfig) -> dict:
+    """The config's values keyed as `key` or `section.field`, in field order."""
+    flat = {}
+    for name, value in config.to_dict().items():
+        if isinstance(value, dict):
+            flat.update({f"{name}.{field}": v for field, v in value.items()})
+        else:
+            flat[name] = value
+    return flat
+
+
+def kind_reads(kind: str, key: str) -> bool:
+    """Whether a run of kind reads key (top-level, a section or
+    `section.field`): `kind` always, and every key for a kind that READS
+    does not name, which validate refuses."""
+    row = READS.get(kind)
+    return row is None or key == "kind" or key in row or key.split(".")[0] in row
 
 
 def _format_toml_value(value) -> str:
@@ -285,8 +322,11 @@ def exponent_ledger(alpha_star: float, beta: float = ExponentSpec.beta,
 
 
 def ledger_report(config: ExperimentConfig) -> list[LedgerCheck]:
-    """The exponent budgets at the sup exponent of the config's schedule."""
+    """The exponent budgets at the sup exponent of the config's schedule;
+    none when beta, kappa or xi lies outside (0, 1), where they mean nothing."""
     exps = config.exponents
+    if not all(0.0 < value < 1.0 for value in (exps.beta, exps.kappa, exps.xi)):
+        return []
     return exponent_ledger(max(_named_exponents(config.schedule)), exps.beta,
                            exps.kappa, exps.xi, exps.eta)
 
@@ -300,6 +340,7 @@ class Diagnostic:
     severity: str  # "error" or "warning"
     code: str
     message: str
+    key: str  # the key it concerns: top-level, a section or `section.field`
 
 
 def _exponents_read(config: ExperimentConfig, union_horizons: tuple) -> int:
@@ -319,110 +360,114 @@ def _is_dyadic(zeta: float, max_level: int = 40) -> bool:
 
 
 def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
-    """Structured diagnostics: the hard errors, which block a run, or when
-    there are none the warnings, which do not.
+    """Structured diagnostics: the errors, which block a run, or when there
+    are none the warnings, which do not.
 
-    Asymptotic exponent budgets are evaluated at the schedule's sup exponent
-    and reported as warnings; no configuration is rejected for its budget,
-    matching the advisory role these inequalities play at finite n.
+    Each diagnostic names the key it concerns, and a fault is an error only
+    when the kind reads that key (`kind_reads`); in any other key it is a
+    warning, and so is each such key set away from its default
+    (`unused-key`).  Asymptotic exponent budgets are evaluated at the
+    schedule's sup exponent and reported as warnings; no configuration is
+    rejected for its budget, matching the advisory role these inequalities
+    play at finite n.
     """
-    errors: list[Diagnostic] = []
-    warnings: list[Diagnostic] = []
+    diagnostics: list[Diagnostic] = []
 
-    def error(code, message):
-        errors.append(Diagnostic("error", code, message))
+    def fault(key, code, message):
+        severity = "error" if kind_reads(config.kind, key) else "warning"
+        diagnostics.append(Diagnostic(severity, code, message, key))
 
-    def warning(code, message):
-        warnings.append(Diagnostic("warning", code, message))
+    def warning(key, code, message):
+        diagnostics.append(Diagnostic("warning", code, message, key))
 
-    if config.kind not in EXPERIMENT_KINDS:
-        error("bad-kind", f"unknown experiment kind {config.kind!r}")
+    if config.kind not in READS:
+        fault("kind", "bad-kind", f"unknown experiment kind {config.kind!r}")
     if config.tau < 0.0:
-        error("bad-tau", "tau must be nonnegative")
+        fault("tau", "bad-tau", "tau must be nonnegative")
+    horizon = "n_ladder" if config.n_ladder else "n"
     if any(n < 1 for n in config.ns()):
-        error("bad-n", "time horizons must be at least 1")
+        fault(horizon, "bad-n", "time horizons must be at least 1")
     if len(set(config.n_ladder)) < len(config.n_ladder):
-        error("bad-n", "n_ladder entries must be distinct")
+        fault("n_ladder", "bad-n", "n_ladder entries must be distinct")
     if config.kind == "decay" and any(n < 2 for n in config.n_ladder):
-        error("bad-n", "decay ladder entries must be at least 2 for the slope fit")
+        fault("n_ladder", "bad-n", "decay ladder entries must be at least 2 for the slope fit")
     if config.kind in ("calibrate", "d0", "orbit") and len(config.n_ladder) > 1:
-        error("bad-n", f"{config.kind} runs one horizon; n_ladder may hold one entry at most")
-    if config.kind == "recurrence" and config.n_ladder:
-        error("bad-n", "recurrence reads no horizon; n_ladder must be empty")
+        fault("n_ladder", "bad-n",
+              f"{config.kind} runs one horizon; n_ladder may hold one entry at most")
     if config.kind == "d0" and config.ns()[-1] == 1:
-        error("bad-n", "d0 needs n >= 2: an event step and a later window")
-    # every horizon of a calibrating kind is calibrated, and
+        fault(horizon, "bad-n", "d0 needs n >= 2: an event step and a later window")
     # build_threshold_schedule refuses the same tau / n
-    calibrated = config.ns() if config.kind in ("evl", "dprime", "calibrate", "d0") else ()
-    n = min(calibrated, default=0)
+    n = min(config.ns())
     if n >= 1 and config.tau / n > 1.0 + 1e-12:
-        error("bad-tau", f"tau/n exceeds total mass 1 at n = {n}; no calibration exists")
+        fault("tau", "bad-tau", f"tau/n exceeds total mass 1 at n = {n}; no calibration exists")
     if config.n_samples < 1:
-        error("bad-samples", "sample count must be positive")
-    if config.workers != 1:
-        error("bad-workers", "workers must be 1: the Monte Carlo sweep runs on one thread")
+        fault("n_samples", "bad-samples", "sample count must be positive")
     if not 0.0 <= config.x0 <= 1.0:
-        error("bad-x0", "orbit start must lie in [0, 1]")
+        fault("x0", "bad-x0", "orbit start must lie in [0, 1]")
 
     sched = config.schedule
     try:
         alphas = _named_exponents(sched)
     except ValueError as exc:
-        error("bad-schedule", str(exc))
+        fault("schedule", "bad-schedule", str(exc))
     else:
         if alphas and min(alphas) <= 0.0:
-            error("bad-alpha", "map exponents must be positive")
+            fault("schedule", "bad-alpha", "map exponents must be positive")
         elif alphas and max(alphas) > sched.alpha_star:
-            error("alpha-above-star",
+            fault("schedule", "alpha-above-star",
                   f"schedule exponent {max(alphas)} exceeds alpha_star={sched.alpha_star}")
 
     exps = config.exponents
-    if not 0.0 < exps.beta < 1.0 or not 0.0 < exps.kappa < 1.0:
-        error("bad-exponents", "beta and kappa must lie in (0, 1)")
-    elif exps.kappa >= exps.beta:
-        warning("kappa-beta-ordering",
+    for name in ("beta", "kappa", "xi"):
+        if not 0.0 < getattr(exps, name) < 1.0:
+            fault(f"exponents.{name}", "bad-exponents", f"{name} must lie in (0, 1)")
+    if 0.0 < exps.beta <= exps.kappa < 1.0:
+        warning("exponents.kappa", "kappa-beta-ordering",
                 f"kappa={exps.kappa} should stay below beta={exps.beta}")
-    if not 0.0 < exps.xi < 1.0:
-        error("bad-exponents", "xi must lie in (0, 1)")
 
     # the run builds these specs, and their constructors check the rest
     # (mesh kind, cells and ratio, the observable's zeta, schedule cycle
     # and iid bounds, recurrence exponents and horizons); a spec already
     # flagged above is not built
-    raised = {d.code for d in errors}
-    for code, spec, own in (
-            ("bad-schedule", sched, {"bad-alpha", "alpha-above-star", "bad-schedule"}),
-            ("bad-mesh", config.mesh, set()),
-            ("bad-zeta", config.observable, set())):
+    raised = {d.code for d in diagnostics}
+    for key, code, spec, own in (
+            ("schedule", "bad-schedule", sched, {"bad-alpha", "alpha-above-star", "bad-schedule"}),
+            ("mesh", "bad-mesh", config.mesh, set()),
+            ("observable.zeta", "bad-zeta", config.observable, set())):
         if not own & raised:
             try:
                 spec.build()
             except ValueError as exc:
-                error(code, str(exc))
-    # only a recurrence run reads the recurrence spec and its longest union
-    # horizons, so for any other kind its fault is a warning
+                fault(key, code, str(exc))
     horizons = ()
     try:
         params = config.recurrence.build(sched.alpha_star)
         horizons = (params.horizon(max(EJ_LADDER)), params.horizon(max(LOCAL_JS), params.gamma))
     except ValueError as exc:
-        (error if config.kind == "recurrence" else warning)("bad-recurrence", str(exc))
+        fault("recurrence", "bad-recurrence", str(exc))
     needed = _exponents_read(config, horizons)
     if sched.mode == "explicit" and 0 < len(sched.cycle) < needed:
-        error("bad-schedule", f"explicit schedule has {len(sched.cycle)} exponents, "
-                              f"fewer than the {needed} that {config.kind} runs read")
+        fault("schedule", "bad-schedule", f"explicit schedule has {len(sched.cycle)} exponents, "
+                                          f"fewer than the {needed} that {config.kind} runs read")
 
+    errors = [d for d in diagnostics if d.severity == "error"]
     if errors:
         return errors
 
+    default = _flat(ExperimentConfig())
+    for key, value in _flat(config).items():
+        if not (value == default[key] or kind_reads(config.kind, key) or key in _OUTSIDE_RUNNER):
+            warning(key, "unused-key", f"{config.kind} runs do not read {key}; "
+                                       "its value changes nothing")
+
     for check in ledger_report(config):
         if not check.satisfied:
-            warning("budget-" + check.name,
+            warning("exponents", "budget-" + check.name,
                     f"{check.detail}: lhs={check.lhs:.6g}, rhs={check.rhs:.6g}")
 
     if _is_dyadic(config.observable.zeta):
-        warning("zeta-dyadic",
+        warning("observable.zeta", "zeta-dyadic",
                 "zeta is a dyadic rational; reference points off the binary "
                 "grid avoid orbit/threshold coincidences")
 
-    return warnings
+    return diagnostics

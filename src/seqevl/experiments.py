@@ -80,7 +80,9 @@ class ExperimentReport:
 
 
 def experiment_id(config: ExperimentConfig) -> str:
-    digest = hashlib.sha256(config.to_toml().encode()).hexdigest()
+    """<kind>-<hash> of the text the run writes as config.toml: the kind and
+    the keys its runner reads, so no other key changes the id."""
+    digest = hashlib.sha256(config.to_toml(read_only=True).encode()).hexdigest()
     return f"{config.kind}-{digest[:12]}"
 
 
@@ -101,7 +103,7 @@ def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentReport:
 
     for name, (header, rows) in tables.items():
         write_csv(out_dir / f"{name}.csv", header, rows)
-    _write_atomic(out_dir / "config.toml", config.to_toml())
+    _write_atomic(out_dir / "config.toml", config.to_toml(read_only=True))
 
     report = ExperimentReport(
         kind=config.kind,
@@ -122,19 +124,21 @@ def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentReport:
 
 class _MonteCarlo:
     """A run's Monte Carlo stage: calls an estimator with the run's RNGSpec
-    and sample count, and tallies the samples drawn and the seconds spent."""
+    and sample count, and tallies the samples drawn and the seconds spent.
+    It reads the seed and sample count at each call, so a kind that never
+    samples reads neither."""
 
     def __init__(self, config: ExperimentConfig):
-        self.rng = RNGSpec(config.seed)
-        self.n_samples = config.n_samples
+        self.config = config
         self.samples = 0
         self.seconds = 0.0
 
     def __call__(self, estimator, *args, **kwargs):
         started = time.perf_counter()
-        result = estimator(*args, rng=self.rng, n_samples=self.n_samples, **kwargs)
+        n_samples = self.config.n_samples
+        result = estimator(*args, rng=RNGSpec(self.config.seed), n_samples=n_samples, **kwargs)
         self.seconds += time.perf_counter() - started
-        self.samples += self.n_samples
+        self.samples += n_samples
         return result
 
 
@@ -295,7 +299,7 @@ def _run_decay(config: ExperimentConfig, mc: _MonteCarlo):
 def _run_recurrence(config: ExperimentConfig, mc: _MonteCarlo):
     schedule = config.schedule.build()
     params = config.recurrence.build(config.schedule.alpha_star)
-    resolution = max(config.mesh.cells, 1024)
+    resolution = 1024  # strata of the return and union set grids
     slope_floor = 1.0 / (1.0 + config.schedule.alpha_star) - 0.15
 
     en_rows = []

@@ -19,7 +19,7 @@ import pytest
 
 from seqevl import experiments
 from seqevl.cli import main
-from seqevl.config import EXPERIMENT_KINDS, ExponentSpec, default_config
+from seqevl.config import READS, ExponentSpec, default_config
 
 # the smallest horizon and sample count at which every fault below shows;
 # each run takes well under a second
@@ -108,7 +108,7 @@ def run(kind, tmp_path, settings=None):
                   re.findall(r"^\[(PASS|FAIL|INFO)\] (\S+):", out.getvalue(), re.M)}
 
 
-NO_FAULT = [pytest.param(kind, {}, id=kind) for kind in EXPERIMENT_KINDS] + [
+NO_FAULT = [pytest.param(kind, {}, id=kind) for kind in READS] + [
     pytest.param("evl", EVL_LADDER, id="evl-ladder"),
     pytest.param("dprime", DPRIME_LADDER, id="dprime-ladder"),
 ]

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 import seqevl
-from seqevl.cli import main
+from seqevl import experiments
+from seqevl.cli import build_parser, main
 from seqevl.config import (
+    READS,
     ConfigError,
     ExperimentConfig,
     ExponentSpec,
@@ -25,6 +27,7 @@ from seqevl.config import (
     ScheduleSpec,
     config_from_dict,
     default_config,
+    kind_reads,
     load_config,
     parse_toml,
     validate_config,
@@ -179,6 +182,18 @@ def test_readme_config_block_is_the_default_config():
             assert data[name].keys() == value.keys(), name
 
 
+def test_readme_kind_table_is_reads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` +\| (.*?) *\|$", readme, flags=re.M)
+    assert {kind: tuple(re.findall(r"`([\w.]+)`", keys)) for kind, keys in rows} == READS
+
+
+def test_one_list_of_kinds():
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if action.dest == "command"]
+    assert list(READS) == list(experiments._RUNNERS) == [c for c in commands if c != "validate"]
+
+
 def test_spec_defaults_are_the_builders_defaults():
     assert ObservableSpec().build() == Observable()
     assert RecurrenceSpec().build() == RecurrenceParams()
@@ -249,21 +264,21 @@ HARD_ERRORS = [
     (dict(tau=-0.5), "bad-tau"),
     (dict(n=0), "bad-n"),
     (dict(n_samples=0), "bad-samples"),
-    (dict(workers=0), "bad-workers"),
-    (dict(exponents=ExponentSpec(beta=1.0)), "bad-exponents"),
+    (dict(kind="decay", mesh=MeshSpec(cells=1)), "bad-mesh"),
+    (dict(kind="dprime", exponents=ExponentSpec(beta=1.0)), "bad-exponents"),
     (dict(mesh=MeshSpec(cells=1)), "bad-mesh"),
     (dict(mesh=MeshSpec(kind="hexagonal")), "bad-mesh"),
     (dict(observable=ObservableSpec(zeta=0.0)), "bad-zeta"),
     (dict(observable=ObservableSpec(zeta=1.0)), "bad-zeta"),
     (dict(schedule=ScheduleSpec(mode="iid", lo=0.1, hi=0.05)), "bad-schedule"),
-    (dict(x0=1.5), "bad-x0"),
+    (dict(kind="orbit", x0=1.5), "bad-x0"),
     (dict(schedule=ScheduleSpec(mode="warp")), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="periodic", cycle=())), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="constant", alpha=-0.1)), "bad-alpha"),
     (dict(n_ladder=(250, 500, 250)), "bad-n"),
     (dict(kind="decay", n_ladder=(64, 64, 128)), "bad-n"),
     (dict(kind="decay", n_ladder=(1, 64, 128)), "bad-n"),
-    (dict(x0=-0.1), "bad-x0"),
+    (dict(kind="orbit", x0=-0.1), "bad-x0"),
     (dict(mesh=MeshSpec(ratio=1.5)), "bad-mesh"),
     (dict(schedule=ScheduleSpec(alpha_star=2.0)), "bad-schedule"),
     (dict(tau=5000.0), "bad-tau"),
@@ -271,7 +286,7 @@ HARD_ERRORS = [
     (dict(kind="calibrate", n_ladder=(1000, 250)), "bad-n"),
     (dict(kind="d0", n_ladder=(250, 500)), "bad-n"),
     (dict(kind="orbit", n_ladder=(100, 50)), "bad-n"),
-    (dict(kind="recurrence", n_ladder=(100,)), "bad-n"),
+    (dict(kind="orbit", n=0), "bad-n"),
     # the builders alone catch an empty explicit cycle, iid lo == hi and a
     # one-cell uniform mesh; validate_config itself a negative iid lo
     (dict(schedule=ScheduleSpec(mode="explicit", cycle=())), "bad-schedule"),
@@ -281,8 +296,7 @@ HARD_ERRORS = [
     # Mesh itself refuses fewer than 2 cells, whichever builder made it
     *[(dict(mesh=MeshSpec(kind=kind, cells=cells)), "bad-mesh")
       for kind in ("graded", "uniform") for cells in (0, -1, -5)],
-    # the sweep runs on one thread; the key stays, and 1 is its one value
-    (dict(workers=2), "bad-workers"),
+    (dict(kind="recurrence", observable=ObservableSpec(zeta=0.0)), "bad-zeta"),
     # the gap needs an event step and a later window, so two steps at least
     (dict(kind="d0", n=1), "bad-n"),
     (dict(kind="d0", n_ladder=(1,)), "bad-n"),
@@ -356,13 +370,60 @@ def test_hard_errors(overrides, code):
             (d.code, d.message) for d in diags}, diags
 
 
+# second faults, each in one key: a row gets the first whose key its kind
+# reads and the row leaves alone
+SECOND_FAULTS = [
+    ("tau", dict(tau=-0.5), "bad-tau"),
+    ("x0", dict(x0=2.0), "bad-x0"),
+    ("mesh", dict(mesh=MeshSpec(cells=1)), "bad-mesh"),
+    ("observable.zeta", dict(observable=ObservableSpec(zeta=0.0)), "bad-zeta"),
+    ("schedule", dict(schedule=ScheduleSpec(mode="warp")), "bad-schedule"),
+]
+
+
 @pytest.mark.parametrize("overrides,code", **_hard_error_params(skip="bad-tau"))
 def test_hard_errors_are_reported_beside_another_error(overrides, code):
     # a second fault elsewhere in the config must not hide the first, whether
     # validate_config checks it itself or a spec builder does
-    codes = {d.code for d in validate_config(_config_with(overrides, tau=-0.5))
+    kind = overrides.get("kind", "evl")
+    fault, second = next((fault, second) for key, fault, second in SECOND_FAULTS
+                         if kind_reads(kind, key) and not fault.keys() & overrides.keys())
+    codes = {d.code for d in validate_config(_config_with(overrides, **fault))
              if d.severity == "error"}
-    assert {code, "bad-tau"} <= codes, codes
+    assert {code, second} <= codes, codes
+
+
+# faults in keys the kind does not read: a warning with the fault's code,
+# and an unused-key warning for each key set away from its default
+UNREAD_FAULTS = [
+    (dict(workers=0), "unused-key"),
+    (dict(workers=2), "unused-key"),
+    (dict(kind="recurrence", n_ladder=(100,)), "unused-key"),
+    (dict(kind="decay", n=0), "bad-n"),
+    (dict(kind="orbit", tau=-1.0), "bad-tau"),
+    (dict(kind="orbit", mesh=MeshSpec(cells=1)), "bad-mesh"),
+    (dict(x0=2.0), "bad-x0"),
+    (dict(exponents=ExponentSpec(beta=1.0)), "bad-exponents"),
+]
+
+
+@pytest.mark.parametrize("overrides,code", UNREAD_FAULTS,
+                         ids=[_row_id(o, c) for o, c in UNREAD_FAULTS])
+def test_unread_key_faults_are_warnings(overrides, code, tmp_path):
+    # the run goes ahead, in the directory of the run without the fault,
+    # with the same verdicts and tables
+    kind = overrides.get("kind", "evl")
+    small = dict(n=50, n_samples=2000, mesh=MeshSpec(cells=64))
+    clean = default_config(kind, **small)
+    faulty = _config_with(overrides, **{k: v for k, v in small.items() if k not in overrides})
+    diags = validate_config(faulty)
+    assert {d.severity for d in diags} == {"warning"}, diags
+    assert {code, "unused-key"} <= {d.code for d in diags}, diags
+    runs = [experiments.run_experiment(cfg, base_dir=tmp_path / tag)
+            for tag, cfg in (("clean", clean), ("faulty", faulty))]
+    assert runs[0].experiment_id == runs[1].experiment_id
+    assert runs[0].passed == runs[1].passed
+    assert runs[0].tables == runs[1].tables
 
 
 def test_bad_tau_follows_the_calibrated_horizons():
@@ -420,7 +481,9 @@ def test_infeasible_recurrence_spec_severity_depends_on_kind():
     assert [d.severity for d in as_recurrence] == ["error"]
     assert as_recurrence[0].code == "bad-recurrence"
     as_evl = validate_config(default_config("evl", recurrence=bad))
-    assert [(d.severity, d.code) for d in as_evl] == [("warning", "bad-recurrence")]
+    assert [(d.severity, d.code, d.key) for d in as_evl] == [
+        ("warning", "bad-recurrence", "recurrence"),
+        ("warning", "unused-key", "recurrence.kappa")]
 
 
 # --------------------------------------------------------------------- CLI
@@ -519,16 +582,40 @@ def test_cli_orbit_writes_artifacts(tmp_path):
 
 
 def test_cli_mesh_override_sets_cells_and_changes_the_hash(tmp_path):
+    path = tmp_path / "cal.toml"
+    path.write_text(default_config("calibrate", n=25, n_samples=2000).to_toml())
     runs = tmp_path / "runs"
-    code, out, _ = run_cli(["orbit", "--out", str(runs)])
+    code, out, _ = run_cli(["calibrate", "--config", str(path), "--out", str(runs)])
     assert code == 0
     plain = _artifact_dir(out)
-    code, out, _ = run_cli(["orbit", "--out", str(runs), "--mesh", "64"])
+    code, out, _ = run_cli(["calibrate", "--config", str(path), "--out", str(runs),
+                            "--mesh", "64"])
     assert code == 0
     meshed = _artifact_dir(out)
     assert meshed != plain and meshed.parent == plain.parent
     assert load_config(meshed / "config.toml").mesh.cells == 64
     assert load_config(plain / "config.toml").mesh.cells == MeshSpec().cells
+
+
+def test_cli_flags_of_unread_keys_keep_the_id(tmp_path):
+    # orbit reads no mesh, and --out only says where the run is written
+    names = set()
+    for argv in (["--out", str(tmp_path / "a")],
+                 ["--out", str(tmp_path / "a"), "--mesh", "64"],
+                 ["--out", str(tmp_path / "b")]):
+        code, out, _ = run_cli(["orbit", *argv])
+        assert code == 0
+        names.add(_artifact_dir(out).name)
+    assert names == {experiments.experiment_id(default_config("orbit"))}
+
+
+def test_experiment_id_hashes_only_the_read_keys():
+    orbit = experiments.experiment_id(default_config("orbit"))
+    for overrides in (dict(n_samples=5, tau=3.0), dict(mesh=MeshSpec(cells=64)),
+                      dict(out_dir="elsewhere"), dict(workers=2)):
+        assert experiments.experiment_id(default_config("orbit", **overrides)) == orbit
+    evl = experiments.experiment_id(default_config("evl"))
+    assert experiments.experiment_id(default_config("evl", n_samples=5)) != evl
 
 
 def test_cli_quantitative_failure_exits_two(tmp_path):
@@ -619,6 +706,15 @@ def test_cli_outputs_reproducible_across_reruns(tmp_path):
     assert (other_dir / "calibration.csv").read_bytes() != first["calibration.csv"]
     # thresholds are operator-side and deterministic, so those agree
     assert (other_dir / "thresholds.csv").read_bytes() == first["thresholds.csv"]
+
+    # the written config.toml holds every key the run reads, so it reruns
+    # into the same directory and bytes
+    written = run_dir / "config.toml"
+    code, out, _ = run_cli(["calibrate", "--config", str(written),
+                            "--out", str(tmp_path / "runs")])
+    assert code == 0 and _artifact_dir(out) == run_dir
+    for name, blob in first.items():
+        assert (run_dir / name).read_bytes() == blob
 
 
 @pytest.mark.parametrize("argv", [["evl", "--workers", "2"], ["evl", "--bogus"]])

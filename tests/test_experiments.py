@@ -5,14 +5,14 @@ and side."""
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 
 from seqevl import experiments, transfer
 from seqevl.cli import main
-from seqevl.config import EXPERIMENT_KINDS, MeshSpec, default_config
+from seqevl.config import READS, MeshSpec, default_config
 from seqevl.experiments import TargetCheck, run_experiment
 from seqevl.thresholds import DEFAULT_ZETA
 
@@ -121,7 +121,7 @@ def test_single_horizon_dprime_tolerance_is_tau(tmp_path):
     assert code == 0
 
 
-@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+@pytest.mark.parametrize("kind", READS)
 def test_summary_verdicts_are_json_booleans(kind, tmp_path):
     cfg = default_config(kind, n=50, n_samples=2000, mesh=MeshSpec(cells=64))
     report = run_experiment(cfg, base_dir=tmp_path)
@@ -141,3 +141,46 @@ def test_run_whose_runner_raises_leaves_no_directory(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="runner fault"):
         run_experiment(default_config("orbit", n=5), base_dir=tmp_path / "runs")
     assert not (tmp_path / "runs").exists()
+
+
+def _recording(spec, reads: set, prefix: str = ""):
+    """A copy of a frozen config or section spec that adds each field read
+    to reads, as `key` or `section.field`; a section reads as a recording
+    copy of itself, so its fields are recorded, not the section."""
+    names = {f.name for f in fields(spec)}
+
+    class Recording(type(spec)):
+        def __getattribute__(self, name):
+            value = object.__getattribute__(self, name)
+            if name not in names:
+                return value
+            if is_dataclass(value):
+                return _recording(value, reads, f"{name}.")
+            reads.add(prefix + name)
+            return value
+
+    copy = object.__new__(Recording)
+    copy.__dict__.update(vars(spec))
+    return copy
+
+
+@pytest.mark.parametrize("kind", READS)
+def test_runner_reads_exactly_its_keys(kind, tmp_path, monkeypatch):
+    """The keys a runner and its Monte Carlo stage read are READS[kind]: a
+    read field counts as its section where the row names the whole section."""
+    reads = set()
+    runner = experiments._RUNNERS[kind]
+
+    def recorded(config, mc):
+        config = _recording(config, reads)
+        return runner(config, experiments._MonteCarlo(config))
+
+    monkeypatch.setitem(experiments._RUNNERS, kind, recorded)
+    path = tmp_path / f"{kind}.toml"
+    # n_ladder stays empty, so the kinds that fall back to n read both
+    cfg = default_config(kind, n=20, n_samples=200, mesh=MeshSpec(cells=32))
+    path.write_text(cfg.to_toml(), encoding="utf-8")
+    code, _ = _cli([kind, "--config", str(path), "--out", str(tmp_path / "runs")])
+    assert code in (0, 2)
+    row = READS[kind]
+    assert {key if key in row else key.split(".")[0] for key in reads} == set(row)
