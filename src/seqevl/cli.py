@@ -13,20 +13,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
-from .config import (READS, ConfigError, default_config, ledger_report,
+from .config import (KINDS, ConfigError, default_config, ledger_report,
                      load_config, validate_config)
 from .experiments import run_experiment
-
-_COMMAND_HELP = {
-    "evl": "estimate the no-exceedance probability against exp(-tau)",
-    "calibrate": "build the threshold ladder and cross-check it by simulation",
-    "dprime": "within-block exceedance pair sums over a horizon ladder",
-    "d0": "mixing gap between an exceedance and a later clear window",
-    "decay": "loss-of-memory distances for equal-mass inputs",
-    "recurrence": "measures of fast-returning sets and their scaling",
-    "orbit": "print one sequential orbit",
-    "validate": "check a configuration and report the exponent budgets",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,19 +29,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="sequential intermittent maps: transfer operators and "
                     "extreme-value experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in _COMMAND_HELP.items():
+    for name, text in [*((kind, row.help) for kind, row in KINDS.items()),
+                       ("validate", "check a configuration and report the exponent budgets")]:
         sub.add_parser(name, help=text, parents=[common])
     return parser
 
 
 def _config_from_args(args) -> object:
-    kind = args.command if args.command in READS else "evl"
-    if args.config is not None:
-        cfg = load_config(args.config)
-        if args.command in READS:
-            cfg = replace(cfg, kind=args.command)
-    else:
-        cfg = default_config(kind)
+    cfg = default_config() if args.config is None else load_config(args.config)
+    if args.command in KINDS:
+        cfg = replace(cfg, kind=args.command)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:

@@ -21,35 +21,57 @@ from .montecarlo import DEFAULT_BETA, DEFAULT_KAPPA
 from .recurrence import RecurrenceParams
 from .thresholds import Observable
 
-# the keys each kind's runner reads: top-level keys, whole sections and
-# `section.field` entries.  A run's id and its config.toml hold the kind and
-# these keys alone, and a fault in a key is an error only for a kind that
-# reads it; a test records each runner's reads against this table
+# the recurrence run's fixed ladders: return-set radii and steps, union and local j
+EN_EPS_LADDER = tuple(2.0 ** -k for k in range(4, 15))
+EN_STEP_COUNTS = (1, 5, 20)
+EJ_LADDER = tuple(2 ** k for k in range(5, 13))
+LOCAL_JS = (8, 16, 32)
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One experiment kind: its command's help line, the keys its runner
+    reads (top-level keys, whole sections or `section.field` entries), which
+    alone make a run's id and decide each fault's severity, and its horizons."""
+
+    help: str
+    reads: tuple[str, ...]
+    # "ladder": n, or n_ladder when it is nonempty; "one": the same, with one
+    # entry in n_ladder at most; "none": no horizon key, `ladder` always
+    horizons: str = "ladder"
+    ladder: tuple[int, ...] = ()  # the horizons when n_ladder is empty
+    min_n: int = 1
+    min_rungs: int = 1
+    why: str = ""  # the reason for min_n and min_rungs
+    lag: int = 0  # a run reads the map exponents of its longest horizon less lag
+
+    def ns(self, config: ExperimentConfig) -> tuple:
+        """The horizons a run of this kind steps to."""
+        return (self.ladder if self.horizons == "none"
+                else tuple(config.n_ladder) or self.ladder or (config.n,))
+
+
 _CALIBRATED = ("tau", "n", "n_ladder", "n_samples", "seed", "schedule", "observable", "mesh")
-READS = {
-    "evl": _CALIBRATED,
-    "calibrate": _CALIBRATED,
-    "dprime": (*_CALIBRATED, "exponents.beta", "exponents.kappa"),
-    "d0": _CALIBRATED,
-    "decay": ("n_ladder", "schedule", "mesh"),
-    "recurrence": ("schedule", "observable.zeta", "recurrence"),
-    "orbit": ("n", "n_ladder", "x0", "schedule"),
+KINDS = {
+    "evl": Kind("estimate the no-exceedance probability against exp(-tau)", _CALIBRATED, lag=1),
+    "calibrate": Kind("build the threshold ladder and cross-check it by simulation",
+                      _CALIBRATED, "one", lag=1),
+    "dprime": Kind("within-block exceedance pair sums over a horizon ladder",
+                   (*_CALIBRATED, "exponents.beta", "exponents.kappa"), lag=1),
+    "d0": Kind("mixing gap between an exceedance and a later clear window", _CALIBRATED, "one",
+               min_n=5, lag=1, why="below n = 5 both separations clamp to one gap"),
+    "decay": Kind("loss-of-memory distances for equal-mass inputs",
+                  ("n_ladder", "schedule", "mesh"), ladder=tuple(2 ** k for k in range(6, 13)),
+                  min_n=2, min_rungs=2, why="the slope fit reads log log n at two horizons"),
+    "recurrence": Kind("measures of fast-returning sets and their scaling",
+                       ("schedule", "observable.zeta", "recurrence"), "none", EN_STEP_COUNTS),
+    "orbit": Kind("print one sequential orbit", ("n", "n_ladder", "x0", "schedule"), "one"),
 }
 
 # keys every run reads outside its runner, so no id hashes them and none is
 # flagged unread: where the run is written, and the exponents only the
 # advisory ledger reads
 _OUTSIDE_RUNNER = ("out_dir", "exponents.xi", "exponents.eta")
-
-DEFAULT_SEED = 1729
-
-# the fixed ladders of the decay and recurrence runs; a decay config's
-# n_ladder replaces DECAY_LADDER
-DECAY_LADDER = (64, 128, 256, 512, 1024, 2048, 4096)
-EN_EPS_LADDER = tuple(2.0 ** -k for k in range(4, 15))
-EN_STEP_COUNTS = (1, 5, 20)
-EJ_LADDER = tuple(2 ** k for k in range(5, 13))
-LOCAL_JS = (8, 16, 32)
 
 
 class ConfigError(ValueError):
@@ -148,7 +170,7 @@ class ExperimentConfig:
     n: int = 1000
     n_ladder: tuple[int, ...] = ()
     n_samples: int = 100_000
-    seed: int = DEFAULT_SEED
+    seed: int = 1729
     workers: int = 1  # no kind reads it: the Monte Carlo sweep runs on one thread
     out_dir: str = "runs"
     x0: float = 0.3
@@ -195,10 +217,10 @@ def _flat(config: ExperimentConfig) -> dict:
 
 def kind_reads(kind: str, key: str) -> bool:
     """Whether a run of kind reads key (top-level, a section or
-    `section.field`): `kind` always, and every key for a kind that READS
+    `section.field`): `kind` always, and every key for a kind that KINDS
     does not name, which validate refuses."""
-    row = READS.get(kind)
-    return row is None or key == "kind" or key in row or key.split(".")[0] in row
+    row = KINDS.get(kind)
+    return row is None or key == "kind" or key in row.reads or key.split(".")[0] in row.reads
 
 
 def _format_toml_value(value) -> str:
@@ -343,20 +365,8 @@ class Diagnostic:
     key: str  # the key it concerns: top-level, a section or `section.field`
 
 
-def _exponents_read(config: ExperimentConfig, union_horizons: tuple) -> int:
-    """How many map exponents a run of the config reads from its schedule:
-    n - 1 for a calibrated horizon n, n for an orbit of n steps, the longest
-    rung for decay, and the longest step count or union horizon for recurrence."""
-    if config.kind == "decay":
-        return max(config.n_ladder or DECAY_LADDER)
-    if config.kind == "recurrence":
-        return max(*EN_STEP_COUNTS, *union_horizons)
-    return max(config.ns()) - (config.kind != "orbit")
-
-
-def _is_dyadic(zeta: float, max_level: int = 40) -> bool:
-    scaled = zeta * 2.0 ** max_level
-    return scaled == math.floor(scaled)
+def _is_dyadic(zeta: float) -> bool:
+    return (zeta * 2.0 ** 40).is_integer()
 
 
 def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
@@ -380,7 +390,8 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
     def warning(key, code, message):
         diagnostics.append(Diagnostic("warning", code, message, key))
 
-    if config.kind not in READS:
+    row = KINDS.get(config.kind, Kind("", ()))
+    if config.kind not in KINDS:
         fault("kind", "bad-kind", f"unknown experiment kind {config.kind!r}")
     if config.tau < 0.0:
         fault("tau", "bad-tau", "tau must be nonnegative")
@@ -389,13 +400,14 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         fault(horizon, "bad-n", "time horizons must be at least 1")
     if len(set(config.n_ladder)) < len(config.n_ladder):
         fault("n_ladder", "bad-n", "n_ladder entries must be distinct")
-    if config.kind == "decay" and any(n < 2 for n in config.n_ladder):
-        fault("n_ladder", "bad-n", "decay ladder entries must be at least 2 for the slope fit")
-    if config.kind in ("calibrate", "d0", "orbit") and len(config.n_ladder) > 1:
+    ns = row.ns(config)
+    if row.horizons == "one" and len(ns) > 1:
         fault("n_ladder", "bad-n",
               f"{config.kind} runs one horizon; n_ladder may hold one entry at most")
-    if config.kind == "d0" and config.ns()[-1] == 1:
-        fault(horizon, "bad-n", "d0 needs n >= 2: an event step and a later window")
+    if len(ns) < row.min_rungs:
+        fault("n_ladder", "bad-n", f"{config.kind} needs {row.min_rungs} rungs at least: {row.why}")
+    if min(ns) < row.min_n:
+        fault(horizon, "bad-n", f"{config.kind} horizons must be at least {row.min_n}: {row.why}")
     # build_threshold_schedule refuses the same tau / n
     n = min(config.ns())
     if n >= 1 and config.tau / n > 1.0 + 1e-12:
@@ -439,13 +451,14 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
                 spec.build()
             except ValueError as exc:
                 fault(key, code, str(exc))
-    horizons = ()
+    union = ()
     try:
         params = config.recurrence.build(sched.alpha_star)
-        horizons = (params.horizon(max(EJ_LADDER)), params.horizon(max(LOCAL_JS), params.gamma))
+        union = (params.horizon(max(EJ_LADDER)), params.horizon(max(LOCAL_JS), params.gamma))
     except ValueError as exc:
         fault("recurrence", "bad-recurrence", str(exc))
-    needed = _exponents_read(config, horizons)
+    # a run that reads [recurrence] also steps to its union horizons
+    needed = max((*ns, *(union if kind_reads(config.kind, "recurrence") else ()))) - row.lag
     if sched.mode == "explicit" and 0 < len(sched.cycle) < needed:
         fault("schedule", "bad-schedule", f"explicit schedule has {len(sched.cycle)} exponents, "
                                           f"fewer than the {needed} that {config.kind} runs read")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (DECAY_LADDER, EJ_LADDER, EN_EPS_LADDER, EN_STEP_COUNTS, LOCAL_JS,
+from .config import (EJ_LADDER, EN_EPS_LADDER, EN_STEP_COUNTS, KINDS, LOCAL_JS,
                      ConfigError, ExperimentConfig, validate_config)
 from .io import _write_atomic, write_csv, write_json
 from .maps import sequential_orbit
@@ -272,7 +272,7 @@ def _run_d0(config: ExperimentConfig, mc: _MonteCarlo):
 def _run_decay(config: ExperimentConfig, mc: _MonteCarlo):
     schedule = config.schedule.build()
     mesh = config.mesh.build()
-    ladder = tuple(config.n_ladder) if config.n_ladder else DECAY_LADDER
+    ladder = KINDS["decay"].ns(config)
     alpha = schedule.sup_alpha()
     f = uniform_density(mesh)
     g = cone_step_surrogate(mesh, height=2.0, cutoff=0.5, alpha=alpha)

@@ -17,7 +17,7 @@ import seqevl
 from seqevl import experiments
 from seqevl.cli import build_parser, main
 from seqevl.config import (
-    READS,
+    KINDS,
     ConfigError,
     ExperimentConfig,
     ExponentSpec,
@@ -183,15 +183,28 @@ def test_readme_config_block_is_the_default_config():
 
 
 def test_readme_kind_table_is_reads():
+    # each row: the keys its kind reads, then its horizon rule
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    rows = re.findall(r"^\| `(\w+)` +\| (.*?) *\|$", readme, flags=re.M)
-    assert {kind: tuple(re.findall(r"`([\w.]+)`", keys)) for kind, keys in rows} == READS
+    rows = re.findall(r"^\| `(\w+)` +\| (.*?) +\| (.*?) *\|$", readme, flags=re.M)
+
+    def rule(row):
+        parts = [f"`{row.horizons}`", f"n >= {row.min_n}" * (row.min_n > 1),
+                 f"{row.min_rungs} rungs or more" * (row.min_rungs > 1),
+                 ("ladder " + ", ".join(map(str, row.ladder))) * bool(row.ladder),
+                 f"n - {row.lag} exponents" if row.lag else "n exponents"]
+        return "; ".join(part for part in parts if part)
+
+    assert {kind: (tuple(re.findall(r"`([\w.]+)`", keys)), horizons)
+            for kind, keys, horizons in rows} == {kind: (row.reads, rule(row))
+                                                  for kind, row in KINDS.items()}
 
 
 def test_one_list_of_kinds():
-    (commands,) = [action.choices for action in build_parser()._actions
-                   if action.dest == "command"]
-    assert list(READS) == list(experiments._RUNNERS) == [c for c in commands if c != "validate"]
+    (command,) = [action for action in build_parser()._actions if action.dest == "command"]
+    assert list(KINDS) == list(experiments._RUNNERS) == [
+        c for c in command.choices if c != "validate"]
+    assert {a.dest: a.help for a in command._choices_actions if a.dest != "validate"} == {
+        kind: row.help for kind, row in KINDS.items()}
 
 
 def test_spec_defaults_are_the_builders_defaults():
@@ -311,6 +324,10 @@ HARD_ERRORS = [
     (dict(kind="recurrence", recurrence=RecurrenceSpec(beta=2.0)), "bad-recurrence"),
     (dict(kind="recurrence", recurrence=RecurrenceSpec(gamma=60.0)), "bad-recurrence"),
     (dict(kind="recurrence", recurrence=RecurrenceSpec(gamma=300.0)), "bad-recurrence"),
+    # the decay slope fit needs two rungs, and below n = 5 both d0
+    # separations clamp to one gap
+    (dict(kind="decay", n_ladder=(64,)), "bad-n"),
+    (dict(kind="d0", n=4), "bad-n"),
 ]
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from seqevl import experiments, transfer
 from seqevl.cli import main
-from seqevl.config import READS, MeshSpec, default_config
+from seqevl.config import KINDS, MeshSpec, default_config
 from seqevl.experiments import TargetCheck, run_experiment
 from seqevl.thresholds import DEFAULT_ZETA
 
@@ -121,7 +121,7 @@ def test_single_horizon_dprime_tolerance_is_tau(tmp_path):
     assert code == 0
 
 
-@pytest.mark.parametrize("kind", READS)
+@pytest.mark.parametrize("kind", KINDS)
 def test_summary_verdicts_are_json_booleans(kind, tmp_path):
     cfg = default_config(kind, n=50, n_samples=2000, mesh=MeshSpec(cells=64))
     report = run_experiment(cfg, base_dir=tmp_path)
@@ -131,6 +131,12 @@ def test_summary_verdicts_are_json_booleans(kind, tmp_path):
     for check in summary["checks"]:
         assert isinstance(check["passed"], bool) and isinstance(check["info"], bool), check
         assert check["side"] in SIDE_BOUNDS, check
+
+
+def test_d0_at_its_smallest_horizon_compares_two_separations(tmp_path):
+    cfg = default_config("d0", n=KINDS["d0"].min_n, n_samples=2000, mesh=MeshSpec(cells=64))
+    (check,) = run_experiment(cfg, base_dir=tmp_path).checks
+    assert check.name == "d0-monotone-t2-t3"
 
 
 def test_run_whose_runner_raises_leaves_no_directory(tmp_path, monkeypatch):
@@ -164,9 +170,9 @@ def _recording(spec, reads: set, prefix: str = ""):
     return copy
 
 
-@pytest.mark.parametrize("kind", READS)
+@pytest.mark.parametrize("kind", KINDS)
 def test_runner_reads_exactly_its_keys(kind, tmp_path, monkeypatch):
-    """The keys a runner and its Monte Carlo stage read are READS[kind]: a
+    """The keys a runner and its Monte Carlo stage read are KINDS[kind].reads: a
     read field counts as its section where the row names the whole section."""
     reads = set()
     runner = experiments._RUNNERS[kind]
@@ -182,5 +188,5 @@ def test_runner_reads_exactly_its_keys(kind, tmp_path, monkeypatch):
     path.write_text(cfg.to_toml(), encoding="utf-8")
     code, _ = _cli([kind, "--config", str(path), "--out", str(tmp_path / "runs")])
     assert code in (0, 2)
-    row = READS[kind]
+    row = KINDS[kind].reads
     assert {key if key in row else key.split(".")[0] for key in reads} == set(row)

@@ -2,8 +2,8 @@
 package modules is reached from the command-line entry point `cli.main`, and
 every function, method and property, private ones and dunders included, is
 called when `cli.main` runs a small matrix of configs.  Code that only tests
-use belongs in `tests/reference.py`.  README's Quick start block runs
-against the package as it stands."""
+use belongs in `tests/reference.py`.  `validate_config` and `cli` name no
+kind.  README's Quick start block runs against the package as it stands."""
 
 import ast
 import contextlib
@@ -12,10 +12,11 @@ import math
 import os
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from seqevl import cli
-from seqevl.config import MeshSpec, ScheduleSpec, default_config
+from seqevl.config import KINDS, ExperimentConfig, MeshSpec, ScheduleSpec, default_config
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "seqevl"
@@ -128,6 +129,25 @@ def test_every_function_runs_under_cli_main(tmp_path):
             sys.setprofile(None)
         assert code in (0, 2), argv  # 1 is a config or runtime error
     assert defined_functions() - called == NEVER_CALLED_ALLOWED
+
+
+def test_validate_and_cli_name_no_kind():
+    """`validate_config` and `cli` read each kind's row of `KINDS`, so no
+    string constant in them names a kind; neither does `_exponents_read`,
+    whose branches became row data, should it come back.  `recurrence` is
+    also a section: as a key it names no kind, but no comparison holds it."""
+    guarded = [node for node in ast.parse((SRC / "config.py").read_text(encoding="utf-8")).body
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("validate_config", "_exponents_read")]
+    assert "validate_config" in {node.name for node in guarded}
+    guarded.append(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+    keys = {f.name for f in fields(ExperimentConfig)}
+    compared = {id(node) for tree in guarded for compare in ast.walk(tree)
+                if isinstance(compare, ast.Compare) for node in ast.walk(compare)}
+    named = [(node.lineno, node.value) for tree in guarded for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value in KINDS and (node.value not in keys or id(node) in compared)]
+    assert named == []
 
 
 def test_readme_quick_start_runs():
