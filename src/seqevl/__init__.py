@@ -9,9 +9,9 @@ from .maps import (ALPHA_STAR, ParameterSchedule, apply_map_batch,
                    lsv_left_inverse, sequential_orbit)
 from .mesh import (Density, Mesh, graded_mesh, project, uniform_density,
                    uniform_mesh)
-from .montecarlo import (BlockStructure, EstimateWithCI, MixingGap, RNGSpec,
-                         build_blocks, d0_mixing_gap, dprime_sum,
-                         estimate_exceedances, estimate_Pn)
+from .montecarlo import (BlockStructure, EstimateWithCI, MixingGap, build_blocks,
+                         d0_mixing_gap, dprime_sum, estimate_exceedances,
+                         estimate_Pn)
 from .recurrence import (RecurrenceParams, local_recurrence_at,
                          local_recurrence_bound, loglog_slope, measure_Ej,
                          measure_En_eps, orbit_displacement)
@@ -26,7 +26,7 @@ __all__ = [
     "ALPHA_STAR", "BlockStructure", "ConfigError", "DecayResult", "Density",
     "DEFAULT_ZETA", "Diagnostic", "EstimateWithCI", "ExperimentConfig",
     "ExperimentReport",
-    "Mesh", "MixingGap", "Observable", "ParameterSchedule", "RNGSpec",
+    "Mesh", "MixingGap", "Observable", "ParameterSchedule",
     "RecurrenceParams", "TargetCheck", "ThresholdSchedule",
     "apply_map_batch", "build_blocks", "build_threshold_schedule",
     "calibrate_delta_ladder", "cone_step_surrogate",

@@ -21,9 +21,7 @@ from .experiments import run_experiment
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="TOML config file")
-    common.add_argument("--seed", type=int, help="override the RNG seed")
     common.add_argument("--out", type=Path, help="override the output directory")
-    common.add_argument("--mesh", type=int, help="override the mesh cell count")
     parser = argparse.ArgumentParser(
         prog="seqevl",
         description="sequential intermittent maps: transfer operators and "
@@ -39,12 +37,8 @@ def _config_from_args(args) -> object:
     cfg = default_config() if args.config is None else load_config(args.config)
     if args.command in KINDS:
         cfg = replace(cfg, kind=args.command)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out_dir=str(args.out))
-    if args.mesh is not None:
-        cfg = replace(cfg, mesh=replace(cfg.mesh, cells=args.mesh))
     return cfg
 
 

@@ -21,9 +21,9 @@ from .montecarlo import DEFAULT_BETA, DEFAULT_KAPPA
 from .recurrence import RecurrenceParams
 from .thresholds import Observable
 
-# the recurrence run's fixed ladders: return-set radii and steps, union and local j
+# the recurrence run's fixed ladders: return-set radii, union and local j (its
+# return-set steps are its row's horizons)
 EN_EPS_LADDER = tuple(2.0 ** -k for k in range(4, 15))
-EN_STEP_COUNTS = (1, 5, 20)
 EJ_LADDER = tuple(2 ** k for k in range(5, 13))
 LOCAL_JS = (8, 16, 32)
 
@@ -46,7 +46,8 @@ class Kind:
     lag: int = 0  # a run reads the map exponents of its longest horizon less lag
 
     def ns(self, config: ExperimentConfig) -> tuple:
-        """The horizons a run of this kind steps to."""
+        """The horizons a run of this kind steps to: the one rule that the
+        runners and `validate_config` read."""
         return (self.ladder if self.horizons == "none"
                 else tuple(config.n_ladder) or self.ladder or (config.n,))
 
@@ -64,7 +65,7 @@ KINDS = {
                   ("n_ladder", "schedule", "mesh"), ladder=tuple(2 ** k for k in range(6, 13)),
                   min_n=2, min_rungs=2, why="the slope fit reads log log n at two horizons"),
     "recurrence": Kind("measures of fast-returning sets and their scaling",
-                       ("schedule", "observable.zeta", "recurrence"), "none", EN_STEP_COUNTS),
+                       ("schedule", "observable.zeta", "recurrence"), "none", (1, 5, 20)),
     "orbit": Kind("print one sequential orbit", ("n", "n_ladder", "x0", "schedule"), "one"),
 }
 
@@ -106,16 +107,7 @@ class ScheduleSpec:
     alpha_star: float = ALPHA_STAR
 
     def build(self) -> ParameterSchedule:
-        if self.mode == "constant":
-            return ParameterSchedule.constant(self.alpha, self.alpha_star)
-        if self.mode == "periodic":
-            return ParameterSchedule.periodic(self.cycle, self.alpha_star)
-        if self.mode == "explicit":
-            return ParameterSchedule.explicit(self.cycle, self.alpha_star)
-        if self.mode == "iid":
-            return ParameterSchedule.iid_uniform(self.lo, self.hi, self.seed,
-                                                 self.alpha_star)
-        raise ConfigError(f"unknown schedule mode {self.mode!r}")
+        return ParameterSchedule(**asdict(self))
 
 
 @dataclass(frozen=True)
@@ -180,12 +172,6 @@ class ExperimentConfig:
     exponents: ExponentSpec = field(default_factory=ExponentSpec)
     recurrence: RecurrenceSpec = field(default_factory=RecurrenceSpec)
 
-    def ns(self) -> tuple:
-        return tuple(self.n_ladder) if self.n_ladder else (self.n,)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_toml(self, read_only: bool = False) -> str:
         """The config as TOML; read_only keeps the kind and the keys its
         runner reads, the text a run hashes into its id and writes."""
@@ -207,7 +193,7 @@ class ExperimentConfig:
 def _flat(config: ExperimentConfig) -> dict:
     """The config's values keyed as `key` or `section.field`, in field order."""
     flat = {}
-    for name, value in config.to_dict().items():
+    for name, value in asdict(config).items():
         if isinstance(value, dict):
             flat.update({f"{name}.{field}": v for field, v in value.items()})
         else:
@@ -395,22 +381,23 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         fault("kind", "bad-kind", f"unknown experiment kind {config.kind!r}")
     if config.tau < 0.0:
         fault("tau", "bad-tau", "tau must be nonnegative")
-    horizon = "n_ladder" if config.n_ladder else "n"
-    if any(n < 1 for n in config.ns()):
-        fault(horizon, "bad-n", "time horizons must be at least 1")
-    if len(set(config.n_ladder)) < len(config.n_ladder):
-        fault("n_ladder", "bad-n", "n_ladder entries must be distinct")
+    # the horizons are checked as the row resolves them, so a horizon key the
+    # kind does not read is only flagged unread
     ns = row.ns(config)
+    horizon = "n_ladder" if config.n_ladder else "n"
+    why = f": {row.why}" if row.why else ""
+    if len(set(ns)) < len(ns):
+        fault("n_ladder", "bad-n", "n_ladder entries must be distinct")
     if row.horizons == "one" and len(ns) > 1:
         fault("n_ladder", "bad-n",
               f"{config.kind} runs one horizon; n_ladder may hold one entry at most")
     if len(ns) < row.min_rungs:
-        fault("n_ladder", "bad-n", f"{config.kind} needs {row.min_rungs} rungs at least: {row.why}")
+        fault("n_ladder", "bad-n", f"{config.kind} needs {row.min_rungs} rungs at least{why}")
     if min(ns) < row.min_n:
-        fault(horizon, "bad-n", f"{config.kind} horizons must be at least {row.min_n}: {row.why}")
+        fault(horizon, "bad-n", f"{config.kind} horizons must be at least {row.min_n}{why}")
     # build_threshold_schedule refuses the same tau / n
-    n = min(config.ns())
-    if n >= 1 and config.tau / n > 1.0 + 1e-12:
+    n = min(ns)
+    if kind_reads(config.kind, "tau") and n >= 1 and config.tau / n > 1.0 + 1e-12:
         fault("tau", "bad-tau", f"tau/n exceeds total mass 1 at n = {n}; no calibration exists")
     if config.n_samples < 1:
         fault("n_samples", "bad-samples", "sample count must be positive")

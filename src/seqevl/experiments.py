@@ -17,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (EJ_LADDER, EN_EPS_LADDER, EN_STEP_COUNTS, KINDS, LOCAL_JS,
-                     ConfigError, ExperimentConfig, validate_config)
+from .config import (EJ_LADDER, EN_EPS_LADDER, KINDS, LOCAL_JS, ConfigError,
+                     ExperimentConfig, validate_config)
 from .io import _write_atomic, write_csv, write_json
 from .maps import sequential_orbit
 from .mesh import uniform_density
-from .montecarlo import (RNGSpec, build_blocks, d0_mixing_gap, dprime_sum,
-                         estimate_exceedances, estimate_Pn)
+from .montecarlo import (build_blocks, d0_mixing_gap, dprime_sum, estimate_exceedances,
+                         estimate_Pn)
 from .recurrence import (local_recurrence_at, local_recurrence_bound,
                          loglog_slope, measure_En_eps, measure_Ej)
 from .thresholds import build_threshold_schedule
@@ -123,8 +123,8 @@ def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentReport:
 
 
 class _MonteCarlo:
-    """A run's Monte Carlo stage: calls an estimator with the run's RNGSpec
-    and sample count, and tallies the samples drawn and the seconds spent.
+    """A run's Monte Carlo stage: calls an estimator with the run's seed and
+    sample count, and tallies the samples drawn and the seconds spent.
     It reads the seed and sample count at each call, so a kind that never
     samples reads neither."""
 
@@ -136,7 +136,7 @@ class _MonteCarlo:
     def __call__(self, estimator, *args, **kwargs):
         started = time.perf_counter()
         n_samples = self.config.n_samples
-        result = estimator(*args, rng=RNGSpec(self.config.seed), n_samples=n_samples, **kwargs)
+        result = estimator(*args, seed=self.config.seed, n_samples=n_samples, **kwargs)
         self.seconds += time.perf_counter() - started
         self.samples += n_samples
         return result
@@ -163,7 +163,7 @@ def _run_evl(config: ExperimentConfig, mc: _MonteCarlo):
     rows = []
     checks = []
     errors = []
-    for ts in _thresholds(config, config.ns()):
+    for ts in _thresholds(config, KINDS[config.kind].ns(config)):
         n = ts.n
         est = mc(estimate_Pn, ts, label=f"pn-{n}")
         err = abs(est.value - target)
@@ -183,7 +183,7 @@ def _run_evl(config: ExperimentConfig, mc: _MonteCarlo):
 
 
 def _run_calibrate(config: ExperimentConfig, mc: _MonteCarlo):
-    n = config.ns()[-1]
+    n = KINDS[config.kind].ns(config)[-1]
     ts, = _thresholds(config, (n,))
     # the uniform-start ball of mass tau/n has radius tau/(2n) until it is
     # clipped at the end of [0, 1] nearer zeta, at distance `edge`
@@ -220,7 +220,7 @@ def _run_calibrate(config: ExperimentConfig, mc: _MonteCarlo):
 def _run_dprime(config: ExperimentConfig, mc: _MonteCarlo):
     rows = []
     results = []
-    for ts in _thresholds(config, config.ns()):
+    for ts in _thresholds(config, KINDS[config.kind].ns(config)):
         n = ts.n
         blocks = build_blocks(ts, beta=config.exponents.beta,
                               kappa=config.exponents.kappa)
@@ -246,7 +246,7 @@ def _run_dprime(config: ExperimentConfig, mc: _MonteCarlo):
 
 
 def _run_d0(config: ExperimentConfig, mc: _MonteCarlo):
-    n = config.ns()[-1]
+    n = KINDS[config.kind].ns(config)[-1]
     ts, = _thresholds(config, (n,))
     ell = max(1, round(n ** 0.5))
     i = 0
@@ -272,7 +272,7 @@ def _run_d0(config: ExperimentConfig, mc: _MonteCarlo):
 def _run_decay(config: ExperimentConfig, mc: _MonteCarlo):
     schedule = config.schedule.build()
     mesh = config.mesh.build()
-    ladder = KINDS["decay"].ns(config)
+    ladder = KINDS[config.kind].ns(config)
     alpha = schedule.sup_alpha()
     f = uniform_density(mesh)
     g = cone_step_surrogate(mesh, height=2.0, cutoff=0.5, alpha=alpha)
@@ -304,7 +304,7 @@ def _run_recurrence(config: ExperimentConfig, mc: _MonteCarlo):
 
     en_rows = []
     checks = []
-    for n in EN_STEP_COUNTS:
+    for n in KINDS[config.kind].ns(config):
         measures = [measure_En_eps(schedule, n, eps, resolution)
                     for eps in EN_EPS_LADDER]
         for eps, m in zip(EN_EPS_LADDER, measures):
@@ -350,7 +350,7 @@ def _run_recurrence(config: ExperimentConfig, mc: _MonteCarlo):
 
 def _run_orbit(config: ExperimentConfig, mc: _MonteCarlo):
     schedule = config.schedule.build()
-    n = config.ns()[-1]
+    n = KINDS[config.kind].ns(config)[-1]
     orbit = sequential_orbit(schedule, config.x0, n)
     alphas = schedule.alphas(n)
     rows = [(0, float(orbit[0]), "")]

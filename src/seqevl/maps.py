@@ -104,7 +104,9 @@ def _named_exponents(schedule) -> tuple:
 class ParameterSchedule:
     """Sequence of map exponents, one per composition step (1-based).
 
-    Modes: "constant", "periodic", "explicit", "iid".  The iid mode draws
+    Modes: "constant" reads alpha, "periodic" and "explicit" read cycle, and
+    "iid" reads lo, hi and seed; a mode ignores the other fields, so a
+    ScheduleSpec's fields build it as they stand.  The iid mode draws
     uniform exponents from (lo, hi) on a dedicated counter-based stream, so
     the schedule never interferes with sampling randomness.  Exponents above
     `alpha_star` are rejected at construction.
@@ -130,23 +132,6 @@ class ParameterSchedule:
                     f"exponent {a!r} outside (0, alpha_star={self.alpha_star}]")
         if self.mode == "iid" and not self.lo < self.hi:
             raise ValueError("iid schedule needs 0 < lo < hi")
-
-    @classmethod
-    def constant(cls, alpha: float, alpha_star: float = ALPHA_STAR):
-        return cls(mode="constant", alpha=alpha, alpha_star=alpha_star)
-
-    @classmethod
-    def periodic(cls, cycle, alpha_star: float = ALPHA_STAR):
-        return cls(mode="periodic", cycle=tuple(cycle), alpha_star=alpha_star)
-
-    @classmethod
-    def explicit(cls, alphas, alpha_star: float = ALPHA_STAR):
-        return cls(mode="explicit", cycle=tuple(alphas), alpha_star=alpha_star)
-
-    @classmethod
-    def iid_uniform(cls, lo: float, hi: float, seed: int,
-                    alpha_star: float = ALPHA_STAR):
-        return cls(mode="iid", lo=lo, hi=hi, seed=seed, alpha_star=alpha_star)
 
     def alphas(self, n: int) -> np.ndarray:
         """Exponents of the first n maps; alphas(m) is always a prefix of alphas(n)."""

@@ -41,16 +41,6 @@ DEFAULT_KAPPA = 0.85
 
 
 @dataclass(frozen=True)
-class RNGSpec:
-    """Root seed plus label-derived streams; see _rng for the key derivation."""
-
-    seed: int
-
-    def stream(self, *labels: str) -> np.random.Generator:
-        return philox_stream(self.seed, *labels)
-
-
-@dataclass(frozen=True)
 class EstimateWithCI:
     value: float
     se: float
@@ -86,8 +76,7 @@ class EstimateWithCI:
         return cls(mean, se, n, mean - Z95 * se, mean + Z95 * se)
 
 
-def _sweep(ts: ThresholdSchedule, rng: RNGSpec, label: str, n_samples: int, reads,
-           chunk):
+def _sweep(ts: ThresholdSchedule, seed: int, label: str, n_samples: int, reads, chunk):
     """Walk n_samples uniform orbits of ts to the last step in reads (a range
     or a set) and sum the counts.
 
@@ -104,7 +93,7 @@ def _sweep(ts: ThresholdSchedule, rng: RNGSpec, label: str, n_samples: int, read
     last = max(reads)
     alphas = ts.schedule.alphas(last)
     zeta, deltas = ts.zeta, ts.deltas
-    stream = rng.stream("x0", label)
+    stream = philox_stream(seed, "x0", label)
 
     def run(lo: int):
         # Philox fills each double from one 64-bit word, so drawing chunk by
@@ -130,7 +119,7 @@ def _sweep(ts: ThresholdSchedule, rng: RNGSpec, label: str, n_samples: int, read
 # exceedance probabilities
 
 
-def estimate_Pn(ts: ThresholdSchedule, rng: RNGSpec, n_samples: int = 100_000,
+def estimate_Pn(ts: ThresholdSchedule, seed: int, n_samples: int = 100_000,
                 label: str = "pn") -> EstimateWithCI:
     """P(no exceedance through step n-1) for calibrated thresholds.
 
@@ -148,11 +137,11 @@ def estimate_Pn(ts: ThresholdSchedule, rng: RNGSpec, n_samples: int = 100_000,
 
         return visit, lambda: (alive,)
 
-    (survivors,) = _sweep(ts, rng, label, n_samples, range(ts.n), chunk)
+    (survivors,) = _sweep(ts, seed, label, n_samples, range(ts.n), chunk)
     return EstimateWithCI.from_counts(survivors, n_samples)
 
 
-def estimate_exceedances(ts: ThresholdSchedule, indices, rng: RNGSpec,
+def estimate_exceedances(ts: ThresholdSchedule, indices, seed: int,
                          n_samples: int = 100_000,
                          label: str = "exceedance") -> list[EstimateWithCI]:
     """Monte Carlo estimates of the per-step exceedance masses m(X_i > u_i),
@@ -169,7 +158,7 @@ def estimate_exceedances(ts: ThresholdSchedule, indices, rng: RNGSpec,
 
         return visit, lambda: tuple(counts[i] for i in idx)
 
-    counts = _sweep(ts, rng, label, n_samples, set(idx), chunk)
+    counts = _sweep(ts, seed, label, n_samples, set(idx), chunk)
     return [EstimateWithCI.from_counts(k, n_samples) for k in counts]
 
 
@@ -224,7 +213,7 @@ def build_blocks(ts: ThresholdSchedule, k_n: int | None = None,
                           bounds=np.asarray(bounds, dtype=int))
 
 
-def dprime_sum(ts: ThresholdSchedule, blocks: BlockStructure, rng: RNGSpec,
+def dprime_sum(ts: ThresholdSchedule, blocks: BlockStructure, seed: int,
                n_samples: int = 100_000, label: str = "dprime") -> EstimateWithCI:
     """Sum over blocks of the pairwise joint exceedance probabilities.
 
@@ -247,7 +236,7 @@ def dprime_sum(ts: ThresholdSchedule, blocks: BlockStructure, rng: RNGSpec,
 
         return visit, lambda: (int(pairs.sum()), int((pairs * pairs).sum()))
 
-    total, total_sq = _sweep(ts, rng, label, n_samples, range(ts.n), chunk)
+    total, total_sq = _sweep(ts, seed, label, n_samples, range(ts.n), chunk)
     return EstimateWithCI.from_moments(float(total), float(total_sq), n_samples)
 
 
@@ -268,7 +257,7 @@ class MixingGap:
         return abs(self.covariance)
 
 
-def d0_mixing_gap(ts: ThresholdSchedule, i: int, t: int, ell: int, rng: RNGSpec,
+def d0_mixing_gap(ts: ThresholdSchedule, i: int, t: int, ell: int, seed: int,
                   n_samples: int = 100_000, label: str = "d0") -> MixingGap:
     """|P(A_i and no exceedance on [i+t, i+t+ell)) - P(A_i) P(same window)|.
 
@@ -295,7 +284,7 @@ def d0_mixing_gap(ts: ThresholdSchedule, i: int, t: int, ell: int, rng: RNGSpec,
         return visit, lambda: (int(np.count_nonzero(a & w)), int(np.count_nonzero(a)),
                                int(np.count_nonzero(w)))
 
-    n11, na, nw = _sweep(ts, rng, label, n_samples, {i, *range(i + t, i + t + ell)}, chunk)
+    n11, na, nw = _sweep(ts, seed, label, n_samples, {i, *range(i + t, i + t + ell)}, chunk)
     N = n_samples
     pa, pw, p11 = na / N, nw / N, n11 / N
     cov = p11 - pa * pw

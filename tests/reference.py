@@ -48,10 +48,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from seqevl._rng import philox_stream
 from seqevl.maps import (ParameterSchedule, _check_alpha, _check_domain, apply_map_batch,
                          lsv_left_inverse)
 from seqevl.mesh import Density, Mesh, _same_mesh, project, uniform_density
-from seqevl.montecarlo import Z95, EstimateWithCI, RNGSpec
+from seqevl.montecarlo import Z95, EstimateWithCI
 from seqevl.thresholds import Observable, ThresholdSchedule
 from seqevl.transfer import pf_apply, push_density
 
@@ -500,7 +501,7 @@ def correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
 
 
 def mc_correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
-                      rng: RNGSpec, n_samples: int = 100_000,
+                      seed: int, n_samples: int = 100_000,
                       label: str = "dc") -> EstimateWithCI:
     """Monte Carlo cross-check of correlation_DC: cov(phi(x_i), psi(x_{i+t})).
 
@@ -518,7 +519,7 @@ def mc_correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
         return np.asarray(obs(x), dtype=float)
 
     alphas = schedule.alphas(i + t)
-    x = rng.stream("x0", label).random(n_samples)
+    x = philox_stream(seed, "x0", label).random(n_samples)
     for a in alphas[:i]:
         x = lsv_apply(a, x)
     u = observe(phi, x)

@@ -16,7 +16,6 @@ from seqevl.experiments import run_experiment
 from seqevl.maps import ParameterSchedule
 from seqevl.mesh import Density, graded_mesh, project, uniform_density
 from seqevl.montecarlo import (
-    RNGSpec,
     build_blocks,
     d0_mixing_gap,
     dprime_sum,
@@ -63,14 +62,13 @@ def test_criterion_01_survival_probability_reaches_exponential_limit(mesh1024):
     """Calibrated no-exceedance probability lands within 0.05 of exp(-tau)
     at n = 2000 under an iid exponent schedule, with nonincreasing error
     along the horizon ladder (up to two combined standard errors)."""
-    schedule = ParameterSchedule.iid_uniform(0.01, 0.14, seed=7)
-    rng = RNGSpec(SEED)
+    schedule = ParameterSchedule(mode="iid", lo=0.01, hi=0.14, seed=7)
     for tau in (0.5, 1.0, 2.0):
         target = np.exp(-tau)
         errors = []
         rungs = build_threshold_schedule(schedule, OBS, tau, LADDER, mesh1024)
         for n, ts in zip(LADDER, rungs):
-            est = estimate_Pn(ts, rng, N_SAMPLES, label=f"acc1-{tau}-{n}")
+            est = estimate_Pn(ts, SEED, N_SAMPLES, label=f"acc1-{tau}-{n}")
             errors.append((n, abs(est.value - target), est.se))
         final_err = errors[-1][1]
         assert final_err <= 0.05, f"tau={tau}: final error {final_err:.4f}"
@@ -88,7 +86,7 @@ def test_criterion_02_per_step_exceedance_mass_matches_calibration(ts500):
     assert abs(ts500.deltas[0] - tau / (2.0 * n)) <= 1e-12
     picks = np.unique(np.linspace(0, n - 1, 20).round().astype(int))
     assert picks.size == 20
-    ests = estimate_exceedances(ts500, picks, RNGSpec(SEED), N_SAMPLES)
+    ests = estimate_exceedances(ts500, picks, SEED, N_SAMPLES)
     target = tau / n
     for i, est in zip(picks, ests):
         ok = (abs(est.value - target) <= 3.0 * est.se
@@ -156,9 +154,8 @@ def test_criterion_04_pair_sum_decreases_along_horizon_ladder(mesh1024, const01)
     assert all(k0 < k1 for k0, k1 in zip(k_ns, k_ns[1:])), (
         f"block count k_n = {k_ns} does not grow along n = {LADDER}; "
         f"inside a plateau the pair sum rises")
-    rng = RNGSpec(SEED)
     results = [(n, blocks.k_n,
-                dprime_sum(ts, blocks, rng, N_SAMPLES, label=f"acc4-{n}"))
+                dprime_sum(ts, blocks, SEED, N_SAMPLES, label=f"acc4-{n}"))
                for n, ts, blocks in ladder]
     for (n0, k0, e0), (n1, k1, e1) in zip(results, results[1:]):
         slack = 2.0 * (e0.se + e1.se)
@@ -172,10 +169,9 @@ def test_criterion_05_mixing_gap_shrinks_with_separation(ts1000):
     or below the one at n^0.4, within three combined standard errors."""
     n = ts1000.n
     ell = round(n ** 0.5)
-    rng = RNGSpec(SEED)
-    short = d0_mixing_gap(ts1000, i=0, t=round(n ** 0.4), ell=ell, rng=rng,
+    short = d0_mixing_gap(ts1000, i=0, t=round(n ** 0.4), ell=ell, seed=SEED,
                           n_samples=N_SAMPLES, label="acc5-short")
-    long = d0_mixing_gap(ts1000, i=0, t=round(n ** 0.8), ell=ell, rng=rng,
+    long = d0_mixing_gap(ts1000, i=0, t=round(n ** 0.8), ell=ell, seed=SEED,
                          n_samples=N_SAMPLES, label="acc5-long")
     slack = 3.0 * (short.se + long.se)
     assert long.gap <= short.gap + slack, (

@@ -7,7 +7,7 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +175,7 @@ def test_readme_config_block_is_the_default_config():
     (block,) = re.findall(r"```toml\n(.*?)```", readme, flags=re.S)
     data = parse_toml(block)
     assert config_from_dict(data) == ExperimentConfig()
-    defaults = ExperimentConfig().to_dict()
+    defaults = asdict(ExperimentConfig())
     assert data.keys() == defaults.keys()
     for name, value in defaults.items():
         if isinstance(value, dict):
@@ -207,6 +207,16 @@ def test_one_list_of_kinds():
         kind: row.help for kind, row in KINDS.items()}
 
 
+def test_readme_commands_are_the_parsers():
+    # README's list: each KINDS row's command and help line, then validate's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Commands:\n\n", 1)[1].split("\n\n", 1)[0]
+    (command,) = [action for action in build_parser()._actions if action.dest == "command"]
+    (validate,) = [a.help for a in command._choices_actions if a.dest == "validate"]
+    assert block.replace("`", "").splitlines() == [
+        *(f"- {kind} : {row.help}" for kind, row in KINDS.items()), f"- validate : {validate}"]
+
+
 def test_spec_defaults_are_the_builders_defaults():
     assert ObservableSpec().build() == Observable()
     assert RecurrenceSpec().build() == RecurrenceParams()
@@ -217,8 +227,8 @@ def test_spec_defaults_are_the_builders_defaults():
 
 
 def test_ns_prefers_ladder():
-    assert default_config("evl", n=7).ns() == (7,)
-    assert default_config("evl", n=7, n_ladder=(2, 4)).ns() == (2, 4)
+    assert KINDS["evl"].ns(default_config("evl", n=7)) == (7,)
+    assert KINDS["evl"].ns(default_config("evl", n=7, n_ladder=(2, 4))) == (2, 4)
 
 
 # --------------------------------------------------------------- validation
@@ -416,7 +426,7 @@ UNREAD_FAULTS = [
     (dict(workers=0), "unused-key"),
     (dict(workers=2), "unused-key"),
     (dict(kind="recurrence", n_ladder=(100,)), "unused-key"),
-    (dict(kind="decay", n=0), "bad-n"),
+    (dict(kind="decay", n=0), "unused-key"),
     (dict(kind="orbit", tau=-1.0), "bad-tau"),
     (dict(kind="orbit", mesh=MeshSpec(cells=1)), "bad-mesh"),
     (dict(x0=2.0), "bad-x0"),
@@ -461,6 +471,27 @@ def test_bad_tau_follows_the_calibrated_horizons():
         cfg = default_config(kind, n_ladder=(1, 1000), tau=2.0)
         assert "bad-n" in {d.code for d in validate_config(cfg) if d.severity == "error"}, kind
     assert "bad-tau" not in {d.code for d in validate_config(default_config("evl", tau=1000.0))}
+
+
+# one fault in the horizons a kind reads, as its row resolves them: one
+# diagnostic; a horizon key the kind does not read is only flagged unread
+ONE_HORIZON_FAULT = [
+    ("evl", dict(n=0), "bad-n", "evl horizons must be at least 1"),
+    ("d0", dict(n=0), "bad-n",
+     "d0 horizons must be at least 5: below n = 5 both separations clamp to one gap"),
+    ("calibrate", dict(n_ladder=(0,)), "bad-n", "calibrate horizons must be at least 1"),
+    ("decay", dict(n_ladder=(0, 64)), "bad-n",
+     "decay horizons must be at least 2: the slope fit reads log log n at two horizons"),
+    ("recurrence", dict(n=0), "unused-key",
+     "recurrence runs do not read n; its value changes nothing"),
+]
+
+
+@pytest.mark.parametrize("kind,overrides,code,message", ONE_HORIZON_FAULT,
+                         ids=[_row_id(dict(kind=k, **o), c) for k, o, c, _ in ONE_HORIZON_FAULT])
+def test_one_horizon_fault_gets_one_diagnostic(kind, overrides, code, message):
+    assert [(d.code, d.message) for d in validate_config(default_config(kind, **overrides))] == [
+        (code, message)]
 
 
 def test_distinct_ladders_pass_the_n_checks():
@@ -579,11 +610,11 @@ def test_cli_non_finite_value_is_an_error(tmp_path):
 
 
 def test_cli_orbit_writes_artifacts(tmp_path):
-    cfg = default_config("orbit", n=12, out_dir=str(tmp_path / "runs"),
+    cfg = default_config("orbit", n=12, seed=3, out_dir=str(tmp_path / "runs"),
                          mesh=MeshSpec(cells=64))
     path = tmp_path / "orbit.toml"
     path.write_text(cfg.to_toml())
-    code, out, _ = run_cli(["orbit", "--config", str(path), "--seed", "3"])
+    code, out, _ = run_cli(["orbit", "--config", str(path)])
     assert code == 0
     assert "[PASS] orbit-in-domain" in out
     (run_dir,) = list((tmp_path / "runs").glob("orbit-*"))
@@ -599,14 +630,15 @@ def test_cli_orbit_writes_artifacts(tmp_path):
 
 
 def test_cli_mesh_override_sets_cells_and_changes_the_hash(tmp_path):
-    path = tmp_path / "cal.toml"
+    path, meshed_path = tmp_path / "cal.toml", tmp_path / "meshed.toml"
     path.write_text(default_config("calibrate", n=25, n_samples=2000).to_toml())
+    meshed_path.write_text(default_config("calibrate", n=25, n_samples=2000,
+                                          mesh=MeshSpec(cells=64)).to_toml())
     runs = tmp_path / "runs"
     code, out, _ = run_cli(["calibrate", "--config", str(path), "--out", str(runs)])
     assert code == 0
     plain = _artifact_dir(out)
-    code, out, _ = run_cli(["calibrate", "--config", str(path), "--out", str(runs),
-                            "--mesh", "64"])
+    code, out, _ = run_cli(["calibrate", "--config", str(meshed_path), "--out", str(runs)])
     assert code == 0
     meshed = _artifact_dir(out)
     assert meshed != plain and meshed.parent == plain.parent
@@ -616,9 +648,11 @@ def test_cli_mesh_override_sets_cells_and_changes_the_hash(tmp_path):
 
 def test_cli_flags_of_unread_keys_keep_the_id(tmp_path):
     # orbit reads no mesh, and --out only says where the run is written
+    meshed = tmp_path / "meshed.toml"
+    meshed.write_text(default_config("orbit", mesh=MeshSpec(cells=64)).to_toml())
     names = set()
     for argv in (["--out", str(tmp_path / "a")],
-                 ["--out", str(tmp_path / "a"), "--mesh", "64"],
+                 ["--out", str(tmp_path / "a"), "--config", str(meshed)],
                  ["--out", str(tmp_path / "b")]):
         code, out, _ = run_cli(["orbit", *argv])
         assert code == 0
@@ -717,7 +751,9 @@ def test_cli_outputs_reproducible_across_reruns(tmp_path):
         assert (rerun / name).read_bytes() == blob
 
     # a different seed must actually change the Monte Carlo table
-    code, out, _ = run_cli(["calibrate", "--config", str(path), "--seed", "99"])
+    reseeded = tmp_path / "reseeded.toml"
+    reseeded.write_text(replace(cfg, seed=99).to_toml())
+    code, out, _ = run_cli(["calibrate", "--config", str(reseeded)])
     assert code == 0
     other_dir = _artifact_dir(out)
     assert (other_dir / "calibration.csv").read_bytes() != first["calibration.csv"]
@@ -747,7 +783,9 @@ def test_cli_usage_error_exits_one(argv):
 def test_cli_help_exits_zero():
     code, out, err = run_cli(["evl", "--help"])
     assert code == 0
-    assert out.startswith("usage: seqevl evl") and "--workers" not in out
+    assert out.startswith("usage: seqevl evl")
+    # a run's values live in its TOML; the flags say only where it is read and written
+    assert set(re.findall(r"(?<![\w-])--[\w-]+", out)) == {"--help", "--config", "--out"}
     assert err == ""
 
 

@@ -172,8 +172,10 @@ def _recording(spec, reads: set, prefix: str = ""):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_runner_reads_exactly_its_keys(kind, tmp_path, monkeypatch):
-    """The keys a runner and its Monte Carlo stage read are KINDS[kind].reads: a
-    read field counts as its section where the row names the whole section."""
+    """The keys a runner and its Monte Carlo stage read are KINDS[kind].reads
+    and `kind`, through which it reads its row (every kind reads `kind`, see
+    `kind_reads`): a read field counts as its section where the row names
+    the whole section."""
     reads = set()
     runner = experiments._RUNNERS[kind]
 
@@ -189,4 +191,4 @@ def test_runner_reads_exactly_its_keys(kind, tmp_path, monkeypatch):
     code, _ = _cli([kind, "--config", str(path), "--out", str(tmp_path / "runs")])
     assert code in (0, 2)
     row = KINDS[kind].reads
-    assert {key if key in row else key.split(".")[0] for key in reads} == set(row)
+    assert {key if key in row else key.split(".")[0] for key in reads} == {"kind", *row}

@@ -3,7 +3,8 @@ package modules is reached from the command-line entry point `cli.main`, and
 every function, method and property, private ones and dunders included, is
 called when `cli.main` runs a small matrix of configs.  Code that only tests
 use belongs in `tests/reference.py`.  `validate_config` and `cli` name no
-kind.  README's Quick start block runs against the package as it stands."""
+kind, and `experiments` names one only to map it to its runner.  README's
+Quick start block runs against the package as it stands."""
 
 import ast
 import contextlib
@@ -135,7 +136,10 @@ def test_validate_and_cli_name_no_kind():
     """`validate_config` and `cli` read each kind's row of `KINDS`, so no
     string constant in them names a kind; neither does `_exponents_read`,
     whose branches became row data, should it come back.  `recurrence` is
-    also a section: as a key it names no kind, but no comparison holds it."""
+    also a section: as a key it names no kind, but no comparison holds it.
+    A runner reads its row through `config.kind`, so in `experiments` a kind
+    is named only as a key of `_RUNNERS`, or as the name of a table a runner
+    writes (`evl.csv`), which is a file name."""
     guarded = [node for node in ast.parse((SRC / "config.py").read_text(encoding="utf-8")).body
                if isinstance(node, ast.FunctionDef)
                and node.name in ("validate_config", "_exponents_read")]
@@ -147,6 +151,15 @@ def test_validate_and_cli_name_no_kind():
     named = [(node.lineno, node.value) for tree in guarded for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and node.value in KINDS and (node.value not in keys or id(node) in compared)]
+    experiments = ast.parse((SRC / "experiments.py").read_text(encoding="utf-8"))
+    exempt = {id(key) for node in ast.walk(experiments)
+              if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+              and [getattr(t, "id", None) for t in node.targets] in (["_RUNNERS"], ["tables"])
+              for key in node.value.keys}
+    assert len(exempt) > len(KINDS)  # the runner keys and the table names were found
+    named += [(node.lineno, node.value) for node in ast.walk(experiments)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value in KINDS and id(node) not in exempt]
     assert named == []
 
 

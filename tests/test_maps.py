@@ -122,9 +122,9 @@ def test_batch_matches_scalar_path():
 
 
 @pytest.mark.parametrize("schedule", [
-    ParameterSchedule.constant(0.1),
-    ParameterSchedule.periodic([1e-3, 0.05, ALPHA_STAR]),
-    ParameterSchedule.iid_uniform(0.01, 0.14, seed=11),
+    ParameterSchedule(mode="constant", alpha=0.1),
+    ParameterSchedule(mode="periodic", cycle=(1e-3, 0.05, ALPHA_STAR)),
+    ParameterSchedule(mode="iid", lo=0.01, hi=0.14, seed=11),
 ], ids=["constant", "periodic", "iid"])
 def test_batch_step_matches_where_reference_along_orbits(schedule):
     # stepped in place as the Monte Carlo sweep steps its chunks
@@ -146,27 +146,27 @@ def test_batch_reuses_output_buffer():
 # ---------------------------------------------------------------- schedules
 
 def test_constant_schedule():
-    s = ParameterSchedule.constant(0.1)
+    s = ParameterSchedule(mode="constant", alpha=0.1)
     np.testing.assert_array_equal(s.alphas(5), np.full(5, 0.1))
     assert s.sup_alpha() == 0.1
 
 
 def test_periodic_schedule_tiles_cycle():
-    s = ParameterSchedule.periodic([0.05, 0.1, 0.14])
+    s = ParameterSchedule(mode="periodic", cycle=(0.05, 0.1, 0.14))
     np.testing.assert_array_equal(s.alphas(7),
                                   [0.05, 0.1, 0.14, 0.05, 0.1, 0.14, 0.05])
     assert s.sup_alpha() == 0.14
 
 
 def test_explicit_schedule_is_finite():
-    s = ParameterSchedule.explicit([0.1, 0.12])
+    s = ParameterSchedule(mode="explicit", cycle=(0.1, 0.12))
     np.testing.assert_array_equal(s.alphas(2), [0.1, 0.12])
     with pytest.raises(ValueError, match="has 2 exponents, fewer than the 3 requested"):
         s.alphas(3)
 
 
 def test_iid_schedule_prefix_consistency():
-    s = ParameterSchedule.iid_uniform(0.01, 0.14, seed=7)
+    s = ParameterSchedule(mode="iid", lo=0.01, hi=0.14, seed=7)
     a_short = s.alphas(100)
     a_long = s.alphas(1000)
     np.testing.assert_array_equal(a_short, a_long[:100])
@@ -174,20 +174,20 @@ def test_iid_schedule_prefix_consistency():
     assert s.sup_alpha() == 0.14
     # same-seed schedules agree, different seeds differ
     np.testing.assert_array_equal(
-        ParameterSchedule.iid_uniform(0.01, 0.14, seed=7).alphas(50), a_long[:50])
+        ParameterSchedule(mode="iid", lo=0.01, hi=0.14, seed=7).alphas(50), a_long[:50])
     assert not np.array_equal(
-        ParameterSchedule.iid_uniform(0.01, 0.14, seed=8).alphas(50), a_long[:50])
+        ParameterSchedule(mode="iid", lo=0.01, hi=0.14, seed=8).alphas(50), a_long[:50])
 
 
 def test_schedule_rejects_exponents_above_cap():
     with pytest.raises(ValueError):
-        ParameterSchedule.constant(0.2)
+        ParameterSchedule(mode="constant", alpha=0.2)
     with pytest.raises(ValueError):
-        ParameterSchedule.periodic([0.1, 0.15])
+        ParameterSchedule(mode="periodic", cycle=(0.1, 0.15))
     with pytest.raises(ValueError):
-        ParameterSchedule.iid_uniform(0.01, 0.2, seed=0)
+        ParameterSchedule(mode="iid", lo=0.01, hi=0.2, seed=0)
     # a larger cap admits them
-    s = ParameterSchedule.constant(0.2, alpha_star=0.25)
+    s = ParameterSchedule(mode="constant", alpha=0.2, alpha_star=0.25)
     assert s.alpha == 0.2
 
 
@@ -195,17 +195,17 @@ def test_schedule_validation_misc():
     with pytest.raises(ValueError):
         ParameterSchedule(mode="nope", alpha=0.1)
     with pytest.raises(ValueError):
-        ParameterSchedule.periodic([])
+        ParameterSchedule(mode="periodic", cycle=())
     with pytest.raises(ValueError):
-        ParameterSchedule.iid_uniform(0.1, 0.05, seed=0)
+        ParameterSchedule(mode="iid", lo=0.1, hi=0.05, seed=0)
     with pytest.raises(ValueError):
-        ParameterSchedule.constant(0.1).alphas(-1)
+        ParameterSchedule(mode="constant", alpha=0.1).alphas(-1)
 
 
 # ------------------------------------------------------------------- orbits
 
 def test_orbit_length_and_start():
-    s = ParameterSchedule.constant(0.1)
+    s = ParameterSchedule(mode="constant", alpha=0.1)
     orb = sequential_orbit(s, 0.3, 10)
     assert orb.shape == (11,)
     assert orb[0] == 0.3
@@ -213,7 +213,7 @@ def test_orbit_length_and_start():
 
 
 def test_orbit_agrees_with_stepwise_application():
-    s = ParameterSchedule.periodic([0.05, 0.1, 0.14])
+    s = ParameterSchedule(mode="periodic", cycle=(0.05, 0.1, 0.14))
     orb = sequential_orbit(s, 0.42, 6)
     x = 0.42
     for i, a in enumerate(s.alphas(6)):
@@ -222,9 +222,9 @@ def test_orbit_agrees_with_stepwise_application():
 
 
 @pytest.mark.parametrize("schedule", [
-    ParameterSchedule.constant(0.1),
-    ParameterSchedule.periodic([1e-3, 0.05, ALPHA_STAR]),
-    ParameterSchedule.iid_uniform(0.01, 0.14, seed=11),
+    ParameterSchedule(mode="constant", alpha=0.1),
+    ParameterSchedule(mode="periodic", cycle=(1e-3, 0.05, ALPHA_STAR)),
+    ParameterSchedule(mode="iid", lo=0.01, hi=0.14, seed=11),
 ], ids=["constant", "periodic", "iid"])
 def test_orbit_equals_scalar_lsv_apply_bit_for_bit(schedule):
     # numpy's vectorized power and libm pow differ in the last bit on some
@@ -239,5 +239,5 @@ def test_orbit_equals_scalar_lsv_apply_bit_for_bit(schedule):
 
 
 def test_orbit_fixed_point_at_zero():
-    s = ParameterSchedule.constant(0.1)
+    s = ParameterSchedule(mode="constant", alpha=0.1)
     np.testing.assert_array_equal(sequential_orbit(s, 0.0, 5), np.zeros(6))

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from seqevl import montecarlo
+from seqevl._rng import philox_stream
 from seqevl.config import exponent_ledger
 from seqevl.maps import ALPHA_STAR
 from seqevl.mesh import graded_mesh
 from seqevl.montecarlo import (
     EstimateWithCI,
-    RNGSpec,
     build_blocks,
     d0_mixing_gap,
     dprime_sum,
@@ -98,13 +98,12 @@ def test_ci_must_bracket_value():
 
 
 def test_rng_streams_are_label_keyed():
-    rng = RNGSpec(seed=42)
-    a = rng.stream("x0", "pn").random(100)
-    b = RNGSpec(seed=42).stream("x0", "pn").random(100)
+    a = philox_stream(42, "x0", "pn").random(100)
+    b = philox_stream(42, "x0", "pn").random(100)
     np.testing.assert_array_equal(a, b)
-    c = rng.stream("x0", "other").random(100)
+    c = philox_stream(42, "x0", "other").random(100)
     assert not np.array_equal(a, c)
-    d = RNGSpec(seed=43).stream("x0", "pn").random(100)
+    d = philox_stream(43, "x0", "pn").random(100)
     assert not np.array_equal(a, d)
 
 
@@ -112,8 +111,8 @@ def test_rng_streams_are_label_keyed():
 @pytest.mark.parametrize("n", [1, 777, N_CHUNKED])
 def test_chunkwise_draws_equal_one_whole_draw(n, size):
     # the sweep draws each chunk's start points as it walks the chunk
-    whole = RNGSpec(5).stream("x0", "pn").random(n)
-    stream = RNGSpec(5).stream("x0", "pn")
+    whole = philox_stream(5, "x0", "pn").random(n)
+    stream = philox_stream(5, "x0", "pn")
     parts = [stream.random(min(size, n - lo)) for lo in range(0, n, size)]
     np.testing.assert_array_equal(np.concatenate(parts), whole)
 
@@ -121,42 +120,42 @@ def test_chunkwise_draws_equal_one_whole_draw(n, size):
 def test_estimate_pn_single_step_closed_form(mesh512, const01):
     # n = 1: survival probability is exactly 1 - tau under the uniform start
     ts, = build_threshold_schedule(const01, Observable(), 0.5, (1,), mesh512)
-    e = estimate_Pn(ts, RNGSpec(5), n_samples=N_FAST)
+    e = estimate_Pn(ts, 5, n_samples=N_FAST)
     assert abs(e.value - 0.5) <= 3.0 * e.se
 
 
 def test_estimate_pn_chunk_size_invariance(ts20, monkeypatch):
     runs = at_chunk_sizes(monkeypatch,
-                          lambda: estimate_Pn(ts20, RNGSpec(11), n_samples=N_CHUNKED))
+                          lambda: estimate_Pn(ts20, 11, n_samples=N_CHUNKED))
     assert runs[0] == runs[1] == runs[2]
 
 
 def test_estimate_pn_sample_size_consistency(ts20):
-    a = estimate_Pn(ts20, RNGSpec(13), n_samples=16384)
-    b = estimate_Pn(ts20, RNGSpec(14), n_samples=32768)
+    a = estimate_Pn(ts20, 13, n_samples=16384)
+    b = estimate_Pn(ts20, 14, n_samples=32768)
     assert abs(a.value - b.value) <= 4.0 * (a.se + b.se)
 
 
 def test_estimate_exceedances_match_calibrated_mass(ts20):
-    ests = estimate_exceedances(ts20, [0, 7, 19], RNGSpec(17), n_samples=N_FAST)
+    ests = estimate_exceedances(ts20, [0, 7, 19], 17, n_samples=N_FAST)
     target = ts20.tau / ts20.n
     for e in ests:
         assert abs(e.value - target) <= 3.0 * max(e.se, 1e-4)
-    single = estimate_exceedances(ts20, [7], RNGSpec(17), n_samples=N_FAST)[0]
+    single = estimate_exceedances(ts20, [7], 17, n_samples=N_FAST)[0]
     assert single.value == ests[1].value  # same stream, same counts
 
 
 @pytest.mark.parametrize("indices", [[3, 3, 7], [7, 3]], ids=["repeated", "unordered"])
 def test_estimate_exceedances_one_per_index_in_order(ts20, indices):
-    got = estimate_exceedances(ts20, indices, RNGSpec(17), n_samples=N_FAST)
-    singles = [estimate_exceedances(ts20, [i], RNGSpec(17), n_samples=N_FAST)[0]
+    got = estimate_exceedances(ts20, indices, 17, n_samples=N_FAST)
+    singles = [estimate_exceedances(ts20, [i], 17, n_samples=N_FAST)[0]
                for i in indices]
     assert got == singles
 
 
 def test_estimate_pn_zero_tau_is_certain(mesh512, const01):
     ts, = build_threshold_schedule(const01, Observable(), 0.0, (5,), mesh512)
-    e = estimate_Pn(ts, RNGSpec(1), n_samples=4096)
+    e = estimate_Pn(ts, 1, n_samples=4096)
     assert e.value == 1.0
     assert e.ci_high == 1.0
 
@@ -164,19 +163,19 @@ def test_estimate_pn_zero_tau_is_certain(mesh512, const01):
 def test_zero_tau_sees_no_exceedance(mesh512, const01):
     # every radius is 0, so the open ball is empty at every step
     ts, = build_threshold_schedule(const01, Observable(), 0.0, (10,), mesh512)
-    assert [e.value for e in estimate_exceedances(ts, [0, 4, 9], RNGSpec(1),
+    assert [e.value for e in estimate_exceedances(ts, [0, 4, 9], 1,
                                                   n_samples=4096)] == [0.0] * 3
-    g = d0_mixing_gap(ts, i=1, t=2, ell=3, rng=RNGSpec(1), n_samples=4096)
+    g = d0_mixing_gap(ts, i=1, t=2, ell=3, seed=1, n_samples=4096)
     assert (g.covariance, g.p_event, g.p_window) == (0.0, 0.0, 1.0)
 
 
 def test_estimate_exceedances_validation(ts20):
     with pytest.raises(ValueError):
-        estimate_exceedances(ts20, [], RNGSpec(1))
+        estimate_exceedances(ts20, [], 1)
     with pytest.raises(ValueError):
-        estimate_exceedances(ts20, [-1], RNGSpec(1))
+        estimate_exceedances(ts20, [-1], 1)
     with pytest.raises(ValueError):
-        estimate_exceedances(ts20, [20], RNGSpec(1))
+        estimate_exceedances(ts20, [20], 1)
 
 
 # ----------------------------------------------------------------- blocking
@@ -212,28 +211,28 @@ def test_build_blocks_defaults_and_validation(mesh512, const01):
 def test_dprime_zero_for_singleton_blocks(ts20):
     blocks = build_blocks(ts20, k_n=20)
     assert np.all(np.diff(blocks.bounds) == 1)
-    e = dprime_sum(ts20, blocks, RNGSpec(19), n_samples=8192)
+    e = dprime_sum(ts20, blocks, 19, n_samples=8192)
     assert e.value == 0.0 and e.se == 0.0
 
 
 def test_dprime_zero_for_zero_tau(mesh512, const01):
     ts, = build_threshold_schedule(const01, Observable(), 0.0, (10,), mesh512)
     blocks = build_blocks(ts, k_n=2)
-    e = dprime_sum(ts, blocks, RNGSpec(23), n_samples=4096)
+    e = dprime_sum(ts, blocks, 23, n_samples=4096)
     assert e.value == 0.0
 
 
 def test_dprime_chunk_size_invariance(ts20, monkeypatch):
     blocks = build_blocks(ts20, k_n=4)
     runs = at_chunk_sizes(monkeypatch,
-                          lambda: dprime_sum(ts20, blocks, RNGSpec(29), n_samples=N_CHUNKED))
+                          lambda: dprime_sum(ts20, blocks, 29, n_samples=N_CHUNKED))
     assert runs[0] == runs[1] == runs[2]
 
 
 # --------------------------------------------------------------- mixing gap
 
 def test_d0_empty_window_gives_zero_covariance(ts20):
-    g = d0_mixing_gap(ts20, i=2, t=3, ell=0, rng=RNGSpec(31), n_samples=8192)
+    g = d0_mixing_gap(ts20, i=2, t=3, ell=0, seed=31, n_samples=8192)
     assert g.covariance == 0.0
     assert g.gap == 0.0
     assert g.p_window == 1.0
@@ -241,15 +240,15 @@ def test_d0_empty_window_gives_zero_covariance(ts20):
 
 def test_d0_validation(ts20):
     with pytest.raises(ValueError):
-        d0_mixing_gap(ts20, i=0, t=0, ell=1, rng=RNGSpec(1))
+        d0_mixing_gap(ts20, i=0, t=0, ell=1, seed=1)
     with pytest.raises(ValueError):
-        d0_mixing_gap(ts20, i=-1, t=1, ell=1, rng=RNGSpec(1))
+        d0_mixing_gap(ts20, i=-1, t=1, ell=1, seed=1)
     with pytest.raises(ValueError):
-        d0_mixing_gap(ts20, i=10, t=5, ell=6, rng=RNGSpec(1))
+        d0_mixing_gap(ts20, i=10, t=5, ell=6, seed=1)
 
 
 def test_d0_small_for_separated_events(ts20):
-    g = d0_mixing_gap(ts20, i=0, t=10, ell=4, rng=RNGSpec(37), n_samples=N_FAST)
+    g = d0_mixing_gap(ts20, i=0, t=10, ell=4, seed=37, n_samples=N_FAST)
     # rare event and a distant window decorrelate; gap ~ covariance noise
     assert g.gap <= 5.0 * max(g.se, 1e-5)
     assert 0.0 < g.p_event < 0.2
@@ -258,7 +257,7 @@ def test_d0_small_for_separated_events(ts20):
 
 def test_d0_chunk_size_invariance(ts20, monkeypatch):
     runs = at_chunk_sizes(monkeypatch,
-                          lambda: d0_mixing_gap(ts20, i=1, t=4, ell=3, rng=RNGSpec(41),
+                          lambda: d0_mixing_gap(ts20, i=1, t=4, ell=3, seed=41,
                                                 n_samples=N_CHUNKED))
     assert runs[0] == runs[1] == runs[2]
 
@@ -281,7 +280,7 @@ def test_correlation_zero_lag_is_variance(mesh512, const01):
 def test_correlation_operator_vs_monte_carlo(mesh512, const01):
     phi, psi = (0.2, 0.5), (0.55, 0.8)
     op = correlation_DC(const01, phi, psi, i=2, t=3, mesh=mesh512)
-    mc = mc_correlation_DC(const01, phi, psi, i=2, t=3, rng=RNGSpec(43),
+    mc = mc_correlation_DC(const01, phi, psi, i=2, t=3, seed=43,
                            n_samples=60_000)
     assert abs(op - mc.value) <= 4.0 * max(mc.se, 1e-5)
 
@@ -300,7 +299,7 @@ N_REF = 2 * 16384 + 777  # two full chunks and a short last one
 
 def _plain_orbits(schedule, steps):
     """Positions 0..steps-1 of all N_REF orbits, stepped whole with lsv_apply."""
-    xs = [RNGSpec(47).stream("x0", "ref").random(N_REF)]
+    xs = [philox_stream(47, "x0", "ref").random(N_REF)]
     for a in schedule.alphas(steps - 1):
         xs.append(lsv_apply(a, xs[-1]))
     return np.array(xs)
@@ -311,14 +310,14 @@ def _plain_hits(ts, steps):
 
 
 def _ref_pn(ts):
-    got = estimate_Pn(ts, RNGSpec(47), N_REF, label="ref")
+    got = estimate_Pn(ts, 47, N_REF, label="ref")
     survivors = np.count_nonzero(~_plain_hits(ts, ts.n).any(axis=0))
     return got, EstimateWithCI.from_counts(int(survivors), N_REF)
 
 
 def _ref_exceedances(ts):
     idx = [0, 7, 19]
-    got = estimate_exceedances(ts, idx, RNGSpec(47), N_REF, label="ref")
+    got = estimate_exceedances(ts, idx, 47, N_REF, label="ref")
     hits = _plain_hits(ts, ts.n)
     return got, [EstimateWithCI.from_counts(int(np.count_nonzero(hits[i])), N_REF)
                  for i in idx]
@@ -326,7 +325,7 @@ def _ref_exceedances(ts):
 
 def _ref_dprime(ts):
     blocks = build_blocks(ts, k_n=4)
-    got = dprime_sum(ts, blocks, RNGSpec(47), N_REF, label="ref")
+    got = dprime_sum(ts, blocks, 47, N_REF, label="ref")
     hits = _plain_hits(ts, ts.n).astype(np.int64)
     pairs = sum(c * (c - 1) // 2 for c in (hits[a:b].sum(axis=0) for a, b in
                                            zip(blocks.bounds[:-1], blocks.bounds[1:])))
@@ -335,7 +334,7 @@ def _ref_dprime(ts):
 
 
 def _ref_d0(ts):
-    g = d0_mixing_gap(ts, i=1, t=4, ell=3, rng=RNGSpec(47), n_samples=N_REF, label="ref")
+    g = d0_mixing_gap(ts, i=1, t=4, ell=3, seed=47, n_samples=N_REF, label="ref")
     hits = _plain_hits(ts, 8)
     event, window = hits[1], ~hits[5:8].any(axis=0)
     pa = np.count_nonzero(event) / N_REF
@@ -346,7 +345,7 @@ def _ref_d0(ts):
 
 def _ref_dc(ts):
     e = mc_correlation_DC(ts.schedule, (0.2, 0.5), (0.55, 0.8), i=2, t=3,
-                          rng=RNGSpec(47), n_samples=N_REF, label="ref")
+                          seed=47, n_samples=N_REF, label="ref")
     xs = _plain_orbits(ts.schedule, 6)
     u = (xs[2] > 0.2) & (xs[2] < 0.5)
     v = (xs[5] > 0.55) & (xs[5] < 0.8)
@@ -374,8 +373,8 @@ def _traced_peak(run) -> int:
 
 
 @pytest.mark.parametrize("run", [
-    lambda ts, n: estimate_Pn(ts, RNGSpec(3), n_samples=n),
-    lambda ts, n: dprime_sum(ts, build_blocks(ts, k_n=4), RNGSpec(3), n_samples=n),
+    lambda ts, n: estimate_Pn(ts, 3, n_samples=n),
+    lambda ts, n: dprime_sum(ts, build_blocks(ts, k_n=4), 3, n_samples=n),
 ], ids=["pn", "dprime"])
 def test_sweep_peak_memory_does_not_grow_with_n_samples(ts20, run):
     # one chunk of start points is live at a time; a whole draw of all
@@ -388,12 +387,12 @@ def test_sweep_peak_memory_does_not_grow_with_n_samples(ts20, run):
 
 
 @pytest.mark.parametrize("run", [
-    lambda ts, n: estimate_Pn(ts, RNGSpec(1), n_samples=n),
-    lambda ts, n: estimate_exceedances(ts, [0, 3], RNGSpec(1), n_samples=n),
-    lambda ts, n: dprime_sum(ts, build_blocks(ts, k_n=2), RNGSpec(1), n_samples=n),
-    lambda ts, n: d0_mixing_gap(ts, i=0, t=2, ell=2, rng=RNGSpec(1), n_samples=n),
+    lambda ts, n: estimate_Pn(ts, 1, n_samples=n),
+    lambda ts, n: estimate_exceedances(ts, [0, 3], 1, n_samples=n),
+    lambda ts, n: dprime_sum(ts, build_blocks(ts, k_n=2), 1, n_samples=n),
+    lambda ts, n: d0_mixing_gap(ts, i=0, t=2, ell=2, seed=1, n_samples=n),
     lambda ts, n: mc_correlation_DC(ts.schedule, (0.2, 0.5), (0.55, 0.8), i=1, t=2,
-                                    rng=RNGSpec(1), n_samples=n),
+                                    seed=1, n_samples=n),
 ], ids=["pn", "exceedances", "dprime", "d0", "dc"])
 @pytest.mark.parametrize("n", [0, -5])
 def test_estimators_reject_nonpositive_sample_counts(ts20, run, n):

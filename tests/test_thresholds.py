@@ -201,8 +201,8 @@ def interval_mass_loop(densities, zeta, deltas):
 
 
 @pytest.mark.parametrize("schedule", [
-    ParameterSchedule.constant(0.1),
-    ParameterSchedule.iid_uniform(0.05, ALPHA_STAR, seed=5),
+    ParameterSchedule(mode="constant", alpha=0.1),
+    ParameterSchedule(mode="iid", lo=0.05, hi=ALPHA_STAR, seed=5),
 ], ids=["constant", "iid"])
 def test_step_masses_equal_interval_mass_loop(mesh512, schedule):
     densities = push_density(schedule.alphas(299), uniform_density(mesh512))
@@ -284,8 +284,8 @@ def test_zero_tau_schedule(mesh512, const01):
 # ------------------------------------------------------------ streamed build
 
 @pytest.mark.parametrize("schedule", [
-    ParameterSchedule.constant(0.1),
-    ParameterSchedule.iid_uniform(0.05, ALPHA_STAR, seed=5),
+    ParameterSchedule(mode="constant", alpha=0.1),
+    ParameterSchedule(mode="iid", lo=0.05, hi=ALPHA_STAR, seed=5),
 ], ids=["constant", "iid"])
 def test_streamed_ladder_equals_single_builds_and_full_ladder(mesh512, schedule):
     # rungs on both sides of a block edge, passed unsorted; tau = 1 at n = 1

@@ -139,11 +139,13 @@ def push_cases(draw):
     values = rng.standard_normal(mesh.n_cells) if signed else rng.random(mesh.n_cells)
     kind = draw(st.sampled_from(["constant", "periodic", "iid"]))
     if kind == "constant":
-        schedule = ParameterSchedule.constant(draw(ALPHAS))
+        schedule = ParameterSchedule(mode="constant", alpha=draw(ALPHAS))
     elif kind == "periodic":
-        schedule = ParameterSchedule.periodic(draw(st.lists(ALPHAS, min_size=1, max_size=3)))
+        cycle = tuple(draw(st.lists(ALPHAS, min_size=1, max_size=3)))
+        schedule = ParameterSchedule(mode="periodic", cycle=cycle)
     else:
-        schedule = ParameterSchedule.iid_uniform(0.02, ALPHA_STAR, seed=draw(st.integers(0, 99)))
+        schedule = ParameterSchedule(mode="iid", lo=0.02, hi=ALPHA_STAR,
+                                     seed=draw(st.integers(0, 99)))
     return Density(mesh, values), schedule.alphas(draw(st.integers(1, 6)))
 
 
@@ -225,9 +227,9 @@ def test_loss_of_memory_equals_plain_cdf_form(mesh512):
     f = uniform_density(mesh512)
     g = Density(mesh512, np.linspace(2.0, 0.0, 512)).normalized()
     ladder = range(301)  # every step, so renormalizing steps are recorded too
-    for schedule in (ParameterSchedule.constant(0.1),
-                     ParameterSchedule.periodic([0.05, 0.12, 0.08]),
-                     ParameterSchedule.iid_uniform(0.05, ALPHA_STAR, seed=7)):
+    for schedule in (ParameterSchedule(mode="constant", alpha=0.1),
+                     ParameterSchedule(mode="periodic", cycle=(0.05, 0.12, 0.08)),
+                     ParameterSchedule(mode="iid", lo=0.05, hi=ALPHA_STAR, seed=7)):
         fast = loss_of_memory_distance(schedule, f, g, ladder)
         d, logd, renormalizations = reference_loss_of_memory(schedule, f, g, ladder)
         assert renormalizations >= 2
@@ -275,14 +277,15 @@ def test_push_builds_one_table_per_alpha_and_mesh(monkeypatch, mesh512):
     transfer._gather_table.cache_clear()
     try:
         f0 = uniform_density(mesh512)
-        push_density(ParameterSchedule.constant(0.1).alphas(200), f0)
+        push_density(ParameterSchedule(mode="constant", alpha=0.1).alphas(200), f0)
         assert len(calls) == transfer._gather_table.cache_info().misses == 1
         calls.clear()
-        push_density(ParameterSchedule.periodic([0.05, 0.12, 0.08]).alphas(200), f0)
+        periodic = ParameterSchedule(mode="periodic", cycle=(0.05, 0.12, 0.08))
+        push_density(periodic.alphas(200), f0)
         assert sorted(calls) == [0.05, 0.08, 0.12]
         calls.clear()
         f = f0
-        for a in ParameterSchedule.iid_uniform(0.05, 0.12, seed=3).alphas(600):
+        for a in ParameterSchedule(mode="iid", lo=0.05, hi=0.12, seed=3).alphas(600):
             f = pf_apply(a, f)
             assert transfer._gather_table.cache_info().currsize <= 64
         assert len(calls) == 600  # every iid exponent is new
@@ -290,8 +293,8 @@ def test_push_builds_one_table_per_alpha_and_mesh(monkeypatch, mesh512):
         # call on the one mesh, so they share one table
         calls.clear()
         transfer._gather_table.cache_clear()
-        build_threshold_schedule(ParameterSchedule.constant(0.1), Observable(), 1.0,
-                                 [200], mesh512)
+        build_threshold_schedule(ParameterSchedule(mode="constant", alpha=0.1), Observable(),
+                                 1.0, [200], mesh512)
         assert len(calls) == 1
     finally:
         transfer._gather_table.cache_clear()
@@ -308,7 +311,7 @@ def test_push_on_each_mesh_reads_that_mesh_table():
 
 def test_push_density_trajectory(mesh512):
     f0 = uniform_density(mesh512)
-    alphas = ParameterSchedule.iid_uniform(0.05, 0.12, seed=3).alphas(5)
+    alphas = ParameterSchedule(mode="iid", lo=0.05, hi=0.12, seed=3).alphas(5)
     traj = push_density(alphas, f0)
     assert len(traj) == 6
     assert traj[0] is f0
