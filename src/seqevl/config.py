@@ -43,7 +43,6 @@ class Kind:
     min_n: int = 1
     min_rungs: int = 1
     why: str = ""  # the reason for min_n and min_rungs
-    lag: int = 0  # a run reads the map exponents of its longest horizon less lag
 
     def ns(self, config: ExperimentConfig) -> tuple:
         """The horizons a run of this kind steps to: the one rule that the
@@ -54,13 +53,13 @@ class Kind:
 
 _CALIBRATED = ("tau", "n", "n_ladder", "n_samples", "seed", "schedule", "observable", "mesh")
 KINDS = {
-    "evl": Kind("estimate the no-exceedance probability against exp(-tau)", _CALIBRATED, lag=1),
+    "evl": Kind("estimate the no-exceedance probability against exp(-tau)", _CALIBRATED),
     "calibrate": Kind("build the threshold ladder and cross-check it by simulation",
-                      _CALIBRATED, "one", lag=1),
+                      _CALIBRATED, "one"),
     "dprime": Kind("within-block exceedance pair sums over a horizon ladder",
-                   (*_CALIBRATED, "exponents.beta", "exponents.kappa"), lag=1),
+                   (*_CALIBRATED, "exponents.beta", "exponents.kappa")),
     "d0": Kind("mixing gap between an exceedance and a later clear window", _CALIBRATED, "one",
-               min_n=5, lag=1, why="below n = 5 both separations clamp to one gap"),
+               min_n=5, why="below n = 5 both separations clamp to one gap"),
     "decay": Kind("loss-of-memory distances for equal-mass inputs",
                   ("n_ladder", "schedule", "mesh"), ladder=tuple(2 ** k for k in range(6, 13)),
                   min_n=2, min_rungs=2, why="the slope fit reads log log n at two horizons"),
@@ -98,13 +97,12 @@ def parse_toml(text: str) -> dict:
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    mode: str = "constant"
-    alpha: float = 0.1
-    cycle: tuple[float, ...] = ()
-    lo: float = 0.01
-    hi: float = 0.14
-    seed: int = 7
-    alpha_star: float = ALPHA_STAR
+    mode: str = ParameterSchedule.mode
+    cycle: tuple[float, ...] = ParameterSchedule.cycle
+    lo: float = ParameterSchedule.lo
+    hi: float = ParameterSchedule.hi
+    seed: int = ParameterSchedule.seed
+    alpha_star: float = ParameterSchedule.alpha_star
 
     def build(self) -> ParameterSchedule:
         return ParameterSchedule(**asdict(self))
@@ -231,10 +229,12 @@ _SCALARS = {"int": (int, int, "an integer"),
 
 def _scalar(kind: str, value, key: str):
     """value as the field type `kind`; a bool is neither an int nor a number,
-    and a number must be finite."""
+    a number must be finite and an integer must fit in 64 bits, as in TOML."""
     types, convert, name = _SCALARS[kind]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"{key} must be {name}, got {value!r}")
+    if kind == "int" and not -2 ** 63 <= value < 2 ** 63:
+        raise ConfigError(f"{key} must be a 64-bit integer, got {value!r}")
     try:
         value = convert(value)
     except OverflowError:  # an integer literal beyond the float range
@@ -386,11 +386,11 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
     ns = row.ns(config)
     horizon = "n_ladder" if config.n_ladder else "n"
     why = f": {row.why}" if row.why else ""
-    if len(set(ns)) < len(ns):
-        fault("n_ladder", "bad-n", "n_ladder entries must be distinct")
     if row.horizons == "one" and len(ns) > 1:
         fault("n_ladder", "bad-n",
               f"{config.kind} runs one horizon; n_ladder may hold one entry at most")
+    elif any(a >= b for a, b in zip(ns, ns[1:])):
+        fault("n_ladder", "bad-n", "n_ladder entries must be strictly increasing")
     if len(ns) < row.min_rungs:
         fault("n_ladder", "bad-n", f"{config.kind} needs {row.min_rungs} rungs at least{why}")
     if min(ns) < row.min_n:
@@ -438,17 +438,13 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
                 spec.build()
             except ValueError as exc:
                 fault(key, code, str(exc))
-    union = ()
+    # a recurrence run steps to its union horizons, which must stay below the ceiling
     try:
         params = config.recurrence.build(sched.alpha_star)
-        union = (params.horizon(max(EJ_LADDER)), params.horizon(max(LOCAL_JS), params.gamma))
+        params.horizon(max(EJ_LADDER))
+        params.horizon(max(LOCAL_JS), params.gamma)
     except ValueError as exc:
         fault("recurrence", "bad-recurrence", str(exc))
-    # a run that reads [recurrence] also steps to its union horizons
-    needed = max((*ns, *(union if kind_reads(config.kind, "recurrence") else ()))) - row.lag
-    if sched.mode == "explicit" and 0 < len(sched.cycle) < needed:
-        fault("schedule", "bad-schedule", f"explicit schedule has {len(sched.cycle)} exponents, "
-                                          f"fewer than the {needed} that {config.kind} runs read")
 
     errors = [d for d in diagnostics if d.severity == "error"]
     if errors:

@@ -7,7 +7,7 @@ in schedule order: step i of an orbit applies the i-th scheduled map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,13 +88,11 @@ def apply_map_batch(alpha: float, x: np.ndarray, out: np.ndarray | None = None) 
 
 
 def _named_exponents(schedule) -> tuple:
-    """The exponents a schedule names, by its mode: (alpha,) for constant,
-    the cycle for periodic and explicit, (lo, hi) for iid.  Config
-    validation passes a ScheduleSpec, which has the same fields."""
-    if schedule.mode == "constant":
-        return (schedule.alpha,)
-    if schedule.mode in ("periodic", "explicit"):
-        return tuple(schedule.cycle or ())
+    """The exponents a schedule names, by its mode: the cycle for periodic,
+    (lo, hi) for iid.  Config validation passes a ScheduleSpec, which has
+    the same fields."""
+    if schedule.mode == "periodic":
+        return tuple(schedule.cycle)
     if schedule.mode == "iid":
         return (schedule.lo, schedule.hi)
     raise ValueError(f"unknown schedule mode {schedule.mode!r}")
@@ -104,21 +102,21 @@ def _named_exponents(schedule) -> tuple:
 class ParameterSchedule:
     """Sequence of map exponents, one per composition step (1-based).
 
-    Modes: "constant" reads alpha, "periodic" and "explicit" read cycle, and
-    "iid" reads lo, hi and seed; a mode ignores the other fields, so a
-    ScheduleSpec's fields build it as they stand.  The iid mode draws
-    uniform exponents from (lo, hi) on a dedicated counter-based stream, so
-    the schedule never interferes with sampling randomness.  Exponents above
-    `alpha_star` are rejected at construction.
+    Modes: "periodic" repeats cycle, so a constant schedule is a cycle of
+    one exponent, and "iid" reads lo, hi and seed; a mode ignores the other
+    fields, so a ScheduleSpec's fields build it as they stand.  The iid mode
+    draws uniform exponents from (lo, hi) on a dedicated counter-based
+    stream, so the schedule never interferes with sampling randomness.
+    Exponents above `alpha_star` are rejected at construction.  The
+    defaults are the lab's: the constant exponent 0.1.
     """
 
-    mode: str
+    mode: str = "periodic"
     alpha_star: float = ALPHA_STAR
-    alpha: float | None = None
-    cycle: tuple[float, ...] | None = None
-    lo: float | None = None
-    hi: float | None = None
-    seed: int = 0
+    cycle: tuple[float, ...] = (0.1,)
+    lo: float = 0.01
+    hi: float = 0.14
+    seed: int = 7
 
     def __post_init__(self):
         if not 0.0 < self.alpha_star < 1.0:
@@ -127,7 +125,7 @@ class ParameterSchedule:
         if not alphas:
             raise ValueError(f"{self.mode} schedule needs a nonempty exponent list")
         for a in alphas:
-            if a is None or not 0.0 < a <= self.alpha_star:
+            if not 0.0 < a <= self.alpha_star:
                 raise ValueError(
                     f"exponent {a!r} outside (0, alpha_star={self.alpha_star}]")
         if self.mode == "iid" and not self.lo < self.hi:
@@ -137,15 +135,10 @@ class ParameterSchedule:
         """Exponents of the first n maps; alphas(m) is always a prefix of alphas(n)."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        if self.mode == "explicit":
-            if n > len(self.cycle):
-                raise ValueError(f"explicit schedule has {len(self.cycle)} exponents, "
-                                 f"fewer than the {n} requested")
-            return np.asarray(self.cycle[:n])
         if self.mode == "iid":
             gen = philox_stream(self.seed, "schedule", "iid-alphas")
             return self.lo + (self.hi - self.lo) * gen.random(n)
-        c = np.asarray(_named_exponents(self))  # constant, periodic: the named ones repeated
+        c = np.asarray(self.cycle)
         return np.tile(c, n // c.size + 1)[:n]
 
     def sup_alpha(self) -> float:

@@ -16,4 +16,4 @@ def mesh512():
 
 @pytest.fixture(scope="session")
 def const01():
-    return ParameterSchedule(mode="constant", alpha=0.1)
+    return ParameterSchedule(cycle=(0.1,))

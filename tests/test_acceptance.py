@@ -279,7 +279,7 @@ def test_criterion_10_exponent_feasibility_region():
     near_one = ExponentSpec(beta=0.9999, kappa=0.999, xi=0.0005)
     for alpha in (0.02, 0.06, 0.10, 0.13, 1.0 / 7.0):
         cfg = default_config(
-            "evl", schedule=ScheduleSpec(mode="constant", alpha=alpha),
+            "evl", schedule=ScheduleSpec(cycle=(alpha,)),
             exponents=near_one)
         severities = {d.severity for d in validate_config(cfg)}
         assert "error" not in severities, f"alpha={alpha} was rejected"
@@ -295,7 +295,7 @@ def test_criterion_10_exponent_feasibility_region():
     assert "budget-recurrence-budget" in codes
 
     above_cap = default_config(
-        "evl", schedule=ScheduleSpec(mode="constant", alpha=0.2))
+        "evl", schedule=ScheduleSpec(cycle=(0.2,)))
     diags = validate_config(above_cap)
     assert any(d.severity == "error" and d.code == "alpha-above-star"
                for d in diags)

@@ -32,6 +32,7 @@ from seqevl.config import (
     parse_toml,
     validate_config,
 )
+from seqevl.maps import ParameterSchedule
 from seqevl.mesh import graded_mesh
 from seqevl.montecarlo import build_blocks
 from seqevl.recurrence import RecurrenceParams
@@ -113,7 +114,7 @@ def test_load_config(tmp_path):
 # fails with the key named
 @pytest.mark.parametrize("text,plain,bad_key", [
     ('schedule = {mode = "iid"}\n', '[schedule]\nmode = "iid"\n', None),
-    ("schedule.alpha = 0.12\n", "[schedule]\nalpha = 0.12\n", None),
+    ("schedule.cycle = [0.12]\n", "[schedule]\ncycle = [0.12]\n", None),
     ("n_ladder = [\n  250,\n  500,  # comment\n]\n", "n_ladder = [250, 500]\n", None),
     ("out_dir = 'other'\n", 'out_dir = "other"\n', None),
     ("n = 1_500\n", "n = 1500\n", None),
@@ -136,11 +137,14 @@ def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         config_from_dict({"bogus": 1})
     with pytest.raises(ConfigError):
-        config_from_dict({"schedule": {"mode": "constant", "bogus": 2}})
+        config_from_dict({"schedule": {"mode": "iid", "bogus": 2}})
     with pytest.raises(ConfigError):
         config_from_dict({"schedule": "not-a-table"})
     with pytest.raises(ConfigError, match="unknown top-level key 'route'"):
         config_from_dict({"route": "exact"})
+    # a constant schedule is a one-exponent cycle, with no key of its own
+    with pytest.raises(ConfigError, match="unknown key 'alpha' in \\[schedule\\]"):
+        config_from_dict({"schedule": {"alpha": 0.1}})
     # [observable] holds zeta alone
     for key, value in (("form", "log"), ("power", 2.0), ("cap", 1.0)):
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[observable\\]"):
@@ -153,12 +157,13 @@ def test_config_from_dict_rejects_unknown_keys():
         ({"seed": 1.5}, "seed"),
         ({"n": True}, "n"),
         ({"kind": 3}, "kind"),
-        ({"schedule": {"alpha": False}}, "alpha"),
+        ({"schedule": {"lo": False}}, "lo"),
         ({"schedule": {"cycle": [0.05, "x"]}}, "cycle"),
         ({"mesh": {"cells": 1024.0}}, "cells"),
         ({"tau": math.nan}, "tau must be finite"),
         ({"tau": math.inf}, "tau must be finite"),
         ({"tau": 10 ** 400}, "tau must be finite"),
+        ({"n": 10 ** 30}, "n must be a 64-bit integer"),
         ({"observable": {"zeta": math.inf}}, "zeta must be finite"),
         ({"schedule": {"cycle": [0.05, -math.inf]}}, "cycle must be finite"),
     ]:
@@ -190,8 +195,7 @@ def test_readme_kind_table_is_reads():
     def rule(row):
         parts = [f"`{row.horizons}`", f"n >= {row.min_n}" * (row.min_n > 1),
                  f"{row.min_rungs} rungs or more" * (row.min_rungs > 1),
-                 ("ladder " + ", ".join(map(str, row.ladder))) * bool(row.ladder),
-                 f"n - {row.lag} exponents" if row.lag else "n exponents"]
+                 ("ladder " + ", ".join(map(str, row.ladder))) * bool(row.ladder)]
         return "; ".join(part for part in parts if part)
 
     assert {kind: (tuple(re.findall(r"`([\w.]+)`", keys)), horizons)
@@ -220,6 +224,7 @@ def test_readme_commands_are_the_parsers():
 def test_spec_defaults_are_the_builders_defaults():
     assert ObservableSpec().build() == Observable()
     assert RecurrenceSpec().build() == RecurrenceParams()
+    assert ScheduleSpec().build() == ParameterSchedule()
     assert np.array_equal(MeshSpec().build().boundaries, graded_mesh().boundaries)
     blocks = inspect.signature(build_blocks).parameters
     assert ExponentSpec().beta == blocks["beta"].default
@@ -239,7 +244,7 @@ def test_default_config_has_no_diagnostics():
 
 
 def test_schedule_exponent_above_cap_is_an_error():
-    cfg = default_config("evl", schedule=ScheduleSpec(mode="constant", alpha=0.2))
+    cfg = default_config("evl", schedule=ScheduleSpec(cycle=(0.2,)))
     diags = validate_config(cfg)
     assert [d.severity for d in diags] == ["error"]
     assert diags[0].code == "alpha-above-star"
@@ -263,24 +268,11 @@ def test_dyadic_zeta_warns():
 
 def test_budget_warnings_at_large_sup_alpha():
     cfg = default_config(
-        "evl", schedule=ScheduleSpec(mode="constant", alpha=1.0 / 7.0))
+        "evl", schedule=ScheduleSpec(cycle=(1.0 / 7.0,)))
     codes = {d.code for d in validate_config(cfg)}
     assert "budget-mixing-gap-budget" in codes
     assert "budget-pair-sum-budget" in codes
 
-
-# (kind, overrides, the exponents that run reads from its schedule)
-EXPONENTS_READ = [
-    ("evl", dict(n=50), 49),
-    ("calibrate", dict(n=50), 49),
-    ("dprime", dict(n_ladder=(25, 50)), 49),
-    ("d0", dict(n=50), 49),
-    ("orbit", dict(n=50), 50),
-    ("decay", {}, 4096),
-    ("recurrence", {}, 20),
-    # gamma = 10 stretches the local union at j = 32 to 32^(10 * 0.21) steps
-    ("recurrence", dict(recurrence=RecurrenceSpec(gamma=10.0)), 1448),
-]
 
 HARD_ERRORS = [
     (dict(kind="nope"), "bad-kind"),
@@ -297,7 +289,7 @@ HARD_ERRORS = [
     (dict(kind="orbit", x0=1.5), "bad-x0"),
     (dict(schedule=ScheduleSpec(mode="warp")), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="periodic", cycle=())), "bad-schedule"),
-    (dict(schedule=ScheduleSpec(mode="constant", alpha=-0.1)), "bad-alpha"),
+    (dict(schedule=ScheduleSpec(cycle=(-0.1,))), "bad-alpha"),
     (dict(n_ladder=(250, 500, 250)), "bad-n"),
     (dict(kind="decay", n_ladder=(64, 64, 128)), "bad-n"),
     (dict(kind="decay", n_ladder=(1, 64, 128)), "bad-n"),
@@ -310,9 +302,10 @@ HARD_ERRORS = [
     (dict(kind="d0", n_ladder=(250, 500)), "bad-n"),
     (dict(kind="orbit", n_ladder=(100, 50)), "bad-n"),
     (dict(kind="orbit", n=0), "bad-n"),
-    # the builders alone catch an empty explicit cycle, iid lo == hi and a
-    # one-cell uniform mesh; validate_config itself a negative iid lo
-    (dict(schedule=ScheduleSpec(mode="explicit", cycle=())), "bad-schedule"),
+    # the builders alone catch iid lo == hi and a one-cell uniform mesh;
+    # validate_config itself an unknown mode (`explicit` is none) and a
+    # negative iid lo
+    (dict(schedule=ScheduleSpec(mode="explicit")), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="iid", lo=0.1, hi=0.1)), "bad-schedule"),
     (dict(mesh=MeshSpec(kind="uniform", cells=1)), "bad-mesh"),
     (dict(schedule=ScheduleSpec(mode="iid", lo=-0.1)), "bad-alpha"),
@@ -324,10 +317,6 @@ HARD_ERRORS = [
     (dict(kind="d0", n=1), "bad-n"),
     (dict(kind="d0", n_ladder=(1,)), "bad-n"),
     # rows from here on are named by _row_id; add new rows at the end
-    # an explicit cycle one exponent shorter than each run reads
-    *[(dict(kind=kind, schedule=ScheduleSpec(mode="explicit", cycle=(0.1,) * (read - 1)),
-            **overrides), "bad-schedule")
-      for kind, overrides, read in EXPONENTS_READ],
     # a recurrence run's own spec faults are errors, reported beside the others:
     # an infeasible beta, and local union horizons above the ceiling (about
     # 9.2e18 steps at gamma = 60; at gamma = 300 the scale 32^300 overflows)
@@ -338,19 +327,18 @@ HARD_ERRORS = [
     # separations clamp to one gap
     (dict(kind="decay", n_ladder=(64,)), "bad-n"),
     (dict(kind="d0", n=4), "bad-n"),
+    # the estimators read the rungs in order, so a ladder must ascend
+    (dict(n_ladder=(2000, 250)), "bad-n"),
+    # a constant schedule is a one-exponent cycle
+    (dict(schedule=ScheduleSpec(mode="constant")), "bad-schedule"),
 ]
 
 
 def _row_id(overrides, code) -> str:
     """code:key=value/... over the keys a row sets, a spec's keys as
-    section.key; a tuple prints as 1,2,3, or as 48x0.1 when all its entries
-    are equal"""
+    section.key; a tuple prints as 1,2,3"""
     def text(value):
-        if not isinstance(value, tuple):
-            return str(value)
-        if len(value) > 1 and len(set(value)) == 1:
-            return f"{len(value)}x{value[0]}"
-        return ",".join(map(str, value))
+        return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
     parts = []
     for key, value in overrides.items():
@@ -502,7 +490,7 @@ def test_distinct_ladders_pass_the_n_checks():
 
 def test_errors_suppress_budget_warnings():
     cfg = default_config(
-        "evl", tau=-1.0, schedule=ScheduleSpec(mode="constant", alpha=1.0 / 7.0))
+        "evl", tau=-1.0, schedule=ScheduleSpec(cycle=(1.0 / 7.0,)))
     diags = validate_config(cfg)
     assert all(d.severity == "error" for d in diags)
 
@@ -568,7 +556,7 @@ def test_cli_run_path_imports_no_scipy():
 
 
 def test_cli_validate_rejects_bad_exponent(tmp_path):
-    cfg = default_config("evl", schedule=ScheduleSpec(mode="constant", alpha=0.2))
+    cfg = default_config("evl", schedule=ScheduleSpec(cycle=(0.2,)))
     path = tmp_path / "bad.toml"
     path.write_text(cfg.to_toml())
     code, out, _ = run_cli(["validate", "--config", str(path)])
@@ -679,23 +667,6 @@ def test_cli_quantitative_failure_exits_two(tmp_path):
     code, out, _ = run_cli(["evl", "--config", str(path)])
     assert code == 2
     assert "[FAIL] evl-n2" in out
-
-
-@pytest.mark.parametrize("kind,overrides,read", EXPONENTS_READ,
-                         ids=[f"{kind}-{read}" for kind, _, read in EXPONENTS_READ])
-def test_explicit_cycle_of_the_length_a_run_reads_runs(kind, overrides, read, tmp_path):
-    cfg = default_config(kind, n_samples=2000, mesh=MeshSpec(cells=64),
-                         out_dir=str(tmp_path / "runs"), **overrides)
-
-    def explicit(length):
-        return replace(cfg, schedule=ScheduleSpec(mode="explicit", cycle=(0.1,) * length))
-
-    assert [d.message for d in validate_config(explicit(read - 1)) if d.severity == "error"] == [
-        f"explicit schedule has {read - 1} exponents, fewer than the {read} that {kind} runs read"]
-    path = tmp_path / "exact.toml"
-    path.write_text(explicit(read).to_toml())
-    code, _, err = run_cli([kind, "--config", str(path)])
-    assert code in (0, 2), err
 
 
 def test_cli_recurrence_smoke(tmp_path):

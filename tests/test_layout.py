@@ -47,7 +47,7 @@ RUNS = (
     ("calibrate", dict(n=12, schedule=ScheduleSpec(mode="periodic", cycle=(0.05, 0.1)),
                        mesh=MeshSpec(kind="uniform", cells=32))),
     ("dprime", dict(n_ladder=(16, 24), schedule=ScheduleSpec(mode="iid"))),
-    ("d0", dict(n=20, schedule=ScheduleSpec(mode="explicit", cycle=(0.1,) * 20))),
+    ("d0", dict(n=20)),
     ("decay", dict(n_ladder=(4, 8))),
     ("recurrence", {}),
     ("orbit", dict(n=10)),

@@ -122,7 +122,7 @@ def test_batch_matches_scalar_path():
 
 
 @pytest.mark.parametrize("schedule", [
-    ParameterSchedule(mode="constant", alpha=0.1),
+    ParameterSchedule(cycle=(0.1,)),
     ParameterSchedule(mode="periodic", cycle=(1e-3, 0.05, ALPHA_STAR)),
     ParameterSchedule(mode="iid", lo=0.01, hi=0.14, seed=11),
 ], ids=["constant", "periodic", "iid"])
@@ -146,7 +146,7 @@ def test_batch_reuses_output_buffer():
 # ---------------------------------------------------------------- schedules
 
 def test_constant_schedule():
-    s = ParameterSchedule(mode="constant", alpha=0.1)
+    s = ParameterSchedule(cycle=(0.1,))
     np.testing.assert_array_equal(s.alphas(5), np.full(5, 0.1))
     assert s.sup_alpha() == 0.1
 
@@ -156,13 +156,6 @@ def test_periodic_schedule_tiles_cycle():
     np.testing.assert_array_equal(s.alphas(7),
                                   [0.05, 0.1, 0.14, 0.05, 0.1, 0.14, 0.05])
     assert s.sup_alpha() == 0.14
-
-
-def test_explicit_schedule_is_finite():
-    s = ParameterSchedule(mode="explicit", cycle=(0.1, 0.12))
-    np.testing.assert_array_equal(s.alphas(2), [0.1, 0.12])
-    with pytest.raises(ValueError, match="has 2 exponents, fewer than the 3 requested"):
-        s.alphas(3)
 
 
 def test_iid_schedule_prefix_consistency():
@@ -181,31 +174,33 @@ def test_iid_schedule_prefix_consistency():
 
 def test_schedule_rejects_exponents_above_cap():
     with pytest.raises(ValueError):
-        ParameterSchedule(mode="constant", alpha=0.2)
+        ParameterSchedule(cycle=(0.2,))
     with pytest.raises(ValueError):
         ParameterSchedule(mode="periodic", cycle=(0.1, 0.15))
     with pytest.raises(ValueError):
         ParameterSchedule(mode="iid", lo=0.01, hi=0.2, seed=0)
     # a larger cap admits them
-    s = ParameterSchedule(mode="constant", alpha=0.2, alpha_star=0.25)
-    assert s.alpha == 0.2
+    s = ParameterSchedule(cycle=(0.2,), alpha_star=0.25)
+    assert s.sup_alpha() == 0.2
 
 
 def test_schedule_validation_misc():
-    with pytest.raises(ValueError):
-        ParameterSchedule(mode="nope", alpha=0.1)
+    # a constant schedule is a one-exponent cycle: no mode of its own
+    for mode in ("nope", "constant", "explicit"):
+        with pytest.raises(ValueError, match="unknown schedule mode"):
+            ParameterSchedule(mode=mode)
     with pytest.raises(ValueError):
         ParameterSchedule(mode="periodic", cycle=())
     with pytest.raises(ValueError):
         ParameterSchedule(mode="iid", lo=0.1, hi=0.05, seed=0)
     with pytest.raises(ValueError):
-        ParameterSchedule(mode="constant", alpha=0.1).alphas(-1)
+        ParameterSchedule(cycle=(0.1,)).alphas(-1)
 
 
 # ------------------------------------------------------------------- orbits
 
 def test_orbit_length_and_start():
-    s = ParameterSchedule(mode="constant", alpha=0.1)
+    s = ParameterSchedule(cycle=(0.1,))
     orb = sequential_orbit(s, 0.3, 10)
     assert orb.shape == (11,)
     assert orb[0] == 0.3
@@ -222,7 +217,7 @@ def test_orbit_agrees_with_stepwise_application():
 
 
 @pytest.mark.parametrize("schedule", [
-    ParameterSchedule(mode="constant", alpha=0.1),
+    ParameterSchedule(cycle=(0.1,)),
     ParameterSchedule(mode="periodic", cycle=(1e-3, 0.05, ALPHA_STAR)),
     ParameterSchedule(mode="iid", lo=0.01, hi=0.14, seed=11),
 ], ids=["constant", "periodic", "iid"])
@@ -239,5 +234,5 @@ def test_orbit_equals_scalar_lsv_apply_bit_for_bit(schedule):
 
 
 def test_orbit_fixed_point_at_zero():
-    s = ParameterSchedule(mode="constant", alpha=0.1)
+    s = ParameterSchedule(cycle=(0.1,))
     np.testing.assert_array_equal(sequential_orbit(s, 0.0, 5), np.zeros(6))

@@ -201,7 +201,7 @@ def interval_mass_loop(densities, zeta, deltas):
 
 
 @pytest.mark.parametrize("schedule", [
-    ParameterSchedule(mode="constant", alpha=0.1),
+    ParameterSchedule(cycle=(0.1,)),
     ParameterSchedule(mode="iid", lo=0.05, hi=ALPHA_STAR, seed=5),
 ], ids=["constant", "iid"])
 def test_step_masses_equal_interval_mass_loop(mesh512, schedule):
@@ -284,7 +284,7 @@ def test_zero_tau_schedule(mesh512, const01):
 # ------------------------------------------------------------ streamed build
 
 @pytest.mark.parametrize("schedule", [
-    ParameterSchedule(mode="constant", alpha=0.1),
+    ParameterSchedule(cycle=(0.1,)),
     ParameterSchedule(mode="iid", lo=0.05, hi=ALPHA_STAR, seed=5),
 ], ids=["constant", "iid"])
 def test_streamed_ladder_equals_single_builds_and_full_ladder(mesh512, schedule):

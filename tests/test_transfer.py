@@ -139,7 +139,7 @@ def push_cases(draw):
     values = rng.standard_normal(mesh.n_cells) if signed else rng.random(mesh.n_cells)
     kind = draw(st.sampled_from(["constant", "periodic", "iid"]))
     if kind == "constant":
-        schedule = ParameterSchedule(mode="constant", alpha=draw(ALPHAS))
+        schedule = ParameterSchedule(cycle=(draw(ALPHAS),))
     elif kind == "periodic":
         cycle = tuple(draw(st.lists(ALPHAS, min_size=1, max_size=3)))
         schedule = ParameterSchedule(mode="periodic", cycle=cycle)
@@ -227,7 +227,7 @@ def test_loss_of_memory_equals_plain_cdf_form(mesh512):
     f = uniform_density(mesh512)
     g = Density(mesh512, np.linspace(2.0, 0.0, 512)).normalized()
     ladder = range(301)  # every step, so renormalizing steps are recorded too
-    for schedule in (ParameterSchedule(mode="constant", alpha=0.1),
+    for schedule in (ParameterSchedule(cycle=(0.1,)),
                      ParameterSchedule(mode="periodic", cycle=(0.05, 0.12, 0.08)),
                      ParameterSchedule(mode="iid", lo=0.05, hi=ALPHA_STAR, seed=7)):
         fast = loss_of_memory_distance(schedule, f, g, ladder)
@@ -277,7 +277,7 @@ def test_push_builds_one_table_per_alpha_and_mesh(monkeypatch, mesh512):
     transfer._gather_table.cache_clear()
     try:
         f0 = uniform_density(mesh512)
-        push_density(ParameterSchedule(mode="constant", alpha=0.1).alphas(200), f0)
+        push_density(ParameterSchedule(cycle=(0.1,)).alphas(200), f0)
         assert len(calls) == transfer._gather_table.cache_info().misses == 1
         calls.clear()
         periodic = ParameterSchedule(mode="periodic", cycle=(0.05, 0.12, 0.08))
@@ -293,7 +293,7 @@ def test_push_builds_one_table_per_alpha_and_mesh(monkeypatch, mesh512):
         # call on the one mesh, so they share one table
         calls.clear()
         transfer._gather_table.cache_clear()
-        build_threshold_schedule(ParameterSchedule(mode="constant", alpha=0.1), Observable(),
+        build_threshold_schedule(ParameterSchedule(cycle=(0.1,)), Observable(),
                                  1.0, [200], mesh512)
         assert len(calls) == 1
     finally:
