@@ -9,12 +9,14 @@ non-finite numbers raise ConfigError naming the key.
 
 from __future__ import annotations
 
+import json
 import math
 import tomllib
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import ClassVar
 
-from .maps import ALPHA_STAR, ParameterSchedule, _named_exponents
+from .maps import ALPHA_STAR, MODE_FIELDS, ParameterSchedule, _named_exponents
 from .mesh import (DEFAULT_CELLS, DEFAULT_MIN_WIDTH, DEFAULT_RATIO, Mesh,
                    graded_mesh, uniform_mesh)
 from .montecarlo import DEFAULT_BETA, DEFAULT_KAPPA
@@ -57,7 +59,7 @@ KINDS = {
     "calibrate": Kind("build the threshold ladder and cross-check it by simulation",
                       _CALIBRATED, "one"),
     "dprime": Kind("within-block exceedance pair sums over a horizon ladder",
-                   (*_CALIBRATED, "exponents.beta", "exponents.kappa")),
+                   (*_CALIBRATED, "exponents")),
     "d0": Kind("mixing gap between an exceedance and a later clear window", _CALIBRATED, "one",
                min_n=5, why="below n = 5 both separations clamp to one gap"),
     "decay": Kind("loss-of-memory distances for equal-mass inputs",
@@ -67,11 +69,6 @@ KINDS = {
                        ("schedule", "observable.zeta", "recurrence"), "none", (1, 5, 20)),
     "orbit": Kind("print one sequential orbit", ("n", "n_ladder", "x0", "schedule"), "one"),
 }
-
-# keys every run reads outside its runner, so no id hashes them and none is
-# flagged unread: where the run is written, and the exponents only the
-# advisory ledger reads
-_OUTSIDE_RUNNER = ("out_dir", "exponents.xi", "exponents.eta")
 
 
 class ConfigError(ValueError):
@@ -103,9 +100,12 @@ class ScheduleSpec:
     hi: float = ParameterSchedule.hi
     seed: int = ParameterSchedule.seed
     alpha_star: float = ParameterSchedule.alpha_star
+    # the mode decides which fields a run reads (`read_fields`)
+    SELECTOR: ClassVar[str] = "mode"
+    READS: ClassVar[dict] = MODE_FIELDS
 
     def build(self) -> ParameterSchedule:
-        return ParameterSchedule(**asdict(self))
+        return ParameterSchedule(**{name: getattr(self, name) for name in read_fields(self)})
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,16 @@ class MeshSpec:
     cells: int = DEFAULT_CELLS
     ratio: float = DEFAULT_RATIO
     min_width: float = DEFAULT_MIN_WIDTH
+    # the kind decides which fields a run reads (`read_fields`), in the
+    # order its builder takes them
+    SELECTOR: ClassVar[str] = "kind"
+    READS: ClassVar[dict] = {"graded": ("cells", "ratio", "min_width"), "uniform": ("cells",)}
 
     def build(self) -> Mesh:
-        if self.kind == "graded":
-            return graded_mesh(self.cells, self.ratio, self.min_width)
-        if self.kind == "uniform":
-            return uniform_mesh(self.cells)
-        raise ConfigError(f"unknown mesh kind {self.kind!r}")
+        builder = {"graded": graded_mesh, "uniform": uniform_mesh}.get(self.kind)
+        if builder is None:
+            raise ConfigError(f"unknown mesh kind {self.kind!r}")
+        return builder(*(getattr(self, name) for name in self.READS[self.kind]))
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,6 @@ class ExponentSpec:
 
     beta: float = DEFAULT_BETA
     kappa: float = DEFAULT_KAPPA
-    xi: float = 0.05
-    eta: float = 1.8
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ class ExperimentConfig:
         runner reads, the text a run hashes into its id and writes."""
         lines, sections = [], {}
         for key, value in _flat(self).items():
-            if read_only and not kind_reads(self.kind, key):
+            if read_only and not kind_reads(self, key):
                 continue
             section, _, name = key.rpartition(".")
             line = f"{name} = {_format_toml_value(value)}"
@@ -199,18 +200,37 @@ def _flat(config: ExperimentConfig) -> dict:
     return flat
 
 
-def kind_reads(kind: str, key: str) -> bool:
-    """Whether a run of kind reads key (top-level, a section or
-    `section.field`): `kind` always, and every key for a kind that KINDS
-    does not name, which validate refuses."""
-    row = KINDS.get(kind)
-    return row is None or key == "kind" or key in row.reads or key.split(".")[0] in row.reads
+def read_fields(spec) -> tuple[str, ...]:
+    """The fields of a section spec that a run reads.  In a section with a
+    selector (its SELECTOR field), the fields READS names for the
+    selector's value and every field that no value names, such as the
+    selector itself; in any other section, or under a value READS does not
+    name, which the builders refuse, every field."""
+    names = tuple(f.name for f in fields(spec))
+    if not hasattr(spec, "SELECTOR") or getattr(spec, spec.SELECTOR) not in spec.READS:
+        return names
+    chosen = spec.READS[getattr(spec, spec.SELECTOR)]
+    named = {name for value in spec.READS.values() for name in value}
+    return tuple(name for name in names if name in chosen or name not in named)
+
+
+def kind_reads(config: ExperimentConfig, key: str) -> bool:
+    """Whether a run of the config's kind reads key (top-level, a section
+    or `section.field`): `kind` always, every key for a kind that KINDS
+    does not name, which validate refuses, and of a section its row names,
+    the fields `read_fields` gives."""
+    row = KINDS.get(config.kind)
+    if row is None or key == "kind" or key in row.reads:
+        return True
+    section, _, name = key.partition(".")
+    return section in row.reads and (not name or name in read_fields(getattr(config, section)))
 
 
 def _format_toml_value(value) -> str:
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        # JSON's string escapes are TOML's basic-string escapes; TOML also
+        # forbids a literal DEL
+        return json.dumps(value, ensure_ascii=False).replace("\x7f", "\\u007f")
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_format_toml_value(v) for v in value) + "]"
     if isinstance(value, float):
@@ -301,14 +321,15 @@ class LedgerCheck:
 
 
 def exponent_ledger(alpha_star: float, beta: float = ExponentSpec.beta,
-                    kappa: float = ExponentSpec.kappa, xi: float = ExponentSpec.xi,
-                    eta: float = ExponentSpec.eta) -> list[LedgerCheck]:
+                    kappa: float = ExponentSpec.kappa) -> list[LedgerCheck]:
     """Evaluate the asymptotic exponent budgets for the blocking argument.
 
     All four must hold for the error terms to vanish in the limit; at desk
     scale they are reported, never enforced.  Their joint feasible region
-    caps alpha_star at 1/7 as kappa, beta -> 1.
+    caps alpha_star at 1/7 as kappa, beta -> 1.  No estimator reads xi or
+    eta, only these budgets, so both are fixed.
     """
+    xi, eta = 0.05, 1.8
     checks = []
     lhs = (-1.0 / alpha_star + 1.0) * kappa + 2.0 + 2.0 * eta
     checks.append(LedgerCheck(
@@ -331,12 +352,13 @@ def exponent_ledger(alpha_star: float, beta: float = ExponentSpec.beta,
 
 def ledger_report(config: ExperimentConfig) -> list[LedgerCheck]:
     """The exponent budgets at the sup exponent of the config's schedule;
-    none when beta, kappa or xi lies outside (0, 1), where they mean nothing."""
+    none for a kind that does not read `exponents`, or when beta or kappa
+    lies outside (0, 1), where they mean nothing."""
     exps = config.exponents
-    if not all(0.0 < value < 1.0 for value in (exps.beta, exps.kappa, exps.xi)):
+    if not (kind_reads(config, "exponents") and 0.0 < exps.beta < 1.0
+            and 0.0 < exps.kappa < 1.0):
         return []
-    return exponent_ledger(max(_named_exponents(config.schedule)), exps.beta,
-                           exps.kappa, exps.xi, exps.eta)
+    return exponent_ledger(max(_named_exponents(config.schedule)), exps.beta, exps.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +384,15 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
     Each diagnostic names the key it concerns, and a fault is an error only
     when the kind reads that key (`kind_reads`); in any other key it is a
     warning, and so is each such key set away from its default
-    (`unused-key`).  Asymptotic exponent budgets are evaluated at the
-    schedule's sup exponent and reported as warnings; no configuration is
-    rejected for its budget, matching the advisory role these inequalities
-    play at finite n.
+    (`unused-key`).  For a kind that reads `exponents`, the asymptotic
+    exponent budgets are evaluated at the schedule's sup exponent and
+    reported as warnings; no configuration is rejected for its budget,
+    matching the advisory role these inequalities play at finite n.
     """
     diagnostics: list[Diagnostic] = []
 
     def fault(key, code, message):
-        severity = "error" if kind_reads(config.kind, key) else "warning"
+        severity = "error" if kind_reads(config, key) else "warning"
         diagnostics.append(Diagnostic(severity, code, message, key))
 
     def warning(key, code, message):
@@ -397,7 +419,7 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         fault(horizon, "bad-n", f"{config.kind} horizons must be at least {row.min_n}{why}")
     # build_threshold_schedule refuses the same tau / n
     n = min(ns)
-    if kind_reads(config.kind, "tau") and n >= 1 and config.tau / n > 1.0 + 1e-12:
+    if kind_reads(config, "tau") and n >= 1 and config.tau / n > 1.0 + 1e-12:
         fault("tau", "bad-tau", f"tau/n exceeds total mass 1 at n = {n}; no calibration exists")
     if config.n_samples < 1:
         fault("n_samples", "bad-samples", "sample count must be positive")
@@ -417,10 +439,10 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
                   f"schedule exponent {max(alphas)} exceeds alpha_star={sched.alpha_star}")
 
     exps = config.exponents
-    for name in ("beta", "kappa", "xi"):
+    for name in ("beta", "kappa"):
         if not 0.0 < getattr(exps, name) < 1.0:
             fault(f"exponents.{name}", "bad-exponents", f"{name} must lie in (0, 1)")
-    if 0.0 < exps.beta <= exps.kappa < 1.0:
+    if kind_reads(config, "exponents") and 0.0 < exps.beta <= exps.kappa < 1.0:
         warning("exponents.kappa", "kappa-beta-ordering",
                 f"kappa={exps.kappa} should stay below beta={exps.beta}")
 
@@ -450,9 +472,10 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
     if errors:
         return errors
 
+    # out_dir says only where the run is written
     default = _flat(ExperimentConfig())
     for key, value in _flat(config).items():
-        if not (value == default[key] or kind_reads(config.kind, key) or key in _OUTSIDE_RUNNER):
+        if not (value == default[key] or kind_reads(config, key) or key == "out_dir"):
             warning(key, "unused-key", f"{config.kind} runs do not read {key}; "
                                        "its value changes nothing")
 

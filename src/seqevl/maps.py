@@ -7,13 +7,17 @@ in schedule order: step i of an orbit applies the i-th scheduled map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._rng import philox_stream
 
 ALPHA_STAR = 1.0 / 7.0
+
+# the fields each schedule mode reads; mode and alpha_star, which no mode
+# names, are always read
+MODE_FIELDS = {"periodic": ("cycle",), "iid": ("lo", "hi", "seed")}
 
 
 def _check_alpha(alpha: float):
@@ -103,20 +107,24 @@ class ParameterSchedule:
     """Sequence of map exponents, one per composition step (1-based).
 
     Modes: "periodic" repeats cycle, so a constant schedule is a cycle of
-    one exponent, and "iid" reads lo, hi and seed; a mode ignores the other
-    fields, so a ScheduleSpec's fields build it as they stand.  The iid mode
-    draws uniform exponents from (lo, hi) on a dedicated counter-based
-    stream, so the schedule never interferes with sampling randomness.
-    Exponents above `alpha_star` are rejected at construction.  The
-    defaults are the lab's: the constant exponent 0.1.
+    one exponent, and "iid" reads lo, hi and seed (MODE_FIELDS).  A mode
+    ignores the other fields, and so do equality and the hash: two
+    schedules that step the same exponents are equal.  The iid mode draws
+    uniform exponents from (lo, hi) on a dedicated counter-based stream, so
+    the schedule never interferes with sampling randomness.  Exponents
+    above `alpha_star` are rejected at construction.  The defaults are the
+    lab's: the constant exponent 0.1.
     """
 
     mode: str = "periodic"
     alpha_star: float = ALPHA_STAR
-    cycle: tuple[float, ...] = (0.1,)
-    lo: float = 0.01
-    hi: float = 0.14
-    seed: int = 7
+    cycle: tuple[float, ...] = field(default=(0.1,), compare=False)
+    lo: float = field(default=0.01, compare=False)
+    hi: float = field(default=0.14, compare=False)
+    seed: int = field(default=7, compare=False)
+    # the values of the mode's fields: equality and the hash compare these
+    # in place of the four fields above
+    _read: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha_star < 1.0:
@@ -130,6 +138,8 @@ class ParameterSchedule:
                     f"exponent {a!r} outside (0, alpha_star={self.alpha_star}]")
         if self.mode == "iid" and not self.lo < self.hi:
             raise ValueError("iid schedule needs 0 < lo < hi")
+        object.__setattr__(self, "_read", tuple(getattr(self, name)
+                                                for name in MODE_FIELDS[self.mode]))
 
     def alphas(self, n: int) -> np.ndarray:
         """Exponents of the first n maps; alphas(m) is always a prefix of alphas(n)."""

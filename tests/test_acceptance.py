@@ -275,22 +275,23 @@ def test_criterion_10_exponent_feasibility_region():
     """No configuration with schedule exponents at or below 1/7 is rejected
     (budget violations only warn, even in the kappa, beta -> 1 limit);
     each of the two binding inequalities triggers its own warning; and a
-    schedule exponent above the cap is a hard error."""
-    near_one = ExponentSpec(beta=0.9999, kappa=0.999, xi=0.0005)
+    schedule exponent above the cap is a hard error.  The budgets are
+    reported for dprime, the kind that reads the blocking exponents."""
+    near_one = ExponentSpec(beta=0.9999, kappa=0.999)
     for alpha in (0.02, 0.06, 0.10, 0.13, 1.0 / 7.0):
         cfg = default_config(
-            "evl", schedule=ScheduleSpec(cycle=(alpha,)),
+            "dprime", schedule=ScheduleSpec(cycle=(alpha,)),
             exponents=near_one)
         severities = {d.severity for d in validate_config(cfg)}
         assert "error" not in severities, f"alpha={alpha} was rejected"
 
     pair_sum_violated = default_config(
-        "evl", exponents=ExponentSpec(beta=0.9, kappa=0.2))
+        "dprime", exponents=ExponentSpec(beta=0.9, kappa=0.2))
     codes = {d.code for d in validate_config(pair_sum_violated)}
     assert "budget-pair-sum-budget" in codes
 
     recurrence_violated = default_config(
-        "evl", exponents=ExponentSpec(beta=0.6, kappa=0.45))
+        "dprime", exponents=ExponentSpec(beta=0.6, kappa=0.45))
     codes = {d.code for d in validate_config(recurrence_violated)}
     assert "budget-recurrence-budget" in codes
 

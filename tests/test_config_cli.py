@@ -25,6 +25,7 @@ from seqevl.config import (
     ObservableSpec,
     RecurrenceSpec,
     ScheduleSpec,
+    _flat,
     config_from_dict,
     default_config,
     kind_reads,
@@ -102,6 +103,12 @@ def test_toml_round_trip_preserves_config():
     assert back == cfg
 
 
+def test_toml_round_trip_escapes_strings():
+    # TOML forbids literal control characters but tab in a basic string
+    cfg = default_config(out_dir='runs\tx\n\x7f"q\\ é\x00\x1f')
+    assert config_from_dict(parse_toml(cfg.to_toml())) == cfg
+
+
 def test_load_config(tmp_path):
     cfg = default_config("evl", seed=5)
     path = tmp_path / "c.toml"
@@ -145,6 +152,10 @@ def test_config_from_dict_rejects_unknown_keys():
     # a constant schedule is a one-exponent cycle, with no key of its own
     with pytest.raises(ConfigError, match="unknown key 'alpha' in \\[schedule\\]"):
         config_from_dict({"schedule": {"alpha": 0.1}})
+    # xi and eta enter only the fixed exponent budgets
+    for key in ("xi", "eta"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[exponents\\]"):
+            config_from_dict({"exponents": {key: 0.5}})
     # [observable] holds zeta alone
     for key, value in (("form", "log"), ("power", 2.0), ("cap", 1.0)):
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[observable\\]"):
@@ -251,7 +262,7 @@ def test_schedule_exponent_above_cap_is_an_error():
 
 
 def test_kappa_above_beta_is_a_warning_not_an_error():
-    cfg = default_config("evl", exponents=ExponentSpec(beta=0.5, kappa=0.85))
+    cfg = default_config("dprime", exponents=ExponentSpec(beta=0.5, kappa=0.85))
     diags = validate_config(cfg)
     assert all(d.severity == "warning" for d in diags)
     codes = {d.code for d in diags}
@@ -268,7 +279,7 @@ def test_dyadic_zeta_warns():
 
 def test_budget_warnings_at_large_sup_alpha():
     cfg = default_config(
-        "evl", schedule=ScheduleSpec(cycle=(1.0 / 7.0,)))
+        "dprime", schedule=ScheduleSpec(cycle=(1.0 / 7.0,)))
     codes = {d.code for d in validate_config(cfg)}
     assert "budget-mixing-gap-budget" in codes
     assert "budget-pair-sum-budget" in codes
@@ -400,9 +411,9 @@ SECOND_FAULTS = [
 def test_hard_errors_are_reported_beside_another_error(overrides, code):
     # a second fault elsewhere in the config must not hide the first, whether
     # validate_config checks it itself or a spec builder does
-    kind = overrides.get("kind", "evl")
+    config = _config_with(overrides)
     fault, second = next((fault, second) for key, fault, second in SECOND_FAULTS
-                         if kind_reads(kind, key) and not fault.keys() & overrides.keys())
+                         if kind_reads(config, key) and not fault.keys() & overrides.keys())
     codes = {d.code for d in validate_config(_config_with(overrides, **fault))
              if d.severity == "error"}
     assert {code, second} <= codes, codes
@@ -419,6 +430,9 @@ UNREAD_FAULTS = [
     (dict(kind="orbit", mesh=MeshSpec(cells=1)), "bad-mesh"),
     (dict(x0=2.0), "bad-x0"),
     (dict(exponents=ExponentSpec(beta=1.0)), "bad-exponents"),
+    # a uniform mesh reads its cells alone, a periodic schedule its cycle
+    (dict(mesh=MeshSpec(kind="uniform", cells=64, ratio=0.5, min_width=1e-3)), "unused-key"),
+    (dict(schedule=ScheduleSpec(lo=0.02, seed=3)), "unused-key"),
 ]
 
 
@@ -426,14 +440,21 @@ UNREAD_FAULTS = [
                          ids=[_row_id(o, c) for o, c in UNREAD_FAULTS])
 def test_unread_key_faults_are_warnings(overrides, code, tmp_path):
     # the run goes ahead, in the directory of the run without the fault,
-    # with the same verdicts and tables
+    # with the same verdicts and tables; the clean run has the row's mesh
+    # kind, so a row may set the fields that kind does not read
     kind = overrides.get("kind", "evl")
-    small = dict(n=50, n_samples=2000, mesh=MeshSpec(cells=64))
+    mesh_kind = overrides.get("mesh", MeshSpec()).kind
+    small = dict(n=50, n_samples=2000, mesh=MeshSpec(kind=mesh_kind, cells=64))
     clean = default_config(kind, **small)
     faulty = _config_with(overrides, **{k: v for k, v in small.items() if k not in overrides})
     diags = validate_config(faulty)
     assert {d.severity for d in diags} == {"warning"}, diags
     assert {code, "unused-key"} <= {d.code for d in diags}, diags
+    # each key the row sets away from the clean run gets one unused-key warning
+    unused = [d.key for d in diags if d.code == "unused-key"]
+    clean_values = _flat(clean)
+    assert {k for k, v in _flat(faulty).items() if v != clean_values[k]} <= set(unused), diags
+    assert len(unused) == len(set(unused)), diags
     runs = [experiments.run_experiment(cfg, base_dir=tmp_path / tag)
             for tag, cfg in (("clean", clean), ("faulty", faulty))]
     assert runs[0].experiment_id == runs[1].experiment_id
@@ -530,13 +551,17 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_cli_validate_default_config():
-    code, out, err = run_cli(["validate"])
+def test_cli_validate_default_config(tmp_path):
+    # only dprime reads [exponents], so only it reports the exponent budgets
+    path = tmp_path / "dprime.toml"
+    path.write_text(default_config("dprime").to_toml())
+    code, out, err = run_cli(["validate", "--config", str(path)])
     assert code == 0
     assert "configuration valid" in out
     assert out.count("[LEDGER]") == 4
     assert "violated" not in out
     assert err == ""
+    assert run_cli(["validate"]) == (0, "configuration valid\n", "")
 
 
 def test_cli_run_path_imports_no_scipy():
@@ -731,14 +756,27 @@ def test_cli_outputs_reproducible_across_reruns(tmp_path):
     # thresholds are operator-side and deterministic, so those agree
     assert (other_dir / "thresholds.csv").read_bytes() == first["thresholds.csv"]
 
-    # the written config.toml holds every key the run reads, so it reruns
-    # into the same directory and bytes
+    # the written config.toml holds every key the run reads, and of the
+    # schedule only the fields its mode reads, so it reruns into the same
+    # directory and bytes, under either mode
     written = run_dir / "config.toml"
+    assert "\nlo = " not in written.read_text()
     code, out, _ = run_cli(["calibrate", "--config", str(written),
                             "--out", str(tmp_path / "runs")])
     assert code == 0 and _artifact_dir(out) == run_dir
     for name, blob in first.items():
         assert (run_dir / name).read_bytes() == blob
+    iid = tmp_path / "iid.toml"
+    iid.write_text(replace(cfg, n_samples=2000, schedule=ScheduleSpec(mode="iid")).to_toml())
+    code, out, _ = run_cli(["calibrate", "--config", str(iid)])
+    assert code == 0
+    iid_dir = _artifact_dir(out)
+    iid_tables = {f.name: f.read_bytes() for f in iid_dir.glob("*.csv")}
+    assert "\ncycle = " not in (iid_dir / "config.toml").read_text()
+    code, out, _ = run_cli(["calibrate", "--config", str(iid_dir / "config.toml"),
+                            "--out", str(tmp_path / "runs")])
+    assert code == 0 and _artifact_dir(out) == iid_dir
+    assert {f.name: f.read_bytes() for f in iid_dir.glob("*.csv")} == iid_tables
 
 
 @pytest.mark.parametrize("argv", [["evl", "--workers", "2"], ["evl", "--bogus"]])

@@ -12,8 +12,9 @@ import pytest
 
 from seqevl import experiments, transfer
 from seqevl.cli import main
-from seqevl.config import KINDS, MeshSpec, default_config
+from seqevl.config import KINDS, MeshSpec, ScheduleSpec, _flat, default_config, kind_reads
 from seqevl.experiments import TargetCheck, run_experiment
+from seqevl.maps import ParameterSchedule
 from seqevl.thresholds import DEFAULT_ZETA
 
 LADDER = (20, 40, 80)
@@ -170,12 +171,24 @@ def _recording(spec, reads: set, prefix: str = ""):
     return copy
 
 
+# (schedule, mesh) pairs that between them take every selector value, each
+# with the fields a run reads under it
+SELECTIONS = [
+    ((ScheduleSpec(), {"mode", "cycle", "alpha_star"}),
+     (MeshSpec(cells=32), {"kind", "cells", "ratio", "min_width"})),
+    ((ScheduleSpec(mode="iid"), {"mode", "lo", "hi", "seed", "alpha_star"}),
+     (MeshSpec(kind="uniform", cells=32), {"kind", "cells"})),
+]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_runner_reads_exactly_its_keys(kind, tmp_path, monkeypatch):
     """The keys a runner and its Monte Carlo stage read are KINDS[kind].reads
     and `kind`, through which it reads its row (every kind reads `kind`, see
     `kind_reads`): a read field counts as its section where the row names
-    the whole section."""
+    the whole section.  Of the schedule and the mesh it reads, field for
+    field, what the selector's value reads, and those are the keys that
+    `kind_reads` names."""
     reads = set()
     runner = experiments._RUNNERS[kind]
 
@@ -185,10 +198,29 @@ def test_runner_reads_exactly_its_keys(kind, tmp_path, monkeypatch):
 
     monkeypatch.setitem(experiments._RUNNERS, kind, recorded)
     path = tmp_path / f"{kind}.toml"
-    # n_ladder stays empty, so the kinds that fall back to n read both
-    cfg = default_config(kind, n=20, n_samples=200, mesh=MeshSpec(cells=32))
-    path.write_text(cfg.to_toml(), encoding="utf-8")
-    code, _ = _cli([kind, "--config", str(path), "--out", str(tmp_path / "runs")])
-    assert code in (0, 2)
     row = KINDS[kind].reads
-    assert {key if key in row else key.split(".")[0] for key in reads} == {"kind", *row}
+    for (schedule, schedule_reads), (mesh, mesh_reads) in SELECTIONS:
+        reads.clear()
+        # n_ladder stays empty, so the kinds that fall back to n read both
+        cfg = default_config(kind, n=20, n_samples=200, schedule=schedule, mesh=mesh)
+        path.write_text(cfg.to_toml(), encoding="utf-8")
+        code, _ = _cli([kind, "--config", str(path), "--out", str(tmp_path / "runs")])
+        assert code in (0, 2)
+        assert {key if key in row else key.split(".")[0] for key in reads} == {"kind", *row}
+        for section, fields_read in (("schedule", schedule_reads), ("mesh", mesh_reads)):
+            expected = {f"{section}.{name}" for name in fields_read} if section in row else set()
+            assert {key for key in reads if key.startswith(section + ".")} == expected, section
+        assert reads == {key for key in _flat(cfg) if kind_reads(cfg, key)}
+
+
+def test_schedules_that_step_the_same_exponents_are_equal():
+    # a periodic schedule reads its cycle alone, whatever lo, hi and seed hold
+    plain = ParameterSchedule(cycle=(0.12,))
+    for other in (ScheduleSpec(cycle=(0.12,), lo=0.02).build(),
+                  ParameterSchedule(cycle=(0.12,), lo=0.02, hi=0.13, seed=3)):
+        assert other == plain and hash(other) == hash(plain)
+    assert ParameterSchedule(cycle=(0.11,)) != plain
+    assert ParameterSchedule(cycle=(0.12,), alpha_star=0.13) != plain
+    iid = ParameterSchedule(mode="iid", seed=3)
+    assert iid == ParameterSchedule(mode="iid", seed=3, cycle=(0.05,))
+    assert iid != ParameterSchedule(mode="iid", seed=4)

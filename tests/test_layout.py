@@ -3,8 +3,9 @@ package modules is reached from the command-line entry point `cli.main`, and
 every function, method and property, private ones and dunders included, is
 called when `cli.main` runs a small matrix of configs.  Code that only tests
 use belongs in `tests/reference.py`.  `validate_config` and `cli` name no
-kind, and `experiments` names one only to map it to its runner.  README's
-Quick start block runs against the package as it stands."""
+kind, and `experiments` names one only to map it to its runner.  Every
+config key is read by some kind.  README's Quick start block runs against
+the package as it stands."""
 
 import ast
 import contextlib
@@ -17,7 +18,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from seqevl import cli
-from seqevl.config import KINDS, ExperimentConfig, MeshSpec, ScheduleSpec, default_config
+from seqevl.config import (KINDS, ExperimentConfig, MeshSpec, ScheduleSpec, _flat,
+                           default_config, kind_reads)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "seqevl"
@@ -37,6 +39,14 @@ NEVER_CALLED_ALLOWED = {
     "DiskCache.load_trajectory", "DiskCache.store_trajectory",
     # the x2 mesh the operator route of ROADMAP item 1 pushes on
     "Mesh.refined",
+}
+
+# config keys that no kind reads under any selector value, each with the
+# reason it stays
+UNREAD_KEYS_ALLOWED = {
+    "out_dir",  # where a run is written, not what it computes
+    # perfbench/lab.py still writes it; ROADMAP item 6a deletes it
+    "workers",
 }
 
 # (command, config overrides) run under the profiler: every kind, every
@@ -130,6 +140,15 @@ def test_every_function_runs_under_cli_main(tmp_path):
             sys.setprofile(None)
         assert code in (0, 2), argv  # 1 is a config or runtime error
     assert defined_functions() - called == NEVER_CALLED_ALLOWED
+
+
+def test_every_key_is_read_by_some_kind():
+    """A key that no kind reads, under any value of the schedule's and the
+    mesh's selector, is a knob that does nothing."""
+    configs = [default_config(kind, schedule=ScheduleSpec(mode=mode), mesh=MeshSpec(kind=mesh))
+               for kind in KINDS for mode in ScheduleSpec.READS for mesh in MeshSpec.READS]
+    read = {key for config in configs for key in _flat(config) if kind_reads(config, key)}
+    assert set(_flat(ExperimentConfig())) - read == UNREAD_KEYS_ALLOWED
 
 
 def test_validate_and_cli_name_no_kind():

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from seqevl.maps import ALPHA_STAR, ParameterSchedule
 from seqevl.mesh import Density, graded_mesh, uniform_density, uniform_mesh
 from seqevl import thresholds
+from seqevl.montecarlo import estimate_Pn
 from seqevl.thresholds import (
     DEFAULT_ZETA,
     Observable,
@@ -322,3 +323,35 @@ def test_streamed_build_holds_one_block(monkeypatch, mesh512, const01):
     assert ts.n == 2000
     assert sum(n - 1 for n in lengths) == 1999  # every step pushed once
     assert max(lengths) <= _BLOCK + 1
+
+
+# ------------------------------------------------------- schedule relations
+# Exact relations that a change to how a schedule is stored, compared or
+# pushed must keep: the radii and the survival estimate read only the
+# exponents a schedule steps.
+
+small_meshes = st.builds(lambda graded, cells: (graded_mesh if graded else uniform_mesh)(cells),
+                         st.booleans(), st.integers(min_value=8, max_value=96))
+
+
+@given(a=st.floats(min_value=0.01, max_value=ALPHA_STAR), n=st.integers(1, 40),
+       tau=st.floats(min_value=0.0, max_value=1.0), mesh=small_meshes)
+@settings(max_examples=25, deadline=None)
+def test_a_repeated_cycle_gives_the_same_radii(a, n, tau, mesh):
+    once, twice = (build_threshold_schedule(ParameterSchedule(cycle=cycle), Observable(),
+                                            tau, (n,), mesh)[0]
+                   for cycle in ((a,), (a, a)))
+    assert once.deltas.tolist() == twice.deltas.tolist()
+
+
+@given(lo=st.floats(min_value=0.01, max_value=0.1), seed=st.integers(0, 2 ** 32),
+       n=st.integers(1, 40), mesh=small_meshes)
+@settings(max_examples=25, deadline=None)
+def test_an_iid_schedule_is_the_cycle_of_its_own_draws(lo, seed, n, mesh):
+    iid = ParameterSchedule(mode="iid", lo=lo, hi=ALPHA_STAR, seed=seed)
+    drawn = ParameterSchedule(cycle=tuple(iid.alphas(n)))
+    (by_iid,), (by_cycle,) = (build_threshold_schedule(schedule, Observable(), 1.0, (n,), mesh)
+                              for schedule in (iid, drawn))
+    assert by_iid.deltas.tolist() == by_cycle.deltas.tolist()
+    assert (estimate_Pn(by_iid, seed=seed, n_samples=500)
+            == estimate_Pn(by_cycle, seed=seed, n_samples=500))
