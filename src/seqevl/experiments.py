@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._numeric import distinct
 from .config import (EJ_LADDER, EN_EPS_LADDER, KINDS, LOCAL_JS, ConfigError,
                      ExperimentConfig, validate_config)
 from .io import _write_atomic, write_csv, write_json
@@ -195,7 +196,7 @@ def _run_calibrate(config: ExperimentConfig, mc: _MonteCarlo):
         claim="step-zero radius holds mass tau/n of the uniform start",
         measured=ts.deltas[0], target=first_target, tolerance=1e-12)]
     count = min(20, n)
-    picks = np.unique(np.linspace(0, n - 1, count).round().astype(int))
+    picks = distinct(np.linspace(0, n - 1, count).round().astype(int))
     estimates = mc(estimate_exceedances, ts, picks)
     rows = []
     target = config.tau / n

@@ -102,18 +102,18 @@ def _named_exponents(schedule) -> tuple:
     raise ValueError(f"unknown schedule mode {schedule.mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ParameterSchedule:
     """Sequence of map exponents, one per composition step (1-based).
 
     Modes: "periodic" repeats cycle, so a constant schedule is a cycle of
     one exponent, and "iid" reads lo, hi and seed (MODE_FIELDS).  A mode
-    ignores the other fields, and so do equality and the hash: two
-    schedules that step the same exponents are equal.  The iid mode draws
-    uniform exponents from (lo, hi) on a dedicated counter-based stream, so
-    the schedule never interferes with sampling randomness.  Exponents
-    above `alpha_star` are rejected at construction.  The defaults are the
-    lab's: the constant exponent 0.1.
+    ignores the other fields, and so do equality, the hash and the repr:
+    two schedules that step the same exponents are equal and print alike.
+    The iid mode draws uniform exponents from (lo, hi) on a dedicated
+    counter-based stream, so the schedule never interferes with sampling
+    randomness.  Exponents above `alpha_star` are rejected at
+    construction.  The defaults are the lab's: the constant exponent 0.1.
     """
 
     mode: str = "periodic"
@@ -124,7 +124,7 @@ class ParameterSchedule:
     seed: int = field(default=7, compare=False)
     # the values of the mode's fields: equality and the hash compare these
     # in place of the four fields above
-    _read: tuple = field(init=False, repr=False)
+    _read: tuple = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha_star < 1.0:
@@ -140,6 +140,10 @@ class ParameterSchedule:
             raise ValueError("iid schedule needs 0 < lo < hi")
         object.__setattr__(self, "_read", tuple(getattr(self, name)
                                                 for name in MODE_FIELDS[self.mode]))
+
+    def __repr__(self) -> str:
+        shown = ("mode", "alpha_star") + MODE_FIELDS[self.mode]
+        return f"ParameterSchedule({', '.join(f'{k}={getattr(self, k)!r}' for k in shown)})"
 
     def alphas(self, n: int) -> np.ndarray:
         """Exponents of the first n maps; alphas(m) is always a prefix of alphas(n)."""

@@ -186,18 +186,29 @@ def uniform_density(mesh: Mesh) -> Density:
     return Density(mesh, np.ones(mesh.n_cells))
 
 
+# the 8-point Gauss-Legendre rule on [-1, 1]: leggauss(8), bit for bit
+GAUSS_LEGENDRE_8 = (
+    (-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+     0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362),
+    (0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+     0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706),
+)
+
+
 def project(fn, mesh: Mesh) -> Density:
     """Project a pointwise function onto the mesh by per-cell 8-point
     Gauss-Legendre averages.
 
-    Keep the `vals @ weights` matvec.  Its first call sets up BLAS, about
-    2 MB of a `decay` run's peak memory, but an elementwise weighted sum in
-    its place changes the averages by one ulp, which moves `decay.csv`'s
-    `l1_distance` by about 1e-9 relative: more than the benchmark's decay
-    references absorb.  That saving waits until those references are
-    regenerated.
+    The rule is the constant GAUSS_LEGENDRE_8: calling `leggauss(8)`
+    loads `numpy.polynomial` and sets up LAPACK for its `eigvalsh`, 1.2 MB
+    of peak memory.  The `vals @ weights` matvec stays.  Its first call sets
+    up BLAS, 0.12-0.18 MB, but an elementwise weighted sum in its place
+    changes the averages by one ulp, which moves `decay.csv`'s
+    `l1_distance` by 1.2e-9 relative: more than the benchmark's decay
+    references absorb.  (Peak-RSS steps of each piece in a fresh process
+    with the thread caps and imports of `perfbench/run.py`.)
     """
-    nodes, weights = np.polynomial.legendre.leggauss(8)
+    nodes, weights = (np.array(column) for column in GAUSS_LEGENDRE_8)
     mid = mesh.midpoints[:, None]
     half = 0.5 * mesh.widths[:, None]
     x = mid + half * nodes[None, :]

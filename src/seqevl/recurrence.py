@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numeric import distinct, slope
 from .maps import ALPHA_STAR, ParameterSchedule
 
 BISECT_TOL = 1e-10
@@ -162,7 +163,7 @@ def _stratified_nodes(resolution: int) -> np.ndarray:
     # mass near the neutral fixed point at scales the uniform grid misses
     nodes = np.linspace(0.0, 1.0, resolution + 1)
     sub = nodes[1] * 2.0 ** -np.arange(1.0, 44.0)
-    return np.unique(np.concatenate([nodes, sub[sub > 1e-15]]))
+    return distinct(np.concatenate([nodes, sub[sub > 1e-15]]))
 
 
 def measure_En_eps(schedule: ParameterSchedule, n: int, eps: float,
@@ -215,6 +216,4 @@ def local_recurrence_bound(j: float, params: RecurrenceParams) -> float:
 
 def loglog_slope(xs, ys) -> float:
     """Least-squares slope of log ys against log xs."""
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    return float(np.polyfit(lx, ly, 1)[0])
+    return slope(np.log(xs), np.log(ys))

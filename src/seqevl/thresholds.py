@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._numeric import distinct
 from .maps import ParameterSchedule
 from .mesh import Density, Mesh, uniform_density
 from .transfer import push_density
@@ -80,7 +81,7 @@ def calibrate_delta_ladder(densities: Density, zeta: float, tau: float, n) -> np
     # the mass over [0, 1] is prefix_mass[..., -1] of every row, bit for bit
     if np.any(peak > densities.interval_mass(0.0, 1.0) * (1.0 + 1e-12)):
         raise ValueError("requested exceedance mass exceeds the total mass")
-    kinks = np.unique(np.concatenate(([0.0], np.abs(densities.mesh.boundaries - zeta))))
+    kinks = distinct(np.concatenate(([0.0], np.abs(densities.mesh.boundaries - zeta))))
     # the solution sits within the first few kinks unless tau / n is large,
     # so M is evaluated on a prefix of the kinks that grows until every
     # density reaches the largest target in it (or the prefix is all kinks);
@@ -148,7 +149,7 @@ def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    horizons = np.unique(np.asarray(ns, dtype=int))
+    horizons = distinct(np.asarray(ns, dtype=int))
     if horizons.size == 0 or horizons[0] < 1:
         raise ValueError("n must be positive")
     if tau / horizons[0] > 1.0 + 1e-12:

@@ -10,9 +10,11 @@ the package as it stands."""
 import ast
 import contextlib
 import io
+import json
 import math
 import os
 import re
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -39,6 +41,9 @@ NEVER_CALLED_ALLOWED = {
     "DiskCache.load_trajectory", "DiskCache.store_trajectory",
     # the x2 mesh the operator route of ROADMAP item 1 pushes on
     "Mesh.refined",
+    # no run prints a schedule; the repr shows a reader the fields that
+    # equality compares
+    "ParameterSchedule.__repr__",
 }
 
 # config keys that no kind reads under any selector value, each with the
@@ -62,6 +67,18 @@ RUNS = (
     ("recurrence", {}),
     ("orbit", dict(n=10)),
 )
+
+
+def run_matrix(tmp_path) -> list:
+    """The CLI argument lists of RUNS, configs written under tmp_path, then
+    validate."""
+    runs = []
+    for command, overrides in RUNS:
+        config = tmp_path / f"{command}.toml"
+        settings = {"n_samples": 200, "mesh": MeshSpec(cells=32), **overrides}
+        config.write_text(default_config(command, **settings).to_toml(), encoding="utf-8")
+        runs.append([command, "--config", str(config), "--out", str(tmp_path / "runs")])
+    return runs + [["validate"]]
 
 
 def top_level_uses() -> dict:
@@ -126,13 +143,7 @@ def test_every_function_runs_under_cli_main(tmp_path):
         if event == "call" and os.path.dirname(frame.f_code.co_filename) == package:
             called.add(frame.f_code.co_qualname)
 
-    runs = []
-    for command, overrides in RUNS:
-        config = tmp_path / f"{command}.toml"
-        settings = {"n_samples": 200, "mesh": MeshSpec(cells=32), **overrides}
-        config.write_text(default_config(command, **settings).to_toml(), encoding="utf-8")
-        runs.append([command, "--config", str(config), "--out", str(tmp_path / "runs")])
-    for argv in runs + [["validate"]]:
+    for argv in run_matrix(tmp_path):
         sys.setprofile(profile)
         try:
             code = cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO())
@@ -140,6 +151,39 @@ def test_every_function_runs_under_cli_main(tmp_path):
             sys.setprofile(None)
         assert code in (0, 2), argv  # 1 is a config or runtime error
     assert defined_functions() - called == NEVER_CALLED_ALLOWED
+
+
+# run in a fresh interpreter: run_matrix's argument lists through cli.main,
+# then print which of numpy's lazily imported subpackages are loaded and
+# which numpy.linalg functions ran
+FOOTPRINT = """
+import io, json, os, sys
+import numpy
+from seqevl import cli
+linalg, called = os.path.dirname(numpy.linalg.__file__), set()
+def profile(frame, event, arg):
+    if event == "call" and os.path.dirname(frame.f_code.co_filename) == linalg:
+        called.add(frame.f_code.co_qualname)
+codes = []
+sys.setprofile(profile)
+for argv in json.loads(sys.argv[1]):
+    codes.append(cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO()))
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "linalg": sorted(called),
+                  "loaded": [m for m in ("numpy.ma", "numpy.polynomial") if m in sys.modules]}))
+"""
+
+
+def test_runs_load_no_masked_arrays_polynomials_or_lapack(tmp_path):
+    """No run needs numpy.ma, numpy.polynomial or a numpy.linalg routine,
+    which sets up LAPACK: together about 2.5 MB of a run's peak memory."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(run_matrix(tmp_path))],
+                          capture_output=True, text=True, env=env, check=True)
+    footprint = json.loads(done.stdout)
+    assert all(code in (0, 2) for code in footprint["codes"]), footprint["codes"]
+    assert (footprint["loaded"], footprint["linalg"]) == ([], [])
 
 
 def test_every_key_is_read_by_some_kind():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqevl.mesh import (
+    GAUSS_LEGENDRE_8,
     Density,
     Mesh,
     graded_mesh,
@@ -249,6 +250,12 @@ def test_project_exact_for_piecewise_constant(mesh512):
     f = Density(mesh512, rng.random(512))
     g = project(lambda x: f.values[mesh512.cell_index(x)], mesh512)
     np.testing.assert_allclose(g.values, f.values, rtol=0, atol=1e-13)
+
+
+def test_gauss_legendre_table_is_leggauss_8():
+    # project's constant rule is numpy's, so no projected cell moves by an ulp
+    for table, numpy_rule in zip(GAUSS_LEGENDRE_8, np.polynomial.legendre.leggauss(8)):
+        assert np.array(table).tobytes() == numpy_rule.tobytes()
 
 
 def test_project_polynomial_is_exact(mesh512):

@@ -7,11 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqevl import montecarlo
 from seqevl._rng import philox_stream
 from seqevl.config import exponent_ledger
-from seqevl.maps import ALPHA_STAR
+from seqevl.maps import ALPHA_STAR, ParameterSchedule
 from seqevl.mesh import graded_mesh
 from seqevl.montecarlo import (
     EstimateWithCI,
@@ -359,6 +360,32 @@ def test_estimators_match_plain_reference_sweep(ts20, case):
     # the chunked, compacting sweep must count exactly what a plain walk counts
     got, want = case(ts20)
     assert got == want
+
+
+# ROADMAP item 22's fourth relation: a larger tau widens every step's ball,
+# so on one label an orbit that survives tau survives every smaller tau
+PLAIN_SCHEDULES = {"periodic": ParameterSchedule(cycle=(0.05, 0.12)),
+                   "iid": ParameterSchedule(mode="iid", seed=5)}
+
+
+@pytest.fixture(scope="module")
+def plain_orbits():
+    return {mode: _plain_orbits(schedule, 20) for mode, schedule in PLAIN_SCHEDULES.items()}
+
+
+@given(mode=st.sampled_from(sorted(PLAIN_SCHEDULES)), tau=st.floats(0.05, 2.0),
+       ratio=st.floats(1.001, 2.0))
+@settings(max_examples=15, deadline=None)
+def test_survival_is_nested_in_tau_per_orbit(plain_orbits, mesh512, mode, tau, ratio):
+    small, large = (build_threshold_schedule(PLAIN_SCHEDULES[mode], Observable(), t, (20,),
+                                             mesh512)[0] for t in (tau, tau * ratio))
+    assert np.all(small.deltas < large.deltas)
+    distance = np.abs(plain_orbits[mode] - small.zeta)
+    hit_small, hit_large = (distance < ts.deltas[:, None] for ts in (small, large))
+    assert not np.any(hit_small & ~hit_large)
+    survive_small, survive_large = ~hit_small.any(axis=0), ~hit_large.any(axis=0)
+    assert not np.any(survive_large & ~survive_small)
+    assert 0 < np.count_nonzero(survive_large) <= np.count_nonzero(survive_small) < N_REF
 
 
 def _traced_peak(run) -> int:

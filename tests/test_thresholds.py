@@ -344,6 +344,20 @@ def test_a_repeated_cycle_gives_the_same_radii(a, n, tau, mesh):
     assert once.deltas.tolist() == twice.deltas.tolist()
 
 
+@given(n=st.integers(1, 40), tau=st.just(0.0) | st.floats(min_value=1e-6, max_value=1.0),
+       cycle=st.lists(st.floats(min_value=0.01, max_value=ALPHA_STAR), min_size=1, max_size=3),
+       iid=st.booleans(), seed=st.integers(0, 2 ** 32), mesh=small_meshes)
+@settings(max_examples=25, deadline=None)
+def test_radii_at_tau_n_are_the_first_radii_at_2tau_2n(n, tau, cycle, iid, seed, mesh):
+    # the target tau/n and the densities f_0 .. f_(n-1) are the same
+    schedule = (ParameterSchedule(mode="iid", seed=seed) if iid
+                else ParameterSchedule(cycle=tuple(cycle)))
+    (short,), (long,) = (build_threshold_schedule(schedule, Observable(), t, (m,), mesh)
+                         for t, m in ((tau, n), (2 * tau, 2 * n)))
+    assert short.deltas.tolist() == long.deltas[:n].tolist()
+    assert short.step_masses.tolist() == long.step_masses[:n].tolist()
+
+
 @given(lo=st.floats(min_value=0.01, max_value=0.1), seed=st.integers(0, 2 ** 32),
        n=st.integers(1, 40), mesh=small_meshes)
 @settings(max_examples=25, deadline=None)
