@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import philox_stream
+from ._rng import uniforms
 
 ALPHA_STAR = 1.0 / 7.0
 
@@ -150,8 +150,8 @@ class ParameterSchedule:
         if n < 0:
             raise ValueError("n must be nonnegative")
         if self.mode == "iid":
-            gen = philox_stream(self.seed, "schedule", "iid-alphas")
-            return self.lo + (self.hi - self.lo) * gen.random(n)
+            return self.lo + (self.hi - self.lo) * uniforms(
+                self.seed, ("schedule", "iid-alphas"), 0, n)
         c = np.asarray(self.cycle)
         return np.tile(c, n // c.size + 1)[:n]
 

@@ -12,10 +12,12 @@ estimator folds the hit masks it is handed.
 Determinism contract: every estimator draws its inputs from counter-based
 streams keyed by (seed, labels) and walks them with one shared sweep, which
 cuts the samples into chunks of CHUNK_SIZE, walks them in order on one
-thread and sums per-chunk event counts in chunk order.  Each chunk's start
-points are drawn from its label's stream as the chunk is walked, so the
-stage holds one chunk whatever n_samples is.  The counts are exact
-integers, so every estimate is identical for any chunk size.
+thread and sums per-chunk event counts in chunk order.  The chunk at
+sample lo draws its start points as doubles lo, lo + 1, ... of its label's
+stream (`_rng.uniforms`) when it is walked, so the stage holds one chunk
+whatever n_samples is and the chunks together start from the points of one
+whole draw.  The counts are exact integers, so every estimate is identical
+for any chunk size.
 
 The module needs only numpy to import: `scipy.special` is loaded inside
 `EstimateWithCI.from_counts`, and only for an exact Clopper-Pearson
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import philox_stream
+from ._rng import uniforms
 from .maps import apply_map_batch
 from .thresholds import ThresholdSchedule
 
@@ -93,12 +95,11 @@ def _sweep(ts: ThresholdSchedule, seed: int, label: str, n_samples: int, reads, 
     last = max(reads)
     alphas = ts.schedule.alphas(last)
     zeta, deltas = ts.zeta, ts.deltas
-    stream = philox_stream(seed, "x0", label)
 
     def run(lo: int):
-        # Philox fills each double from one 64-bit word, so drawing chunk by
-        # chunk gives the same points as one draw of all n_samples
-        x = stream.random(min(CHUNK_SIZE, n_samples - lo))
+        # the chunk's start points are doubles lo, lo + 1, ... of the label's
+        # stream, so the chunks together draw the points of one whole draw
+        x = uniforms(seed, ("x0", label), lo, min(CHUNK_SIZE, n_samples - lo))
         visit, result = chunk(x.size)
         for i in range(last + 1):
             if i > 0:

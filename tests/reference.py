@@ -39,6 +39,9 @@ from `cli.main` to hold it to that).  What it holds:
   cov(phi(x_i), psi(x_{i+t})) by the operator identity on a mesh, and its
   Monte Carlo twin, which walks its own orbits with `lsv_apply` rather
   than the package's sweep.
+- `philox_draw`: a stream's first doubles from `numpy.random.Philox`, the
+  library generator that `seqevl._rng.uniforms` reproduces bit for bit
+  without importing it.
 """
 
 from __future__ import annotations
@@ -48,13 +51,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from seqevl._rng import philox_stream
+from seqevl._rng import philox_key
 from seqevl.maps import (ParameterSchedule, _check_alpha, _check_domain, apply_map_batch,
                          lsv_left_inverse)
 from seqevl.mesh import Density, Mesh, _same_mesh, project, uniform_density
 from seqevl.montecarlo import Z95, EstimateWithCI
 from seqevl.thresholds import Observable, ThresholdSchedule
 from seqevl.transfer import pf_apply, push_density
+
+# ---------------------------------------------------------------------------
+# random streams
+
+
+def philox_draw(seed: int, labels: tuple[str, ...], n: int) -> np.ndarray:
+    """The first n doubles of the (seed, labels) stream, drawn by numpy's own
+    Philox generator."""
+    return np.random.Generator(np.random.Philox(key=philox_key(seed, *labels))).random(n)
+
 
 # ---------------------------------------------------------------------------
 # map step, derivative and branch preimages
@@ -519,7 +532,7 @@ def mc_correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
         return np.asarray(obs(x), dtype=float)
 
     alphas = schedule.alphas(i + t)
-    x = philox_stream(seed, "x0", label).random(n_samples)
+    x = philox_draw(seed, ("x0", label), n_samples)
     for a in alphas[:i]:
         x = lsv_apply(a, x)
     u = observe(phi, x)

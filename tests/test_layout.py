@@ -154,8 +154,8 @@ def test_every_function_runs_under_cli_main(tmp_path):
 
 
 # run in a fresh interpreter: run_matrix's argument lists through cli.main,
-# then print which of numpy's lazily imported subpackages are loaded and
-# which numpy.linalg functions ran
+# then print which of numpy's lazily imported subpackages and of scipy are
+# loaded and which numpy.linalg functions ran
 FOOTPRINT = """
 import io, json, os, sys
 import numpy
@@ -170,13 +170,17 @@ for argv in json.loads(sys.argv[1]):
     codes.append(cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO()))
 sys.setprofile(None)
 print(json.dumps({"codes": codes, "linalg": sorted(called),
-                  "loaded": [m for m in ("numpy.ma", "numpy.polynomial") if m in sys.modules]}))
+                  "loaded": [m for m in ("numpy.ma", "numpy.polynomial", "numpy.random", "scipy")
+                             if m in sys.modules]}))
 """
 
 
-def test_runs_load_no_masked_arrays_polynomials_or_lapack(tmp_path):
+def test_runs_load_only_what_they_compute_with(tmp_path):
     """No run needs numpy.ma, numpy.polynomial or a numpy.linalg routine,
-    which sets up LAPACK: together about 2.5 MB of a run's peak memory."""
+    which sets up LAPACK: together about 2.5 MB of a run's peak memory.
+    Nor does one need numpy.random, whose Philox streams `_rng.uniforms`
+    draws in plain numpy (2.2 MB), or scipy, which only an exact
+    Clopper-Pearson interval near 0 or 1 loads."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(run_matrix(tmp_path))],

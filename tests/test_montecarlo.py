@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqevl import montecarlo
-from seqevl._rng import philox_stream
+from seqevl._rng import uniforms
 from seqevl.config import exponent_ledger
 from seqevl.maps import ALPHA_STAR, ParameterSchedule
 from seqevl.mesh import graded_mesh
@@ -23,7 +23,7 @@ from seqevl.montecarlo import (
     estimate_exceedances,
 )
 from seqevl.thresholds import Observable, build_threshold_schedule
-from reference import correlation_DC, lsv_apply, mc_correlation_DC
+from reference import correlation_DC, lsv_apply, mc_correlation_DC, philox_draw
 
 N_FAST = 20_000
 N_CHUNKED = 3 * 16384 + 777  # a short last chunk at CHUNK_SIZE 16,384 and at 1,000
@@ -99,12 +99,12 @@ def test_ci_must_bracket_value():
 
 
 def test_rng_streams_are_label_keyed():
-    a = philox_stream(42, "x0", "pn").random(100)
-    b = philox_stream(42, "x0", "pn").random(100)
+    a = uniforms(42, ("x0", "pn"), 0, 100)
+    b = uniforms(42, ("x0", "pn"), 0, 100)
     np.testing.assert_array_equal(a, b)
-    c = philox_stream(42, "x0", "other").random(100)
+    c = uniforms(42, ("x0", "other"), 0, 100)
     assert not np.array_equal(a, c)
-    d = philox_stream(43, "x0", "pn").random(100)
+    d = uniforms(43, ("x0", "pn"), 0, 100)
     assert not np.array_equal(a, d)
 
 
@@ -112,9 +112,8 @@ def test_rng_streams_are_label_keyed():
 @pytest.mark.parametrize("n", [1, 777, N_CHUNKED])
 def test_chunkwise_draws_equal_one_whole_draw(n, size):
     # the sweep draws each chunk's start points as it walks the chunk
-    whole = philox_stream(5, "x0", "pn").random(n)
-    stream = philox_stream(5, "x0", "pn")
-    parts = [stream.random(min(size, n - lo)) for lo in range(0, n, size)]
+    whole = uniforms(5, ("x0", "pn"), 0, n)
+    parts = [uniforms(5, ("x0", "pn"), lo, min(size, n - lo)) for lo in range(0, n, size)]
     np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
@@ -300,7 +299,7 @@ N_REF = 2 * 16384 + 777  # two full chunks and a short last one
 
 def _plain_orbits(schedule, steps):
     """Positions 0..steps-1 of all N_REF orbits, stepped whole with lsv_apply."""
-    xs = [philox_stream(47, "x0", "ref").random(N_REF)]
+    xs = [philox_draw(47, ("x0", "ref"), N_REF)]
     for a in schedule.alphas(steps - 1):
         xs.append(lsv_apply(a, xs[-1]))
     return np.array(xs)
