@@ -1,5 +1,5 @@
-"""Sorted distinct values and least-squares slopes from plain numpy sorts
-and sums.
+"""Sorted distinct values, least-squares slopes and bracketed bisection
+from plain numpy sorts, sums and selects.
 
 `np.unique` imports `numpy.ma` (numpy 2.4 asks `np.ma.is_masked` of its
 input), 1.2 MB of peak memory, and `np.polyfit` sets up LAPACK for its
@@ -28,3 +28,17 @@ def slope(x, y) -> float:
     y = np.asarray(y, dtype=float)
     dx = x - x.mean()
     return float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
+
+
+def bisect(below, lo, hi, steps: int, tol: float = 0.0):
+    """Midpoints of the brackets [lo, hi] after `steps` halvings, each keeping
+    the half that holds its root (`below(mid)`: the root lies above mid), or
+    after fewer once every bracket is narrower than tol."""
+    for _ in range(steps):
+        if np.max(hi - lo, initial=0.0) < tol:
+            break
+        mid = 0.5 * (lo + hi)
+        up = below(mid)
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return 0.5 * (lo + hi)

@@ -186,15 +186,11 @@ def _run_evl(config: ExperimentConfig, mc: _MonteCarlo):
 def _run_calibrate(config: ExperimentConfig, mc: _MonteCarlo):
     n = KINDS[config.kind].ns(config)[-1]
     ts, = _thresholds(config, (n,))
-    # the uniform-start ball of mass tau/n has radius tau/(2n) until it is
-    # clipped at the end of [0, 1] nearer zeta, at distance `edge`
-    edge = min(ts.zeta, 1.0 - ts.zeta)
-    half = config.tau / (2.0 * n)
-    first_target = half if half <= edge else config.tau / n - edge
     checks = [TargetCheck(
         name="first-radius",
         claim="step-zero radius holds mass tau/n of the uniform start",
-        measured=ts.deltas[0], target=first_target, tolerance=1e-12)]
+        measured=ts.deltas[0], target=ts.observable.uniform_radius(config.tau / n),
+        tolerance=1e-12)]
     count = min(20, n)
     picks = distinct(np.linspace(0, n - 1, count).round().astype(int))
     estimates = mc(estimate_exceedances, ts, picks)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._numeric import bisect
 from ._rng import uniforms
 
 ALPHA_STAR = 1.0 / 7.0
@@ -58,15 +59,9 @@ def lsv_left_inverse(alpha: float, y):
         resid[live] = xl * (1.0 + c * xl ** alpha) - y[live]
     bad = np.abs(resid) > tol
     if bad.any():  # safeguard; Newton converges in a handful of sweeps in practice
-        lo = np.zeros(int(bad.sum()))
-        hi = np.full(int(bad.sum()), 0.5)
         yb = y[bad]
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            high = mid * (1.0 + c * mid ** alpha) > yb
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-        x[bad] = 0.5 * (lo + hi)
+        x[bad] = bisect(lambda mid: mid * (1.0 + c * mid ** alpha) <= yb,
+                        np.zeros(yb.size), np.full(yb.size, 0.5), 120)
     return float(x[0]) if scalar else x
 
 

@@ -4,10 +4,10 @@ The module is the one orbit sweep `_sweep` and what a run estimates with
 it: the no-exceedance probability P_n, per-step exceedance masses, the
 within-block pair sum of condition D' (with the blocks it sums over) and
 the mixing gap of condition D_0.  Every one of them is about the same
-event, the orbit at step i landing in the ball |x_i - zeta| < delta_i.
-The sweep owns that test: it walks the orbits to the last step an
-estimator reads, tests the ball once at each step read, and each
-estimator folds the hit masks it is handed.
+event, the orbit at step i landing in the ball of radius delta_i, whose
+mask `Observable.hits` computes.  The sweep walks the orbits to the last
+step an estimator reads and asks for the mask once at each step read,
+and each estimator folds the hit masks it is handed.
 
 Determinism contract: every estimator draws its inputs from counter-based
 streams keyed by (seed, labels) and walks them with one shared sweep, which
@@ -83,18 +83,18 @@ def _sweep(ts: ThresholdSchedule, seed: int, label: str, n_samples: int, reads, 
     or a set) and sum the counts.
 
     chunk(size) -> (visit, result) sets up one chunk's accumulators.  At
-    each step i in reads the sweep tests the chunk's points against the
-    ball once and calls visit(i, hit), hit = |x_i - zeta| < delta_i.  visit
-    may return a keep-mask, and then only the kept points walk on, the
-    chunk stopping once none are left.  result() gives the chunk's tuple of
-    exact integer counts.  Chunk boundaries depend only on n_samples and
-    CHUNK_SIZE, and the per-chunk tuples are summed in chunk order.
+    each step i in reads the sweep takes the chunk's hit mask from
+    ts.observable.hits once and calls visit(i, hit).  visit may return a
+    keep-mask, and then only the kept points walk on, the chunk stopping
+    once none are left.  result() gives the chunk's tuple of exact integer
+    counts.  Chunk boundaries depend only on n_samples and CHUNK_SIZE, and
+    the per-chunk tuples are summed in chunk order.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     last = max(reads)
     alphas = ts.schedule.alphas(last)
-    zeta, deltas = ts.zeta, ts.deltas
+    hits, deltas = ts.observable.hits, ts.deltas
 
     def run(lo: int):
         # the chunk's start points are doubles lo, lo + 1, ... of the label's
@@ -105,7 +105,7 @@ def _sweep(ts: ThresholdSchedule, seed: int, label: str, n_samples: int, reads, 
             if i > 0:
                 x = apply_map_batch(alphas[i - 1], x, out=x)
             if i in reads:
-                keep = visit(i, np.abs(x - zeta) < deltas[i])
+                keep = visit(i, hits(x, deltas[i]))
                 if keep is not None:
                     x = x[keep]
                     if x.size == 0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import distinct, slope
+from ._numeric import bisect, distinct, slope
 from .maps import ALPHA_STAR, ParameterSchedule
 
 BISECT_TOL = 1e-10
@@ -125,15 +125,9 @@ def _measure_below(nodes: np.ndarray, gfun) -> float:
     cross = np.nonzero(inside[:-1] != inside[1:])[0]
     if cross.size:
         # each cell brackets one crossing; halve it until within BISECT_TOL
-        lo, hi, lo_inside = nodes[cross], nodes[cross + 1], inside[cross]
-        for _ in range(60):
-            if np.max(hi - lo) < BISECT_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            same = (gfun(mid) <= 0.0) == lo_inside
-            lo = np.where(same, mid, lo)
-            hi = np.where(same, hi, mid)
-        roots = 0.5 * (lo + hi)
+        lo_inside = inside[cross]
+        roots = bisect(lambda mid: (gfun(mid) <= 0.0) == lo_inside,
+                       nodes[cross], nodes[cross + 1], 60, BISECT_TOL)
         parts = np.where(lo_inside, roots - nodes[cross], nodes[cross + 1] - roots)
         total += float(np.sum(parts))
     return total

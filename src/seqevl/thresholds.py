@@ -1,8 +1,8 @@
 """Observables peaking at a target point and per-step threshold calibration.
 
 The observation at step i is g(|x_i - zeta|) = -log |x_i - zeta|, so level
-exceedances are open balls around zeta.  Levels are calibrated against the
-pushed densities: delta solves
+exceedances are open balls around zeta, whose test `Observable` owns.
+Levels are calibrated against the pushed densities: delta solves
 integral over (zeta - delta, zeta + delta) of the step-i density = tau / n,
 which makes every step carry identical exceedance mass.  For piecewise-
 constant densities that window mass is piecewise linear in delta, so each
@@ -42,6 +42,15 @@ class Observable:
         if not 0.0 < self.zeta < 1.0:
             raise ValueError("zeta must lie in the open interval (0, 1)")
 
+    def hits(self, x, delta):
+        """Mask of the points of x in the open ball of radius delta."""
+        return np.abs(x - self.zeta) < delta
+
+    def uniform_radius(self, mass: float) -> float:
+        """Radius of the ball of this mass under the uniform density: mass / 2,
+        or more once the ball is clipped at the end of [0, 1] nearer zeta."""
+        return max(mass / 2.0, mass - min(self.zeta, 1.0 - self.zeta))
+
     def level_for_radius(self, delta):
         """g evaluated at distance delta (the level whose ball has that radius)."""
         with np.errstate(divide="ignore"):
@@ -54,9 +63,10 @@ class Observable:
 _BLOCK = 32
 
 
-def calibrate_delta_ladder(densities: Density, zeta: float, tau: float, n) -> np.ndarray:
+def calibrate_delta_ladder(densities: Density, observable: Observable, tau: float,
+                           n) -> np.ndarray:
     """Radius delta with mass(zeta - delta, zeta + delta) = tau / n for every
-    row of a stacked Density.
+    row of a stacked Density, zeta being the observable's point.
 
     n is one horizon or a 1-D array of horizons; an array adds a leading
     axis with one row of radii per horizon.  The window mass
@@ -72,8 +82,6 @@ def calibrate_delta_ladder(densities: Density, zeta: float, tau: float, n) -> np
     n = np.asarray(n)
     if np.any(n < 1):
         raise ValueError("n must be positive")
-    if not 0.0 < zeta < 1.0:
-        raise ValueError("zeta must lie in (0, 1)")
     if tau == 0.0:
         return np.zeros(n.shape + (len(densities),))
     target = np.asarray(tau / n)[..., None]
@@ -81,6 +89,7 @@ def calibrate_delta_ladder(densities: Density, zeta: float, tau: float, n) -> np
     # the mass over [0, 1] is prefix_mass[..., -1] of every row, bit for bit
     if np.any(peak > densities.interval_mass(0.0, 1.0) * (1.0 + 1e-12)):
         raise ValueError("requested exceedance mass exceeds the total mass")
+    zeta = observable.zeta
     kinks = distinct(np.concatenate(([0.0], np.abs(densities.mesh.boundaries - zeta))))
     # the solution sits within the first few kinks unless tau / n is large,
     # so M is evaluated on a prefix of the kinks that grows until every
@@ -126,10 +135,6 @@ class ThresholdSchedule:
     def fstar(self) -> float:
         return float(np.sum(self.step_masses))
 
-    @property
-    def zeta(self) -> float:
-        return self.observable.zeta
-
     def rows(self):
         """CSV-ready rows (step, delta, level, mesh-measured exceedance mass)."""
         for i in range(self.n):
@@ -165,7 +170,7 @@ def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable
         f, block = block[-1], Density.stack(block[:_BLOCK])
         live = slice(np.searchsorted(horizons, start, side="right"), None)
         rows = slice(start, start + len(block))
-        radii = calibrate_delta_ladder(block, zeta, tau, horizons[live])
+        radii = calibrate_delta_ladder(block, observable, tau, horizons[live])
         deltas[live, rows] = radii
         masses[live, rows] = block.interval_mass(zeta - radii, zeta + radii)
     built = {}

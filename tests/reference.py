@@ -242,7 +242,7 @@ def schedule_window(ts: ThresholdSchedule) -> tuple[float, float, np.ndarray]:
     the largest of the n - 1 maps that push its densities (alpha_star when
     n = 1), and which radii lie in it (all of them when tau = 0)."""
     alpha = float(np.max(ts.schedule.alphas(ts.n - 1))) if ts.n > 1 else ts.schedule.alpha_star
-    lo, hi = threshold_window(ConeParams(alpha=alpha), ts.zeta, ts.tau, ts.n)
+    lo, hi = threshold_window(ConeParams(alpha=alpha), ts.observable.zeta, ts.tau, ts.n)
     if ts.tau == 0.0:
         return lo, hi, np.ones(ts.n, dtype=bool)
     return lo, hi, (ts.deltas >= lo) & (ts.deltas <= hi)

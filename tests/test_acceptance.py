@@ -109,7 +109,7 @@ def test_criterion_03_calibrated_radii_stay_inside_envelope_window(ts500, mesh10
     assert lo < hi
     assert bool(np.all(ok)), f"{int(np.sum(~ok))} of {ts500.n} radii left the window"
 
-    n, tau, zeta = ts500.n, ts500.tau, ts500.zeta
+    n, tau, zeta = ts500.n, ts500.tau, ts500.observable.zeta
     ladder = push_density(ts500.schedule.alphas(n - 1), uniform_density(mesh1024))
     b = mesh1024.boundaries
     outside = []

@@ -56,6 +56,15 @@ def scaled(factor, first_step=0, longest_only=False):
     return wrapped("build_threshold_schedule", wrap)
 
 
+def uncalibrated(build):
+    # every radius the ball of mass tau/n under the uniform density, as if
+    # every pushed density were uniform: a run that skips calibration
+    def build_uncalibrated(*args, **kwargs):
+        return [replace(ts, deltas=np.full(ts.n, ts.observable.uniform_radius(ts.tau / ts.n)))
+                for ts in build(*args, **kwargs)]
+    return build_uncalibrated
+
+
 def orbit_leaves_domain(orbit_of):
     def orbit(*args):
         out = orbit_of(*args)
@@ -136,6 +145,8 @@ FAULTS = [
                  id="calibrate-x0.5-after-step-0"),
     pytest.param("evl", {}, scaled(0.97), r"evl-n250", id="evl-x0.97",
                  marks=xfail("ROADMAP item 14 or 4")),
+    pytest.param("evl", {}, wrapped("build_threshold_schedule", uncalibrated), r"evl-n250",
+                 id="evl-uncalibrated", marks=xfail("ROADMAP item 14, 17 or 4")),
     # x0.5, not x2: x2 scales the pair sum toward tau = 1, where noise
     # could flip a strict xfail
     pytest.param("dprime", {}, scaled(0.5), r"dprime-n250", id="dprime-x0.5",

@@ -306,7 +306,8 @@ def _plain_orbits(schedule, steps):
 
 
 def _plain_hits(ts, steps):
-    return np.abs(_plain_orbits(ts.schedule, steps) - ts.zeta) < ts.deltas[:steps, None]
+    distance = np.abs(_plain_orbits(ts.schedule, steps) - ts.observable.zeta)
+    return distance < ts.deltas[:steps, None]
 
 
 def _ref_pn(ts):
@@ -379,7 +380,7 @@ def test_survival_is_nested_in_tau_per_orbit(plain_orbits, mesh512, mode, tau, r
     small, large = (build_threshold_schedule(PLAIN_SCHEDULES[mode], Observable(), t, (20,),
                                              mesh512)[0] for t in (tau, tau * ratio))
     assert np.all(small.deltas < large.deltas)
-    distance = np.abs(plain_orbits[mode] - small.zeta)
+    distance = np.abs(plain_orbits[mode] - small.observable.zeta)
     hit_small, hit_large = (distance < ts.deltas[:, None] for ts in (small, large))
     assert not np.any(hit_small & ~hit_large)
     survive_small, survive_large = ~hit_small.any(axis=0), ~hit_large.any(axis=0)

@@ -1,15 +1,17 @@
 """The sorted-distinct and slope helpers against the numpy routines they
-replace on the run path: `np.unique` and `np.polyfit(x, y, 1)[0]`."""
+replace on the run path, `np.unique` and `np.polyfit(x, y, 1)[0]`, and the
+bracketed bisection on its own."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqevl import experiments, recurrence, thresholds, transfer
-from seqevl._numeric import distinct, slope
+from seqevl._numeric import bisect, distinct, slope
 from seqevl.config import (EJ_LADDER, EN_EPS_LADDER, KINDS, MeshSpec, ObservableSpec,
                            default_config)
 from seqevl.experiments import run_experiment
-from seqevl.maps import ParameterSchedule
+from seqevl.maps import ParameterSchedule, lsv_left_inverse
 from seqevl.mesh import graded_mesh, uniform_density, uniform_mesh
 from seqevl.thresholds import Observable
 
@@ -91,3 +93,61 @@ def test_decay_slope_is_polyfit_on_a_decay_run():
     y = result.log_distances - (1.0 / alpha) * np.log(x)
     want = np.polyfit(x, y, 1)[0]
     assert abs(result.corrected_slope(alpha) - want) <= 1e-12 * abs(want)
+
+
+class CountingBelow:
+    """The predicate "the root lies above mid" for fixed roots, counting its
+    calls."""
+
+    def __init__(self, roots):
+        self.roots = np.asarray(roots, dtype=float)
+        self.calls = 0
+
+    def __call__(self, mid):
+        self.calls += 1
+        return mid < self.roots
+
+
+ROOTS = np.array([0.1, 0.3, 0.5 + 2.0 ** -20, 0.77, 0.999])
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 7, 30])
+def test_bisect_returns_the_midpoints_of_the_halved_brackets(steps):
+    # on [0, 1] every bracket after k halvings is dyadic, and a root on a
+    # bracket end is its top (mid < r is false at mid = r), so the midpoint
+    # (ceil(r 2^k) - 1/2) / 2^k is exact
+    below = CountingBelow(ROOTS)
+    got = bisect(below, np.zeros(ROOTS.size), np.ones(ROOTS.size), steps)
+    scale = 2.0 ** steps
+    assert got.tolist() == ((np.ceil(ROOTS * scale) - 0.5) / scale).tolist()
+    assert below.calls == steps  # tol = 0 runs every step
+
+
+def test_bisect_at_tol_zero_runs_every_step_past_float_resolution():
+    below = CountingBelow(ROOTS)
+    got = bisect(below, np.zeros(ROOTS.size), np.ones(ROOTS.size), 120)
+    assert below.calls == 120
+    np.testing.assert_allclose(got, ROOTS, rtol=0, atol=2.0 ** -52)
+
+
+@pytest.mark.parametrize("tol,halvings", [(2.0 ** -5, 6), (0.03, 6), (0.5, 2), (2.0, 0)])
+def test_bisect_stops_once_every_bracket_is_narrower_than_tol(tol, halvings):
+    # the widest bracket, [0, 1], decides: after k halvings it is 2^-k wide,
+    # and the first k with 2^-k < tol is the last halving run
+    roots = np.array([0.3, 0.1])
+    lo, hi = np.zeros(2), np.array([1.0, 0.25])
+    below = CountingBelow(roots)
+    got = bisect(below, lo, hi, 60, tol)
+    assert below.calls == halvings
+    assert got.tolist() == bisect(CountingBelow(roots), lo, hi, halvings).tolist()
+
+
+def test_bisect_on_the_left_inverse_fallback_matches_newton():
+    # the predicate lsv_left_inverse hands bisect when Newton misses, run on
+    # the default mesh's boundaries: no config reaches that fallback
+    y = MeshSpec().build().boundaries
+    for alpha in (0.01, 0.1, 1.0 / 7.0):
+        c = 2.0 ** alpha
+        got = bisect(lambda mid: mid * (1.0 + c * mid ** alpha) <= y,
+                     np.zeros(y.size), np.full(y.size, 0.5), 120)
+        np.testing.assert_allclose(got, lsv_left_inverse(alpha, y), rtol=0, atol=1e-13)

@@ -45,6 +45,8 @@ def test_observable_validation():
         Observable(zeta=0.0)
     with pytest.raises(ValueError):
         Observable(zeta=1.0)
+    with pytest.raises(ValueError):
+        Observable(zeta=1.5)
 
 
 @given(
@@ -66,7 +68,7 @@ def test_calibrate_delta_uniform_closed_form():
     mesh = graded_mesh(1024)
     f = uniform_density(mesh)
     # unit density: mass of the ball of radius delta is 2 delta
-    delta = calibrate_delta_ladder(Density.stack([f]), zeta=0.5, tau=1.0, n=100)[0]
+    delta = calibrate_delta_ladder(Density.stack([f]), Observable(0.5), tau=1.0, n=100)[0]
     assert delta == pytest.approx(1.0 / 200.0, abs=1e-14)
 
 
@@ -75,7 +77,7 @@ def test_calibrate_delta_linear_closed_form():
     mesh = uniform_mesh(4096)
     f = Density(mesh, 2.0 * mesh.midpoints)
     zeta, tau, n = 0.6, 1.0, 50
-    delta = calibrate_delta_ladder(Density.stack([f]), zeta=zeta, tau=tau, n=n)[0]
+    delta = calibrate_delta_ladder(Density.stack([f]), Observable(zeta), tau=tau, n=n)[0]
     # piecewise-constant projection of the slope costs a few 1e-6 here
     assert delta == pytest.approx(tau / (4.0 * zeta * n), abs=1e-5)
     # self consistency against the density's own interval mass is exact
@@ -87,37 +89,37 @@ def test_calibrate_delta_zero_tau_and_validation():
     f = uniform_density(graded_mesh(64))
     half = Density(f.mesh, np.full(64, 0.5))
 
-    def single(density, zeta, tau, n):
-        return calibrate_delta_ladder(Density.stack([density]), zeta, tau, n)[0]
+    obs = Observable(0.5)  # a zeta outside (0, 1) is Observable's to refuse
 
-    def ladder(density, zeta, tau, n):
-        return calibrate_delta_ladder(Density.stack([f, density]), zeta, tau, n)[1]
+    def single(density, tau, n):
+        return calibrate_delta_ladder(Density.stack([density]), obs, tau, n)[0]
+
+    def ladder(density, tau, n):
+        return calibrate_delta_ladder(Density.stack([f, density]), obs, tau, n)[1]
 
     for calibrate in (single, ladder):
-        assert calibrate(f, zeta=0.5, tau=0.0, n=10) == 0.0
+        assert calibrate(f, tau=0.0, n=10) == 0.0
         with pytest.raises(ValueError):
-            calibrate(f, zeta=0.5, tau=-1.0, n=10)
+            calibrate(f, tau=-1.0, n=10)
         with pytest.raises(ValueError):
-            calibrate(f, zeta=0.5, tau=1.0, n=0)
+            calibrate(f, tau=1.0, n=0)
         with pytest.raises(ValueError):
-            calibrate(f, zeta=1.5, tau=1.0, n=10)
+            calibrate(f, tau=3.0, n=2)  # tau/n > mass
         with pytest.raises(ValueError):
-            calibrate(f, zeta=0.5, tau=3.0, n=2)  # tau/n > mass
-        with pytest.raises(ValueError):
-            calibrate(half, zeta=0.5, tau=0.6, n=1)  # this density's mass is short
+            calibrate(half, tau=0.6, n=1)  # this density's mass is short
     with pytest.raises(ValueError):
-        calibrate_delta_ladder(Density.stack([f, uniform_density(graded_mesh(32))]), 0.5, 1.0, 10)
+        calibrate_delta_ladder(Density.stack([f, uniform_density(graded_mesh(32))]), obs, 1.0, 10)
 
 
 def test_calibrate_ladder_matches_scalar(mesh512, const01):
     densities = push_density(const01.alphas(9), uniform_density(mesh512))
-    zeta, tau, n = DEFAULT_ZETA, 1.0, 10
+    obs, tau, n = Observable(), 1.0, 10
     stack = Density.stack(densities)
-    ladder = calibrate_delta_ladder(stack, zeta, tau, n)
-    scalar = np.array([calibrate_delta_ladder(Density.stack([d]), zeta, tau, n)[0]
+    ladder = calibrate_delta_ladder(stack, obs, tau, n)
+    scalar = np.array([calibrate_delta_ladder(Density.stack([d]), obs, tau, n)[0]
                        for d in densities])
     np.testing.assert_allclose(ladder, scalar, rtol=0, atol=1e-15)
-    assert calibrate_delta_ladder(stack, zeta, 0.0, n).tolist() == [0.0] * 10
+    assert calibrate_delta_ladder(stack, obs, 0.0, n).tolist() == [0.0] * 10
 
 
 def bisect_delta(density, zeta, target):
@@ -171,13 +173,15 @@ def calibration_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_kink_inversion_matches_bisection(case):
     density, zeta, target = case
-    delta = calibrate_delta_ladder(Density.stack([density]), zeta, tau=target, n=1)[0]
+    delta = calibrate_delta_ladder(Density.stack([density]), Observable(zeta), tau=target,
+                                   n=1)[0]
     assert delta == pytest.approx(bisect_delta(density, zeta, target), rel=1e-12)
     assert abs(float(density.interval_mass(zeta - delta, zeta + delta)) - target) <= 1e-14
     if delta > 0.0:
         shrunk = delta * (1.0 - 1e-9)
         assert float(density.interval_mass(zeta - shrunk, zeta + shrunk)) < target
-    ladder = calibrate_delta_ladder(Density.stack([density, density]), zeta, tau=target, n=1)
+    ladder = calibrate_delta_ladder(Density.stack([density, density]), Observable(zeta),
+                                    tau=target, n=1)
     assert ladder.tolist() == [delta, delta]
 
 
@@ -188,8 +192,9 @@ def test_ladder_rows_reach_target_at_different_kinks():
     zeta, target = 0.5, 0.01
     near = uniform_density(mesh)
     far = Density(mesh, np.where(np.abs(mesh.midpoints - zeta) < 0.3, 0.0, 2.5))
-    ladder = calibrate_delta_ladder(Density.stack([near, far, near]), zeta, tau=target, n=1)
-    singles = [calibrate_delta_ladder(Density.stack([d]), zeta, tau=target, n=1)[0]
+    obs = Observable(zeta)
+    ladder = calibrate_delta_ladder(Density.stack([near, far, near]), obs, tau=target, n=1)
+    singles = [calibrate_delta_ladder(Density.stack([d]), obs, tau=target, n=1)[0]
                for d in (near, far, near)]
     assert ladder.tolist() == singles
     for d, delta in zip((near, far), ladder):
@@ -241,7 +246,7 @@ def test_build_threshold_schedule_basics(mesh512, const01):
     np.testing.assert_allclose(ts.step_masses, tau / n, atol=1e-12)
     assert ts.fstar == pytest.approx(tau, abs=1e-9)
     assert np.max(ts.step_masses) <= tau / n + 1e-12
-    assert ts.zeta == obs.zeta
+    assert ts.observable == obs
     assert np.all(schedule_window(ts)[2])
     np.testing.assert_allclose(ts.levels, -np.log(ts.deltas), rtol=1e-12)
     rows = list(ts.rows())
@@ -256,7 +261,7 @@ def test_build_threshold_schedule_routes_agree(mesh512, const01):
     ladder = [uniform_density(mesh512)]
     for _ in range(24):
         ladder.append(op.push(ladder[-1]))
-    ulam = calibrate_delta_ladder(Density.stack(ladder), obs.zeta, 1.0, 25)
+    ulam = calibrate_delta_ladder(Density.stack(ladder), obs, 1.0, 25)
     np.testing.assert_allclose(exact.deltas, ulam, rtol=0, atol=1e-12)
 
 
@@ -296,7 +301,7 @@ def test_streamed_ladder_equals_single_builds_and_full_ladder(mesh512, schedule)
     streamed = build_threshold_schedule(schedule, obs, tau, ns, mesh512)
     assert [ts.n for ts in streamed] == list(ns)
     full = push_density(schedule.alphas(max(ns) - 1), uniform_density(mesh512))
-    radii = calibrate_delta_ladder(Density.stack(full), obs.zeta, tau, np.array(ns))
+    radii = calibrate_delta_ladder(Density.stack(full), obs, tau, np.array(ns))
     assert radii.shape == (len(ns), len(full))
     for n, row, ts in zip(ns, radii, streamed):
         single, = build_threshold_schedule(schedule, obs, tau, (n,), mesh512)
@@ -304,7 +309,7 @@ def test_streamed_ladder_equals_single_builds_and_full_ladder(mesh512, schedule)
             assert getattr(ts, name).tolist() == getattr(single, name).tolist(), name
         assert ts.deltas.tolist() == row[:n].tolist()
         head = Density.stack(full[:n])
-        assert ts.deltas.tolist() == calibrate_delta_ladder(head, obs.zeta, tau, n).tolist()
+        assert ts.deltas.tolist() == calibrate_delta_ladder(head, obs, tau, n).tolist()
         masses = head.interval_mass(obs.zeta - ts.deltas, obs.zeta + ts.deltas)
         assert ts.step_masses.tolist() == masses.tolist()
         assert ts.levels.tolist() == np.asarray(obs.level_for_radius(row[:n])).tolist()
