@@ -381,19 +381,19 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
     """Structured diagnostics: the errors, which block a run, or when there
     are none the warnings, which do not.
 
-    Each diagnostic names the key it concerns, and a fault is an error only
-    when the kind reads that key (`kind_reads`); in any other key it is a
-    warning, and so is each such key set away from its default
-    (`unused-key`).  For a kind that reads `exponents`, the asymptotic
-    exponent budgets are evaluated at the schedule's sup exponent and
-    reported as warnings; no configuration is rejected for its budget,
-    matching the advisory role these inequalities play at finite n.
+    Each diagnostic names the key it concerns.  A fault is an error, and is
+    reported only in a key the kind reads (`kind_reads`); any other key set
+    away from its default gets one `unused-key` warning.  For a kind that
+    reads `exponents`, the exponent budgets are evaluated at the schedule's
+    sup exponent and reported as warnings; no configuration is rejected for
+    its budget, matching the advisory role these inequalities play at
+    finite n.
     """
     diagnostics: list[Diagnostic] = []
 
     def fault(key, code, message):
-        severity = "error" if kind_reads(config, key) else "warning"
-        diagnostics.append(Diagnostic(severity, code, message, key))
+        if kind_reads(config, key):
+            diagnostics.append(Diagnostic("error", code, message, key))
 
     def warning(key, code, message):
         diagnostics.append(Diagnostic("warning", code, message, key))
@@ -417,9 +417,9 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         fault("n_ladder", "bad-n", f"{config.kind} needs {row.min_rungs} rungs at least{why}")
     if min(ns) < row.min_n:
         fault(horizon, "bad-n", f"{config.kind} horizons must be at least {row.min_n}{why}")
-    # build_threshold_schedule refuses the same tau / n
+    # calibrate_delta_ladder refuses the same tau / n
     n = min(ns)
-    if kind_reads(config, "tau") and n >= 1 and config.tau / n > 1.0 + 1e-12:
+    if n >= 1 and config.tau / n > 1.0 + 1e-12:
         fault("tau", "bad-tau", f"tau/n exceeds total mass 1 at n = {n}; no calibration exists")
     if config.n_samples < 1:
         fault("n_samples", "bad-samples", "sample count must be positive")
@@ -442,9 +442,6 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
     for name in ("beta", "kappa"):
         if not 0.0 < getattr(exps, name) < 1.0:
             fault(f"exponents.{name}", "bad-exponents", f"{name} must lie in (0, 1)")
-    if kind_reads(config, "exponents") and 0.0 < exps.beta <= exps.kappa < 1.0:
-        warning("exponents.kappa", "kappa-beta-ordering",
-                f"kappa={exps.kappa} should stay below beta={exps.beta}")
 
     # the run builds these specs, and their constructors check the rest
     # (mesh kind, cells and ratio, the observable's zeta, schedule cycle
@@ -468,9 +465,8 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
     except ValueError as exc:
         fault("recurrence", "bad-recurrence", str(exc))
 
-    errors = [d for d in diagnostics if d.severity == "error"]
-    if errors:
-        return errors
+    if diagnostics:
+        return diagnostics
 
     # out_dir says only where the run is written
     default = _flat(ExperimentConfig())
@@ -484,7 +480,7 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
             warning("exponents", "budget-" + check.name,
                     f"{check.detail}: lhs={check.lhs:.6g}, rhs={check.rhs:.6g}")
 
-    if _is_dyadic(config.observable.zeta):
+    if kind_reads(config, "observable.zeta") and _is_dyadic(config.observable.zeta):
         warning("observable.zeta", "zeta-dyadic",
                 "zeta is a dyadic rational; reference points off the binary "
                 "grid avoid orbit/threshold coincidences")

@@ -327,9 +327,9 @@ def _run_recurrence(config: ExperimentConfig, mc: _MonteCarlo):
             side="below"))
 
     local_rows = []
-    zeta = config.observable.zeta
+    observable = config.observable.build()
     for j in LOCAL_JS:
-        measured = local_recurrence_at(schedule, zeta, j, params)
+        measured = local_recurrence_at(schedule, observable, j, params)
         bound = local_recurrence_bound(j, params)
         local_rows.append((j, measured, bound, int(measured <= bound)))
         checks.append(TargetCheck(

@@ -22,6 +22,7 @@ import numpy as np
 
 from ._numeric import bisect, distinct, slope
 from .maps import ALPHA_STAR, ParameterSchedule
+from .thresholds import Observable
 
 BISECT_TOL = 1e-10
 MAX_HORIZON = 2 ** 20  # the longest union horizon a run accepts, in steps
@@ -182,17 +183,15 @@ def measure_Ej(schedule: ParameterSchedule, j: float, params: RecurrenceParams,
     return _union_measure(schedule, j, params, _stratified_nodes(resolution))
 
 
-def local_recurrence_at(schedule: ParameterSchedule, zeta: float, j: float,
+def local_recurrence_at(schedule: ParameterSchedule, observable: Observable, j: float,
                         params: RecurrenceParams, resolution: int = 2048) -> float:
-    """Measure of the j^-gamma ball at zeta intersected with the union set
-    at scale j^gamma, on a uniform grid over the ball.
+    """Measure of the union set at scale j^gamma within the j^-gamma ball
+    at the observable's zeta, clipped to [0, 1], on a uniform grid over it.
 
     The companion bound local_recurrence_bound holds for almost every zeta
     once j is large enough, with a non-constructive onset, so callers report
     violations per j instead of failing hard.
     """
-    if not 0.0 < zeta < 1.0:
-        raise ValueError("zeta must lie in (0, 1)")
     if not (math.isfinite(j) and j > 0.0):
         raise ValueError(f"j must be positive and finite, got {j!r}")
     try:  # Python floats raise here where numpy scalars would give inf
@@ -200,6 +199,7 @@ def local_recurrence_at(schedule: ParameterSchedule, zeta: float, j: float,
     except OverflowError:
         raise ValueError(f"j ** gamma or j ** -gamma overflows at j={j!r}, "
                          f"gamma={params.gamma!r}") from None
+    zeta = observable.zeta
     nodes = np.linspace(max(0.0, zeta - radius), min(1.0, zeta + radius), resolution + 1)
     return _union_measure(schedule, scale, params, nodes)
 

@@ -149,16 +149,12 @@ def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable
     alphas(m) is a prefix of alphas(n), so step i reads the same density f_i
     for every horizon n > i.  The pass pushes _BLOCK densities at a time,
     stacks them into one Density, calibrates it for every horizon that still
-    needs it, takes the step masses from its interval_mass and then drops
-    it, so no ladder is ever held whole.
+    needs it (so the first block checks tau / n), takes its step masses
+    from interval_mass and drops it, so no ladder is ever held whole.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
     horizons = distinct(np.asarray(ns, dtype=int))
     if horizons.size == 0 or horizons[0] < 1:
         raise ValueError("n must be positive")
-    if tau / horizons[0] > 1.0 + 1e-12:
-        raise ValueError("tau/n exceeds total mass 1; no calibration exists")
     zeta, top = observable.zeta, int(horizons[-1])
     alphas = schedule.alphas(top - 1)
     deltas = np.zeros((horizons.size, top))

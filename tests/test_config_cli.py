@@ -265,9 +265,7 @@ def test_kappa_above_beta_is_a_warning_not_an_error():
     cfg = default_config("dprime", exponents=ExponentSpec(beta=0.5, kappa=0.85))
     diags = validate_config(cfg)
     assert all(d.severity == "warning" for d in diags)
-    codes = {d.code for d in diags}
-    assert "kappa-beta-ordering" in codes
-    assert "budget-block-gap-ordering" in codes  # 0.85*1.05 > 0.5
+    assert "budget-block-gap-ordering" in {d.code for d in diags}  # 0.85*1.05 > 0.5
 
 
 def test_dyadic_zeta_warns():
@@ -275,6 +273,10 @@ def test_dyadic_zeta_warns():
     diags = validate_config(cfg)
     assert [d.code for d in diags] == ["zeta-dyadic"]
     assert diags[0].severity == "warning"
+    # decay reads no zeta, so its zeta is only unread
+    cfg = default_config("decay", observable=ObservableSpec(zeta=0.75))
+    assert [(d.severity, d.code, d.key) for d in validate_config(cfg)] == [
+        ("warning", "unused-key", "observable.zeta")]
 
 
 def test_budget_warnings_at_large_sup_alpha():
@@ -419,8 +421,9 @@ def test_hard_errors_are_reported_beside_another_error(overrides, code):
     assert {code, second} <= codes, codes
 
 
-# faults in keys the kind does not read: a warning with the fault's code,
-# and an unused-key warning for each key set away from its default
+# keys the kind does not read, each row named by the fault it plants there
+# (unused-key where it plants none): no fault is reported, only one
+# unused-key warning for each key set away from its default
 UNREAD_FAULTS = [
     (dict(workers=0), "unused-key"),
     (dict(workers=2), "unused-key"),
@@ -436,9 +439,9 @@ UNREAD_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("overrides,code", UNREAD_FAULTS,
+@pytest.mark.parametrize("overrides", [o for o, _ in UNREAD_FAULTS],
                          ids=[_row_id(o, c) for o, c in UNREAD_FAULTS])
-def test_unread_key_faults_are_warnings(overrides, code, tmp_path):
+def test_unread_key_faults_are_warnings(overrides, tmp_path):
     # the run goes ahead, in the directory of the run without the fault,
     # with the same verdicts and tables; the clean run has the row's mesh
     # kind, so a row may set the fields that kind does not read
@@ -448,8 +451,7 @@ def test_unread_key_faults_are_warnings(overrides, code, tmp_path):
     clean = default_config(kind, **small)
     faulty = _config_with(overrides, **{k: v for k, v in small.items() if k not in overrides})
     diags = validate_config(faulty)
-    assert {d.severity for d in diags} == {"warning"}, diags
-    assert {code, "unused-key"} <= {d.code for d in diags}, diags
+    assert {(d.severity, d.code) for d in diags} == {("warning", "unused-key")}, diags
     # each key the row sets away from the clean run gets one unused-key warning
     unused = [d.key for d in diags if d.code == "unused-key"]
     clean_values = _flat(clean)
@@ -460,6 +462,29 @@ def test_unread_key_faults_are_warnings(overrides, code, tmp_path):
     assert runs[0].experiment_id == runs[1].experiment_id
     assert runs[0].passed == runs[1].passed
     assert runs[0].tables == runs[1].tables
+
+
+def _reported_where_read(config, diagnostic) -> bool:
+    """Whether a diagnostic keeps the one-report rule: an error on a key the
+    kind reads, unused-key on a key it does not read, or a budget or
+    dyadic-zeta warning for a kind that reads exponents or zeta."""
+    if diagnostic.severity == "error":
+        return kind_reads(config, diagnostic.key)
+    if diagnostic.code == "unused-key":
+        return not kind_reads(config, diagnostic.key)
+    if diagnostic.code.startswith("budget-"):
+        return kind_reads(config, "exponents")
+    return diagnostic.code == "zeta-dyadic" and kind_reads(config, "observable.zeta")
+
+
+def test_every_fault_is_reported_only_where_it_is_read():
+    # each row as it stands and under every kind: orbit with tau = -1, say,
+    # gets unused-key on tau and no bad-tau
+    for overrides, _ in HARD_ERRORS + UNREAD_FAULTS:
+        for kind in (overrides.get("kind", "evl"), *KINDS):
+            config = _config_with(overrides, kind=kind)
+            for diagnostic in validate_config(config):
+                assert _reported_where_read(config, diagnostic), (kind, overrides, diagnostic)
 
 
 def test_bad_tau_follows_the_calibrated_horizons():
@@ -539,7 +564,6 @@ def test_infeasible_recurrence_spec_severity_depends_on_kind():
     assert as_recurrence[0].code == "bad-recurrence"
     as_evl = validate_config(default_config("evl", recurrence=bad))
     assert [(d.severity, d.code, d.key) for d in as_evl] == [
-        ("warning", "bad-recurrence", "recurrence"),
         ("warning", "unused-key", "recurrence.kappa")]
 
 

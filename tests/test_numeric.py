@@ -4,7 +4,7 @@ bracketed bisection on its own."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqevl import experiments, recurrence, thresholds, transfer
 from seqevl._numeric import bisect, distinct, slope
@@ -60,9 +60,18 @@ def test_distinct_is_unique(values):
         assert same(distinct(a), np.unique(a))
 
 
+def slope_tolerance(x, y, want) -> float:
+    """How far `slope` may lie from polyfit's slope want: 1e-12 relative, or
+    where the fit is ill-conditioned 64 eps max|y| / spread(x), the rounding
+    of y that a slope over so short a spread amplifies (the gap reached 18
+    times that over 60,000 uniform draws of the random-points parameters)."""
+    conditioning = np.finfo(float).eps * np.max(np.abs(y)) / np.ptp(x)
+    return max(1e-12 * abs(want), 64.0 * conditioning)
+
+
 def assert_slope_is_polyfit(x, y):
     want = np.polyfit(x, y, 1)[0]
-    assert abs(slope(x, y) - want) <= 1e-12 * abs(want)
+    assert abs(slope(x, y) - want) <= slope_tolerance(x, y, want)
 
 
 @given(ladder=st.sampled_from(LADDERS), a=st.floats(0.1, 10.0), sign=st.sampled_from((-1, 1)),
@@ -73,13 +82,36 @@ def test_slope_is_polyfit_on_the_run_ladders(ladder, a, sign, b, seed):
     assert_slope_is_polyfit(ladder, sign * a * ladder + b + noise)
 
 
-@given(size=st.integers(2, 40), a=st.floats(0.1, 10.0), sign=st.sampled_from((-1, 1)),
-       seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=50, deadline=None)
-def test_slope_is_polyfit_on_random_points(size, a, sign, seed):
+def random_points(size, a, sign, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-50.0, 50.0, size)
-    assert_slope_is_polyfit(x, sign * a * x + rng.uniform(-50.0, 50.0) + rng.normal(size=size))
+    return x, sign * a * x + rng.uniform(-50.0, 50.0) + rng.normal(size=size)
+
+
+@given(size=st.integers(2, 40), a=st.floats(0.1, 10.0), sign=st.sampled_from((-1, 1)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(size=2, a=1.0, sign=-1, seed=5247)
+@settings(max_examples=50, deadline=None)
+def test_slope_is_polyfit_on_random_points(size, a, sign, seed):
+    assert_slope_is_polyfit(*random_points(size, a, sign, seed))
+
+
+def test_slope_tolerance_admits_an_ill_conditioned_two_point_fit():
+    # x = -20.5, -22.5 and y = 65.075, 65.086: the slope and polyfit differ
+    # by 1.33e-12 relative, beyond a plain 1e-12 relative bound
+    x, y = random_points(2, 1.0, -1, 5247)
+    want = np.polyfit(x, y, 1)[0]
+    gap = abs(slope(x, y) - want)
+    assert 1e-12 * abs(want) < gap <= slope_tolerance(x, y, want)
+
+
+@pytest.mark.parametrize("ladder", LADDERS, ids=("decay", "decay-long", "en-eps", "ej"))
+def test_slope_tolerance_refuses_a_slope_off_by_1e9(ladder):
+    # the run-ladder strategy's shallowest lines (a = 0.1) at its farthest
+    # offsets, where the conditioning term is largest against the slope
+    for y in (sign * 0.1 * ladder + b for sign in (-1, 1) for b in (-20.0, 20.0)):
+        want = np.polyfit(ladder, y, 1)[0]
+        assert abs(slope(ladder, y) * (1.0 + 1e-9) - want) > slope_tolerance(ladder, y, want)
 
 
 def test_decay_slope_is_polyfit_on_a_decay_run():

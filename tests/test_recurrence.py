@@ -16,6 +16,7 @@ from seqevl.recurrence import (
     min_orbit_displacement,
     orbit_displacement,
 )
+from seqevl.thresholds import Observable
 
 # closed-form left endpoint of the n = 1 return set: (eps 2^-alpha)^(1/(1+alpha))
 # at alpha = 0.1, eps = 2^-8 (mpmath, 40 significant digits)
@@ -175,23 +176,20 @@ def test_measure_ej_grows_with_horizon(const01):
 def test_local_recurrence_contained_in_ball(const01):
     p = RecurrenceParams()
     for zeta in (0.3, 1.0 / np.sqrt(2.0)):
-        m = local_recurrence_at(const01, zeta, 8.0, p)
+        m = local_recurrence_at(const01, Observable(zeta), 8.0, p)
         assert 0.0 <= m <= 2.0 * 8.0 ** -p.gamma + 1e-12
 
 
 def test_local_recurrence_validation(const01):
-    p = RecurrenceParams()
-    with pytest.raises(ValueError):
-        local_recurrence_at(const01, 0.0, 8.0, p)
-    with pytest.raises(ValueError):
-        local_recurrence_at(const01, 1.0, 8.0, p)
+    # zeta is the Observable's to check (test_observable_validation)
+    p, obs = RecurrenceParams(), Observable(0.3)
     for j in (0.0, -8.0, np.nan, np.inf):
         with pytest.raises(ValueError, match=r"^j must be positive and finite"):
-            local_recurrence_at(const01, 0.3, j, p)
+            local_recurrence_at(const01, obs, j, p)
     # finite, but j ** -gamma or j ** gamma overflows
     for j in (1e-200, 1e200, np.float64(1e-200), np.float64(1e200)):
         with pytest.raises(ValueError, match=r"overflows at j="):
-            local_recurrence_at(const01, 0.3, j, p)
+            local_recurrence_at(const01, obs, j, p)
 
 
 def test_measure_ej_validation(const01):

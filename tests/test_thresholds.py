@@ -266,17 +266,18 @@ def test_build_threshold_schedule_routes_agree(mesh512, const01):
 
 
 def test_build_threshold_schedule_validation(mesh512, const01):
+    # the build checks its horizons, and the first block's calibration tau / n
     obs = Observable()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
         build_threshold_schedule(const01, obs, -1.0, (10,), mesh512)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be positive"):
         build_threshold_schedule(const01, obs, 1.0, (0,), mesh512)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be positive"):
         build_threshold_schedule(const01, obs, 1.0, (), mesh512)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceedance mass exceeds the total mass"):
         build_threshold_schedule(const01, obs, 5.0, (2,), mesh512)
-    with pytest.raises(ValueError, match="tau/n exceeds"):  # refused for its shortest rung
-        build_threshold_schedule(const01, obs, 5.0, (10, 2), mesh512)
+    with pytest.raises(ValueError, match="exceedance mass exceeds the total mass"):
+        build_threshold_schedule(const01, obs, 5.0, (10, 2), mesh512)  # its shortest rung
 
 
 def test_zero_tau_schedule(mesh512, const01):
