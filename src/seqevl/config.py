@@ -38,36 +38,40 @@ class Kind:
 
     help: str
     reads: tuple[str, ...]
-    # "ladder": n, or n_ladder when it is nonempty; "one": the same, with one
-    # entry in n_ladder at most; "none": no horizon key, `ladder` always
-    horizons: str = "ladder"
-    ladder: tuple[int, ...] = ()  # the horizons when n_ladder is empty
+    ladder: tuple[int, ...] = ()  # the horizons when the run reads no horizon key
     min_n: int = 1
     min_rungs: int = 1
     why: str = ""  # the reason for min_n and min_rungs
 
+    def horizon_key(self, config: ExperimentConfig) -> str | None:
+        """The one horizon key a run reads: `n_ladder` when the row reads it and
+        it is set, else `n` when the row reads it, else none (`ladder` stands)."""
+        if "n_ladder" in self.reads and config.n_ladder:
+            return "n_ladder"
+        return "n" if "n" in self.reads else None
+
     def ns(self, config: ExperimentConfig) -> tuple:
         """The horizons a run of this kind steps to: the one rule that the
         runners and `validate_config` read."""
-        return (self.ladder if self.horizons == "none"
-                else tuple(config.n_ladder) or self.ladder or (config.n,))
+        key = self.horizon_key(config)
+        return (config.n,) if key == "n" else tuple(config.n_ladder) if key else self.ladder
 
 
-_CALIBRATED = ("tau", "n", "n_ladder", "n_samples", "seed", "schedule", "observable", "mesh")
+_CALIBRATED = ("tau", "n", "n_samples", "seed", "schedule", "observable", "mesh")
 KINDS = {
-    "evl": Kind("estimate the no-exceedance probability against exp(-tau)", _CALIBRATED),
-    "calibrate": Kind("build the threshold ladder and cross-check it by simulation",
-                      _CALIBRATED, "one"),
+    "evl": Kind("estimate the no-exceedance probability against exp(-tau)",
+                (*_CALIBRATED, "n_ladder")),
+    "calibrate": Kind("build the threshold ladder and cross-check it by simulation", _CALIBRATED),
     "dprime": Kind("within-block exceedance pair sums over a horizon ladder",
-                   (*_CALIBRATED, "exponents")),
-    "d0": Kind("mixing gap between an exceedance and a later clear window", _CALIBRATED, "one",
+                   (*_CALIBRATED, "n_ladder", "exponents")),
+    "d0": Kind("mixing gap between an exceedance and a later clear window", _CALIBRATED,
                min_n=5, why="below n = 5 both separations clamp to one gap"),
     "decay": Kind("loss-of-memory distances for equal-mass inputs",
                   ("n_ladder", "schedule", "mesh"), ladder=tuple(2 ** k for k in range(6, 13)),
                   min_n=2, min_rungs=2, why="the slope fit reads log log n at two horizons"),
     "recurrence": Kind("measures of fast-returning sets and their scaling",
-                       ("schedule", "observable.zeta", "recurrence"), "none", (1, 5, 20)),
-    "orbit": Kind("print one sequential orbit", ("n", "n_ladder", "x0", "schedule"), "one"),
+                       ("schedule", "observable.zeta", "recurrence"), (1, 5, 20)),
+    "orbit": Kind("print one sequential orbit", ("n", "x0", "schedule")),
 }
 
 
@@ -217,9 +221,11 @@ def read_fields(spec) -> tuple[str, ...]:
 def kind_reads(config: ExperimentConfig, key: str) -> bool:
     """Whether a run of the config's kind reads key (top-level, a section
     or `section.field`): `kind` always, every key for a kind that KINDS
-    does not name, which validate refuses, and of a section its row names,
-    the fields `read_fields` gives."""
+    does not name, which validate refuses, `n` as its `horizon_key`, and of
+    a section its row names, the fields `read_fields` gives."""
     row = KINDS.get(config.kind)
+    if row is not None and key == "n":
+        return row.horizon_key(config) == "n"
     if row is None or key == "kind" or key in row.reads:
         return True
     section, _, name = key.partition(".")
@@ -398,7 +404,7 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
     def warning(key, code, message):
         diagnostics.append(Diagnostic("warning", code, message, key))
 
-    row = KINDS.get(config.kind, Kind("", ()))
+    row = KINDS.get(config.kind, Kind("", ("n", "n_ladder")))  # an unknown kind has horizons too
     if config.kind not in KINDS:
         fault("kind", "bad-kind", f"unknown experiment kind {config.kind!r}")
     if config.tau < 0.0:
@@ -406,12 +412,9 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
     # the horizons are checked as the row resolves them, so a horizon key the
     # kind does not read is only flagged unread
     ns = row.ns(config)
-    horizon = "n_ladder" if config.n_ladder else "n"
+    horizon = row.horizon_key(config)
     why = f": {row.why}" if row.why else ""
-    if row.horizons == "one" and len(ns) > 1:
-        fault("n_ladder", "bad-n",
-              f"{config.kind} runs one horizon; n_ladder may hold one entry at most")
-    elif any(a >= b for a, b in zip(ns, ns[1:])):
+    if any(a >= b for a, b in zip(ns, ns[1:])):
         fault("n_ladder", "bad-n", "n_ladder entries must be strictly increasing")
     if len(ns) < row.min_rungs:
         fault("n_ladder", "bad-n", f"{config.kind} needs {row.min_rungs} rungs at least{why}")

@@ -204,7 +204,7 @@ def test_readme_kind_table_is_reads():
     rows = re.findall(r"^\| `(\w+)` +\| (.*?) +\| (.*?) *\|$", readme, flags=re.M)
 
     def rule(row):
-        parts = [f"`{row.horizons}`", f"n >= {row.min_n}" * (row.min_n > 1),
+        parts = [f"n >= {row.min_n}" * (row.min_n > 1),
                  f"{row.min_rungs} rungs or more" * (row.min_rungs > 1),
                  ("ladder " + ", ".join(map(str, row.ladder))) * bool(row.ladder)]
         return "; ".join(part for part in parts if part)
@@ -242,9 +242,17 @@ def test_spec_defaults_are_the_builders_defaults():
     assert ExponentSpec().kappa == blocks["kappa"].default
 
 
-def test_ns_prefers_ladder():
-    assert KINDS["evl"].ns(default_config("evl", n=7)) == (7,)
-    assert KINDS["evl"].ns(default_config("evl", n=7, n_ladder=(2, 4))) == (2, 4)
+def test_each_kind_steps_to_its_one_horizon_source():
+    def ns(kind, **overrides):
+        return KINDS[kind].ns(default_config(kind, n=7, **overrides))
+
+    for kind in ("evl", "dprime"):
+        assert (ns(kind), ns(kind, n_ladder=(2, 4))) == ((7,), (2, 4))
+    assert (ns("decay"), ns("decay", n_ladder=(2, 4))) == (KINDS["decay"].ladder, (2, 4))
+    assert KINDS["decay"].ladder == (64, 128, 256, 512, 1024, 2048, 4096)
+    for kind in ("calibrate", "d0", "orbit"):
+        assert ns(kind) == ns(kind, n_ladder=(2, 4)) == ns(kind, n_ladder=(500,)) == (7,)
+    assert ns("recurrence") == ns("recurrence", n_ladder=(2, 4)) == (1, 5, 20)
 
 
 # --------------------------------------------------------------- validation
@@ -311,9 +319,9 @@ HARD_ERRORS = [
     (dict(schedule=ScheduleSpec(alpha_star=2.0)), "bad-schedule"),
     (dict(tau=5000.0), "bad-tau"),
     (dict(n_ladder=(1, 1000), tau=2.0), "bad-tau"),
-    (dict(kind="calibrate", n_ladder=(1000, 250)), "bad-n"),
-    (dict(kind="d0", n_ladder=(250, 500)), "bad-n"),
-    (dict(kind="orbit", n_ladder=(100, 50)), "bad-n"),
+    (dict(kind="calibrate", n=-250), "bad-n"),
+    (dict(kind="d0", n=3), "bad-n"),
+    (dict(kind="orbit", n=-50), "bad-n"),
     (dict(kind="orbit", n=0), "bad-n"),
     # the builders alone catch iid lo == hi and a one-cell uniform mesh;
     # validate_config itself an unknown mode (`explicit` is none) and a
@@ -328,7 +336,7 @@ HARD_ERRORS = [
     (dict(kind="recurrence", observable=ObservableSpec(zeta=0.0)), "bad-zeta"),
     # the gap needs an event step and a later window, so two steps at least
     (dict(kind="d0", n=1), "bad-n"),
-    (dict(kind="d0", n_ladder=(1,)), "bad-n"),
+    (dict(kind="d0", n=-1), "bad-n"),
     # rows from here on are named by _row_id; add new rows at the end
     # a recurrence run's own spec faults are errors, reported beside the others:
     # an infeasible beta, and local union horizons above the ceiling (about
@@ -436,6 +444,11 @@ UNREAD_FAULTS = [
     # a uniform mesh reads its cells alone, a periodic schedule its cycle
     (dict(mesh=MeshSpec(kind="uniform", cells=64, ratio=0.5, min_width=1e-3)), "unused-key"),
     (dict(schedule=ScheduleSpec(lo=0.02, seed=3)), "unused-key"),
+    # calibrate, d0 and orbit step to n alone, whatever n_ladder holds
+    (dict(kind="calibrate", n_ladder=(1000, 250)), "unused-key"),
+    (dict(kind="d0", n_ladder=(250, 500)), "unused-key"),
+    (dict(kind="orbit", n_ladder=(100, 50)), "unused-key"),
+    (dict(kind="d0", n_ladder=(1,)), "unused-key"),
 ]
 
 
@@ -494,16 +507,9 @@ def test_bad_tau_follows_the_calibrated_horizons():
         diags = validate_config(default_config(kind, tau=5000.0))
         assert [(d.code, d.message) for d in diags if d.severity == "error"] == [
             ("bad-tau", "tau/n exceeds total mass 1 at n = 1000; no calibration exists")]
-    # no calibration for decay; calibrate and d0 run one horizon, so a
-    # longer ladder is refused and a one-entry ladder is calibrated in place of n
-    for kind, overrides in (("decay", dict(tau=5000.0)),
-                            ("calibrate", dict(n=1, n_ladder=(500,), tau=2.0)),
-                            ("d0", dict(n=1, n_ladder=(500,), tau=2.0))):
-        cfg = default_config(kind, **overrides)
-        assert not [d for d in validate_config(cfg) if d.severity == "error"], kind
-    for kind in ("calibrate", "d0"):
-        cfg = default_config(kind, n_ladder=(1, 1000), tau=2.0)
-        assert "bad-n" in {d.code for d in validate_config(cfg) if d.severity == "error"}, kind
+    # no calibration for decay
+    cfg = default_config("decay", tau=5000.0)
+    assert not [d for d in validate_config(cfg) if d.severity == "error"]
     assert "bad-tau" not in {d.code for d in validate_config(default_config("evl", tau=1000.0))}
 
 
@@ -513,11 +519,13 @@ ONE_HORIZON_FAULT = [
     ("evl", dict(n=0), "bad-n", "evl horizons must be at least 1"),
     ("d0", dict(n=0), "bad-n",
      "d0 horizons must be at least 5: below n = 5 both separations clamp to one gap"),
-    ("calibrate", dict(n_ladder=(0,)), "bad-n", "calibrate horizons must be at least 1"),
+    ("calibrate", dict(n=0), "bad-n", "calibrate horizons must be at least 1"),
     ("decay", dict(n_ladder=(0, 64)), "bad-n",
      "decay horizons must be at least 2: the slope fit reads log log n at two horizons"),
     ("recurrence", dict(n=0), "unused-key",
      "recurrence runs do not read n; its value changes nothing"),
+    ("evl", dict(n=0, n_ladder=(250, 500)), "unused-key",
+     "evl runs do not read n; its value changes nothing"),
 ]
 
 
@@ -700,10 +708,13 @@ def test_cli_flags_of_unread_keys_keep_the_id(tmp_path):
 def test_experiment_id_hashes_only_the_read_keys():
     orbit = experiments.experiment_id(default_config("orbit"))
     for overrides in (dict(n_samples=5, tau=3.0), dict(mesh=MeshSpec(cells=64)),
-                      dict(out_dir="elsewhere"), dict(workers=2)):
+                      dict(out_dir="elsewhere"), dict(workers=2), dict(n_ladder=(500,))):
         assert experiments.experiment_id(default_config("orbit", **overrides)) == orbit
     evl = experiments.experiment_id(default_config("evl"))
     assert experiments.experiment_id(default_config("evl", n_samples=5)) != evl
+    # a set n_ladder leaves n unread
+    ladder = experiments.experiment_id(default_config("evl", n_ladder=(250, 500)))
+    assert experiments.experiment_id(default_config("evl", n=777, n_ladder=(250, 500))) == ladder
 
 
 def test_cli_quantitative_failure_exits_two(tmp_path):

@@ -6,6 +6,7 @@ import io
 import json
 import math
 from dataclasses import fields, is_dataclass, replace
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -183,12 +184,13 @@ SELECTIONS = [
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_runner_reads_exactly_its_keys(kind, tmp_path, monkeypatch):
-    """The keys a runner and its Monte Carlo stage read are KINDS[kind].reads
-    and `kind`, through which it reads its row (every kind reads `kind`, see
-    `kind_reads`): a read field counts as its section where the row names
-    the whole section.  Of the schedule and the mesh it reads, field for
-    field, what the selector's value reads, and those are the keys that
-    `kind_reads` names."""
+    """The keys a runner and its Monte Carlo stage read are those of
+    KINDS[kind].reads that `kind_reads` names, with `kind`, through which it
+    reads its row (every kind reads `kind`): a read field counts as its
+    section where the row names the whole section.  A set n_ladder leaves n
+    unread, and a kind that does not read n_ladder steps to n whatever it
+    holds.  Of the schedule and the mesh it reads, field for field, what the
+    selector's value reads, and those are the keys that `kind_reads` names."""
     reads = set()
     runner = experiments._RUNNERS[kind]
 
@@ -199,14 +201,16 @@ def test_runner_reads_exactly_its_keys(kind, tmp_path, monkeypatch):
     monkeypatch.setitem(experiments._RUNNERS, kind, recorded)
     path = tmp_path / f"{kind}.toml"
     row = KINDS[kind].reads
-    for (schedule, schedule_reads), (mesh, mesh_reads) in SELECTIONS:
+    for ((schedule, schedule_reads), (mesh, mesh_reads)), ladder in product(
+            SELECTIONS, ((), (10, 20))):
         reads.clear()
-        # n_ladder stays empty, so the kinds that fall back to n read both
-        cfg = default_config(kind, n=20, n_samples=200, schedule=schedule, mesh=mesh)
+        cfg = default_config(kind, n=20, n_ladder=ladder, n_samples=200,
+                             schedule=schedule, mesh=mesh)
         path.write_text(cfg.to_toml(), encoding="utf-8")
         code, _ = _cli([kind, "--config", str(path), "--out", str(tmp_path / "runs")])
-        assert code in (0, 2)
-        assert {key if key in row else key.split(".")[0] for key in reads} == {"kind", *row}
+        assert code in (0, 2), (ladder, code)
+        assert {key if key in row else key.split(".")[0] for key in reads} == {
+            "kind", *(key for key in row if kind_reads(cfg, key))}, ladder
         for section, fields_read in (("schedule", schedule_reads), ("mesh", mesh_reads)):
             expected = {f"{section}.{name}" for name in fields_read} if section in row else set()
             assert {key for key in reads if key.startswith(section + ".")} == expected, section
