@@ -42,17 +42,20 @@ def _config_from_args(args) -> object:
     return cfg
 
 
+def _print_diagnostics(diagnostics, stdout) -> None:
+    for diag in diagnostics:
+        print(f"[{diag.severity.upper()}] {diag.code}: {diag.message}", file=stdout)
+
+
 def _run_validate(cfg, stdout) -> int:
     diagnostics = validate_config(cfg)
-    for diag in diagnostics:
-        print(f"[{diag.severity.upper()}] {diag.code}: {diag.message}",
-              file=stdout)
+    _print_diagnostics(diagnostics, stdout)
     if any(d.severity == "error" for d in diagnostics):
         return 1
     for check in ledger_report(cfg):
-        flag = "ok" if check.satisfied else "violated"
-        print(f"[LEDGER] {check.name}: {flag} "
-              f"(lhs={check.lhs:.6g}, rhs={check.rhs:.6g})", file=stdout)
+        if check.satisfied:  # a violated budget was printed as its warning
+            print(f"[LEDGER] {check.name}: ok "
+                  f"(lhs={check.lhs:.6g}, rhs={check.rhs:.6g})", file=stdout)
     print("configuration valid", file=stdout)
     return 0
 
@@ -70,8 +73,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         if args.command == "validate":
             return _run_validate(cfg, stdout)
         report = run_experiment(cfg)
-        for warn in report.warnings:
-            print(f"[WARN] {warn.code}: {warn.message}", file=stdout)
+        _print_diagnostics(report.warnings, stdout)
         for check in report.checks:
             status = "INFO" if check.info else "PASS" if check.passed else "FAIL"
             print(f"[{status}] {check.name}: measured={check.measured:.6g} "

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar
 
-from .maps import ALPHA_STAR, MODE_FIELDS, ParameterSchedule, _named_exponents
+from .maps import MODE_FIELDS, ParameterSchedule, _named_exponents
 from .mesh import (DEFAULT_CELLS, DEFAULT_MIN_WIDTH, DEFAULT_RATIO, Mesh,
                    graded_mesh, uniform_mesh)
 from .montecarlo import DEFAULT_BETA, DEFAULT_KAPPA
@@ -153,7 +153,7 @@ class RecurrenceSpec:
     xi: float = RecurrenceParams.xi
     gamma: float = RecurrenceParams.gamma
 
-    def build(self, alpha_star: float = ALPHA_STAR) -> RecurrenceParams:
+    def build(self, alpha_star: float) -> RecurrenceParams:
         return RecurrenceParams(alpha_star=alpha_star, beta=self.beta,
                                 kappa=self.kappa, xi=self.xi, gamma=self.gamma)
 
@@ -358,11 +358,9 @@ def exponent_ledger(alpha_star: float, beta: float = ExponentSpec.beta,
 
 def ledger_report(config: ExperimentConfig) -> list[LedgerCheck]:
     """The exponent budgets at the sup exponent of the config's schedule;
-    none for a kind that does not read `exponents`, or when beta or kappa
-    lies outside (0, 1), where they mean nothing."""
+    none for a kind that does not read `exponents`."""
     exps = config.exponents
-    if not (kind_reads(config, "exponents") and 0.0 < exps.beta < 1.0
-            and 0.0 < exps.kappa < 1.0):
+    if not kind_reads(config, "exponents"):
         return []
     return exponent_ledger(max(_named_exponents(config.schedule)), exps.beta, exps.kappa)
 

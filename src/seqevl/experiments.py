@@ -67,7 +67,6 @@ class ExperimentReport:
     warnings: tuple
     metrics: dict
     out_dir: str
-    tables: dict = field(default_factory=dict)
 
     def summary_payload(self) -> dict:
         return {
@@ -87,15 +86,14 @@ def experiment_id(config: ExperimentConfig) -> str:
     return f"{config.kind}-{digest[:12]}"
 
 
-def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     diagnostics = validate_config(config)  # the errors, or else the warnings
     if any(d.severity == "error" for d in diagnostics):
         raise ConfigError("; ".join(f"{d.code}: {d.message}" for d in diagnostics))
 
-    base = Path(base_dir) if base_dir is not None else Path(config.out_dir)
     exp_id = experiment_id(config)
     # the writers make the directory, so a runner that raises leaves none
-    out_dir = base / exp_id
+    out_dir = Path(config.out_dir) / exp_id
 
     mc = _MonteCarlo(config)
     started = time.perf_counter()
@@ -117,7 +115,6 @@ def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentReport:
                  "samples": mc.samples,
                  "samples_per_second": mc.samples / mc.seconds if mc.seconds > 0 else 0.0},
         out_dir=str(out_dir),
-        tables=tables,
     )
     write_json(out_dir / "summary.json", report.summary_payload())
     return report

@@ -5,6 +5,7 @@ here is tuned to pass.  Expected runtime is a couple of minutes.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -311,12 +312,11 @@ def test_criterion_11_outputs_byte_identical_across_chunk_sizes(tmp_path, monkey
     for kind, extra in (("calibrate", dict(n=50)),
                         ("evl", dict(n_ladder=(50, 100)))):
         cfg = default_config(kind, tau=1.0, n_samples=n_samples, seed=SEED,
-                             mesh=MeshSpec(cells=512), out_dir="unused",
-                             **extra)
+                             mesh=MeshSpec(cells=512), **extra)
         runs = {}
         for size in (16384, 1000, n_samples):
             monkeypatch.setattr(montecarlo, "CHUNK_SIZE", size)
-            report = run_experiment(cfg, base_dir=tmp_path / f"chunk-{size}")
+            report = run_experiment(replace(cfg, out_dir=str(tmp_path / f"chunk-{size}")))
             out = Path(report.out_dir)
             tables = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
             assert tables, f"{kind}: no tables written"

@@ -234,7 +234,7 @@ def test_readme_commands_are_the_parsers():
 
 def test_spec_defaults_are_the_builders_defaults():
     assert ObservableSpec().build() == Observable()
-    assert RecurrenceSpec().build() == RecurrenceParams()
+    assert RecurrenceSpec().build(ScheduleSpec().alpha_star) == RecurrenceParams()
     assert ScheduleSpec().build() == ParameterSchedule()
     assert np.array_equal(MeshSpec().build().boundaries, graded_mesh().boundaries)
     blocks = inspect.signature(build_blocks).parameters
@@ -470,11 +470,14 @@ def test_unread_key_faults_are_warnings(overrides, tmp_path):
     clean_values = _flat(clean)
     assert {k for k, v in _flat(faulty).items() if v != clean_values[k]} <= set(unused), diags
     assert len(unused) == len(set(unused)), diags
-    runs = [experiments.run_experiment(cfg, base_dir=tmp_path / tag)
+    runs = [experiments.run_experiment(replace(cfg, out_dir=str(tmp_path / tag)))
             for tag, cfg in (("clean", clean), ("faulty", faulty))]
     assert runs[0].experiment_id == runs[1].experiment_id
     assert runs[0].passed == runs[1].passed
-    assert runs[0].tables == runs[1].tables
+    clean_tables, faulty_tables = ({path.name: path.read_bytes()
+                                    for path in sorted(Path(run.out_dir).glob("*.csv"))}
+                                   for run in runs)
+    assert clean_tables and clean_tables == faulty_tables
 
 
 def _reported_where_read(config, diagnostic) -> bool:
@@ -591,9 +594,36 @@ def test_cli_validate_default_config(tmp_path):
     assert code == 0
     assert "configuration valid" in out
     assert out.count("[LEDGER]") == 4
-    assert "violated" not in out
+    assert "[WARNING]" not in out
     assert err == ""
     assert run_cli(["validate"]) == (0, "configuration valid\n", "")
+
+
+def test_cli_validate_names_each_budget_once(tmp_path):
+    # a violated budget is printed as its warning alone, a budget that
+    # holds as its ledger line
+    path = tmp_path / "dprime.toml"
+    path.write_text(default_config("dprime", schedule=ScheduleSpec(cycle=(0.14,)),
+                                   exponents=ExponentSpec(beta=0.5, kappa=0.45)).to_toml())
+    code, out, _ = run_cli(["validate", "--config", str(path)])
+    lines = out.splitlines()
+    assert code == 0
+    assert sum(line.startswith("[WARNING] budget-") for line in lines) == 3
+    assert [line for line in lines if line.startswith("[LEDGER]")] == [
+        "[LEDGER] block-gap-ordering: ok (lhs=0.4725, rhs=0.5)"]
+    for name in ("mixing-gap-budget", "pair-sum-budget", "recurrence-budget",
+                 "block-gap-ordering"):
+        assert sum(name in line for line in lines) == 1, (name, out)
+
+
+def test_a_run_prints_its_warnings_as_validate_does(tmp_path):
+    path = tmp_path / "orbit.toml"
+    path.write_text(default_config("orbit", tau=2.0).to_toml())
+    _, validated, _ = run_cli(["validate", "--config", str(path)])
+    code, ran, _ = run_cli(["orbit", "--config", str(path), "--out", str(tmp_path)])
+    warning, = [line for line in validated.splitlines() if line.startswith("[WARNING]")]
+    assert warning.startswith("[WARNING] unused-key: ")
+    assert code == 0 and warning in ran.splitlines()
 
 
 def test_cli_run_path_imports_no_scipy():

@@ -33,25 +33,29 @@ def test_horizon_ladder_pushes_one_trajectory(kind, tmp_path, monkeypatch):
     monkeypatch.setattr(transfer, "pf_apply", counting_pf_apply)
     cfg = default_config(kind, n_ladder=LADDER, n_samples=3000,
                          mesh=MeshSpec(cells=256))
-    ladder = run_experiment(cfg, base_dir=tmp_path / "ladder")
+    ladder = run_experiment(replace(cfg, out_dir=str(tmp_path / "ladder")))
     assert len(pushes) == max(LADDER) - 1
     assert not (tmp_path / "ladder" / "cache").exists()
 
+    # each table of the ladder run is the header and the rows of the
+    # one-horizon runs, in order
     singles = {}
     for n in LADDER:
-        single = run_experiment(replace(cfg, n_ladder=(), n=n),
-                                base_dir=tmp_path / f"n{n}")
-        for name, (header, rows) in single.tables.items():
-            singles.setdefault(name, (header, []))[1].extend(rows)
-    assert ladder.tables == singles
+        single = run_experiment(replace(cfg, n_ladder=(), n=n, out_dir=str(tmp_path / f"n{n}")))
+        for path in sorted(Path(single.out_dir).glob("*.csv")):
+            header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            singles.setdefault(path.name, [header]).extend(rows)
+    tables = {path.name: path.read_text(encoding="utf-8").splitlines(keepends=True)
+              for path in sorted(Path(ladder.out_dir).glob("*.csv"))}
+    assert tables == singles
 
 
 def test_throughput_counts_the_monte_carlo_stage_only(tmp_path):
     cfg = default_config("evl", n=50, n_samples=2000, mesh=MeshSpec(cells=256))
-    metrics = run_experiment(cfg, base_dir=tmp_path).metrics
+    metrics = run_experiment(replace(cfg, out_dir=str(tmp_path))).metrics
     assert 0.0 < metrics["montecarlo_seconds"] <= metrics["elapsed_seconds"]
     assert metrics["samples_per_second"] == metrics["samples"] / metrics["montecarlo_seconds"]
-    orbit = run_experiment(default_config("orbit"), base_dir=tmp_path).metrics
+    orbit = run_experiment(default_config("orbit", out_dir=str(tmp_path))).metrics
     assert orbit["montecarlo_seconds"] == orbit["samples_per_second"] == 0.0
 
 
@@ -62,7 +66,7 @@ def test_throughput_counts_the_monte_carlo_stage_only(tmp_path):
 ])
 def test_first_radius_target_is_the_clipped_uniform_ball(tau, radius, tmp_path):
     cfg = default_config("calibrate", n=1, tau=tau, n_samples=2000, mesh=MeshSpec(cells=256))
-    check, = [c for c in run_experiment(cfg, base_dir=tmp_path).checks
+    check, = [c for c in run_experiment(replace(cfg, out_dir=str(tmp_path))).checks
               if c.name == "first-radius"]
     assert check.target == pytest.approx(radius, rel=1e-15)
     assert check.measured == pytest.approx(radius, abs=1e-12)
@@ -126,7 +130,7 @@ def test_single_horizon_dprime_tolerance_is_tau(tmp_path):
 @pytest.mark.parametrize("kind", KINDS)
 def test_summary_verdicts_are_json_booleans(kind, tmp_path):
     cfg = default_config(kind, n=50, n_samples=2000, mesh=MeshSpec(cells=64))
-    report = run_experiment(cfg, base_dir=tmp_path)
+    report = run_experiment(replace(cfg, out_dir=str(tmp_path)))
     summary = json.loads((Path(report.out_dir) / "summary.json").read_text(encoding="utf-8"))
     assert isinstance(summary["passed"], bool)
     assert summary["checks"]
@@ -137,7 +141,7 @@ def test_summary_verdicts_are_json_booleans(kind, tmp_path):
 
 def test_d0_at_its_smallest_horizon_compares_two_separations(tmp_path):
     cfg = default_config("d0", n=KINDS["d0"].min_n, n_samples=2000, mesh=MeshSpec(cells=64))
-    (check,) = run_experiment(cfg, base_dir=tmp_path).checks
+    (check,) = run_experiment(replace(cfg, out_dir=str(tmp_path))).checks
     assert check.name == "d0-monotone-t2-t3"
 
 
@@ -147,7 +151,7 @@ def test_run_whose_runner_raises_leaves_no_directory(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "sequential_orbit", broken)
     with pytest.raises(ValueError, match="runner fault"):
-        run_experiment(default_config("orbit", n=5), base_dir=tmp_path / "runs")
+        run_experiment(default_config("orbit", n=5, out_dir=str(tmp_path / "runs")))
     assert not (tmp_path / "runs").exists()
 
 

@@ -5,7 +5,7 @@ called when `cli.main` runs a small matrix of configs.  Code that only tests
 use belongs in `tests/reference.py`.  `validate_config` and `cli` name no
 kind, and `experiments` names one only to map it to its runner.  Every
 config key is read by some kind.  README's Quick start block runs against
-the package as it stands."""
+the package as it stands, and its imports are all the package exports."""
 
 import ast
 import contextlib
@@ -19,6 +19,9 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
+import seqevl
 from seqevl import cli
 from seqevl.config import (KINDS, ExperimentConfig, MeshSpec, ScheduleSpec, _flat,
                            default_config, kind_reads)
@@ -175,19 +178,38 @@ print(json.dumps({"codes": codes, "linalg": sorted(called),
 """
 
 
+def footprint(runs) -> dict:
+    """FOOTPRINT's report on the CLI argument lists runs, each of which must
+    exit 0 or 2."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, check=True)
+    report = json.loads(done.stdout)
+    if not all(code in (0, 2) for code in report["codes"]):
+        pytest.fail(f"a run exited 1: {report['codes']}")
+    return report
+
+
 def test_runs_load_only_what_they_compute_with(tmp_path):
     """No run needs numpy.ma, numpy.polynomial or a numpy.linalg routine,
     which sets up LAPACK: together about 2.5 MB of a run's peak memory.
     Nor does one need numpy.random, whose Philox streams `_rng.uniforms`
     draws in plain numpy (2.2 MB), or scipy, which only an exact
     Clopper-Pearson interval near 0 or 1 loads."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(run_matrix(tmp_path))],
-                          capture_output=True, text=True, env=env, check=True)
-    footprint = json.loads(done.stdout)
-    assert all(code in (0, 2) for code in footprint["codes"]), footprint["codes"]
-    assert (footprint["loaded"], footprint["linalg"]) == ([], [])
+    report = footprint(run_matrix(tmp_path))
+    assert (report["loaded"], report["linalg"]) == ([], [])
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason="ROADMAP item 23")
+def test_an_edge_interval_loads_only_what_it_computes_with(tmp_path):
+    """`calibrate` with 5,000 samples expects 5 hits per picked step, so
+    every `exceedance-i*` estimate takes the exact Clopper-Pearson branch,
+    which loads scipy."""
+    config = tmp_path / "calibrate.toml"
+    config.write_text(default_config("calibrate", n_samples=5000).to_toml(), encoding="utf-8")
+    report = footprint([["calibrate", "--config", str(config), "--out", str(tmp_path / "runs")]])
+    assert report["loaded"] == []
 
 
 def test_every_key_is_read_by_some_kind():
@@ -230,9 +252,22 @@ def test_validate_and_cli_name_no_kind():
     assert named == []
 
 
-def test_readme_quick_start_runs():
+def quick_start() -> str:
+    """README's one python block, the Quick start."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    return block
+
+
+def test_package_exports_the_quick_start_names():
+    # every other name has one import route, its module
+    (imported,) = [node for node in ast.walk(ast.parse(quick_start()))
+                   if isinstance(node, ast.ImportFrom) and node.module == "seqevl"]
+    assert sorted(seqevl.__all__) == sorted(alias.name for alias in imported.names)
+
+
+def test_readme_quick_start_runs():
+    block = quick_start()
     namespace, out = {}, io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), namespace)

@@ -2,6 +2,8 @@
 replace on the run path, `np.unique` and `np.polyfit(x, y, 1)[0]`, and the
 bracketed bisection on its own."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -43,7 +45,7 @@ def test_distinct_is_unique_at_every_call_site(tmp_path, monkeypatch):
                                observable=ObservableSpec(zeta=0.5)),
                 default_config("decay", mesh=mesh),
                 default_config("recurrence")):
-        run_experiment(cfg, base_dir=tmp_path)
+        run_experiment(replace(cfg, out_dir=str(tmp_path)))
     # the helpers also take unsorted, repeated horizons and times
     schedule, small = ParameterSchedule(), uniform_mesh(16)
     thresholds.build_threshold_schedule(schedule, Observable(), 1.0, (40, 10, 40), small)
