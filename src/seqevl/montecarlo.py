@@ -18,10 +18,6 @@ stream (`_rng.uniforms`) when it is walked, so the stage holds one chunk
 whatever n_samples is and the chunks together start from the points of one
 whole draw.  The counts are exact integers, so every estimate is identical
 for any chunk size.
-
-The module needs only numpy to import: `scipy.special` is loaded inside
-`EstimateWithCI.from_counts`, and only for an exact Clopper-Pearson
-interval near 0 or 1.
 """
 
 from __future__ import annotations
@@ -31,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numeric import bisect
 from ._rng import uniforms
 from .maps import apply_map_batch
 from .thresholds import ThresholdSchedule
@@ -46,7 +43,6 @@ DEFAULT_KAPPA = 0.85
 class EstimateWithCI:
     value: float
     se: float
-    n_samples: int
     ci_low: float
     ci_high: float
     method: str = "normal"
@@ -62,20 +58,32 @@ class EstimateWithCI:
         p = k / n
         se = math.sqrt(p * (1.0 - p) / n)
         if k < 10 or n - k < 10:  # normal approximation is poor near the edges
-            # exact beta quantiles; imported here so that a run reaching no
-            # edge interval never loads scipy
-            from scipy.special import betaincinv
-            lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, 0.025))
-            hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 0.975))
-            return cls(p, se, n, lo, hi, method="clopper-pearson")
-        return cls(p, se, n, max(0.0, p - Z95 * se), min(1.0, p + Z95 * se))
+            return cls(p, se, *_clopper_pearson(k, n), method="clopper-pearson")
+        return cls(p, se, max(0.0, p - Z95 * se), min(1.0, p + Z95 * se))
 
     @classmethod
     def from_moments(cls, total: float, total_sq: float, n: int) -> "EstimateWithCI":
         mean = total / n
         var = max(0.0, (total_sq - total * total / n) / (n - 1)) if n > 1 else 0.0
         se = math.sqrt(var / n)
-        return cls(mean, se, n, mean - Z95 * se, mean + Z95 * se)
+        return cls(mean, se, mean - Z95 * se, mean + Z95 * se)
+
+
+def _clopper_pearson(k: int, n: int) -> tuple[float, float]:
+    """Exact 95% ends for k hits in n samples (Clopper-Pearson 1934): hi solves
+    P(Bin(n, p) <= k) = 0.025 and lo P(Bin(n, p) <= k - 1) = 0.975, mirrored
+    when n - k < k, so a tail sums min(k, n - k) + 1 terms."""
+    if n - k < k:
+        lo, hi = _clopper_pearson(n - k, n)
+        return 1.0 - hi, 1.0 - lo
+
+    def cdf(j, p):  # not exp(log(comb) + i log(p)), whose terms cancel to 1e-13 at n = 2**62
+        return math.fsum(math.comb(n, i) * p ** i * math.exp((n - i) * math.log1p(-p))
+                         for i in range(j + 1))
+
+    lo = 0.0 if k == 0 else float(bisect(lambda p: cdf(k - 1, p) > 0.975, 0.0, 1.0, 120))
+    hi = 1.0 if k == n else float(bisect(lambda p: cdf(k, p) > 0.025, 0.0, 1.0, 120))
+    return lo, hi
 
 
 def _sweep(ts: ThresholdSchedule, seed: int, label: str, n_samples: int, reads, chunk):
@@ -249,7 +257,6 @@ def dprime_sum(ts: ThresholdSchedule, blocks: BlockStructure, seed: int,
 class MixingGap:
     covariance: float
     se: float
-    n_samples: int
     p_event: float
     p_window: float
 
@@ -295,4 +302,4 @@ def d0_mixing_gap(ts: ThresholdSchedule, i: int, t: int, ell: int, seed: int,
     ez = (n11 * z11 + n10 * z10 + n01 * z01) / N
     ez2 = (n11 * z11 ** 2 + n10 * z10 ** 2 + n01 * z01 ** 2) / N
     se = math.sqrt(max(0.0, ez2 - ez * ez) / N)
-    return MixingGap(covariance=cov, se=se, n_samples=N, p_event=pa, p_window=pw)
+    return MixingGap(covariance=cov, se=se, p_event=pa, p_window=pw)

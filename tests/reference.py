@@ -545,4 +545,4 @@ def mc_correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
     cov = mu_uv - mu_u * mu_v
     var_uv = max(0.0, suv2 / N - mu_uv ** 2)
     se = math.sqrt(var_uv / N)  # conservative: ignores the (smaller) product terms
-    return EstimateWithCI(cov, se, N, cov - Z95 * se, cov + Z95 * se)
+    return EstimateWithCI(cov, se, cov - Z95 * se, cov + Z95 * se)

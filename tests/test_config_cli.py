@@ -5,15 +5,12 @@ import io
 import json
 import math
 import re
-import subprocess
-import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import seqevl
 from seqevl import experiments
 from seqevl.cli import build_parser, main
 from seqevl.config import (
@@ -624,22 +621,6 @@ def test_a_run_prints_its_warnings_as_validate_does(tmp_path):
     warning, = [line for line in validated.splitlines() if line.startswith("[WARNING]")]
     assert warning.startswith("[WARNING] unused-key: ")
     assert code == 0 and warning in ran.splitlines()
-
-
-def test_cli_run_path_imports_no_scipy():
-    # scipy is loaded only for edge Clopper-Pearson intervals and for the
-    # Ulam reference; a fresh interpreter running the CLI must not load it
-    src = Path(seqevl.__file__).resolve().parents[1]
-    probe = (
-        "import io, sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "import seqevl, seqevl.cli\n"
-        "assert seqevl.cli.main(['validate'], stdout=io.StringIO()) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-    )
-    done = subprocess.run([sys.executable, "-c", probe, str(src)],
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]", done.stdout[:500]
 
 
 def test_cli_validate_rejects_bad_exponent(tmp_path):

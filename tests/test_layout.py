@@ -16,6 +16,7 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from dataclasses import fields
 from pathlib import Path
 
@@ -59,10 +60,13 @@ UNREAD_KEYS_ALLOWED = {
 
 # (command, config overrides) run under the profiler: every kind, every
 # schedule mode and both mesh kinds, each small enough that the matrix runs
-# in about half a second; validate then checks the default config
+# in about half a second; calibrate's 20 samples give its exceedance
+# estimates fewer than 10 hits, the exact Clopper-Pearson branch; validate
+# then checks the default config
 RUNS = (
     ("evl", dict(n_ladder=(8, 16))),
-    ("calibrate", dict(n=12, schedule=ScheduleSpec(mode="periodic", cycle=(0.05, 0.1)),
+    ("calibrate", dict(n=12, n_samples=20,
+                       schedule=ScheduleSpec(mode="periodic", cycle=(0.05, 0.1)),
                        mesh=MeshSpec(kind="uniform", cells=32))),
     ("dprime", dict(n_ladder=(16, 24), schedule=ScheduleSpec(mode="iid"))),
     ("d0", dict(n=20)),
@@ -195,21 +199,30 @@ def test_runs_load_only_what_they_compute_with(tmp_path):
     """No run needs numpy.ma, numpy.polynomial or a numpy.linalg routine,
     which sets up LAPACK: together about 2.5 MB of a run's peak memory.
     Nor does one need numpy.random, whose Philox streams `_rng.uniforms`
-    draws in plain numpy (2.2 MB), or scipy, which only an exact
-    Clopper-Pearson interval near 0 or 1 loads."""
+    draws in plain numpy (2.2 MB), or scipy: an exact Clopper-Pearson
+    interval, which the calibrate run reaches, sums binomial tails."""
     report = footprint(run_matrix(tmp_path))
     assert (report["loaded"], report["linalg"]) == ([], [])
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True, reason="ROADMAP item 23")
-def test_an_edge_interval_loads_only_what_it_computes_with(tmp_path):
-    """`calibrate` with 5,000 samples expects 5 hits per picked step, so
-    every `exceedance-i*` estimate takes the exact Clopper-Pearson branch,
-    which loads scipy."""
-    config = tmp_path / "calibrate.toml"
-    config.write_text(default_config("calibrate", n_samples=5000).to_toml(), encoding="utf-8")
-    report = footprint([["calibrate", "--config", str(config), "--out", str(tmp_path / "runs")]])
-    assert report["loaded"] == []
+def test_declared_dependencies_are_the_imported_ones():
+    """Every import of the package sits at module top level, so that no
+    stage timer is charged with loading a module, and the third-party
+    modules they name are the `[project] dependencies` of pyproject.toml."""
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert node in tree.body, f"{path.name}:{node.lineno} imports below top level"
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif node.level == 0:
+                    imported.add(node.module.split(".")[0])
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        declared = tomllib.load(f)["project"]["dependencies"]
+    names = {re.match(r"[\w.-]+", requirement).group() for requirement in declared}
+    assert imported - set(sys.stdlib_module_names) - {"seqevl"} == names
 
 
 def test_every_key_is_read_by_some_kind():

@@ -4,6 +4,7 @@ orbits, and the exponent budgets of `seqevl.config`."""
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -66,18 +67,36 @@ def test_from_counts_edge_branches():
     assert full.value == 1.0 and full.ci_high == 1.0 and full.ci_low < 1.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 9, 10, 19, 20, 37, 1000, 400_000])
-def test_from_counts_edge_interval_is_beta_ppf(n):
-    # the edge branch inverts the regularized incomplete beta directly; it
-    # must give exactly the Clopper-Pearson quantiles of scipy.stats.beta
-    from scipy import stats
+def binomial_cdf(j: int, n: int, p: Decimal) -> Decimal:
+    """P(Bin(n, p) <= j) to 60 digits, summed over the shorter tail."""
+    with localcontext(prec=60):
+        def mass(i):
+            return math.comb(n, i) * p ** i * (1 - p) ** (n - i)
 
-    for k in sorted(set(range(min(10, n + 1))) | set(range(max(0, n - 9), n + 1))):
+        if j < n - j:
+            return sum(mass(i) for i in range(j + 1))
+        return 1 - sum(mass(i) for i in range(j + 1, n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 19, 20, 37, 1000, 400_000, 2**62, 2**63 - 1])
+def test_from_counts_edge_interval_is_beta_ppf(n):
+    # the Clopper-Pearson ends are beta quantiles, and so the roots of
+    # binomial tails: hi of P(Bin(n, p) <= k) = 0.025, lo of P(Bin(n, p) <=
+    # k - 1) = 0.975.  A 60-digit tail must bracket each level between
+    # p(1 - 1e-13) and p(1 + 1e-13).  2**63 - 1 is the largest sample count
+    # a config takes, and its lower end at k = 1, 2.7e-21, the smallest end
+    ks = set(range(min(10, n + 1)))
+    if n < 2**62:
+        ks |= set(range(max(0, n - 9), n + 1))
+    for k in sorted(ks):
         e = EstimateWithCI.from_counts(k, n)
         assert e.method == "clopper-pearson"
-        lo = 0.0 if k == 0 else float(stats.beta.ppf(0.025, k, n - k + 1))
-        hi = 1.0 if k == n else float(stats.beta.ppf(0.975, k + 1, n - k))
-        assert (e.ci_low, e.ci_high) == (lo, hi), (k, n)
+        assert (e.ci_low == 0.0) == (k == 0) and (e.ci_high == 1.0) == (k == n), (k, n)
+        for end, j, level in ((e.ci_low, k - 1, "0.975"), (e.ci_high, k, "0.025")):
+            if 0 <= j < n:
+                above, below = (binomial_cdf(j, n, Decimal(end) * (1 + s * Decimal("1e-13")))
+                                for s in (-1, 1))
+                assert above > Decimal(level) > below, (k, n, end)
 
 
 @pytest.mark.parametrize("k, n", [(0, 0), (5, 3), (-1, 10), (1, -4)])
@@ -95,7 +114,7 @@ def test_from_moments():
 
 def test_ci_must_bracket_value():
     with pytest.raises(ValueError):
-        EstimateWithCI(0.5, 0.1, 10, 0.6, 0.7)
+        EstimateWithCI(0.5, 0.1, 0.6, 0.7)
 
 
 def test_rng_streams_are_label_keyed():
