@@ -1,24 +1,13 @@
-"""Sorted distinct values, least-squares slopes and bracketed bisection
-from plain numpy sorts, sums and selects.
+"""Least-squares slopes and bracketed bisection from plain numpy sums and
+selects.
 
-`np.unique` imports `numpy.ma` (numpy 2.4 asks `np.ma.is_masked` of its
-input), 1.2 MB of peak memory, and `np.polyfit` sets up LAPACK for its
-`lstsq`, 0.5-0.6 MB more; neither computes a value that a table holds.
+`np.polyfit` sets up LAPACK for its `lstsq`, 0.5-0.6 MB of peak memory,
+and computes no value that a table holds.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def distinct(a) -> np.ndarray:
-    """The sorted distinct values of a flattened array: `np.unique(a)` when
-    `a` holds no NaN."""
-    a = np.sort(a, axis=None)
-    keep = np.empty(a.shape, dtype=bool)
-    keep[:1] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
 
 
 def slope(x, y) -> float:
@@ -35,7 +24,7 @@ def bisect(below, lo, hi, steps: int, tol: float = 0.0):
     the half that holds its root (`below(mid)`: the root lies above mid), or
     after fewer once every bracket is narrower than tol."""
     for _ in range(steps):
-        if np.max(hi - lo, initial=0.0) < tol:
+        if tol > 0.0 and np.max(hi - lo, initial=0.0) < tol:
             break
         mid = 0.5 * (lo + hi)
         up = below(mid)

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._numeric import distinct
 from .config import (EJ_LADDER, EN_EPS_LADDER, KINDS, LOCAL_JS, ConfigError,
                      ExperimentConfig, validate_config)
 from .io import _write_atomic, write_csv, write_json
@@ -189,7 +188,7 @@ def _run_calibrate(config: ExperimentConfig, mc: _MonteCarlo):
         measured=ts.deltas[0], target=ts.observable.uniform_radius(config.tau / n),
         tolerance=1e-12)]
     count = min(20, n)
-    picks = distinct(np.linspace(0, n - 1, count).round().astype(int))
+    picks = sorted({int(i) for i in np.linspace(0, n - 1, count).round()})
     estimates = mc(estimate_exceedances, ts, picks)
     rows = []
     target = config.tau / n

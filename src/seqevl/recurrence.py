@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import bisect, distinct, slope
+from ._numeric import bisect, slope
 from .maps import ALPHA_STAR, ParameterSchedule
 from .thresholds import Observable
 
@@ -155,10 +155,12 @@ def _union_measure(schedule: ParameterSchedule, big_j: float, params: Recurrence
 
 def _stratified_nodes(resolution: int) -> np.ndarray:
     # geometric fill below the first uniform cell: return sets concentrate
-    # mass near the neutral fixed point at scales the uniform grid misses
+    # mass near the neutral fixed point at scales the uniform grid misses;
+    # every sub lies strictly between 0 and nodes[1], so reversed it slots in
+    # between them and the nodes come out sorted and distinct
     nodes = np.linspace(0.0, 1.0, resolution + 1)
     sub = nodes[1] * 2.0 ** -np.arange(1.0, 44.0)
-    return distinct(np.concatenate([nodes, sub[sub > 1e-15]]))
+    return np.concatenate(([0.0], sub[sub > 1e-15][::-1], nodes[1:]))
 
 
 def measure_En_eps(schedule: ParameterSchedule, n: int, eps: float,

@@ -22,7 +22,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._numeric import distinct
 from .maps import ParameterSchedule
 from .mesh import Density, Mesh, uniform_density
 from .transfer import push_density
@@ -63,6 +62,24 @@ class Observable:
 _BLOCK = 32
 
 
+def _kinks(b: np.ndarray, zeta: float) -> np.ndarray:
+    """0 and the distances |b_k - zeta| to the ascending boundaries b, sorted
+    and distinct, as numpy's unique gives them: the run that falls up to zeta
+    and the run that rises after it are merged, so nothing is sorted."""
+    j = np.searchsorted(b, zeta)
+    d = np.abs(b - zeta)
+    fall, rise = d[:j][::-1], d[j:]
+    # kinks[0] = 0; a value's place is 1 + its index in its run + the count of
+    # the other run's values before it, a tie putting the falling one first
+    kinks = np.zeros(d.size + 1)
+    kinks[np.searchsorted(rise, fall) + np.arange(1, fall.size + 1)] = fall
+    kinks[np.searchsorted(fall, rise, side="right") + np.arange(1, rise.size + 1)] = rise
+    keep = np.empty(kinks.shape, dtype=bool)
+    keep[0] = True
+    np.not_equal(kinks[1:], kinks[:-1], out=keep[1:])
+    return kinks[keep]
+
+
 def calibrate_delta_ladder(densities: Density, observable: Observable, tau: float,
                            n) -> np.ndarray:
     """Radius delta with mass(zeta - delta, zeta + delta) = tau / n for every
@@ -90,7 +107,7 @@ def calibrate_delta_ladder(densities: Density, observable: Observable, tau: floa
     if np.any(peak > densities.interval_mass(0.0, 1.0) * (1.0 + 1e-12)):
         raise ValueError("requested exceedance mass exceeds the total mass")
     zeta = observable.zeta
-    kinks = distinct(np.concatenate(([0.0], np.abs(densities.mesh.boundaries - zeta))))
+    kinks = _kinks(densities.mesh.boundaries, zeta)
     # the solution sits within the first few kinks unless tau / n is large,
     # so M is evaluated on a prefix of the kinks that grows until every
     # density reaches the largest target in it (or the prefix is all kinks);
@@ -152,7 +169,7 @@ def build_threshold_schedule(schedule: ParameterSchedule, observable: Observable
     needs it (so the first block checks tau / n), takes its step masses
     from interval_mass and drops it, so no ladder is ever held whole.
     """
-    horizons = distinct(np.asarray(ns, dtype=int))
+    horizons = np.array(sorted({int(n) for n in ns}), dtype=int)
     if horizons.size == 0 or horizons[0] < 1:
         raise ValueError("n must be positive")
     zeta, top = observable.zeta, int(horizons[-1])

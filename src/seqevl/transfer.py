@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import distinct, slope
+from ._numeric import slope
 from .maps import ParameterSchedule, lsv_left_inverse
 from .mesh import Density, Mesh, project
 
@@ -145,7 +145,7 @@ def loss_of_memory_distance(schedule: ParameterSchedule, f: Density, g: Density,
     pf_apply and of building the next Density, in the same order, without
     allocating one.
     """
-    ns = distinct(np.asarray([int(n) for n in ladder], dtype=int))
+    ns = np.array(sorted({int(n) for n in ladder}), dtype=int)
     if ns.size == 0 or ns[0] < 0:
         raise ValueError("ladder must contain nonnegative times")
     if abs(f.mass - g.mass) > 1e-10 * max(1.0, abs(f.mass)):

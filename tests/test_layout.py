@@ -162,21 +162,33 @@ def test_every_function_runs_under_cli_main(tmp_path):
 
 # run in a fresh interpreter: run_matrix's argument lists through cli.main,
 # then print which of numpy's lazily imported subpackages and of scipy are
-# loaded and which numpy.linalg functions ran
+# loaded, which numpy.linalg functions ran and which numpy sort-family calls
+# were made: the ndarray sort methods as C calls, and numpy's Python-level
+# sort, unique and lexsort (whose C body sits behind a Python dispatcher, so
+# the profiler sees no C call of it).  Python's sorted and list.sort are not
+# numpy's and do not count.
 FOOTPRINT = """
 import io, json, os, sys
 import numpy
 from seqevl import cli
 linalg, called = os.path.dirname(numpy.linalg.__file__), set()
+home, sorts = os.path.dirname(numpy.__file__) + os.sep, set()
 def profile(frame, event, arg):
-    if event == "call" and os.path.dirname(frame.f_code.co_filename) == linalg:
-        called.add(frame.f_code.co_qualname)
+    if event == "call":
+        code = frame.f_code
+        if os.path.dirname(code.co_filename) == linalg:
+            called.add(code.co_qualname)
+        if code.co_filename.startswith(home) and code.co_name in ("sort", "unique", "lexsort"):
+            sorts.add(code.co_qualname)
+    elif (event == "c_call" and isinstance(getattr(arg, "__self__", None), numpy.ndarray)
+          and arg.__name__ in ("sort", "argsort", "partition", "argpartition")):
+        sorts.add("ndarray." + arg.__name__)
 codes = []
 sys.setprofile(profile)
 for argv in json.loads(sys.argv[1]):
     codes.append(cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO()))
 sys.setprofile(None)
-print(json.dumps({"codes": codes, "linalg": sorted(called),
+print(json.dumps({"codes": codes, "linalg": sorted(called), "sorts": sorted(sorts),
                   "loaded": [m for m in ("numpy.ma", "numpy.polynomial", "numpy.random", "scipy")
                              if m in sys.modules]}))
 """
@@ -200,9 +212,12 @@ def test_runs_load_only_what_they_compute_with(tmp_path):
     which sets up LAPACK: together about 2.5 MB of a run's peak memory.
     Nor does one need numpy.random, whose Philox streams `_rng.uniforms`
     draws in plain numpy (2.2 MB), or scipy: an exact Clopper-Pearson
-    interval, which the calibrate run reaches, sums binomial tails."""
+    interval, which the calibrate run reaches, sums binomial tails.  Nor
+    does one sort with numpy, whose sort kernels fault in 0.3-0.4 MB of
+    code pages: ladders are sorted in Python, the calibration kinks merged
+    from two sorted runs and the recurrence nodes built in order."""
     report = footprint(run_matrix(tmp_path))
-    assert (report["loaded"], report["linalg"]) == ([], [])
+    assert (report["loaded"], report["linalg"], report["sorts"]) == ([], [], [])
 
 
 def test_declared_dependencies_are_the_imported_ones():

@@ -14,7 +14,6 @@ from seqevl import montecarlo
 from seqevl._rng import uniforms
 from seqevl.config import exponent_ledger
 from seqevl.maps import ALPHA_STAR, ParameterSchedule
-from seqevl.mesh import graded_mesh
 from seqevl.montecarlo import (
     EstimateWithCI,
     build_blocks,

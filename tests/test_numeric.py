@@ -1,21 +1,15 @@
-"""The sorted-distinct and slope helpers against the numpy routines they
-replace on the run path, `np.unique` and `np.polyfit(x, y, 1)[0]`, and the
-bracketed bisection on its own."""
-
-from dataclasses import replace
+"""The slope helper against the numpy routine it replaces on the run path,
+`np.polyfit(x, y, 1)[0]`, and the bracketed bisection on its own."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqevl import experiments, recurrence, thresholds, transfer
-from seqevl._numeric import bisect, distinct, slope
-from seqevl.config import (EJ_LADDER, EN_EPS_LADDER, KINDS, MeshSpec, ObservableSpec,
-                           default_config)
-from seqevl.experiments import run_experiment
+from seqevl import transfer
+from seqevl._numeric import bisect, slope
+from seqevl.config import EJ_LADDER, EN_EPS_LADDER, KINDS, MeshSpec
 from seqevl.maps import ParameterSchedule, lsv_left_inverse
-from seqevl.mesh import graded_mesh, uniform_density, uniform_mesh
-from seqevl.thresholds import Observable
+from seqevl.mesh import graded_mesh, uniform_density
 
 # the x values the run's slopes are fitted on: log n over the default and
 # the longest benchmarked decay ladders, log eps and log j over the
@@ -23,43 +17,6 @@ from seqevl.thresholds import Observable
 LADDERS = (np.log(np.asarray(KINDS["decay"].ladder, dtype=float)),
            np.log(2.0 ** np.arange(6, 16)),
            np.log(EN_EPS_LADDER), np.log(EJ_LADDER))
-
-
-def same(got, want) -> bool:
-    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-def test_distinct_is_unique_at_every_call_site(tmp_path, monkeypatch):
-    # every module's distinct answers as np.unique would, on the inputs a
-    # run gives it; zeta = 0.5 on a uniform mesh makes every kink a pair
-    calls = dict.fromkeys((experiments, recurrence, thresholds, transfer), 0)
-    for module in calls:
-        def checked(a, module=module):
-            got = distinct(a)
-            assert same(got, np.unique(a))
-            calls[module] += 1
-            return got
-        monkeypatch.setattr(module, "distinct", checked)
-    mesh = MeshSpec(kind="uniform", cells=32)
-    for cfg in (default_config("calibrate", n=40, n_samples=200, mesh=mesh,
-                               observable=ObservableSpec(zeta=0.5)),
-                default_config("decay", mesh=mesh),
-                default_config("recurrence")):
-        run_experiment(replace(cfg, out_dir=str(tmp_path)))
-    # the helpers also take unsorted, repeated horizons and times
-    schedule, small = ParameterSchedule(), uniform_mesh(16)
-    thresholds.build_threshold_schedule(schedule, Observable(), 1.0, (40, 10, 40), small)
-    f = uniform_density(small)
-    transfer.loss_of_memory_distance(schedule, f, f, (8, 0, 8, 3))
-    assert all(calls.values()), calls
-
-
-@given(st.lists(st.integers(-5, 5) | st.floats(-2.0, 2.0), max_size=30))
-@settings(max_examples=50, deadline=None)
-def test_distinct_is_unique(values):
-    for a in (np.asarray(values, dtype=float), np.asarray(values, dtype=float).round(),
-              np.asarray([int(v) for v in values], dtype=int)):
-        assert same(distinct(a), np.unique(a))
 
 
 def slope_tolerance(x, y, want) -> float:

@@ -8,6 +8,7 @@ from seqevl.recurrence import (
     BISECT_TOL,
     RecurrenceParams,
     _measure_below,
+    _stratified_nodes,
     local_recurrence_at,
     local_recurrence_bound,
     loglog_slope,
@@ -116,6 +117,17 @@ def test_measure_below_closed_form_sets():
 
     assert _measure_below(nodes, g) == 1.0
     assert calls == [nodes.size]
+
+
+@pytest.mark.parametrize("resolution", [16, 1024, 4096])
+def test_stratified_nodes_are_built_in_order(resolution):
+    # the uniform grid and its geometric fill below the first cell, bit for
+    # bit as np.unique of the two gives them
+    nodes = np.linspace(0.0, 1.0, resolution + 1)
+    sub = nodes[1] * 2.0 ** -np.arange(1.0, 44.0)
+    want = np.unique(np.concatenate([nodes, sub[sub > 1e-15]]))
+    got = _stratified_nodes(resolution)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_measure_en_eps_full_interval(const01):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from seqevl.config import MeshSpec
 from seqevl.maps import ALPHA_STAR, ParameterSchedule
 from seqevl.mesh import Density, graded_mesh, uniform_density, uniform_mesh
 from seqevl import thresholds
@@ -18,7 +19,7 @@ from seqevl.thresholds import (
     calibrate_delta_ladder,
     _BLOCK,
 )
-from seqevl.transfer import push_density
+from seqevl.transfer import loss_of_memory_distance, push_density
 from reference import (ConeParams, observable_distance, observable_value,
                        radius_for_level, schedule_window, threshold_window,
                        ulam_matrix)
@@ -60,6 +61,65 @@ def test_exceedance_identity(x, u):
     exceeds = observable_value(obs, x) > u
     in_ball = observable_distance(obs, x) < radius_for_level(obs, u)
     assert exceeds == in_ball
+
+
+# -------------------------------------------------------------- kinks and ladders
+
+KINK_MESHES = {"default": MeshSpec().build(), "default-x2": MeshSpec().build().refined(),
+               "graded-64": graded_mesh(64), "uniform-32": uniform_mesh(32),
+               "uniform-1024": uniform_mesh(1024)}
+
+
+def same(got, want) -> bool:
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def kink_mismatches(kinks) -> list:
+    """The (mesh, zeta) cases on which kinks(b, zeta) is not np.unique of 0
+    and |b - zeta| bit for bit.  The cases: the default zeta, 0.5 (on the
+    uniform meshes every kink is then a pair), a mesh boundary, zeta next to
+    either end of [0, 1] and random points."""
+    rng = np.random.default_rng(7)
+    cases = [(name, mesh.boundaries, float(zeta)) for name, mesh in KINK_MESHES.items()
+             for zeta in (DEFAULT_ZETA, 0.5, mesh.boundaries[mesh.n_cells // 3], 1e-9,
+                          1.0 - 1e-9, *rng.uniform(0.0, 1.0, 8))]
+    return [(name, zeta) for name, b, zeta in cases
+            if not same(kinks(b, zeta), np.unique(np.concatenate(([0.0], np.abs(b - zeta)))))]
+
+
+def test_kinks_are_the_sorted_distinct_distances():
+    assert kink_mismatches(thresholds._kinks) == []
+
+
+def broken_kinks(b, zeta, fault):
+    """The merge of thresholds._kinks with one fault."""
+    j = np.searchsorted(b, zeta)
+    d = np.abs(b - zeta)
+    fall, rise = (d[:j] if fault == "fall-not-reversed" else d[:j][::-1]), d[j:]
+    kinks = np.zeros(d.size + 1)
+    kinks[np.searchsorted(rise, fall) + np.arange(1, fall.size + 1)] = fall
+    side = "left" if fault == "ties-collide" else "right"
+    kinks[np.searchsorted(fall, rise, side=side) + np.arange(1, rise.size + 1)] = rise
+    return kinks if fault == "repeats-kept" else kinks[np.r_[True, kinks[1:] != kinks[:-1]]]
+
+
+@pytest.mark.parametrize("fault", ["fall-not-reversed", "ties-collide", "repeats-kept"])
+def test_kink_cases_refuse_a_broken_merge(fault):
+    assert kink_mismatches(lambda b, zeta: broken_kinks(b, zeta, None)) == []
+    assert kink_mismatches(lambda b, zeta: broken_kinks(b, zeta, fault))
+
+
+def test_unsorted_repeated_ladders_are_sorted_and_distinct():
+    # horizons and times may come unsorted and repeated: each distinct one
+    # is built once, and the times are np.unique's
+    schedule, small = ParameterSchedule(), uniform_mesh(16)
+    rungs = build_threshold_schedule(schedule, Observable(), 1.0, (40, 10, 40), small)
+    assert [ts.n for ts in rungs] == [40, 10, 40] and rungs[0] is rungs[2]
+    ten, forty = build_threshold_schedule(schedule, Observable(), 1.0, (10, 40), small)
+    assert same(rungs[1].deltas, ten.deltas) and same(rungs[0].deltas, forty.deltas)
+    f = uniform_density(small)
+    result = loss_of_memory_distance(schedule, f, f, (8, 0, 8, 3))
+    assert same(result.ns, np.unique(np.asarray((8, 0, 8, 3))))
 
 
 # -------------------------------------------------------------- calibration
