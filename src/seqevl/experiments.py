@@ -268,7 +268,7 @@ def _run_decay(config: ExperimentConfig, mc: _MonteCarlo):
     ladder = KINDS[config.kind].ns(config)
     alpha = schedule.sup_alpha()
     f = uniform_density(mesh)
-    g = cone_step_surrogate(mesh, height=2.0, cutoff=0.5, alpha=alpha)
+    g = cone_step_surrogate(mesh, alpha)
     result = loss_of_memory_distance(schedule, f, g, ladder)
     slope = result.corrected_slope(alpha)
     target = -(1.0 / alpha - 1.0) + 0.5
@@ -292,14 +292,12 @@ def _run_decay(config: ExperimentConfig, mc: _MonteCarlo):
 def _run_recurrence(config: ExperimentConfig, mc: _MonteCarlo):
     schedule = config.schedule.build()
     params = config.recurrence.build(config.schedule.alpha_star)
-    resolution = 1024  # strata of the return and union set grids
     slope_floor = 1.0 / (1.0 + config.schedule.alpha_star) - 0.15
 
     en_rows = []
     checks = []
     for n in KINDS[config.kind].ns(config):
-        measures = [measure_En_eps(schedule, n, eps, resolution)
-                    for eps in EN_EPS_LADDER]
+        measures = [measure_En_eps(schedule, n, eps) for eps in EN_EPS_LADDER]
         for eps, m in zip(EN_EPS_LADDER, measures):
             en_rows.append((n, eps, m))
         slope = loglog_slope(EN_EPS_LADDER, measures)
@@ -311,7 +309,7 @@ def _run_recurrence(config: ExperimentConfig, mc: _MonteCarlo):
     ej_rows = []
     ej_measures = []
     for j in EJ_LADDER:
-        m = measure_Ej(schedule, j, params, resolution)
+        m = measure_Ej(schedule, j, params)
         ej_measures.append(m)
         ej_rows.append((j, params.horizon(j), 2.0 / j, m))
     if all(m > 0.0 for m in ej_measures):

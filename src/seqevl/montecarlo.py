@@ -45,7 +45,6 @@ class EstimateWithCI:
     se: float
     ci_low: float
     ci_high: float
-    method: str = "normal"
 
     def __post_init__(self):
         if not self.ci_low <= self.value <= self.ci_high:
@@ -58,7 +57,7 @@ class EstimateWithCI:
         p = k / n
         se = math.sqrt(p * (1.0 - p) / n)
         if k < 10 or n - k < 10:  # normal approximation is poor near the edges
-            return cls(p, se, *_clopper_pearson(k, n), method="clopper-pearson")
+            return cls(p, se, *_clopper_pearson(k, n))
         return cls(p, se, max(0.0, p - Z95 * se), min(1.0, p + Z95 * se))
 
     @classmethod

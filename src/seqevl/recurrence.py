@@ -3,13 +3,14 @@
 The sets of interest are {x : |composition_n(x) - x| <= eps}, their unions
 over short time horizons, and the local version near a reference point.
 Each is one sublevel set, measured deterministically (not by Monte Carlo)
-on a grid with vectorized bisection at boundary crossings: a stratified
-grid over [0, 1] for the return sets and their unions, a uniform grid on
-the ball for the local version.  The stratified grid's geometric fill
-resolves components near the neutral fixed point, but a grid misses any
-component that lies inside one grid cell, as those around the 2^n
-hyperbolic periodic points do: at eps = 2^-14 it undercounts the return
-set 7.7x at n = 5 and 63x at n = 12 (ROADMAP item 12).
+on a fixed grid with vectorized bisection at boundary crossings: a
+stratified grid of STRATA uniform cells over [0, 1] for the return sets
+and their unions, a uniform grid of BALL_CELLS cells on the ball for the
+local version.  The stratified grid's geometric fill resolves components
+near the neutral fixed point, but a grid misses any component that lies
+inside one grid cell, as those around the 2^n hyperbolic periodic points
+do: at eps = 2^-14 it undercounts the return set 7.7x at n = 5 and 63x at
+n = 12 (ROADMAP item 12).
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .thresholds import Observable
 
 BISECT_TOL = 1e-10
 MAX_HORIZON = 2 ** 20  # the longest union horizon a run accepts, in steps
+STRATA = 1024  # uniform cells of the stratified grid over [0, 1]
+BALL_CELLS = 2048  # uniform cells of the grid over the local ball
 
 
 @dataclass(frozen=True)
@@ -140,11 +143,10 @@ def _union_measure(schedule: ParameterSchedule, big_j: float, params: Recurrence
     the 2/big_j return sets.
 
     One orbit pass per point stores min_i |composition_i(x) - x|; the union
-    is then a single sublevel-set measurement.
+    is then a single sublevel-set measurement.  At horizon 0 that minimum is
+    +inf at every node, so the measure is 0.
     """
     horizon = params.horizon(big_j)
-    if horizon < 1:
-        return 0.0
     eps = 2.0 / big_j
 
     def g(x):
@@ -153,18 +155,17 @@ def _union_measure(schedule: ParameterSchedule, big_j: float, params: Recurrence
     return _measure_below(nodes, g)
 
 
-def _stratified_nodes(resolution: int) -> np.ndarray:
+def _stratified_nodes(strata: int) -> np.ndarray:
     # geometric fill below the first uniform cell: return sets concentrate
     # mass near the neutral fixed point at scales the uniform grid misses;
     # every sub lies strictly between 0 and nodes[1], so reversed it slots in
     # between them and the nodes come out sorted and distinct
-    nodes = np.linspace(0.0, 1.0, resolution + 1)
+    nodes = np.linspace(0.0, 1.0, strata + 1)
     sub = nodes[1] * 2.0 ** -np.arange(1.0, 44.0)
     return np.concatenate(([0.0], sub[sub > 1e-15][::-1], nodes[1:]))
 
 
-def measure_En_eps(schedule: ParameterSchedule, n: int, eps: float,
-                   resolution: int = 4096) -> float:
+def measure_En_eps(schedule: ParameterSchedule, n: int, eps: float) -> float:
     """Lebesgue measure of {x : |composition_n(x) - x| <= eps}."""
     if not eps > 0.0:  # false for NaN too
         raise ValueError(f"eps must be positive, got {eps!r}")
@@ -174,19 +175,18 @@ def measure_En_eps(schedule: ParameterSchedule, n: int, eps: float,
     def g(x):
         return np.abs(orbit_displacement(schedule, n, x)) - eps
 
-    return _measure_below(_stratified_nodes(resolution), g)
+    return _measure_below(_stratified_nodes(STRATA), g)
 
 
-def measure_Ej(schedule: ParameterSchedule, j: float, params: RecurrenceParams,
-               resolution: int = 4096) -> float:
+def measure_Ej(schedule: ParameterSchedule, j: float, params: RecurrenceParams) -> float:
     """Measure of the union over i <= horizon(j) of the 2/j return sets."""
     if not (math.isfinite(j) and j >= 2):
         raise ValueError(f"j must be finite and at least 2, got {j!r}")
-    return _union_measure(schedule, j, params, _stratified_nodes(resolution))
+    return _union_measure(schedule, j, params, _stratified_nodes(STRATA))
 
 
 def local_recurrence_at(schedule: ParameterSchedule, observable: Observable, j: float,
-                        params: RecurrenceParams, resolution: int = 2048) -> float:
+                        params: RecurrenceParams) -> float:
     """Measure of the union set at scale j^gamma within the j^-gamma ball
     at the observable's zeta, clipped to [0, 1], on a uniform grid over it.
 
@@ -202,7 +202,7 @@ def local_recurrence_at(schedule: ParameterSchedule, observable: Observable, j: 
         raise ValueError(f"j ** gamma or j ** -gamma overflows at j={j!r}, "
                          f"gamma={params.gamma!r}") from None
     zeta = observable.zeta
-    nodes = np.linspace(max(0.0, zeta - radius), min(1.0, zeta + radius), resolution + 1)
+    nodes = np.linspace(max(0.0, zeta - radius), min(1.0, zeta + radius), BALL_CELLS + 1)
     return _union_measure(schedule, scale, params, nodes)
 
 

@@ -88,23 +88,14 @@ def push_density(alphas, f0: Density) -> list[Density]:
 # cone of admissible densities
 
 
-def cone_step_surrogate(mesh: Mesh, height: float, cutoff: float,
-                        alpha: float) -> Density:
-    """Cone-admissible stand-in for height * indicator([0, cutoff]).
+def cone_step_surrogate(mesh: Mesh, alpha: float) -> Density:
+    """Cone-admissible stand-in for the indicator of [0, 1/2].
 
-    A sharp step leaves the cone, so the tail is replaced by the steepest
-    admissible profile height * (x / cutoff)^(-(1+alpha)); the result is
-    normalized to unit mass.
+    A sharp step leaves the cone, so past 1/2 the step is replaced by the
+    steepest admissible profile (2x)^(-(1+alpha)); the result is normalized
+    to unit mass.  Projection nodes lie inside their cells, so x > 0.
     """
-
-    def profile(x):
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, height)
-        tail = x > cutoff
-        out[tail] = height * (x[tail] / cutoff) ** (-(1.0 + alpha))
-        return out
-
-    return project(profile, mesh).normalized()
+    return project(lambda x: np.minimum(1.0, (x / 0.5) ** -(1.0 + alpha)), mesh).normalized()
 
 
 # ---------------------------------------------------------------------------

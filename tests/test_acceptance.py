@@ -185,7 +185,7 @@ def test_criterion_06_loss_of_memory_rate(mesh1024, const01):
     the slope of log d_n - (1/alpha) log log n against log n clears
     -(1/alpha - 1) + 0.5 = -8.5 on the 64..4096 ladder."""
     f = uniform_density(mesh1024)
-    g = cone_step_surrogate(mesh1024, height=2.0, cutoff=0.5, alpha=0.1)
+    g = cone_step_surrogate(mesh1024, 0.1)
     result = loss_of_memory_distance(const01, f, g, (64, 128, 256, 512, 1024,
                                                      2048, 4096))
     diffs = np.diff(result.log_distances)
@@ -203,7 +203,7 @@ def test_criterion_07_operator_correctness(mesh1024, const01):
     fpc2 = Density(mesh1024, rng.random(1024) + 0.05)
     fsmooth = lambda x: 1.0 + 0.3 * np.sin(2.0 * np.pi * x)
     fpoly = project(lambda x: 1.0 + x * x, mesh1024)
-    fsurr = cone_step_surrogate(mesh1024, 2.0, 0.5, 0.1)
+    fsurr = cone_step_surrogate(mesh1024, 0.1)
     fpushed = push_density(const01.alphas(50), uniform_density(mesh1024))[-1]
     chi = bump_chi(0.3, 0.6, 0.05)
     cases = [

@@ -93,14 +93,14 @@ def decay_falls_exponentially(decay_of):
 
 
 def union_grows(measure_of):
-    def measure(schedule, j, params, resolution):
-        return measure_of(schedule, j, params, resolution) * j ** 2
+    def measure(schedule, j, params):
+        return measure_of(schedule, j, params) * j ** 2
     return measure
 
 
 def return_sets_like_the_grid(measure_of):
     # measure eps^1.8: the slope the grid estimator reports at n = 20
-    def measure(schedule, n, eps, resolution):
+    def measure(schedule, n, eps):
         return eps ** 1.8
     return measure
 

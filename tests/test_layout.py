@@ -139,43 +139,25 @@ def defined_functions() -> set:
     return names
 
 
-def test_every_function_runs_under_cli_main(tmp_path):
-    """A function, method or property that no run calls serves only the
-    tests.  The profiler sees every Python call, so a member that only
-    shares its name with one a run calls is still caught."""
-    package = os.path.dirname(cli.__file__)
-    called = set()
-
-    def profile(frame, event, arg):
-        if event == "call" and os.path.dirname(frame.f_code.co_filename) == package:
-            called.add(frame.f_code.co_qualname)
-
-    for argv in run_matrix(tmp_path):
-        sys.setprofile(profile)
-        try:
-            code = cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO())
-        finally:
-            sys.setprofile(None)
-        assert code in (0, 2), argv  # 1 is a config or runtime error
-    assert defined_functions() - called == NEVER_CALLED_ALLOWED
-
-
 # run in a fresh interpreter: run_matrix's argument lists through cli.main,
-# then print which of numpy's lazily imported subpackages and of scipy are
-# loaded, which numpy.linalg functions ran and which numpy sort-family calls
-# were made: the ndarray sort methods as C calls, and numpy's Python-level
-# sort, unique and lexsort (whose C body sits behind a Python dispatcher, so
-# the profiler sees no C call of it).  Python's sorted and list.sort are not
-# numpy's and do not count.
+# then print which functions of the package ran, which of numpy's lazily
+# imported subpackages and of scipy are loaded, which numpy.linalg functions
+# ran and which numpy sort-family calls were made: the ndarray sort methods
+# as C calls, and numpy's Python-level sort, unique and lexsort (whose C
+# body sits behind a Python dispatcher, so the profiler sees no C call of
+# it).  Python's sorted and list.sort are not numpy's and do not count.
 FOOTPRINT = """
 import io, json, os, sys
 import numpy
 from seqevl import cli
+package, ran = os.path.dirname(cli.__file__), set()
 linalg, called = os.path.dirname(numpy.linalg.__file__), set()
 home, sorts = os.path.dirname(numpy.__file__) + os.sep, set()
 def profile(frame, event, arg):
     if event == "call":
         code = frame.f_code
+        if os.path.dirname(code.co_filename) == package:
+            ran.add(code.co_qualname)
         if os.path.dirname(code.co_filename) == linalg:
             called.add(code.co_qualname)
         if code.co_filename.startswith(home) and code.co_name in ("sort", "unique", "lexsort"):
@@ -188,15 +170,18 @@ sys.setprofile(profile)
 for argv in json.loads(sys.argv[1]):
     codes.append(cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO()))
 sys.setprofile(None)
-print(json.dumps({"codes": codes, "linalg": sorted(called), "sorts": sorted(sorts),
+print(json.dumps({"codes": codes, "ran": sorted(ran), "linalg": sorted(called),
+                  "sorts": sorted(sorts),
                   "loaded": [m for m in ("numpy.ma", "numpy.polynomial", "numpy.random", "scipy")
                              if m in sys.modules]}))
 """
 
 
-def footprint(runs) -> dict:
-    """FOOTPRINT's report on the CLI argument lists runs, each of which must
-    exit 0 or 2."""
+@pytest.fixture(scope="module")
+def footprint(tmp_path_factory) -> dict:
+    """FOOTPRINT's report on run_matrix, each run of which must exit 0 or 2
+    (1 is a config or runtime error)."""
+    runs = run_matrix(tmp_path_factory.mktemp("matrix"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(runs)],
@@ -207,7 +192,14 @@ def footprint(runs) -> dict:
     return report
 
 
-def test_runs_load_only_what_they_compute_with(tmp_path):
+def test_every_function_runs_under_cli_main(footprint):
+    """A function, method or property that no run calls serves only the
+    tests.  The profiler sees every Python call, so a member that only
+    shares its name with one a run calls is still caught."""
+    assert defined_functions() - set(footprint["ran"]) == NEVER_CALLED_ALLOWED
+
+
+def test_runs_load_only_what_they_compute_with(footprint):
     """No run needs numpy.ma, numpy.polynomial or a numpy.linalg routine,
     which sets up LAPACK: together about 2.5 MB of a run's peak memory.
     Nor does one need numpy.random, whose Philox streams `_rng.uniforms`
@@ -216,8 +208,7 @@ def test_runs_load_only_what_they_compute_with(tmp_path):
     does one sort with numpy, whose sort kernels fault in 0.3-0.4 MB of
     code pages: ladders are sorted in Python, the calibration kinks merged
     from two sorted runs and the recurrence nodes built in order."""
-    report = footprint(run_matrix(tmp_path))
-    assert (report["loaded"], report["linalg"], report["sorts"]) == ([], [], [])
+    assert (footprint["loaded"], footprint["linalg"], footprint["sorts"]) == ([], [], [])
 
 
 def test_declared_dependencies_are_the_imported_ones():

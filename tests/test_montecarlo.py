@@ -48,17 +48,23 @@ def ts20(mesh512, const01):
 
 # --------------------------------------------------------------- estimates
 
+def is_normal_interval(e) -> bool:
+    """Whether e's ends are p -/+ Z95 se, clipped to [0, 1]."""
+    return (e.ci_low, e.ci_high) == (max(0.0, e.value - montecarlo.Z95 * e.se),
+                                     min(1.0, e.value + montecarlo.Z95 * e.se))
+
+
 def test_from_counts_normal_branch():
     e = EstimateWithCI.from_counts(500, 1000)
     assert e.value == 0.5
     assert e.se == pytest.approx(math.sqrt(0.25 / 1000))
-    assert e.method == "normal"
+    assert is_normal_interval(e)
     assert e.ci_low == pytest.approx(0.5 - 1.959963984540054 * e.se)
 
 
 def test_from_counts_edge_branches():
     e = EstimateWithCI.from_counts(3, 1000)
-    assert e.method == "clopper-pearson"
+    assert_exact_ends(e, 3, 1000)
     assert e.ci_low < 3 / 1000 < e.ci_high
     zero = EstimateWithCI.from_counts(0, 1000)
     assert zero.value == 0.0 and zero.ci_low == 0.0 and zero.ci_high > 0.0
@@ -77,6 +83,17 @@ def binomial_cdf(j: int, n: int, p: Decimal) -> Decimal:
         return 1 - sum(mass(i) for i in range(j + 1, n + 1))
 
 
+def assert_exact_ends(e, k: int, n: int):
+    """e's ends are the Clopper-Pearson roots of k hits in n samples, each
+    within a relative 1e-13 of the 60-digit binomial tail's level."""
+    assert (e.ci_low == 0.0) == (k == 0) and (e.ci_high == 1.0) == (k == n), (k, n)
+    for end, j, level in ((e.ci_low, k - 1, "0.975"), (e.ci_high, k, "0.025")):
+        if 0 <= j < n:
+            above, below = (binomial_cdf(j, n, Decimal(end) * (1 + s * Decimal("1e-13")))
+                            for s in (-1, 1))
+            assert above > Decimal(level) > below, (k, n, end)
+
+
 @pytest.mark.parametrize("n", [1, 2, 9, 10, 19, 20, 37, 1000, 400_000, 2**62, 2**63 - 1])
 def test_from_counts_edge_interval_is_beta_ppf(n):
     # the Clopper-Pearson ends are beta quantiles, and so the roots of
@@ -88,14 +105,16 @@ def test_from_counts_edge_interval_is_beta_ppf(n):
     if n < 2**62:
         ks |= set(range(max(0, n - 9), n + 1))
     for k in sorted(ks):
-        e = EstimateWithCI.from_counts(k, n)
-        assert e.method == "clopper-pearson"
-        assert (e.ci_low == 0.0) == (k == 0) and (e.ci_high == 1.0) == (k == n), (k, n)
-        for end, j, level in ((e.ci_low, k - 1, "0.975"), (e.ci_high, k, "0.025")):
-            if 0 <= j < n:
-                above, below = (binomial_cdf(j, n, Decimal(end) * (1 + s * Decimal("1e-13")))
-                                for s in (-1, 1))
-                assert above > Decimal(level) > below, (k, n, end)
+        assert_exact_ends(EstimateWithCI.from_counts(k, n), k, n)
+
+
+def test_from_counts_switches_to_normal_at_ten_hits_and_ten_misses():
+    # fewer than 10 hits or misses take the exact interval, 10 of each the
+    # normal one
+    for k in (9, 991):
+        assert_exact_ends(EstimateWithCI.from_counts(k, 1000), k, 1000)
+    for k in (10, 990):
+        assert is_normal_interval(EstimateWithCI.from_counts(k, 1000))
 
 
 @pytest.mark.parametrize("k, n", [(0, 0), (5, 3), (-1, 10), (1, -4)])

@@ -78,7 +78,7 @@ def test_decay_slope_is_polyfit_on_a_decay_run():
     schedule = ParameterSchedule()
     alpha = schedule.sup_alpha()
     f = uniform_density(mesh)
-    g = transfer.cone_step_surrogate(mesh, height=2.0, cutoff=0.5, alpha=alpha)
+    g = transfer.cone_step_surrogate(mesh, alpha)
     result = transfer.loss_of_memory_distance(schedule, f, g, KINDS["decay"].ladder)
     x = np.log(result.ns.astype(float))
     y = result.log_distances - (1.0 / alpha) * np.log(x)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from seqevl.maps import ParameterSchedule, sequential_orbit
+from seqevl.maps import sequential_orbit
 from seqevl.recurrence import (
     BISECT_TOL,
     RecurrenceParams,
@@ -119,14 +119,14 @@ def test_measure_below_closed_form_sets():
     assert calls == [nodes.size]
 
 
-@pytest.mark.parametrize("resolution", [16, 1024, 4096])
-def test_stratified_nodes_are_built_in_order(resolution):
+@pytest.mark.parametrize("strata", [16, 1024, 4096])
+def test_stratified_nodes_are_built_in_order(strata):
     # the uniform grid and its geometric fill below the first cell, bit for
     # bit as np.unique of the two gives them
-    nodes = np.linspace(0.0, 1.0, resolution + 1)
+    nodes = np.linspace(0.0, 1.0, strata + 1)
     sub = nodes[1] * 2.0 ** -np.arange(1.0, 44.0)
     want = np.unique(np.concatenate([nodes, sub[sub > 1e-15]]))
-    got = _stratified_nodes(resolution)
+    got = _stratified_nodes(strata)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -147,8 +147,11 @@ def test_measure_en_eps_monotone_in_eps(const01):
 
 
 def test_measure_en_eps_grid_convergence(const01):
-    coarse = measure_En_eps(const01, 5, 2.0 ** -8, resolution=4096)
-    fine = measure_En_eps(const01, 5, 2.0 ** -8, resolution=8192)
+    # measure_En_eps's estimator on stratified grids of 4,096 and 8,192 strata
+    def g(x):
+        return np.abs(orbit_displacement(const01, 5, x)) - 2.0 ** -8
+
+    coarse, fine = (_measure_below(_stratified_nodes(strata), g) for strata in (4096, 8192))
     assert abs(coarse - fine) <= 2.0 / 4096
 
 
@@ -170,7 +173,7 @@ def test_measure_ej_contains_first_return_set(const01):
     assert p.horizon(j) >= 1
     union = measure_Ej(const01, j, p)
     first = measure_En_eps(const01, 1, 2.0 / j)
-    assert union >= first - 2e-3  # both carry O(1/resolution) grid error
+    assert union >= first - 2e-3  # both carry O(1/STRATA) grid error
     with pytest.raises(ValueError):
         measure_Ej(const01, 1.5, p)
 
@@ -190,6 +193,15 @@ def test_local_recurrence_contained_in_ball(const01):
     for zeta in (0.3, 1.0 / np.sqrt(2.0)):
         m = local_recurrence_at(const01, Observable(zeta), 8.0, p)
         assert 0.0 <= m <= 2.0 * 8.0 ** -p.gamma + 1e-12
+
+
+def test_local_recurrence_below_scale_one_is_empty(const01):
+    # at j < 1 the union at scale j^gamma has horizon 0: no return step, so
+    # no point of the ball is inside
+    p = RecurrenceParams()
+    for j in (0.5, 0.9, 0.01, 1e-3):
+        assert p.horizon(j ** p.gamma) == 0
+        assert local_recurrence_at(const01, Observable(0.3), j, p) == 0.0
 
 
 def test_local_recurrence_validation(const01):

@@ -14,7 +14,6 @@ from seqevl.montecarlo import estimate_Pn
 from seqevl.thresholds import (
     DEFAULT_ZETA,
     Observable,
-    ThresholdSchedule,
     build_threshold_schedule,
     calibrate_delta_ladder,
     _BLOCK,

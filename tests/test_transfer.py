@@ -356,7 +356,7 @@ def test_cone_params_validation():
 def test_cone_check_accepts_admissible_profiles(mesh512):
     params = ConeParams(alpha=0.1)
     assert cone_check(uniform_density(mesh512), params).member
-    surrogate = cone_step_surrogate(mesh512, height=2.0, cutoff=0.5, alpha=0.1)
+    surrogate = cone_step_surrogate(mesh512, 0.1)
     flags = cone_check(surrogate, params)
     assert flags.member, flags
     assert abs(surrogate.mass - 1.0) <= 1e-12
@@ -403,7 +403,7 @@ def test_loss_of_memory_requires_equal_mass(mesh512, const01):
 
 def test_loss_of_memory_decay_is_monotone(mesh512, const01):
     f = uniform_density(mesh512)
-    g = cone_step_surrogate(mesh512, height=2.0, cutoff=0.5, alpha=0.1)
+    g = cone_step_surrogate(mesh512, 0.1)
     res = loss_of_memory_distance(const01, f, g, [0, 8, 16, 32, 64])
     assert res.distances[0] == pytest.approx(l1_distance(f, g), abs=1e-12)
     assert np.all(np.diff(res.distances) < 0)
@@ -412,7 +412,7 @@ def test_loss_of_memory_decay_is_monotone(mesh512, const01):
 
 def test_loss_of_memory_log_survives_underflow(mesh512, const01):
     f = uniform_density(mesh512)
-    g = cone_step_surrogate(mesh512, height=2.0, cutoff=0.5, alpha=0.1)
+    g = cone_step_surrogate(mesh512, 0.1)
     res = loss_of_memory_distance(const01, f, g, [8192])
     assert res.distances[0] == 0.0  # below smallest subnormal
     assert np.isfinite(res.log_distances[0])
