@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar
 
-from .maps import MODE_FIELDS, ParameterSchedule, _named_exponents
+from .maps import ParameterSchedule, _named_exponents
 from .mesh import (DEFAULT_CELLS, DEFAULT_MIN_WIDTH, DEFAULT_RATIO, Mesh,
                    graded_mesh, uniform_mesh)
 from .montecarlo import DEFAULT_BETA, DEFAULT_KAPPA
@@ -106,7 +106,7 @@ class ScheduleSpec:
     alpha_star: float = ParameterSchedule.alpha_star
     # the mode decides which fields a run reads (`read_fields`)
     SELECTOR: ClassVar[str] = "mode"
-    READS: ClassVar[dict] = MODE_FIELDS
+    READS: ClassVar[dict] = {"periodic": ("cycle",), "iid": ("lo", "hi", "seed")}
 
     def build(self) -> ParameterSchedule:
         return ParameterSchedule(**{name: getattr(self, name) for name in read_fields(self)})

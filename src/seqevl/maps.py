@@ -7,7 +7,7 @@ in schedule order: step i of an orbit applies the i-th scheduled map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,9 +16,8 @@ from ._rng import uniforms
 
 ALPHA_STAR = 1.0 / 7.0
 
-# the fields each schedule mode reads; mode and alpha_star, which no mode
-# names, are always read
-MODE_FIELDS = {"periodic": ("cycle",), "iid": ("lo", "hi", "seed")}
+# Newton sweeps before lsv_left_inverse falls back to bisection
+NEWTON_SWEEPS = 200
 
 
 def _check_alpha(alpha: float):
@@ -37,8 +36,8 @@ def lsv_left_inverse(alpha: float, y):
     """Unique x in [0, 1/2] with x(1 + 2^alpha x^alpha) = y.
 
     Newton iteration seeded at y/2; any entry whose residual |T(x)-y| is
-    still above tol = 1e-13 after 200 sweeps falls back to bisection.  The
-    residual bound implies |x - x*| <= tol because T' >= 1.
+    still above tol = 1e-13 after NEWTON_SWEEPS sweeps falls back to
+    bisection.  The residual bound implies |x - x*| <= tol because T' >= 1.
     """
     _check_alpha(alpha)
     y = _check_domain(y)
@@ -48,7 +47,7 @@ def lsv_left_inverse(alpha: float, y):
     tol = 1e-13
     x = y / 2.0
     resid = x * (1.0 + c * x ** alpha) - y
-    for _ in range(200):
+    for _ in range(NEWTON_SWEEPS):
         live = np.abs(resid) > tol
         if not live.any():
             break
@@ -97,29 +96,24 @@ def _named_exponents(schedule) -> tuple:
     raise ValueError(f"unknown schedule mode {schedule.mode!r}")
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class ParameterSchedule:
     """Sequence of map exponents, one per composition step (1-based).
 
     Modes: "periodic" repeats cycle, so a constant schedule is a cycle of
-    one exponent, and "iid" reads lo, hi and seed (MODE_FIELDS).  A mode
-    ignores the other fields, and so do equality, the hash and the repr:
-    two schedules that step the same exponents are equal and print alike.
-    The iid mode draws uniform exponents from (lo, hi) on a dedicated
-    counter-based stream, so the schedule never interferes with sampling
-    randomness.  Exponents above `alpha_star` are rejected at
+    one exponent, and "iid" reads lo, hi and seed; a mode ignores the
+    other fields.  The iid mode draws uniform exponents from (lo, hi) on a
+    dedicated counter-based stream, so the schedule never interferes with
+    sampling randomness.  Exponents above `alpha_star` are rejected at
     construction.  The defaults are the lab's: the constant exponent 0.1.
     """
 
     mode: str = "periodic"
     alpha_star: float = ALPHA_STAR
-    cycle: tuple[float, ...] = field(default=(0.1,), compare=False)
-    lo: float = field(default=0.01, compare=False)
-    hi: float = field(default=0.14, compare=False)
-    seed: int = field(default=7, compare=False)
-    # the values of the mode's fields: equality and the hash compare these
-    # in place of the four fields above
-    _read: tuple = field(init=False)
+    cycle: tuple[float, ...] = (0.1,)
+    lo: float = 0.01
+    hi: float = 0.14
+    seed: int = 7
 
     def __post_init__(self):
         if not 0.0 < self.alpha_star < 1.0:
@@ -133,12 +127,6 @@ class ParameterSchedule:
                     f"exponent {a!r} outside (0, alpha_star={self.alpha_star}]")
         if self.mode == "iid" and not self.lo < self.hi:
             raise ValueError("iid schedule needs 0 < lo < hi")
-        object.__setattr__(self, "_read", tuple(getattr(self, name)
-                                                for name in MODE_FIELDS[self.mode]))
-
-    def __repr__(self) -> str:
-        shown = ("mode", "alpha_star") + MODE_FIELDS[self.mode]
-        return f"ParameterSchedule({', '.join(f'{k}={getattr(self, k)!r}' for k in shown)})"
 
     def alphas(self, n: int) -> np.ndarray:
         """Exponents of the first n maps; alphas(m) is always a prefix of alphas(n)."""

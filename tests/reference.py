@@ -2,7 +2,8 @@
 
 No experiment runs any of this, so it sits beside the tests rather than in
 `seqevl`, which keeps only what a run executes (a test walks the package
-from `cli.main` to hold it to that).  What it holds:
+from `cli.main` to hold it to that, and another holds this module to what
+some test reaches).  What it holds:
 
 - `ulam_matrix` and `UlamOperator`: the independent reference
   discretization, a sparse row-stochastic matrix whose (i, j) entry is the
@@ -35,10 +36,6 @@ from `cli.main` to hold it to that).  What it holds:
   observable g(|x - zeta|) evaluated pointwise, and the inverse of
   `Observable.level_for_radius`, so that the exceedance set {g > u} is the
   open ball of that radius.
-- `correlation_DC` and `mc_correlation_DC`: the decorrelation functional
-  cov(phi(x_i), psi(x_{i+t})) by the operator identity on a mesh, and its
-  Monte Carlo twin, which walks its own orbits with `lsv_apply` rather
-  than the package's sweep.
 - `philox_draw`: a stream's first doubles from `numpy.random.Philox`, the
   library generator that `seqevl._rng.uniforms` reproduces bit for bit
   without importing it.
@@ -52,12 +49,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from seqevl._rng import philox_key
-from seqevl.maps import (ParameterSchedule, _check_alpha, _check_domain, apply_map_batch,
-                         lsv_left_inverse)
-from seqevl.mesh import Density, Mesh, _same_mesh, project, uniform_density
-from seqevl.montecarlo import Z95, EstimateWithCI
+from seqevl.maps import _check_alpha, _check_domain, apply_map_batch, lsv_left_inverse
+from seqevl.mesh import Density, Mesh, _same_mesh
 from seqevl.thresholds import Observable, ThresholdSchedule
-from seqevl.transfer import pf_apply, push_density
 
 # ---------------------------------------------------------------------------
 # random streams
@@ -461,88 +455,3 @@ def radius_for_level(obs: Observable, u):
     """Radius of the ball around zeta on which the observable exceeds u."""
     out = np.exp(-np.asarray(u, dtype=float))
     return out if out.ndim else float(out)
-
-
-# ---------------------------------------------------------------------------
-# decorrelation functional
-
-
-def correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
-                   mesh: Mesh) -> float:
-    """Decorrelation functional via the operator identity.
-
-    Computes integral(psi~ * push_{i+1..i+t}(dens_i * phi~)) where dens_i is
-    the step-i density, phi~ centers phi against it, and psi~ centers psi
-    against the step-(i+t) density (the centering of psi pairs with a
-    zero-mass density, so it cannot change the value; it is kept for
-    symmetry).  phi and psi may be (lo, hi) interval indicators, handled
-    exactly, or pointwise callables, projected per cell.
-    """
-    base = mesh
-    for obs in (phi, psi):
-        if isinstance(obs, tuple):
-            extra = [p for p in obs if 1e-12 < p < 1.0 - 1e-12]
-            pts = np.unique(np.concatenate([base.boundaries, np.asarray(extra)]))
-            base = Mesh(pts)
-    ladder = push_density(schedule.alphas(i + t), uniform_density(base))
-    dens_i, dens_it = ladder[i], ladder[i + t]
-
-    def center_and_multiply(obs, dens: Density) -> Density:
-        if isinstance(obs, tuple):
-            lo, hi = obs
-            mu = float(dens.interval_mass(lo, hi))
-            mids = dens.mesh.midpoints
-            ind = ((mids > lo) & (mids < hi)).astype(float)
-            return Density(dens.mesh, dens.values * (ind - mu))
-        proj = project(obs, dens.mesh)
-        mu = float(np.sum(proj.values * dens.values * dens.mesh.widths))
-        return Density(dens.mesh, dens.values * (proj.values - mu))
-
-    signed = center_and_multiply(phi, dens_i)
-    pushed = signed
-    alphas = schedule.alphas(i + t)[i:]
-    for a in alphas:
-        pushed = pf_apply(a, pushed)
-    if isinstance(psi, tuple):
-        lo, hi = psi
-        value = float(pushed.interval_mass(lo, hi))
-        value -= float(dens_it.interval_mass(lo, hi)) * pushed.mass
-        return value
-    proj = project(psi, base)
-    mu = float(np.sum(proj.values * dens_it.values * base.widths))
-    return float(np.sum((proj.values - mu) * pushed.values * base.widths))
-
-
-def mc_correlation_DC(schedule: ParameterSchedule, phi, psi, i: int, t: int,
-                      seed: int, n_samples: int = 100_000,
-                      label: str = "dc") -> EstimateWithCI:
-    """Monte Carlo cross-check of correlation_DC: cov(phi(x_i), psi(x_{i+t})).
-
-    The orbits start from the sweep's stream for the label, all drawn at
-    once, and are stepped whole with lsv_apply: the package's sweep is not
-    used, so the tests can compare it against this.
-    """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
-
-    def observe(obs, x):
-        if isinstance(obs, tuple):
-            lo, hi = obs
-            return ((x > lo) & (x < hi)).astype(float)
-        return np.asarray(obs(x), dtype=float)
-
-    alphas = schedule.alphas(i + t)
-    x = philox_draw(seed, ("x0", label), n_samples)
-    for a in alphas[:i]:
-        x = lsv_apply(a, x)
-    u = observe(phi, x)
-    for a in alphas[i:]:
-        x = lsv_apply(a, x)
-    v = observe(psi, x)
-    suv, su, sv, suv2 = (float(np.sum(s)) for s in (u * v, u, v, (u * v) ** 2))
-    N = n_samples
-    mu_uv, mu_u, mu_v = suv / N, su / N, sv / N
-    cov = mu_uv - mu_u * mu_v
-    var_uv = max(0.0, suv2 / N - mu_uv ** 2)
-    se = math.sqrt(var_uv / N)  # conservative: ignores the (smaller) product terms
-    return EstimateWithCI(cov, se, cov - Z95 * se, cov + Z95 * se)

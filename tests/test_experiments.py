@@ -15,7 +15,6 @@ from seqevl import experiments, transfer
 from seqevl.cli import main
 from seqevl.config import KINDS, MeshSpec, ScheduleSpec, _flat, default_config, kind_reads
 from seqevl.experiments import TargetCheck, run_experiment
-from seqevl.maps import ALPHA_STAR, ParameterSchedule
 from seqevl.thresholds import DEFAULT_ZETA
 
 LADDER = (20, 40, 80)
@@ -219,32 +218,3 @@ def test_runner_reads_exactly_its_keys(kind, tmp_path, monkeypatch):
             expected = {f"{section}.{name}" for name in fields_read} if section in row else set()
             assert {key for key in reads if key.startswith(section + ".")} == expected, section
         assert reads == {key for key in _flat(cfg) if kind_reads(cfg, key)}
-
-
-def test_schedules_that_step_the_same_exponents_are_equal():
-    # a periodic schedule reads its cycle alone, whatever lo, hi and seed hold
-    plain = ParameterSchedule(cycle=(0.12,))
-    for other in (ScheduleSpec(cycle=(0.12,), lo=0.02).build(),
-                  ParameterSchedule(cycle=(0.12,), lo=0.02, hi=0.13, seed=3)):
-        assert other == plain and hash(other) == hash(plain)
-    assert ParameterSchedule(cycle=(0.11,)) != plain
-    assert ParameterSchedule(cycle=(0.12,), alpha_star=0.13) != plain
-    iid = ParameterSchedule(mode="iid", seed=3)
-    assert iid == ParameterSchedule(mode="iid", seed=3, cycle=(0.05,))
-    assert iid != ParameterSchedule(mode="iid", seed=4)
-
-
-def test_schedules_that_compare_equal_print_equal():
-    # the repr shows mode, alpha_star and the mode's fields, which equality compares
-    pairs = ((ParameterSchedule(cycle=(0.12,)),
-              ParameterSchedule(cycle=(0.12,), lo=0.02, hi=0.13, seed=3)),
-             (ParameterSchedule(mode="iid", seed=3),
-              ParameterSchedule(mode="iid", seed=3, cycle=(0.05,))))
-    for one, two in pairs:
-        assert one == two and repr(one) == repr(two)
-        assert eval(repr(one), {"ParameterSchedule": ParameterSchedule}) == one
-    assert repr(pairs[0][1]) == (
-        f"ParameterSchedule(mode='periodic', alpha_star={ALPHA_STAR!r}, cycle=(0.12,))")
-    assert repr(pairs[1][1]) == (
-        f"ParameterSchedule(mode='iid', alpha_star={ALPHA_STAR!r}, lo=0.01, hi=0.14, seed=3)")
-    assert repr(ParameterSchedule(cycle=(0.11,))) != repr(pairs[0][0])

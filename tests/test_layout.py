@@ -2,9 +2,10 @@
 package modules is reached from the command-line entry point `cli.main`, and
 every function, method and property, private ones and dunders included, is
 called when `cli.main` runs a small matrix of configs.  Code that only tests
-use belongs in `tests/reference.py`.  `validate_config` and `cli` name no
-kind, and `experiments` names one only to map it to its runner.  Every
-config key is read by some kind.  README's Quick start block runs against
+use belongs in `tests/reference.py`, and each of its functions and classes
+is reached from some test.  `validate_config` and `cli` name no kind, and
+`experiments` names one only to map it to its runner.  Every config key is
+read by some kind.  README's Quick start block runs against
 the package as it stands, and its imports are all the package exports."""
 
 import ast
@@ -45,9 +46,6 @@ NEVER_CALLED_ALLOWED = {
     "DiskCache.load_trajectory", "DiskCache.store_trajectory",
     # the x2 mesh the operator route of ROADMAP item 1 pushes on
     "Mesh.refined",
-    # no run prints a schedule; the repr shows a reader the fields that
-    # equality compares
-    "ParameterSchedule.__repr__",
 }
 
 # config keys that no kind reads under any selector value, each with the
@@ -88,14 +86,18 @@ def run_matrix(tmp_path) -> list:
     return runs + [["validate"]]
 
 
-def top_level_uses() -> dict:
-    """Each top-level def, class or assignment of the package modules, mapped
+def names_used(node) -> set:
+    """The names and attribute names read anywhere under an ast node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def top_level_uses(paths) -> dict:
+    """Each top-level def, class or assignment of the modules at paths, mapped
     to the names and attribute names its body uses (bodies of one name in
     several modules are merged, which can only over-count the reached set)."""
     uses = {}
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in paths:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -105,24 +107,43 @@ def top_level_uses() -> dict:
                          if isinstance(n, ast.Name)]
             else:
                 continue
-            used = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                    if isinstance(n, (ast.Name, ast.Attribute))}
             for name in names:
-                uses.setdefault(name, set()).update(used)
+                uses.setdefault(name, set()).update(names_used(node))
     return uses
 
 
-def test_every_public_name_is_reached_from_cli_main():
-    uses = top_level_uses()
-    reached, todo = set(), ["main"]
+def reached_from(uses: dict, roots) -> set:
+    """The top-level names of uses that roots reach through their bodies."""
+    reached, todo = set(), list(roots)
     while todo:
         name = todo.pop()
         if name in uses and name not in reached:
             reached.add(name)
             todo.extend(uses[name])
+    return reached
+
+
+def test_every_public_name_is_reached_from_cli_main():
+    uses = top_level_uses(path for path in sorted(SRC.glob("*.py"))
+                          if path.name != "__init__.py")
+    reached = reached_from(uses, ["main"])
     unreached = {name for name in uses
                  if not name.startswith("_") and name not in reached}
     assert unreached == UNREACHED_ALLOWED
+
+
+def test_reference_holds_only_what_tests_reach():
+    """Every top-level function and class of `tests/reference.py` is read
+    in some `tests/test_*.py` (an import alone does not count), or reached
+    from one through the bodies of `reference.py`: a reference no test
+    compares against is code kept alive by nothing."""
+    tests = ROOT / "tests"
+    named = set().union(*(names_used(ast.parse(path.read_text(encoding="utf-8")))
+                          for path in sorted(tests.glob("test_*.py"))))
+    reference = tests / "reference.py"
+    defined = {node.name for node in ast.parse(reference.read_text(encoding="utf-8")).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined - reached_from(top_level_uses([reference]), named) == set()
 
 
 def defined_functions() -> set:

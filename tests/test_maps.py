@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqevl import maps
 from seqevl.maps import (
     ALPHA_STAR,
     ParameterSchedule,
@@ -101,6 +102,34 @@ def test_preimages_land_on_target(alpha, y):
     assert 0.0 <= xl <= 0.5 <= xr <= 1.0
     assert abs(_left_branch(alpha, xl) - y) <= 1e-12
     assert abs(lsv_apply(alpha, float(xr)) - y) <= 1e-12
+
+
+# 0, the smallest subnormal, 1e-300, the tolerance and twice it, 0.001 to 1
+# in steps of 0.001, and 1 - 1e-16
+FALLBACK_YS = np.concatenate(([0.0, 5e-324, 1e-300, 1e-13, 2e-13],
+                              np.arange(1, 1001) / 1000.0, [1.0 - 1e-16]))
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.1, 1.0 / 7.0, 0.5, 0.99])
+def test_left_inverse_bisection_fallback_meets_tolerance(alpha, monkeypatch):
+    # with no Newton sweep, every y whose seed y/2 misses the tolerance
+    # takes the bisection fallback, which must land where Newton does
+    newton = lsv_left_inverse(alpha, FALLBACK_YS)
+    bisected = []
+    bisect = maps.bisect
+
+    def counting_bisect(below, lo, hi, steps):
+        bisected.append(lo.size)
+        return bisect(below, lo, hi, steps)
+
+    monkeypatch.setattr(maps, "NEWTON_SWEEPS", 0)
+    monkeypatch.setattr(maps, "bisect", counting_bisect)
+    x = lsv_left_inverse(alpha, FALLBACK_YS)
+    # all but 0, 5e-324, 1e-300, 1e-13, 2e-13, 1 - 1e-16 and 1
+    assert bisected == [FALLBACK_YS.size - 7]
+    assert np.all((x >= 0.0) & (x <= 0.5))
+    assert np.max(np.abs(_left_branch(alpha, x) - FALLBACK_YS)) <= 1e-13
+    assert np.max(np.abs(x - newton)) <= 1e-13
 
 
 # the branch switch, the ends of [0, 1] and the smallest subnormal

@@ -1,6 +1,6 @@
-"""Monte Carlo estimators, blocking and mixing diagnostics; also the
-decorrelation pair of `reference`, whose Monte Carlo half walks its own
-orbits, and the exponent budgets of `seqevl.config`."""
+"""Monte Carlo estimators, blocking and mixing diagnostics, with the sweep
+held to a plain walk of its orbits by `reference.lsv_apply`; also the
+exponent budgets of `seqevl.config`."""
 
 import math
 import tracemalloc
@@ -23,7 +23,7 @@ from seqevl.montecarlo import (
     estimate_exceedances,
 )
 from seqevl.thresholds import Observable, build_threshold_schedule
-from reference import correlation_DC, lsv_apply, mc_correlation_DC, philox_draw
+from reference import lsv_apply, philox_draw
 
 N_FAST = 20_000
 N_CHUNKED = 3 * 16384 + 777  # a short last chunk at CHUNK_SIZE 16,384 and at 1,000
@@ -302,36 +302,6 @@ def test_d0_chunk_size_invariance(ts20, monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
-# ------------------------------------------------------------ decorrelation
-
-def test_correlation_constant_observable_vanishes(mesh512, const01):
-    val = correlation_DC(const01, lambda x: np.ones_like(x), (0.2, 0.6),
-                         i=1, t=2, mesh=mesh512)
-    assert abs(val) <= 1e-15
-
-
-def test_correlation_zero_lag_is_variance(mesh512, const01):
-    # t = 0 with phi = psi reduces to a variance, so the value is nonnegative
-    val = correlation_DC(const01, (0.2, 0.5), (0.2, 0.5), i=3, t=0, mesh=mesh512)
-    assert val >= -1e-14
-    assert val == pytest.approx(0.3 * 0.7, abs=0.05)  # near p(1-p) of the start
-
-
-def test_correlation_operator_vs_monte_carlo(mesh512, const01):
-    phi, psi = (0.2, 0.5), (0.55, 0.8)
-    op = correlation_DC(const01, phi, psi, i=2, t=3, mesh=mesh512)
-    mc = mc_correlation_DC(const01, phi, psi, i=2, t=3, seed=43,
-                           n_samples=60_000)
-    assert abs(op - mc.value) <= 4.0 * max(mc.se, 1e-5)
-
-
-def test_correlation_decays_in_t(mesh512, const01):
-    phi = (0.2, 0.5)
-    vals = [abs(correlation_DC(const01, phi, phi, i=0, t=t, mesh=mesh512))
-            for t in (1, 5, 25)]
-    assert vals[2] < vals[0]
-
-
 # ------------------------------------------------- plain reference sweep
 
 N_REF = 2 * 16384 + 777  # two full chunks and a short last one
@@ -384,18 +354,8 @@ def _ref_d0(ts):
     return (g.p_event, g.p_window, g.covariance), (pa, pw, cov)
 
 
-def _ref_dc(ts):
-    e = mc_correlation_DC(ts.schedule, (0.2, 0.5), (0.55, 0.8), i=2, t=3,
-                          seed=47, n_samples=N_REF, label="ref")
-    xs = _plain_orbits(ts.schedule, 6)
-    u = (xs[2] > 0.2) & (xs[2] < 0.5)
-    v = (xs[5] > 0.55) & (xs[5] < 0.8)
-    mu_u, mu_v = np.count_nonzero(u) / N_REF, np.count_nonzero(v) / N_REF
-    return e.value, np.count_nonzero(u & v) / N_REF - mu_u * mu_v
-
-
-@pytest.mark.parametrize("case", [_ref_pn, _ref_exceedances, _ref_dprime, _ref_d0, _ref_dc],
-                         ids=["pn", "exceedances", "dprime", "d0", "dc"])
+@pytest.mark.parametrize("case", [_ref_pn, _ref_exceedances, _ref_dprime, _ref_d0],
+                         ids=["pn", "exceedances", "dprime", "d0"])
 def test_estimators_match_plain_reference_sweep(ts20, case):
     # the chunked, compacting sweep must count exactly what a plain walk counts
     got, want = case(ts20)
@@ -458,9 +418,7 @@ def test_sweep_peak_memory_does_not_grow_with_n_samples(ts20, run):
     lambda ts, n: estimate_exceedances(ts, [0, 3], 1, n_samples=n),
     lambda ts, n: dprime_sum(ts, build_blocks(ts, k_n=2), 1, n_samples=n),
     lambda ts, n: d0_mixing_gap(ts, i=0, t=2, ell=2, seed=1, n_samples=n),
-    lambda ts, n: mc_correlation_DC(ts.schedule, (0.2, 0.5), (0.55, 0.8), i=1, t=2,
-                                    seed=1, n_samples=n),
-], ids=["pn", "exceedances", "dprime", "d0", "dc"])
+], ids=["pn", "exceedances", "dprime", "d0"])
 @pytest.mark.parametrize("n", [0, -5])
 def test_estimators_reject_nonpositive_sample_counts(ts20, run, n):
     with pytest.raises(ValueError, match=f"n_samples must be positive, got {n}"):
