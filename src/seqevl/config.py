@@ -17,8 +17,7 @@ from pathlib import Path
 from typing import ClassVar
 
 from .maps import ParameterSchedule, _named_exponents
-from .mesh import (DEFAULT_CELLS, DEFAULT_MIN_WIDTH, DEFAULT_RATIO, Mesh,
-                   graded_mesh, uniform_mesh)
+from .mesh import DEFAULT_CELLS, DEFAULT_MIN_WIDTH, DEFAULT_RATIO, Mesh, graded_mesh
 from .montecarlo import DEFAULT_BETA, DEFAULT_KAPPA
 from .recurrence import RecurrenceParams
 from .thresholds import Observable
@@ -105,7 +104,6 @@ class ScheduleSpec:
     seed: int = ParameterSchedule.seed
     alpha_star: float = ParameterSchedule.alpha_star
     # the mode decides which fields a run reads (`read_fields`)
-    SELECTOR: ClassVar[str] = "mode"
     READS: ClassVar[dict] = {"periodic": ("cycle",), "iid": ("lo", "hi", "seed")}
 
     def build(self) -> ParameterSchedule:
@@ -122,20 +120,12 @@ class ObservableSpec:
 
 @dataclass(frozen=True)
 class MeshSpec:
-    kind: str = "graded"
     cells: int = DEFAULT_CELLS
     ratio: float = DEFAULT_RATIO
     min_width: float = DEFAULT_MIN_WIDTH
-    # the kind decides which fields a run reads (`read_fields`), in the
-    # order its builder takes them
-    SELECTOR: ClassVar[str] = "kind"
-    READS: ClassVar[dict] = {"graded": ("cells", "ratio", "min_width"), "uniform": ("cells",)}
 
     def build(self) -> Mesh:
-        builder = {"graded": graded_mesh, "uniform": uniform_mesh}.get(self.kind)
-        if builder is None:
-            raise ConfigError(f"unknown mesh kind {self.kind!r}")
-        return builder(*(getattr(self, name) for name in self.READS[self.kind]))
+        return graded_mesh(self.cells, self.ratio, self.min_width)
 
 
 @dataclass(frozen=True)
@@ -205,15 +195,15 @@ def _flat(config: ExperimentConfig) -> dict:
 
 
 def read_fields(spec) -> tuple[str, ...]:
-    """The fields of a section spec that a run reads.  In a section with a
-    selector (its SELECTOR field), the fields READS names for the
-    selector's value and every field that no value names, such as the
-    selector itself; in any other section, or under a value READS does not
-    name, which the builders refuse, every field."""
+    """The fields of a section spec that a run reads.  In `[schedule]`, the
+    one section with a selector (its READS table, keyed by `mode`), the
+    fields READS names for the mode and every field that no mode names, such
+    as `mode` itself; in any other section, or under a mode READS does not
+    name, which the builder refuses, every field."""
     names = tuple(f.name for f in fields(spec))
-    if not hasattr(spec, "SELECTOR") or getattr(spec, spec.SELECTOR) not in spec.READS:
+    if not hasattr(spec, "READS") or spec.mode not in spec.READS:
         return names
-    chosen = spec.READS[getattr(spec, spec.SELECTOR)]
+    chosen = spec.READS[spec.mode]
     named = {name for value in spec.READS.values() for name in value}
     return tuple(name for name in names if name in chosen or name not in named)
 
@@ -445,7 +435,7 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
             fault(f"exponents.{name}", "bad-exponents", f"{name} must lie in (0, 1)")
 
     # the run builds these specs, and their constructors check the rest
-    # (mesh kind, cells and ratio, the observable's zeta, schedule cycle
+    # (mesh cells and ratio, the observable's zeta, schedule cycle
     # and iid bounds, recurrence exponents and horizons); a spec already
     # flagged above is not built
     raised = {d.code for d in diagnostics}

@@ -77,11 +77,6 @@ class Mesh:
         return Mesh(out)
 
 
-def uniform_mesh(n_cells: int = DEFAULT_CELLS) -> Mesh:
-    # no boundaries for a negative count, so Mesh refuses it with its own message
-    return Mesh(np.linspace(0.0, 1.0, max(n_cells + 1, 0)))
-
-
 def graded_mesh(n_cells: int = DEFAULT_CELLS, ratio: float = DEFAULT_RATIO,
                 min_width: float = DEFAULT_MIN_WIDTH) -> Mesh:
     """Geometric grading: cell widths shrink by `ratio` toward 0, floored at `min_width`.
@@ -106,9 +101,9 @@ def graded_mesh(n_cells: int = DEFAULT_CELLS, ratio: float = DEFAULT_RATIO,
 class Density:
     """Piecewise-constant density: `values[k]` is the average on cell k.
 
-    Values may be signed; most operators preserve nonnegativity but the
-    decorrelation functional pushes signed cell data through the same code
-    path.  `prefix_mass` caches the exact running integral used by cdf().
+    Values may be signed: the operators preserve nonnegativity, and signed
+    values come only from `Density.difference`, the zero-mass input of the
+    decay kind.  `prefix_mass` caches the exact running integral used by cdf().
     A stacked Density (`Density.stack`) holds one density per row of a 2-D
     `values`, with `prefix_mass` along the last axis.
     """

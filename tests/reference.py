@@ -5,6 +5,8 @@ No experiment runs any of this, so it sits beside the tests rather than in
 from `cli.main` to hold it to that, and another holds this module to what
 some test reaches).  What it holds:
 
+- `uniform_mesh`: a mesh of equal cells, on which tests check `Mesh`'s own
+  rules and the pushes; every run builds the package's graded mesh.
 - `ulam_matrix` and `UlamOperator`: the independent reference
   discretization, a sparse row-stochastic matrix whose (i, j) entry is the
   fraction of cell i that lands in cell j.  On piecewise-constant inputs it
@@ -50,7 +52,7 @@ import numpy as np
 
 from seqevl._rng import philox_key
 from seqevl.maps import _check_alpha, _check_domain, apply_map_batch, lsv_left_inverse
-from seqevl.mesh import Density, Mesh, _same_mesh
+from seqevl.mesh import DEFAULT_CELLS, Density, Mesh, _same_mesh
 from seqevl.thresholds import Observable, ThresholdSchedule
 
 # ---------------------------------------------------------------------------
@@ -96,6 +98,15 @@ def lsv_preimages(alpha: float, y):
     """Both branch preimages of y: (left in [0, 1/2], right in [1/2, 1])."""
     y = _check_domain(y)
     return lsv_left_inverse(alpha, y), (np.asarray(y, dtype=float) + 1.0) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# meshes
+
+
+def uniform_mesh(n_cells: int = DEFAULT_CELLS) -> Mesh:
+    # no boundaries for a negative count, so Mesh refuses it with its own message
+    return Mesh(np.linspace(0.0, 1.0, max(n_cells + 1, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,10 @@ def test_config_from_dict_rejects_unknown_keys():
     for key in ("xi", "eta"):
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[exponents\\]"):
             config_from_dict({"exponents": {key: 0.5}})
+    # every mesh is graded, so [mesh] has no kind
+    for kind in ("graded", "uniform"):
+        with pytest.raises(ConfigError, match="unknown key 'kind' in \\[mesh\\]"):
+            config_from_dict({"mesh": {"kind": kind}})
     # [observable] holds zeta alone
     for key, value in (("form", "log"), ("power", 2.0), ("cap", 1.0)):
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[observable\\]"):
@@ -300,7 +304,6 @@ HARD_ERRORS = [
     (dict(kind="decay", mesh=MeshSpec(cells=1)), "bad-mesh"),
     (dict(kind="dprime", exponents=ExponentSpec(beta=1.0)), "bad-exponents"),
     (dict(mesh=MeshSpec(cells=1)), "bad-mesh"),
-    (dict(mesh=MeshSpec(kind="hexagonal")), "bad-mesh"),
     (dict(observable=ObservableSpec(zeta=0.0)), "bad-zeta"),
     (dict(observable=ObservableSpec(zeta=1.0)), "bad-zeta"),
     (dict(schedule=ScheduleSpec(mode="iid", lo=0.1, hi=0.05)), "bad-schedule"),
@@ -320,21 +323,17 @@ HARD_ERRORS = [
     (dict(kind="d0", n=3), "bad-n"),
     (dict(kind="orbit", n=-50), "bad-n"),
     (dict(kind="orbit", n=0), "bad-n"),
-    # the builders alone catch iid lo == hi and a one-cell uniform mesh;
-    # validate_config itself an unknown mode (`explicit` is none) and a
-    # negative iid lo
+    # the builder alone catches iid lo == hi; validate_config itself an
+    # unknown mode (`explicit` is none) and a negative iid lo
     (dict(schedule=ScheduleSpec(mode="explicit")), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="iid", lo=0.1, hi=0.1)), "bad-schedule"),
-    (dict(mesh=MeshSpec(kind="uniform", cells=1)), "bad-mesh"),
     (dict(schedule=ScheduleSpec(mode="iid", lo=-0.1)), "bad-alpha"),
-    # Mesh itself refuses fewer than 2 cells, whichever builder made it
-    *[(dict(mesh=MeshSpec(kind=kind, cells=cells)), "bad-mesh")
-      for kind in ("graded", "uniform") for cells in (0, -1, -5)],
+    # Mesh itself refuses fewer than 2 cells
+    *[(dict(mesh=MeshSpec(cells=cells)), "bad-mesh") for cells in (0, -1, -5)],
     (dict(kind="recurrence", observable=ObservableSpec(zeta=0.0)), "bad-zeta"),
     # the gap needs an event step and a later window, so two steps at least
     (dict(kind="d0", n=1), "bad-n"),
     (dict(kind="d0", n=-1), "bad-n"),
-    # rows from here on are named by _row_id; add new rows at the end
     # a recurrence run's own spec faults are errors, reported beside the others:
     # an infeasible beta, and local union horizons above the ceiling (about
     # 9.2e18 steps at gamma = 60; at gamma = 300 the scale 32^300 overflows)
@@ -368,19 +367,30 @@ def _row_id(overrides, code) -> str:
     return f"{code}:" + "/".join(parts)
 
 
-# the first rows keep the positional ids pytest gave them before rows were
-# named ("overrides<i>-<code>", from an id of None), so no existing test id
-# changes; every later row is named by its code and the keys it sets, so a
-# row added at the end renames no other test
+# the first FIRST_NAMED_ROW places keep the positional ids pytest gave them
+# before rows were named ("overrides<i>-<code>", i a row's place among the
+# test's rows); RETIRED holds the places and codes of rows deleted since (the
+# five [mesh] kind rows: hexagonal, and the uniform mesh of 1, 0, -1 and -5
+# cells), so no row after them is renamed. Every later row is named by its
+# code and the keys it sets, so a row added at the end renames no other test
 FIRST_NAMED_ROW = 40
-HARD_ERROR_IDS = [None if i < FIRST_NAMED_ROW else _row_id(o, c)
-                  for i, (o, c) in enumerate(HARD_ERRORS)]
+RETIRED = {7: "bad-mesh", 29: "bad-mesh", 34: "bad-mesh", 35: "bad-mesh", 36: "bad-mesh"}
 
 
 def _hard_error_params(skip=None) -> dict:
     """parametrize's argvalues and ids: the HARD_ERRORS rows but those of code skip"""
-    kept = [(row, i) for row, i in zip(HARD_ERRORS, HARD_ERROR_IDS) if row[1] != skip]
-    return dict(argvalues=[row for row, _ in kept], ids=[i for _, i in kept])
+    rows = iter(HARD_ERRORS)
+    argvalues, ids, i = [], [], 0
+    for place in range(len(HARD_ERRORS) + len(RETIRED)):
+        row = None if place in RETIRED else next(rows)
+        code = RETIRED[place] if row is None else row[1]
+        if code == skip:
+            continue
+        if row is not None:
+            argvalues.append(row)
+            ids.append(f"overrides{i}-{code}" if place < FIRST_NAMED_ROW else _row_id(*row))
+        i += 1
+    return dict(argvalues=argvalues, ids=ids)
 
 
 def _config_with(overrides, **more) -> ExperimentConfig:
@@ -389,8 +399,10 @@ def _config_with(overrides, **more) -> ExperimentConfig:
 
 
 def test_hard_error_ids_are_distinct():
-    named = [i for i in HARD_ERROR_IDS if i is not None]
-    assert len(set(named)) == len(named) == len(HARD_ERRORS) - FIRST_NAMED_ROW
+    for skip in (None, "bad-tau"):
+        ids = _hard_error_params(skip)["ids"]
+        assert len(set(ids)) == len(ids)
+    assert len(_hard_error_params()["ids"]) == len(HARD_ERRORS)
 
 
 @pytest.mark.parametrize("overrides,code", **_hard_error_params())
@@ -438,8 +450,7 @@ UNREAD_FAULTS = [
     (dict(kind="orbit", mesh=MeshSpec(cells=1)), "bad-mesh"),
     (dict(x0=2.0), "bad-x0"),
     (dict(exponents=ExponentSpec(beta=1.0)), "bad-exponents"),
-    # a uniform mesh reads its cells alone, a periodic schedule its cycle
-    (dict(mesh=MeshSpec(kind="uniform", cells=64, ratio=0.5, min_width=1e-3)), "unused-key"),
+    # a periodic schedule reads its cycle alone
     (dict(schedule=ScheduleSpec(lo=0.02, seed=3)), "unused-key"),
     # calibrate, d0 and orbit step to n alone, whatever n_ladder holds
     (dict(kind="calibrate", n_ladder=(1000, 250)), "unused-key"),
@@ -453,11 +464,9 @@ UNREAD_FAULTS = [
                          ids=[_row_id(o, c) for o, c in UNREAD_FAULTS])
 def test_unread_key_faults_are_warnings(overrides, tmp_path):
     # the run goes ahead, in the directory of the run without the fault,
-    # with the same verdicts and tables; the clean run has the row's mesh
-    # kind, so a row may set the fields that kind does not read
+    # with the same verdicts and tables
     kind = overrides.get("kind", "evl")
-    mesh_kind = overrides.get("mesh", MeshSpec()).kind
-    small = dict(n=50, n_samples=2000, mesh=MeshSpec(kind=mesh_kind, cells=64))
+    small = dict(n=50, n_samples=2000, mesh=MeshSpec(cells=64))
     clean = default_config(kind, **small)
     faulty = _config_with(overrides, **{k: v for k, v in small.items() if k not in overrides})
     diags = validate_config(faulty)
@@ -647,12 +656,16 @@ def test_cli_malformed_toml_is_an_error(tmp_path):
 
 
 def test_cli_mistyped_value_is_an_error(tmp_path):
+    # a value of the wrong type, and a key that no section has
     path = tmp_path / "typo.toml"
-    path.write_text('tau = "abc"\n')
-    code, out, err = run_cli(["validate", "--config", str(path)])
-    assert code == 1
-    assert out == ""
-    assert err.splitlines() == ["error: tau must be a number, got 'abc'"]
+    for command, text, message in (
+            ("validate", 'tau = "abc"\n', "tau must be a number, got 'abc'"),
+            ("evl", '[mesh]\nkind = "uniform"\n', "unknown key 'kind' in [mesh]")):
+        path.write_text(text)
+        code, out, err = run_cli([command, "--config", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
 
 
 def test_cli_non_finite_value_is_an_error(tmp_path):

@@ -175,13 +175,13 @@ def _recording(spec, reads: set, prefix: str = ""):
     return copy
 
 
-# (schedule, mesh) pairs that between them take every selector value, each
+# (schedule, mesh) pairs that between them take every schedule mode, each
 # with the fields a run reads under it
 SELECTIONS = [
     ((ScheduleSpec(), {"mode", "cycle", "alpha_star"}),
-     (MeshSpec(cells=32), {"kind", "cells", "ratio", "min_width"})),
+     (MeshSpec(cells=32), {"cells", "ratio", "min_width"})),
     ((ScheduleSpec(mode="iid"), {"mode", "lo", "hi", "seed", "alpha_star"}),
-     (MeshSpec(kind="uniform", cells=32), {"kind", "cells"})),
+     (MeshSpec(cells=32), {"cells", "ratio", "min_width"})),
 ]
 
 
@@ -192,8 +192,9 @@ def test_runner_reads_exactly_its_keys(kind, tmp_path, monkeypatch):
     reads its row (every kind reads `kind`): a read field counts as its
     section where the row names the whole section.  A set n_ladder leaves n
     unread, and a kind that does not read n_ladder steps to n whatever it
-    holds.  Of the schedule and the mesh it reads, field for field, what the
-    selector's value reads, and those are the keys that `kind_reads` names."""
+    holds.  Of the schedule it reads, field for field, what its mode reads,
+    and of the mesh every field, and those are the keys that `kind_reads`
+    names."""
     reads = set()
     runner = experiments._RUNNERS[kind]
 

@@ -48,7 +48,7 @@ NEVER_CALLED_ALLOWED = {
     "Mesh.refined",
 }
 
-# config keys that no kind reads under any selector value, each with the
+# config keys that no kind reads under any schedule mode, each with the
 # reason it stays
 UNREAD_KEYS_ALLOWED = {
     "out_dir",  # where a run is written, not what it computes
@@ -56,16 +56,16 @@ UNREAD_KEYS_ALLOWED = {
     "workers",
 }
 
-# (command, config overrides) run under the profiler: every kind, every
-# schedule mode and both mesh kinds, each small enough that the matrix runs
-# in about half a second; calibrate's 20 samples give its exceedance
+# (command, config overrides) run under the profiler: every kind and every
+# schedule mode, each small enough that the matrix runs in about half a
+# second; calibrate's 20 samples give its exceedance
 # estimates fewer than 10 hits, the exact Clopper-Pearson branch; validate
 # then checks the default config
 RUNS = (
     ("evl", dict(n_ladder=(8, 16))),
     ("calibrate", dict(n=12, n_samples=20,
                        schedule=ScheduleSpec(mode="periodic", cycle=(0.05, 0.1)),
-                       mesh=MeshSpec(kind="uniform", cells=32))),
+                       mesh=MeshSpec(cells=32))),
     ("dprime", dict(n_ladder=(16, 24), schedule=ScheduleSpec(mode="iid"))),
     ("d0", dict(n=20)),
     ("decay", dict(n_ladder=(4, 8))),
@@ -253,26 +253,24 @@ def test_declared_dependencies_are_the_imported_ones():
 
 
 def test_every_key_is_read_by_some_kind():
-    """A key that no kind reads, under any value of the schedule's and the
-    mesh's selector, is a knob that does nothing."""
-    configs = [default_config(kind, schedule=ScheduleSpec(mode=mode), mesh=MeshSpec(kind=mesh))
-               for kind in KINDS for mode in ScheduleSpec.READS for mesh in MeshSpec.READS]
+    """A key that no kind reads, under any schedule mode, is a knob that
+    does nothing."""
+    configs = [default_config(kind, schedule=ScheduleSpec(mode=mode))
+               for kind in KINDS for mode in ScheduleSpec.READS]
     read = {key for config in configs for key in _flat(config) if kind_reads(config, key)}
     assert set(_flat(ExperimentConfig())) - read == UNREAD_KEYS_ALLOWED
 
 
 def test_validate_and_cli_name_no_kind():
     """`validate_config` and `cli` read each kind's row of `KINDS`, so no
-    string constant in them names a kind; neither does `_exponents_read`,
-    whose branches became row data, should it come back.  `recurrence` is
-    also a section: as a key it names no kind, but no comparison holds it.
+    string constant in them names a kind.  `recurrence` is also a section:
+    as a key it names no kind, but no comparison holds it.
     A runner reads its row through `config.kind`, so in `experiments` a kind
     is named only as a key of `_RUNNERS`, or as the name of a table a runner
     writes (`evl.csv`), which is a file name."""
     guarded = [node for node in ast.parse((SRC / "config.py").read_text(encoding="utf-8")).body
-               if isinstance(node, ast.FunctionDef)
-               and node.name in ("validate_config", "_exponents_read")]
-    assert "validate_config" in {node.name for node in guarded}
+               if isinstance(node, ast.FunctionDef) and node.name == "validate_config"]
+    assert guarded
     guarded.append(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
     keys = {f.name for f in fields(ExperimentConfig)}
     compared = {id(node) for tree in guarded for compare in ast.walk(tree)

@@ -11,9 +11,8 @@ from seqevl.mesh import (
     graded_mesh,
     project,
     uniform_density,
-    uniform_mesh,
 )
-from reference import integrate_product, l1_distance
+from reference import integrate_product, l1_distance, uniform_mesh
 
 
 def test_mesh_validation():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from seqevl.config import MeshSpec
 from seqevl.maps import ALPHA_STAR, ParameterSchedule
-from seqevl.mesh import Density, graded_mesh, uniform_density, uniform_mesh
+from seqevl.mesh import Density, graded_mesh, uniform_density
 from seqevl import thresholds
 from seqevl.montecarlo import estimate_Pn
 from seqevl.thresholds import (
@@ -21,7 +21,7 @@ from seqevl.thresholds import (
 from seqevl.transfer import loss_of_memory_distance, push_density
 from reference import (ConeParams, observable_distance, observable_value,
                        radius_for_level, schedule_window, threshold_window,
-                       ulam_matrix)
+                       ulam_matrix, uniform_mesh)
 
 
 # -------------------------------------------------------------- observables

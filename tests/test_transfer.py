@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqevl import transfer
 from seqevl.maps import ALPHA_STAR, ParameterSchedule, lsv_left_inverse
-from seqevl.mesh import Density, Mesh, graded_mesh, project, uniform_density, uniform_mesh
+from seqevl.mesh import Density, Mesh, graded_mesh, project, uniform_density
 from seqevl.thresholds import Observable, build_threshold_schedule
 from seqevl.transfer import (
     DecayResult,
@@ -27,6 +27,7 @@ from reference import (
     l1_distance,
     pointwise_push,
     ulam_matrix,
+    uniform_mesh,
 )
 
 # high-precision cone floor values (mpmath, 40 significant digits)
