@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar
 
-from .maps import ParameterSchedule, _named_exponents
+from .maps import ParameterSchedule
 from .mesh import DEFAULT_CELLS, DEFAULT_MIN_WIDTH, DEFAULT_RATIO, Mesh, graded_mesh
 from .montecarlo import DEFAULT_BETA, DEFAULT_KAPPA
 from .recurrence import RecurrenceParams
@@ -347,12 +347,13 @@ def exponent_ledger(alpha_star: float, beta: float = ExponentSpec.beta,
 
 
 def ledger_report(config: ExperimentConfig) -> list[LedgerCheck]:
-    """The exponent budgets at the sup exponent of the config's schedule;
-    none for a kind that does not read `exponents`."""
+    """The exponent budgets at the sup exponent of the config's schedule,
+    which must build (`validate_config` reports no error); none for a kind
+    that does not read `exponents`."""
     exps = config.exponents
     if not kind_reads(config, "exponents"):
         return []
-    return exponent_ledger(max(_named_exponents(config.schedule)), exps.beta, exps.kappa)
+    return exponent_ledger(config.schedule.build().sup_alpha(), exps.beta, exps.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -417,40 +418,24 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
     if not 0.0 <= config.x0 <= 1.0:
         fault("x0", "bad-x0", "orbit start must lie in [0, 1]")
 
-    sched = config.schedule
-    try:
-        alphas = _named_exponents(sched)
-    except ValueError as exc:
-        fault("schedule", "bad-schedule", str(exc))
-    else:
-        if alphas and min(alphas) <= 0.0:
-            fault("schedule", "bad-alpha", "map exponents must be positive")
-        elif alphas and max(alphas) > sched.alpha_star:
-            fault("schedule", "alpha-above-star",
-                  f"schedule exponent {max(alphas)} exceeds alpha_star={sched.alpha_star}")
-
     exps = config.exponents
     for name in ("beta", "kappa"):
         if not 0.0 < getattr(exps, name) < 1.0:
             fault(f"exponents.{name}", "bad-exponents", f"{name} must lie in (0, 1)")
 
-    # the run builds these specs, and their constructors check the rest
-    # (mesh cells and ratio, the observable's zeta, schedule cycle
-    # and iid bounds, recurrence exponents and horizons); a spec already
-    # flagged above is not built
-    raised = {d.code for d in diagnostics}
-    for key, code, spec, own in (
-            ("schedule", "bad-schedule", sched, {"bad-alpha", "alpha-above-star", "bad-schedule"}),
-            ("mesh", "bad-mesh", config.mesh, set()),
-            ("observable.zeta", "bad-zeta", config.observable, set())):
-        if not own & raised:
-            try:
-                spec.build()
-            except ValueError as exc:
-                fault(key, code, str(exc))
+    # the run builds these specs, and their constructors check the rest (the
+    # schedule's mode, cycle, exponents, cap and iid bounds, mesh cells and
+    # ratio, the observable's zeta, recurrence exponents and horizons)
+    for key, code, spec in (("schedule", "bad-schedule", config.schedule),
+                            ("mesh", "bad-mesh", config.mesh),
+                            ("observable.zeta", "bad-zeta", config.observable)):
+        try:
+            spec.build()
+        except ValueError as exc:
+            fault(key, code, str(exc))
     # a recurrence run steps to its union horizons, which must stay below the ceiling
     try:
-        params = config.recurrence.build(sched.alpha_star)
+        params = config.recurrence.build(config.schedule.alpha_star)
         params.horizon(max(EJ_LADDER))
         params.horizon(max(LOCAL_JS), params.gamma)
     except ValueError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import (EJ_LADDER, EN_EPS_LADDER, KINDS, LOCAL_JS, ConfigError,
                      ExperimentConfig, validate_config)
-from .io import _write_atomic, write_csv, write_json
+from .io import write_csv, write_json, write_text
 from .maps import sequential_orbit
 from .mesh import uniform_density
 from .montecarlo import (build_blocks, d0_mixing_gap, dprime_sum, estimate_exceedances,
@@ -101,7 +101,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     for name, (header, rows) in tables.items():
         write_csv(out_dir / f"{name}.csv", header, rows)
-    _write_atomic(out_dir / "config.toml", config.to_toml(read_only=True))
+    write_text(out_dir / "config.toml", config.to_toml(read_only=True))
 
     report = ExperimentReport(
         kind=config.kind,

@@ -1,8 +1,8 @@
-"""CSV/JSON artifact writers.
+"""Artifact writers: CSV tables, JSON summaries and a run's config text.
 
 CSV output follows RFC 4180 (CRLF rows, minimal quoting) and JSON output is
 key-sorted, so identical runs produce byte-identical files.  Each artifact
-is rendered in full, then written through `_write_atomic`.
+is rendered in full, then written through `write_text`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 from pathlib import Path
 
 
-def _write_atomic(path, text: str) -> None:
+def write_text(path, text: str) -> None:
     """Write text to `<name>.tmp` and move it over path, making the parent
     directories; a failed write leaves neither file."""
     path = Path(path)
@@ -34,11 +34,11 @@ def write_csv(path, header, rows) -> None:
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _write_atomic(path, buf.getvalue())
+    write_text(path, buf.getvalue())
 
 
 def write_json(path, payload) -> None:
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 class DiskCache:

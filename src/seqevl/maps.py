@@ -87,8 +87,7 @@ def apply_map_batch(alpha: float, x: np.ndarray, out: np.ndarray | None = None) 
 
 def _named_exponents(schedule) -> tuple:
     """The exponents a schedule names, by its mode: the cycle for periodic,
-    (lo, hi) for iid.  Config validation passes a ScheduleSpec, which has
-    the same fields."""
+    (lo, hi) for iid."""
     if schedule.mode == "periodic":
         return tuple(schedule.cycle)
     if schedule.mode == "iid":

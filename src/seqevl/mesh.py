@@ -68,14 +68,6 @@ class Mesh:
         cell = self.cell_index(x)
         return cell, x - self.boundaries[cell]
 
-    def refined(self) -> "Mesh":
-        """Split every cell at its midpoint (halves all widths)."""
-        b = self.boundaries
-        out = np.empty(2 * self.n_cells + 1)
-        out[0::2] = b
-        out[1::2] = 0.5 * (b[:-1] + b[1:])
-        return Mesh(out)
-
 
 def graded_mesh(n_cells: int = DEFAULT_CELLS, ratio: float = DEFAULT_RATIO,
                 min_width: float = DEFAULT_MIN_WIDTH) -> Mesh:

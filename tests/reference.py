@@ -7,6 +7,8 @@ some test reaches).  What it holds:
 
 - `uniform_mesh`: a mesh of equal cells, on which tests check `Mesh`'s own
   rules and the pushes; every run builds the package's graded mesh.
+- `refined`: a mesh with every cell split at its midpoint, on which tests
+  check that the pushes and the calibration converge under refinement.
 - `ulam_matrix` and `UlamOperator`: the independent reference
   discretization, a sparse row-stochastic matrix whose (i, j) entry is the
   fraction of cell i that lands in cell j.  On piecewise-constant inputs it
@@ -107,6 +109,15 @@ def lsv_preimages(alpha: float, y):
 def uniform_mesh(n_cells: int = DEFAULT_CELLS) -> Mesh:
     # no boundaries for a negative count, so Mesh refuses it with its own message
     return Mesh(np.linspace(0.0, 1.0, max(n_cells + 1, 0)))
+
+
+def refined(mesh: Mesh) -> Mesh:
+    """Split every cell at its midpoint (halves all widths)."""
+    b = mesh.boundaries
+    out = np.empty(2 * mesh.n_cells + 1)
+    out[0::2] = b
+    out[1::2] = 0.5 * (b[:-1] + b[1:])
+    return Mesh(out)
 
 
 # ---------------------------------------------------------------------------

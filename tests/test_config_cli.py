@@ -267,7 +267,8 @@ def test_schedule_exponent_above_cap_is_an_error():
     cfg = default_config("evl", schedule=ScheduleSpec(cycle=(0.2,)))
     diags = validate_config(cfg)
     assert [d.severity for d in diags] == ["error"]
-    assert diags[0].code == "alpha-above-star"
+    assert (diags[0].code, diags[0].key) == ("bad-schedule", "schedule")
+    assert "alpha_star" in diags[0].message
 
 
 def test_kappa_above_beta_is_a_warning_not_an_error():
@@ -310,7 +311,7 @@ HARD_ERRORS = [
     (dict(kind="orbit", x0=1.5), "bad-x0"),
     (dict(schedule=ScheduleSpec(mode="warp")), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="periodic", cycle=())), "bad-schedule"),
-    (dict(schedule=ScheduleSpec(cycle=(-0.1,))), "bad-alpha"),
+    (dict(schedule=ScheduleSpec(cycle=(-0.1,))), "bad-schedule"),
     (dict(n_ladder=(250, 500, 250)), "bad-n"),
     (dict(kind="decay", n_ladder=(64, 64, 128)), "bad-n"),
     (dict(kind="decay", n_ladder=(1, 64, 128)), "bad-n"),
@@ -323,11 +324,11 @@ HARD_ERRORS = [
     (dict(kind="d0", n=3), "bad-n"),
     (dict(kind="orbit", n=-50), "bad-n"),
     (dict(kind="orbit", n=0), "bad-n"),
-    # the builder alone catches iid lo == hi; validate_config itself an
-    # unknown mode (`explicit` is none) and a negative iid lo
+    # the builder catches each: an unknown mode (`explicit` is none), iid
+    # lo == hi and a negative iid lo
     (dict(schedule=ScheduleSpec(mode="explicit")), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="iid", lo=0.1, hi=0.1)), "bad-schedule"),
-    (dict(schedule=ScheduleSpec(mode="iid", lo=-0.1)), "bad-alpha"),
+    (dict(schedule=ScheduleSpec(mode="iid", lo=-0.1)), "bad-schedule"),
     # Mesh itself refuses fewer than 2 cells
     *[(dict(mesh=MeshSpec(cells=cells)), "bad-mesh") for cells in (0, -1, -5)],
     (dict(kind="recurrence", observable=ObservableSpec(zeta=0.0)), "bad-zeta"),
@@ -638,7 +639,7 @@ def test_cli_validate_rejects_bad_exponent(tmp_path):
     path.write_text(cfg.to_toml())
     code, out, _ = run_cli(["validate", "--config", str(path)])
     assert code == 1
-    assert "[ERROR] alpha-above-star" in out
+    assert "[ERROR] bad-schedule: exponent 0.2 outside (0, alpha_star=" in out
 
 
 def test_cli_missing_config_is_an_error(tmp_path):

@@ -5,8 +5,9 @@ called when `cli.main` runs a small matrix of configs.  Code that only tests
 use belongs in `tests/reference.py`, and each of its functions and classes
 is reached from some test.  `validate_config` and `cli` name no kind, and
 `experiments` names one only to map it to its runner.  Every config key is
-read by some kind.  README's Quick start block runs against
-the package as it stands, and its imports are all the package exports."""
+read by some kind, and no package module imports another's private name.
+README's Quick start block runs against the package as it stands, and its
+imports are all the package exports."""
 
 import ast
 import contextlib
@@ -44,8 +45,6 @@ NEVER_CALLED_ALLOWED = {
     # perfbench/tracing.py patches the DiskCache methods; ROADMAP item 6a
     # deletes them with the class
     "DiskCache.load_trajectory", "DiskCache.store_trajectory",
-    # the x2 mesh the operator route of ROADMAP item 1 pushes on
-    "Mesh.refined",
 }
 
 # config keys that no kind reads under any schedule mode, each with the
@@ -250,6 +249,18 @@ def test_declared_dependencies_are_the_imported_ones():
         declared = tomllib.load(f)["project"]["dependencies"]
     names = {re.match(r"[\w.-]+", requirement).group() for requirement in declared}
     assert imported - set(sys.stdlib_module_names) - {"seqevl"} == names
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A package module imports only public names from another: a private
+    helper has one home and one caller set, its own module's.  The private
+    modules `_numeric` and `_rng` share their public names."""
+    private = [f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_every_key_is_read_by_some_kind():

