@@ -81,7 +81,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
                   file=stdout)
         print(f"artifacts: {report.out_dir}", file=stdout)
         return 0 if report.passed else 2
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=stderr)
         return 1
 

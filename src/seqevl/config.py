@@ -32,8 +32,8 @@ LOCAL_JS = (8, 16, 32)
 @dataclass(frozen=True)
 class Kind:
     """One experiment kind: its command's help line, the keys its runner
-    reads (top-level keys, whole sections or `section.field` entries), which
-    alone make a run's id and decide each fault's severity, and its horizons."""
+    reads (top-level keys and whole sections), which alone make a run's id
+    and decide each fault's severity, and its horizons."""
 
     help: str
     reads: tuple[str, ...]
@@ -69,7 +69,7 @@ KINDS = {
                   ("n_ladder", "schedule", "mesh"), ladder=tuple(2 ** k for k in range(6, 13)),
                   min_n=2, min_rungs=2, why="the slope fit reads log log n at two horizons"),
     "recurrence": Kind("measures of fast-returning sets and their scaling",
-                       ("schedule", "observable.zeta", "recurrence"), (1, 5, 20)),
+                       ("schedule", "observable", "recurrence"), (1, 5, 20)),
     "orbit": Kind("print one sequential orbit", ("n", "x0", "schedule")),
 }
 
@@ -144,8 +144,13 @@ class RecurrenceSpec:
     gamma: float = RecurrenceParams.gamma
 
     def build(self, alpha_star: float) -> RecurrenceParams:
-        return RecurrenceParams(alpha_star=alpha_star, beta=self.beta,
-                                kappa=self.kappa, xi=self.xi, gamma=self.gamma)
+        """The run's params, whose union horizons over the run's j ladders
+        must stay below the ceiling."""
+        params = RecurrenceParams(alpha_star=alpha_star, beta=self.beta,
+                                  kappa=self.kappa, xi=self.xi, gamma=self.gamma)
+        params.horizon(max(EJ_LADDER))
+        params.horizon(max(LOCAL_JS), params.gamma)
+        return params
 
 
 @dataclass(frozen=True)
@@ -212,7 +217,7 @@ def kind_reads(config: ExperimentConfig, key: str) -> bool:
     """Whether a run of the config's kind reads key (top-level, a section
     or `section.field`): `kind` always, every key for a kind that KINDS
     does not name, which validate refuses, `n` as its `horizon_key`, and of
-    a section its row names, the fields `read_fields` gives."""
+    a section its row names, the section and the fields `read_fields` gives."""
     row = KINDS.get(config.kind)
     if row is not None and key == "n":
         return row.horizon_key(config) == "n"
@@ -423,23 +428,21 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         if not 0.0 < getattr(exps, name) < 1.0:
             fault(f"exponents.{name}", "bad-exponents", f"{name} must lie in (0, 1)")
 
-    # the run builds these specs, and their constructors check the rest (the
-    # schedule's mode, cycle, exponents, cap and iid bounds, mesh cells and
-    # ratio, the observable's zeta, recurrence exponents and horizons)
-    for key, code, spec in (("schedule", "bad-schedule", config.schedule),
-                            ("mesh", "bad-mesh", config.mesh),
-                            ("observable.zeta", "bad-zeta", config.observable)):
-        try:
-            spec.build()
-        except ValueError as exc:
-            fault(key, code, str(exc))
-    # a recurrence run steps to its union horizons, which must stay below the ceiling
-    try:
-        params = config.recurrence.build(config.schedule.alpha_star)
-        params.horizon(max(EJ_LADDER))
-        params.horizon(max(LOCAL_JS), params.gamma)
-    except ValueError as exc:
-        fault("recurrence", "bad-recurrence", str(exc))
+    # a run builds only the sections it reads, and their builders check the
+    # rest (the schedule's mode, cycle, exponents, cap and iid bounds, mesh
+    # cells and ratio, the observable's zeta, recurrence exponents and
+    # horizons); a section too large to allocate is its fault
+    for key, code, build in (
+            ("schedule", "bad-schedule", config.schedule.build),
+            ("mesh", "bad-mesh", config.mesh.build),
+            ("observable.zeta", "bad-zeta", config.observable.build),
+            ("recurrence", "bad-recurrence",
+             lambda: config.recurrence.build(config.schedule.alpha_star))):
+        if kind_reads(config, key):
+            try:
+                build()
+            except (ValueError, MemoryError) as exc:
+                fault(key, code, str(exc))
 
     if diagnostics:
         return diagnostics

@@ -10,7 +10,6 @@ item that fixes it: once the fix lands, the row passes unexpectedly, and
 the fixing change moves it to the plain rows.
 """
 
-import io
 import re
 from dataclasses import replace
 
@@ -18,7 +17,6 @@ import numpy as np
 import pytest
 
 from seqevl import experiments
-from seqevl.cli import main
 from seqevl.config import KINDS, ExponentSpec, default_config
 
 # the smallest horizon and sample count at which every fault below shows;
@@ -105,16 +103,11 @@ def return_sets_like_the_grid(measure_of):
     return measure
 
 
-def run(kind, tmp_path, settings=None):
+def run(run_cli, kind, tmp_path, settings):
     """(exit code, {check name: PASS / FAIL / INFO}) of one CLI run."""
-    path = tmp_path / f"{kind}.toml"
-    cfg = default_config(kind, n=N, n_samples=SAMPLES, **(settings or {}))
-    path.write_text(cfg.to_toml(), encoding="utf-8")
-    out = io.StringIO()
-    code = main([kind, "--config", str(path), "--out", str(tmp_path / "runs")],
-                stdout=out, stderr=io.StringIO())
-    return code, {name: status for status, name in
-                  re.findall(r"^\[(PASS|FAIL|INFO)\] (\S+):", out.getvalue(), re.M)}
+    ran = run_cli(kind, "--out", str(tmp_path / "runs"),
+                  config=default_config(kind, n=N, n_samples=SAMPLES, **settings))
+    return ran.code, ran.verdicts
 
 
 NO_FAULT = [pytest.param(kind, {}, id=kind) for kind in KINDS] + [
@@ -124,8 +117,8 @@ NO_FAULT = [pytest.param(kind, {}, id=kind) for kind in KINDS] + [
 
 
 @pytest.mark.parametrize("kind,settings", NO_FAULT)
-def test_every_kind_passes_with_no_fault(kind, settings, tmp_path):
-    code, verdicts = run(kind, tmp_path, settings)
+def test_every_kind_passes_with_no_fault(kind, settings, run_cli, tmp_path):
+    code, verdicts = run(run_cli, kind, tmp_path, settings)
     assert "FAIL" not in verdicts.values(), verdicts
     assert code == 0
 
@@ -174,9 +167,9 @@ FAULTS = [
 
 
 @pytest.mark.parametrize("kind,settings,fault,failing", FAULTS)
-def test_fault_fails_its_checks(kind, settings, fault, failing, tmp_path, monkeypatch):
+def test_fault_fails_its_checks(kind, settings, fault, failing, run_cli, tmp_path, monkeypatch):
     fault(monkeypatch)
-    code, verdicts = run(kind, tmp_path, settings)
+    code, verdicts = run(run_cli, kind, tmp_path, settings)
     expected = {name for name in verdicts if re.fullmatch(failing, name)}
     assert expected, verdicts
     assert {name for name, status in verdicts.items() if status == "FAIL"} == expected

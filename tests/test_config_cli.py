@@ -1,7 +1,6 @@
 """Config parsing and validation, plus the command-line entry point."""
 
 import inspect
-import io
 import json
 import math
 import re
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from seqevl import experiments
-from seqevl.cli import build_parser, main
+from seqevl.cli import build_parser
 from seqevl.config import (
     KINDS,
     ConfigError,
@@ -585,34 +584,51 @@ def test_infeasible_recurrence_spec_severity_depends_on_kind():
         ("warning", "unused-key", "recurrence.kappa")]
 
 
+def mesh_too_large(calls):
+    """A graded_mesh that records its call and cannot allocate."""
+    def graded_mesh(*args):
+        calls.append(args)
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+    return graded_mesh
+
+
+def test_validate_builds_no_section_the_run_does_not_read(monkeypatch):
+    calls = []
+    monkeypatch.setattr("seqevl.config.graded_mesh", mesh_too_large(calls))
+    diagnostics = validate_config(default_config("orbit", mesh=MeshSpec(cells=64)))
+    assert [(d.severity, d.code, d.key) for d in diagnostics] == [
+        ("warning", "unused-key", "mesh.cells")]
+    assert calls == []
+
+
+def test_validate_reports_a_section_too_large_to_build_as_its_fault(monkeypatch):
+    calls = []
+    monkeypatch.setattr("seqevl.config.graded_mesh", mesh_too_large(calls))
+    diagnostics = validate_config(default_config("evl"))
+    assert [(d.severity, d.code, d.key, d.message) for d in diagnostics] == [
+        ("error", "bad-mesh", "mesh", "Unable to allocate 7.28 TiB for an array")]
+    assert len(calls) == 1
+
+
 # --------------------------------------------------------------------- CLI
 
-def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    code = main(argv, stdout=out, stderr=err)
-    return code, out.getvalue(), err.getvalue()
-
-
-def test_cli_validate_default_config(tmp_path):
+def test_cli_validate_default_config(run_cli):
     # only dprime reads [exponents], so only it reports the exponent budgets
-    path = tmp_path / "dprime.toml"
-    path.write_text(default_config("dprime").to_toml())
-    code, out, err = run_cli(["validate", "--config", str(path)])
+    code, out, err = run_cli("validate", config=default_config("dprime"))
     assert code == 0
     assert "configuration valid" in out
     assert out.count("[LEDGER]") == 4
     assert "[WARNING]" not in out
     assert err == ""
-    assert run_cli(["validate"]) == (0, "configuration valid\n", "")
+    assert run_cli("validate") == (0, "configuration valid\n", "")
 
 
-def test_cli_validate_names_each_budget_once(tmp_path):
+def test_cli_validate_names_each_budget_once(run_cli):
     # a violated budget is printed as its warning alone, a budget that
     # holds as its ledger line
-    path = tmp_path / "dprime.toml"
-    path.write_text(default_config("dprime", schedule=ScheduleSpec(cycle=(0.14,)),
-                                   exponents=ExponentSpec(beta=0.5, kappa=0.45)).to_toml())
-    code, out, _ = run_cli(["validate", "--config", str(path)])
+    code, out, _ = run_cli("validate", config=default_config(
+        "dprime", schedule=ScheduleSpec(cycle=(0.14,)),
+        exponents=ExponentSpec(beta=0.5, kappa=0.45)))
     lines = out.splitlines()
     assert code == 0
     assert sum(line.startswith("[WARNING] budget-") for line in lines) == 3
@@ -623,68 +639,73 @@ def test_cli_validate_names_each_budget_once(tmp_path):
         assert sum(name in line for line in lines) == 1, (name, out)
 
 
-def test_a_run_prints_its_warnings_as_validate_does(tmp_path):
-    path = tmp_path / "orbit.toml"
-    path.write_text(default_config("orbit", tau=2.0).to_toml())
-    _, validated, _ = run_cli(["validate", "--config", str(path)])
-    code, ran, _ = run_cli(["orbit", "--config", str(path), "--out", str(tmp_path)])
+def test_a_run_prints_its_warnings_as_validate_does(run_cli, tmp_path):
+    cfg = default_config("orbit", tau=2.0)
+    _, validated, _ = run_cli("validate", config=cfg)
+    code, ran, _ = run_cli("orbit", "--out", str(tmp_path), config=cfg)
     warning, = [line for line in validated.splitlines() if line.startswith("[WARNING]")]
     assert warning.startswith("[WARNING] unused-key: ")
     assert code == 0 and warning in ran.splitlines()
 
 
-def test_cli_validate_rejects_bad_exponent(tmp_path):
-    cfg = default_config("evl", schedule=ScheduleSpec(cycle=(0.2,)))
-    path = tmp_path / "bad.toml"
-    path.write_text(cfg.to_toml())
-    code, out, _ = run_cli(["validate", "--config", str(path)])
+def test_cli_validate_rejects_bad_exponent(run_cli):
+    code, out, _ = run_cli("validate",
+                           config=default_config("evl", schedule=ScheduleSpec(cycle=(0.2,))))
     assert code == 1
     assert "[ERROR] bad-schedule: exponent 0.2 outside (0, alpha_star=" in out
 
 
-def test_cli_missing_config_is_an_error(tmp_path):
-    code, _, err = run_cli(["evl", "--config", str(tmp_path / "missing.toml")])
+def test_cli_missing_config_is_an_error(run_cli, tmp_path):
+    code, _, err = run_cli("evl", "--config", str(tmp_path / "missing.toml"))
     assert code == 1
     assert "error:" in err
 
 
-def test_cli_malformed_toml_is_an_error(tmp_path):
+def test_cli_malformed_toml_is_an_error(run_cli, tmp_path):
     path = tmp_path / "broken.toml"
     path.write_text("kind =\n")
-    code, _, err = run_cli(["validate", "--config", str(path)])
+    code, _, err = run_cli("validate", "--config", str(path))
     assert code == 1
     assert "line 1" in err
 
 
-def test_cli_mistyped_value_is_an_error(tmp_path):
+def test_cli_mistyped_value_is_an_error(run_cli, tmp_path):
     # a value of the wrong type, and a key that no section has
     path = tmp_path / "typo.toml"
     for command, text, message in (
             ("validate", 'tau = "abc"\n', "tau must be a number, got 'abc'"),
             ("evl", '[mesh]\nkind = "uniform"\n', "unknown key 'kind' in [mesh]")):
         path.write_text(text)
-        code, out, err = run_cli([command, "--config", str(path)])
+        code, out, err = run_cli(command, "--config", str(path))
         assert code == 1
         assert out == ""
         assert err.splitlines() == [f"error: {message}"]
 
 
-def test_cli_non_finite_value_is_an_error(tmp_path):
+def test_cli_non_finite_value_is_an_error(run_cli, tmp_path):
     path = tmp_path / "huge.toml"
     path.write_text("[observable]\nzeta = 1e999\n")
-    code, out, err = run_cli(["validate", "--config", str(path)])
+    code, out, err = run_cli("validate", "--config", str(path))
     assert code == 1
     assert out == ""
     (line,) = [l for l in err.splitlines() if l.startswith("error:")]
     assert "[observable] zeta" in line
 
 
-def test_cli_orbit_writes_artifacts(tmp_path):
+def test_cli_run_that_cannot_allocate_is_an_error(run_cli, tmp_path, monkeypatch):
+    def sequential_orbit(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(experiments, "sequential_orbit", sequential_orbit)
+    code, out, err = run_cli("orbit", "--out", str(tmp_path))
+    assert code == 1
+    assert err.splitlines() == ["error: Unable to allocate 7.28 TiB for an array"]
+
+
+def test_cli_orbit_writes_artifacts(run_cli, tmp_path):
     cfg = default_config("orbit", n=12, seed=3, out_dir=str(tmp_path / "runs"),
                          mesh=MeshSpec(cells=64))
-    path = tmp_path / "orbit.toml"
-    path.write_text(cfg.to_toml())
-    code, out, _ = run_cli(["orbit", "--config", str(path)])
+    code, out, _ = run_cli("orbit", config=cfg)
     assert code == 0
     assert "[PASS] orbit-in-domain" in out
     (run_dir,) = list((tmp_path / "runs").glob("orbit-*"))
@@ -699,34 +720,26 @@ def test_cli_orbit_writes_artifacts(tmp_path):
     assert len([l for l in lines if l]) == 14
 
 
-def test_cli_mesh_override_sets_cells_and_changes_the_hash(tmp_path):
-    path, meshed_path = tmp_path / "cal.toml", tmp_path / "meshed.toml"
-    path.write_text(default_config("calibrate", n=25, n_samples=2000).to_toml())
-    meshed_path.write_text(default_config("calibrate", n=25, n_samples=2000,
-                                          mesh=MeshSpec(cells=64)).to_toml())
-    runs = tmp_path / "runs"
-    code, out, _ = run_cli(["calibrate", "--config", str(path), "--out", str(runs)])
-    assert code == 0
-    plain = _artifact_dir(out)
-    code, out, _ = run_cli(["calibrate", "--config", str(meshed_path), "--out", str(runs)])
-    assert code == 0
-    meshed = _artifact_dir(out)
+def test_cli_mesh_override_sets_cells_and_changes_the_hash(run_cli, tmp_path):
+    cfg, runs = default_config("calibrate", n=25, n_samples=2000), str(tmp_path / "runs")
+    plain = run_cli("calibrate", "--out", runs, config=cfg)
+    meshed = run_cli("calibrate", "--out", runs, config=replace(cfg, mesh=MeshSpec(cells=64)))
+    assert plain.code == meshed.code == 0
+    plain, meshed = plain.run_dir, meshed.run_dir
     assert meshed != plain and meshed.parent == plain.parent
     assert load_config(meshed / "config.toml").mesh.cells == 64
     assert load_config(plain / "config.toml").mesh.cells == MeshSpec().cells
 
 
-def test_cli_flags_of_unread_keys_keep_the_id(tmp_path):
+def test_cli_flags_of_unread_keys_keep_the_id(run_cli, tmp_path):
     # orbit reads no mesh, and --out only says where the run is written
-    meshed = tmp_path / "meshed.toml"
-    meshed.write_text(default_config("orbit", mesh=MeshSpec(cells=64)).to_toml())
     names = set()
-    for argv in (["--out", str(tmp_path / "a")],
-                 ["--out", str(tmp_path / "a"), "--config", str(meshed)],
-                 ["--out", str(tmp_path / "b")]):
-        code, out, _ = run_cli(["orbit", *argv])
-        assert code == 0
-        names.add(_artifact_dir(out).name)
+    for out, cfg in ((tmp_path / "a", None),
+                     (tmp_path / "a", default_config("orbit", mesh=MeshSpec(cells=64))),
+                     (tmp_path / "b", None)):
+        ran = run_cli("orbit", "--out", str(out), config=cfg)
+        assert ran.code == 0
+        names.add(ran.run_dir.name)
     assert names == {experiments.experiment_id(default_config("orbit"))}
 
 
@@ -742,24 +755,20 @@ def test_experiment_id_hashes_only_the_read_keys():
     assert experiments.experiment_id(default_config("evl", n=777, n_ladder=(250, 500))) == ladder
 
 
-def test_cli_quantitative_failure_exits_two(tmp_path):
+def test_cli_quantitative_failure_exits_two(run_cli, tmp_path):
     # tau = 2 at n = 2 forces per-step window mass 1, so survival is 0
     # while the limit target is exp(-2): an honest quantitative failure
     cfg = default_config("evl", tau=2.0, n=2, n_samples=20_000,
                          out_dir=str(tmp_path / "runs"), mesh=MeshSpec(cells=512))
-    path = tmp_path / "fail.toml"
-    path.write_text(cfg.to_toml())
-    code, out, _ = run_cli(["evl", "--config", str(path)])
+    code, out, _ = run_cli("evl", config=cfg)
     assert code == 2
     assert "[FAIL] evl-n2" in out
 
 
-def test_cli_recurrence_smoke(tmp_path):
+def test_cli_recurrence_smoke(run_cli, tmp_path):
     cfg = default_config("recurrence", out_dir=str(tmp_path / "runs"),
                          mesh=MeshSpec(cells=512))
-    path = tmp_path / "rec.toml"
-    path.write_text(cfg.to_toml())
-    code, out, _ = run_cli(["recurrence", "--config", str(path)])
+    code, out, _ = run_cli("recurrence", config=cfg)
     assert code == 0
     (run_dir,) = list((tmp_path / "runs").glob("recurrence-*"))
     for table in ("return_sets", "union_sets", "local"):
@@ -769,88 +778,72 @@ def test_cli_recurrence_smoke(tmp_path):
         assert f"[INFO] local-bound-j{j}: " in out
 
 
-def test_cli_decay_smoke(tmp_path):
+def test_cli_decay_smoke(run_cli, tmp_path):
     cfg = default_config("decay", n_ladder=(4, 8, 16),
                          out_dir=str(tmp_path / "runs"), mesh=MeshSpec(cells=512))
-    path = tmp_path / "decay.toml"
-    path.write_text(cfg.to_toml())
-    code, out, _ = run_cli(["decay", "--config", str(path)])
+    code, out, _ = run_cli("decay", config=cfg)
     assert code == 0
     assert "[PASS] decay-monotone" in out
     assert "[PASS] decay-slope" in out
 
 
-def _artifact_dir(out: str) -> Path:
-    (line,) = [l for l in out.splitlines() if l.startswith("artifacts: ")]
-    return Path(line.removeprefix("artifacts: "))
-
-
-def test_cli_outputs_reproducible_across_reruns(tmp_path):
+def test_cli_outputs_reproducible_across_reruns(run_cli, tmp_path):
     cfg = default_config("calibrate", tau=1.0, n=25, n_samples=49_259,
                          out_dir=str(tmp_path / "runs"), mesh=MeshSpec(cells=512))
-    path = tmp_path / "cal.toml"
-    path.write_text(cfg.to_toml())
 
-    code, out, _ = run_cli(["calibrate", "--config", str(path)])
-    assert code == 0
-    run_dir = _artifact_dir(out)
+    ran = run_cli("calibrate", config=cfg)
+    assert ran.code == 0
+    run_dir = ran.run_dir
     first = {f.name: f.read_bytes() for f in run_dir.glob("*.csv")}
     assert set(first) == {"calibration.csv", "thresholds.csv"}
 
     # runs keep no state between them: no cache, and a rerun agrees byte for byte
     assert not (tmp_path / "runs" / "cache").exists()
-    code, out, _ = run_cli(["calibrate", "--config", str(path)])
-    assert code == 0
-    rerun = _artifact_dir(out)
-    assert rerun == run_dir
+    rerun = run_cli("calibrate", config=cfg)
+    assert rerun.code == 0 and rerun.run_dir == run_dir
     for name, blob in first.items():
-        assert (rerun / name).read_bytes() == blob
+        assert (rerun.run_dir / name).read_bytes() == blob
 
     # a different seed must actually change the Monte Carlo table
-    reseeded = tmp_path / "reseeded.toml"
-    reseeded.write_text(replace(cfg, seed=99).to_toml())
-    code, out, _ = run_cli(["calibrate", "--config", str(reseeded)])
-    assert code == 0
-    other_dir = _artifact_dir(out)
-    assert (other_dir / "calibration.csv").read_bytes() != first["calibration.csv"]
+    other = run_cli("calibrate", config=replace(cfg, seed=99))
+    assert other.code == 0
+    assert (other.run_dir / "calibration.csv").read_bytes() != first["calibration.csv"]
     # thresholds are operator-side and deterministic, so those agree
-    assert (other_dir / "thresholds.csv").read_bytes() == first["thresholds.csv"]
+    assert (other.run_dir / "thresholds.csv").read_bytes() == first["thresholds.csv"]
 
     # the written config.toml holds every key the run reads, and of the
     # schedule only the fields its mode reads, so it reruns into the same
     # directory and bytes, under either mode
     written = run_dir / "config.toml"
     assert "\nlo = " not in written.read_text()
-    code, out, _ = run_cli(["calibrate", "--config", str(written),
-                            "--out", str(tmp_path / "runs")])
-    assert code == 0 and _artifact_dir(out) == run_dir
+    ran = run_cli("calibrate", "--config", str(written), "--out", str(tmp_path / "runs"))
+    assert ran.code == 0 and ran.run_dir == run_dir
     for name, blob in first.items():
         assert (run_dir / name).read_bytes() == blob
-    iid = tmp_path / "iid.toml"
-    iid.write_text(replace(cfg, n_samples=2000, schedule=ScheduleSpec(mode="iid")).to_toml())
-    code, out, _ = run_cli(["calibrate", "--config", str(iid)])
-    assert code == 0
-    iid_dir = _artifact_dir(out)
+    ran = run_cli("calibrate",
+                  config=replace(cfg, n_samples=2000, schedule=ScheduleSpec(mode="iid")))
+    assert ran.code == 0
+    iid_dir = ran.run_dir
     iid_tables = {f.name: f.read_bytes() for f in iid_dir.glob("*.csv")}
     assert "\ncycle = " not in (iid_dir / "config.toml").read_text()
-    code, out, _ = run_cli(["calibrate", "--config", str(iid_dir / "config.toml"),
-                            "--out", str(tmp_path / "runs")])
-    assert code == 0 and _artifact_dir(out) == iid_dir
+    ran = run_cli("calibrate", "--config", str(iid_dir / "config.toml"),
+                  "--out", str(tmp_path / "runs"))
+    assert ran.code == 0 and ran.run_dir == iid_dir
     assert {f.name: f.read_bytes() for f in iid_dir.glob("*.csv")} == iid_tables
 
 
 @pytest.mark.parametrize("argv", [["evl", "--workers", "2"], ["evl", "--bogus"]])
-def test_cli_usage_error_exits_one(argv):
+def test_cli_usage_error_exits_one(argv, run_cli):
     # 2 is a failed check, so a script passing a retired flag must not read as one
-    code, out, err = run_cli(argv)
+    code, out, err = run_cli(*argv)
     assert code == 1
     assert out == ""
     assert err.startswith("usage: seqevl ")
     assert err.endswith(f"seqevl: error: unrecognized arguments: {' '.join(argv[1:])}\n")
 
 
-def test_cli_help_exits_zero():
-    code, out, err = run_cli(["evl", "--help"])
+def test_cli_help_exits_zero(run_cli):
+    code, out, err = run_cli("evl", "--help")
     assert code == 0
     assert out.startswith("usage: seqevl evl")
     # a run's values live in its TOML; the flags say only where it is read and written
@@ -858,17 +851,15 @@ def test_cli_help_exits_zero():
     assert err == ""
 
 
-def test_cli_dprime_plateau_trend_is_info(tmp_path):
+def test_cli_dprime_plateau_trend_is_info(run_cli, tmp_path):
     # k_n = round(n ** 0.1) is 2 at both rungs, and inside a k_n plateau the
     # pair sum may rise on a correct program: reported, never a failure
     cfg = default_config("dprime", n_ladder=(250, 500), n_samples=20_000,
                          out_dir=str(tmp_path / "runs"), mesh=MeshSpec(cells=512))
-    path = tmp_path / "dprime.toml"
-    path.write_text(cfg.to_toml())
-    code, out, _ = run_cli(["dprime", "--config", str(path)])
-    assert code == 0
-    (line,) = [l for l in out.splitlines() if "dprime-trend-250-500" in l]
+    ran = run_cli("dprime", config=cfg)
+    assert ran.code == 0
+    (line,) = [l for l in ran.out.splitlines() if "dprime-trend-250-500" in l]
     assert line.startswith("[INFO] dprime-trend-250-500: ")
-    summary = json.loads((_artifact_dir(out) / "summary.json").read_text())
+    summary = json.loads((ran.run_dir / "summary.json").read_text())
     (check,) = summary["checks"]
     assert check["info"] is True and check["passed"] is True

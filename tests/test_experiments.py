@@ -2,7 +2,6 @@
 every check passes or fails by its printed measured value, target, tolerance
 and side."""
 
-import io
 import json
 import math
 from dataclasses import fields, is_dataclass, replace
@@ -12,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from seqevl import experiments, transfer
-from seqevl.cli import main
 from seqevl.config import KINDS, MeshSpec, ScheduleSpec, _flat, default_config, kind_reads
 from seqevl.experiments import TargetCheck, run_experiment
 from seqevl.thresholds import DEFAULT_ZETA
@@ -99,28 +97,20 @@ def test_unknown_side_is_refused():
         TargetCheck(name="c", claim="", measured=0.0, target=0.0, tolerance=0.0, side="near")
 
 
-def _cli(argv):
-    out = io.StringIO()
-    code = main(argv, stdout=out, stderr=io.StringIO())
-    return code, out.getvalue()
-
-
-def test_info_check_with_a_failing_triple_prints_info(tmp_path, monkeypatch):
+def test_info_check_with_a_failing_triple_prints_info(run_cli, tmp_path, monkeypatch):
     def runner(config, mc):
         return [TargetCheck(name="far", claim="", measured=2.0, target=0.0,
                             tolerance=0.0, side="below", info=True)], {}
 
     monkeypatch.setitem(experiments._RUNNERS, "orbit", runner)
-    code, out = _cli(["orbit", "--out", str(tmp_path)])
+    code, out, _ = run_cli("orbit", "--out", str(tmp_path))
     assert "[INFO] far: measured=2 target=0 tol=0" in out
     assert code == 0
 
 
-def test_single_horizon_dprime_tolerance_is_tau(tmp_path):
-    path = tmp_path / "dprime.toml"
-    path.write_text(default_config("dprime", n=250, tau=0.8, n_samples=2000,
-                                   mesh=MeshSpec(cells=256)).to_toml(), encoding="utf-8")
-    code, out = _cli(["dprime", "--config", str(path), "--out", str(tmp_path)])
+def test_single_horizon_dprime_tolerance_is_tau(run_cli, tmp_path):
+    code, out, _ = run_cli("dprime", "--out", str(tmp_path), config=default_config(
+        "dprime", n=250, tau=0.8, n_samples=2000, mesh=MeshSpec(cells=256)))
     line, = [s for s in out.splitlines() if "dprime-n250:" in s]
     assert line.endswith(" target=0 tol=0.8"), line
     assert code == 0
@@ -184,7 +174,7 @@ SELECTIONS = [
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_runner_reads_exactly_its_keys(kind, tmp_path, monkeypatch):
+def test_runner_reads_exactly_its_keys(kind, run_cli, tmp_path, monkeypatch):
     """The keys a runner and its Monte Carlo stage read are those of
     KINDS[kind].reads that `kind_reads` names, with `kind`, through which it
     reads its row (every kind reads `kind`): a read field counts as its
@@ -201,15 +191,13 @@ def test_runner_reads_exactly_its_keys(kind, tmp_path, monkeypatch):
         return runner(config, experiments._MonteCarlo(config))
 
     monkeypatch.setitem(experiments._RUNNERS, kind, recorded)
-    path = tmp_path / f"{kind}.toml"
     row = KINDS[kind].reads
     mesh_reads = {f"mesh.{f.name}" for f in fields(MeshSpec)} if "mesh" in row else set()
     for (schedule, schedule_reads), ladder in product(SELECTIONS, ((), (10, 20))):
         reads.clear()
         cfg = default_config(kind, n=20, n_ladder=ladder, n_samples=200,
                              schedule=schedule, mesh=MeshSpec(cells=32))
-        path.write_text(cfg.to_toml(), encoding="utf-8")
-        code, _ = _cli([kind, "--config", str(path), "--out", str(tmp_path / "runs")])
+        code = run_cli(kind, "--out", str(tmp_path / "runs"), config=cfg).code
         assert code in (0, 2), (ladder, code)
         assert {key if key in row else key.split(".")[0] for key in reads} == {
             "kind", *(key for key in row if kind_reads(cfg, key))}, ladder

@@ -5,9 +5,10 @@ called when `cli.main` runs a small matrix of configs.  Code that only tests
 use belongs in `tests/reference.py`, and each of its functions and classes
 is reached from some test.  `validate_config` and `cli` name no kind, and
 `experiments` names one only to map it to its runner.  Every config key is
-read by some kind, and no package module imports another's private name.
-README's Quick start block runs against the package as it stands, and its
-imports are all the package exports."""
+read by some kind, no package module imports another's private name, and
+tests reach the CLI only through conftest's `run_cli`.  README's Quick
+start block runs against the package as it stands, and its imports are
+all the package exports."""
 
 import ast
 import contextlib
@@ -261,6 +262,18 @@ def test_no_module_imports_another_modules_private_name():
                if isinstance(node, ast.ImportFrom) and node.level
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_tests_reach_the_cli_through_one_harness():
+    """No test module imports `main` from `seqevl.cli` or reads `cli.main`:
+    each runs the CLI through conftest's `run_cli` (FOOTPRINT is a string)."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted((ROOT / "tests").glob("test_*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) and node.module == "seqevl.cli"
+             and "main" in {alias.name for alias in node.names}
+             or isinstance(node, ast.Attribute) and node.attr == "main"
+             and ast.unparse(node.value).split(".")[-1] == "cli"]
+    assert found == []
 
 
 def test_every_key_is_read_by_some_kind():

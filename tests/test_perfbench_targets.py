@@ -2,7 +2,6 @@
 `src/` would break `perfbench/run.py --trace 1`; every target must exist,
 and a traced run must complete."""
 
-import io
 import sys
 from pathlib import Path
 
@@ -23,17 +22,13 @@ def test_trace_target_resolves(name):
     assert attr in owner.__dict__, f"{name}: {TARGETS[name]} no longer exists"
 
 
-def test_traced_run_records_the_threshold_spans(tmp_path):
+def test_traced_run_records_the_threshold_spans(run_cli, tmp_path):
     """A whole run under the tracer: its wrappers must read every call shape
     the program uses (for example len() of calibrate_delta_ladder's densities)."""
     cfg = default_config("evl", n_ladder=(40, 80), n_samples=2000)
-    path = tmp_path / "evl.toml"
-    path.write_text(cfg.to_toml(), encoding="utf-8")
-    out = io.StringIO()
     with tracing.Tracer() as tracer:
-        code = seqevl.cli.main(["evl", "--config", str(path), "--out", str(tmp_path)],
-                               stdout=out, stderr=out)
-    assert code in (0, 2), out.getvalue()
+        ran = run_cli("evl", "--out", str(tmp_path), config=cfg)
+    assert ran.code in (0, 2), ran
     names = {s.name for s in tracer.spans}
     assert {"thresholds.build", "thresholds.calibrate", "transfer.push"} <= names, names
     metrics = tracing.layer_metrics(tracer, {}, 1.0, 1.0, 0)
@@ -48,29 +43,21 @@ def test_traced_run_records_the_threshold_spans(tmp_path):
     ("dprime", "montecarlo.dprime", [2000 * 39]),
     ("d0", "montecarlo.d0", [2000 * 9, 2000 * 24]),
 ], ids=["calibrate", "dprime", "d0"])
-def test_traced_run_records_its_estimator_span(tmp_path, kind, span, sample_steps):
+def test_traced_run_records_its_estimator_span(run_cli, tmp_path, kind, span, sample_steps):
     """The tracer binds each estimator's arguments by name to count the
     nominal map steps it walks."""
-    cfg = default_config(kind, n=40, n_samples=2000)
-    path = tmp_path / f"{kind}.toml"
-    path.write_text(cfg.to_toml(), encoding="utf-8")
-    out = io.StringIO()
     with tracing.Tracer() as tracer:
-        code = seqevl.cli.main([kind, "--config", str(path), "--out", str(tmp_path)],
-                               stdout=out, stderr=out)
-    assert code in (0, 2), out.getvalue()
+        ran = run_cli(kind, "--out", str(tmp_path),
+                      config=default_config(kind, n=40, n_samples=2000))
+    assert ran.code in (0, 2), ran
     assert [s.info["sample_steps"] for s in tracer.spans if s.name == span] == sample_steps
 
 
-def test_traced_decay_run_records_the_decay_span(tmp_path):
-    cfg = default_config("decay", n_ladder=(64, 128))
-    path = tmp_path / "decay.toml"
-    path.write_text(cfg.to_toml(), encoding="utf-8")
-    out = io.StringIO()
+def test_traced_decay_run_records_the_decay_span(run_cli, tmp_path):
     with tracing.Tracer() as tracer:
-        code = seqevl.cli.main(["decay", "--config", str(path), "--out", str(tmp_path)],
-                               stdout=out, stderr=out)
-    assert code in (0, 2), out.getvalue()
+        ran = run_cli("decay", "--out", str(tmp_path),
+                      config=default_config("decay", n_ladder=(64, 128)))
+    assert ran.code in (0, 2), ran
     assert "transfer.decay" in {s.name for s in tracer.spans}
     metrics = tracing.layer_metrics(tracer, {}, 1.0, 1.0, 0)
     assert metrics["transfer.decay_s"][0] > 0.0
