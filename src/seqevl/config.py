@@ -431,16 +431,19 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
     # a run builds only the sections it reads, and their builders check the
     # rest (the schedule's mode, cycle, exponents, cap and iid bounds, mesh
     # cells and ratio, the observable's zeta, recurrence exponents and
-    # horizons); a section too large to allocate is its fault
+    # horizons); a section too large to allocate is its fault. [recurrence]
+    # is checked at the built schedule's cap, or at the lab's when the
+    # schedule is refused, so a refused cap is reported once
+    built = {}
     for key, code, build in (
             ("schedule", "bad-schedule", config.schedule.build),
             ("mesh", "bad-mesh", config.mesh.build),
             ("observable.zeta", "bad-zeta", config.observable.build),
-            ("recurrence", "bad-recurrence",
-             lambda: config.recurrence.build(config.schedule.alpha_star))):
+            ("recurrence", "bad-recurrence", lambda: config.recurrence.build(
+                built.get("schedule", ParameterSchedule()).alpha_star))):
         if kind_reads(config, key):
             try:
-                build()
+                built[key] = build()
             except (ValueError, MemoryError) as exc:
                 fault(key, code, str(exc))
 

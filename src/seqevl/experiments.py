@@ -291,8 +291,8 @@ def _run_decay(config: ExperimentConfig, mc: _MonteCarlo):
 
 def _run_recurrence(config: ExperimentConfig, mc: _MonteCarlo):
     schedule = config.schedule.build()
-    params = config.recurrence.build(config.schedule.alpha_star)
-    slope_floor = 1.0 / (1.0 + config.schedule.alpha_star) - 0.15
+    params = config.recurrence.build(schedule.alpha_star)
+    slope_floor = 1.0 / (1.0 + schedule.alpha_star) - 0.15
 
     en_rows = []
     checks = []

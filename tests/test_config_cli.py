@@ -501,12 +501,33 @@ def _reported_where_read(config, diagnostic) -> bool:
 
 def test_every_fault_is_reported_only_where_it_is_read():
     # each row as it stands and under every kind: orbit with tau = -1, say,
-    # gets unused-key on tau and no bad-tau
+    # gets unused-key on tau and no bad-tau; and an error lies in a section
+    # the row sets, so a fault planted in one key is not reported in another
     for overrides, _ in HARD_ERRORS + UNREAD_FAULTS:
         for kind in (overrides.get("kind", "evl"), *KINDS):
             config = _config_with(overrides, kind=kind)
             for diagnostic in validate_config(config):
                 assert _reported_where_read(config, diagnostic), (kind, overrides, diagnostic)
+                if diagnostic.severity == "error":
+                    assert diagnostic.key.split(".")[0] in overrides, (kind, overrides, diagnostic)
+
+
+def test_recurrence_is_checked_at_the_built_schedules_cap():
+    # a refused cap is reported once, in [schedule]; [recurrence] is then
+    # checked at the lab's cap, so its own faults still show
+    cases = [
+        (dict(schedule=ScheduleSpec(alpha_star=2.0)),
+         [("error", "bad-schedule", "schedule", "alpha_star must lie in (0, 1)")]),
+        (dict(schedule=ScheduleSpec(alpha_star=2.0), recurrence=RecurrenceSpec(beta=2.0)),
+         [("error", "bad-schedule", "schedule", "alpha_star must lie in (0, 1)"),
+          ("error", "bad-recurrence", "recurrence", "beta must lie in (0, 1)")]),
+        (dict(schedule=ScheduleSpec(alpha_star=0.5)),
+         [("error", "bad-recurrence", "recurrence",
+           "local bound needs gamma*(varsigma-beta) > 1")]),
+    ]
+    for overrides, expected in cases:
+        diags = validate_config(default_config("recurrence", **overrides))
+        assert [(d.severity, d.code, d.key, d.message) for d in diags] == expected
 
 
 def test_bad_tau_follows_the_calibrated_horizons():
