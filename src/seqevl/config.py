@@ -17,8 +17,7 @@ from pathlib import Path
 from typing import ClassVar
 
 from .maps import ParameterSchedule
-from .mesh import DEFAULT_CELLS, DEFAULT_MIN_WIDTH, DEFAULT_RATIO, Mesh, graded_mesh
-from .montecarlo import DEFAULT_BETA, DEFAULT_KAPPA
+from .montecarlo import DEFAULT_BETA, DEFAULT_KAPPA, DEFAULT_SAMPLES
 from .recurrence import RecurrenceParams
 from .thresholds import Observable
 
@@ -56,7 +55,7 @@ class Kind:
         return (config.n,) if key == "n" else tuple(config.n_ladder) if key else self.ladder
 
 
-_CALIBRATED = ("tau", "n", "n_samples", "seed", "schedule", "observable", "mesh")
+_CALIBRATED = ("tau", "n", "n_samples", "seed", "schedule", "observable")
 KINDS = {
     "evl": Kind("estimate the no-exceedance probability against exp(-tau)",
                 (*_CALIBRATED, "n_ladder")),
@@ -66,7 +65,7 @@ KINDS = {
     "d0": Kind("mixing gap between an exceedance and a later clear window", _CALIBRATED,
                min_n=5, why="below n = 5 both separations clamp to one gap"),
     "decay": Kind("loss-of-memory distances for equal-mass inputs",
-                  ("n_ladder", "schedule", "mesh"), ladder=tuple(2 ** k for k in range(6, 13)),
+                  ("n_ladder", "schedule"), ladder=tuple(2 ** k for k in range(6, 13)),
                   min_n=2, min_rungs=2, why="the slope fit reads log log n at two horizons"),
     "recurrence": Kind("measures of fast-returning sets and their scaling",
                        ("schedule", "observable", "recurrence"), (1, 5, 20)),
@@ -119,16 +118,6 @@ class ObservableSpec:
 
 
 @dataclass(frozen=True)
-class MeshSpec:
-    cells: int = DEFAULT_CELLS
-    ratio: float = DEFAULT_RATIO
-    min_width: float = DEFAULT_MIN_WIDTH
-
-    def build(self) -> Mesh:
-        return graded_mesh(self.cells, self.ratio, self.min_width)
-
-
-@dataclass(frozen=True)
 class ExponentSpec:
     """Blocking exponents for the extreme-value estimators."""
 
@@ -159,14 +148,13 @@ class ExperimentConfig:
     tau: float = 1.0
     n: int = 1000
     n_ladder: tuple[int, ...] = ()
-    n_samples: int = 100_000
+    n_samples: int = DEFAULT_SAMPLES
     seed: int = 1729
     workers: int = 1  # no kind reads it: the Monte Carlo sweep runs on one thread
     out_dir: str = "runs"
     x0: float = 0.3
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
     observable: ObservableSpec = field(default_factory=ObservableSpec)
-    mesh: MeshSpec = field(default_factory=MeshSpec)
     exponents: ExponentSpec = field(default_factory=ExponentSpec)
     recurrence: RecurrenceSpec = field(default_factory=RecurrenceSpec)
 
@@ -240,7 +228,7 @@ def _format_toml_value(value) -> str:
 
 
 _SECTION_TYPES = {cls.__name__: cls for cls in
-                  (ScheduleSpec, ObservableSpec, MeshSpec, ExponentSpec, RecurrenceSpec)}
+                  (ScheduleSpec, ObservableSpec, ExponentSpec, RecurrenceSpec)}
 
 # field annotation -> (accepted value types, conversion, name in messages)
 _SCALARS = {"int": (int, int, "an integer"),
@@ -429,22 +417,20 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
             fault(f"exponents.{name}", "bad-exponents", f"{name} must lie in (0, 1)")
 
     # a run builds only the sections it reads, and their builders check the
-    # rest (the schedule's mode, cycle, exponents, cap and iid bounds, mesh
-    # cells and ratio, the observable's zeta, recurrence exponents and
-    # horizons); a section too large to allocate is its fault. [recurrence]
-    # is checked at the built schedule's cap, or at the lab's when the
-    # schedule is refused, so a refused cap is reported once
+    # rest (the schedule's mode, cycle, exponents, cap and iid bounds, the
+    # observable's zeta, recurrence exponents and horizons). [recurrence] is
+    # checked at the built schedule's cap, or at the lab's when the schedule
+    # is refused, so a refused cap is reported once
     built = {}
     for key, code, build in (
             ("schedule", "bad-schedule", config.schedule.build),
-            ("mesh", "bad-mesh", config.mesh.build),
             ("observable.zeta", "bad-zeta", config.observable.build),
             ("recurrence", "bad-recurrence", lambda: config.recurrence.build(
                 built.get("schedule", ParameterSchedule()).alpha_star))):
         if kind_reads(config, key):
             try:
                 built[key] = build()
-            except (ValueError, MemoryError) as exc:
+            except ValueError as exc:
                 fault(key, code, str(exc))
 
     if diagnostics:

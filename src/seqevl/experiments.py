@@ -21,7 +21,7 @@ from .config import (EJ_LADDER, EN_EPS_LADDER, KINDS, LOCAL_JS, ConfigError,
                      ExperimentConfig, validate_config)
 from .io import write_csv, write_json, write_text
 from .maps import sequential_orbit
-from .mesh import uniform_density
+from .mesh import graded_mesh, uniform_density
 from .montecarlo import (build_blocks, d0_mixing_gap, dprime_sum, estimate_exceedances,
                          estimate_Pn)
 from .recurrence import (local_recurrence_at, local_recurrence_bound,
@@ -142,7 +142,7 @@ class _MonteCarlo:
 def _thresholds(config: ExperimentConfig, ns) -> list:
     """Threshold schedules for the horizons ns, all from one streamed push."""
     return build_threshold_schedule(config.schedule.build(), config.observable.build(),
-                                    config.tau, ns, config.mesh.build())
+                                    config.tau, ns, graded_mesh())
 
 
 def _trend_checks(prefix: str, claim: str, rungs, plateaus=None) -> list:
@@ -264,7 +264,7 @@ def _run_d0(config: ExperimentConfig, mc: _MonteCarlo):
 
 def _run_decay(config: ExperimentConfig, mc: _MonteCarlo):
     schedule = config.schedule.build()
-    mesh = config.mesh.build()
+    mesh = graded_mesh()
     ladder = KINDS[config.kind].ns(config)
     alpha = schedule.sup_alpha()
     f = uniform_density(mesh)

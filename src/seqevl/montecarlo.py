@@ -35,6 +35,7 @@ from .thresholds import ThresholdSchedule
 CHUNK_SIZE = 16384
 Z95 = 1.959963984540054
 
+DEFAULT_SAMPLES = 100_000
 DEFAULT_BETA = 0.9
 DEFAULT_KAPPA = 0.85
 
@@ -127,7 +128,7 @@ def _sweep(ts: ThresholdSchedule, seed: int, label: str, n_samples: int, reads, 
 # exceedance probabilities
 
 
-def estimate_Pn(ts: ThresholdSchedule, seed: int, n_samples: int = 100_000,
+def estimate_Pn(ts: ThresholdSchedule, seed: int, n_samples: int = DEFAULT_SAMPLES,
                 label: str = "pn") -> EstimateWithCI:
     """P(no exceedance through step n-1) for calibrated thresholds.
 
@@ -150,7 +151,7 @@ def estimate_Pn(ts: ThresholdSchedule, seed: int, n_samples: int = 100_000,
 
 
 def estimate_exceedances(ts: ThresholdSchedule, indices, seed: int,
-                         n_samples: int = 100_000,
+                         n_samples: int = DEFAULT_SAMPLES,
                          label: str = "exceedance") -> list[EstimateWithCI]:
     """Monte Carlo estimates of the per-step exceedance masses m(X_i > u_i),
     one per index in the order given."""
@@ -222,7 +223,7 @@ def build_blocks(ts: ThresholdSchedule, k_n: int | None = None,
 
 
 def dprime_sum(ts: ThresholdSchedule, blocks: BlockStructure, seed: int,
-               n_samples: int = 100_000, label: str = "dprime") -> EstimateWithCI:
+               n_samples: int = DEFAULT_SAMPLES, label: str = "dprime") -> EstimateWithCI:
     """Sum over blocks of the pairwise joint exceedance probabilities.
 
     The sum equals E[number of same-block exceedance pairs], so one orbit
@@ -265,7 +266,7 @@ class MixingGap:
 
 
 def d0_mixing_gap(ts: ThresholdSchedule, i: int, t: int, ell: int, seed: int,
-                  n_samples: int = 100_000, label: str = "d0") -> MixingGap:
+                  n_samples: int = DEFAULT_SAMPLES, label: str = "d0") -> MixingGap:
     """|P(A_i and no exceedance on [i+t, i+t+ell)) - P(A_i) P(same window)|.
 
     All four joint outcome counts are integers, so the covariance and its

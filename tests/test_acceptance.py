@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from seqevl import montecarlo
-from seqevl.config import MeshSpec, ScheduleSpec, ExponentSpec, default_config, validate_config
+from seqevl.config import ScheduleSpec, ExponentSpec, default_config, validate_config
 from seqevl.experiments import run_experiment
 from seqevl.maps import ParameterSchedule
 from seqevl.mesh import Density, graded_mesh, project, uniform_density
@@ -312,8 +312,7 @@ def test_criterion_11_outputs_byte_identical_across_chunk_sizes(tmp_path, monkey
     assert montecarlo.CHUNK_SIZE == 16384
     for kind, extra in (("calibrate", dict(n=50)),
                         ("evl", dict(n_ladder=(50, 100)))):
-        cfg = default_config(kind, tau=1.0, n_samples=n_samples, seed=SEED,
-                             mesh=MeshSpec(cells=512), **extra)
+        cfg = default_config(kind, tau=1.0, n_samples=n_samples, seed=SEED, **extra)
         runs = {}
         for size in (16384, 1000, n_samples):
             monkeypatch.setattr(montecarlo, "CHUNK_SIZE", size)

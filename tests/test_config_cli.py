@@ -7,7 +7,6 @@ import re
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from seqevl import experiments
@@ -17,7 +16,6 @@ from seqevl.config import (
     ConfigError,
     ExperimentConfig,
     ExponentSpec,
-    MeshSpec,
     ObservableSpec,
     RecurrenceSpec,
     ScheduleSpec,
@@ -30,8 +28,8 @@ from seqevl.config import (
     validate_config,
 )
 from seqevl.maps import ParameterSchedule
-from seqevl.mesh import graded_mesh
-from seqevl.montecarlo import build_blocks
+from seqevl.montecarlo import (build_blocks, d0_mixing_gap, dprime_sum, estimate_exceedances,
+                               estimate_Pn)
 from seqevl.recurrence import RecurrenceParams
 from seqevl.thresholds import Observable
 
@@ -152,10 +150,9 @@ def test_config_from_dict_rejects_unknown_keys():
     for key in ("xi", "eta"):
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[exponents\\]"):
             config_from_dict({"exponents": {key: 0.5}})
-    # every mesh is graded, so [mesh] has no kind
-    for kind in ("graded", "uniform"):
-        with pytest.raises(ConfigError, match="unknown key 'kind' in \\[mesh\\]"):
-            config_from_dict({"mesh": {"kind": kind}})
+    # the mesh is the lab's, so no run sets it
+    with pytest.raises(ConfigError, match="unknown top-level key 'mesh'"):
+        config_from_dict({"mesh": {"cells": 64}})
     # [observable] holds zeta alone
     for key, value in (("form", "log"), ("power", 2.0), ("cap", 1.0)):
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[observable\\]"):
@@ -170,7 +167,6 @@ def test_config_from_dict_rejects_unknown_keys():
         ({"kind": 3}, "kind"),
         ({"schedule": {"lo": False}}, "lo"),
         ({"schedule": {"cycle": [0.05, "x"]}}, "cycle"),
-        ({"mesh": {"cells": 1024.0}}, "cells"),
         ({"tau": math.nan}, "tau must be finite"),
         ({"tau": math.inf}, "tau must be finite"),
         ({"tau": 10 ** 400}, "tau must be finite"),
@@ -236,10 +232,12 @@ def test_spec_defaults_are_the_builders_defaults():
     assert ObservableSpec().build() == Observable()
     assert RecurrenceSpec().build(ScheduleSpec().alpha_star) == RecurrenceParams()
     assert ScheduleSpec().build() == ParameterSchedule()
-    assert np.array_equal(MeshSpec().build().boundaries, graded_mesh().boundaries)
     blocks = inspect.signature(build_blocks).parameters
     assert ExponentSpec().beta == blocks["beta"].default
     assert ExponentSpec().kappa == blocks["kappa"].default
+    for estimator in (estimate_Pn, estimate_exceedances, dprime_sum, d0_mixing_gap):
+        samples = inspect.signature(estimator).parameters["n_samples"].default
+        assert ExperimentConfig().n_samples == samples, estimator
 
 
 def test_each_kind_steps_to_its_one_horizon_source():
@@ -301,9 +299,7 @@ HARD_ERRORS = [
     (dict(tau=-0.5), "bad-tau"),
     (dict(n=0), "bad-n"),
     (dict(n_samples=0), "bad-samples"),
-    (dict(kind="decay", mesh=MeshSpec(cells=1)), "bad-mesh"),
     (dict(kind="dprime", exponents=ExponentSpec(beta=1.0)), "bad-exponents"),
-    (dict(mesh=MeshSpec(cells=1)), "bad-mesh"),
     (dict(observable=ObservableSpec(zeta=0.0)), "bad-zeta"),
     (dict(observable=ObservableSpec(zeta=1.0)), "bad-zeta"),
     (dict(schedule=ScheduleSpec(mode="iid", lo=0.1, hi=0.05)), "bad-schedule"),
@@ -315,7 +311,6 @@ HARD_ERRORS = [
     (dict(kind="decay", n_ladder=(64, 64, 128)), "bad-n"),
     (dict(kind="decay", n_ladder=(1, 64, 128)), "bad-n"),
     (dict(kind="orbit", x0=-0.1), "bad-x0"),
-    (dict(mesh=MeshSpec(ratio=1.5)), "bad-mesh"),
     (dict(schedule=ScheduleSpec(alpha_star=2.0)), "bad-schedule"),
     (dict(tau=5000.0), "bad-tau"),
     (dict(n_ladder=(1, 1000), tau=2.0), "bad-tau"),
@@ -328,8 +323,6 @@ HARD_ERRORS = [
     (dict(schedule=ScheduleSpec(mode="explicit")), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="iid", lo=0.1, hi=0.1)), "bad-schedule"),
     (dict(schedule=ScheduleSpec(mode="iid", lo=-0.1)), "bad-schedule"),
-    # Mesh itself refuses fewer than 2 cells
-    *[(dict(mesh=MeshSpec(cells=cells)), "bad-mesh") for cells in (0, -1, -5)],
     (dict(kind="recurrence", observable=ObservableSpec(zeta=0.0)), "bad-zeta"),
     # the gap needs an event step and a later window, so two steps at least
     (dict(kind="d0", n=1), "bad-n"),
@@ -369,12 +362,12 @@ def _row_id(overrides, code) -> str:
 
 # the first FIRST_NAMED_ROW places keep the positional ids pytest gave them
 # before rows were named ("overrides<i>-<code>", i a row's place among the
-# test's rows); RETIRED holds the places and codes of rows deleted since (the
-# five [mesh] kind rows: hexagonal, and the uniform mesh of 1, 0, -1 and -5
-# cells), so no row after them is renamed. Every later row is named by its
-# code and the keys it sets, so a row added at the end renames no other test
+# test's rows); RETIRED holds the places and codes of rows deleted since,
+# every one a [mesh] row (the section is gone: the mesh is the lab's), so no
+# row after them is renamed. Every later row is named by its code and the
+# keys it sets, so a row added at the end renames no other test
 FIRST_NAMED_ROW = 40
-RETIRED = {7: "bad-mesh", 29: "bad-mesh", 34: "bad-mesh", 35: "bad-mesh", 36: "bad-mesh"}
+RETIRED = dict.fromkeys((4, 6, 7, 19, 29, 31, 32, 33, 34, 35, 36), "bad-mesh")
 
 
 def _hard_error_params(skip=None) -> dict:
@@ -407,12 +400,8 @@ def test_hard_error_ids_are_distinct():
 
 @pytest.mark.parametrize("overrides,code", **_hard_error_params())
 def test_hard_errors(overrides, code):
-    cfg = _config_with(overrides)
-    diags = validate_config(cfg)
+    diags = validate_config(_config_with(overrides))
     assert any(d.severity == "error" and d.code == code for d in diags), diags
-    if cfg.mesh.cells < 2:  # Mesh's own rule, whichever builder made the mesh
-        assert ("bad-mesh", "mesh needs at least 2 cells") in {
-            (d.code, d.message) for d in diags}, diags
 
 
 # second faults, each in one key: a row gets the first whose key its kind
@@ -420,7 +409,6 @@ def test_hard_errors(overrides, code):
 SECOND_FAULTS = [
     ("tau", dict(tau=-0.5), "bad-tau"),
     ("x0", dict(x0=2.0), "bad-x0"),
-    ("mesh", dict(mesh=MeshSpec(cells=1)), "bad-mesh"),
     ("observable.zeta", dict(observable=ObservableSpec(zeta=0.0)), "bad-zeta"),
     ("schedule", dict(schedule=ScheduleSpec(mode="warp")), "bad-schedule"),
 ]
@@ -447,7 +435,6 @@ UNREAD_FAULTS = [
     (dict(kind="recurrence", n_ladder=(100,)), "unused-key"),
     (dict(kind="decay", n=0), "unused-key"),
     (dict(kind="orbit", tau=-1.0), "bad-tau"),
-    (dict(kind="orbit", mesh=MeshSpec(cells=1)), "bad-mesh"),
     (dict(x0=2.0), "bad-x0"),
     (dict(exponents=ExponentSpec(beta=1.0)), "bad-exponents"),
     # a periodic schedule reads its cycle alone
@@ -466,7 +453,7 @@ def test_unread_key_faults_are_warnings(overrides, tmp_path):
     # the run goes ahead, in the directory of the run without the fault,
     # with the same verdicts and tables
     kind = overrides.get("kind", "evl")
-    small = dict(n=50, n_samples=2000, mesh=MeshSpec(cells=64))
+    small = dict(n=50, n_samples=2000)
     clean = default_config(kind, **small)
     faulty = _config_with(overrides, **{k: v for k, v in small.items() if k not in overrides})
     diags = validate_config(faulty)
@@ -605,30 +592,18 @@ def test_infeasible_recurrence_spec_severity_depends_on_kind():
         ("warning", "unused-key", "recurrence.kappa")]
 
 
-def mesh_too_large(calls):
-    """A graded_mesh that records its call and cannot allocate."""
-    def graded_mesh(*args):
-        calls.append(args)
-        raise MemoryError("Unable to allocate 7.28 TiB for an array")
-    return graded_mesh
-
-
 def test_validate_builds_no_section_the_run_does_not_read(monkeypatch):
     calls = []
-    monkeypatch.setattr("seqevl.config.graded_mesh", mesh_too_large(calls))
-    diagnostics = validate_config(default_config("orbit", mesh=MeshSpec(cells=64)))
+
+    def build(self, alpha_star):
+        calls.append(alpha_star)
+        raise ValueError("recurrence built")
+
+    monkeypatch.setattr(RecurrenceSpec, "build", build)
+    diagnostics = validate_config(default_config("orbit", recurrence=RecurrenceSpec(gamma=60.0)))
     assert [(d.severity, d.code, d.key) for d in diagnostics] == [
-        ("warning", "unused-key", "mesh.cells")]
+        ("warning", "unused-key", "recurrence.gamma")]
     assert calls == []
-
-
-def test_validate_reports_a_section_too_large_to_build_as_its_fault(monkeypatch):
-    calls = []
-    monkeypatch.setattr("seqevl.config.graded_mesh", mesh_too_large(calls))
-    diagnostics = validate_config(default_config("evl"))
-    assert [(d.severity, d.code, d.key, d.message) for d in diagnostics] == [
-        ("error", "bad-mesh", "mesh", "Unable to allocate 7.28 TiB for an array")]
-    assert len(calls) == 1
 
 
 # --------------------------------------------------------------------- CLI
@@ -691,11 +666,11 @@ def test_cli_malformed_toml_is_an_error(run_cli, tmp_path):
 
 
 def test_cli_mistyped_value_is_an_error(run_cli, tmp_path):
-    # a value of the wrong type, and a key that no section has
+    # a value of the wrong type, and a section the config does not have
     path = tmp_path / "typo.toml"
     for command, text, message in (
             ("validate", 'tau = "abc"\n', "tau must be a number, got 'abc'"),
-            ("evl", '[mesh]\nkind = "uniform"\n', "unknown key 'kind' in [mesh]")):
+            ("evl", '[mesh]\ncells = 64\n', "unknown top-level key 'mesh'")):
         path.write_text(text)
         code, out, err = run_cli(command, "--config", str(path))
         assert code == 1
@@ -724,8 +699,7 @@ def test_cli_run_that_cannot_allocate_is_an_error(run_cli, tmp_path, monkeypatch
 
 
 def test_cli_orbit_writes_artifacts(run_cli, tmp_path):
-    cfg = default_config("orbit", n=12, seed=3, out_dir=str(tmp_path / "runs"),
-                         mesh=MeshSpec(cells=64))
+    cfg = default_config("orbit", n=12, seed=3, out_dir=str(tmp_path / "runs"))
     code, out, _ = run_cli("orbit", config=cfg)
     assert code == 0
     assert "[PASS] orbit-in-domain" in out
@@ -741,22 +715,11 @@ def test_cli_orbit_writes_artifacts(run_cli, tmp_path):
     assert len([l for l in lines if l]) == 14
 
 
-def test_cli_mesh_override_sets_cells_and_changes_the_hash(run_cli, tmp_path):
-    cfg, runs = default_config("calibrate", n=25, n_samples=2000), str(tmp_path / "runs")
-    plain = run_cli("calibrate", "--out", runs, config=cfg)
-    meshed = run_cli("calibrate", "--out", runs, config=replace(cfg, mesh=MeshSpec(cells=64)))
-    assert plain.code == meshed.code == 0
-    plain, meshed = plain.run_dir, meshed.run_dir
-    assert meshed != plain and meshed.parent == plain.parent
-    assert load_config(meshed / "config.toml").mesh.cells == 64
-    assert load_config(plain / "config.toml").mesh.cells == MeshSpec().cells
-
-
 def test_cli_flags_of_unread_keys_keep_the_id(run_cli, tmp_path):
-    # orbit reads no mesh, and --out only says where the run is written
+    # orbit reads no observable, and --out only says where the run is written
     names = set()
     for out, cfg in ((tmp_path / "a", None),
-                     (tmp_path / "a", default_config("orbit", mesh=MeshSpec(cells=64))),
+                     (tmp_path / "a", default_config("orbit", observable=ObservableSpec(zeta=0.3))),
                      (tmp_path / "b", None)):
         ran = run_cli("orbit", "--out", str(out), config=cfg)
         assert ran.code == 0
@@ -766,7 +729,7 @@ def test_cli_flags_of_unread_keys_keep_the_id(run_cli, tmp_path):
 
 def test_experiment_id_hashes_only_the_read_keys():
     orbit = experiments.experiment_id(default_config("orbit"))
-    for overrides in (dict(n_samples=5, tau=3.0), dict(mesh=MeshSpec(cells=64)),
+    for overrides in (dict(n_samples=5, tau=3.0), dict(observable=ObservableSpec(zeta=0.3)),
                       dict(out_dir="elsewhere"), dict(workers=2), dict(n_ladder=(500,))):
         assert experiments.experiment_id(default_config("orbit", **overrides)) == orbit
     evl = experiments.experiment_id(default_config("evl"))
@@ -780,15 +743,14 @@ def test_cli_quantitative_failure_exits_two(run_cli, tmp_path):
     # tau = 2 at n = 2 forces per-step window mass 1, so survival is 0
     # while the limit target is exp(-2): an honest quantitative failure
     cfg = default_config("evl", tau=2.0, n=2, n_samples=20_000,
-                         out_dir=str(tmp_path / "runs"), mesh=MeshSpec(cells=512))
+                         out_dir=str(tmp_path / "runs"))
     code, out, _ = run_cli("evl", config=cfg)
     assert code == 2
     assert "[FAIL] evl-n2" in out
 
 
 def test_cli_recurrence_smoke(run_cli, tmp_path):
-    cfg = default_config("recurrence", out_dir=str(tmp_path / "runs"),
-                         mesh=MeshSpec(cells=512))
+    cfg = default_config("recurrence", out_dir=str(tmp_path / "runs"))
     code, out, _ = run_cli("recurrence", config=cfg)
     assert code == 0
     (run_dir,) = list((tmp_path / "runs").glob("recurrence-*"))
@@ -801,7 +763,7 @@ def test_cli_recurrence_smoke(run_cli, tmp_path):
 
 def test_cli_decay_smoke(run_cli, tmp_path):
     cfg = default_config("decay", n_ladder=(4, 8, 16),
-                         out_dir=str(tmp_path / "runs"), mesh=MeshSpec(cells=512))
+                         out_dir=str(tmp_path / "runs"))
     code, out, _ = run_cli("decay", config=cfg)
     assert code == 0
     assert "[PASS] decay-monotone" in out
@@ -810,7 +772,7 @@ def test_cli_decay_smoke(run_cli, tmp_path):
 
 def test_cli_outputs_reproducible_across_reruns(run_cli, tmp_path):
     cfg = default_config("calibrate", tau=1.0, n=25, n_samples=49_259,
-                         out_dir=str(tmp_path / "runs"), mesh=MeshSpec(cells=512))
+                         out_dir=str(tmp_path / "runs"))
 
     ran = run_cli("calibrate", config=cfg)
     assert ran.code == 0
@@ -876,7 +838,7 @@ def test_cli_dprime_plateau_trend_is_info(run_cli, tmp_path):
     # k_n = round(n ** 0.1) is 2 at both rungs, and inside a k_n plateau the
     # pair sum may rise on a correct program: reported, never a failure
     cfg = default_config("dprime", n_ladder=(250, 500), n_samples=20_000,
-                         out_dir=str(tmp_path / "runs"), mesh=MeshSpec(cells=512))
+                         out_dir=str(tmp_path / "runs"))
     ran = run_cli("dprime", config=cfg)
     assert ran.code == 0
     (line,) = [l for l in ran.out.splitlines() if "dprime-trend-250-500" in l]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from seqevl import experiments, transfer
-from seqevl.config import KINDS, MeshSpec, ScheduleSpec, _flat, default_config, kind_reads
+from seqevl.config import KINDS, ScheduleSpec, _flat, default_config, kind_reads
 from seqevl.experiments import TargetCheck, run_experiment
 from seqevl.thresholds import DEFAULT_ZETA
 
@@ -28,8 +28,7 @@ def test_horizon_ladder_pushes_one_trajectory(kind, tmp_path, monkeypatch):
         return pf_apply(*args, **kwargs)
 
     monkeypatch.setattr(transfer, "pf_apply", counting_pf_apply)
-    cfg = default_config(kind, n_ladder=LADDER, n_samples=3000,
-                         mesh=MeshSpec(cells=256))
+    cfg = default_config(kind, n_ladder=LADDER, n_samples=3000)
     ladder = run_experiment(replace(cfg, out_dir=str(tmp_path / "ladder")))
     assert len(pushes) == max(LADDER) - 1
     assert not (tmp_path / "ladder" / "cache").exists()
@@ -47,8 +46,31 @@ def test_horizon_ladder_pushes_one_trajectory(kind, tmp_path, monkeypatch):
     assert tables == singles
 
 
+def test_a_run_builds_one_mesh(run_cli, tmp_path, monkeypatch):
+    # the mesh is the lab's: a run that pushes densities builds it once, and
+    # validate, which checks a config, builds none
+    calls = []
+    graded_mesh = experiments.graded_mesh
+
+    def counting_graded_mesh(*args):
+        calls.append(args)
+        return graded_mesh(*args)
+
+    monkeypatch.setattr(experiments, "graded_mesh", counting_graded_mesh)
+    built = {}
+    for kind in KINDS:
+        cfg = default_config(kind, n=20, n_ladder=(4, 8), n_samples=200)
+        for command in ("validate", kind):
+            calls.clear()
+            assert run_cli(command, "--out", str(tmp_path), config=cfg).code in (0, 2), command
+            built[command, kind] = len(calls)
+    assert {kind: built[kind, kind] for kind in KINDS} == {
+        "evl": 1, "calibrate": 1, "dprime": 1, "d0": 1, "decay": 1, "recurrence": 0, "orbit": 0}
+    assert {kind: built["validate", kind] for kind in KINDS} == dict.fromkeys(KINDS, 0)
+
+
 def test_throughput_counts_the_monte_carlo_stage_only(tmp_path):
-    cfg = default_config("evl", n=50, n_samples=2000, mesh=MeshSpec(cells=256))
+    cfg = default_config("evl", n=50, n_samples=2000)
     metrics = run_experiment(replace(cfg, out_dir=str(tmp_path))).metrics
     assert 0.0 < metrics["montecarlo_seconds"] <= metrics["elapsed_seconds"]
     assert metrics["samples_per_second"] == metrics["samples"] / metrics["montecarlo_seconds"]
@@ -62,7 +84,7 @@ def test_throughput_counts_the_monte_carlo_stage_only(tmp_path):
     (1.0, DEFAULT_ZETA),  # the whole of [0, 1]
 ])
 def test_first_radius_target_is_the_clipped_uniform_ball(tau, radius, tmp_path):
-    cfg = default_config("calibrate", n=1, tau=tau, n_samples=2000, mesh=MeshSpec(cells=256))
+    cfg = default_config("calibrate", n=1, tau=tau, n_samples=2000)
     check, = [c for c in run_experiment(replace(cfg, out_dir=str(tmp_path))).checks
               if c.name == "first-radius"]
     assert check.target == pytest.approx(radius, rel=1e-15)
@@ -110,7 +132,7 @@ def test_info_check_with_a_failing_triple_prints_info(run_cli, tmp_path, monkeyp
 
 def test_single_horizon_dprime_tolerance_is_tau(run_cli, tmp_path):
     code, out, _ = run_cli("dprime", "--out", str(tmp_path), config=default_config(
-        "dprime", n=250, tau=0.8, n_samples=2000, mesh=MeshSpec(cells=256)))
+        "dprime", n=250, tau=0.8, n_samples=2000))
     line, = [s for s in out.splitlines() if "dprime-n250:" in s]
     assert line.endswith(" target=0 tol=0.8"), line
     assert code == 0
@@ -118,7 +140,7 @@ def test_single_horizon_dprime_tolerance_is_tau(run_cli, tmp_path):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_summary_verdicts_are_json_booleans(kind, tmp_path):
-    cfg = default_config(kind, n=50, n_samples=2000, mesh=MeshSpec(cells=64))
+    cfg = default_config(kind, n=50, n_samples=2000)
     report = run_experiment(replace(cfg, out_dir=str(tmp_path)))
     summary = json.loads((Path(report.out_dir) / "summary.json").read_text(encoding="utf-8"))
     assert isinstance(summary["passed"], bool)
@@ -129,7 +151,7 @@ def test_summary_verdicts_are_json_booleans(kind, tmp_path):
 
 
 def test_d0_at_its_smallest_horizon_compares_two_separations(tmp_path):
-    cfg = default_config("d0", n=KINDS["d0"].min_n, n_samples=2000, mesh=MeshSpec(cells=64))
+    cfg = default_config("d0", n=KINDS["d0"].min_n, n_samples=2000)
     (check,) = run_experiment(replace(cfg, out_dir=str(tmp_path))).checks
     assert check.name == "d0-monotone-t2-t3"
 
@@ -181,8 +203,7 @@ def test_runner_reads_exactly_its_keys(kind, run_cli, tmp_path, monkeypatch):
     section where the row names the whole section.  A set n_ladder leaves n
     unread, and a kind that does not read n_ladder steps to n whatever it
     holds.  Of the schedule it reads, field for field, what its mode reads,
-    and of the mesh every field, and those are the keys that `kind_reads`
-    names."""
+    and those are the keys that `kind_reads` names."""
     reads = set()
     runner = experiments._RUNNERS[kind]
 
@@ -192,16 +213,13 @@ def test_runner_reads_exactly_its_keys(kind, run_cli, tmp_path, monkeypatch):
 
     monkeypatch.setitem(experiments._RUNNERS, kind, recorded)
     row = KINDS[kind].reads
-    mesh_reads = {f"mesh.{f.name}" for f in fields(MeshSpec)} if "mesh" in row else set()
     for (schedule, schedule_reads), ladder in product(SELECTIONS, ((), (10, 20))):
         reads.clear()
-        cfg = default_config(kind, n=20, n_ladder=ladder, n_samples=200,
-                             schedule=schedule, mesh=MeshSpec(cells=32))
+        cfg = default_config(kind, n=20, n_ladder=ladder, n_samples=200, schedule=schedule)
         code = run_cli(kind, "--out", str(tmp_path / "runs"), config=cfg).code
         assert code in (0, 2), (ladder, code)
         assert {key if key in row else key.split(".")[0] for key in reads} == {
             "kind", *(key for key in row if kind_reads(cfg, key))}, ladder
         expected = {f"schedule.{name}" for name in schedule_reads} if "schedule" in row else set()
         assert {key for key in reads if key.startswith("schedule.")} == expected
-        assert {key for key in reads if key.startswith("mesh.")} == mesh_reads
         assert reads == {key for key in _flat(cfg) if kind_reads(cfg, key)}

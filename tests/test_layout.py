@@ -27,7 +27,7 @@ import pytest
 
 import seqevl
 from seqevl import cli
-from seqevl.config import (KINDS, ExperimentConfig, MeshSpec, ScheduleSpec, _flat,
+from seqevl.config import (KINDS, ExperimentConfig, ScheduleSpec, _flat,
                            default_config, kind_reads)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,8 +64,7 @@ UNREAD_KEYS_ALLOWED = {
 RUNS = (
     ("evl", dict(n_ladder=(8, 16))),
     ("calibrate", dict(n=12, n_samples=20,
-                       schedule=ScheduleSpec(mode="periodic", cycle=(0.05, 0.1)),
-                       mesh=MeshSpec(cells=32))),
+                       schedule=ScheduleSpec(mode="periodic", cycle=(0.05, 0.1)))),
     ("dprime", dict(n_ladder=(16, 24), schedule=ScheduleSpec(mode="iid"))),
     ("d0", dict(n=20)),
     ("decay", dict(n_ladder=(4, 8))),
@@ -80,7 +79,7 @@ def run_matrix(tmp_path) -> list:
     runs = []
     for command, overrides in RUNS:
         config = tmp_path / f"{command}.toml"
-        settings = {"n_samples": 200, "mesh": MeshSpec(cells=32), **overrides}
+        settings = {"n_samples": 200, **overrides}
         config.write_text(default_config(command, **settings).to_toml(), encoding="utf-8")
         runs.append([command, "--config", str(config), "--out", str(tmp_path / "runs")])
     return runs + [["validate"]]

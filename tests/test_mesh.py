@@ -51,10 +51,12 @@ def test_graded_mesh_invariants(mesh1024):
 
 
 def test_graded_mesh_validation():
-    with pytest.raises(ValueError):
-        graded_mesh(1024, ratio=1.0)
-    with pytest.raises(ValueError):
-        graded_mesh(1)
+    for ratio in (1.0, 1.5):
+        with pytest.raises(ValueError, match="ratio must lie in"):
+            graded_mesh(1024, ratio=ratio)
+    for cells in (1, 0, -1, -5):  # Mesh's own rule
+        with pytest.raises(ValueError, match="mesh needs at least 2 cells"):
+            graded_mesh(cells)
 
 
 def test_cell_index_brute_force(mesh512):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from seqevl import transfer
 from seqevl._numeric import bisect, slope
-from seqevl.config import EJ_LADDER, EN_EPS_LADDER, KINDS, MeshSpec
+from seqevl.config import EJ_LADDER, EN_EPS_LADDER, KINDS
 from seqevl.maps import ParameterSchedule, lsv_left_inverse
 from seqevl.mesh import graded_mesh, uniform_density
 
@@ -136,7 +136,7 @@ def test_bisect_stops_once_every_bracket_is_narrower_than_tol(tol, halvings):
 def test_bisect_on_the_left_inverse_fallback_matches_newton():
     # the predicate lsv_left_inverse hands bisect when Newton misses, run on
     # the default mesh's boundaries: no config reaches that fallback
-    y = MeshSpec().build().boundaries
+    y = graded_mesh().boundaries
     for alpha in (0.01, 0.1, 1.0 / 7.0):
         c = 2.0 ** alpha
         got = bisect(lambda mid: mid * (1.0 + c * mid ** alpha) <= y,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from seqevl.config import MeshSpec
 from seqevl.maps import ALPHA_STAR, ParameterSchedule
 from seqevl.mesh import Density, graded_mesh, uniform_density
 from seqevl import thresholds
@@ -64,7 +63,7 @@ def test_exceedance_identity(x, u):
 
 # -------------------------------------------------------------- kinks and ladders
 
-KINK_MESHES = {"default": MeshSpec().build(), "default-x2": refined(MeshSpec().build()),
+KINK_MESHES = {"default": graded_mesh(), "default-x2": refined(graded_mesh()),
                "graded-64": graded_mesh(64), "uniform-32": uniform_mesh(32),
                "uniform-1024": uniform_mesh(1024)}
 
