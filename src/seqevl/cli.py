@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 when every check passes, 2 when a quantitative check fails,
-1 on usage, configuration or runtime errors.  INFO checks are reported and
-never fail a run.
+Every command first prints `validate_config`'s diagnostics, one line each
+(`[ERROR]`, `[WARNING]`, or `[LEDGER]` for an exponent budget that holds),
+and an error stops it there.  Exit codes: 0 when every check passes, 2 when
+a quantitative check fails, 1 on usage, configuration or runtime errors.
+INFO checks are reported and never fail a run.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
-from .config import (KINDS, ConfigError, default_config, ledger_report,
-                     load_config, validate_config)
+from .config import KINDS, ConfigError, default_config, load_config, validate_config
 from .experiments import run_experiment
 
 
@@ -42,24 +43,6 @@ def _config_from_args(args) -> object:
     return cfg
 
 
-def _print_diagnostics(diagnostics, stdout) -> None:
-    for diag in diagnostics:
-        print(f"[{diag.severity.upper()}] {diag.code}: {diag.message}", file=stdout)
-
-
-def _run_validate(cfg, stdout) -> int:
-    diagnostics = validate_config(cfg)
-    _print_diagnostics(diagnostics, stdout)
-    if any(d.severity == "error" for d in diagnostics):
-        return 1
-    for check in ledger_report(cfg):
-        if check.satisfied:  # a violated budget was printed as its warning
-            print(f"[LEDGER] {check.name}: ok "
-                  f"(lhs={check.lhs:.6g}, rhs={check.rhs:.6g})", file=stdout)
-    print("configuration valid", file=stdout)
-    return 0
-
-
 def main(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
@@ -70,10 +53,16 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         return 1 if exc.code else 0
     try:
         cfg = _config_from_args(args)
+        # every command's first stage, which an error ends
+        diagnostics = validate_config(cfg)
+        for diag in diagnostics:
+            print(f"[{diag.severity.upper()}] {diag.code}: {diag.message}", file=stdout)
+        if any(d.severity == "error" for d in diagnostics):
+            return 1
         if args.command == "validate":
-            return _run_validate(cfg, stdout)
+            print("configuration valid", file=stdout)
+            return 0
         report = run_experiment(cfg)
-        _print_diagnostics(report.warnings, stdout)
         for check in report.checks:
             status = "INFO" if check.info else "PASS" if check.passed else "FAIL"
             print(f"[{status}] {check.name}: measured={check.measured:.6g} "

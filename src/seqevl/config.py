@@ -339,23 +339,13 @@ def exponent_ledger(alpha_star: float, beta: float = ExponentSpec.beta,
     return checks
 
 
-def ledger_report(config: ExperimentConfig) -> list[LedgerCheck]:
-    """The exponent budgets at the sup exponent of the config's schedule,
-    which must build (`validate_config` reports no error); none for a kind
-    that does not read `exponents`."""
-    exps = config.exponents
-    if not kind_reads(config, "exponents"):
-        return []
-    return exponent_ledger(config.schedule.build().sup_alpha(), exps.beta, exps.kappa)
-
-
 # ---------------------------------------------------------------------------
 # validation
 
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error" or "warning"
+    severity: str  # "error", "warning" or "ledger" (an exponent budget that holds)
     code: str
     message: str
     key: str  # the key it concerns: top-level, a section or `section.field`
@@ -366,16 +356,16 @@ def _is_dyadic(zeta: float) -> bool:
 
 
 def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
-    """Structured diagnostics: the errors, which block a run, or when there
-    are none the warnings, which do not.
+    """Every line a config gets: the errors, which block a run, or when there
+    are none the warnings and ledger lines, which do not.
 
     Each diagnostic names the key it concerns.  A fault is an error, and is
     reported only in a key the kind reads (`kind_reads`); any other key set
     away from its default gets one `unused-key` warning.  For a kind that
-    reads `exponents`, the exponent budgets are evaluated at the schedule's
-    sup exponent and reported as warnings; no configuration is rejected for
-    its budget, matching the advisory role these inequalities play at
-    finite n.
+    reads `exponents`, the exponent budgets are evaluated once, at the built
+    schedule's sup exponent: a violated budget is a `budget-<name>` warning,
+    one that holds a `ledger` line.  No configuration is rejected for its
+    budget, matching the advisory role these inequalities play at finite n.
     """
     diagnostics: list[Diagnostic] = []
 
@@ -443,10 +433,13 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
             warning(key, "unused-key", f"{config.kind} runs do not read {key}; "
                                        "its value changes nothing")
 
-    for check in ledger_report(config):
-        if not check.satisfied:
-            warning("exponents", "budget-" + check.name,
-                    f"{check.detail}: lhs={check.lhs:.6g}, rhs={check.rhs:.6g}")
+    if kind_reads(config, "exponents"):
+        for check in exponent_ledger(built["schedule"].sup_alpha(), exps.beta, exps.kappa):
+            numbers = f"lhs={check.lhs:.6g}, rhs={check.rhs:.6g}"
+            if check.satisfied:
+                diagnostics.append(Diagnostic("ledger", check.name, f"ok ({numbers})", "exponents"))
+            else:
+                warning("exponents", "budget-" + check.name, f"{check.detail}: {numbers}")
 
     if kind_reads(config, "observable.zeta") and _is_dyadic(config.observable.zeta):
         warning("observable.zeta", "zeta-dyadic",

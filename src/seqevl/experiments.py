@@ -63,7 +63,7 @@ class ExperimentReport:
     experiment_id: str
     passed: bool
     checks: tuple
-    warnings: tuple
+    diagnostics: tuple  # validate_config's warnings and ledger lines
     metrics: dict
     out_dir: str
 
@@ -73,7 +73,7 @@ class ExperimentReport:
             "experiment_id": self.experiment_id,
             "passed": self.passed,
             "checks": [vars(c) for c in self.checks],
-            "warnings": [vars(w) for w in self.warnings],
+            "diagnostics": [vars(d) for d in self.diagnostics],
             "metrics": self.metrics,
         }
 
@@ -86,7 +86,7 @@ def experiment_id(config: ExperimentConfig) -> str:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    diagnostics = validate_config(config)  # the errors, or else the warnings
+    diagnostics = validate_config(config)  # the errors, or else the warnings and ledger lines
     if any(d.severity == "error" for d in diagnostics):
         raise ConfigError("; ".join(f"{d.code}: {d.message}" for d in diagnostics))
 
@@ -108,7 +108,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         experiment_id=exp_id,
         passed=all(c.passed for c in checks),
         checks=tuple(checks),
-        warnings=tuple(diagnostics),
+        diagnostics=tuple(diagnostics),
         metrics={"elapsed_seconds": elapsed,
                  "montecarlo_seconds": mc.seconds,
                  "samples": mc.samples,

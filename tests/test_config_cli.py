@@ -271,7 +271,7 @@ def test_schedule_exponent_above_cap_is_an_error():
 def test_kappa_above_beta_is_a_warning_not_an_error():
     cfg = default_config("dprime", exponents=ExponentSpec(beta=0.5, kappa=0.85))
     diags = validate_config(cfg)
-    assert all(d.severity == "warning" for d in diags)
+    assert all(d.severity in ("warning", "ledger") for d in diags)
     assert "budget-block-gap-ordering" in {d.code for d in diags}  # 0.85*1.05 > 0.5
 
 
@@ -475,13 +475,14 @@ def test_unread_key_faults_are_warnings(overrides, tmp_path):
 
 def _reported_where_read(config, diagnostic) -> bool:
     """Whether a diagnostic keeps the one-report rule: an error on a key the
-    kind reads, unused-key on a key it does not read, or a budget or
-    dyadic-zeta warning for a kind that reads exponents or zeta."""
+    kind reads, unused-key on a key it does not read, a budget warning or
+    ledger line for a kind that reads exponents, or a dyadic-zeta warning
+    for a kind that reads zeta."""
     if diagnostic.severity == "error":
         return kind_reads(config, diagnostic.key)
     if diagnostic.code == "unused-key":
         return not kind_reads(config, diagnostic.key)
-    if diagnostic.code.startswith("budget-"):
+    if diagnostic.severity == "ledger" or diagnostic.code.startswith("budget-"):
         return kind_reads(config, "exponents")
     return diagnostic.code == "zeta-dyadic" and kind_reads(config, "observable.zeta")
 
@@ -636,12 +637,36 @@ def test_cli_validate_names_each_budget_once(run_cli):
 
 
 def test_a_run_prints_its_warnings_as_validate_does(run_cli, tmp_path):
+    # validate is every command's first stage: a run prints the lines
+    # validate prints, before its checks
     cfg = default_config("orbit", tau=2.0)
     _, validated, _ = run_cli("validate", config=cfg)
-    code, ran, _ = run_cli("orbit", "--out", str(tmp_path), config=cfg)
+    code, ran, _ = run_cli("orbit", "--out", str(tmp_path / "orbit"), config=cfg)
     warning, = [line for line in validated.splitlines() if line.startswith("[WARNING]")]
     assert warning.startswith("[WARNING] unused-key: ")
-    assert code == 0 and warning in ran.splitlines()
+    lines = ran.splitlines()
+    assert code == 0 and lines.index(warning) < lines.index(next(
+        line for line in lines if line.startswith("[PASS]")))
+
+    # a refused config: the same [ERROR] lines on stdout, nothing on
+    # stderr, and no run directory
+    cfg = default_config("evl", tau=-1.0, n=0)
+    validated = run_cli("validate", config=cfg)
+    ran = run_cli("evl", "--out", str(tmp_path / "evl"), config=cfg)
+    assert validated.out.splitlines() == [
+        "[ERROR] bad-tau: tau must be nonnegative",
+        "[ERROR] bad-n: evl horizons must be at least 1"]
+    assert ran.code == validated.code == 1
+    assert ran.out == validated.out and ran.err == validated.err == ""
+    assert not (tmp_path / "evl").exists()
+
+    # a run prints its exponent ledger as validate does
+    cfg = default_config("dprime", n=100, n_samples=2000)
+    _, validated, _ = run_cli("validate", config=cfg)
+    code, ran, _ = run_cli("dprime", "--out", str(tmp_path / "dprime"), config=cfg)
+    ledger = [line for line in validated.splitlines() if line.startswith("[LEDGER]")]
+    assert len(ledger) == 4
+    assert code == 0 and [line for line in ran.splitlines() if line.startswith("[LEDGER]")] == ledger
 
 
 def test_cli_validate_rejects_bad_exponent(run_cli):
@@ -846,3 +871,5 @@ def test_cli_dprime_plateau_trend_is_info(run_cli, tmp_path):
     summary = json.loads((ran.run_dir / "summary.json").read_text())
     (check,) = summary["checks"]
     assert check["info"] is True and check["passed"] is True
+    # the four budgets hold, and the summary keeps them beside the checks
+    assert [d["severity"] for d in summary["diagnostics"]] == ["ledger"] * 4

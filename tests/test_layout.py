@@ -5,10 +5,10 @@ called when `cli.main` runs a small matrix of configs.  Code that only tests
 use belongs in `tests/reference.py`, and each of its functions and classes
 is reached from some test.  `validate_config` and `cli` name no kind, and
 `experiments` names one only to map it to its runner.  Every config key is
-read by some kind, no package module imports another's private name, and
-tests reach the CLI only through conftest's `run_cli`.  README's Quick
-start block runs against the package as it stands, and its imports are
-all the package exports."""
+read by some kind, no package module imports another's private name, only
+`cli` prints, and tests reach the CLI only through conftest's `run_cli`.
+README's Quick start block runs against the package as it stands, and its
+imports are all the package exports."""
 
 import ast
 import contextlib
@@ -261,6 +261,22 @@ def test_no_module_imports_another_modules_private_name():
                if isinstance(node, ast.ImportFrom) and node.level
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_only_the_cli_prints():
+    """The CLI is the one report path: no other package module calls
+    `print` or names `sys.stdout` or `sys.stderr`, so what a run or a
+    config has to say reaches the terminal only as what `cli.main` prints."""
+    streams = {"stdout", "stderr"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Name) and node.id == "print"
+             or isinstance(node, ast.Attribute) and node.attr in streams
+             and ast.unparse(node.value) == "sys"
+             or isinstance(node, ast.ImportFrom) and node.module == "sys"
+             and streams & {alias.name for alias in node.names}]
+    assert found == []
 
 
 def test_tests_reach_the_cli_through_one_harness():

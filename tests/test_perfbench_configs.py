@@ -1,6 +1,6 @@
 """The benchmark's inputs stay accepted: every op of every `perfbench/lab.py`
 workload, at the default and the held-out seed, loads and validates with no
-diagnostic, and every flag `lab.call_cli` passes is one the CLI parser
+error or warning, and every flag `lab.call_cli` passes is one the CLI parser
 accepts.  So no key or flag the benchmark writes can be deleted without a
 change to the benchmark itself."""
 
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from seqevl.cli import build_parser
-from seqevl.config import load_config, validate_config
+from seqevl.config import kind_reads, load_config, validate_config
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import lab  # noqa: E402
@@ -18,6 +18,7 @@ import lab  # noqa: E402
 OPS = [pytest.param(op, id=f"{workload}-{seed}-{op.name}") for workload in lab.WORKLOADS
        for seed in (lab.DEFAULT_SEED, lab.HELD_OUT_SEED)
        for op in lab.workload_ops(workload, seed)]
+BUDGETS = ("mixing-gap-budget", "pair-sum-budget", "recurrence-budget", "block-gap-ordering")
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -25,7 +26,11 @@ def test_benchmark_op_validates_clean(op, tmp_path):
     (path,) = lab.write_configs([op], tmp_path).values()
     config = load_config(path)
     assert config.kind == op.kind
-    assert validate_config(config) == []
+    diagnostics = validate_config(config)
+    assert [d for d in diagnostics if d.severity in ("error", "warning")] == []
+    # a kind that reads [exponents] (dprime) gets its four budgets, each holding
+    budgets = BUDGETS if kind_reads(config, "exponents") else ()
+    assert [(d.severity, d.code) for d in diagnostics] == [("ledger", name) for name in budgets]
 
 
 def test_benchmark_flags_are_accepted(tmp_path):
