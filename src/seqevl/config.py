@@ -21,18 +21,13 @@ from .montecarlo import DEFAULT_BETA, DEFAULT_KAPPA, DEFAULT_SAMPLES
 from .recurrence import RecurrenceParams
 from .thresholds import Observable
 
-# the recurrence run's fixed ladders: return-set radii, union and local j (its
-# return-set steps are its row's horizons)
-EN_EPS_LADDER = tuple(2.0 ** -k for k in range(4, 15))
-EJ_LADDER = tuple(2 ** k for k in range(5, 13))
-LOCAL_JS = (8, 16, 32)
-
 
 @dataclass(frozen=True)
 class Kind:
     """One experiment kind: its command's help line, the keys its runner
     reads (top-level keys and whole sections), which alone make a run's id
-    and decide each fault's severity, and its horizons."""
+    and decide each fault's severity, its horizons, and the class it builds
+    at the schedule's cap."""
 
     help: str
     reads: tuple[str, ...]
@@ -40,6 +35,7 @@ class Kind:
     min_n: int = 1
     min_rungs: int = 1
     why: str = ""  # the reason for min_n and min_rungs
+    at_cap: type | None = None  # built as at_cap(alpha_star=the schedule's cap)
 
     def horizon_key(self, config: ExperimentConfig) -> str | None:
         """The one horizon key a run reads: `n_ladder` when the row reads it and
@@ -68,7 +64,7 @@ KINDS = {
                   ("n_ladder", "schedule"), ladder=tuple(2 ** k for k in range(6, 13)),
                   min_n=2, min_rungs=2, why="the slope fit reads log log n at two horizons"),
     "recurrence": Kind("measures of fast-returning sets and their scaling",
-                       ("schedule", "observable", "recurrence"), (1, 5, 20)),
+                       ("schedule", "observable"), (1, 5, 20), at_cap=RecurrenceParams),
     "orbit": Kind("print one sequential orbit", ("n", "x0", "schedule")),
 }
 
@@ -126,23 +122,6 @@ class ExponentSpec:
 
 
 @dataclass(frozen=True)
-class RecurrenceSpec:
-    beta: float = RecurrenceParams.beta
-    kappa: float = RecurrenceParams.kappa
-    xi: float = RecurrenceParams.xi
-    gamma: float = RecurrenceParams.gamma
-
-    def build(self, alpha_star: float) -> RecurrenceParams:
-        """The run's params, whose union horizons over the run's j ladders
-        must stay below the ceiling."""
-        params = RecurrenceParams(alpha_star=alpha_star, beta=self.beta,
-                                  kappa=self.kappa, xi=self.xi, gamma=self.gamma)
-        params.horizon(max(EJ_LADDER))
-        params.horizon(max(LOCAL_JS), params.gamma)
-        return params
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     kind: str = "evl"
     tau: float = 1.0
@@ -156,7 +135,6 @@ class ExperimentConfig:
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
     observable: ObservableSpec = field(default_factory=ObservableSpec)
     exponents: ExponentSpec = field(default_factory=ExponentSpec)
-    recurrence: RecurrenceSpec = field(default_factory=RecurrenceSpec)
 
     def to_toml(self, read_only: bool = False) -> str:
         """The config as TOML; read_only keeps the kind and the keys its
@@ -227,8 +205,7 @@ def _format_toml_value(value) -> str:
     return str(value)
 
 
-_SECTION_TYPES = {cls.__name__: cls for cls in
-                  (ScheduleSpec, ObservableSpec, ExponentSpec, RecurrenceSpec)}
+_SECTION_TYPES = {cls.__name__: cls for cls in (ScheduleSpec, ObservableSpec, ExponentSpec)}
 
 # field annotation -> (accepted value types, conversion, name in messages)
 _SCALARS = {"int": (int, int, "an integer"),
@@ -406,17 +383,20 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         if not 0.0 < getattr(exps, name) < 1.0:
             fault(f"exponents.{name}", "bad-exponents", f"{name} must lie in (0, 1)")
 
+    def schedule():
+        # the row's at_cap class is built at the built schedule's cap, so a
+        # cap it refuses is the schedule's one fault
+        built_schedule = config.schedule.build()
+        if row.at_cap is not None:
+            row.at_cap(alpha_star=built_schedule.alpha_star)
+        return built_schedule
+
     # a run builds only the sections it reads, and their builders check the
     # rest (the schedule's mode, cycle, exponents, cap and iid bounds, the
-    # observable's zeta, recurrence exponents and horizons). [recurrence] is
-    # checked at the built schedule's cap, or at the lab's when the schedule
-    # is refused, so a refused cap is reported once
+    # observable's zeta)
     built = {}
-    for key, code, build in (
-            ("schedule", "bad-schedule", config.schedule.build),
-            ("observable.zeta", "bad-zeta", config.observable.build),
-            ("recurrence", "bad-recurrence", lambda: config.recurrence.build(
-                built.get("schedule", ParameterSchedule()).alpha_star))):
+    for key, code, build in (("schedule", "bad-schedule", schedule),
+                             ("observable.zeta", "bad-zeta", config.observable.build)):
         if kind_reads(config, key):
             try:
                 built[key] = build()

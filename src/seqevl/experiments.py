@@ -17,14 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (EJ_LADDER, EN_EPS_LADDER, KINDS, LOCAL_JS, ConfigError,
-                     ExperimentConfig, validate_config)
+from .config import KINDS, ConfigError, ExperimentConfig, validate_config
 from .io import write_csv, write_json, write_text
 from .maps import sequential_orbit
 from .mesh import graded_mesh, uniform_density
 from .montecarlo import (build_blocks, d0_mixing_gap, dprime_sum, estimate_exceedances,
                          estimate_Pn)
-from .recurrence import (local_recurrence_at, local_recurrence_bound,
+from .recurrence import (RecurrenceParams, local_recurrence_at, local_recurrence_bound,
                          loglog_slope, measure_En_eps, measure_Ej)
 from .thresholds import build_threshold_schedule
 from .transfer import cone_step_surrogate, loss_of_memory_distance
@@ -289,9 +288,16 @@ def _run_decay(config: ExperimentConfig, mc: _MonteCarlo):
     return checks, tables
 
 
+# the recurrence run's fixed ladders: return-set radii, union and local j (its
+# return-set steps are its row's horizons)
+EN_EPS_LADDER = tuple(2.0 ** -k for k in range(4, 15))
+EJ_LADDER = tuple(2 ** k for k in range(5, 13))
+LOCAL_JS = (8, 16, 32)
+
+
 def _run_recurrence(config: ExperimentConfig, mc: _MonteCarlo):
     schedule = config.schedule.build()
-    params = config.recurrence.build(schedule.alpha_star)
+    params = RecurrenceParams(alpha_star=schedule.alpha_star)  # the lab's exponents
     slope_floor = 1.0 / (1.0 + schedule.alpha_star) - 0.15
 
     en_rows = []

@@ -26,7 +26,7 @@ from .maps import ALPHA_STAR, ParameterSchedule
 from .thresholds import Observable
 
 BISECT_TOL = 1e-10
-MAX_HORIZON = 2 ** 20  # the longest union horizon a run accepts, in steps
+MAX_HORIZON = 2 ** 20  # the longest union horizon `horizon` accepts, in steps
 STRATA = 1024  # uniform cells of the stratified grid over [0, 1]
 BALL_CELLS = 2048  # uniform cells of the grid over the local ball
 
@@ -38,7 +38,9 @@ class RecurrenceParams:
     varsigma = 1/(1+alpha_star) - kappa*(1+xi) is the decay exponent of the
     union-set measure; the local bound needs varsigma > beta with
     gamma*(varsigma - beta) > 1, which forces kappa*(1+xi) well below the
-    block exponents used on the extreme-value side.
+    block exponents used on the extreme-value side.  The defaults are the
+    exponents the recurrence run uses, at its schedule's cap; they admit a
+    cap below 0.18577 only.
     """
 
     alpha_star: float = ALPHA_STAR

@@ -17,7 +17,6 @@ from seqevl.config import (
     ExperimentConfig,
     ExponentSpec,
     ObservableSpec,
-    RecurrenceSpec,
     ScheduleSpec,
     _flat,
     config_from_dict,
@@ -150,9 +149,11 @@ def test_config_from_dict_rejects_unknown_keys():
     for key in ("xi", "eta"):
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[exponents\\]"):
             config_from_dict({"exponents": {key: 0.5}})
-    # the mesh is the lab's, so no run sets it
+    # the mesh and the recurrence exponents are the lab's, so no run sets them
     with pytest.raises(ConfigError, match="unknown top-level key 'mesh'"):
         config_from_dict({"mesh": {"cells": 64}})
+    with pytest.raises(ConfigError, match="unknown top-level key 'recurrence'"):
+        config_from_dict({"recurrence": {"gamma": 3.0}})
     # [observable] holds zeta alone
     for key, value in (("form", "log"), ("power", 2.0), ("cap", 1.0)):
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[observable\\]"):
@@ -230,7 +231,7 @@ def test_readme_commands_are_the_parsers():
 
 def test_spec_defaults_are_the_builders_defaults():
     assert ObservableSpec().build() == Observable()
-    assert RecurrenceSpec().build(ScheduleSpec().alpha_star) == RecurrenceParams()
+    assert KINDS["recurrence"].at_cap(alpha_star=ScheduleSpec().alpha_star) == RecurrenceParams()
     assert ScheduleSpec().build() == ParameterSchedule()
     blocks = inspect.signature(build_blocks).parameters
     assert ExponentSpec().beta == blocks["beta"].default
@@ -327,12 +328,6 @@ HARD_ERRORS = [
     # the gap needs an event step and a later window, so two steps at least
     (dict(kind="d0", n=1), "bad-n"),
     (dict(kind="d0", n=-1), "bad-n"),
-    # a recurrence run's own spec faults are errors, reported beside the others:
-    # an infeasible beta, and local union horizons above the ceiling (about
-    # 9.2e18 steps at gamma = 60; at gamma = 300 the scale 32^300 overflows)
-    (dict(kind="recurrence", recurrence=RecurrenceSpec(beta=2.0)), "bad-recurrence"),
-    (dict(kind="recurrence", recurrence=RecurrenceSpec(gamma=60.0)), "bad-recurrence"),
-    (dict(kind="recurrence", recurrence=RecurrenceSpec(gamma=300.0)), "bad-recurrence"),
     # the decay slope fit needs two rungs, and below n = 5 both d0
     # separations clamp to one gap
     (dict(kind="decay", n_ladder=(64,)), "bad-n"),
@@ -341,6 +336,8 @@ HARD_ERRORS = [
     (dict(n_ladder=(2000, 250)), "bad-n"),
     # a constant schedule is a one-exponent cycle
     (dict(schedule=ScheduleSpec(mode="constant")), "bad-schedule"),
+    # the recurrence exponents admit a cap below 0.18577 only
+    (dict(kind="recurrence", schedule=ScheduleSpec(alpha_star=0.5)), "bad-schedule"),
 ]
 
 
@@ -501,21 +498,20 @@ def test_every_fault_is_reported_only_where_it_is_read():
 
 
 def test_recurrence_is_checked_at_the_built_schedules_cap():
-    # a refused cap is reported once, in [schedule]; [recurrence] is then
-    # checked at the lab's cap, so its own faults still show
+    # the recurrence row's RecurrenceParams is built at the built schedule's
+    # cap, and a cap either refuses is reported once, in [schedule]; a kind
+    # with no such class takes any cap its schedule accepts
     cases = [
-        (dict(schedule=ScheduleSpec(alpha_star=2.0)),
-         [("error", "bad-schedule", "schedule", "alpha_star must lie in (0, 1)")]),
-        (dict(schedule=ScheduleSpec(alpha_star=2.0), recurrence=RecurrenceSpec(beta=2.0)),
-         [("error", "bad-schedule", "schedule", "alpha_star must lie in (0, 1)"),
-          ("error", "bad-recurrence", "recurrence", "beta must lie in (0, 1)")]),
-        (dict(schedule=ScheduleSpec(alpha_star=0.5)),
-         [("error", "bad-recurrence", "recurrence",
-           "local bound needs gamma*(varsigma-beta) > 1")]),
+        ("recurrence", 2.0, [("bad-schedule", "alpha_star must lie in (0, 1)")]),
+        ("recurrence", 0.5, [("bad-schedule", "local bound needs gamma*(varsigma-beta) > 1")]),
+        ("recurrence", 0.18578, [("bad-schedule", "local bound needs gamma*(varsigma-beta) > 1")]),
+        ("recurrence", 0.18577, []),
+        ("evl", 0.5, []),
     ]
-    for overrides, expected in cases:
-        diags = validate_config(default_config("recurrence", **overrides))
-        assert [(d.severity, d.code, d.key, d.message) for d in diags] == expected
+    for kind, alpha_star, expected in cases:
+        diags = validate_config(default_config(kind, schedule=ScheduleSpec(alpha_star=alpha_star)))
+        assert [(d.severity, d.key) for d in diags] == [("error", "schedule")] * len(expected)
+        assert [(d.code, d.message) for d in diags] == expected, (kind, alpha_star)
 
 
 def test_bad_tau_follows_the_calibrated_horizons():
@@ -567,43 +563,17 @@ def test_errors_suppress_budget_warnings():
     assert all(d.severity == "error" for d in diags)
 
 
-@pytest.mark.parametrize("gamma,steps", [(3.0, 8), (10.0, 1448), (15.0, 55108), (20.0, None)])
-def test_recurrence_horizon_ceiling(gamma, steps):
-    # the local union set at j = 32 reads 32^(0.21 gamma) steps; 2^21 at
-    # gamma = 20 is above the ceiling of 2^20
-    params = RecurrenceParams(gamma=gamma)
-    cfg = default_config("recurrence", recurrence=RecurrenceSpec(gamma=gamma))
-    diags = [(d.severity, d.code) for d in validate_config(cfg)]
-    if steps is None:
-        assert diags == [("error", "bad-recurrence")]
-        with pytest.raises(ValueError, match="above the ceiling of 1048576"):
-            params.horizon(32.0 ** gamma)
-    else:
-        assert diags == []
-        assert params.horizon(32, gamma) == params.horizon(32.0 ** gamma) == steps
-
-
-def test_infeasible_recurrence_spec_severity_depends_on_kind():
-    bad = RecurrenceSpec(beta=0.3, kappa=0.29)  # kappa(1+xi) >= beta
-    as_recurrence = validate_config(default_config("recurrence", recurrence=bad))
-    assert [d.severity for d in as_recurrence] == ["error"]
-    assert as_recurrence[0].code == "bad-recurrence"
-    as_evl = validate_config(default_config("evl", recurrence=bad))
-    assert [(d.severity, d.code, d.key) for d in as_evl] == [
-        ("warning", "unused-key", "recurrence.kappa")]
-
-
 def test_validate_builds_no_section_the_run_does_not_read(monkeypatch):
     calls = []
 
-    def build(self, alpha_star):
-        calls.append(alpha_star)
-        raise ValueError("recurrence built")
+    def build(self):
+        calls.append(self)
+        raise ValueError("observable built")
 
-    monkeypatch.setattr(RecurrenceSpec, "build", build)
-    diagnostics = validate_config(default_config("orbit", recurrence=RecurrenceSpec(gamma=60.0)))
+    monkeypatch.setattr(ObservableSpec, "build", build)
+    diagnostics = validate_config(default_config("decay", observable=ObservableSpec(zeta=0.0)))
     assert [(d.severity, d.code, d.key) for d in diagnostics] == [
-        ("warning", "unused-key", "recurrence.gamma")]
+        ("warning", "unused-key", "observable.zeta")]
     assert calls == []
 
 

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from seqevl import transfer
 from seqevl._numeric import bisect, slope
-from seqevl.config import EJ_LADDER, EN_EPS_LADDER, KINDS
+from seqevl.config import KINDS
+from seqevl.experiments import EJ_LADDER, EN_EPS_LADDER
 from seqevl.maps import ParameterSchedule, lsv_left_inverse
 from seqevl.mesh import graded_mesh, uniform_density
 

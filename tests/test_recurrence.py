@@ -62,6 +62,19 @@ def test_horizon_monotone_in_j_and_exponent():
     assert all(steeper.horizon(j) >= p.horizon(j) for j in js)
 
 
+@pytest.mark.parametrize("gamma,steps", [(3.0, 8), (10.0, 1448), (15.0, 55108), (20.0, None)])
+def test_recurrence_horizon_ceiling(gamma, steps):
+    # the local union set at j = 32 reads 32^(0.21 gamma) steps; 2^21 at
+    # gamma = 20 is above the ceiling of 2^20
+    params = RecurrenceParams(gamma=gamma)
+    if steps is None:
+        for args in ((32, gamma), (32.0 ** gamma,)):
+            with pytest.raises(ValueError, match="above the ceiling of 1048576"):
+                params.horizon(*args)
+    else:
+        assert params.horizon(32, gamma) == params.horizon(32.0 ** gamma) == steps
+
+
 # -------------------------------------------------------------- displacement
 
 def test_orbit_displacement_single_step_closed_forms(const01):
