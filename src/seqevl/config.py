@@ -14,11 +14,11 @@ import math
 import tomllib
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 from .maps import ParameterSchedule
 from .montecarlo import DEFAULT_BETA, DEFAULT_KAPPA, DEFAULT_SAMPLES
-from .recurrence import RecurrenceParams
+from .recurrence import XI, check_cap
 from .thresholds import Observable
 
 
@@ -26,8 +26,8 @@ from .thresholds import Observable
 class Kind:
     """One experiment kind: its command's help line, the keys its runner
     reads (top-level keys and whole sections), which alone make a run's id
-    and decide each fault's severity, its horizons, and the class it builds
-    at the schedule's cap."""
+    and decide each fault's severity, its horizons, and the check its cap
+    must pass."""
 
     help: str
     reads: tuple[str, ...]
@@ -35,7 +35,7 @@ class Kind:
     min_n: int = 1
     min_rungs: int = 1
     why: str = ""  # the reason for min_n and min_rungs
-    at_cap: type | None = None  # built as at_cap(alpha_star=the schedule's cap)
+    at_cap: Callable | None = None  # called as at_cap(alpha_star=the schedule's cap)
 
     def horizon_key(self, config: ExperimentConfig) -> str | None:
         """The one horizon key a run reads: `n_ladder` when the row reads it and
@@ -64,7 +64,7 @@ KINDS = {
                   ("n_ladder", "schedule"), ladder=tuple(2 ** k for k in range(6, 13)),
                   min_n=2, min_rungs=2, why="the slope fit reads log log n at two horizons"),
     "recurrence": Kind("measures of fast-returning sets and their scaling",
-                       ("schedule", "observable"), (1, 5, 20), at_cap=RecurrenceParams),
+                       ("schedule", "observable"), (1, 5, 20), at_cap=check_cap),
     "orbit": Kind("print one sequential orbit", ("n", "x0", "schedule")),
 }
 
@@ -292,10 +292,11 @@ def exponent_ledger(alpha_star: float, beta: float = ExponentSpec.beta,
 
     All four must hold for the error terms to vanish in the limit; at desk
     scale they are reported, never enforced.  Their joint feasible region
-    caps alpha_star at 1/7 as kappa, beta -> 1.  No estimator reads xi or
-    eta, only these budgets, so both are fixed.
+    caps alpha_star at 1/7 as kappa, beta -> 1.  xi is the recurrence
+    exponent `recurrence.XI`; no estimator reads eta, only these budgets, so
+    it is fixed.
     """
-    xi, eta = 0.05, 1.8
+    eta = 1.8
     checks = []
     lhs = (-1.0 / alpha_star + 1.0) * kappa + 2.0 + 2.0 * eta
     checks.append(LedgerCheck(
@@ -305,11 +306,11 @@ def exponent_ledger(alpha_star: float, beta: float = ExponentSpec.beta,
     checks.append(LedgerCheck(
         "pair-sum-budget", alpha_star < rhs, alpha_star, rhs,
         "alpha* < kappa / (2 + 4 beta + kappa) keeps the block pair sum vanishing"))
-    rhs2 = beta + kappa * (1.0 + xi) - 1.0
+    rhs2 = beta + kappa * (1.0 + XI) - 1.0
     checks.append(LedgerCheck(
         "recurrence-budget", alpha_star < rhs2, alpha_star, rhs2,
         "alpha* < beta + kappa (1 + xi) - 1 keeps the short-return term vanishing"))
-    lhs3 = kappa * (1.0 + xi)
+    lhs3 = kappa * (1.0 + XI)
     checks.append(LedgerCheck(
         "block-gap-ordering", lhs3 < beta, lhs3, beta,
         "kappa (1 + xi) < beta keeps gap lengths below block lengths"))
@@ -384,7 +385,7 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
             fault(f"exponents.{name}", "bad-exponents", f"{name} must lie in (0, 1)")
 
     def schedule():
-        # the row's at_cap class is built at the built schedule's cap, so a
+        # the row's at_cap check is called at the built schedule's cap, so a
         # cap it refuses is the schedule's one fault
         built_schedule = config.schedule.build()
         if row.at_cap is not None:

@@ -23,8 +23,8 @@ from .maps import sequential_orbit
 from .mesh import graded_mesh, uniform_density
 from .montecarlo import (build_blocks, d0_mixing_gap, dprime_sum, estimate_exceedances,
                          estimate_Pn)
-from .recurrence import (RecurrenceParams, local_recurrence_at, local_recurrence_bound,
-                         loglog_slope, measure_En_eps, measure_Ej)
+from .recurrence import (horizon, local_recurrence_at, local_recurrence_bound, loglog_slope,
+                         measure_En_eps, measure_Ej, varsigma)
 from .thresholds import build_threshold_schedule
 from .transfer import cone_step_surrogate, loss_of_memory_distance
 
@@ -297,7 +297,6 @@ LOCAL_JS = (8, 16, 32)
 
 def _run_recurrence(config: ExperimentConfig, mc: _MonteCarlo):
     schedule = config.schedule.build()
-    params = RecurrenceParams(alpha_star=schedule.alpha_star)  # the lab's exponents
     slope_floor = 1.0 / (1.0 + schedule.alpha_star) - 0.15
 
     en_rows = []
@@ -315,22 +314,22 @@ def _run_recurrence(config: ExperimentConfig, mc: _MonteCarlo):
     ej_rows = []
     ej_measures = []
     for j in EJ_LADDER:
-        m = measure_Ej(schedule, j, params)
+        m = measure_Ej(schedule, j)
         ej_measures.append(m)
-        ej_rows.append((j, params.horizon(j), 2.0 / j, m))
+        ej_rows.append((j, horizon(j), 2.0 / j, m))
     if all(m > 0.0 for m in ej_measures):
         ej_slope = loglog_slope(EJ_LADDER, ej_measures)
         checks.append(TargetCheck(
             name="union-slope",
             claim="short-return union measure decays at least like the predicted power",
-            measured=ej_slope, target=-params.varsigma + 0.3, tolerance=0.0,
+            measured=ej_slope, target=-varsigma(schedule.alpha_star) + 0.3, tolerance=0.0,
             side="below"))
 
     local_rows = []
     observable = config.observable.build()
     for j in LOCAL_JS:
-        measured = local_recurrence_at(schedule, observable, j, params)
-        bound = local_recurrence_bound(j, params)
+        measured = local_recurrence_at(schedule, observable, j)
+        bound = local_recurrence_bound(j)
         local_rows.append((j, measured, bound, int(measured <= bound)))
         checks.append(TargetCheck(
             name=f"local-bound-j{j}",

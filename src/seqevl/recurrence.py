@@ -17,68 +17,42 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._numeric import bisect, slope
-from .maps import ALPHA_STAR, ParameterSchedule
+from .maps import ParameterSchedule
 from .thresholds import Observable
 
 BISECT_TOL = 1e-10
-MAX_HORIZON = 2 ** 20  # the longest union horizon `horizon` accepts, in steps
 STRATA = 1024  # uniform cells of the stratified grid over [0, 1]
 BALL_CELLS = 2048  # uniform cells of the grid over the local ball
 
 
-@dataclass(frozen=True)
-class RecurrenceParams:
-    """Exponents for the short-return sets and the local recurrence bound.
+# the lab's exponents for the short-return sets and the local recurrence
+# bound: kappa*(1+xi) = 0.21 sets the union horizons, well below the block
+# exponents of the extreme-value side, and the local bound needs
+# varsigma > BETA with GAMMA*(varsigma - BETA) > 1, so they admit a cap
+# below 0.18577 only
+BETA, KAPPA, XI, GAMMA = 0.3, 0.2, 0.05, 3.0
 
-    varsigma = 1/(1+alpha_star) - kappa*(1+xi) is the decay exponent of the
-    union-set measure; the local bound needs varsigma > beta with
-    gamma*(varsigma - beta) > 1, which forces kappa*(1+xi) well below the
-    block exponents used on the extreme-value side.  The defaults are the
-    exponents the recurrence run uses, at its schedule's cap; they admit a
-    cap below 0.18577 only.
-    """
 
-    alpha_star: float = ALPHA_STAR
-    beta: float = 0.3
-    kappa: float = 0.2
-    xi: float = 0.05
-    gamma: float = 3.0
+def varsigma(alpha_star: float) -> float:
+    """Decay exponent of the union-set measure at the schedule's cap."""
+    return 1.0 / (1.0 + alpha_star) - KAPPA * (1.0 + XI)
 
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if not 0.0 < self.kappa < self.beta:
-            raise ValueError("kappa must lie in (0, beta)")
-        if not 0.0 < self.xi < 1.0:
-            raise ValueError("xi must lie in (0, 1)")
-        if self.kappa * (1.0 + self.xi) >= self.beta:
-            raise ValueError("kappa*(1+xi) must stay below beta")
-        if self.varsigma <= self.beta:
-            raise ValueError("local bound needs varsigma > beta")
-        if self.gamma * (self.varsigma - self.beta) <= 1.0:
-            raise ValueError("local bound needs gamma*(varsigma-beta) > 1")
 
-    @property
-    def varsigma(self) -> float:
-        return 1.0 / (1.0 + self.alpha_star) - self.kappa * (1.0 + self.xi)
+def check_cap(alpha_star: float) -> None:
+    """Refuse, with a ValueError, a cap at which the local bound fails."""
+    if varsigma(alpha_star) <= BETA:
+        raise ValueError("local bound needs varsigma > beta")
+    if GAMMA * (varsigma(alpha_star) - BETA) <= 1.0:
+        raise ValueError("local bound needs gamma*(varsigma-beta) > 1")
 
-    def horizon(self, j: float, power: float = 1.0) -> int:
-        """Steps of the union set at scale j ** power, floor(scale **
-        (kappa (1 + xi))); a scale that overflows, or a horizon above
-        MAX_HORIZON, is refused with a ValueError."""
-        try:
-            steps = (float(j) ** power) ** (self.kappa * (1.0 + self.xi))
-        except OverflowError:
-            steps = math.inf
-        if not steps <= MAX_HORIZON:
-            raise ValueError(f"the union set at scale {j!r} ** {power!r} needs {steps:.6g} "
-                             f"steps, above the ceiling of {MAX_HORIZON}")
-        return math.floor(steps)
+
+def horizon(j: float) -> int:
+    """Steps of the union set at scale j, floor(j ** (KAPPA (1 + XI)))."""
+    return math.floor(float(j) ** (KAPPA * (1.0 + XI)))
 
 
 def _displacements(schedule: ParameterSchedule, n: int, x):
@@ -139,8 +113,7 @@ def _measure_below(nodes: np.ndarray, gfun) -> float:
     return total
 
 
-def _union_measure(schedule: ParameterSchedule, big_j: float, params: RecurrenceParams,
-                   nodes: np.ndarray) -> float:
+def _union_measure(schedule: ParameterSchedule, big_j: float, nodes: np.ndarray) -> float:
     """Measure over the nodes' span of the union over i <= horizon(big_j) of
     the 2/big_j return sets.
 
@@ -148,11 +121,11 @@ def _union_measure(schedule: ParameterSchedule, big_j: float, params: Recurrence
     is then a single sublevel-set measurement.  At horizon 0 that minimum is
     +inf at every node, so the measure is 0.
     """
-    horizon = params.horizon(big_j)
+    steps = horizon(big_j)
     eps = 2.0 / big_j
 
     def g(x):
-        return min_orbit_displacement(schedule, horizon, x) - eps
+        return min_orbit_displacement(schedule, steps, x) - eps
 
     return _measure_below(nodes, g)
 
@@ -180,15 +153,14 @@ def measure_En_eps(schedule: ParameterSchedule, n: int, eps: float) -> float:
     return _measure_below(_stratified_nodes(STRATA), g)
 
 
-def measure_Ej(schedule: ParameterSchedule, j: float, params: RecurrenceParams) -> float:
+def measure_Ej(schedule: ParameterSchedule, j: float) -> float:
     """Measure of the union over i <= horizon(j) of the 2/j return sets."""
     if not (math.isfinite(j) and j >= 2):
         raise ValueError(f"j must be finite and at least 2, got {j!r}")
-    return _union_measure(schedule, j, params, _stratified_nodes(STRATA))
+    return _union_measure(schedule, j, _stratified_nodes(STRATA))
 
 
-def local_recurrence_at(schedule: ParameterSchedule, observable: Observable, j: float,
-                        params: RecurrenceParams) -> float:
+def local_recurrence_at(schedule: ParameterSchedule, observable: Observable, j: float) -> float:
     """Measure of the union set at scale j^gamma within the j^-gamma ball
     at the observable's zeta, clipped to [0, 1], on a uniform grid over it.
 
@@ -199,17 +171,17 @@ def local_recurrence_at(schedule: ParameterSchedule, observable: Observable, j: 
     if not (math.isfinite(j) and j > 0.0):
         raise ValueError(f"j must be positive and finite, got {j!r}")
     try:  # Python floats raise here where numpy scalars would give inf
-        radius, scale = float(j) ** -params.gamma, float(j) ** params.gamma
+        radius, scale = float(j) ** -GAMMA, float(j) ** GAMMA
     except OverflowError:
         raise ValueError(f"j ** gamma or j ** -gamma overflows at j={j!r}, "
-                         f"gamma={params.gamma!r}") from None
+                         f"gamma={GAMMA!r}") from None
     zeta = observable.zeta
     nodes = np.linspace(max(0.0, zeta - radius), min(1.0, zeta + radius), BALL_CELLS + 1)
-    return _union_measure(schedule, scale, params, nodes)
+    return _union_measure(schedule, scale, nodes)
 
 
-def local_recurrence_bound(j: float, params: RecurrenceParams) -> float:
-    return 2.0 * j ** (-params.gamma * (1.0 + params.beta))
+def local_recurrence_bound(j: float) -> float:
+    return 2.0 * j ** (-GAMMA * (1.0 + BETA))
 
 
 def loglog_slope(xs, ys) -> float:

@@ -91,8 +91,8 @@ def decay_falls_exponentially(decay_of):
 
 
 def union_grows(measure_of):
-    def measure(schedule, j, params):
-        return measure_of(schedule, j, params) * j ** 2
+    def measure(schedule, j):
+        return measure_of(schedule, j) * j ** 2
     return measure
 
 

@@ -29,7 +29,6 @@ from seqevl.config import (
 from seqevl.maps import ParameterSchedule
 from seqevl.montecarlo import (build_blocks, d0_mixing_gap, dprime_sum, estimate_exceedances,
                                estimate_Pn)
-from seqevl.recurrence import RecurrenceParams
 from seqevl.thresholds import Observable
 
 
@@ -231,7 +230,7 @@ def test_readme_commands_are_the_parsers():
 
 def test_spec_defaults_are_the_builders_defaults():
     assert ObservableSpec().build() == Observable()
-    assert KINDS["recurrence"].at_cap(alpha_star=ScheduleSpec().alpha_star) == RecurrenceParams()
+    assert KINDS["recurrence"].at_cap(alpha_star=ScheduleSpec().alpha_star) is None
     assert ScheduleSpec().build() == ParameterSchedule()
     blocks = inspect.signature(build_blocks).parameters
     assert ExponentSpec().beta == blocks["beta"].default
@@ -498,11 +497,12 @@ def test_every_fault_is_reported_only_where_it_is_read():
 
 
 def test_recurrence_is_checked_at_the_built_schedules_cap():
-    # the recurrence row's RecurrenceParams is built at the built schedule's
-    # cap, and a cap either refuses is reported once, in [schedule]; a kind
-    # with no such class takes any cap its schedule accepts
+    # the recurrence row's cap check is called at the built schedule's cap,
+    # and a cap either refuses is reported once, in [schedule]; a kind with
+    # no such check takes any cap its schedule accepts
     cases = [
         ("recurrence", 2.0, [("bad-schedule", "alpha_star must lie in (0, 1)")]),
+        ("recurrence", 0.99, [("bad-schedule", "local bound needs varsigma > beta")]),
         ("recurrence", 0.5, [("bad-schedule", "local bound needs gamma*(varsigma-beta) > 1")]),
         ("recurrence", 0.18578, [("bad-schedule", "local bound needs gamma*(varsigma-beta) > 1")]),
         ("recurrence", 0.18577, []),

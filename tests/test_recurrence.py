@@ -5,10 +5,16 @@ import pytest
 
 from seqevl.maps import sequential_orbit
 from seqevl.recurrence import (
+    BETA,
     BISECT_TOL,
-    RecurrenceParams,
+    GAMMA,
+    KAPPA,
+    STRATA,
+    XI,
     _measure_below,
     _stratified_nodes,
+    check_cap,
+    horizon,
     local_recurrence_at,
     local_recurrence_bound,
     loglog_slope,
@@ -16,6 +22,7 @@ from seqevl.recurrence import (
     measure_En_eps,
     min_orbit_displacement,
     orbit_displacement,
+    varsigma,
 )
 from seqevl.thresholds import Observable
 
@@ -24,55 +31,38 @@ from seqevl.thresholds import Observable
 LEFT_EDGE_ORACLE = 0.0060718995381676535921
 
 
-# ------------------------------------------------------------------- params
+# ---------------------------------------------------------------- exponents
 
 def test_params_defaults():
-    p = RecurrenceParams()
-    assert p.varsigma == pytest.approx(1.0 / (1.0 + 1.0 / 7.0) - 0.21, abs=1e-15)
-    assert p.varsigma == pytest.approx(0.665, abs=1e-12)
-    assert p.varsigma > p.beta
-    assert p.gamma * (p.varsigma - p.beta) > 1.0
+    assert (BETA, KAPPA, XI, GAMMA) == (0.3, 0.2, 0.05, 3.0)
+    assert varsigma(1.0 / 7.0) == pytest.approx(1.0 / (1.0 + 1.0 / 7.0) - 0.21, abs=1e-15)
+    assert varsigma(1.0 / 7.0) == pytest.approx(0.665, abs=1e-12)
+    assert varsigma(1.0 / 7.0) > BETA
+    assert GAMMA * (varsigma(1.0 / 7.0) - BETA) > 1.0
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        RecurrenceParams(beta=0.0)
-    with pytest.raises(ValueError):
-        RecurrenceParams(beta=0.3, kappa=0.3)  # kappa must stay below beta
-    with pytest.raises(ValueError):
-        RecurrenceParams(xi=1.5)
-    with pytest.raises(ValueError):
-        RecurrenceParams(beta=0.3, kappa=0.29, xi=0.05)  # kappa(1+xi) >= beta
-    # local-bound feasibility: varsigma must clear beta ...
-    with pytest.raises(ValueError):
-        RecurrenceParams(beta=0.7, kappa=0.2, xi=0.05)
-    # ... and gamma*(varsigma - beta) must clear 1
-    with pytest.raises(ValueError):
-        RecurrenceParams(gamma=1.0)
+    # check_cap refuses a cap at which the local bound fails: varsigma must
+    # clear beta, then gamma*(varsigma - beta) must clear 1
+    for alpha_star in (1.0 / 7.0, 0.18577):
+        assert check_cap(alpha_star) is None
+    for alpha_star in (0.18578, 0.5):
+        with pytest.raises(ValueError, match=r"^local bound needs gamma\*\(varsigma-beta\) > 1$"):
+            check_cap(alpha_star)
+    with pytest.raises(ValueError, match=r"^local bound needs varsigma > beta$"):
+        check_cap(0.99)
 
 
 def test_horizon_monotone_in_j_and_exponent():
-    p = RecurrenceParams()
     js = [2, 10, 100, 1000, 10000]
-    hs = [p.horizon(j) for j in js]
+    hs = [horizon(j) for j in js]
     assert hs[0] == 1
     assert all(a <= b for a, b in zip(hs, hs[1:]))
     assert hs == [int(np.floor(j ** 0.21)) for j in js]
-    steeper = RecurrenceParams(beta=0.3, kappa=0.28, xi=0.05, gamma=4.0)
-    assert all(steeper.horizon(j) >= p.horizon(j) for j in js)
-
-
-@pytest.mark.parametrize("gamma,steps", [(3.0, 8), (10.0, 1448), (15.0, 55108), (20.0, None)])
-def test_recurrence_horizon_ceiling(gamma, steps):
-    # the local union set at j = 32 reads 32^(0.21 gamma) steps; 2^21 at
-    # gamma = 20 is above the ceiling of 2^20
-    params = RecurrenceParams(gamma=gamma)
-    if steps is None:
-        for args in ((32, gamma), (32.0 ** gamma,)):
-            with pytest.raises(ValueError, match="above the ceiling of 1048576"):
-                params.horizon(*args)
-    else:
-        assert params.horizon(32, gamma) == params.horizon(32.0 ** gamma) == steps
+    # the local union set at scale j^gamma runs at least as long as the one
+    # at j; at j = 32 it reads 32^(0.21 gamma) = 8.9 steps
+    assert all(horizon(float(j) ** GAMMA) >= horizon(j) for j in js)
+    assert horizon(32.0 ** 3) == 8
 
 
 # -------------------------------------------------------------- displacement
@@ -181,66 +171,66 @@ def test_measure_en_eps_validation(const01):
 
 
 def test_measure_ej_contains_first_return_set(const01):
-    p = RecurrenceParams()
     j = 32
-    assert p.horizon(j) >= 1
-    union = measure_Ej(const01, j, p)
+    assert horizon(j) >= 1
+    union = measure_Ej(const01, j)
     first = measure_En_eps(const01, 1, 2.0 / j)
     assert union >= first - 2e-3  # both carry O(1/STRATA) grid error
     with pytest.raises(ValueError):
-        measure_Ej(const01, 1.5, p)
+        measure_Ej(const01, 1.5)
 
 
 def test_measure_ej_grows_with_horizon(const01):
-    p = RecurrenceParams()
-    steeper = RecurrenceParams(beta=0.3, kappa=0.28, xi=0.05, gamma=4.0)
-    j = 64.0
-    assert steeper.horizon(j) > p.horizon(j)
-    assert measure_Ej(const01, j, steeper) >= measure_Ej(const01, j, p) - 2e-3
+    # the prefix minimum of |composition_i(x) - x| does not rise with the
+    # horizon, so the union set at a fixed eps does not shrink
+    nodes = _stratified_nodes(STRATA)
+    best = [min_orbit_displacement(const01, steps, nodes) for steps in (1, 2, 4, 8)]
+    assert all(np.all(b <= a) for a, b in zip(best, best[1:]))
+    eps = 2.0 / 64.0
+
+    def union(steps):
+        return _measure_below(nodes, lambda x: min_orbit_displacement(const01, steps, x) - eps)
+
+    assert union(8) >= union(2) - 2e-3
 
 
 # -------------------------------------------------------- local recurrence
 
 def test_local_recurrence_contained_in_ball(const01):
-    p = RecurrenceParams()
     for zeta in (0.3, 1.0 / np.sqrt(2.0)):
-        m = local_recurrence_at(const01, Observable(zeta), 8.0, p)
-        assert 0.0 <= m <= 2.0 * 8.0 ** -p.gamma + 1e-12
+        m = local_recurrence_at(const01, Observable(zeta), 8.0)
+        assert 0.0 <= m <= 2.0 * 8.0 ** -GAMMA + 1e-12
 
 
 def test_local_recurrence_below_scale_one_is_empty(const01):
     # at j < 1 the union at scale j^gamma has horizon 0: no return step, so
     # no point of the ball is inside
-    p = RecurrenceParams()
     for j in (0.5, 0.9, 0.01, 1e-3):
-        assert p.horizon(j ** p.gamma) == 0
-        assert local_recurrence_at(const01, Observable(0.3), j, p) == 0.0
+        assert horizon(j ** GAMMA) == 0
+        assert local_recurrence_at(const01, Observable(0.3), j) == 0.0
 
 
 def test_local_recurrence_validation(const01):
     # zeta is the Observable's to check (test_observable_validation)
-    p, obs = RecurrenceParams(), Observable(0.3)
+    obs = Observable(0.3)
     for j in (0.0, -8.0, np.nan, np.inf):
         with pytest.raises(ValueError, match=r"^j must be positive and finite"):
-            local_recurrence_at(const01, obs, j, p)
+            local_recurrence_at(const01, obs, j)
     # finite, but j ** -gamma or j ** gamma overflows
     for j in (1e-200, 1e200, np.float64(1e-200), np.float64(1e200)):
         with pytest.raises(ValueError, match=r"overflows at j="):
-            local_recurrence_at(const01, obs, j, p)
+            local_recurrence_at(const01, obs, j)
 
 
 def test_measure_ej_validation(const01):
-    p = RecurrenceParams()
     for j in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=r"^j must be finite and at least 2, got"):
-            measure_Ej(const01, j, p)
+            measure_Ej(const01, j)
 
 
 def test_local_recurrence_bound_formula():
-    p = RecurrenceParams()
-    assert local_recurrence_bound(8.0, p) == pytest.approx(
-        2.0 * 8.0 ** (-p.gamma * (1.0 + p.beta)), rel=1e-15)
-    assert local_recurrence_bound(16.0, p) < local_recurrence_bound(8.0, p)
+    assert local_recurrence_bound(8.0) == pytest.approx(2.0 * 8.0 ** (-3.0 * 1.3), rel=1e-15)
+    assert local_recurrence_bound(16.0) < local_recurrence_bound(8.0)
 
 
 # -------------------------------------------------------------------- slope
