@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from seqevl.experiments import LOCAL_JS
 from seqevl.maps import sequential_orbit
 from seqevl.recurrence import (
     BETA,
@@ -59,10 +60,16 @@ def test_horizon_monotone_in_j_and_exponent():
     assert hs[0] == 1
     assert all(a <= b for a, b in zip(hs, hs[1:]))
     assert hs == [int(np.floor(j ** 0.21)) for j in js]
-    # the local union set at scale j^gamma runs at least as long as the one
-    # at j; at j = 32 it reads 32^(0.21 gamma) = 8.9 steps
+    # the local union set at scale j^gamma runs at least as long as the one at j
     assert all(horizon(float(j) ** GAMMA) >= horizon(j) for j in js)
-    assert horizon(32.0 ** 3) == 8
+
+
+@pytest.mark.parametrize("gamma,steps", [(GAMMA, 8)])
+def test_recurrence_horizon_ceiling(gamma, steps):
+    # the longest union horizon a run builds is the local one at j = 32,
+    # scale 32^gamma: 32^(0.21 gamma) = 8.9 steps
+    assert max(LOCAL_JS) == 32
+    assert horizon(32.0 ** gamma) == steps
 
 
 # -------------------------------------------------------------- displacement
