@@ -14,11 +14,11 @@ import math
 import tomllib
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 from .maps import ParameterSchedule
 from .montecarlo import DEFAULT_BETA, DEFAULT_KAPPA, DEFAULT_SAMPLES
-from .recurrence import XI, check_cap
+from .recurrence import XI
 from .thresholds import Observable
 
 
@@ -26,8 +26,7 @@ from .thresholds import Observable
 class Kind:
     """One experiment kind: its command's help line, the keys its runner
     reads (top-level keys and whole sections), which alone make a run's id
-    and decide each fault's severity, its horizons, and the check its cap
-    must pass."""
+    and decide each fault's severity, and its horizons."""
 
     help: str
     reads: tuple[str, ...]
@@ -35,7 +34,6 @@ class Kind:
     min_n: int = 1
     min_rungs: int = 1
     why: str = ""  # the reason for min_n and min_rungs
-    at_cap: Callable | None = None  # called as at_cap(alpha_star=the schedule's cap)
 
     def horizon_key(self, config: ExperimentConfig) -> str | None:
         """The one horizon key a run reads: `n_ladder` when the row reads it and
@@ -64,7 +62,7 @@ KINDS = {
                   ("n_ladder", "schedule"), ladder=tuple(2 ** k for k in range(6, 13)),
                   min_n=2, min_rungs=2, why="the slope fit reads log log n at two horizons"),
     "recurrence": Kind("measures of fast-returning sets and their scaling",
-                       ("schedule", "observable"), (1, 5, 20), at_cap=check_cap),
+                       ("schedule", "observable"), (1, 5, 20)),
     "orbit": Kind("print one sequential orbit", ("n", "x0", "schedule")),
 }
 
@@ -97,7 +95,6 @@ class ScheduleSpec:
     lo: float = ParameterSchedule.lo
     hi: float = ParameterSchedule.hi
     seed: int = ParameterSchedule.seed
-    alpha_star: float = ParameterSchedule.alpha_star
     # the mode decides which fields a run reads (`read_fields`)
     READS: ClassVar[dict] = {"periodic": ("cycle",), "iid": ("lo", "hi", "seed")}
 
@@ -384,19 +381,11 @@ def validate_config(config: ExperimentConfig) -> list[Diagnostic]:
         if not 0.0 < getattr(exps, name) < 1.0:
             fault(f"exponents.{name}", "bad-exponents", f"{name} must lie in (0, 1)")
 
-    def schedule():
-        # the row's at_cap check is called at the built schedule's cap, so a
-        # cap it refuses is the schedule's one fault
-        built_schedule = config.schedule.build()
-        if row.at_cap is not None:
-            row.at_cap(alpha_star=built_schedule.alpha_star)
-        return built_schedule
-
     # a run builds only the sections it reads, and their builders check the
-    # rest (the schedule's mode, cycle, exponents, cap and iid bounds, the
+    # rest (the schedule's mode, cycle, exponents and iid bounds, the
     # observable's zeta)
     built = {}
-    for key, code, build in (("schedule", "bad-schedule", schedule),
+    for key, code, build in (("schedule", "bad-schedule", config.schedule.build),
                              ("observable.zeta", "bad-zeta", config.observable.build)):
         if kind_reads(config, key):
             try:

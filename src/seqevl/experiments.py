@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import KINDS, ConfigError, ExperimentConfig, validate_config
 from .io import write_csv, write_json, write_text
-from .maps import sequential_orbit
+from .maps import ALPHA_STAR, sequential_orbit
 from .mesh import graded_mesh, uniform_density
 from .montecarlo import (build_blocks, d0_mixing_gap, dprime_sum, estimate_exceedances,
                          estimate_Pn)
@@ -297,7 +297,7 @@ LOCAL_JS = (8, 16, 32)
 
 def _run_recurrence(config: ExperimentConfig, mc: _MonteCarlo):
     schedule = config.schedule.build()
-    slope_floor = 1.0 / (1.0 + schedule.alpha_star) - 0.15
+    slope_floor = 1.0 / (1.0 + ALPHA_STAR) - 0.15
 
     en_rows = []
     checks = []
@@ -322,7 +322,7 @@ def _run_recurrence(config: ExperimentConfig, mc: _MonteCarlo):
         checks.append(TargetCheck(
             name="union-slope",
             claim="short-return union measure decays at least like the predicted power",
-            measured=ej_slope, target=-varsigma(schedule.alpha_star) + 0.3, tolerance=0.0,
+            measured=ej_slope, target=-varsigma(ALPHA_STAR) + 0.3, tolerance=0.0,
             side="below"))
 
     local_rows = []

@@ -14,6 +14,7 @@ import numpy as np
 from ._numeric import bisect
 from ._rng import uniforms
 
+# the lab's cap on every exponent, where the blocking budgets' region ends
 ALPHA_STAR = 1.0 / 7.0
 
 # Newton sweeps before lsv_left_inverse falls back to bisection
@@ -103,27 +104,23 @@ class ParameterSchedule:
     one exponent, and "iid" reads lo, hi and seed; a mode ignores the
     other fields.  The iid mode draws uniform exponents from (lo, hi) on a
     dedicated counter-based stream, so the schedule never interferes with
-    sampling randomness.  Exponents above `alpha_star` are rejected at
+    sampling randomness.  Exponents above ALPHA_STAR are rejected at
     construction.  The defaults are the lab's: the constant exponent 0.1.
     """
 
     mode: str = "periodic"
-    alpha_star: float = ALPHA_STAR
     cycle: tuple[float, ...] = (0.1,)
     lo: float = 0.01
     hi: float = 0.14
     seed: int = 7
 
     def __post_init__(self):
-        if not 0.0 < self.alpha_star < 1.0:
-            raise ValueError("alpha_star must lie in (0, 1)")
         alphas = _named_exponents(self)
         if not alphas:
             raise ValueError(f"{self.mode} schedule needs a nonempty exponent list")
         for a in alphas:
-            if not 0.0 < a <= self.alpha_star:
-                raise ValueError(
-                    f"exponent {a!r} outside (0, alpha_star={self.alpha_star}]")
+            if not 0.0 < a <= ALPHA_STAR:
+                raise ValueError(f"exponent {a!r} outside (0, alpha_star={ALPHA_STAR}]")
         if self.mode == "iid" and not self.lo < self.hi:
             raise ValueError("iid schedule needs 0 < lo < hi")
 

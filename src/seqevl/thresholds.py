@@ -99,8 +99,6 @@ def calibrate_delta_ladder(densities: Density, observable: Observable, tau: floa
     n = np.asarray(n)
     if np.any(n < 1):
         raise ValueError("n must be positive")
-    if tau == 0.0:
-        return np.zeros(n.shape + (len(densities),))
     target = np.asarray(tau / n)[..., None]
     peak = tau / n.min()
     # the mass over [0, 1] is prefix_mass[..., -1] of every row, bit for bit
@@ -119,13 +117,15 @@ def calibrate_delta_ladder(densities: Density, observable: Observable, tau: floa
         if k >= kinks.size or np.all(np.any(window >= peak, axis=0)):
             break
         k *= 16
-    # j = 0 only where the mass stays below target (within the 1e-12
-    # tolerance): that density gets the largest radius
+    # j = 0 where the target is 0 (tau = 0, or tau / n underflows), which
+    # gets radius 0, or where the mass stays below target (within the 1e-12
+    # tolerance), which gets the largest radius
     j = np.argmax(window >= target[..., None, :], axis=-2)
     at = np.arange(len(densities))
     m0, m1 = window[j - 1, at], window[j, at]
     d0, d1 = kinks[j - 1], kinks[j]
-    return np.where(j > 0, d0 + (target - m0) / (m1 - m0) * (d1 - d0), kinks[-1])
+    return np.where(j > 0, d0 + (target - m0) / (m1 - m0) * (d1 - d0),
+                    np.where(target > 0.0, kinks[-1], 0.0))
 
 
 @dataclass

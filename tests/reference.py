@@ -26,6 +26,9 @@ some test reaches).  What it holds:
 - `duality_residual`: the transfer operator tested against the change of
   variables, with the map derivative `lsv_derivative` and both branch
   preimages `lsv_preimages`.
+- `exact_survival`: P_n of a calibrated schedule from a uniform start,
+  exact up to the preimage solver, as the total length of the surviving
+  starts, built backward by branch preimages (ROADMAP item 26, step 1).
 - `ConeParams`, `cone_check` and `density_bounds_check`: the cone
   invariance of pushed densities that the paper's argument rests on
   (Liverani-Saussol-Vaienti 1999; Aimino-Hu-Nicol-Torok-Vaienti 2015 for
@@ -53,7 +56,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from seqevl._rng import philox_key
-from seqevl.maps import _check_alpha, _check_domain, apply_map_batch, lsv_left_inverse
+from seqevl.maps import (ALPHA_STAR, _check_alpha, _check_domain, apply_map_batch,
+                         lsv_left_inverse)
 from seqevl.mesh import DEFAULT_CELLS, Density, Mesh, _same_mesh
 from seqevl.thresholds import Observable, ThresholdSchedule
 
@@ -100,6 +104,42 @@ def lsv_preimages(alpha: float, y):
     """Both branch preimages of y: (left in [0, 1/2], right in [1/2, 1])."""
     y = _check_domain(y)
     return lsv_left_inverse(alpha, y), (np.asarray(y, dtype=float) + 1.0) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# exact survival by backward preimages
+
+
+def _cut_ball(lo: np.ndarray, hi: np.ndarray, zeta: float, delta: float):
+    """The sorted disjoint intervals [lo, hi] minus the open ball of radius
+    delta at zeta, still sorted: the pieces below it, then those above."""
+    below, above = zeta - delta, zeta + delta
+    low, high = lo < below, hi > above
+    return (np.concatenate((lo[low], np.maximum(lo[high], above))),
+            np.concatenate((np.minimum(hi[low], below), hi[high])))
+
+
+def exact_survival(ts: ThresholdSchedule, cap: int = 1_000_000) -> float:
+    """P(no exceedance through step n - 1) of a uniform start at ts's radii,
+    exact up to the preimage solver.
+
+    Both branches of every map are increasing, so the surviving starts are a
+    finite union of intervals, built backward: [0, 1] minus the ball of step
+    n - 1, then at each earlier step j both branch preimages under step j's
+    map, minus the ball of step j.  Left preimages lie in [0, 1/2] and right
+    ones in [1/2, 1], so the intervals stay sorted.  A problem whose interval
+    count passes cap is refused with a ValueError; the count grows about 2.6x
+    a step, so the default cap reaches n = 20 or so.
+    """
+    alphas, zeta = ts.schedule.alphas(ts.n - 1), ts.observable.zeta
+    lo, hi = _cut_ball(np.zeros(1), np.ones(1), zeta, ts.deltas[-1])
+    for j in range(ts.n - 2, -1, -1):
+        if 2 * lo.size > cap:
+            raise ValueError(f"step {j} needs {2 * lo.size} intervals, above the cap {cap}")
+        left, right = lsv_preimages(alphas[j], np.concatenate((lo, hi)))
+        lo, hi = _cut_ball(np.concatenate((left[:lo.size], right[:lo.size])),
+                           np.concatenate((left[lo.size:], right[lo.size:])), zeta, ts.deltas[j])
+    return math.fsum(hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +295,9 @@ def threshold_window(params: ConeParams, zeta: float, tau: float, n: int) -> tup
 
 def schedule_window(ts: ThresholdSchedule) -> tuple[float, float, np.ndarray]:
     """(lo, hi, ok): the threshold window of ts for the cone whose exponent is
-    the largest of the n - 1 maps that push its densities (alpha_star when
+    the largest of the n - 1 maps that push its densities (ALPHA_STAR when
     n = 1), and which radii lie in it (all of them when tau = 0)."""
-    alpha = float(np.max(ts.schedule.alphas(ts.n - 1))) if ts.n > 1 else ts.schedule.alpha_star
+    alpha = float(np.max(ts.schedule.alphas(ts.n - 1))) if ts.n > 1 else ALPHA_STAR
     lo, hi = threshold_window(ConeParams(alpha=alpha), ts.observable.zeta, ts.tau, ts.n)
     if ts.tau == 0.0:
         return lo, hi, np.ones(ts.n, dtype=bool)

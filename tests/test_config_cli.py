@@ -153,6 +153,10 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"mesh": {"cells": 64}})
     with pytest.raises(ConfigError, match="unknown top-level key 'recurrence'"):
         config_from_dict({"recurrence": {"gamma": 3.0}})
+    # nor the exponent cap, maps.ALPHA_STAR, so 17 values are settable
+    with pytest.raises(ConfigError, match="unknown key 'alpha_star' in \\[schedule\\]"):
+        config_from_dict({"schedule": {"alpha_star": 0.2}})
+    assert len(_flat(ExperimentConfig())) == 17
     # [observable] holds zeta alone
     for key, value in (("form", "log"), ("power", 2.0), ("cap", 1.0)):
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[observable\\]"):
@@ -230,7 +234,6 @@ def test_readme_commands_are_the_parsers():
 
 def test_spec_defaults_are_the_builders_defaults():
     assert ObservableSpec().build() == Observable()
-    assert KINDS["recurrence"].at_cap(alpha_star=ScheduleSpec().alpha_star) is None
     assert ScheduleSpec().build() == ParameterSchedule()
     blocks = inspect.signature(build_blocks).parameters
     assert ExponentSpec().beta == blocks["beta"].default
@@ -311,7 +314,6 @@ HARD_ERRORS = [
     (dict(kind="decay", n_ladder=(64, 64, 128)), "bad-n"),
     (dict(kind="decay", n_ladder=(1, 64, 128)), "bad-n"),
     (dict(kind="orbit", x0=-0.1), "bad-x0"),
-    (dict(schedule=ScheduleSpec(alpha_star=2.0)), "bad-schedule"),
     (dict(tau=5000.0), "bad-tau"),
     (dict(n_ladder=(1, 1000), tau=2.0), "bad-tau"),
     (dict(kind="calibrate", n=-250), "bad-n"),
@@ -335,8 +337,6 @@ HARD_ERRORS = [
     (dict(n_ladder=(2000, 250)), "bad-n"),
     # a constant schedule is a one-exponent cycle
     (dict(schedule=ScheduleSpec(mode="constant")), "bad-schedule"),
-    # the recurrence exponents admit a cap below 0.18577 only
-    (dict(kind="recurrence", schedule=ScheduleSpec(alpha_star=0.5)), "bad-schedule"),
 ]
 
 
@@ -359,11 +359,13 @@ def _row_id(overrides, code) -> str:
 # the first FIRST_NAMED_ROW places keep the positional ids pytest gave them
 # before rows were named ("overrides<i>-<code>", i a row's place among the
 # test's rows); RETIRED holds the places and codes of rows deleted since,
-# every one a [mesh] row (the section is gone: the mesh is the lab's), so no
-# row after them is renamed. Every later row is named by its code and the
-# keys it sets, so a row added at the end renames no other test
+# each a [mesh] row or the schedule's alpha_star row (the mesh and the
+# exponent cap are the lab's), so no row after them is renamed. Every later
+# row is named by its code and the keys it sets, so a row added at the end
+# renames no other test
 FIRST_NAMED_ROW = 40
-RETIRED = dict.fromkeys((4, 6, 7, 19, 29, 31, 32, 33, 34, 35, 36), "bad-mesh")
+RETIRED = {**dict.fromkeys((4, 6, 7, 19, 29, 31, 32, 33, 34, 35, 36), "bad-mesh"),
+           20: "bad-schedule"}
 
 
 def _hard_error_params(skip=None) -> dict:
@@ -494,24 +496,6 @@ def test_every_fault_is_reported_only_where_it_is_read():
                 assert _reported_where_read(config, diagnostic), (kind, overrides, diagnostic)
                 if diagnostic.severity == "error":
                     assert diagnostic.key.split(".")[0] in overrides, (kind, overrides, diagnostic)
-
-
-def test_recurrence_is_checked_at_the_built_schedules_cap():
-    # the recurrence row's cap check is called at the built schedule's cap,
-    # and a cap either refuses is reported once, in [schedule]; a kind with
-    # no such check takes any cap its schedule accepts
-    cases = [
-        ("recurrence", 2.0, [("bad-schedule", "alpha_star must lie in (0, 1)")]),
-        ("recurrence", 0.99, [("bad-schedule", "local bound needs varsigma > beta")]),
-        ("recurrence", 0.5, [("bad-schedule", "local bound needs gamma*(varsigma-beta) > 1")]),
-        ("recurrence", 0.18578, [("bad-schedule", "local bound needs gamma*(varsigma-beta) > 1")]),
-        ("recurrence", 0.18577, []),
-        ("evl", 0.5, []),
-    ]
-    for kind, alpha_star, expected in cases:
-        diags = validate_config(default_config(kind, schedule=ScheduleSpec(alpha_star=alpha_star)))
-        assert [(d.severity, d.key) for d in diags] == [("error", "schedule")] * len(expected)
-        assert [(d.code, d.message) for d in diags] == expected, (kind, alpha_star)
 
 
 def test_bad_tau_follows_the_calibrated_horizons():

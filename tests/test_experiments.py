@@ -190,8 +190,8 @@ def _recording(spec, reads: set, prefix: str = ""):
 # schedules that between them take every schedule mode, each with the fields
 # a run reads under it
 SELECTIONS = [
-    (ScheduleSpec(), {"mode", "cycle", "alpha_star"}),
-    (ScheduleSpec(mode="iid"), {"mode", "lo", "hi", "seed", "alpha_star"}),
+    (ScheduleSpec(), {"mode", "cycle"}),
+    (ScheduleSpec(mode="iid"), {"mode", "lo", "hi", "seed"}),
 ]
 
 

@@ -202,15 +202,15 @@ def test_iid_schedule_prefix_consistency():
 
 
 def test_schedule_rejects_exponents_above_cap():
-    with pytest.raises(ValueError):
+    message = r"^exponent 0\.2 outside \(0, alpha_star=0\.14285714285714285\]$"
+    with pytest.raises(ValueError, match=message):
         ParameterSchedule(cycle=(0.2,))
     with pytest.raises(ValueError):
         ParameterSchedule(mode="periodic", cycle=(0.1, 0.15))
     with pytest.raises(ValueError):
         ParameterSchedule(mode="iid", lo=0.01, hi=0.2, seed=0)
-    # a larger cap admits them
-    s = ParameterSchedule(cycle=(0.2,), alpha_star=0.25)
-    assert s.sup_alpha() == 0.2
+    # the cap itself is admitted
+    assert ParameterSchedule(cycle=(ALPHA_STAR,)).sup_alpha() == ALPHA_STAR
 
 
 def test_schedule_validation_misc():

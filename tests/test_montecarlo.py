@@ -4,6 +4,7 @@ exponent budgets of `seqevl.config`."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -14,6 +15,7 @@ from seqevl import montecarlo
 from seqevl._rng import uniforms
 from seqevl.config import exponent_ledger
 from seqevl.maps import ALPHA_STAR, ParameterSchedule
+from seqevl.mesh import graded_mesh
 from seqevl.montecarlo import (
     EstimateWithCI,
     build_blocks,
@@ -23,7 +25,7 @@ from seqevl.montecarlo import (
     estimate_exceedances,
 )
 from seqevl.thresholds import Observable, build_threshold_schedule
-from reference import lsv_apply, philox_draw
+from reference import exact_survival, lsv_apply, philox_draw
 
 N_FAST = 20_000
 N_CHUNKED = 3 * 16384 + 777  # a short last chunk at CHUNK_SIZE 16,384 and at 1,000
@@ -356,10 +358,15 @@ def _ref_d0(ts):
 
 @pytest.mark.parametrize("case", [_ref_pn, _ref_exceedances, _ref_dprime, _ref_d0],
                          ids=["pn", "exceedances", "dprime", "d0"])
-def test_estimators_match_plain_reference_sweep(ts20, case):
-    # the chunked, compacting sweep must count exactly what a plain walk counts
-    got, want = case(ts20)
-    assert got == want
+def test_estimators_match_plain_reference_sweep(ts20, mesh512, case):
+    # the chunked, compacting sweep must count exactly what a plain walk
+    # counts, under a constant schedule and under an iid one, whose steps a
+    # sweep that maps step i with the wrong exponent would get wrong
+    iid, = build_threshold_schedule(ParameterSchedule(mode="iid", seed=5), Observable(), 1.0,
+                                    (20,), mesh512)
+    for ts in (ts20, iid):
+        got, want = case(ts)
+        assert got == want
 
 
 # ROADMAP item 22's fourth relation: a larger tau widens every step's ball,
@@ -423,6 +430,36 @@ def test_sweep_peak_memory_does_not_grow_with_n_samples(ts20, run):
 def test_estimators_reject_nonpositive_sample_counts(ts20, run, n):
     with pytest.raises(ValueError, match=f"n_samples must be positive, got {n}"):
         run(ts20, n)
+
+
+# --------------------------------------------------------- exact survival
+
+# exact P_n at tau = 1 on the build's radii, to 7 places, from the scratch
+# prototype of ROADMAP item 26; the sample count and seed were fixed before
+# any estimate was compared with them
+EXACT_PN = {("constant", 8): 0.3360387, ("constant", 12): 0.4079870,
+            ("iid", 8): 0.3403613, ("iid", 12): 0.4109248}
+EXACT_SCHEDULES = {"constant": ParameterSchedule(), "iid": ParameterSchedule(mode="iid")}
+
+
+@pytest.mark.parametrize("name,n", list(EXACT_PN), ids=[f"{m}-n{n}" for m, n in EXACT_PN])
+def test_estimate_pn_is_within_4_se_of_the_exact_value(name, n):
+    ts, = build_threshold_schedule(EXACT_SCHEDULES[name], Observable(), 1.0, (n,), graded_mesh())
+    exact = exact_survival(ts)
+    assert exact == pytest.approx(EXACT_PN[name, n], abs=1e-7)
+    estimate = estimate_Pn(ts, seed=1729, n_samples=100_000)
+    assert abs(estimate.value - exact) <= 4.0 * estimate.se
+    # radii 3% short (the evl-x0.97 fault, which evl's own check cannot see)
+    short = estimate_Pn(replace(ts, deltas=0.97 * ts.deltas), seed=1729, n_samples=100_000)
+    assert abs(short.value - exact) > 4.0 * short.se
+
+
+def test_exact_survival_refuses_a_problem_past_its_cap():
+    ts, = build_threshold_schedule(ParameterSchedule(), Observable(), 1.0, (8,), graded_mesh())
+    # the preimages of step 0's 91 intervals are the most n = 8 holds
+    assert exact_survival(ts, cap=182) == exact_survival(ts)
+    with pytest.raises(ValueError, match=r"^step 0 needs 182 intervals, above the cap 181$"):
+        exact_survival(ts, cap=181)
 
 
 # ----------------------------------------------------------- exponent budget

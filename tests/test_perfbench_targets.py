@@ -1,7 +1,9 @@
 """The benchmark's tracer patches program attributes by name, so a rename in
 `src/` would break `perfbench/run.py --trace 1`; every target must exist,
-and a traced run must complete."""
+and a traced run must complete.  The benchmark's own self-test, of its gate
+and its tracer, must pass too."""
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,10 +12,17 @@ import pytest
 import seqevl.cli  # imports every module the tracer patches
 from seqevl.config import default_config
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 import tracing  # noqa: E402
 
 TARGETS = {**tracing.SPANS, **tracing.COUNTERS}
+
+
+def test_benchmark_selftest_passes():
+    ran = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                         cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120)
+    assert ran.returncode == 0, ran.stdout + ran.stderr
 
 
 @pytest.mark.parametrize("name", sorted(TARGETS))

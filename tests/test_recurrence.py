@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqevl.experiments import LOCAL_JS
-from seqevl.maps import sequential_orbit
+from seqevl.maps import ALPHA_STAR, sequential_orbit
 from seqevl.recurrence import (
     BETA,
     BISECT_TOL,
@@ -14,7 +14,6 @@ from seqevl.recurrence import (
     XI,
     _measure_below,
     _stratified_nodes,
-    check_cap,
     horizon,
     local_recurrence_at,
     local_recurrence_bound,
@@ -38,20 +37,15 @@ def test_params_defaults():
     assert (BETA, KAPPA, XI, GAMMA) == (0.3, 0.2, 0.05, 3.0)
     assert varsigma(1.0 / 7.0) == pytest.approx(1.0 / (1.0 + 1.0 / 7.0) - 0.21, abs=1e-15)
     assert varsigma(1.0 / 7.0) == pytest.approx(0.665, abs=1e-12)
-    assert varsigma(1.0 / 7.0) > BETA
-    assert GAMMA * (varsigma(1.0 / 7.0) - BETA) > 1.0
 
 
 def test_params_validation():
-    # check_cap refuses a cap at which the local bound fails: varsigma must
-    # clear beta, then gamma*(varsigma - beta) must clear 1
-    for alpha_star in (1.0 / 7.0, 0.18577):
-        assert check_cap(alpha_star) is None
-    for alpha_star in (0.18578, 0.5):
-        with pytest.raises(ValueError, match=r"^local bound needs gamma\*\(varsigma-beta\) > 1$"):
-            check_cap(alpha_star)
-    with pytest.raises(ValueError, match=r"^local bound needs varsigma > beta$"):
-        check_cap(0.99)
+    # the local bound needs varsigma > beta and gamma*(varsigma - beta) > 1,
+    # which hold at the lab's cap, and at every cap up to 0.18577
+    for alpha_star in (ALPHA_STAR, 0.18577):
+        assert varsigma(alpha_star) > BETA
+        assert GAMMA * (varsigma(alpha_star) - BETA) > 1.0
+    assert GAMMA * (varsigma(0.18578) - BETA) <= 1.0
 
 
 def test_horizon_monotone_in_j_and_exponent():

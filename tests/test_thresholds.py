@@ -346,6 +346,16 @@ def test_zero_tau_schedule(mesh512, const01):
     assert np.all(np.isinf(ts.levels))
 
 
+@pytest.mark.parametrize("tau", [5e-324, 1e-323])
+def test_an_underflowing_target_gets_radius_zero(const01, tau):
+    # tau / n rounds to 0 at n = 10 and 20, which must give the empty ball of
+    # tau = 0, not the widest one; at n = 1 the radius is tau's own rounding
+    built = build_threshold_schedule(const01, Observable(), tau, (1, 10, 20), graded_mesh())
+    assert [ts.deltas.tolist() for ts in built[1:]] == [[0.0] * 10, [0.0] * 20]
+    assert built[0].deltas.tolist() == [0.0 if tau == 5e-324 else 5e-324]
+    assert [ts.fstar for ts in built] == [0.0] * 3
+
+
 # ------------------------------------------------------------ streamed build
 
 @pytest.mark.parametrize("schedule", [
